@@ -11,14 +11,29 @@ assignments with an invariant bilinear form on each side:
 * for cells, the adjugate of the configuration's barycenter matrix
   sum_x x x^t, which any set-preserving map must conjugate correctly.
 
-Candidate maps are solved from a base of n independent source vectors;
-with n pairing constraints active at depth n, the search tree collapses
-quickly at the sizes that occur here (at most a few dozen pairs).
+Everything runs in integers, in the spirit of Plesken and Souvignier
+("Computing isometries of lattices", J. Symbolic Comput. 24, 1997):
+
+* the pairing table of all signed target vectors is built once per
+  search; each base vector of the source gets the targets of the same
+  self-pairing as candidates, and choosing an image filters the deeper
+  candidate lists by table lookups, so no bilinear form is evaluated
+  inside the search;
+* a leaf assigns images Y to the base X of n independent source
+  vectors and solves g = Y adj(X) / det(X) with the integer adjugate,
+  rejecting it unless det(X) divides every entry exactly.
+
 All solutions are found, so stabilizers come out as complete groups.
+Generating sets of those groups are chosen by a scan over the sorted
+elements whose running closure grows coset by coset (Dimino's
+algorithm, see Butler, "Fundamental Algorithms for Permutation Groups",
+LNCS 559, 1991).
 """
 
+from operator import mul
+
 from .forms import GroupElement, bilinear, canonical_pair
-from .linalg import adjugate, det_int, fraction_inverse, mat_mul, mat_rank
+from .linalg import adjugate, det_int, mat_mul, mat_rank, mat_vec
 
 
 def barycenter_matrix(vectors):
@@ -67,33 +82,38 @@ def _independent_base(vectors):
 
 def _maps(src, dst, src_pair, dst_pair, accept, det_one, first_only):
     """All integer g with compatible pairings sending base vectors of
-    `src` into signed vectors of `dst`, filtered through `accept`."""
+    `src` into signed vectors of `dst`, filtered through `accept`.
+
+    Candidates are visited in sorted order of the signed target vectors,
+    so the first map found (and the order of all maps) is fixed.
+    """
     n = len(src[0])
-    base = _independent_base(src)
-    base_vecs = [src[i] for i in base]
-    # Columns of X are the base vectors; candidate g = Y X^-1.
-    x_cols = [[base_vecs[j][i] for j in range(n)] for i in range(n)]
-    x_inv = fraction_inverse(x_cols)
-    signed = []
-    for v in dst:
-        signed.append(v)
-        signed.append(tuple(-t for t in v))
-    signed.sort()
+    base_vecs = [src[i] for i in _independent_base(src)]
+    # Columns of X are the base vectors; candidate g = Y adj(X) / det(X).
+    x_cols = tuple(zip(*base_vecs))
+    x_adj_cols = tuple(zip(*adjugate(x_cols)))
+    x_det = det_int(x_cols)
+    signed = sorted(list(dst) + [tuple(-t for t in v) for v in dst])
+    paired = [mat_vec(dst_pair, y) for y in signed]
+    table = [[sum(map(mul, y, p)) for p in paired] for y in signed]
     src_gram = [[bilinear(src_pair, a, b) for b in base_vecs]
                 for a in base_vecs]
+    by_norm = {}
+    for k, row in enumerate(table):
+        by_norm.setdefault(row[k], []).append(k)
     results = []
     images = []
 
     def leaf():
-        y_cols = [[images[j][i] for j in range(n)] for i in range(n)]
+        y_rows = tuple(zip(*(signed[k] for k in images)))
         g_rows = []
-        for i in range(n):
+        for y_row in y_rows:
             row = []
-            for j in range(n):
-                val = sum(y_cols[i][k] * x_inv[k][j] for k in range(n))
-                if val.denominator != 1:
+            for col in x_adj_cols:
+                q, r = divmod(sum(map(mul, y_row, col)), x_det)
+                if r:
                     return False
-                row.append(int(val))
+                row.append(q)
             g_rows.append(tuple(row))
         d = det_int(g_rows)
         if d not in (1, -1):
@@ -106,27 +126,28 @@ def _maps(src, dst, src_pair, dst_pair, accept, det_one, first_only):
             return first_only
         return False
 
-    def extend(depth):
+    def extend(depth, candidates):
+        # candidates[e - depth]: targets for base vector e whose pairings
+        # with the images chosen so far match the source Gram entries.
         if depth == n:
             return leaf()
-        want_self = src_gram[depth][depth]
-        for y in signed:
-            if bilinear(dst_pair, y, y) != want_self:
-                continue
-            ok = True
-            for j in range(depth):
-                if bilinear(dst_pair, images[j], y) != src_gram[depth][j]:
-                    ok = False
+        for k in candidates[0]:
+            row = table[k]
+            rest = []
+            for e in range(depth + 1, n):
+                want = src_gram[e][depth]
+                kept = [c for c in candidates[e - depth] if row[c] == want]
+                if not kept:
                     break
-            if not ok:
-                continue
-            images.append(y)
-            if extend(depth + 1):
-                return True
-            images.pop()
+                rest.append(kept)
+            else:
+                images.append(k)
+                if extend(depth + 1, rest):
+                    return True
+                images.pop()
         return False
 
-    extend(0)
+    extend(0, [by_norm.get(src_gram[d][d], []) for d in range(n)])
     return results
 
 
@@ -200,43 +221,50 @@ def small_generating_set(elements):
     """A short generating set of a finite matrix group given in full.
 
     Scans the (sorted) element list, adding an element whenever it is
-    not yet a product of the chosen ones.  The running closure is grown
-    by generator-only left multiplication, so the total cost stays near
-    one pass over the group per generator added.
+    not yet a product of the chosen ones.  The running closure grows
+    coset by coset (Dimino): adding g to the closed subgroup H, each new
+    right coset H r is found by multiplying only the coset
+    representatives r by the generators, and is then filled in as
+    {h r : h in H}.  Adding a generator therefore costs one product per
+    element of the enlarged group plus one per representative and
+    generator.
     """
-    if not elements:
-        return ()
-    n = elements[0].n
-    ident = GroupElement.identity(n)
-    if len(elements) == 1:
+    if len(elements) <= 1:
         return ()
     gens = []
-    closure = {ident.rows: ident}
+    closure = {GroupElement.identity(elements[0].n).rows}
     for g in sorted(elements, key=lambda e: e.rows):
         if g.rows in closure:
             continue
         gens.append(g)
-        frontier = list(closure.values())
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for gen in gens:
-                    prod = gen * h
-                    if prod.rows not in closure:
-                        closure[prod.rows] = prod
-                        nxt.append(prod)
-            frontier = nxt
+        subgroup = list(closure)
+        reps = [g.rows]
+        closure.update(_right_coset(subgroup, g.rows))
+        for r in reps:
+            for s in gens:
+                rs = mat_mul(r, s.rows)
+                if rs not in closure:
+                    reps.append(rs)
+                    closure.update(_right_coset(subgroup, rs))
         if len(closure) == len(elements):
             break
     return tuple(gens)
+
+
+def _right_coset(subgroup, r):
+    """The matrix rows of h r for every h in `subgroup`."""
+    cols = tuple(zip(*r))
+    return [tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                  for row in h)
+            for h in subgroup]
 
 
 def orbit_decompose(keys, generators, apply, identity):
     """Orbits of `keys` under the group generated by `generators`.
 
     Returns (rep, {member: transporter}) per orbit with transporter *
-    rep = member (the representative carries `identity`); every image
-    must stay inside `keys`.
+    rep = member (the representative carries `identity`).  Raises
+    ValueError when an image leaves `keys`.
     """
     key_set = set(keys)
     assigned = set()
@@ -246,12 +274,12 @@ def orbit_decompose(keys, generators, apply, identity):
             continue
         members = {key: identity}
         frontier = [key]
-        while frontier and generators:
-            current = frontier.pop(0)
+        for current in frontier:
             s = members[current]
             for g in generators:
                 img = apply(g, current)
-                assert img in key_set, "group does not permute the keys"
+                if img not in key_set:
+                    raise ValueError("group does not permute the keys")
                 if img not in members:
                     members[img] = g * s
                     frontier.append(img)

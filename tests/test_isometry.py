@@ -1,3 +1,6 @@
+import itertools
+
+import pytest
 from conftest import brute_stabilizer_2x2, random_unimodular
 
 from vorcycle.forms import (
@@ -7,10 +10,12 @@ from vorcycle.forms import (
     act,
     act_form,
     apply_to_cell,
+    canonical_pair,
     d_n_gram,
     minimum_and_minimal_vectors,
 )
 from vorcycle.isometry import (
+    _independent_base,
     cell_invariant,
     cell_maps,
     cell_stabilizer,
@@ -18,6 +23,7 @@ from vorcycle.isometry import (
     form_maps,
     pair_swap_elements,
 )
+from vorcycle.linalg import det_int
 
 HEXAGONAL = ((2, 1), (1, 2))
 
@@ -195,3 +201,108 @@ def test_orbit_decompose_partitions_with_transporters():
     # orbit sizes divide the group order
     for _, members in orbits:
         assert len(group) % len(members) == 0
+
+
+def brute_cell_maps(src, dst, bound):
+    """Oracle: all unimodular matrices with entries in [-bound, bound]
+    sending the pairs of `src` onto the pairs of `dst`."""
+    n = len(src[0])
+    target = set(dst)
+    out = set()
+    for entries in itertools.product(range(-bound, bound + 1),
+                                     repeat=n * n):
+        rows = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
+        if det_int(rows) not in (1, -1):
+            continue
+        g = GroupElement.from_matrix(rows)
+        if {canonical_pair(g.apply(v)) for v in src} == target:
+            out.add(rows)
+    return out
+
+
+# (cell S, shift h, entry bound for the maps S -> h S).  Each first
+# independent base X (in sorted order) has |det X| > 1, so leaves can
+# fail the exact division by det X; the rank-3 cell rejects 32
+# pairing-compatible leaves that way.  A map g of S onto itself keeps
+# B = sum x x^t, so each column c = g e_j has c^t B^-1 c = (B^-1)_jj;
+# for these diagonal B every stabilizer entry lies in [-2, 2] (rank 2)
+# or [-1, 1] (rank 3), and the maps onto h S are h * Stab(S).
+BRUTE_CELLS = (
+    (((1, 1), (1, -1)), ((1, 1), (0, 1)), 4),
+    (((2, -1), (2, 1)), ((1, 1), (0, 1)), 4),
+    (((0, 0, 1), (1, -1, 0), (1, 1, 0)),
+     ((0, 0, 1), (0, -1, 0), (1, 0, 0)), 1),
+)
+
+
+@pytest.mark.parametrize("cell, shift, bound", BRUTE_CELLS)
+def test_cell_stabilizer_and_maps_match_brute_force(cell, shift, bound):
+    x = tuple(zip(*[cell[i] for i in _independent_base(cell)]))
+    assert abs(det_int(x)) > 1
+    n = len(cell[0])
+    stab_bound = 2 if n == 2 else 1
+    brute_stab = brute_cell_maps(cell, cell, stab_bound)
+    for det_one in (False, True):
+        expected = {m for m in brute_stab
+                    if not det_one or det_int(m) == 1}
+        stab = cell_stabilizer(cell, det_one=det_one)
+        assert [g.rows for g in stab] == sorted(expected)
+    h = GroupElement.from_matrix(shift)
+    moved = apply_to_cell(h, cell)
+    expected = brute_cell_maps(cell, moved, bound)
+    assert expected == {(h * g).rows for g in cell_stabilizer(cell)}
+    assert {g.rows for g in cell_maps(cell, moved)} == expected
+    first = cell_maps(cell, moved, first_only=True)
+    assert len(first) == 1 and first[0].rows in expected
+
+
+def naive_generating_set(elements):
+    """Reference: the same scan, re-closing the whole group each time."""
+    if len(elements) <= 1:
+        return ()
+    ident = GroupElement.identity(elements[0].n)
+    gens = []
+    closure = {ident.rows: ident}
+    for g in sorted(elements, key=lambda e: e.rows):
+        if g.rows in closure:
+            continue
+        gens.append(g)
+        frontier = list(closure.values())
+        while frontier:
+            nxt = []
+            for h in frontier:
+                for gen in gens:
+                    prod = gen * h
+                    if prod.rows not in closure:
+                        closure[prod.rows] = prod
+                        nxt.append(prod)
+            frontier = nxt
+        if len(closure) == len(elements):
+            break
+    return tuple(gens)
+
+
+def test_small_generating_set_pins_selection_rule():
+    from vorcycle.cones import build_cone
+    from vorcycle.isometry import small_generating_set
+    groups = []
+    for gram in (a_n_gram(4), d_n_gram(4)):
+        q, mv = _form(gram)
+        for det_one in (False, True):
+            groups.append(form_automorphisms(q, mv.vectors, det_one=det_one))
+    q, mv = _form(d_n_gram(4))
+    cone = build_cone(mv.vectors)
+    groups.append(cell_stabilizer(cone.facet_vectors(cone.facets[0])))
+    assert [len(g) for g in groups][:4] == [240, 120, 1152, 576]
+    for group in groups:
+        gens = small_generating_set(group)
+        assert [g.rows for g in gens] == \
+            [g.rows for g in naive_generating_set(group)]
+
+
+def test_orbit_decompose_rejects_keys_not_permuted():
+    from vorcycle.isometry import orbit_decompose
+    swap = GroupElement.from_matrix(((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match="does not permute"):
+        orbit_decompose([((1, 0),)], [swap], apply_to_cell,
+                        GroupElement.identity(2))
