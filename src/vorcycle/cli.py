@@ -63,7 +63,8 @@ def _load_or_build_graph(args):
     n, group = args.n, args.group
     path = cache_path(_cache_dir(args), "graph", n, group)
     if os.path.exists(path):
-        return graph_from_payload(load_payload(path, "graph", n, group)), path
+        return graph_from_payload(load_payload(path, "graph", n, group),
+                                  path), path
     graph = enumerate_perfect_forms(n, group, allow_long=args.allow_long)
     save_payload(path, "graph", n, group, graph_to_payload(graph))
     return graph, path
@@ -74,7 +75,8 @@ def _load_or_build_complex(args):
     seed = getattr(args, "seed_perm", 0)
     path = cache_path(_cache_dir(args), "complex", n, group, seed)
     if os.path.exists(path):
-        return complex_from_payload(load_payload(path, "complex", n, group)), path
+        return complex_from_payload(load_payload(path, "complex", n, group),
+                                    path), path
     graph, _ = _load_or_build_graph(args)
     cx = build_complex(graph, seed_perm=seed)
     save_payload(path, "complex", n, group, complex_to_payload(cx))

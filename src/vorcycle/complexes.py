@@ -30,7 +30,7 @@ stacked determinants.
 from dataclasses import dataclass
 
 from .cones import meets_boundary, subcone_facets
-from .forms import GroupElement, canonical_pair, rank_one
+from .forms import GroupElement, apply_to_cell, rank_one
 from .isometry import (
     cell_invariant,
     cell_maps,
@@ -70,10 +70,6 @@ def ambient_orientation_sign(g, n):
     return det_sign(rows)
 
 
-def apply_to_cell(g, vectors):
-    return tuple(sorted(canonical_pair(g.apply(v)) for v in vectors))
-
-
 @dataclass(frozen=True)
 class CellOrbitRec:
     """One orbit representative at some level of the complex."""
@@ -83,7 +79,7 @@ class CellOrbitRec:
     parent: int              # index of the containing cell one level up
     face_index: int          # which face of the parent the rep is
     members: tuple           # (parent_index, face_index, vectors) per member
-    stabilizer: tuple        # full finite stabilizer in the chosen group
+    generators: tuple        # generate the stabilizer in the chosen group
     stab_order: int
     basis: tuple             # oriented basis of the span (None: ambient)
     orientation_kept: bool
@@ -99,6 +95,13 @@ class Differential:
     row_labels: tuple
     col_labels: tuple
     entries: tuple           # sorted ((row, col), value) pairs
+
+    def __post_init__(self):
+        # Index the rows once; row_entries is called for every row.
+        rows = [[] for _ in self.row_labels]
+        for (r, c), v in self.entries:
+            rows[r].append((c, v))
+        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
 
     @property
     def row_count(self):
@@ -118,7 +121,7 @@ class Differential:
         return [(r, c, v) for (r, c), v in self.entries]
 
     def row_entries(self, r):
-        return [(c, v) for (rr, c), v in self.entries if rr == r]
+        return self._rows[r]
 
 
 @dataclass(frozen=True)
@@ -137,10 +140,10 @@ class VoronoiComplex:
 class _ParentView:
     """Per-parent data used for face grouping and sign evaluation."""
 
-    def __init__(self, vectors, stabilizer, basis, faces, n):
+    def __init__(self, vectors, generators, basis, faces, n):
         self.vectors = vectors
         self.vector_set = set(vectors)
-        self.stabilizer = stabilizer
+        self.generators = generators
         self.basis = basis
         self.faces = faces
         self.n = n
@@ -165,8 +168,9 @@ class _ParentView:
         return det_sign(list(rows) + list(self.completion)) * self.ref_sign
 
 
-def _orbits_with_transporters(stabilizer, face_keys):
-    """Decompose the parent's faces under its stabilizer.
+def _orbits_with_transporters(generators, face_keys):
+    """Decompose the parent's faces under its stabilizer, given by
+    generators.
 
     Returns (rep_key, {member_key: transporter}) per orbit; the
     transporter s satisfies s * rep = member.
@@ -174,8 +178,7 @@ def _orbits_with_transporters(stabilizer, face_keys):
     if not face_keys:
         return []
     n = len(face_keys[0][0])
-    gens = small_generating_set(stabilizer)
-    return orbit_decompose(face_keys, gens, apply_to_cell,
+    return orbit_decompose(face_keys, generators, apply_to_cell,
                            GroupElement.identity(n))
 
 
@@ -206,7 +209,7 @@ def _build_child_level(parents, n, det_one, seed_perm, level_name):
     for p_pos, view in enumerate(parents):
         key_to_idx = {key: i for i, key in enumerate(view.faces)}
         for rep_key, members in _orbits_with_transporters(
-                view.stabilizer, list(view.faces)):
+                view.generators, list(view.faces)):
             if meets_boundary(rep_key):
                 continue
             orbit_records.append((rep_key, p_pos, members, key_to_idx))
@@ -241,6 +244,7 @@ def _build_child_level(parents, n, det_one, seed_perm, level_name):
         rep_key, rep_parent, rep_face = members[seed_perm % len(members)]
         member_records = tuple((p, f, k) for k, p, f in members)
         stab = cell_stabilizer(rep_key, det_one=det_one)
+        gens = small_generating_set(stab)
         basis = _span_basis(rep_key, n)
         parent = parents[rep_parent]
         extra = next(v for v in parent.vectors if v not in set(rep_key))
@@ -252,7 +256,7 @@ def _build_child_level(parents, n, det_one, seed_perm, level_name):
         # The transport sign is a character of the stabilizer, so a
         # generating set decides whether anything reverses.
         kept = True
-        for g in small_generating_set(stab):
+        for g in gens:
             moved = [transport_flat(g, b, n) for b in basis]
             if parent_sign_of(basis, moved, n) < 0:
                 kept = False
@@ -261,7 +265,7 @@ def _build_child_level(parents, n, det_one, seed_perm, level_name):
             level=level_name, vectors=rep_key, parent=rep_parent,
             face_index=rep_face,
             members=member_records,
-            stabilizer=stab, stab_order=len(stab), basis=tuple(basis),
+            generators=gens, stab_order=len(stab), basis=tuple(basis),
             orientation_kept=kept, kind="", witness=(),
             label=f"{level_name[0]}{pos}"))
     return tuple(out)
@@ -328,7 +332,7 @@ def _incidence_matrix(parents, kept_parent_positions, children,
     entries = {}
     for col, p_pos in enumerate(kept_parent_positions):
         view = parents[p_pos]
-        orbits = _orbits_with_transporters(view.stabilizer, view.faces)
+        orbits = _orbits_with_transporters(view.generators, view.faces)
         for rep_key, members in orbits:
             if meets_boundary(rep_key):
                 continue
@@ -360,7 +364,7 @@ def _top_views(graph):
     for node in graph.nodes:
         faces = tuple(node.domain.facet_vectors(f) for f in node.domain.facets)
         views.append(_ParentView(vectors=node.minvecs.vectors,
-                                 stabilizer=node.stabilizer,
+                                 generators=node.generators,
                                  basis=None, faces=faces, n=graph.n))
     return views
 
@@ -376,7 +380,9 @@ def build_complex(graph, seed_perm=0):
         if orientation_preserving:
             kept = True
         else:
-            reversers = [g for g in node.stabilizer if g.det == -1]
+            # The determinant is a character of the stabilizer, so its
+            # generators decide whether any element has determinant -1.
+            reversers = [g for g in node.generators if g.det == -1]
             kept = not reversers
             if reversers:
                 # The determinant rule is backed by one exact transport.
@@ -384,7 +390,7 @@ def build_complex(graph, seed_perm=0):
         tops.append(CellOrbitRec(
             level="top", vectors=node.minvecs.vectors, parent=i,
             face_index=-1, members=((i, -1, node.minvecs.vectors),),
-            stabilizer=node.stabilizer, stab_order=node.stab_order,
+            generators=node.generators, stab_order=node.stab_order,
             basis=None, orientation_kept=kept, kind="", witness=(),
             label=node.label))
     tops = tuple(tops)
@@ -407,7 +413,7 @@ def build_complex(graph, seed_perm=0):
         classified.append(CellOrbitRec(
             level=w.level, vectors=w.vectors, parent=w.parent,
             face_index=w.face_index, members=w.members,
-            stabilizer=w.stabilizer, stab_order=w.stab_order,
+            generators=w.generators, stab_order=w.stab_order,
             basis=w.basis, orientation_kept=w.orientation_kept,
             kind=kind,
             witness=(edge.neighbor, edge.witness.rows),
@@ -437,7 +443,7 @@ def build_codim2(cx, seed_perm=0):
         face_keys = tuple(
             tuple(sorted(w.vectors[j] for j in face)) for face in faces)
         wall_views.append(_ParentView(vectors=w.vectors,
-                                      stabilizer=w.stabilizer,
+                                      generators=w.generators,
                                       basis=w.basis, faces=face_keys, n=n))
     mids = _build_child_level(wall_views, n, det_one, seed_perm, "codim2")
     kept_mids = tuple(i for i, m in enumerate(mids) if m.orientation_kept)

@@ -82,7 +82,7 @@ class PerfectFormRep:
     form: QForm
     minvecs: MinVecSet
     domain: object          # PolyCone
-    stabilizer: tuple       # full finite group inside the chosen group kind
+    generators: tuple       # generates the stabilizer in the chosen group kind
     stab_order: int
     label: str
 
@@ -223,7 +223,7 @@ def _label_for(form, minvecs, n, index):
     return f"P{n}.{index}"
 
 
-def _facet_orbit_reps(cone, stab_elements):
+def _facet_orbit_reps(cone, generators):
     """One facet per orbit of the cell stabilizer, with the full orbits.
 
     Returns (orbits, key_to_index): each orbit is (rep_facet_index,
@@ -231,8 +231,7 @@ def _facet_orbit_reps(cone, stab_elements):
     """
     keys = [cone.facet_vectors(f) for f in cone.facets]
     key_to_index = {key: i for i, key in enumerate(keys)}
-    gens = small_generating_set(stab_elements)
-    orbits = orbit_decompose(keys, gens, apply_to_cell,
+    orbits = orbit_decompose(keys, generators, apply_to_cell,
                              GroupElement.identity(cone.n))
     return [(key_to_index[rep], members) for rep, members in orbits], \
         key_to_index
@@ -245,22 +244,24 @@ def _discover_classes(n, traversal="default"):
     and only one representative per orbit is crossed; a transported
     facet leads to an equivalent neighbour, so nothing is lost.
     Returns a list of class records carrying the lexicographically
-    minimal Gram matrix met by the walk.  `traversal` reorders facet
-    processing; any order must close on the same classes, which the
-    tests exercise.
+    minimal Gram matrix met by the walk, and the full automorphism group
+    of the discovery form ("stab") with its generating set ("gens").
+    `traversal` reorders facet processing; any order must close on the
+    same classes, which the tests exercise.
     """
     start = QForm.from_matrix(a_n_gram(n))
     start_mv = minimum_and_minimal_vectors(start)
     classes = [{"form": start, "mv": start_mv,
                 "inv": form_invariant(start.gram, start_mv.vectors),
-                "min_gram": start.gram, "stab": None}]
+                "min_gram": start.gram, "stab": None, "gens": None}]
     queue = [0]
     while queue:
         idx = queue.pop(0)
         rep = classes[idx]
         cone = build_cone(rep["mv"].vectors)
         rep["stab"] = form_automorphisms(rep["form"], rep["mv"].vectors)
-        orbit_reps, _ = _facet_orbit_reps(cone, rep["stab"])
+        rep["gens"] = small_generating_set(rep["stab"])
+        orbit_reps, _ = _facet_orbit_reps(cone, rep["gens"])
         facets = [cone.facets[i] for i, _ in orbit_reps]
         if traversal == "reversed":
             facets.reverse()
@@ -278,7 +279,8 @@ def _discover_classes(n, traversal="default"):
                     break
             if matched is None:
                 classes.append({"form": nb, "mv": nb_mv, "inv": inv,
-                                "min_gram": nb.gram, "stab": None})
+                                "min_gram": nb.gram, "stab": None,
+                                "gens": None})
                 queue.append(len(classes) - 1)
             else:
                 if nb.gram < classes[matched]["min_gram"]:
@@ -310,50 +312,46 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
         elems = (ident,) if group_kind == "sl" else tuple(
             sorted((ident, neg), key=lambda g: g.rows))
         node = PerfectFormRep(form=form, minvecs=mv, domain=None,
-                              stabilizer=elems, stab_order=len(elems),
-                              label="A1")
+                              generators=small_generating_set(elems),
+                              stab_order=len(elems), label="A1")
         return VoronoiGraph(n=1, group_kind=group_kind, nodes=(node,),
                             edges=())
 
     classes = _discover_classes(n, traversal=traversal)
 
     # Final representatives: the lexicographically smallest Gram matrix
-    # that the walk produced for each class (the discovery stabilizer is
-    # reused when the representative did not move).
-    reps = []
+    # that the walk produced for each class (the discovery stabilizer and
+    # its generators are reused when the representative did not move).
+    # Each group is kept as (generators, order) from here on.
+    nodes = []
+    flip = GroupElement.from_matrix(
+        tuple(tuple((-1 if i == j == 0 else int(i == j))
+                    for j in range(n)) for i in range(n)))
     for cls in classes:
         form = QForm.from_matrix(cls["min_gram"])
         mv = minimum_and_minimal_vectors(form)
-        full = cls["stab"] if form.gram == cls["form"].gram else \
-            form_automorphisms(form, mv.vectors)
-        reps.append((form, mv, full))
-
-    nodes = []
-    if group_kind == "gl":
-        for form, mv, full in reps:
-            nodes.append((form, mv, full, len(full)))
-    else:
-        flip = GroupElement.from_matrix(
-            tuple(tuple((-1 if i == j == 0 else int(i == j))
-                        for j in range(n)) for i in range(n)))
-        for form, mv, full in reps:
-            sl = tuple(g for g in full if g.det == 1)
-            if len(sl) < len(full):
-                nodes.append((form, mv, sl, len(sl)))
-            else:
-                # No determinant -1 symmetry: the class splits in two.
-                nodes.append((form, mv, sl, len(sl)))
-                mirror = act_form(flip, form)
-                mirror_mv = minimum_and_minimal_vectors(mirror)
-                mirror_sl = tuple(sorted(
-                    ((flip * g) * flip for g in sl), key=lambda e: e.rows))
-                nodes.append((mirror, mirror_mv, mirror_sl, len(mirror_sl)))
+        moved = form.gram != cls["form"].gram
+        full = form_automorphisms(form, mv.vectors) if moved else cls["stab"]
+        if group_kind == "gl":
+            gens = small_generating_set(full) if moved else cls["gens"]
+            nodes.append((form, mv, gens, len(full)))
+            continue
+        sl = tuple(g for g in full if g.det == 1)
+        nodes.append((form, mv, small_generating_set(sl), len(sl)))
+        if len(sl) == len(full):
+            # No determinant -1 symmetry: the class splits in two.
+            mirror = act_form(flip, form)
+            mirror_mv = minimum_and_minimal_vectors(mirror)
+            mirror_sl = tuple(sorted(
+                ((flip * g) * flip for g in sl), key=lambda e: e.rows))
+            nodes.append((mirror, mirror_mv, small_generating_set(mirror_sl),
+                          len(mirror_sl)))
 
     final = []
-    for i, (form, mv, elems, order) in enumerate(nodes):
+    for i, (form, mv, gens, order) in enumerate(nodes):
         final.append(PerfectFormRep(
             form=form, minvecs=mv, domain=build_cone(mv.vectors),
-            stabilizer=elems, stab_order=order,
+            generators=gens, stab_order=order,
             label=_label_for(form, mv, n, i)))
 
     det_one = group_kind == "sl"
@@ -362,7 +360,7 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
         # One walk per stabilizer orbit of facets; the other edges of
         # the orbit are transported copies, each still verified below.
         orbit_reps, key_to_index = _facet_orbit_reps(node.domain,
-                                                     node.stabilizer)
+                                                     node.generators)
         node_vecs = set(node.minvecs.vectors)
         for rep_f_idx, members in orbit_reps:
             facet = node.domain.facets[rep_f_idx]

@@ -164,7 +164,8 @@ def verify_gl_even_vanishing(cx):
     """Report for the full group in even rank: top kernel is zero.
 
     Also certifies the mechanism: a class is kept exactly when its
-    stabilizer sits in the determinant-one subgroup, and the root
+    stabilizer sits in the determinant-one subgroup (decided on its
+    generators, the determinant being a character), and the root
     classes are never kept.
     """
     if cx.group_kind != "gl" or cx.n % 2 != 0:
@@ -173,7 +174,7 @@ def verify_gl_even_vanishing(cx):
     mech_ok = True
     root_excluded = True
     for i, top in enumerate(cx.tops):
-        inside_sl = all(g.det == 1 for g in top.stabilizer)
+        inside_sl = all(g.det == 1 for g in top.generators)
         if top.orientation_kept != inside_sl:
             mech_ok = False
         node = cx.graph.nodes[i]

@@ -167,6 +167,22 @@ def brute_stabilizer_2x2(gram, bound=2):
     return sorted(out)
 
 
+@lru_cache(maxsize=None)
+def closure(generators, n):
+    """Oracle: every element of the group generated by `generators`,
+    sorted by rows, by breadth-first multiplication."""
+    ident = GroupElement.identity(n)
+    elems = {ident.rows: ident}
+    frontier = [ident]
+    for h in frontier:
+        for g in generators:
+            prod = g * h
+            if prod.rows not in elems:
+                elems[prod.rows] = prod
+                frontier.append(prod)
+    return tuple(sorted(elems.values(), key=lambda e: e.rows))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_stabilizer_2x2, cached_complex, cached_graph, \
-    random_unimodular
+    closure, random_unimodular
 
 from vorcycle.complexes import (
     ambient_orientation_sign,
@@ -54,7 +54,7 @@ def _node_view(graph, i):
     node = graph.nodes[i]
     faces = tuple(node.domain.facet_vectors(f) for f in node.domain.facets)
     return _ParentView(vectors=node.minvecs.vectors,
-                       stabilizer=node.stabilizer, basis=None,
+                       generators=node.generators, basis=None,
                        faces=faces, n=graph.n)
 
 
@@ -207,12 +207,12 @@ def test_criterion_5_property_suites(rng):
                 gamma = GroupElement.from_matrix(w.witness[1])
                 far_cell = apply_to_cell(
                     gamma, graph.nodes[w.witness[0]].minvecs.vectors)
-                wall_stab = {x.rows for x in w.stabilizer}
-                inter = {x.rows for x in node.stabilizer} \
+                wall_stab = {x.rows for x in closure(w.generators, n)}
+                inter = {x.rows for x in closure(node.generators, n)} \
                     & {x.rows
                        for x in cell_stabilizer(far_cell, det_one=det_one)}
                 view = _node_view(graph, w.parent)
-                orbits = _orbits_with_transporters(node.stabilizer,
+                orbits = _orbits_with_transporters(node.generators,
                                                    view.faces)
                 if w.kind == "non_self":
                     assert wall_stab == inter
@@ -228,7 +228,7 @@ def test_criterion_5_property_suites(rng):
                     assert index in (1, 2)
                     pulled = apply_to_cell(gamma.inverse(), w.vectors)
                     same_orbit = any(apply_to_cell(s, pulled) == w.vectors
-                                     for s in node.stabilizer)
+                                     for s in closure(node.generators, n))
                     assert same_orbit == (not w.orientation_kept) \
                         == (index == 2)
                     matching = [k for k, m in orbits

@@ -174,3 +174,58 @@ def test_env_var_overrides_cache_dir(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert os.path.exists(os.path.join(env_cache, "graph-n2-sl.json"))
     assert not os.path.exists(str(tmp_path / "ignored"))
+
+
+def _tamper(path, edit, rehash=True):
+    """Rewrite a cache file after `edit(doc)`, re-hashing the payload so
+    only the on-load checks can catch the change."""
+    from vorcycle.persistence import content_hash
+    doc = json.load(open(path))
+    edit(doc)
+    if rehash:
+        doc["hash"] = content_hash(doc["payload"])
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def _verify_after_tamper(capsys, cache, name, edit, rehash=True):
+    run(capsys, "verify", "--n", "2", "--group", "sl", "--cache-dir", cache)
+    path = os.path.join(cache, name)
+    _tamper(path, edit, rehash)
+    code, out, err = run(capsys, "verify", "--n", "2", "--group", "sl",
+                         "--cache-dir", cache)
+    assert "Traceback" not in out + err
+    assert path in err
+    return code, err
+
+
+def test_missing_field_in_complex_cache_exit_three(cache, capsys):
+    def drop_label(doc):
+        del doc["payload"]["tops"][0]["label"]
+    code, err = _verify_after_tamper(capsys, cache, "complex-n2-sl.json",
+                                     drop_label)
+    assert code == 3
+    assert "payload.tops[0].label is missing" in err
+
+
+def test_stale_schema_version_exit_three(cache, capsys):
+    def stale(doc):
+        doc["schema_version"] = 1
+    code, err = _verify_after_tamper(capsys, cache, "complex-n2-sl.json",
+                                     stale, rehash=False)
+    assert code == 3
+    assert "delete it or use a fresh --cache-dir" in err
+
+
+@pytest.mark.parametrize("record", (("walls", 0), ("graph", "nodes", 0)))
+def test_swapped_generator_exit_three(cache, capsys, record):
+    def swap(doc):
+        rec = doc["payload"]
+        for key in record:
+            rec = rec[key]
+        assert rec["generators"][0] != [["1", "1"], ["0", "1"]]
+        rec["generators"][0] = [["1", "1"], ["0", "1"]]
+    code, err = _verify_after_tamper(capsys, cache, "complex-n2-sl.json",
+                                     swap)
+    assert code == 3
+    assert "generators[0] does not fix" in err

@@ -1,8 +1,9 @@
 import pytest
 
-from conftest import cached_complex, random_unimodular
+from conftest import cached_complex, closure, random_unimodular
 
 from vorcycle.complexes import (
+    Differential,
     WitnessMismatch,
     _ParentView,
     _orbits_with_transporters,
@@ -34,8 +35,20 @@ def _node_view(graph, i):
     node = graph.nodes[i]
     faces = tuple(node.domain.facet_vectors(f) for f in node.domain.facets)
     return _ParentView(vectors=node.minvecs.vectors,
-                       stabilizer=node.stabilizer, basis=None,
+                       generators=node.generators, basis=None,
                        faces=faces, n=graph.n)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("group", ("sl", "gl"))
+def test_cell_generators_close_to_the_cell_stabilizer(n, group):
+    cx = cached_complex(n, group)
+    for rec in cx.tops + cx.walls:
+        group_elems = closure(rec.generators, n)
+        assert len(group_elems) == rec.stab_order
+        assert [g.rows for g in group_elems] == \
+            [g.rows for g in cell_stabilizer(rec.vectors,
+                                             det_one=(group == "sl"))]
 
 
 def test_top_cell_dimension():
@@ -171,15 +184,15 @@ def test_stab_groups_lemma_on_nonself_walls(complex_sl4, complex_gl4):
             neighbor, g_rows = w.witness
             g = GroupElement.from_matrix(g_rows)
             far = apply_to_cell(g, cx.graph.nodes[neighbor].minvecs.vectors)
-            wall_stab = {x.rows for x in w.stabilizer}
-            sigma_stab = {x.rows for x in node.stabilizer}
+            wall_stab = {x.rows for x in closure(w.generators, cx.n)}
+            sigma_stab = {x.rows for x in closure(node.generators, cx.n)}
             far_stab = {x.rows
                         for x in cell_stabilizer(far, det_one=det_one)}
             # (i) the wall stabilizer is exactly the intersection.
             assert wall_stab == sigma_stab & far_stab
             # (ii) orbit size = index of the wall stabilizer.
             view = _node_view(cx.graph, w.parent)
-            orbits = _orbits_with_transporters(node.stabilizer, view.faces)
+            orbits = _orbits_with_transporters(node.generators, view.faces)
             rep_key = view.faces[w.face_index]
             orbit = next(members for key, members in orbits
                          if rep_key in members)
@@ -203,7 +216,7 @@ def test_self_wall_lemma_parts(complex_sl2, complex_gl2, complex_sl3,
                 & {x.rows for x in cell_stabilizer(far, det_one=det_one)}
             swaps = {x.rows
                      for x in pair_swap_elements(cell, far, det_one=det_one)}
-            wall_stab = {x.rows for x in w.stabilizer}
+            wall_stab = {x.rows for x in closure(w.generators, cx.n)}
             # (i) disjoint decomposition of the wall stabilizer.
             assert inter & swaps == set()
             assert inter | swaps == wall_stab
@@ -218,12 +231,12 @@ def test_self_wall_lemma_parts(complex_sl2, complex_gl2, complex_sl3,
             pulled = apply_to_cell(gamma.inverse(), w.vectors)
             same_orbit = any(
                 apply_to_cell(s, pulled) == w.vectors
-                for s in node.stabilizer)
+                for s in closure(node.generators, cx.n))
             assert same_orbit == (not w.orientation_kept) == (index == 2)
             # (iv) orbit count under the cell stabilizer: two when kept,
             # merged into one when dropped.
             view = _node_view(cx.graph, w.parent)
-            orbits = _orbits_with_transporters(node.stabilizer, view.faces)
+            orbits = _orbits_with_transporters(node.generators, view.faces)
             matching = [key for key, members in orbits
                         if cell_maps(w.vectors, key, det_one=det_one,
                                      first_only=True)]
@@ -261,7 +274,7 @@ def test_rank_two_internal_cancellation_sign():
     # cancels as 1 + (-1).
     rot = GroupElement.from_matrix([[0, 1], [-1, 0]])
     assert apply_to_cell(rot, HEX_CELL) == HEX_MIRROR
-    view = _ParentView(vectors=HEX_CELL, stabilizer=(), basis=None,
+    view = _ParentView(vectors=HEX_CELL, generators=(), basis=None,
                        faces=(DIAG_WALL,), n=2)
     basis = [sym_flatten(rank_one(v)) for v in DIAG_WALL]
     extra = next(v for v in HEX_CELL if v not in set(DIAG_WALL))
@@ -276,7 +289,7 @@ def test_member_signs_constant_within_stabilizer_orbit(complex_sl4):
     for col, top_idx in enumerate(cx.kept_tops):
         view = _node_view(cx.graph, top_idx)
         node = cx.graph.nodes[top_idx]
-        orbits = _orbits_with_transporters(node.stabilizer, view.faces)
+        orbits = _orbits_with_transporters(node.generators, view.faces)
         for row, wall_idx in enumerate(cx.kept_walls):
             w = cx.walls[wall_idx]
             for rep_key, members in orbits:
@@ -308,6 +321,16 @@ def test_differential_structure_rank_four(complex_sl4):
         wall = complex_sl4.walls[complex_sl4.kept_walls[r]]
         assert abs(v1) == orders[c1] // wall.stab_order
         assert abs(v2) == orders[c2] // wall.stab_order
+
+
+def test_row_entries_follow_the_sorted_entries():
+    diff = Differential(row_labels=("w0", "w1", "w2"),
+                        col_labels=("t0", "t1"),
+                        entries=(((0, 1), 2), ((2, 0), -1), ((2, 1), 3)))
+    assert diff.row_entries(0) == ((1, 2),)
+    assert diff.row_entries(1) == ()
+    assert diff.row_entries(2) == ((0, -1), (1, 3))
+    assert diff.dense_rows() == [[0, 2], [0, 0], [-1, 3]]
 
 
 def test_incidence_zero_for_unrelated_wall(complex_sl4):
@@ -349,13 +372,13 @@ def test_transport_sign_witness_independence_on_kept_wall(complex_sl4):
     # For a kept wall every stabilizer element transports the basis
     # positively, so the sign does not depend on the witness choice.
     wall = complex_sl4.walls[complex_sl4.kept_walls[0]]
-    for s in wall.stabilizer:
+    for s in closure(wall.generators, 4):
         moved = [transport_flat(s, b, 4) for b in wall.basis]
         assert parent_sign_of(list(wall.basis), moved, 4) == 1
     dropped = complex_sl4.walls[[i for i in range(len(complex_sl4.walls))
                                  if i not in complex_sl4.kept_walls][0]]
     signs = set()
-    for s in dropped.stabilizer:
+    for s in closure(dropped.generators, 4):
         moved = [transport_flat(s, b, 4) for b in dropped.basis]
         signs.add(parent_sign_of(list(dropped.basis), moved, 4))
     assert signs == {1, -1}

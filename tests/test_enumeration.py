@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import cached_graph, random_unimodular
+from conftest import cached_graph, closure, random_unimodular
 
 from vorcycle.cones import build_cone
 from vorcycle.enumeration import (
@@ -19,6 +19,7 @@ from vorcycle.forms import (
     is_perfect,
     minimum_and_minimal_vectors,
 )
+from vorcycle.isometry import form_automorphisms
 
 HEXAGONAL = ((2, 1), (1, 2))
 
@@ -54,7 +55,20 @@ def test_sl_stabilizers_are_determinant_one_half(graph_sl4, graph_gl4):
     for label in gl:
         assert sl[label] == gl[label] // 2
     for node in graph_sl4.nodes:
-        assert all(g.det == 1 for g in node.stabilizer)
+        assert all(g.det == 1
+                   for g in closure(node.generators, graph_sl4.n))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("group", ("sl", "gl"))
+def test_generators_close_to_the_automorphism_group(n, group):
+    graph = cached_graph(n, group)
+    for node in graph.nodes:
+        group_elems = closure(node.generators, n)
+        assert len(group_elems) == node.stab_order
+        assert [g.rows for g in group_elems] == \
+            [g.rows for g in form_automorphisms(
+                node.form, node.minvecs.vectors, det_one=(group == "sl"))]
 
 
 def test_traversal_order_oracle_same_class_count():
