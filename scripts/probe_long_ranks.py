@@ -15,7 +15,7 @@ sys.path.insert(0, "src")
 
 from vorcycle import enumeration
 from vorcycle.complexes import build_complex
-from vorcycle.homology import verify_gl_even_vanishing, verify_top_cycle
+from vorcycle.homology import verify
 
 
 def main():
@@ -41,10 +41,7 @@ def main():
     print(f"walls: {len(cx.walls)} (kept {len(cx.kept_walls)}, "
           f"self {sum(1 for w in cx.walls if w.kind == 'self')}) "
           f"[{time.monotonic() - start:.0f}s]", flush=True)
-    if args.group == "gl" and args.n % 2 == 0:
-        report = verify_gl_even_vanishing(cx)
-    else:
-        report = verify_top_cycle(cx)
+    report = verify(cx)
     print(f"kernel_dim={report.kernel_dim} ok={report.ok} "
           f"[{time.monotonic() - start:.0f}s]")
 

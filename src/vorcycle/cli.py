@@ -6,7 +6,8 @@ Subcommands:
   verify    run the theorem verdict for (n, group), optionally d.d = 0
   tess      abstract tessellation tools: check / gen-sector-fan / export
 
-Exit codes: 0 verified, 1 falsified, 2 usage, 3 cache corruption.
+Exit codes: 0 verified, 1 falsified, 2 usage, 3 cache corruption,
+4 any other unexpected error (never reported as falsified).
 The cache directory defaults to ./.vorcycle and can be overridden by
 --cache-dir or the VORCYCLE_CACHE environment variable.
 """
@@ -17,7 +18,7 @@ import sys
 
 from .complexes import build_complex
 from .enumeration import FREE_MAX_RANK, HARD_MAX_RANK, enumerate_perfect_forms
-from .homology import dd_sanity, verify_gl_even_vanishing, verify_top_cycle
+from .homology import dd_sanity, verify
 from .persistence import (
     CacheCorrupt,
     cache_path,
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 EXIT_CACHE = 3
+EXIT_CRASH = 4
 
 
 def _cache_dir(args):
@@ -123,10 +125,7 @@ def cmd_verify(args):
     if not _check_rank(args.n, args.allow_long):
         return EXIT_USAGE
     cx, _ = _load_or_build_complex(args)
-    if args.group == "gl" and args.n % 2 == 0:
-        report = verify_gl_even_vanishing(cx)
-    else:
-        report = verify_top_cycle(cx)
+    report = verify(cx)
     checks = [report.ok]
     if args.check_dd:
         dd_ok, _ = dd_sanity(cx, seed_perm=getattr(args, "seed_perm", 0))
@@ -255,6 +254,10 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: unexpected {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

@@ -40,12 +40,15 @@ from .isometry import (
 )
 from .linalg import (
     det_sign,
+    identity_matrix,
+    independent_rows,
     mat_mul,
-    mat_rank,
     mat_transpose,
+    relative_orientation,
     sym_dim,
     sym_flatten,
     sym_unflatten,
+    unit_completion,
 )
 
 
@@ -62,12 +65,8 @@ def transport_flat(g, flat, n):
 
 def ambient_orientation_sign(g, n):
     """Sign of the determinant of the induced map on flattened form space."""
-    dim = sym_dim(n)
-    rows = []
-    for k in range(dim):
-        unit = tuple(int(i == k) for i in range(dim))
-        rows.append(transport_flat(g, unit, n))
-    return det_sign(rows)
+    return det_sign([transport_flat(g, unit, n)
+                     for unit in identity_matrix(sym_dim(n))])
 
 
 @dataclass(frozen=True)
@@ -147,20 +146,12 @@ class _ParentView:
         self.basis = basis
         self.faces = faces
         self.n = n
-        dim = sym_dim(n)
         if basis is None:
             self.completion = ()
             self.ref_sign = 1
         else:
-            completion = []
-            rows = list(basis)
-            for k in range(dim):
-                unit = tuple(int(i == k) for i in range(dim))
-                if mat_rank(rows + [unit]) > len(rows):
-                    rows.append(unit)
-                    completion.append(unit)
-            self.completion = tuple(completion)
-            self.ref_sign = det_sign(list(basis) + completion)
+            self.completion = tuple(unit_completion(basis))
+            self.ref_sign = det_sign(list(basis) + list(self.completion))
             assert self.ref_sign != 0
 
     def oriented_sign(self, rows):
@@ -182,14 +173,10 @@ def _orbits_with_transporters(generators, face_keys):
                            GroupElement.identity(n))
 
 
-def _span_basis(vectors, n):
+def _span_basis(vectors):
     """Greedy basis of the span of the rank-one flats of `vectors`."""
-    basis = []
-    for v in vectors:
-        flat = sym_flatten(rank_one(v))
-        if mat_rank(basis + [flat]) > len(basis):
-            basis.append(flat)
-    return basis
+    flats = [sym_flatten(rank_one(v)) for v in vectors]
+    return [flats[i] for i in independent_rows(flats, ())]
 
 
 def _flip(basis):
@@ -245,7 +232,7 @@ def _build_child_level(parents, n, det_one, seed_perm, level_name):
         member_records = tuple((p, f, k) for k, p, f in members)
         stab = cell_stabilizer(rep_key, det_one=det_one)
         gens = small_generating_set(stab)
-        basis = _span_basis(rep_key, n)
+        basis = _span_basis(rep_key)
         parent = parents[rep_parent]
         extra = next(v for v in parent.vectors if v not in set(rep_key))
         rows = list(basis) + [sym_flatten(rank_one(extra))]
@@ -258,7 +245,7 @@ def _build_child_level(parents, n, det_one, seed_perm, level_name):
         kept = True
         for g in gens:
             moved = [transport_flat(g, b, n) for b in basis]
-            if parent_sign_of(basis, moved, n) < 0:
+            if relative_orientation(basis, moved) < 0:
                 kept = False
                 break
         out.append(CellOrbitRec(
@@ -269,22 +256,6 @@ def _build_child_level(parents, n, det_one, seed_perm, level_name):
             orientation_kept=kept, kind="", witness=(),
             label=f"{level_name[0]}{pos}"))
     return tuple(out)
-
-
-def parent_sign_of(reference_basis, moved_basis, n):
-    """Orientation of a moved basis against the reference, via completion."""
-    dim = sym_dim(n)
-    completion = []
-    rows = list(reference_basis)
-    for k in range(dim):
-        unit = tuple(int(i == k) for i in range(dim))
-        if mat_rank(rows + [unit]) > len(rows):
-            rows.append(unit)
-            completion.append(unit)
-    ref = det_sign(list(reference_basis) + completion)
-    mov = det_sign(list(moved_basis) + completion)
-    assert ref != 0 and mov != 0
-    return ref * mov
 
 
 def induced_sign(parent_view, child_basis, child_vectors, member_vectors,
@@ -318,7 +289,7 @@ def transport_sign(child, translate_vectors, translate_basis, witness, n):
     if apply_to_cell(witness, child.vectors) != tuple(sorted(translate_vectors)):
         raise WitnessMismatch("witness does not carry the cell to the translate")
     moved = [transport_flat(witness, b, n) for b in child.basis]
-    return parent_sign_of(list(translate_basis), moved, n)
+    return relative_orientation(list(translate_basis), moved)
 
 
 def _incidence_matrix(parents, kept_parent_positions, children,

@@ -14,15 +14,14 @@ of the cone, where <.,.> is the trace pairing.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .forms import rank_one
 from .linalg import (
-    fraction_inverse,
+    independent_rows,
+    kernel_basis,
     mat_rank,
     pairing_weights,
     primitive,
-    solve_in_span,
     sym_dim,
     sym_flatten,
     sym_unflatten,
@@ -80,23 +79,23 @@ def _dd_dual_rays(rows, weights):
     dim = len(rows[0])
     count = len(rows)
     # Simplicial seed: first `dim` independent rays.
-    seed = []
-    for i in range(count):
-        if mat_rank([rows[j] for j in seed] + [rows[i]]) > len(seed):
-            seed.append(i)
-        if len(seed) == dim:
-            break
+    seed = independent_rows(rows, ())
     if len(seed) < dim:
         raise NotFullDim("rays do not span the ambient space")
-    inv = fraction_inverse([weights[i] for i in seed])
+    # Seed dual ray j is column j of W^-1, W the seed weights: the kernel
+    # of [W | -I] has the vector (W^-1 e_j, e_j), up to scale, for its
+    # free column dim + j.
+    augmented = [list(weights[i]) + [-int(r == j) for j in range(dim)]
+                 for r, i in enumerate(seed)]
     duals = []
-    for j in range(dim):
-        col = tuple(inv[r][j] for r in range(dim))
+    for j, vec in enumerate(kernel_basis(augmented)):
+        scale = 1 if vec[dim + j] > 0 else -1
         active = 0
         for t in range(dim):
             if t != j:
                 active |= 1 << seed[t]
-        duals.append((primitive_fraction(col), active))
+        duals.append((primitive(tuple(scale * x for x in vec[:dim])),
+                      active))
     remaining = [i for i in range(count) if i not in set(seed)]
     while remaining:
         # Insertion heuristic: cheapest cut first (fewest rays removed).
@@ -145,21 +144,6 @@ def _dd_dual_rays(rows, weights):
     return sorted(out.items(), key=lambda item: (tuple(sorted(item[1])), item[0]))
 
 
-def primitive_fraction(vec):
-    """Primitive integer vector in the direction of a rational vector."""
-    denom = 1
-    for x in vec:
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
-    return primitive(tuple(int(x * denom) for x in vec))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def build_cone(vectors):
     """Cone spanned by the rank-one matrices of `vectors`, with facets.
 
@@ -203,19 +187,20 @@ def subcone_facets(vectors):
     run there.  Returns the facets as sets of incident ray indices.
     """
     vectors = tuple(sorted(vectors))
-    n = len(vectors[0])
     flats = [sym_flatten(rank_one(v)) for v in vectors]
-    basis = []
-    for f in flats:
-        if mat_rank(basis + [f]) > len(basis):
-            basis.append(f)
+    basis = [flats[i] for i in independent_rows(flats, ())]
     dim = len(basis)
     if dim == 1:
         return []
+    # Local coordinates: with the basis as columns, then the flats, the
+    # kernel has the vector (-coords_i, e_i), up to scale, for its free
+    # column dim + i.
+    columns = basis + flats
+    matrix = [[col[r] for col in columns] for r in range(len(flats[0]))]
     local = []
-    for f in flats:
-        coords = solve_in_span(basis, f)
-        local.append(primitive_fraction(coords))
+    for i, vec in enumerate(kernel_basis(matrix)):
+        scale = -1 if vec[dim + i] > 0 else 1
+        local.append(primitive(tuple(scale * x for x in vec[:dim])))
     # In local coordinates the pairing is the plain dot product.
     duals = _dd_dual_rays(local, local)
     out = []

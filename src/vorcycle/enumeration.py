@@ -212,7 +212,9 @@ def facet_stabilizer(cell_vectors, group_kind="gl"):
     return elems, len(elems)
 
 
-def _label_for(form, minvecs, n, index):
+def root_label(form, minvecs, n):
+    """The label "An" or "Dn" of a form equivalent to A_n or D_n (the
+    latter tried for n >= 4 only), else None."""
     for name, gram in (("A", a_n_gram(n)),) + (
             (("D", d_n_gram(n)),) if n >= 4 else ()):
         ref = QForm.from_matrix(gram)
@@ -220,7 +222,7 @@ def _label_for(form, minvecs, n, index):
         if form_maps(ref, ref_mv.vectors, form, minvecs.vectors,
                      first_only=True):
             return f"{name}{n}"
-    return f"P{n}.{index}"
+    return None
 
 
 def _facet_orbit_reps(cone, generators):
@@ -352,7 +354,7 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
         final.append(PerfectFormRep(
             form=form, minvecs=mv, domain=build_cone(mv.vectors),
             generators=gens, stab_order=order,
-            label=_label_for(form, mv, n, i)))
+            label=root_label(form, mv, n) or f"P{n}.{i}"))
 
     det_one = group_kind == "sl"
     edges = []

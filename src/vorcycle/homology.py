@@ -20,11 +20,10 @@ telescoping to zero.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complexes import build_codim2, build_complex
-from .enumeration import enumerate_perfect_forms
-from .forms import QForm, minimum_and_minimal_vectors, a_n_gram, d_n_gram
-from .isometry import form_maps
+from .complexes import build_codim2
+from .enumeration import root_label
 from .linalg import kernel_basis
+from .tessellation import check_rigidity, from_voronoi
 
 
 class WrongGroupParity(ValueError):
@@ -83,14 +82,7 @@ def differential_kernel(cx):
     return kernel_basis(rows, ncols=diff.col_count)
 
 
-def _apply_rows(diff, coeffs):
-    out = []
-    for r in range(diff.row_count):
-        out.append(sum(Fraction(v) * coeffs[c] for c, v in diff.row_entries(r)))
-    return out
-
-
-def _row_certificates(cx, coeffs):
+def _row_certificates(cx):
     certs = []
     diff = cx.differential
     orders = [cx.tops[i].stab_order for i in cx.kept_tops]
@@ -102,42 +94,31 @@ def _row_certificates(cx, coeffs):
     return tuple(certs)
 
 
-def _spans_same_line(vec_a, vec_b):
-    if len(vec_a) != len(vec_b):
-        return False
-    for i in range(len(vec_a)):
-        for j in range(len(vec_a)):
-            if vec_a[i] * vec_b[j] != vec_a[j] * vec_b[i]:
-                return False
-    return any(vec_a) and any(vec_b)
-
-
 def verify_top_cycle(cx):
     """Report for the orientation-preserving cases.
 
     Requires a determinant-one complex, or a full-group complex in odd
-    rank; anything else raises WrongGroupParity.
+    rank; anything else raises WrongGroupParity.  The kernel-line
+    verdict is the abstract one, `check_rigidity` of the complex's
+    tessellation instance.  Its `ok` also requires a connected tile
+    graph, which a one-dimensional kernel spanned by a vector with no
+    zero entry already forces.
     """
     if not is_orientation_preserving(cx.group_kind, cx.n):
         raise WrongGroupParity(
             f"group {cx.group_kind!r} does not preserve orientation "
             f"in rank {cx.n}")
-    cycle = canonical_cycle(cx)
-    boundary = _apply_rows(cx.differential, list(cycle))
-    in_kernel = all(x == 0 for x in boundary)
-    kernel = differential_kernel(cx)
-    spanned = len(kernel) == 1 and _spans_same_line(
-        [Fraction(x) for x in kernel[0]], list(cycle))
-    ok = in_kernel and spanned and len(kernel) == 1
+    tess = check_rigidity(from_voronoi(cx))
     return TheoremReport(
-        n=cx.n, group_kind=cx.group_kind, kernel_dim=len(kernel),
-        canonical_in_kernel=in_kernel, kernel_spanned_by_canonical=spanned,
-        ok=ok,
+        n=cx.n, group_kind=cx.group_kind, kernel_dim=tess.kernel_dim,
+        canonical_in_kernel=tess.canonical_in_kernel,
+        kernel_spanned_by_canonical=tess.kernel_spanned_by_canonical,
+        ok=tess.ok,
         top_labels=tuple(cx.tops[i].label for i in cx.kept_tops),
         stab_orders=tuple(cx.tops[i].stab_order for i in cx.kept_tops),
-        kernel_vectors=tuple(tuple(v) for v in kernel),
-        canonical=cycle,
-        row_certificates=_row_certificates(cx, cycle),
+        kernel_vectors=tess.kernel_vectors,
+        canonical=tess.canonical,
+        row_certificates=_row_certificates(cx),
         details={
             "classes": len(cx.graph.nodes),
             "kept_tops": len(cx.kept_tops),
@@ -145,19 +126,6 @@ def verify_top_cycle(cx):
             "kept_walls": len(cx.kept_walls),
             "self_walls": sum(1 for w in cx.walls if w.kind == "self"),
         })
-
-
-def _is_root_class(form, minvecs, n):
-    refs = [a_n_gram(n)]
-    if n >= 4:
-        refs.append(d_n_gram(n))
-    for gram in refs:
-        ref = QForm.from_matrix(gram)
-        ref_mv = minimum_and_minimal_vectors(ref)
-        if form_maps(ref, ref_mv.vectors, form, minvecs.vectors,
-                     first_only=True):
-            return True
-    return False
 
 
 def verify_gl_even_vanishing(cx):
@@ -178,7 +146,7 @@ def verify_gl_even_vanishing(cx):
         if top.orientation_kept != inside_sl:
             mech_ok = False
         node = cx.graph.nodes[i]
-        if _is_root_class(node.form, node.minvecs, cx.n) and \
+        if root_label(node.form, node.minvecs, cx.n) is not None and \
                 top.orientation_kept:
             root_excluded = False
     kernel = differential_kernel(cx)
@@ -200,17 +168,12 @@ def verify_gl_even_vanishing(cx):
         })
 
 
-def verify(n, group_kind, seed_perm=0, allow_long=False, graph=None,
-           cx=None):
-    """Build (or reuse) the complex and dispatch on parity."""
-    if cx is None:
-        if graph is None:
-            graph = enumerate_perfect_forms(n, group_kind,
-                                            allow_long=allow_long)
-        cx = build_complex(graph, seed_perm=seed_perm)
-    if group_kind == "gl" and n % 2 == 0:
-        return verify_gl_even_vanishing(cx)
-    return verify_top_cycle(cx)
+def verify(cx):
+    """The theorem verdict of a complex: the top cycle where the group
+    preserves orientation, the vanishing of the kernel otherwise."""
+    if is_orientation_preserving(cx.group_kind, cx.n):
+        return verify_top_cycle(cx)
+    return verify_gl_even_vanishing(cx)
 
 
 def dd_sanity(cx, seed_perm=0):

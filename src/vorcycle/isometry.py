@@ -33,7 +33,7 @@ LNCS 559, 1991).
 from operator import mul
 
 from .forms import GroupElement, bilinear, canonical_pair
-from .linalg import adjugate, det_int, mat_mul, mat_rank, mat_vec
+from .linalg import adjugate, det_int, independent_rows, mat_mul, mat_vec
 
 
 def barycenter_matrix(vectors):
@@ -69,12 +69,7 @@ def form_invariant(gram, vectors):
 
 
 def _independent_base(vectors):
-    base = []
-    rows = []
-    for i, v in enumerate(vectors):
-        if mat_rank(rows + [v]) > len(rows):
-            rows.append(v)
-            base.append(i)
+    base = independent_rows(vectors, ())
     if len(base) != len(vectors[0]):
         raise ValueError("configuration does not span")
     return base

@@ -2,9 +2,10 @@
 
 Every decision made anywhere in this package (ranks, kernel dimensions,
 determinant signs, orientations) is computed here in exact arithmetic:
-arbitrary-precision integers with fraction-free Bareiss elimination, and
-`fractions.Fraction` only where back substitution or explicit inverses
-are unavoidable.  No floating point enters any code path.
+arbitrary-precision integers with one fraction-free Bareiss elimination
+(`_echelon`, behind `mat_rank`, `kernel_basis` and `det_int`), and
+`fractions.Fraction` only in the back substitution of `kernel_basis`.
+No floating point enters any code path.
 
 Symmetric matrices are identified with coordinate vectors through the
 upper-triangle flattening (index pairs i <= j in row-major order,
@@ -208,87 +209,50 @@ def adjugate(rows):
     return tuple(tuple(r) for r in adj)
 
 
-def fraction_inverse(rows):
-    """Exact inverse of a square rational matrix, as Fraction rows."""
-    n = len(rows)
-    aug = [
-        [Fraction(x) for x in rows[i]] + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+def independent_rows(candidates, start):
+    """Indices of the candidates kept by the greedy independence rule.
 
-
-def solve_in_span(basis_rows, target):
-    """Coordinates of `target` in the row span of `basis_rows`, or None.
-
-    `basis_rows` must be linearly independent.
+    Scanning in order, a candidate is kept when it raises the rank of
+    the linearly independent rows `start` plus the candidates kept
+    before it.  The scan stops once the rows reach full column rank.
     """
-    k = len(basis_rows)
-    dim = len(target)
-    # Solve the (dim x k) system  sum_j c_j basis_j = target  by elimination.
-    aug = [[Fraction(basis_rows[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(dim)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = None
-        for i in range(r, dim):
-            if aug[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise SpanMismatch("basis rows are linearly dependent")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(dim):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, dim):
-        if aug[i][k] != 0:
-            return None
-    return tuple(aug[i][k] for i in range(k))
+    rows = list(start)
+    width = len((rows or candidates or [()])[0])
+    chosen = []
+    for i, cand in enumerate(candidates):
+        if len(rows) == width:
+            break
+        if mat_rank(rows + [cand]) > len(rows):
+            rows.append(cand)
+            chosen.append(i)
+    return chosen
+
+
+def unit_completion(basis):
+    """The standard unit vectors that the greedy rule adds to the
+    independent rows `basis` to span the whole space."""
+    units = identity_matrix(len(basis[0])) if basis else ()
+    return [units[j] for j in independent_rows(units, basis)]
 
 
 def relative_orientation(basis_a, basis_b):
     """Sign of the change of basis from `basis_a` to `basis_b`.
 
     Both arguments are ordered bases of the same subspace; raises
-    SpanMismatch otherwise.  The result is +1 or -1, never 0.
+    SpanMismatch otherwise.  The result is +1 or -1, never 0.  Both
+    bases are completed by the unit completion of `basis_a`; the ratio
+    of the two determinants is the determinant of the change of basis.
     """
     if len(basis_a) != len(basis_b):
         raise SpanMismatch("bases have different sizes")
     k = len(basis_a)
     if mat_rank(basis_a) != k or mat_rank(basis_b) != k:
         raise SpanMismatch("input is not a basis")
-    coeffs = []
-    for b in basis_b:
-        c = solve_in_span(basis_a, b)
-        if c is None:
-            raise SpanMismatch("bases span different subspaces")
-        coeffs.append(c)
-    s = det_sign(coeffs)
-    if s == 0:  # unreachable given both rank checks
+    if mat_rank(list(basis_a) + list(basis_b)) != k:
         raise SpanMismatch("bases span different subspaces")
-    return s
+    completion = unit_completion(basis_a)
+    return det_sign(list(basis_a) + completion) * \
+        det_sign(list(basis_b) + completion)
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,8 @@ def graph_from_payload(payload, source="<payload>", at=()):
     """Decode and check a graph payload read from `source`.
 
     Besides the shape of every field, each node generator must fix the
-    node's Gram matrix (g^t Q g = Q); stabilizer orders are trusted.
+    node's Gram matrix (g^t Q g = Q), and there must be exactly one edge
+    per (node, facet); stabilizer orders and edge witnesses are trusted.
     `at` prefixes the field paths in error messages (a graph stored
     inside a complex payload sits at ("graph",)).
     """
@@ -257,13 +258,24 @@ def graph_from_payload(payload, source="<payload>", at=()):
             stab_order=rd.order(rec, path),
             label=rd.get(rec, path, "label", str)))
     edges = []
+    seen = set()
     for path, e in rd.records(payload, at, "edges"):
         witness = rd.element(rd.get(e, path, "witness", list),
                              path + ("witness",), n)
-        edges.append(Edge(node=rd.index(e, path, "node", len(nodes)),
-                          facet=rd.get(e, path, "facet", int),
+        node = rd.index(e, path, "node", len(nodes))
+        domain = nodes[node].domain
+        facet = rd.index(e, path, "facet",
+                         len(domain.facets) if domain else 0)
+        if (node, facet) in seen:
+            rd.fail(path, f"repeats the edge at node {node}, facet {facet}")
+        seen.add((node, facet))
+        edges.append(Edge(node=node, facet=facet,
                           neighbor=rd.index(e, path, "neighbor", len(nodes)),
                           witness=witness))
+    facet_count = sum(len(node.domain.facets) for node in nodes
+                      if node.domain)
+    if len(edges) != facet_count:
+        rd.fail(at + ("edges",), "does not have one edge per node facet")
     return VoronoiGraph(n=n, group_kind=group, nodes=tuple(nodes),
                         edges=tuple(edges))
 

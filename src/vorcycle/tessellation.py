@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import kernel_basis
+from .linalg import kernel_basis, sym_dim
 
 
 class InvariantViolation(ValueError):
@@ -265,14 +265,18 @@ def check_rigidity(instance):
 
 
 def _same_line(vec_a, vec_b):
+    """True iff both vectors are nonzero and on one line through 0.
+
+    Tested against the first nonzero entry p of `vec_a`: b[p] must be
+    nonzero and every a[i] * b[p] must equal b[i] * a[p].
+    """
     if len(vec_a) != len(vec_b):
         return False
-    for i in range(len(vec_a)):
-        for j in range(len(vec_a)):
-            if Fraction(vec_a[i]) * Fraction(vec_b[j]) != \
-                    Fraction(vec_a[j]) * Fraction(vec_b[i]):
-                return False
-    return any(vec_a) and any(vec_b)
+    p = next((i for i, x in enumerate(vec_a) if x != 0), None)
+    if p is None or vec_b[p] == 0:
+        return False
+    a_p, b_p = vec_a[p], vec_b[p]
+    return all(a * b_p == b * a_p for a, b in zip(vec_a, vec_b))
 
 
 def sector_fan(k):
@@ -313,7 +317,6 @@ def from_voronoi(cx):
         inc = tuple((c, Fraction(v)) for c, v in diff.row_entries(r))
         facets.append(FacetOrbit(stab_order=w.stab_order, kind=w.kind,
                                  incidences=inc, label=w.label))
-    from .linalg import sym_dim
     inst = TessInstance(ambient_dim=sym_dim(cx.n), tiles=tiles,
                         facet_orbits=tuple(facets))
     inst.validate()

@@ -229,3 +229,28 @@ def test_swapped_generator_exit_three(cache, capsys, record):
                                      swap)
     assert code == 3
     assert "generators[0] does not fix" in err
+
+
+def test_bad_edge_facet_in_graph_cache_exit_three(cache, capsys):
+    run(capsys, "perfect", "--n", "3", "--group", "sl", "--cache-dir", cache)
+    path = os.path.join(cache, "graph-n3-sl.json")
+
+    def bad_facet(doc):
+        doc["payload"]["edges"][0]["facet"] = 999
+    _tamper(path, bad_facet)
+    code, out, err = run(capsys, "verify", "--n", "3", "--group", "sl",
+                         "--cache-dir", cache)
+    assert code == 3
+    assert "Traceback" not in out + err
+    assert f"{path}: payload.edges[0].facet is out of range" in err
+
+
+def test_unexpected_exception_exit_four(cache, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise KeyError((0, 0))
+    monkeypatch.setattr("vorcycle.cli.build_complex", crash)
+    code, out, err = run(capsys, "verify", "--n", "2", "--group", "sl",
+                         "--cache-dir", cache)
+    assert code == 4
+    assert err == "error: unexpected KeyError: (0, 0)\n"
+    assert "FALSIFIED" not in out

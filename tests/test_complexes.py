@@ -11,7 +11,6 @@ from vorcycle.complexes import (
     apply_to_cell,
     build_complex,
     induced_sign,
-    parent_sign_of,
     top_cell_dimension,
     transport_flat,
     transport_sign,
@@ -24,7 +23,12 @@ from vorcycle.forms import (
     rank_one,
 )
 from vorcycle.isometry import cell_maps, cell_stabilizer, pair_swap_elements
-from vorcycle.linalg import det_sign, mat_rank, sym_flatten
+from vorcycle.linalg import (
+    det_sign,
+    mat_rank,
+    relative_orientation,
+    sym_flatten,
+)
 
 HEX_CELL = ((0, 1), (1, -1), (1, 0))          # hexagonal domain vectors
 HEX_MIRROR = ((0, 1), (1, 0), (1, 1))         # its far side across the wall
@@ -374,13 +378,13 @@ def test_transport_sign_witness_independence_on_kept_wall(complex_sl4):
     wall = complex_sl4.walls[complex_sl4.kept_walls[0]]
     for s in closure(wall.generators, 4):
         moved = [transport_flat(s, b, 4) for b in wall.basis]
-        assert parent_sign_of(list(wall.basis), moved, 4) == 1
+        assert relative_orientation(list(wall.basis), moved) == 1
     dropped = complex_sl4.walls[[i for i in range(len(complex_sl4.walls))
                                  if i not in complex_sl4.kept_walls][0]]
     signs = set()
     for s in closure(dropped.generators, 4):
         moved = [transport_flat(s, b, 4) for b in dropped.basis]
-        signs.add(parent_sign_of(list(dropped.basis), moved, 4))
+        signs.add(relative_orientation(list(dropped.basis), moved))
     assert signs == {1, -1}
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -72,8 +73,8 @@ def test_gl_even_vanishing(complex_gl2, complex_gl4):
 
 
 def test_verify_dispatch(complex_sl4, complex_gl4):
-    assert verify(4, "sl", cx=complex_sl4).kernel_dim == 1
-    assert verify(4, "gl", cx=complex_gl4).kernel_dim == 0
+    assert verify(complex_sl4).kernel_dim == 1
+    assert verify(complex_gl4).kernel_dim == 0
 
 
 def test_sl_gl_agree_in_odd_rank(complex_sl3, complex_gl3):
@@ -118,3 +119,65 @@ def test_report_payload_round_values(complex_sl4):
     assert payload["kernel_dim"] == 1
     assert payload["canonical"] == [str(x) for x in report.canonical]
     assert payload["ok"] is True
+
+
+def _apply_rows(diff, coeffs):
+    """Reference: the weighted boundary, row by row."""
+    return [sum(Fraction(v) * coeffs[c] for c, v in diff.row_entries(r))
+            for r in range(diff.row_count)]
+
+
+def _spans_same_line(vec_a, vec_b):
+    """Reference: both nonzero and every 2x2 minor zero."""
+    if len(vec_a) != len(vec_b):
+        return False
+    for i in range(len(vec_a)):
+        for j in range(len(vec_a)):
+            if vec_a[i] * vec_b[j] != vec_a[j] * vec_b[i]:
+                return False
+    return any(vec_a) and any(vec_b)
+
+
+def _with_differential(cx, entries):
+    diff = cx.differential
+    return dataclasses.replace(cx, differential=Differential(
+        row_labels=diff.row_labels, col_labels=diff.col_labels,
+        entries=tuple(sorted(entries.items()))))
+
+
+@pytest.mark.parametrize("mutation", (None, "flip", "zero", "extra",
+                                      "clear"))
+def test_top_cycle_matches_direct_line_test(complex_sl2, complex_sl3,
+                                            complex_gl3, complex_sl4,
+                                            mutation):
+    # The verdict now comes from check_rigidity; the reference is the
+    # direct computation on the differential that it replaced.
+    for cx in (complex_sl2, complex_sl3, complex_gl3, complex_sl4):
+        entries = dict(cx.differential.entries)
+        if mutation and not entries:
+            continue
+        key = min(entries) if entries else None
+        if mutation == "flip":
+            entries[key] = -entries[key]
+        elif mutation == "zero":
+            del entries[key]
+        elif mutation == "extra":
+            entries[key] += 1
+        elif mutation == "clear":
+            # A zero row: the canonical chain stays in a kernel that is
+            # no longer a line.
+            entries.clear()
+        cx = _with_differential(cx, entries)
+        report = verify_top_cycle(cx)
+        cycle = canonical_cycle(cx)
+        kernel = differential_kernel(cx)
+        in_kernel = all(x == 0 for x in _apply_rows(cx.differential, cycle))
+        spanned = len(kernel) == 1 and _spans_same_line(
+            [Fraction(x) for x in kernel[0]], list(cycle))
+        assert report.kernel_dim == len(kernel)
+        assert report.kernel_vectors == tuple(kernel)
+        assert report.canonical == cycle
+        assert report.canonical_in_kernel == in_kernel
+        assert report.kernel_spanned_by_canonical == spanned
+        assert report.ok == (in_kernel and spanned)
+        assert report.ok == (mutation is None)

@@ -9,6 +9,7 @@ from vorcycle.linalg import (
     clear_denominators,
     det_int,
     det_sign,
+    independent_rows,
     kernel_basis,
     mat_rank,
     mat_transpose,
@@ -144,3 +145,86 @@ def test_flatten_round_trip_and_trace_pair(rows):
     lhs = trace_pair(sym, other)
     rhs = sum(sym[i][j] * other[j][i] for i in range(3) for j in range(3))
     assert lhs == rhs
+
+
+def naive_independent_rows(candidates, start):
+    """Reference: the greedy rank loop as each call site once wrote it."""
+    rows, chosen = list(start), []
+    for i, cand in enumerate(candidates):
+        if mat_rank(rows + [cand]) > len(rows):
+            rows.append(cand)
+            chosen.append(i)
+    return chosen
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda c: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=c, max_size=c),
+                 max_size=8),
+        st.lists(st.lists(st.integers(-2, 2), min_size=c, max_size=c),
+                 max_size=4))))
+@settings(max_examples=200, deadline=None)
+def test_independent_rows_matches_naive_loop(data):
+    candidates, pre = data
+    start = [pre[i] for i in naive_independent_rows(pre, ())]
+    assert independent_rows(candidates, start) == \
+        naive_independent_rows(candidates, start)
+    assert independent_rows(candidates, ()) == \
+        naive_independent_rows(candidates, ())
+
+
+def solve_in_span(basis_rows, target):
+    """Reference: coordinates of `target` in the row span of the
+    independent `basis_rows` by Fraction Gauss-Jordan, or None."""
+    k = len(basis_rows)
+    dim = len(target)
+    aug = [[Fraction(basis_rows[j][i]) for j in range(k)] +
+           [Fraction(target[i])] for i in range(dim)]
+    r = 0
+    for c in range(k):
+        piv = next(i for i in range(r, dim) if aug[i][c] != 0)
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(dim):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        r += 1
+    if any(aug[i][k] != 0 for i in range(r, dim)):
+        return None
+    return tuple(aug[i][k] for i in range(k))
+
+
+def reference_orientation(basis_a, basis_b):
+    """Reference: the sign of the determinant of the coordinates of
+    `basis_b` in `basis_a`."""
+    coeffs = [solve_in_span(basis_a, b) for b in basis_b]
+    if None in coeffs:
+        raise SpanMismatch("bases span different subspaces")
+    return det_sign(coeffs)
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda k: st.tuples(
+        st.lists(st.lists(small_int, min_size=5, max_size=5),
+                 min_size=k, max_size=k),
+        st.lists(st.lists(small_int, min_size=k, max_size=k),
+                 min_size=k, max_size=k),
+        st.lists(small_int, min_size=5, max_size=5))))
+@settings(max_examples=200, deadline=None)
+def test_relative_orientation_matches_coordinate_rule(data):
+    basis_a, change, stray = data
+    k = len(basis_a)
+    if mat_rank(basis_a) < k or det_int(change) == 0:
+        return
+    basis_b = [tuple(sum(c * a[i] for c, a in zip(row, basis_a))
+                     for i in range(5)) for row in change]
+    assert relative_orientation(basis_a, basis_b) == \
+        reference_orientation(basis_a, basis_b) == det_sign(change)
+    # Replacing a row by a vector off the span breaks both rules alike.
+    off = basis_b[:-1] + [stray]
+    if mat_rank(basis_a + [stray]) > k:
+        with pytest.raises(SpanMismatch):
+            relative_orientation(basis_a, off)
+        with pytest.raises(SpanMismatch):
+            reference_orientation(basis_a, off)

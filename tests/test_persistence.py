@@ -202,6 +202,7 @@ SHEAR = [["1", "1"], ["0", "1"]]
      "is not a sorted list of canonical vector pairs"),
     (("walls", 0, "vectors", 0), ["-1", "0"],
      "is not a sorted list of canonical vector pairs"),
+    (("graph", "edges", 0, "facet"), 999, "is out of range"),
 ))
 def test_generator_certificates_and_ranges(where, new, problem):
     payload = complex_to_payload(cached_complex(2, "sl"))
@@ -209,6 +210,25 @@ def test_generator_certificates_and_ranges(where, new, problem):
             pytest.raises(CacheCorrupt, match=problem) as exc:
         complex_from_payload(bad, "c.json")
     assert "payload." in str(exc.value)
+
+
+@pytest.mark.parametrize("n, group", ((2, "sl"), (4, "gl")))
+def test_one_edge_per_node_facet(n, group):
+    payload = graph_to_payload(cached_graph(n, group))
+    edges = payload["edges"]
+    assert len(edges) == sum(len(node["facets"])
+                             for node in payload["nodes"])
+    first = edges[0]
+    twin = next(e for e in edges[1:] if e["node"] == first["node"])
+    with _mutated(payload, ("edges", edges.index(twin), "facet"),
+                  first["facet"]) as bad, \
+            pytest.raises(CacheCorrupt, match=r"payload\.edges\[\d+\] "
+                                              r"repeats the edge at node"):
+        graph_from_payload(bad, "g.json")
+    payload["edges"] = edges[1:]
+    with pytest.raises(CacheCorrupt, match=r"payload\.edges does not have "
+                                           r"one edge per node facet"):
+        graph_from_payload(payload, "g.json")
 
 
 def test_stale_schema_version_names_the_remedy(tmp_path):

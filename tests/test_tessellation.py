@@ -11,6 +11,7 @@ from vorcycle.tessellation import (
     InvariantViolation,
     TessInstance,
     TileOrbit,
+    _same_line,
     check_rigidity,
     dumps_instance,
     from_voronoi,
@@ -180,3 +181,32 @@ def test_instance_serialization_round_trip():
     assert "line" in str(err.value)
     with pytest.raises(InvariantViolation):
         loads_instance('{"kind": "other"}')
+
+
+def pairwise_same_line(vec_a, vec_b):
+    """Reference: both nonzero and every 2x2 minor zero."""
+    if len(vec_a) != len(vec_b):
+        return False
+    for i in range(len(vec_a)):
+        for j in range(len(vec_a)):
+            if Fraction(vec_a[i]) * Fraction(vec_b[j]) != \
+                    Fraction(vec_a[j]) * Fraction(vec_b[i]):
+                return False
+    return any(vec_a) and any(vec_b)
+
+
+entries = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(Fraction),
+                    st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=4))
+
+
+@given(st.lists(entries, max_size=6), st.lists(entries, max_size=6),
+       st.one_of(st.integers(-2, 2), st.fractions(max_denominator=3)),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_same_line_matches_pairwise_minors(vec_a, other, scale, multiple):
+    # Half the cases pair a vector with a multiple of itself (zero
+    # included), so both verdicts occur.
+    vec_b = [scale * x for x in vec_a] if multiple else other
+    assert _same_line(vec_a, vec_b) == pairwise_same_line(vec_a, vec_b)
+    assert _same_line(vec_b, vec_a) == pairwise_same_line(vec_b, vec_a)
