@@ -8,10 +8,12 @@ tell you something.
 """
 
 import argparse
+import os
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
 
 from vorcycle import enumeration
 from vorcycle.complexes import build_complex

@@ -11,10 +11,12 @@ Exits with status 1 when any row's verdict is UNEXPECTED.
 """
 
 import argparse
+import os
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
 
 from vorcycle.complexes import build_complex
 from vorcycle.enumeration import enumerate_perfect_forms

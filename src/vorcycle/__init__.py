@@ -15,10 +15,8 @@ from .enumeration import (
     PerfectFormRep,
     VoronoiGraph,
     enumerate_perfect_forms,
-    facet_stabilizer,
     is_equivalent,
     neighbor_form,
-    stabilizer,
 )
 from .forms import (
     GroupElement,

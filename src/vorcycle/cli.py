@@ -251,9 +251,6 @@ def main(argv=None):
     except CacheCorrupt as exc:
         print(f"error: cache corruption: {exc}", file=sys.stderr)
         return EXIT_CACHE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:
         print(f"error: unexpected {type(exc).__name__}: {exc}",
               file=sys.stderr)

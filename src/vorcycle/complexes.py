@@ -30,14 +30,8 @@ stacked determinants.
 from dataclasses import dataclass
 
 from .cones import meets_boundary, subcone_facets
-from .forms import GroupElement, apply_to_cell, rank_one
-from .isometry import (
-    cell_invariant,
-    cell_maps,
-    cell_stabilizer,
-    orbit_decompose,
-    small_generating_set,
-)
+from .forms import apply_to_cell, rank_one
+from .isometry import cell_group, cell_invariant, cell_maps, orbit_decompose
 from .linalg import (
     det_sign,
     identity_matrix,
@@ -159,20 +153,6 @@ class _ParentView:
         return det_sign(list(rows) + list(self.completion)) * self.ref_sign
 
 
-def _orbits_with_transporters(generators, face_keys):
-    """Decompose the parent's faces under its stabilizer, given by
-    generators.
-
-    Returns (rep_key, {member_key: transporter}) per orbit; the
-    transporter s satisfies s * rep = member.
-    """
-    if not face_keys:
-        return []
-    n = len(face_keys[0][0])
-    return orbit_decompose(face_keys, generators, apply_to_cell,
-                           GroupElement.identity(n))
-
-
 def _span_basis(vectors):
     """Greedy basis of the span of the rank-one flats of `vectors`."""
     flats = [sym_flatten(rank_one(v)) for v in vectors]
@@ -195,8 +175,8 @@ def _build_child_level(parents, n, det_one, seed_perm, level_name):
     orbit_records = []
     for p_pos, view in enumerate(parents):
         key_to_idx = {key: i for i, key in enumerate(view.faces)}
-        for rep_key, members in _orbits_with_transporters(
-                view.generators, list(view.faces)):
+        for rep_key, members in orbit_decompose(view.faces,
+                                                 view.generators):
             if meets_boundary(rep_key):
                 continue
             orbit_records.append((rep_key, p_pos, members, key_to_idx))
@@ -230,8 +210,7 @@ def _build_child_level(parents, n, det_one, seed_perm, level_name):
             for key in orbit_members)
         rep_key, rep_parent, rep_face = members[seed_perm % len(members)]
         member_records = tuple((p, f, k) for k, p, f in members)
-        stab = cell_stabilizer(rep_key, det_one=det_one)
-        gens = small_generating_set(stab)
+        gens, order = cell_group(rep_key, det_one=det_one)
         basis = _span_basis(rep_key)
         parent = parents[rep_parent]
         extra = next(v for v in parent.vectors if v not in set(rep_key))
@@ -252,7 +231,7 @@ def _build_child_level(parents, n, det_one, seed_perm, level_name):
             level=level_name, vectors=rep_key, parent=rep_parent,
             face_index=rep_face,
             members=member_records,
-            generators=gens, stab_order=len(stab), basis=tuple(basis),
+            generators=gens, stab_order=order, basis=tuple(basis),
             orientation_kept=kept, kind="", witness=(),
             label=f"{level_name[0]}{pos}"))
     return tuple(out)
@@ -274,24 +253,6 @@ def induced_sign(parent_view, child_basis, child_vectors, member_vectors,
     return parent_view.oriented_sign(rows)
 
 
-class WitnessMismatch(ValueError):
-    """The claimed group element does not map the cell to the translate."""
-
-
-def transport_sign(child, translate_vectors, translate_basis, witness, n):
-    """Orientation carried by a witness from a representative to a translate.
-
-    With the transported-basis convention this is +1 whenever the
-    translate's basis is the pushed-forward one; the general form is
-    kept for cross-checks.  Raises if the witness does not map the
-    representative onto the translate.
-    """
-    if apply_to_cell(witness, child.vectors) != tuple(sorted(translate_vectors)):
-        raise WitnessMismatch("witness does not carry the cell to the translate")
-    moved = [transport_flat(witness, b, n) for b in child.basis]
-    return relative_orientation(list(translate_basis), moved)
-
-
 def _incidence_matrix(parents, kept_parent_positions, children,
                       kept_child_positions, n, det_one,
                       row_labels, col_labels):
@@ -303,7 +264,7 @@ def _incidence_matrix(parents, kept_parent_positions, children,
     entries = {}
     for col, p_pos in enumerate(kept_parent_positions):
         view = parents[p_pos]
-        orbits = _orbits_with_transporters(view.generators, view.faces)
+        orbits = orbit_decompose(view.faces, view.generators)
         for rep_key, members in orbits:
             if meets_boundary(rep_key):
                 continue

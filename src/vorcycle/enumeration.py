@@ -46,14 +46,7 @@ from .forms import (
     nonposdef_witness,
     short_vectors,
 )
-from .isometry import (
-    cell_stabilizer,
-    form_automorphisms,
-    form_invariant,
-    form_maps,
-    orbit_decompose,
-    small_generating_set,
-)
+from .isometry import form_group, form_invariant, form_maps, orbit_decompose
 
 
 class BoundaryFacet(ValueError):
@@ -190,28 +183,6 @@ def is_equivalent(form_a, minvecs_a, form_b, minvecs_b, det_one=False):
     return EquivWitness(g=found[0], scale=Fraction(1))
 
 
-def stabilizer(form, minvecs, group_kind="gl"):
-    """The full finite stabilizer of the form's domain, and its order."""
-    if group_kind not in GROUP_KINDS:
-        raise ValueError(f"unknown group kind {group_kind!r}")
-    elems = form_automorphisms(form, minvecs.vectors,
-                               det_one=(group_kind == "sl"))
-    return elems, len(elems)
-
-
-def facet_stabilizer(cell_vectors, group_kind="gl"):
-    """Stabilizer of a face given by its vectors, and its order.
-
-    The stabilizer of the face equals the stabilizer of its barycenter
-    sum x x^t, which is exactly the group of unimodular maps preserving
-    the vector configuration setwise; that group is what the map engine
-    enumerates (with the barycenter pairing as its pruning invariant).
-    """
-    elems = cell_stabilizer(tuple(cell_vectors),
-                            det_one=(group_kind == "sl"))
-    return elems, len(elems)
-
-
 def root_label(form, minvecs, n):
     """The label "An" or "Dn" of a form equivalent to A_n or D_n (the
     latter tried for n >= 4 only), else None."""
@@ -233,8 +204,7 @@ def _facet_orbit_reps(cone, generators):
     """
     keys = [cone.facet_vectors(f) for f in cone.facets]
     key_to_index = {key: i for i, key in enumerate(keys)}
-    orbits = orbit_decompose(keys, generators, apply_to_cell,
-                             GroupElement.identity(cone.n))
+    orbits = orbit_decompose(keys, generators)
     return [(key_to_index[rep], members) for rep, members in orbits], \
         key_to_index
 
@@ -246,8 +216,9 @@ def _discover_classes(n, traversal="default"):
     and only one representative per orbit is crossed; a transported
     facet leads to an equivalent neighbour, so nothing is lost.
     Returns a list of class records carrying the lexicographically
-    minimal Gram matrix met by the walk, and the full automorphism group
-    of the discovery form ("stab") with its generating set ("gens").
+    minimal Gram matrix met by the walk, and the strong generators
+    ("gens") and order ("order") of the full automorphism group of the
+    discovery form.
     `traversal` reorders facet processing; any order must close on the
     same classes, which the tests exercise.
     """
@@ -255,14 +226,14 @@ def _discover_classes(n, traversal="default"):
     start_mv = minimum_and_minimal_vectors(start)
     classes = [{"form": start, "mv": start_mv,
                 "inv": form_invariant(start.gram, start_mv.vectors),
-                "min_gram": start.gram, "stab": None, "gens": None}]
+                "min_gram": start.gram, "gens": None, "order": None}]
     queue = [0]
     while queue:
         idx = queue.pop(0)
         rep = classes[idx]
         cone = build_cone(rep["mv"].vectors)
-        rep["stab"] = form_automorphisms(rep["form"], rep["mv"].vectors)
-        rep["gens"] = small_generating_set(rep["stab"])
+        rep["gens"], rep["order"] = form_group(rep["form"],
+                                               rep["mv"].vectors)
         orbit_reps, _ = _facet_orbit_reps(cone, rep["gens"])
         facets = [cone.facets[i] for i, _ in orbit_reps]
         if traversal == "reversed":
@@ -281,8 +252,8 @@ def _discover_classes(n, traversal="default"):
                     break
             if matched is None:
                 classes.append({"form": nb, "mv": nb_mv, "inv": inv,
-                                "min_gram": nb.gram, "stab": None,
-                                "gens": None})
+                                "min_gram": nb.gram, "gens": None,
+                                "order": None})
                 queue.append(len(classes) - 1)
             else:
                 if nb.gram < classes[matched]["min_gram"]:
@@ -309,22 +280,19 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
     if n == 1:
         form = QForm.from_matrix(((1,),))
         mv = minimum_and_minimal_vectors(form)
-        ident = GroupElement.identity(1)
-        neg = GroupElement.from_matrix(((-1,),))
-        elems = (ident,) if group_kind == "sl" else tuple(
-            sorted((ident, neg), key=lambda g: g.rows))
+        gens, order = form_group(form, mv.vectors,
+                                 det_one=(group_kind == "sl"))
         node = PerfectFormRep(form=form, minvecs=mv, domain=None,
-                              generators=small_generating_set(elems),
-                              stab_order=len(elems), label="A1")
+                              generators=gens, stab_order=order, label="A1")
         return VoronoiGraph(n=1, group_kind=group_kind, nodes=(node,),
                             edges=())
 
     classes = _discover_classes(n, traversal=traversal)
 
     # Final representatives: the lexicographically smallest Gram matrix
-    # that the walk produced for each class (the discovery stabilizer and
-    # its generators are reused when the representative did not move).
-    # Each group is kept as (generators, order) from here on.
+    # that the walk produced for each class (the discovery group is
+    # reused when the representative did not move).  Each group is kept
+    # as (generators, order).
     nodes = []
     flip = GroupElement.from_matrix(
         tuple(tuple((-1 if i == j == 0 else int(i == j))
@@ -332,22 +300,21 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
     for cls in classes:
         form = QForm.from_matrix(cls["min_gram"])
         mv = minimum_and_minimal_vectors(form)
-        moved = form.gram != cls["form"].gram
-        full = form_automorphisms(form, mv.vectors) if moved else cls["stab"]
+        if form.gram == cls["form"].gram:
+            gens, order = cls["gens"], cls["order"]
+        else:
+            gens, order = form_group(form, mv.vectors)
         if group_kind == "gl":
-            gens = small_generating_set(full) if moved else cls["gens"]
-            nodes.append((form, mv, gens, len(full)))
+            nodes.append((form, mv, gens, order))
             continue
-        sl = tuple(g for g in full if g.det == 1)
-        nodes.append((form, mv, small_generating_set(sl), len(sl)))
-        if len(sl) == len(full):
+        sl_gens, sl_order = form_group(form, mv.vectors, det_one=True)
+        nodes.append((form, mv, sl_gens, sl_order))
+        if not any(g.det == -1 for g in gens):
             # No determinant -1 symmetry: the class splits in two.
             mirror = act_form(flip, form)
-            mirror_mv = minimum_and_minimal_vectors(mirror)
-            mirror_sl = tuple(sorted(
-                ((flip * g) * flip for g in sl), key=lambda e: e.rows))
-            nodes.append((mirror, mirror_mv, small_generating_set(mirror_sl),
-                          len(mirror_sl)))
+            nodes.append((mirror, minimum_and_minimal_vectors(mirror),
+                          tuple((flip * g) * flip for g in sl_gens),
+                          sl_order))
 
     final = []
     for i, (form, mv, gens, order) in enumerate(nodes):

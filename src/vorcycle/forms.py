@@ -200,9 +200,6 @@ class QForm:
     def pair(self, x, y):
         return bilinear(self.gram, x, y)
 
-    def lex_key(self):
-        return sym_flatten(self.gram)
-
 
 @dataclass(frozen=True)
 class MinVecSet:
@@ -278,9 +275,6 @@ class GroupElement:
 
     def apply(self, vec):
         return mat_vec(self.rows, vec)
-
-    def transpose(self):
-        return GroupElement(rows=mat_transpose(self.rows), det=self.det)
 
 
 def act(g, q_rows):

@@ -1,8 +1,8 @@
-"""Integral maps between vector configurations, by backtracking.
+"""Integral maps between vector configurations, and their finite groups.
 
 This is the workhorse behind form equivalence, cell equivalence, and
 stabilizer computation.  Given a source and a target configuration of
-antipodal vector pairs, it enumerates the unimodular integer matrices g
+antipodal vector pairs, it searches the unimodular integer matrices g
 with g * source = target (as sets of pairs), pruning partial
 assignments with an invariant bilinear form on each side:
 
@@ -23,11 +23,25 @@ Everything runs in integers, in the spirit of Plesken and Souvignier
   vectors and solves g = Y adj(X) / det(X) with the integer adjugate,
   rejecting it unless det(X) divides every entry exactly.
 
-All solutions are found, so stabilizers come out as complete groups.
-Generating sets of those groups are chosen by a scan over the sorted
-elements whose running closure grows coset by coset (Dimino's
-algorithm, see Butler, "Fundamental Algorithms for Permutation Groups",
-LNCS 559, 1991).
+Stabilizers are never listed.  Each one is computed as a stabilizer
+chain along the search base b_0, ..., b_{n-1}, the base and strong
+generating set method of Seress ("Permutation Group Algorithms", 2003):
+level i is the subgroup fixing b_0, ..., b_{i-1}, and its basic orbit is
+the orbit of b_i under it.  Levels are closed from the deepest up.  The
+generators found so far act as permutations of the signed vectors; every
+candidate image of b_i outside their orbit of b_i gets one first-hit
+search with the images of b_0, ..., b_{i-1} fixed, and a hit is a new
+strong generator.  Since every candidate outside the orbit is searched
+to completion, each basic orbit comes out complete, and the group order
+is the product of the basic orbit lengths.  Orbits of faces are
+computed the same way, with each generator turned once into a
+permutation of vector indices.
+
+`form_automorphisms`, `cell_stabilizer` and `small_generating_set` (a
+Dimino closure over a listed group, see Butler, "Fundamental Algorithms
+for Permutation Groups", LNCS 559, 1991) still list whole groups.  The
+pipeline does not call them: they are kept as the listing oracle for
+the chain, and the benchmark's tracer wraps them by name.
 """
 
 from operator import mul
@@ -75,75 +89,163 @@ def _independent_base(vectors):
     return base
 
 
-def _maps(src, dst, src_pair, dst_pair, accept, det_one, first_only):
-    """All integer g with compatible pairings sending base vectors of
-    `src` into signed vectors of `dst`, filtered through `accept`.
+class _Search:
+    """The backtrack for maps of `src` into `dst`, set up once.
 
-    Candidates are visited in sorted order of the signed target vectors,
-    so the first map found (and the order of all maps) is fixed.
+    Base vectors of `src` get images among the signed vectors of `dst`,
+    visited in sorted order, so the first map found (and the order of
+    all maps) is fixed.  Every leaf is filtered through exact division
+    by det(X), unimodularity, `det_one` and `accept`.
     """
-    n = len(src[0])
-    base_vecs = [src[i] for i in _independent_base(src)]
-    # Columns of X are the base vectors; candidate g = Y adj(X) / det(X).
-    x_cols = tuple(zip(*base_vecs))
-    x_adj_cols = tuple(zip(*adjugate(x_cols)))
-    x_det = det_int(x_cols)
-    signed = sorted(list(dst) + [tuple(-t for t in v) for v in dst])
-    paired = [mat_vec(dst_pair, y) for y in signed]
-    table = [[sum(map(mul, y, p)) for p in paired] for y in signed]
-    src_gram = [[bilinear(src_pair, a, b) for b in base_vecs]
-                for a in base_vecs]
-    by_norm = {}
-    for k, row in enumerate(table):
-        by_norm.setdefault(row[k], []).append(k)
-    results = []
-    images = []
 
-    def leaf():
-        y_rows = tuple(zip(*(signed[k] for k in images)))
-        g_rows = []
-        for y_row in y_rows:
-            row = []
-            for col in x_adj_cols:
-                q, r = divmod(sum(map(mul, y_row, col)), x_det)
-                if r:
-                    return False
-                row.append(q)
-            g_rows.append(tuple(row))
-        d = det_int(g_rows)
-        if d not in (1, -1):
+    def __init__(self, src, dst, src_pair, dst_pair, accept, det_one):
+        self.base = [src[i] for i in _independent_base(src)]
+        # Columns of X are the base vectors; candidate g = Y adj(X) / det(X).
+        x_cols = tuple(zip(*self.base))
+        self.x_adj_cols = tuple(zip(*adjugate(x_cols)))
+        self.x_det = det_int(x_cols)
+        self.signed = sorted(list(dst) + [tuple(-t for t in v) for v in dst])
+        paired = [mat_vec(dst_pair, y) for y in self.signed]
+        self.table = [[sum(map(mul, y, p)) for p in paired]
+                      for y in self.signed]
+        self.src_gram = [[bilinear(src_pair, a, b) for b in self.base]
+                         for a in self.base]
+        self.by_norm = {}
+        for k, row in enumerate(self.table):
+            self.by_norm.setdefault(row[k], []).append(k)
+        self.accept = accept
+        self.det_one = det_one
+
+    def candidates(self, depth, prefix):
+        """Targets for base vector `depth` whose pairings with the images
+        `prefix` of the base vectors before it match the source Gram
+        entries."""
+        want = self.src_gram[depth]
+        return [k for k in self.by_norm.get(want[depth], [])
+                if all(self.table[k][p] == want[e]
+                       for e, p in enumerate(prefix))]
+
+    def run(self, first_only, prefix=()):
+        """All maps (the first only, with `first_only`) sending base
+        vector i to signed[prefix[i]] for i < len(prefix)."""
+        n = len(self.base)
+        x_adj_cols, x_det = self.x_adj_cols, self.x_det
+        signed, table, src_gram = self.signed, self.table, self.src_gram
+        accept, det_one = self.accept, self.det_one
+        results = []
+        images = []
+
+        def leaf():
+            y_rows = tuple(zip(*(signed[k] for k in images)))
+            g_rows = []
+            for y_row in y_rows:
+                row = []
+                for col in x_adj_cols:
+                    q, r = divmod(sum(map(mul, y_row, col)), x_det)
+                    if r:
+                        return False
+                    row.append(q)
+                g_rows.append(tuple(row))
+            d = det_int(g_rows)
+            if d not in (1, -1):
+                return False
+            if det_one and d != 1:
+                return False
+            g = GroupElement(rows=tuple(g_rows), det=d)
+            if accept(g):
+                results.append(g)
+                return first_only
             return False
-        if det_one and d != 1:
+
+        def extend(depth, candidates):
+            # candidates[e - depth]: targets for base vector e whose
+            # pairings with the images chosen so far match the source
+            # Gram entries.
+            if depth == n:
+                return leaf()
+            choices = candidates[0]
+            if depth < len(prefix):
+                choices = [prefix[depth]] if prefix[depth] in choices else []
+            for k in choices:
+                row = table[k]
+                rest = []
+                for e in range(depth + 1, n):
+                    want = src_gram[e][depth]
+                    kept = [c for c in candidates[e - depth] if row[c] == want]
+                    if not kept:
+                        break
+                    rest.append(kept)
+                else:
+                    images.append(k)
+                    if extend(depth + 1, rest):
+                        return True
+                    images.pop()
             return False
-        g = GroupElement(rows=tuple(g_rows), det=d)
-        if accept(g):
-            results.append(g)
-            return first_only
-        return False
 
-    def extend(depth, candidates):
-        # candidates[e - depth]: targets for base vector e whose pairings
-        # with the images chosen so far match the source Gram entries.
-        if depth == n:
-            return leaf()
-        for k in candidates[0]:
-            row = table[k]
-            rest = []
-            for e in range(depth + 1, n):
-                want = src_gram[e][depth]
-                kept = [c for c in candidates[e - depth] if row[c] == want]
-                if not kept:
-                    break
-                rest.append(kept)
-            else:
-                images.append(k)
-                if extend(depth + 1, rest):
-                    return True
-                images.pop()
-        return False
+        extend(0, [self.by_norm.get(src_gram[d][d], []) for d in range(n)])
+        return results
 
-    extend(0, [by_norm.get(src_gram[d][d], []) for d in range(n)])
-    return results
+
+def _orbit(point, perms):
+    """The orbit of a signed-vector index under index permutations."""
+    orbit = {point}
+    frontier = [point]
+    for p in frontier:
+        for perm in perms:
+            q = perm[p]
+            if q not in orbit:
+                orbit.add(q)
+                frontier.append(q)
+    return orbit
+
+
+def _chain(search):
+    """Strong generators and order of the group of maps that `search`
+    finds from a configuration onto itself (see the module docstring)."""
+    signed = search.signed
+    index = {v: k for k, v in enumerate(signed)}
+    fixed = [index[b] for b in search.base]
+    gens, perms = [], []
+    order = 1
+    for i in reversed(range(len(fixed))):
+        orbit = _orbit(fixed[i], perms)
+        for y in search.candidates(i, fixed[:i]):
+            if y in orbit:
+                continue
+            hit = search.run(True, fixed[:i] + [y])
+            if hit:
+                g = hit[0]
+                gens.append(g)
+                perms.append([index[g.apply(v)] for v in signed])
+                orbit = _orbit(fixed[i], perms)
+        order *= len(orbit)
+    return tuple(gens), order
+
+
+def _cell_search(src, dst, det_one):
+    """The search for maps of cell `src` onto cell `dst`, or None when
+    their barycenter determinants already differ."""
+    b_src = barycenter_matrix(src)
+    b_dst = barycenter_matrix(dst)
+    if det_int(b_src) != det_int(b_dst):
+        return None
+    dst_set = set(dst)
+
+    def accept(g):
+        return all(canonical_pair(g.apply(v)) in dst_set for v in src)
+
+    return _Search(src, dst, adjugate(b_src), adjugate(b_dst), accept,
+                   det_one)
+
+
+def _form_search(src_gram, src, dst_gram, dst, det_one):
+    """The search for g with g^t * dst_gram * g = src_gram."""
+
+    def accept(g):
+        gt = tuple(zip(*g.rows))
+        return mat_mul(mat_mul(gt, dst_gram), g.rows) == src_gram
+
+    return _Search(src, dst, src_gram, dst_gram, accept, det_one)
 
 
 def cell_maps(src_vectors, dst_vectors, det_one=False, first_only=False):
@@ -152,18 +254,8 @@ def cell_maps(src_vectors, dst_vectors, det_one=False, first_only=False):
     dst = tuple(sorted(dst_vectors))
     if len(src) != len(dst):
         return []
-    b_src = barycenter_matrix(src)
-    b_dst = barycenter_matrix(dst)
-    if det_int(b_src) != det_int(b_dst):
-        return []
-    c_src = adjugate(b_src)
-    c_dst = adjugate(b_dst)
-    dst_set = set(dst)
-
-    def accept(g):
-        return all(canonical_pair(g.apply(v)) in dst_set for v in src)
-
-    return _maps(src, dst, c_src, c_dst, accept, det_one, first_only)
+    search = _cell_search(src, dst, det_one)
+    return search.run(first_only) if search else []
 
 
 def form_maps(src_form, src_vectors, dst_form, dst_vectors,
@@ -179,14 +271,22 @@ def form_maps(src_form, src_vectors, dst_form, dst_vectors,
         return []
     if det_int(src_form.gram) != det_int(dst_form.gram):
         return []
-    src_gram = src_form.gram
-    dst_gram = dst_form.gram
+    return _form_search(src_form.gram, src, dst_form.gram, dst,
+                        det_one).run(first_only)
 
-    def accept(g):
-        gt = tuple(zip(*g.rows))
-        return mat_mul(mat_mul(gt, dst_gram), g.rows) == src_gram
 
-    return _maps(src, dst, src_gram, dst_gram, accept, det_one, first_only)
+def cell_group(vectors, det_one=False):
+    """(strong generators, order) of {g : g * S = S} for a spanning
+    configuration S, by a stabilizer chain."""
+    vecs = tuple(sorted(vectors))
+    return _chain(_cell_search(vecs, vecs, det_one))
+
+
+def form_group(form, vectors, det_one=False):
+    """(strong generators, order) of {g : g^t Q g = Q} for a perfect
+    form with its minimal vectors, by a stabilizer chain."""
+    vecs = tuple(sorted(vectors))
+    return _chain(_form_search(form.gram, vecs, form.gram, vecs, det_one))
 
 
 def cell_stabilizer(vectors, det_one=False):
@@ -199,17 +299,6 @@ def form_automorphisms(form, vectors, det_one=False):
     """The full automorphism group {g : g^t Q g = Q} of a perfect form."""
     elems = form_maps(form, vectors, form, vectors, det_one=det_one)
     return tuple(sorted(elems, key=lambda g: g.rows))
-
-
-def pair_swap_elements(cell_a, cell_b, group_elements=None, det_one=False):
-    """Elements exchanging two cells: g * a = b and g * b = a setwise."""
-    a = tuple(sorted(cell_a))
-    b = tuple(sorted(cell_b))
-    out = []
-    for g in cell_maps(a, b, det_one=det_one):
-        if tuple(sorted(canonical_pair(g.apply(v)) for v in b)) == a:
-            out.append(g)
-    return tuple(sorted(out, key=lambda g: g.rows))
 
 
 def small_generating_set(elements):
@@ -254,14 +343,29 @@ def _right_coset(subgroup, r):
             for h in subgroup]
 
 
-def orbit_decompose(keys, generators, apply, identity):
+def orbit_decompose(keys, generators):
     """Orbits of `keys` under the group generated by `generators`.
 
-    Returns (rep, {member: transporter}) per orbit with transporter *
-    rep = member (the representative carries `identity`).  Raises
-    ValueError when an image leaves `keys`.
+    Keys are sorted tuples of canonical vector pairs.  Each generator is
+    mapped once to a permutation of the vectors the keys contain, and
+    keys move by index.  Returns (rep, {member: transporter}) per orbit,
+    reps in the order of `keys`, with transporter * rep = member (the
+    representative carries the identity).  Raises ValueError when an
+    image leaves `keys`.
     """
-    key_set = set(keys)
+    if not keys:
+        return []
+    vectors = sorted({v for key in keys for v in key})
+    index = {v: i for i, v in enumerate(vectors)}
+    ids = {key: tuple(index[v] for v in key) for key in keys}
+    by_ids = {k: key for key, k in ids.items()}
+    perms = []
+    for g in generators:
+        images = [index.get(canonical_pair(g.apply(v))) for v in vectors]
+        if None in images:
+            raise ValueError("group does not permute the keys")
+        perms.append(images)
+    identity = GroupElement.identity(len(keys[0][0]))
     assigned = set()
     orbits = []
     for key in keys:
@@ -271,9 +375,10 @@ def orbit_decompose(keys, generators, apply, identity):
         frontier = [key]
         for current in frontier:
             s = members[current]
-            for g in generators:
-                img = apply(g, current)
-                if img not in key_set:
+            at = ids[current]
+            for g, perm in zip(generators, perms):
+                img = by_ids.get(tuple(sorted(perm[i] for i in at)))
+                if img is None:
                     raise ValueError("group does not permute the keys")
                 if img not in members:
                     members[img] = g * s

@@ -10,7 +10,8 @@ Every finite group is stored as a generating set plus its order.  On
 load, graph and complex payloads are checked field by field, and each
 stored generator is certified against its record: node generators fix
 the Gram matrix, cell generators map the cell's vectors onto
-themselves.  The stored orders are trusted.
+themselves, and each stored wall basis must be a basis of its cell's
+span.  The stored orders are trusted.
 """
 
 import hashlib
@@ -28,12 +29,20 @@ from .forms import (
     canonical_pair,
     rank_one,
 )
-from .linalg import det_int, mat_mul, mat_transpose, sym_dim, sym_flatten
+from .linalg import (
+    det_int,
+    mat_mul,
+    mat_rank,
+    mat_transpose,
+    sym_dim,
+    sym_flatten,
+)
 
-# Version 2 stores stabilizers as generators plus order.  Verdict and
-# tess-instance payloads did not change, so they keep version 1 and
-# their files stay byte-identical.
-SCHEMA_VERSION = 2
+# Version 2 stored stabilizers as generators plus order; version 3
+# stores the strong generating sets of their stabilizer chains.
+# Verdict and tess-instance payloads did not change, so they keep
+# version 1 and their files stay byte-identical.
+SCHEMA_VERSION = 3
 PAYLOAD_KINDS = {"graph": SCHEMA_VERSION, "complex": SCHEMA_VERSION,
                  "verdict": 1, "tess-instance": 1}
 
@@ -302,7 +311,8 @@ def _orbit_to_payload(orbit):
 
 def _orbit_from_payload(rd, rec, path, n, det_one):
     """One cell record; each generator must map its vectors onto
-    themselves."""
+    themselves, and a stored basis must be a basis of the span of the
+    cell's rank-one forms."""
     vectors = rd.vectors(rec, path, "vectors", n)
     gens = rd.generators(rec, path, n, det_one)
     for i, g in enumerate(gens):
@@ -315,6 +325,11 @@ def _orbit_from_payload(rd, rec, path, n, det_one):
     basis = rd.get(rec, path, "basis", list, type(None))
     if basis is not None:
         basis = rd.ints(basis, path + ("basis",), None, sym_dim(n))
+        flats = [sym_flatten(rank_one(v)) for v in vectors]
+        dim = mat_rank(flats)
+        if len(basis) != dim or mat_rank(basis) != dim or \
+                mat_rank(list(basis) + flats) != dim:
+            rd.fail(path + ("basis",), "is not a basis of the cell's span")
     witness = rd.get(rec, path, "witness", dict, type(None))
     if witness is not None:
         w_path = path + ("witness",)

@@ -4,14 +4,21 @@ from functools import lru_cache
 
 import pytest
 
-from vorcycle.complexes import build_complex
+from vorcycle.complexes import build_complex, transport_flat
 from vorcycle.enumeration import enumerate_perfect_forms
-from vorcycle.forms import GroupElement, canonical_pair, rank_one
+from vorcycle.forms import (
+    GroupElement,
+    apply_to_cell,
+    canonical_pair,
+    rank_one,
+)
+from vorcycle.isometry import cell_maps
 from vorcycle.linalg import (
     kernel_basis,
     mat_mul,
     mat_rank,
     pairing_weights,
+    relative_orientation,
     sym_dim,
     sym_flatten,
 )
@@ -181,6 +188,58 @@ def closure(generators, n):
                 elems[prod.rows] = prod
                 frontier.append(prod)
     return tuple(sorted(elems.values(), key=lambda e: e.rows))
+
+
+def pair_swap_elements(cell_a, cell_b, det_one=False):
+    """Reference: the elements exchanging two cells (g * a = b and
+    g * b = a setwise), sorted by rows."""
+    a = tuple(sorted(cell_a))
+    b = tuple(sorted(cell_b))
+    out = [g for g in cell_maps(a, b, det_one=det_one)
+           if apply_to_cell(g, b) == a]
+    return tuple(sorted(out, key=lambda g: g.rows))
+
+
+class WitnessMismatch(ValueError):
+    """The claimed group element does not map the cell to the translate."""
+
+
+def transport_sign(child, translate_vectors, translate_basis, witness, n):
+    """Reference: orientation carried by a witness from a representative
+    to a translate; raises WitnessMismatch if the witness does not map
+    the representative onto the translate."""
+    if apply_to_cell(witness, child.vectors) != \
+            tuple(sorted(translate_vectors)):
+        raise WitnessMismatch("witness does not carry the cell to the "
+                              "translate")
+    moved = [transport_flat(witness, b, n) for b in child.basis]
+    return relative_orientation(list(translate_basis), moved)
+
+
+def matrix_orbit_decompose(keys, generators, apply, identity):
+    """Reference: orbits of `keys` with transporters, moving every key
+    by the matrix action `apply`; raises ValueError when an image
+    leaves `keys`."""
+    key_set = set(keys)
+    assigned = set()
+    orbits = []
+    for key in keys:
+        if key in assigned:
+            continue
+        members = {key: identity}
+        frontier = [key]
+        for current in frontier:
+            s = members[current]
+            for g in generators:
+                img = apply(g, current)
+                if img not in key_set:
+                    raise ValueError("group does not permute the keys")
+                if img not in members:
+                    members[img] = g * s
+                    frontier.append(img)
+        orbits.append((key, members))
+        assigned.update(members)
+    return orbits
 
 
 @pytest.fixture

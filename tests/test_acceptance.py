@@ -13,13 +13,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_stabilizer_2x2, cached_complex, cached_graph, \
-    closure, random_unimodular
+    closure, pair_swap_elements, random_unimodular
 
 from vorcycle.complexes import (
     ambient_orientation_sign,
     apply_to_cell,
     build_complex,
-    _orbits_with_transporters,
     _ParentView,
 )
 from vorcycle.cones import meets_boundary
@@ -37,7 +36,7 @@ from vorcycle.homology import (
     verify_gl_even_vanishing,
     verify_top_cycle,
 )
-from vorcycle.isometry import cell_maps, cell_stabilizer, pair_swap_elements
+from vorcycle.isometry import cell_maps, cell_stabilizer, orbit_decompose
 from vorcycle.linalg import det_sign, mat_rank, sym_flatten
 from vorcycle.tessellation import (
     FacetOrbit,
@@ -212,8 +211,7 @@ def test_criterion_5_property_suites(rng):
                     & {x.rows
                        for x in cell_stabilizer(far_cell, det_one=det_one)}
                 view = _node_view(graph, w.parent)
-                orbits = _orbits_with_transporters(node.generators,
-                                                   view.faces)
+                orbits = orbit_decompose(view.faces, node.generators)
                 if w.kind == "non_self":
                     assert wall_stab == inter
                     rep_key = view.faces[w.face_index]

@@ -245,6 +245,22 @@ def test_bad_edge_facet_in_graph_cache_exit_three(cache, capsys):
     assert f"{path}: payload.edges[0].facet is out of range" in err
 
 
+def test_repeated_wall_basis_row_exit_three(cache, capsys):
+    run(capsys, "verify", "--n", "4", "--group", "sl", "--cache-dir", cache)
+    path = os.path.join(cache, "complex-n4-sl.json")
+
+    def repeat_row(doc):
+        wall = doc["payload"]["walls"][doc["payload"]["kept_walls"][0]]
+        wall["basis"][1] = wall["basis"][0]
+    _tamper(path, repeat_row)
+    code, out, err = run(capsys, "verify", "--n", "4", "--group", "sl",
+                         "--check-dd", "--cache-dir", cache)
+    assert code == 3
+    assert "Traceback" not in out + err
+    assert f"{path}: payload.walls[0].basis is not a basis of the " \
+        "cell's span" in err
+
+
 def test_unexpected_exception_exit_four(cache, capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise KeyError((0, 0))
@@ -254,3 +270,15 @@ def test_unexpected_exception_exit_four(cache, capsys, monkeypatch):
     assert code == 4
     assert err == "error: unexpected KeyError: (0, 0)\n"
     assert "FALSIFIED" not in out
+
+
+def test_pipeline_value_error_exit_four(cache, capsys, monkeypatch):
+    # Only argument errors are usage errors; a ValueError raised inside
+    # the pipeline is a crash.
+    def crash(*args, **kwargs):
+        raise ValueError("matrix is not square")
+    monkeypatch.setattr("vorcycle.cli.build_complex", crash)
+    code, out, err = run(capsys, "verify", "--n", "2", "--group", "sl",
+                         "--cache-dir", cache)
+    assert code == 4
+    assert err == "error: unexpected ValueError: matrix is not square\n"

@@ -1,19 +1,23 @@
 import pytest
 
-from conftest import cached_complex, closure, random_unimodular
+from conftest import (
+    WitnessMismatch,
+    cached_complex,
+    closure,
+    pair_swap_elements,
+    random_unimodular,
+    transport_sign,
+)
 
 from vorcycle.complexes import (
     Differential,
-    WitnessMismatch,
     _ParentView,
-    _orbits_with_transporters,
     ambient_orientation_sign,
     apply_to_cell,
     build_complex,
     induced_sign,
     top_cell_dimension,
     transport_flat,
-    transport_sign,
 )
 from vorcycle.cones import build_cone, meets_boundary
 from vorcycle.forms import (
@@ -22,7 +26,7 @@ from vorcycle.forms import (
     minimum_and_minimal_vectors,
     rank_one,
 )
-from vorcycle.isometry import cell_maps, cell_stabilizer, pair_swap_elements
+from vorcycle.isometry import cell_maps, cell_stabilizer, orbit_decompose
 from vorcycle.linalg import (
     det_sign,
     mat_rank,
@@ -196,7 +200,7 @@ def test_stab_groups_lemma_on_nonself_walls(complex_sl4, complex_gl4):
             assert wall_stab == sigma_stab & far_stab
             # (ii) orbit size = index of the wall stabilizer.
             view = _node_view(cx.graph, w.parent)
-            orbits = _orbits_with_transporters(node.generators, view.faces)
+            orbits = orbit_decompose(view.faces, node.generators)
             rep_key = view.faces[w.face_index]
             orbit = next(members for key, members in orbits
                          if rep_key in members)
@@ -240,7 +244,7 @@ def test_self_wall_lemma_parts(complex_sl2, complex_gl2, complex_sl3,
             # (iv) orbit count under the cell stabilizer: two when kept,
             # merged into one when dropped.
             view = _node_view(cx.graph, w.parent)
-            orbits = _orbits_with_transporters(node.generators, view.faces)
+            orbits = orbit_decompose(view.faces, node.generators)
             matching = [key for key, members in orbits
                         if cell_maps(w.vectors, key, det_one=det_one,
                                      first_only=True)]
@@ -293,7 +297,7 @@ def test_member_signs_constant_within_stabilizer_orbit(complex_sl4):
     for col, top_idx in enumerate(cx.kept_tops):
         view = _node_view(cx.graph, top_idx)
         node = cx.graph.nodes[top_idx]
-        orbits = _orbits_with_transporters(node.generators, view.faces)
+        orbits = orbit_decompose(view.faces, node.generators)
         for row, wall_idx in enumerate(cx.kept_walls):
             w = cx.walls[wall_idx]
             for rep_key, members in orbits:

@@ -6,10 +6,8 @@ from vorcycle.cones import build_cone
 from vorcycle.enumeration import (
     BoundaryFacet,
     enumerate_perfect_forms,
-    facet_stabilizer,
     is_equivalent,
     neighbor_form,
-    stabilizer,
 )
 from vorcycle.forms import (
     QForm,
@@ -19,7 +17,12 @@ from vorcycle.forms import (
     is_perfect,
     minimum_and_minimal_vectors,
 )
-from vorcycle.isometry import form_automorphisms
+from vorcycle.isometry import (
+    cell_group,
+    cell_stabilizer,
+    form_automorphisms,
+    form_group,
+)
 
 HEXAGONAL = ((2, 1), (1, 2))
 
@@ -150,8 +153,8 @@ def test_is_equivalent_witness_forms(rng):
 def test_stabilizer_contains_inverses_and_products():
     q = QForm.from_matrix(HEXAGONAL)
     mv = minimum_and_minimal_vectors(q)
-    elems, order = stabilizer(q, mv, "gl")
-    assert order == 12
+    elems = form_automorphisms(q, mv.vectors)
+    assert len(elems) == form_group(q, mv.vectors)[1] == 12
     rows = {g.rows for g in elems}
     for g in elems:
         assert g.inverse().rows in rows
@@ -161,19 +164,21 @@ def test_stabilizer_contains_inverses_and_products():
 
 
 def test_facet_stabilizer_diagonal_pair():
-    elems, order = facet_stabilizer(((1, 0), (0, 1)), "gl")
-    assert order == 8
-    elems_sl, order_sl = facet_stabilizer(((1, 0), (0, 1)), "sl")
-    assert order_sl == 4
+    cell = ((1, 0), (0, 1))
+    assert cell_group(cell)[1] == 8
+    assert cell_group(cell, det_one=True)[1] == 4
+    elems = cell_stabilizer(cell)
+    elems_sl = cell_stabilizer(cell, det_one=True)
+    assert (len(elems), len(elems_sl)) == (8, 4)
     assert {g.rows for g in elems_sl} <= {g.rows for g in elems}
 
 
 def test_facet_stabilizer_of_full_cell_is_cell_stabilizer():
     q = QForm.from_matrix(HEXAGONAL)
     mv = minimum_and_minimal_vectors(q)
-    elems, order = facet_stabilizer(mv.vectors, "gl")
-    full, full_order = stabilizer(q, mv, "gl")
-    assert order == full_order
+    assert cell_group(mv.vectors)[1] == form_group(q, mv.vectors)[1]
+    elems = cell_stabilizer(mv.vectors)
+    full = form_automorphisms(q, mv.vectors)
     assert {g.rows for g in elems} == {g.rows for g in full}
 
 

@@ -1,7 +1,14 @@
 import itertools
+from math import factorial
 
 import pytest
-from conftest import brute_stabilizer_2x2, random_unimodular
+from conftest import (
+    brute_stabilizer_2x2,
+    closure,
+    matrix_orbit_decompose,
+    pair_swap_elements,
+    random_unimodular,
+)
 
 from vorcycle.forms import (
     GroupElement,
@@ -14,14 +21,18 @@ from vorcycle.forms import (
     d_n_gram,
     minimum_and_minimal_vectors,
 )
+from vorcycle import isometry
+from vorcycle.cones import build_cone
 from vorcycle.isometry import (
     _independent_base,
+    cell_group,
     cell_invariant,
     cell_maps,
     cell_stabilizer,
     form_automorphisms,
+    form_group,
     form_maps,
-    pair_swap_elements,
+    orbit_decompose,
 )
 from vorcycle.linalg import det_int
 
@@ -182,15 +193,13 @@ def test_small_generating_set_generates():
 
 
 def test_orbit_decompose_partitions_with_transporters():
-    from vorcycle.cones import build_cone
-    from vorcycle.isometry import orbit_decompose, small_generating_set
+    from vorcycle.isometry import small_generating_set
     q, mv = _form(d_n_gram(4))
     cone = build_cone(mv.vectors)
     keys = [cone.facet_vectors(f) for f in cone.facets]
     group = form_automorphisms(q, mv.vectors)
     gens = small_generating_set(group)
-    orbits = orbit_decompose(keys, gens, apply_to_cell,
-                             GroupElement.identity(4))
+    orbits = orbit_decompose(keys, gens)
     covered = set()
     for rep, members in orbits:
         for member, s in members.items():
@@ -283,7 +292,6 @@ def naive_generating_set(elements):
 
 
 def test_small_generating_set_pins_selection_rule():
-    from vorcycle.cones import build_cone
     from vorcycle.isometry import small_generating_set
     groups = []
     for gram in (a_n_gram(4), d_n_gram(4)):
@@ -301,8 +309,109 @@ def test_small_generating_set_pins_selection_rule():
 
 
 def test_orbit_decompose_rejects_keys_not_permuted():
-    from vorcycle.isometry import orbit_decompose
     swap = GroupElement.from_matrix(((0, 1), (1, 0)))
     with pytest.raises(ValueError, match="does not permute"):
-        orbit_decompose([((1, 0),)], [swap], apply_to_cell,
-                        GroupElement.identity(2))
+        orbit_decompose([((1, 0),)], [swap])
+
+
+def e_n_gram(n):
+    """Cartan matrix of E_n (n = 6, 7, 8): a chain of n - 1 nodes with
+    the last node attached to the third."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n - 2):
+        rows[i][i + 1] = rows[i + 1][i] = -1
+    rows[2][n - 1] = rows[n - 1][2] = -1
+    return tuple(tuple(r) for r in rows)
+
+
+# Automorphism group orders of the root lattices, from Conway and
+# Sloane, "Sphere Packings, Lattices and Groups", ch. 4: |Aut(A_n)| =
+# 2 (n+1)! for n >= 2, |Aut(D_4)| = 1152, |Aut(D_n)| = 2^n n! for
+# n >= 5, |Aut(E_6)| = 103,680, |Aut(E_7)| = 2,903,040 and |Aut(E_8)| =
+# 696,729,600.  Each contains a reflection, so the determinant-one
+# subgroup has index two.
+ROOT_LATTICE_ORDERS = (
+    [(f"A{n}", a_n_gram(n), 2 * factorial(n + 1)) for n in range(2, 7)]
+    + [("D4", d_n_gram(4), 1152)]
+    + [(f"D{n}", d_n_gram(n), 2 ** n * factorial(n)) for n in (5, 6)]
+    + [("E6", e_n_gram(6), 103680), ("E7", e_n_gram(7), 2903040),
+       ("E8", e_n_gram(8), 696729600)])
+
+
+@pytest.mark.parametrize("name, gram, order", ROOT_LATTICE_ORDERS,
+                         ids=[r[0] for r in ROOT_LATTICE_ORDERS])
+def test_chain_orders_match_published_orders(name, gram, order):
+    q, mv = _form(gram)
+    gens, full = form_group(q, mv.vectors)
+    sl_gens, half = form_group(q, mv.vectors, det_one=True)
+    assert (full, half) == (order, order // 2)
+    assert all(g.det == 1 for g in sl_gens)
+    # The same group as the stabilizer of the minimal vectors.
+    assert cell_group(mv.vectors)[1] == order
+    # Each generator lies outside the group of the ones before it, so
+    # it at least doubles that group.
+    assert 2 ** len(gens) <= order
+
+
+def test_chain_runs_first_hit_searches_only(monkeypatch):
+    # Aut(E6) has 103,680 elements; the chain reaches its order with a
+    # handful of first-hit searches (six with this base) and never lists
+    # the group.
+    runs = []
+    original = isometry._Search.run
+
+    def counted(self, first_only, prefix=()):
+        runs.append(first_only)
+        return original(self, first_only, prefix)
+
+    monkeypatch.setattr(isometry._Search, "run", counted)
+    q, mv = _form(e_n_gram(6))
+    assert form_group(q, mv.vectors)[1] == 103680
+    assert runs and all(runs) and len(runs) <= 20
+
+
+@pytest.mark.parametrize("gram", (a_n_gram(3), d_n_gram(4)))
+@pytest.mark.parametrize("det_one", (False, True))
+def test_chain_generators_close_to_the_listed_group(gram, det_one):
+    q, mv = _form(gram)
+    gens, order = form_group(q, mv.vectors, det_one=det_one)
+    listed = form_automorphisms(q, mv.vectors, det_one=det_one)
+    assert [g.rows for g in closure(gens, q.n)] == [g.rows for g in listed]
+    assert order == len(listed)
+    cone = build_cone(mv.vectors)
+    facet = cone.facet_vectors(cone.facets[0])
+    gens, order = cell_group(facet, det_one=det_one)
+    listed = cell_stabilizer(facet, det_one=det_one)
+    assert [g.rows for g in closure(gens, q.n)] == [g.rows for g in listed]
+    assert order == len(listed)
+
+
+@pytest.mark.parametrize("gram", (a_n_gram(4), d_n_gram(4), d_n_gram(5)),
+                         ids=("A4", "D4", "D5"))
+def test_orbit_decompose_matches_the_matrix_action(gram):
+    q, mv = _form(gram)
+    cone = build_cone(mv.vectors)
+    keys = [cone.facet_vectors(f) for f in cone.facets]
+    for det_one in (False, True):
+        gens, _ = form_group(q, mv.vectors, det_one=det_one)
+        got = orbit_decompose(keys, gens)
+        want = matrix_orbit_decompose(keys, gens, apply_to_cell,
+                                      GroupElement.identity(q.n))
+        assert [rep for rep, _ in got] == [rep for rep, _ in want]
+        for (_, members), (_, ref) in zip(got, want):
+            assert list(members) == list(ref)
+            assert [s.rows for s in members.values()] == \
+                [s.rows for s in ref.values()]
+
+
+def test_cell_leaves_need_the_setwise_check():
+    # Here sum x x^t = 6 I, so all eight signed permutations pass the
+    # pairing, division and unimodularity checks at the leaves; only the
+    # setwise check keeps the four rotations.
+    cell = ((0, 1), (1, 0), (1, 2), (2, -1))
+    rotations = brute_cell_maps(cell, cell, 1)
+    assert len(rotations) == 4
+    assert {g.rows for g in cell_stabilizer(cell)} == rotations
+    gens, order = cell_group(cell)
+    assert order == 4
+    assert {g.rows for g in closure(gens, 2)} == rotations

@@ -203,6 +203,8 @@ SHEAR = [["1", "1"], ["0", "1"]]
     (("walls", 0, "vectors", 0), ["-1", "0"],
      "is not a sorted list of canonical vector pairs"),
     (("graph", "edges", 0, "facet"), 999, "is out of range"),
+    (("walls", 0, "basis", 1), ["0", "0", "1"],
+     "is not a basis of the cell's span"),
 ))
 def test_generator_certificates_and_ranges(where, new, problem):
     payload = complex_to_payload(cached_complex(2, "sl"))
@@ -235,8 +237,8 @@ def test_stale_schema_version_names_the_remedy(tmp_path):
     payload = graph_to_payload(cached_graph(2, "sl"))
     path = save_payload(str(tmp_path / "g.json"), "graph", 2, "sl", payload)
     doc = json.load(open(path))
-    assert doc["schema_version"] == 2
-    doc["schema_version"] = 1
+    assert doc["schema_version"] == 3
+    doc["schema_version"] = 2
     with open(path, "w") as fh:
         json.dump(doc, fh)
     with pytest.raises(CacheCorrupt, match="delete it or use a fresh "

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import subprocess
 import sys
 
 from vorcycle.homology import TheoremReport
@@ -31,3 +32,13 @@ def test_run_survey_exit_status(monkeypatch, capsys):
                                       "--groups", "sl"])
     assert survey.main() == 1
     assert "kernel_dim=2 UNEXPECTED" in capsys.readouterr().out
+
+
+def test_run_survey_runs_from_another_directory(tmp_path):
+    script = os.path.abspath(os.path.join(SCRIPTS, "run_survey.py"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, script, "--max-n", "2"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "UNEXPECTED" not in done.stdout
