@@ -27,7 +27,8 @@ a candidate basis relative to the reference is the ratio of the two
 stacked determinants.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .cones import meets_boundary, subcone_facets
 from .forms import apply_to_cell, rank_one
@@ -139,6 +140,7 @@ class _ParentView:
         self.generators = generators
         self.basis = basis
         self.faces = faces
+        self.face_positions = {key: i for i, key in enumerate(faces)}
         self.n = n
         if basis is None:
             self.completion = ()
@@ -147,6 +149,15 @@ class _ParentView:
             self.completion = tuple(unit_completion(basis))
             self.ref_sign = det_sign(list(basis) + list(self.completion))
             assert self.ref_sign != 0
+
+    @cached_property
+    def orbits(self):
+        """(rep_key, {member_key: transporter}) per stabilizer orbit of
+        the faces whose interiors avoid the boundary, decomposed once
+        for both the child classes and the incidence numbers."""
+        return [(rep_key, members) for rep_key, members
+                in orbit_decompose(self.faces, self.generators)
+                if not meets_boundary(rep_key)]
 
     def oriented_sign(self, rows):
         """Orientation of `rows` (inside the parent span) vs the parent."""
@@ -172,14 +183,9 @@ def _build_child_level(parents, n, det_one, seed_perm, level_name):
     generic); the representative of each class is chosen by the seed
     permutation among all concrete members sorted canonically.
     """
-    orbit_records = []
-    for p_pos, view in enumerate(parents):
-        key_to_idx = {key: i for i, key in enumerate(view.faces)}
-        for rep_key, members in orbit_decompose(view.faces,
-                                                 view.generators):
-            if meets_boundary(rep_key):
-                continue
-            orbit_records.append((rep_key, p_pos, members, key_to_idx))
+    orbit_records = [(rep_key, p_pos, members)
+                     for p_pos, view in enumerate(parents)
+                     for rep_key, members in view.orbits]
     orbit_records.sort(key=lambda rec: (rec[0], rec[1]))
 
     invariants = {}
@@ -205,8 +211,8 @@ def _build_child_level(parents, n, det_one, seed_perm, level_name):
     out = []
     for pos, cls in enumerate(classes):
         members = sorted(
-            (key, p_pos, key_to_idx[key])
-            for _, p_pos, orbit_members, key_to_idx in cls["orbits"]
+            (key, p_pos, parents[p_pos].face_positions[key])
+            for _, p_pos, orbit_members in cls["orbits"]
             for key in orbit_members)
         rep_key, rep_parent, rep_face = members[seed_perm % len(members)]
         member_records = tuple((p, f, k) for k, p, f in members)
@@ -264,10 +270,7 @@ def _incidence_matrix(parents, kept_parent_positions, children,
     entries = {}
     for col, p_pos in enumerate(kept_parent_positions):
         view = parents[p_pos]
-        orbits = orbit_decompose(view.faces, view.generators)
-        for rep_key, members in orbits:
-            if meets_boundary(rep_key):
-                continue
+        for rep_key, members in view.orbits:
             inv = cell_invariant(rep_key)
             for row, c_pos in enumerate(kept_child_positions):
                 child = children[c_pos]
@@ -342,14 +345,8 @@ def build_complex(graph, seed_perm=0):
         far = apply_to_cell(edge.witness, graph.nodes[edge.neighbor].minvecs.vectors)
         shared = tuple(sorted(set(graph.nodes[w.parent].minvecs.vectors) & set(far)))
         assert shared == tuple(views[w.parent].faces[w.face_index])
-        classified.append(CellOrbitRec(
-            level=w.level, vectors=w.vectors, parent=w.parent,
-            face_index=w.face_index, members=w.members,
-            generators=w.generators, stab_order=w.stab_order,
-            basis=w.basis, orientation_kept=w.orientation_kept,
-            kind=kind,
-            witness=(edge.neighbor, edge.witness.rows),
-            label=w.label))
+        classified.append(replace(
+            w, kind=kind, witness=(edge.neighbor, edge.witness.rows)))
     walls = tuple(classified)
     kept_walls = tuple(i for i, w in enumerate(walls) if w.orientation_kept)
 

@@ -5,9 +5,10 @@ facets of each known Voronoi domain are reduced modulo the domain's
 stabilizer and one facet per orbit is crossed to the unique contiguous
 perfect form on the other side; new forms are reduced modulo
 equivalence until no frontier remains.  Connectivity of the resulting
-graph makes this traversal a complete enumeration, and the stabilizer
-transporters replicate the crossing to every facet, so the final graph
-still carries one certified edge per facet.
+graph makes this traversal a complete enumeration.  Each crossing is
+kept with the witness that matched its neighbour to a class, and the
+stabilizer transporters replicate it to every facet, so this one walk
+yields the final graph with one certified edge per facet.
 
 The crossing itself walks the pencil  h_t = h + t * N  where N is the
 inward primitive facet normal: the facet's minimal vectors keep their
@@ -23,7 +24,9 @@ step is certified and terminates.
 Equivalence classes may be requested for the full unimodular group or
 for the determinant-one subgroup.  The determinant-one classes are
 derived from the full classes: a class splits in two exactly when its
-stabilizer contains no element of determinant -1.
+stabilizer contains no element of determinant -1.  A crossing witness
+of determinant -1 is then corrected by such an element, or leads to
+the mirror of a split class.
 """
 
 from dataclasses import dataclass
@@ -196,69 +199,69 @@ def root_label(form, minvecs, n):
     return None
 
 
-def _facet_orbit_reps(cone, generators):
-    """One facet per orbit of the cell stabilizer, with the full orbits.
-
-    Returns (orbits, key_to_index): each orbit is (rep_facet_index,
-    {member_key: transporter}) with transporter * rep = member.
-    """
-    keys = [cone.facet_vectors(f) for f in cone.facets]
-    key_to_index = {key: i for i, key in enumerate(keys)}
-    orbits = orbit_decompose(keys, generators)
-    return [(key_to_index[rep], members) for rep, members in orbits], \
-        key_to_index
-
-
 def _discover_classes(n, traversal="default"):
-    """Breadth-first closure over full-group classes.
+    """Breadth-first closure over full-group classes, recording the walk.
 
     Facets of each domain are first reduced modulo the class stabilizer
     and only one representative per orbit is crossed; a transported
-    facet leads to an equivalent neighbour, so nothing is lost.
-    Returns a list of class records carrying the lexicographically
-    minimal Gram matrix met by the walk, and the strong generators
-    ("gens") and order ("order") of the full automorphism group of the
-    discovery form.
+    facet leads to an equivalent neighbour, so nothing is lost.  Each
+    class record keeps the form where the walk first met it ("form",
+    "mv"), its domain ("cone"), the strong generators ("gens") and
+    order ("order") of its full automorphism group, and one crossing
+    (members, j, w) per facet orbit: `members` maps each facet key of
+    the orbit to a transporter s with s * rep = member, and act(w,
+    form_j) is the neighbour across the representative (w is the
+    identity when the crossing created class j).
     `traversal` reorders facet processing; any order must close on the
     same classes, which the tests exercise.
     """
     start = QForm.from_matrix(a_n_gram(n))
     start_mv = minimum_and_minimal_vectors(start)
     classes = [{"form": start, "mv": start_mv,
-                "inv": form_invariant(start.gram, start_mv.vectors),
-                "min_gram": start.gram, "gens": None, "order": None}]
+                "inv": form_invariant(start.gram, start_mv.vectors)}]
     queue = [0]
     while queue:
-        idx = queue.pop(0)
-        rep = classes[idx]
-        cone = build_cone(rep["mv"].vectors)
+        rep = classes[queue.pop(0)]
+        cone = rep["cone"] = build_cone(rep["mv"].vectors)
         rep["gens"], rep["order"] = form_group(rep["form"],
                                                rep["mv"].vectors)
-        orbit_reps, _ = _facet_orbit_reps(cone, rep["gens"])
-        facets = [cone.facets[i] for i, _ in orbit_reps]
+        facet_of = {cone.facet_vectors(f): f for f in cone.facets}
+        orbits = orbit_decompose(list(facet_of), rep["gens"])
         if traversal == "reversed":
-            facets.reverse()
-        for facet in facets:
-            nb = neighbor_form(rep["form"], rep["mv"], facet)
+            orbits.reverse()
+        rep["crossings"] = []
+        for rep_key, members in orbits:
+            nb = neighbor_form(rep["form"], rep["mv"], facet_of[rep_key])
             nb_mv = minimum_and_minimal_vectors(nb)
             inv = form_invariant(nb.gram, nb_mv.vectors)
-            matched = None
             for j, cls in enumerate(classes):
-                if cls["inv"] != inv:
-                    continue
-                if form_maps(cls["form"], cls["mv"].vectors, nb,
-                             nb_mv.vectors, first_only=True):
-                    matched = j
+                found = cls["inv"] == inv and form_maps(
+                    cls["form"], cls["mv"].vectors, nb, nb_mv.vectors,
+                    first_only=True)
+                if found:
+                    w = found[0]
                     break
-            if matched is None:
-                classes.append({"form": nb, "mv": nb_mv, "inv": inv,
-                                "min_gram": nb.gram, "gens": None,
-                                "order": None})
-                queue.append(len(classes) - 1)
             else:
-                if nb.gram < classes[matched]["min_gram"]:
-                    classes[matched]["min_gram"] = nb.gram
+                classes.append({"form": nb, "mv": nb_mv, "inv": inv})
+                queue.append(len(classes) - 1)
+                j, w = len(classes) - 1, GroupElement.identity(n)
+            rep["crossings"].append((members, j, w))
     return classes
+
+
+def _sl_witness(x, reverser, flip):
+    """A determinant-one crossing witness from a full-group one.
+
+    act(x, form_j) is the neighbour; `reverser` is a determinant -1
+    automorphism of form_j, or None when class j splits.  Returns
+    (witness, mirrored): act(witness, form_j) is the same neighbour, or
+    act(witness, act(flip, form_j)) is when `mirrored`.
+    """
+    if x.det == 1:
+        return x, False
+    if reverser is not None:
+        return x * reverser, False
+    return x * flip, True
 
 
 def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
@@ -266,7 +269,9 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
     """Complete walk graph of perfect-form classes of rank n.
 
     Ranks above FREE_MAX_RANK need allow_long=True.  Rank 1 is the
-    degenerate single-node graph.
+    degenerate single-node graph.  Each class is represented by the form
+    where the walk first met it, and every edge is a crossing recorded
+    by the walk, transported along the facet orbit.
     """
     if group_kind not in GROUP_KINDS:
         raise ValueError(f"unknown group kind {group_kind!r}")
@@ -288,82 +293,65 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
                             edges=())
 
     classes = _discover_classes(n, traversal=traversal)
-
-    # Final representatives: the lexicographically smallest Gram matrix
-    # that the walk produced for each class (the discovery group is
-    # reused when the representative did not move).  Each group is kept
-    # as (generators, order).
-    nodes = []
+    det_one = group_kind == "sl"
     flip = GroupElement.from_matrix(
         tuple(tuple((-1 if i == j == 0 else int(i == j))
                     for j in range(n)) for i in range(n)))
-    for cls in classes:
-        form = QForm.from_matrix(cls["min_gram"])
-        mv = minimum_and_minimal_vectors(form)
-        if form.gram == cls["form"].gram:
-            gens, order = cls["gens"], cls["order"]
-        else:
-            gens, order = form_group(form, mv.vectors)
-        if group_kind == "gl":
-            nodes.append((form, mv, gens, order))
-            continue
-        sl_gens, sl_order = form_group(form, mv.vectors, det_one=True)
-        nodes.append((form, mv, sl_gens, sl_order))
-        if not any(g.det == -1 for g in gens):
-            # No determinant -1 symmetry: the class splits in two.
+
+    # Nodes as (form, mv, domain, gens, order), each with its (class,
+    # mirrored) origin; in sl a class without a determinant -1 symmetry
+    # splits into a mirror pair.
+    nodes, origins = [], []
+    for c, cls in enumerate(classes):
+        form, mv, gens, order = (cls["form"], cls["mv"], cls["gens"],
+                                 cls["order"])
+        cls["reverser"] = next((g for g in gens if g.det == -1), None)
+        if det_one:
+            gens, order = form_group(form, mv.vectors, det_one=True)
+        nodes.append((form, mv, cls["cone"], gens, order))
+        origins.append((c, False))
+        if det_one and cls["reverser"] is None:
             mirror = act_form(flip, form)
-            nodes.append((mirror, minimum_and_minimal_vectors(mirror),
-                          tuple((flip * g) * flip for g in sl_gens),
-                          sl_order))
+            mirror_mv = minimum_and_minimal_vectors(mirror)
+            nodes.append((mirror, mirror_mv, build_cone(mirror_mv.vectors),
+                          tuple((flip * g) * flip for g in gens), order))
+            origins.append((c, True))
+    node_of = {origin: i for i, origin in enumerate(origins)}
+    final = tuple(
+        PerfectFormRep(form=form, minvecs=mv, domain=domain, generators=gens,
+                       stab_order=order,
+                       label=root_label(form, mv, n) or f"P{n}.{i}")
+        for i, (form, mv, domain, gens, order) in enumerate(nodes))
 
-    final = []
-    for i, (form, mv, gens, order) in enumerate(nodes):
-        final.append(PerfectFormRep(
-            form=form, minvecs=mv, domain=build_cone(mv.vectors),
-            generators=gens, stab_order=order,
-            label=root_label(form, mv, n) or f"P{n}.{i}"))
-
-    det_one = group_kind == "sl"
     edges = []
-    for i, node in enumerate(final):
-        # One walk per stabilizer orbit of facets; the other edges of
-        # the orbit are transported copies, each still verified below.
-        orbit_reps, key_to_index = _facet_orbit_reps(node.domain,
-                                                     node.generators)
+    for i, (node, (c, mirrored)) in enumerate(zip(final, origins)):
+        facet_index = {node.domain.facet_vectors(f): k
+                       for k, f in enumerate(node.domain.facets)}
         node_vecs = set(node.minvecs.vectors)
-        for rep_f_idx, members in orbit_reps:
-            facet = node.domain.facets[rep_f_idx]
-            nb = neighbor_form(node.form, node.minvecs, facet)
-            nb_mv = minimum_and_minimal_vectors(nb)
-            hit = None
-            for j, cand in enumerate(final):
-                w = is_equivalent(cand.form, cand.minvecs, nb, nb_mv,
-                                  det_one=det_one)
-                if w is not None:
-                    assert hit is None, "neighbour matches two classes"
-                    hit = (j, w.g)
-            assert hit is not None, "walk left the enumerated classes"
-            j, g = hit
-            assert set(nb_mv.vectors) == \
-                set(apply_to_cell(g, final[j].minvecs.vectors))
+        for members, j, w in classes[c]["crossings"]:
             for member_key, s in members.items():
-                witness = s * g
-                moved = set(apply_to_cell(witness, final[j].minvecs.vectors))
+                x, key = s * w, member_key
+                if mirrored:
+                    x, key = flip * x, apply_to_cell(flip, member_key)
+                to_mirror = False
+                if det_one:
+                    x, to_mirror = _sl_witness(x, classes[j]["reverser"],
+                                               flip)
+                target = node_of[(j, to_mirror)]
+                moved = set(apply_to_cell(x, final[target].minvecs.vectors))
                 # The two domains must meet exactly in this facet.
-                assert node_vecs & moved == set(member_key)
-                edges.append(Edge(node=i, facet=key_to_index[member_key],
-                                  neighbor=j, witness=witness))
+                assert node_vecs & moved == set(key)
+                edges.append(Edge(node=i, facet=facet_index[key],
+                                  neighbor=target, witness=x))
     edges.sort(key=lambda e: (e.node, e.facet))
 
-    graph = VoronoiGraph(n=n, group_kind=group_kind, nodes=tuple(final),
+    graph = VoronoiGraph(n=n, group_kind=group_kind, nodes=final,
                          edges=tuple(edges))
     _assert_connected(graph)
     return graph
 
 
 def _assert_connected(graph):
-    if not graph.nodes:
-        return
     seen = {0}
     frontier = [0]
     while frontier:

@@ -213,10 +213,6 @@ class MinVecSet:
     min_value: int
 
     @property
-    def pair_count(self):
-        return len(self.vectors)
-
-    @property
     def vector_count(self):
         return 2 * len(self.vectors)
 

@@ -10,8 +10,10 @@ Every finite group is stored as a generating set plus its order.  On
 load, graph and complex payloads are checked field by field, and each
 stored generator is certified against its record: node generators fix
 the Gram matrix, cell generators map the cell's vectors onto
-themselves, and each stored wall basis must be a basis of its cell's
-span.  The stored orders are trusted.
+themselves, each stored wall basis must be a basis of its cell's
+span, and each wall's stored gluing must be the graph edge at its
+parent facet.  The stored orders, and whether an edge witness glues
+its two domains, are trusted.
 """
 
 import hashlib
@@ -200,32 +202,30 @@ class _Reader:
                       "is not a sorted list of canonical vector pairs")
         return vecs
 
-    def element(self, value, path, n):
-        """An n x n unimodular matrix as a group element."""
+    def element(self, value, path, n, det_one):
+        """An n x n unimodular matrix as a group element, of determinant
+        one when `det_one`."""
         rows = self.ints(value, path, n, n)
         det = det_int(rows)
         if det not in (1, -1):
             self.fail(path, "is not unimodular")
+        if det_one and det != 1:
+            self.fail(path, "has determinant -1 in the determinant-one group")
         return GroupElement(rows=rows, det=det)
 
     def generators(self, rec, path, n, det_one):
-        """Unimodular generators, of determinant one when `det_one`."""
-        out = []
-        for i, mat in enumerate(self.get(rec, path, "generators", list)):
-            g = self.element(mat, path + ("generators", i), n)
-            if det_one and g.det != 1:
-                self.fail(path + ("generators", i),
-                          "has determinant -1 in the determinant-one group")
-            out.append(g)
-        return tuple(out)
+        return tuple(
+            self.element(mat, path + ("generators", i), n, det_one)
+            for i, mat in enumerate(self.get(rec, path, "generators", list)))
 
 
 def graph_from_payload(payload, source="<payload>", at=()):
     """Decode and check a graph payload read from `source`.
 
     Besides the shape of every field, each node generator must fix the
-    node's Gram matrix (g^t Q g = Q), and there must be exactly one edge
-    per (node, facet); stabilizer orders and edge witnesses are trusted.
+    node's Gram matrix (g^t Q g = Q), there must be exactly one edge
+    per (node, facet), and sl witnesses must have determinant one;
+    stabilizer orders and whether edge witnesses glue are trusted.
     `at` prefixes the field paths in error messages (a graph stored
     inside a complex payload sits at ("graph",)).
     """
@@ -270,7 +270,7 @@ def graph_from_payload(payload, source="<payload>", at=()):
     seen = set()
     for path, e in rd.records(payload, at, "edges"):
         witness = rd.element(rd.get(e, path, "witness", list),
-                             path + ("witness",), n)
+                             path + ("witness",), n, group == "sl")
         node = rd.index(e, path, "node", len(nodes))
         domain = nodes[node].domain
         facet = rd.index(e, path, "facet",
@@ -369,7 +369,9 @@ def complex_from_payload(payload, source="<payload>"):
     """Decode and check a complex payload read from `source`.
 
     Fields are checked as in graph_from_payload; every top and wall
-    generator must map its cell's vectors onto themselves.
+    generator must map its cell's vectors onto themselves, and each
+    wall's witness and kind must agree with the graph edge at its
+    (parent, face_index).
     """
     rd = _Reader(source)
     if type(payload) is not dict:
@@ -384,8 +386,19 @@ def complex_from_payload(payload, source="<payload>"):
                  for path, rec in rd.records(payload, (), "tops"))
     if len(tops) != len(graph.nodes):
         rd.fail(("tops",), "does not have one record per graph node")
-    walls = tuple(_orbit_from_payload(rd, rec, path, n, det_one)
-                  for path, rec in rd.records(payload, (), "walls"))
+    walls = []
+    for path, rec in rd.records(payload, (), "walls"):
+        walls.append(_orbit_from_payload(rd, rec, path, n, det_one))
+        parent = rd.index(rec, path, "parent", len(graph.nodes))
+        domain = graph.nodes[parent].domain
+        edge = graph.edge_at(parent, rd.index(
+            rec, path, "face_index", len(domain.facets) if domain else 0))
+        if walls[-1].witness != (edge.neighbor, edge.witness.rows):
+            rd.fail(path + ("witness",), f"is not the graph edge at node "
+                                         f"{parent}, facet {edge.facet}")
+        if walls[-1].kind != ("self" if edge.neighbor == parent
+                              else "non_self"):
+            rd.fail(path + ("kind",), "does not match the wall's neighbor")
     kept_tops = rd.indices(payload, (), "kept_tops", len(tops))
     kept_walls = rd.indices(payload, (), "kept_walls", len(walls))
     d_path = ("differential",)
@@ -403,7 +416,8 @@ def complex_from_payload(payload, source="<payload>"):
     return VoronoiComplex(
         n=n, group_kind=graph.group_kind,
         seed_perm=rd.get(payload, (), "seed_perm", int), graph=graph,
-        tops=tops, walls=walls, kept_tops=kept_tops, kept_walls=kept_walls,
+        tops=tops, walls=tuple(walls), kept_tops=kept_tops,
+        kept_walls=kept_walls,
         differential=Differential(row_labels=rows, col_labels=cols,
                                   entries=tuple(entries)))
 

@@ -261,6 +261,23 @@ def test_repeated_wall_basis_row_exit_three(cache, capsys):
         "cell's span" in err
 
 
+def test_wall_witness_off_the_graph_edge_exit_three(cache, capsys):
+    run(capsys, "verify", "--n", "4", "--group", "sl", "--cache-dir", cache)
+    path = os.path.join(cache, "complex-n4-sl.json")
+
+    def singular_witness(doc):
+        witness = doc["payload"]["walls"][0]["witness"]
+        witness["g"] = [["7"] * 4 for _ in range(4)]
+        witness["neighbor"] = 1 - witness["neighbor"]
+    _tamper(path, singular_witness)
+    os.unlink(os.path.join(cache, "verdict-n4-sl.json"))
+    code, out, err = run(capsys, "verify", "--n", "4", "--group", "sl",
+                         "--check-dd", "--cache-dir", cache)
+    assert code == 3
+    assert "Traceback" not in out + err and "verified" not in out
+    assert f"{path}: payload.walls[0].witness is not the graph edge" in err
+
+
 def test_unexpected_exception_exit_four(cache, capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise KeyError((0, 0))

@@ -2,18 +2,23 @@ import pytest
 
 from conftest import cached_graph, closure, random_unimodular
 
+from vorcycle import enumeration
 from vorcycle.cones import build_cone
 from vorcycle.enumeration import (
     BoundaryFacet,
+    _sl_witness,
     enumerate_perfect_forms,
     is_equivalent,
     neighbor_form,
 )
 from vorcycle.forms import (
+    GroupElement,
     QForm,
     a_n_gram,
     act,
+    act_form,
     apply_to_cell,
+    d_n_gram,
     is_perfect,
     minimum_and_minimal_vectors,
 )
@@ -209,3 +214,79 @@ def test_graph_connected(graph_sl4):
                 seen.add(e.neighbor)
                 frontier.append(e.neighbor)
     assert seen == set(range(len(graph_sl4.nodes)))
+
+
+@pytest.mark.parametrize("n, cones, crossings", ((4, 2, 3), (5, 3, 6)))
+@pytest.mark.parametrize("group", ("gl", "sl"))
+def test_one_walk_builds_and_crosses_each_domain_once(n, cones, crossings,
+                                                      group, monkeypatch):
+    # One double description per class and one crossing per facet
+    # orbit; the edges come from the recorded crossings, with no
+    # equivalence search against the classes.
+    calls = {"build_cone": 0, "neighbor_form": 0, "is_equivalent": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(enumeration, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(enumeration, name, counted)
+    graph = enumerate_perfect_forms(n, group)
+    assert len(graph.nodes) == cones
+    assert calls == {"build_cone": cones, "neighbor_form": crossings,
+                     "is_equivalent": 0}
+
+
+FLIP4 = GroupElement.from_matrix(
+    ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+
+@pytest.mark.parametrize("gram", (a_n_gram(4), d_n_gram(4)))
+def test_sl_witness_branches(gram, rng):
+    # A full-group witness x places the neighbour act(x, q); each branch
+    # must return a determinant-one witness that places the same form,
+    # on q itself or, for a split class, on its mirror act(flip, q).
+    q = QForm.from_matrix(gram)
+    mv = minimum_and_minimal_vectors(q)
+    gens, _ = form_group(q, mv.vectors)
+    reverser = next(g for g in gens if g.det == -1)
+    mirror = act_form(FLIP4, q)
+    mirror_mv = minimum_and_minimal_vectors(mirror)
+    u = random_unimodular(4, rng)
+    if u.det == -1:
+        u = u * FLIP4
+    cases = ((u, reverser, False), (u * FLIP4, reverser, False),
+             (u * FLIP4, None, True))
+    for x, rev, mirrored in cases:
+        w, to_mirror = _sl_witness(x, rev, FLIP4)
+        assert w.det == 1 and to_mirror == mirrored
+        target, target_mv = (mirror, mirror_mv) if mirrored else (q, mv)
+        assert act(w, target.gram) == act(x, q.gram)
+        assert apply_to_cell(w, target_mv.vectors) == \
+            apply_to_cell(x, mv.vectors)
+    assert _sl_witness(u, reverser, FLIP4)[0] is u
+
+
+def test_split_classes_glue_through_their_mirrors(monkeypatch):
+    # No class of ranks 2-5 splits in sl, so hide every determinant -1
+    # symmetry from the walk: each class then splits into nodes 2c and
+    # 2c + 1 (its mirror).  The result is a double cover whose
+    # connectivity depends on the witnesses the searches find, so only
+    # the edges are checked: crossings into mirrors and the mirrors' own
+    # facets must carry determinant-one witnesses that meet the node
+    # exactly in the facet.
+    def det_one_only(form, vectors, det_one=False):
+        return form_group(form, vectors, det_one=True)
+    monkeypatch.setattr(enumeration, "form_group", det_one_only)
+    monkeypatch.setattr(enumeration, "_assert_connected", lambda graph: None)
+    graph = enumerate_perfect_forms(5, "sl")
+    assert len(graph.nodes) == 2 * 3
+    assert sum(len(node.domain.facets) for node in graph.nodes) == \
+        len(graph.edges)
+    assert any(e.node % 2 == 0 and e.neighbor % 2 == 1 for e in graph.edges)
+    for e in graph.edges:
+        node = graph.nodes[e.node]
+        moved = apply_to_cell(e.witness,
+                              graph.nodes[e.neighbor].minvecs.vectors)
+        assert e.witness.det == 1
+        assert set(node.minvecs.vectors) & set(moved) == \
+            set(node.domain.facet_vectors(node.domain.facets[e.facet]))

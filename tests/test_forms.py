@@ -69,7 +69,7 @@ def test_a3_twelve_minimal_vectors():
 ])
 def test_root_form_minimal_vector_counts(gram, pairs):
     mv = minimum_and_minimal_vectors(QForm.from_matrix(gram))
-    assert mv.pair_count == pairs
+    assert len(mv.vectors) == pairs
 
 
 def test_not_positive_definite_rejected():

@@ -1,14 +1,24 @@
 """Byte-identical outputs: `verify --check-dd` reproduces recorded files.
 
 The verdict digests were recorded from the Fraction-leaf, full-closure
-isometry engine.  The graph and complex digests were re-recorded when
-cache schema 3 replaced each stored generating set by the strong
-generating set of its stabilizer chain; the edge and wall witnesses,
-which are products of those generators, changed with them, and every
-other field of those files is unchanged.  Any change to the search order,
-the chosen witnesses or the generating sets shows up here as a changed
-graph, complex or verdict file.  A second `verify` from the caches just
-written must reproduce the verdict file byte for byte.
+isometry engine and have never changed.  The graph and complex digests
+were re-recorded twice, each time because only the stored witnesses
+changed:
+
+* when cache schema 3 stored the strong generating set of each
+  stabilizer chain, the edge and wall witnesses, products of those
+  generators, changed with them;
+* when the edges came from the crossings recorded by class discovery
+  (one walk), an edge witness became the discovery match (the identity
+  for the crossing that found a class) moved along its facet orbit, and
+  in sl it is made determinant one with a determinant -1 symmetry of
+  the neighbour instead of by a second determinant-one search.  This
+  changed the 3 sl, 4 gl and 4 sl files; 3 gl kept its witnesses.
+
+Every other field of those files stayed unchanged.  Any change to the
+search order, the chosen witnesses or the generating sets shows up here
+as a changed graph, complex or verdict file.  A second `verify` from the
+caches just written must reproduce the verdict file byte for byte.
 """
 
 import hashlib
@@ -21,9 +31,9 @@ from vorcycle.cli import main
 GOLDEN = {
     (3, "sl"): {
         "graph-n3-sl.json":
-            "196c0c58064ce5589f2633b45b0ed38a7c8766261bab155a046d292e2ed23aed",
+            "86c6523bcdcaed549eeff77e38d18ce891f7efb9efe71f5816bfd34128db6886",
         "complex-n3-sl.json":
-            "7133a98a60d7f3fc71be8abf3d02723e4c64cd7c0253e546d82061abfce7ec3d",
+            "0b1d7941c305a870db8d9bb3c98ea2429394b5bd1d9d822340102de74da216ed",
         "verdict-n3-sl.json":
             "bf24efd2440e5a498f8d5d52730017281ea5cb850f6e38a56cdc63d4f6447f82",
     },
@@ -37,17 +47,17 @@ GOLDEN = {
     },
     (4, "sl"): {
         "graph-n4-sl.json":
-            "28facc5eb388c1cbc43126eaec6625d1495b7d43c00e985fb4218a7d9cf18278",
+            "05c00be2d67d897e3c6962c0328daca2bf01516dec1835ba99822dffc2a961c6",
         "complex-n4-sl.json":
-            "abf60e39a39d435e2d0c46eb6b650cd5c3a27ce6759a0736484fdacef1bad124",
+            "e910bddd0238a5d97f698fdaa3c3d94f9fc3478030fe6e2c30b9631946d1c013",
         "verdict-n4-sl.json":
             "183ced144552da80ebdb6d1ed3472488642ccd3fbed3e023d27bf24be71f2e80",
     },
     (4, "gl"): {
         "graph-n4-gl.json":
-            "8ffc3dfdbb85a0f6bd7d1e1ae074347a2317747e1c3805e65635d740dd19f5c6",
+            "520bb1b6debc276097a99febba321ceb5eeefb552f41a71b439e9663fe261a8d",
         "complex-n4-gl.json":
-            "dbdded72dec05ea49c357267f94351037a6ad1c828ca88eac675192459a85072",
+            "9c61f8b3febed721bc01f54b66d39ebfae7b8875d252779e8be879a223ae7814",
         "verdict-n4-gl.json":
             "0215cfa389d47e78bd81dffd4df39bd0fc91614db1b5a613a84fe34bea40ffed",
     },

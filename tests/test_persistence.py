@@ -205,6 +205,18 @@ SHEAR = [["1", "1"], ["0", "1"]]
     (("graph", "edges", 0, "facet"), 999, "is out of range"),
     (("walls", 0, "basis", 1), ["0", "0", "1"],
      "is not a basis of the cell's span"),
+    (("walls", 0, "witness", "g"), [["7", "7"], ["7", "7"]],
+     "witness is not the graph edge at node 0, facet 0"),
+    (("walls", 0, "witness", "neighbor"), 1, "witness is not the graph edge"),
+    (("walls", 0, "witness"), None, "witness is not the graph edge"),
+    (("walls", 0, "face_index"), 1,
+     "witness is not the graph edge at node 0, facet 1"),
+    (("walls", 0, "kind"), "non_self",
+     "kind does not match the wall's neighbor"),
+    (("walls", 0, "parent"), 1, "parent is out of range"),
+    (("walls", 0, "face_index"), 3, "face_index is out of range"),
+    (("graph", "edges", 0, "witness"), [["0", "1"], ["1", "0"]],
+     "witness has determinant -1"),
 ))
 def test_generator_certificates_and_ranges(where, new, problem):
     payload = complex_to_payload(cached_complex(2, "sl"))
