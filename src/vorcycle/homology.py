@@ -22,8 +22,7 @@ from fractions import Fraction
 
 from .complexes import build_codim2
 from .enumeration import root_label
-from .linalg import kernel_basis
-from .tessellation import check_rigidity, from_voronoi
+from .tessellation import boundary_kernel, check_rigidity, from_voronoi
 
 
 class WrongGroupParity(ValueError):
@@ -73,13 +72,6 @@ def is_orientation_preserving(group_kind, n):
 def canonical_cycle(cx):
     """The chain with coefficient 1/|stabilizer| on every kept top class."""
     return tuple(Fraction(1, cx.tops[i].stab_order) for i in cx.kept_tops)
-
-
-def differential_kernel(cx):
-    """Primitive integer basis of the kernel of the top differential."""
-    diff = cx.differential
-    rows = diff.dense_rows()
-    return kernel_basis(rows, ncols=diff.col_count)
 
 
 def _row_certificates(cx):
@@ -134,7 +126,9 @@ def verify_gl_even_vanishing(cx):
     Also certifies the mechanism: a class is kept exactly when its
     stabilizer sits in the determinant-one subgroup (decided on its
     generators, the determinant being a character), and the root
-    classes are never kept.
+    classes are never kept.  The kernel is `boundary_kernel` of the
+    complex's tessellation instance, the solver behind
+    `check_rigidity`.
     """
     if cx.group_kind != "gl" or cx.n % 2 != 0:
         raise WrongGroupParity("vanishing applies to the full group "
@@ -149,7 +143,7 @@ def verify_gl_even_vanishing(cx):
         if root_label(node.form, node.minvecs, cx.n) is not None and \
                 top.orientation_kept:
             root_excluded = False
-    kernel = differential_kernel(cx)
+    _, kernel = boundary_kernel(from_voronoi(cx))
     ok = len(kernel) == 0 and mech_ok and root_excluded
     return TheoremReport(
         n=cx.n, group_kind=cx.group_kind, kernel_dim=len(kernel),
@@ -157,7 +151,7 @@ def verify_gl_even_vanishing(cx):
         ok=ok,
         top_labels=tuple(cx.tops[i].label for i in cx.kept_tops),
         stab_orders=tuple(cx.tops[i].stab_order for i in cx.kept_tops),
-        kernel_vectors=tuple(tuple(v) for v in kernel),
+        kernel_vectors=tuple(kernel),
         canonical=(),
         row_certificates=(),
         details={

@@ -14,13 +14,32 @@ Walls lying in the boundary of the cone are excluded from the data
 (they are not shared by two tiles), and the uniqueness direction of the
 check requires the tile-orbit graph to be connected; disconnected
 instances get a per-component report instead.
+
+Because a wall is shared by at most two tiles (`TessInstance.validate`
+enforces it), every boundary equation has at most two nonzero entries
+once incidences on one tile are summed and tiles that are not kept are
+dropped.  A two-entry row a*x_i + b*x_j = 0 fixes x_j = -(a/b)*x_i, so
+on a connected component of the kept-tile graph every kernel vector is
+fixed by its value at one tile: the component's kernel is either zero
+or a single line that is nonzero on every tile of the component.  The
+whole kernel is therefore spanned by the lines of the consistent
+components (those whose rows all vanish on the walked weights), found
+by one breadth-first walk (`boundary_kernel`) with no elimination: the
+walk and the row test each touch every incidence once.  Each line is reported as a
+primitive integer vector with its first nonzero entry positive, and the
+lines are ordered by the largest kept-tile position in their component.
+That position is the free column a fraction-free elimination of the
+whole wall-by-tile matrix would pick for the component (the only
+column that is a combination of earlier ones), so the basis is the one
+such an elimination returns.
 """
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import kernel_basis, sym_dim
+from .linalg import clear_denominators, sym_dim
 
 
 class InvariantViolation(ValueError):
@@ -47,6 +66,27 @@ class FacetOrbit:
     kind: str
     incidences: tuple        # ((tile_index, Fraction), ...)
     label: str = ""
+
+
+def _fail(path, msg):
+    raise InvariantViolation(f"{path}: {msg}")
+
+
+def _expect(value, kind, path, what):
+    if not isinstance(value, kind):
+        _fail(path, f"expected {what}")
+    return value
+
+
+def _parse(value, path, parse, what):
+    """`parse(value)` for a JSON integer or string, never for a float or
+    a boolean (JSON `true` must not read as 1)."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return parse(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    _fail(path, f"missing or not {what}")
 
 
 @dataclass(frozen=True)
@@ -77,30 +117,6 @@ class TessInstance:
     def kept_tiles(self):
         return [i for i, t in enumerate(self.tiles) if t.orientation_kept]
 
-    def components(self):
-        """Connected components of the kept-tile graph via wall incidences."""
-        kept = self.kept_tiles()
-        pos = {t: i for i, t in enumerate(kept)}
-        parent = list(range(len(kept)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for f in self.facet_orbits:
-            touched = [pos[t] for t, v in f.incidences
-                       if v != 0 and t in pos]
-            for a, b in zip(touched, touched[1:]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        groups = {}
-        for i, t in enumerate(kept):
-            groups.setdefault(find(i), []).append(t)
-        return sorted(groups.values())
-
     def to_payload(self):
         return {
             "kind": "tess-instance",
@@ -120,38 +136,47 @@ class TessInstance:
 
     @classmethod
     def from_payload(cls, payload):
-        def fail(path, msg):
-            raise InvariantViolation(f"{path}: {msg}")
-
-        if not isinstance(payload, dict):
-            fail("$", "instance document must be an object")
+        """Read an instance document; every defect raises
+        InvariantViolation naming its JSON path."""
+        _expect(payload, dict, "$", "an object")
         if payload.get("kind") != "tess-instance":
-            fail("$.kind", "expected 'tess-instance'")
-        try:
-            ambient = int(payload["ambient_dim"])
-        except (KeyError, TypeError, ValueError):
-            fail("$.ambient_dim", "missing or not an integer")
+            _fail("$.kind", "expected 'tess-instance'")
+        ambient = _parse(payload.get("ambient_dim"), "$.ambient_dim", int,
+                         "an integer")
         tiles = []
-        for i, t in enumerate(payload.get("tiles", [])):
-            try:
-                tiles.append(TileOrbit(
-                    stab_order=int(t["stab_order"]),
-                    orientation_kept=bool(t.get("orientation_kept", True)),
-                    label=str(t.get("label", f"t{i}"))))
-            except (KeyError, TypeError, ValueError):
-                fail(f"$.tiles[{i}]", "bad tile record")
+        tiles_in = _expect(payload.get("tiles", []), list, "$.tiles", "a list")
+        for i, t in enumerate(tiles_in):
+            path = f"$.tiles[{i}]"
+            _expect(t, dict, path, "an object")
+            kept = t.get("orientation_kept", True)
+            if not isinstance(kept, bool):
+                _fail(f"{path}.orientation_kept", "expected true or false")
+            tiles.append(TileOrbit(
+                stab_order=_parse(t.get("stab_order"), f"{path}.stab_order",
+                                  int, "an integer"),
+                orientation_kept=kept,
+                label=str(t.get("label", f"t{i}"))))
         facets = []
-        for i, f in enumerate(payload.get("facet_orbits", [])):
-            try:
-                inc = tuple((int(t), Fraction(v))
-                            for t, v in f.get("incidences", []))
-                facets.append(FacetOrbit(
-                    stab_order=int(f["stab_order"]),
-                    kind=str(f["kind"]),
-                    incidences=inc,
-                    label=str(f.get("label", f"w{i}"))))
-            except (KeyError, TypeError, ValueError):
-                fail(f"$.facet_orbits[{i}]", "bad facet record")
+        orbits = _expect(payload.get("facet_orbits", []), list,
+                         "$.facet_orbits", "a list")
+        for i, f in enumerate(orbits):
+            path = f"$.facet_orbits[{i}]"
+            _expect(f, dict, path, "an object")
+            inc = []
+            pairs = _expect(f.get("incidences", []), list,
+                            f"{path}.incidences", "a list")
+            for k, pair in enumerate(pairs):
+                where = f"{path}.incidences[{k}]"
+                if not isinstance(pair, list) or len(pair) != 2:
+                    _fail(where, "expected [tile index, value]")
+                inc.append((_parse(pair[0], where, int, "a tile index"),
+                            _parse(pair[1], where, Fraction, "a rational")))
+            facets.append(FacetOrbit(
+                stab_order=_parse(f.get("stab_order"), f"{path}.stab_order",
+                                  int, "an integer"),
+                kind=_expect(f.get("kind"), str, f"{path}.kind", "a string"),
+                incidences=tuple(inc),
+                label=str(f.get("label", f"w{i}"))))
         inst = cls(ambient_dim=ambient, tiles=tuple(tiles),
                    facet_orbits=tuple(facets))
         inst.validate()
@@ -209,58 +234,117 @@ def weighted_boundary(instance, weights):
     return out
 
 
-def _incidence_rows(instance):
+# One component of the kept-tile graph: its kept-tile positions in
+# increasing order, and the weights of its kernel line on them (1 on the
+# first position), or None when its rows admit only zero.
+Component = namedtuple("Component", "positions line")
+
+
+def boundary_kernel(instance):
+    """Components of the kept-tile graph and the boundary kernel.
+
+    Returns (components, kernel).  `components` lists every component
+    in order of its smallest position; `kernel` is the primitive integer
+    basis of the boundary kernel over the kept tiles, one vector per
+    component with a line, ordered by the component's largest position
+    (see the module docstring for why this is the whole kernel).
+    """
+    instance.validate()
     kept = instance.kept_tiles()
     pos = {t: i for i, t in enumerate(kept)}
     rows = []
+    rows_at = [[] for _ in kept]
     for f in instance.facet_orbits:
-        row = [Fraction(0)] * len(kept)
+        summed = {}
         for t, v in f.incidences:
             if v != 0 and t in pos:
-                row[pos[t]] += Fraction(v)
-        rows.append(row)
-    return rows, kept
+                summed[pos[t]] = summed.get(pos[t], 0) + Fraction(v)
+        row = [(i, v) for i, v in summed.items() if v != 0]
+        if row:
+            rows.append(row)
+            for i, _ in row:
+                rows_at[i].append(row)
+
+    # Breadth-first from the smallest unvisited position, with root
+    # weight 1: x_j = -(a/b) * x_i along each row a*x_i + b*x_j.
+    weight = [None] * len(kept)
+    comp_of = [None] * len(kept)
+    members = []
+    for root in range(len(kept)):
+        if weight[root] is not None:
+            continue
+        weight[root] = Fraction(1)
+        comp_of[root] = len(members)
+        walk = [root]
+        for i in walk:
+            for row in rows_at[i]:
+                if len(row) < 2:
+                    continue
+                (p, a), (q, b) = row if row[0][0] == i else row[::-1]
+                if weight[q] is None:
+                    weight[q] = -a * weight[p] / b
+                    comp_of[q] = comp_of[root]
+                    walk.append(q)
+        members.append(sorted(walk))
+
+    # A component is consistent exactly when all of its rows vanish.
+    consistent = [True] * len(members)
+    for row in rows:
+        if sum(v * weight[i] for i, v in row) != 0:
+            consistent[comp_of[row[0][0]]] = False
+
+    components = [
+        Component(tuple(m), tuple(weight[i] for i in m) if ok else None)
+        for m, ok in zip(members, consistent)]
+    kernel = []
+    for comp in sorted(components, key=lambda c: c.positions[-1]):
+        if comp.line is not None:
+            vec = [0] * len(kept)
+            for i, x in zip(comp.positions, clear_denominators(comp.line)):
+                vec[i] = x
+            kernel.append(tuple(vec))
+    return components, kernel
 
 
 def check_rigidity(instance):
     """Exact verdict: boundary kernel = the inverse-stabilizer-order line.
 
-    For a connected kept-tile graph the verdict holds iff the canonical
-    weights annihilate every facet coefficient and the kernel is
-    one-dimensional.  Disconnected instances report per-component
-    results and an overall failure of uniqueness.
+    The kernel comes from `boundary_kernel`: one line per consistent
+    component of the kept-tile graph.  A component is ok when it has a
+    line and the canonical weights 1/|stabilizer| lie on it.  The
+    canonical weights annihilate the boundary exactly when every
+    component is ok (they are nonzero on every tile, and a row only
+    involves tiles of one component); the kernel is spanned by them
+    exactly when there is one component and it is ok.  The verdict
+    holds iff the graph is connected and both are true.  Disconnected
+    instances also report one (tiles, kernel dimension, ok) per
+    component, in order of smallest tile.
     """
-    instance.validate()
-    rows, kept = _incidence_rows(instance)
-    canonical = [Fraction(1, instance.tiles[t].stab_order) for t in kept]
+    kept = instance.kept_tiles()
+    components, kernel = boundary_kernel(instance)
     if not kept:
         return TessVerdict(connected=True, kernel_dim=0,
                            canonical_in_kernel=True,
                            kernel_spanned_by_canonical=True, ok=True)
-    kernel = kernel_basis(rows, ncols=len(kept))
-    boundary = weighted_boundary(instance, canonical)
-    in_kernel = all(x == 0 for x in boundary)
-    spanned = len(kernel) == 1 and _same_line(kernel[0], canonical)
-    components = instance.components()
-    connected = len(components) <= 1
+    canonical = tuple(Fraction(1, instance.tiles[t].stab_order)
+                      for t in kept)
+    comp_ok = [c.line is not None and _same_line(
+        c.line, [canonical[i] for i in c.positions]) for c in components]
+    connected = len(components) == 1
+    in_kernel = all(comp_ok)
+    spanned = connected and comp_ok[0]
     per_component = ()
     if not connected:
-        reports = []
-        for tiles in components:
-            sub_pos = [kept.index(t) for t in tiles]
-            sub_rows = [[row[i] for i in sub_pos] for row in rows]
-            sub_kernel = kernel_basis(sub_rows, ncols=len(sub_pos))
-            sub_canon = [canonical[i] for i in sub_pos]
-            comp_ok = len(sub_kernel) == 1 and _same_line(sub_kernel[0],
-                                                          sub_canon)
-            reports.append((tuple(tiles), len(sub_kernel), comp_ok))
-        per_component = tuple(reports)
-    ok = connected and in_kernel and spanned
+        per_component = tuple(
+            (tuple(kept[i] for i in c.positions), int(c.line is not None),
+             ok)
+            for c, ok in zip(components, comp_ok))
     return TessVerdict(connected=connected, kernel_dim=len(kernel),
                        canonical_in_kernel=in_kernel,
-                       kernel_spanned_by_canonical=spanned, ok=ok,
-                       kernel_vectors=tuple(tuple(v) for v in kernel),
-                       canonical=tuple(canonical),
+                       kernel_spanned_by_canonical=spanned,
+                       ok=connected and in_kernel and spanned,
+                       kernel_vectors=tuple(kernel),
+                       canonical=canonical,
                        per_component=per_component)
 
 
@@ -333,4 +417,8 @@ def loads_instance(text):
     except json.JSONDecodeError as exc:
         raise InvariantViolation(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Integers beyond the interpreter's digit limit, or nesting
+        # deeper than the decoder's recursion limit.
+        raise InvariantViolation(f"$: unreadable JSON ({exc})") from exc
     return TessInstance.from_payload(payload)

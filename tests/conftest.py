@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -13,6 +14,7 @@ from vorcycle.forms import (
     rank_one,
 )
 from vorcycle.isometry import cell_maps
+from vorcycle.tessellation import TessVerdict, _same_line, weighted_boundary
 from vorcycle.linalg import (
     kernel_basis,
     mat_mul,
@@ -240,6 +242,84 @@ def matrix_orbit_decompose(keys, generators, apply, identity):
         orbits.append((key, members))
         assigned.update(members)
     return orbits
+
+
+def differential_kernel(cx):
+    """Reference: primitive integer basis of the kernel of the top
+    differential, by dense elimination."""
+    diff = cx.differential
+    return kernel_basis(diff.dense_rows(), ncols=diff.col_count)
+
+
+def dense_components(instance):
+    """Reference: connected components of the kept-tile graph via wall
+    incidences, by union-find, sorted."""
+    kept = instance.kept_tiles()
+    pos = {t: i for i, t in enumerate(kept)}
+    parent = list(range(len(kept)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for f in instance.facet_orbits:
+        touched = [pos[t] for t, v in f.incidences if v != 0 and t in pos]
+        for a, b in zip(touched, touched[1:]):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    groups = {}
+    for i, t in enumerate(kept):
+        groups.setdefault(find(i), []).append(t)
+    return sorted(groups.values())
+
+
+def dense_check_rigidity(instance):
+    """Reference: the rigidity verdict by dense elimination of the whole
+    wall-by-kept-tile matrix, and of each component's columns when the
+    instance is disconnected."""
+    instance.validate()
+    kept = instance.kept_tiles()
+    pos = {t: i for i, t in enumerate(kept)}
+    rows = []
+    for f in instance.facet_orbits:
+        row = [Fraction(0)] * len(kept)
+        for t, v in f.incidences:
+            if v != 0 and t in pos:
+                row[pos[t]] += Fraction(v)
+        rows.append(row)
+    canonical = [Fraction(1, instance.tiles[t].stab_order) for t in kept]
+    if not kept:
+        return TessVerdict(connected=True, kernel_dim=0,
+                           canonical_in_kernel=True,
+                           kernel_spanned_by_canonical=True, ok=True)
+    kernel = kernel_basis(rows, ncols=len(kept))
+    boundary = weighted_boundary(instance, canonical)
+    in_kernel = all(x == 0 for x in boundary)
+    spanned = len(kernel) == 1 and _same_line(kernel[0], canonical)
+    components = dense_components(instance)
+    connected = len(components) <= 1
+    per_component = ()
+    if not connected:
+        reports = []
+        for tiles in components:
+            sub_pos = [kept.index(t) for t in tiles]
+            sub_rows = [[row[i] for i in sub_pos] for row in rows]
+            sub_kernel = kernel_basis(sub_rows, ncols=len(sub_pos))
+            sub_canon = [canonical[i] for i in sub_pos]
+            comp_ok = len(sub_kernel) == 1 and _same_line(sub_kernel[0],
+                                                          sub_canon)
+            reports.append((tuple(tiles), len(sub_kernel), comp_ok))
+        per_component = tuple(reports)
+    ok = connected and in_kernel and spanned
+    return TessVerdict(connected=connected, kernel_dim=len(kernel),
+                       canonical_in_kernel=in_kernel,
+                       kernel_spanned_by_canonical=spanned, ok=ok,
+                       kernel_vectors=tuple(tuple(v) for v in kernel),
+                       canonical=tuple(canonical),
+                       per_component=per_component)
 
 
 @pytest.fixture

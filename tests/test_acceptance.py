@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_stabilizer_2x2, cached_complex, cached_graph, \
-    closure, pair_swap_elements, random_unimodular
+    closure, differential_kernel, pair_swap_elements, random_unimodular
 
 from vorcycle.complexes import (
     ambient_orientation_sign,
@@ -32,7 +32,6 @@ from vorcycle.forms import (
 )
 from vorcycle.homology import (
     dd_sanity,
-    differential_kernel,
     verify_gl_even_vanishing,
     verify_top_cycle,
 )

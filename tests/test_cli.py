@@ -299,3 +299,63 @@ def test_pipeline_value_error_exit_four(cache, capsys, monkeypatch):
                          "--cache-dir", cache)
     assert code == 4
     assert err == "error: unexpected ValueError: matrix is not square\n"
+
+
+def _fan_document(edit):
+    from vorcycle.tessellation import sector_fan
+    doc = sector_fan(5).to_payload()
+    edit(doc)
+    return json.dumps(doc)
+
+
+MALFORMED_INSTANCES = {
+    "tiles-not-a-list": (
+        lambda d: d.update(tiles=5), "$.tiles:"),
+    "facet-orbits-not-a-list": (
+        lambda d: d.update(facet_orbits="x"), "$.facet_orbits:"),
+    "zero-denominator": (
+        lambda d: d["facet_orbits"][3]["incidences"][0].__setitem__(1, "1/0"),
+        "$.facet_orbits[3].incidences[0]:"),
+    "orientation-as-string": (
+        lambda d: d["tiles"][2].update(orientation_kept="false"),
+        "$.tiles[2].orientation_kept:"),
+    "fractional-tile-index": (
+        lambda d: d["facet_orbits"][1]["incidences"][1].__setitem__(0, 1.5),
+        "$.facet_orbits[1].incidences[1]:"),
+    "boolean-tile-index": (
+        lambda d: d["facet_orbits"][0]["incidences"][1].__setitem__(0, True),
+        "$.facet_orbits[0].incidences[1]:"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INSTANCES))
+def test_tess_malformed_field_names_its_path(capsys, tmp_path, name):
+    edit, where = MALFORMED_INSTANCES[name]
+    path = tmp_path / "bad.json"
+    path.write_text(_fan_document(edit))
+    code, out, err = run(capsys, "tess", "check", str(path))
+    assert code == 2
+    assert err.startswith("error: malformed instance: ")
+    assert where in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("flip, expected", [(False, 0), (True, 1)])
+def test_tess_check_verdict_survives_python_optimize(tmp_path, flip,
+                                                     expected):
+    # Under -O every assert is stripped; the verdict must not rest on one.
+    import subprocess
+    import sys
+    import vorcycle
+
+    def sign_flip(doc):
+        doc["facet_orbits"][0]["incidences"][1][1] = "1"
+    path = tmp_path / "fan.json"
+    path.write_text(_fan_document(sign_flip if flip else lambda d: None))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vorcycle.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "vorcycle", "tess", "check", str(path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60)
+    assert result.returncode == expected, result.stderr
+    assert "kernel_dim=" in result.stdout

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cached_complex
+from conftest import cached_complex, differential_kernel
 
 from vorcycle.complexes import Differential, build_codim2
 from vorcycle.homology import (
@@ -12,7 +12,6 @@ from vorcycle.homology import (
     canonical_cycle,
     compose_is_zero,
     dd_sanity,
-    differential_kernel,
     verify,
     verify_gl_even_vanishing,
     verify_top_cycle,

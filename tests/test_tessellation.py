@@ -1,17 +1,26 @@
+import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from conftest import cached_complex, dense_check_rigidity, \
+    differential_kernel
+
+import vorcycle.linalg
+from vorcycle.cli import main
 from vorcycle.homology import verify_gl_even_vanishing, verify_top_cycle
 from vorcycle.tessellation import (
     FacetOrbit,
     IndexOutOfRange,
     InvariantViolation,
     TessInstance,
+    TessVerdict,
     TileOrbit,
     _same_line,
+    boundary_kernel,
     check_rigidity,
     dumps_instance,
     from_voronoi,
@@ -136,7 +145,6 @@ def test_disconnected_instance_reports_components():
 
 
 def test_voronoi_adapter_structure():
-    from conftest import cached_complex
     inst2 = from_voronoi(cached_complex(2, "sl"))
     assert len(inst2.tiles) == 1 and len(inst2.facet_orbits) == 0
     inst4 = from_voronoi(cached_complex(4, "sl"))
@@ -145,7 +153,6 @@ def test_voronoi_adapter_structure():
 
 
 def test_voronoi_adapter_agrees_with_direct_verdicts():
-    from conftest import cached_complex
     for n, group in ((2, "sl"), (3, "sl"), (4, "sl")):
         cx = cached_complex(n, group)
         inst = from_voronoi(cx)
@@ -161,7 +168,6 @@ def test_voronoi_adapter_agrees_with_direct_verdicts():
 
 
 def test_voronoi_adapter_mutation_breaks_verdict():
-    from conftest import cached_complex
     cx = cached_complex(4, "sl")
     inst = from_voronoi(cx)
     facets = list(inst.facet_orbits)
@@ -210,3 +216,140 @@ def test_same_line_matches_pairwise_minors(vec_a, other, scale, multiple):
     vec_b = [scale * x for x in vec_a] if multiple else other
     assert _same_line(vec_a, vec_b) == pairwise_same_line(vec_a, vec_b)
     assert _same_line(vec_b, vec_a) == pairwise_same_line(vec_b, vec_a)
+
+
+nonzero = st.one_of(
+    st.integers(-3, 3).filter(bool).map(Fraction),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+
+
+@st.composite
+def two_entry_instances(draw):
+    """Instances whose walls have at most two nonzero incidences: rows
+    consistent with the canonical weights, random rows (so inconsistent
+    cycles), self-glued zero rows, single-entry rows and rows padded
+    with zero incidences, over tiles that are sometimes not kept."""
+    orders = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6)), max_size=8))
+    tiles = tuple(TileOrbit(s, draw(st.sampled_from((True, True, False))))
+                  for s in orders)
+    facets = []
+    tile = st.integers(0, max(len(orders) - 1, 0))
+    for _ in range(draw(st.integers(0, 12)) if orders else 0):
+        i, j, c = draw(tile), draw(tile), draw(nonzero)
+        shape = draw(st.sampled_from(
+            ("canonical", "canonical", "random", "self", "single", "zero")))
+        if shape == "canonical":
+            inc = ((i, c * orders[i]), (j, -c * orders[j]))
+        elif shape == "random":
+            inc = ((i, c), (j, draw(nonzero)))
+        elif shape == "self":
+            inc = ((i, c), (i, -c))
+        elif shape == "single":
+            inc = ((i, c),)
+        else:
+            inc = ((i, c), (draw(tile), Fraction(0)), (j, draw(nonzero)))
+        facets.append(FacetOrbit(draw(st.integers(1, 3)),
+                                 draw(st.sampled_from(("self", "non_self"))),
+                                 inc))
+    return TessInstance(ambient_dim=2, tiles=tiles, facet_orbits=tuple(facets))
+
+
+@given(two_entry_instances())
+@settings(max_examples=200, deadline=None)
+def test_walk_verdict_matches_dense_elimination(inst):
+    verdict = check_rigidity(inst)
+    assert verdict == dense_check_rigidity(inst)
+    assert boundary_kernel(inst)[1] == list(verdict.kernel_vectors)
+
+
+@pytest.mark.parametrize("n, group", [(2, "sl"), (2, "gl"), (3, "sl"),
+                                      (3, "gl"), (4, "sl"), (4, "gl")])
+def test_walk_verdict_matches_dense_elimination_on_voronoi(n, group):
+    cx = cached_complex(n, group)
+    inst = from_voronoi(cx)
+    assert check_rigidity(inst) == dense_check_rigidity(inst)
+    assert boundary_kernel(inst)[1] == differential_kernel(cx)
+
+
+def test_tess_check_and_verdicts_make_no_dense_elimination(
+        monkeypatch, tmp_path, capsys):
+    complexes = [cached_complex(4, "sl"), cached_complex(4, "gl")]
+    calls = []
+    original = vorcycle.linalg.kernel_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vorcycle") and \
+                getattr(module, "kernel_basis", None) is original:
+            monkeypatch.setattr(module, "kernel_basis", counting)
+    path = tmp_path / "fan.json"
+    path.write_text(dumps_instance(sector_fan(5)))
+    assert main(["tess", "check", str(path)]) == 0
+    assert verify_top_cycle(complexes[0]).ok
+    assert verify_gl_even_vanishing(complexes[1]).ok
+    assert calls == []
+    vorcycle.linalg.kernel_basis([[1, -1]])
+    assert len(calls) == 1
+
+
+def tessgen_documents():
+    """Documents shaped like the benchmark's generated instances:
+    string stabilizer orders, tile indices as integers, incidence values
+    as strings."""
+    orders = st.lists(st.sampled_from((1, 2, 4, 6)), min_size=1, max_size=5)
+
+    def document(stabs):
+        tile = st.integers(0, len(stabs) - 1)
+        wall = st.tuples(st.sampled_from(("1", "2")),
+                         st.sampled_from(("self", "non_self")),
+                         st.lists(st.tuples(tile, st.sampled_from(
+                             ("1", "-1", "2", "-3/2", "0"))), max_size=2))
+        return st.lists(wall, max_size=5).map(lambda walls: {
+            "kind": "tess-instance",
+            "ambient_dim": 2,
+            "tiles": [{"stab_order": str(s), "orientation_kept": True,
+                       "label": f"t{i}"} for i, s in enumerate(stabs)],
+            "facet_orbits": [
+                {"stab_order": order, "kind": kind,
+                 "incidences": [[t, v] for t, v in inc], "label": f"w{i}"}
+                for i, (order, kind, inc) in enumerate(walls)]})
+    return orders.flatmap(document)
+
+
+def _slots(node, out):
+    """Every (container, key) inside a JSON document."""
+    keys = node.keys() if isinstance(node, dict) else \
+        range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        out.append((node, key))
+        _slots(node[key], out)
+    return out
+
+
+WRONG_VALUES = (None, True, False, 0, -1, 1.5, "x", "1/0", "false", "",
+                [], {}, [1], {"a": 1}, 10 ** 30, "-0", [0, "1", 2])
+
+
+@given(tessgen_documents(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_loads_instance_fuzz(doc, data):
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = _slots(doc, [])
+        node, key = data.draw(st.sampled_from(slots))
+        if data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(st.sampled_from(WRONG_VALUES))
+    try:
+        inst = loads_instance(json.dumps(doc))
+    except InvariantViolation:
+        return
+    assert isinstance(check_rigidity(inst), TessVerdict)
+
+
+def test_loads_instance_unreadable_json():
+    for text in ("[" * 100000, '{"ambient_dim": ' + "9" * 5000 + "}"):
+        with pytest.raises(InvariantViolation):
+            loads_instance(text)
