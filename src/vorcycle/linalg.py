@@ -34,7 +34,7 @@ def _as_int_rows(rows):
     for row in rows:
         denom = 1
         for x in row:
-            if isinstance(x, Fraction):
+            if type(x) is Fraction:
                 denom = _lcm(denom, x.denominator)
         out.append([int(x * denom) for x in row])
     return out
@@ -129,7 +129,7 @@ def clear_denominators(vec):
     """Scale a rational vector to a primitive integer vector (same direction)."""
     denom = 1
     for x in vec:
-        if isinstance(x, Fraction):
+        if type(x) is Fraction:
             denom = _lcm(denom, x.denominator)
     ints = [int(x * denom) for x in vec]
     g = 0

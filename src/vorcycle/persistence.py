@@ -1,19 +1,23 @@
 """On-disk caching of graphs, complexes, and verdicts.
 
-Files are JSON with every arbitrary-precision integer serialized as a
-decimal string and every rational as "p/q", so exactness survives the
-round trip and the files stay diffable.  Each file carries a schema
-version and a content hash over the canonical payload encoding; writes
-go through a temporary file and an atomic rename.
+Each file is one line of canonical JSON (sorted keys, no whitespace):
+the kind, rank, group and schema version of its payload, and a sha256
+of the payload's canonical encoding.  Writes go through a temporary
+file and an atomic rename.  The hash is checked on the payload bytes as
+stored, so a load encodes nothing again, and a file in any other form
+is rejected.  To read one, run `python -m json.tool FILE`.
 
-Every finite group is stored as a generating set plus its order.  On
-load, graph and complex payloads are checked field by field, and each
-stored generator is certified against its record: node generators fix
-the Gram matrix, cell generators map the cell's vectors onto
-themselves, each stored wall basis must be a basis of its cell's
-span, and each wall's stored gluing must be the graph edge at its
-parent facet.  The stored orders, and whether an edge witness glues
-its two domains, are trusted.
+Graph and complex payloads hold JSON integers, which Python's json
+reads and writes exactly; verdict payloads keep the decimal strings of
+their reports.  Every finite group is stored as a generating set plus
+its order, and each orbit member of a cell as [parent, face]: its
+vectors are derived from the graph.  On load, graph and complex
+payloads are checked field by field, and each stored generator is
+certified against its record: node generators fix the Gram matrix,
+cell generators map the cell's vectors onto themselves, each stored
+wall basis must be a basis of its cell's span, and each wall's stored
+gluing must be the graph edge at its parent facet.  The stored orders,
+and whether an edge witness glues its two domains, are trusted.
 """
 
 import hashlib
@@ -41,12 +45,13 @@ from .linalg import (
 )
 
 # Version 2 stored stabilizers as generators plus order; version 3
-# stores the strong generating sets of their stabilizer chains.
-# Verdict and tess-instance payloads did not change, so they keep
-# version 1 and their files stay byte-identical.
-SCHEMA_VERSION = 3
+# stores the strong generating sets of their stabilizer chains; version
+# 4 stores JSON integers and orbit members as [parent, face].  Verdict
+# and tess-instance files went to version 2 when every file became its
+# canonical encoding.
+SCHEMA_VERSION = 4
 PAYLOAD_KINDS = {"graph": SCHEMA_VERSION, "complex": SCHEMA_VERSION,
-                 "verdict": 1, "tess-instance": 1}
+                 "verdict": 2, "tess-instance": 2}
 
 
 class CacheCorrupt(ValueError):
@@ -54,11 +59,7 @@ class CacheCorrupt(ValueError):
 
 
 def _enc_mat(rows):
-    return [[str(x) for x in r] for r in rows]
-
-
-def _enc_vecs(vecs):
-    return [[str(x) for x in v] for v in vecs]
+    return [list(r) for r in rows]
 
 
 def canonical_dumps(obj):
@@ -79,8 +80,8 @@ def graph_to_payload(graph):
                       for f in node.domain.facets]
         nodes.append({
             "gram": _enc_mat(node.form.gram),
-            "min_value": str(node.minvecs.min_value),
-            "min_vectors": _enc_vecs(node.minvecs.vectors),
+            "min_value": node.minvecs.min_value,
+            "min_vectors": _enc_mat(node.minvecs.vectors),
             "stab_order": node.stab_order,
             "generators": [_enc_mat(g.rows) for g in node.generators],
             "label": node.label,
@@ -161,32 +162,19 @@ class _Reader:
             self.fail(path + (key,), f"is not a list of {count} labels")
         return tuple(values)
 
-    def integer(self, value, path):
-        """One decimal string as an integer."""
-        try:
-            if type(value) is not str:
-                raise ValueError
-            return int(value)
-        except ValueError:
-            self.fail(path, "is not a decimal integer")
-
     def ints(self, value, path, rows, cols):
-        """A list of `rows` lists (any count if None) of `cols` decimal
-        strings, as a tuple of integer tuples."""
-        try:
-            if type(value) is not list or rows not in (None, len(value)):
-                raise ValueError
-            out = []
-            for row in value:
-                if type(row) is not list or len(row) != cols:
-                    raise ValueError
-                for x in row:
-                    if type(x) is not str:
-                        raise ValueError
-                out.append(tuple(map(int, row)))
-        except ValueError:
-            self.fail(path, f"is not a list of {cols} integers per row")
-        return tuple(out)
+        """A list of `rows` lists (any count if None) of `cols` JSON
+        integers, as a tuple of integer tuples."""
+        problem = f"is not a list of {cols} integers per row"
+        if type(value) is not list or rows not in (None, len(value)):
+            self.fail(path, problem)
+        for row in value:
+            if type(row) is not list or len(row) != cols:
+                self.fail(path, problem)
+            for x in row:
+                if type(x) is not int:
+                    self.fail(path, problem)
+        return tuple(map(tuple, value))
 
     def field_ints(self, rec, path, key, rows, cols):
         return self.ints(self.get(rec, path, key, list), path + (key,),
@@ -243,8 +231,7 @@ def graph_from_payload(payload, source="<payload>", at=()):
         form = QForm(gram=rd.field_ints(rec, path, "gram", n, n))
         mv = MinVecSet(
             vectors=rd.vectors(rec, path, "min_vectors", n),
-            min_value=rd.integer(rd.get(rec, path, "min_value", str),
-                                 path + ("min_value",)))
+            min_value=rd.get(rec, path, "min_value", int))
         gens = rd.generators(rec, path, n, group == "sl")
         for i, g in enumerate(gens):
             if mat_mul(mat_mul(mat_transpose(g.rows), form.gram),
@@ -292,14 +279,13 @@ def graph_from_payload(payload, source="<payload>", at=()):
 def _orbit_to_payload(orbit):
     return {
         "level": orbit.level,
-        "vectors": _enc_vecs(orbit.vectors),
+        "vectors": _enc_mat(orbit.vectors),
         "parent": orbit.parent,
         "face_index": orbit.face_index,
-        "members": [{"parent": p, "face": f, "vectors": _enc_vecs(v)}
-                    for p, f, v in orbit.members],
+        "members": [[p, f] for p, f, _ in orbit.members],
         "generators": [_enc_mat(g.rows) for g in orbit.generators],
         "stab_order": orbit.stab_order,
-        "basis": _enc_vecs(orbit.basis) if orbit.basis is not None else None,
+        "basis": _enc_mat(orbit.basis) if orbit.basis is not None else None,
         "orientation_kept": orbit.orientation_kept,
         "kind": orbit.kind,
         "witness": ({"neighbor": orbit.witness[0],
@@ -309,19 +295,44 @@ def _orbit_to_payload(orbit):
     }
 
 
-def _orbit_from_payload(rd, rec, path, n, det_one):
+def _members(rd, rec, path, graph, top):
+    """(parent, face, vectors) per stored [parent, face] member: a top's
+    member is [node, -1] and takes the node's minimal vectors, a wall's
+    takes the vectors of facet `face` of its node's domain."""
+    out = []
+    for i, m in enumerate(rd.get(rec, path, "members", list)):
+        at = path + ("members", i)
+        if type(m) is not list or len(m) != 2 or \
+                type(m[0]) is not int or type(m[1]) is not int:
+            rd.fail(at, "is not a [parent, face] pair")
+        parent, face = m
+        if not 0 <= parent < len(graph.nodes):
+            rd.fail(at, f"has a parent out of range "
+                        f"0..{len(graph.nodes) - 1}")
+        node = graph.nodes[parent]
+        if top:
+            if face != -1:
+                rd.fail(at, "has a face other than -1 on a top")
+            out.append((parent, face, node.minvecs.vectors))
+            continue
+        facets = node.domain.facets if node.domain else ()
+        if not 0 <= face < len(facets):
+            rd.fail(at, f"has a face out of range 0..{len(facets) - 1}")
+        out.append((parent, face, node.domain.facet_vectors(facets[face])))
+    return tuple(out)
+
+
+def _orbit_from_payload(rd, rec, path, graph, top):
     """One cell record; each generator must map its vectors onto
     themselves, and a stored basis must be a basis of the span of the
     cell's rank-one forms."""
+    n = graph.n
     vectors = rd.vectors(rec, path, "vectors", n)
-    gens = rd.generators(rec, path, n, det_one)
+    gens = rd.generators(rec, path, n, graph.group_kind == "sl")
     for i, g in enumerate(gens):
         if apply_to_cell(g, vectors) != vectors:
             rd.fail(path + ("generators", i), "does not fix the cell")
-    members = tuple(
-        (rd.get(m, m_path, "parent", int), rd.get(m, m_path, "face", int),
-         rd.vectors(m, m_path, "vectors", n))
-        for m_path, m in rd.records(rec, path, "members"))
+    members = _members(rd, rec, path, graph, top)
     basis = rd.get(rec, path, "basis", list, type(None))
     if basis is not None:
         basis = rd.ints(basis, path + ("basis",), None, sym_dim(n))
@@ -359,8 +370,7 @@ def complex_to_payload(cx):
         "differential": {
             "rows": list(cx.differential.row_labels),
             "cols": list(cx.differential.col_labels),
-            "triplets": [[r, c, str(v)]
-                         for r, c, v in cx.differential.triplets()],
+            "triplets": [list(t) for t in cx.differential.triplets()],
         },
     }
 
@@ -378,17 +388,16 @@ def complex_from_payload(payload, source="<payload>"):
         rd.fail((), "is not an object")
     graph = graph_from_payload(rd.get(payload, (), "graph", dict), source,
                                ("graph",))
-    n, det_one = graph.n, graph.group_kind == "sl"
-    if rd.get(payload, (), "n", int) != n or \
+    if rd.get(payload, (), "n", int) != graph.n or \
             rd.get(payload, (), "group", str) != graph.group_kind:
         rd.fail((), "has a rank or group that differs from its graph")
-    tops = tuple(_orbit_from_payload(rd, rec, path, n, det_one)
+    tops = tuple(_orbit_from_payload(rd, rec, path, graph, True)
                  for path, rec in rd.records(payload, (), "tops"))
     if len(tops) != len(graph.nodes):
         rd.fail(("tops",), "does not have one record per graph node")
     walls = []
     for path, rec in rd.records(payload, (), "walls"):
-        walls.append(_orbit_from_payload(rd, rec, path, n, det_one))
+        walls.append(_orbit_from_payload(rd, rec, path, graph, False))
         parent = rd.index(rec, path, "parent", len(graph.nodes))
         domain = graph.nodes[parent].domain
         edge = graph.edge_at(parent, rd.index(
@@ -410,11 +419,12 @@ def complex_from_payload(payload, source="<payload>"):
         at = d_path + ("triplets", i)
         if type(t) is not list or len(t) != 3 or \
                 type(t[0]) is not int or not 0 <= t[0] < len(rows) or \
-                type(t[1]) is not int or not 0 <= t[1] < len(cols):
+                type(t[1]) is not int or not 0 <= t[1] < len(cols) or \
+                type(t[2]) is not int:
             rd.fail(at, "is not a [row, col, value] entry")
-        entries.append(((t[0], t[1]), rd.integer(t[2], at)))
+        entries.append(((t[0], t[1]), t[2]))
     return VoronoiComplex(
-        n=n, group_kind=graph.group_kind,
+        n=graph.n, group_kind=graph.group_kind,
         seed_perm=rd.get(payload, (), "seed_perm", int), graph=graph,
         tops=tops, walls=tuple(walls), kept_tops=kept_tops,
         kept_walls=kept_walls,
@@ -422,24 +432,29 @@ def complex_from_payload(payload, source="<payload>"):
                                   entries=tuple(entries)))
 
 
+def _frame(kind, n, group, digest):
+    """The bytes before and after the payload in a cache file: the
+    canonical encoding of the document, whose keys sort around it."""
+    head = {"group": group, "hash": digest, "kind": kind, "n": n}
+    header = canonical_dumps(head)[:-1] + ',"payload":'
+    trailer = f',"schema_version":{PAYLOAD_KINDS[kind]}}}\n'
+    return header.encode(), trailer.encode()
+
+
 def save_payload(path, kind, n, group, payload):
+    """Write `payload` as `canonical_dumps` of its document plus a
+    newline."""
     if kind not in PAYLOAD_KINDS:
         raise ValueError(f"unknown payload kind {kind!r}")
-    doc = {
-        "schema_version": PAYLOAD_KINDS[kind],
-        "kind": kind,
-        "n": n,
-        "group": group,
-        "hash": content_hash(payload),
-        "payload": payload,
-    }
+    body = canonical_dumps(payload).encode()
+    header, trailer = _frame(kind, n, group,
+                             hashlib.sha256(body).hexdigest())
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header + body + trailer)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -448,11 +463,22 @@ def save_payload(path, kind, n, group, payload):
 
 
 def load_payload(path, kind=None, n=None, group=None):
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CacheCorrupt(f"{path}: not valid JSON ({exc})") from exc
+    """The payload of the cache file at `path`.
+
+    The file must be exactly what save_payload writes.  Its header is
+    rebuilt from the decoded group, hash, kind and n, and the hash is
+    checked on the stored bytes between that header and the trailer:
+    the bytes the payload was decoded from.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers bad UTF-8 and integer literals past
+        # the interpreter's digit limit; RecursionError, arrays nested
+        # past the decoder's depth.
+        raise CacheCorrupt(f"{path}: not valid JSON ({exc})") from exc
     if type(doc) is not dict:
         raise CacheCorrupt(f"{path}: not a cache document")
     for key in ("schema_version", "kind", "n", "group", "hash", "payload"):
@@ -466,7 +492,13 @@ def load_payload(path, kind=None, n=None, group=None):
             f"{path}: schema version {doc['schema_version']} != {version}; "
             f"another version of vorcycle wrote this file: delete it or "
             f"use a fresh --cache-dir")
-    if content_hash(doc["payload"]) != doc["hash"]:
+    header, trailer = _frame(doc["kind"], doc["n"], doc["group"],
+                             doc["hash"])
+    if not data.startswith(header) or not data.endswith(trailer):
+        raise CacheCorrupt(f"{path}: not in the canonical form that "
+                           f"vorcycle writes")
+    body = memoryview(data)[len(header):len(data) - len(trailer)]
+    if hashlib.sha256(body).hexdigest() != doc["hash"]:
         raise CacheCorrupt(f"{path}: content hash mismatch")
     if kind is not None and doc["kind"] != kind:
         raise CacheCorrupt(f"{path}: expected kind {kind!r}")

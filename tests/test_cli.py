@@ -177,15 +177,16 @@ def test_env_var_overrides_cache_dir(capsys, tmp_path, monkeypatch):
 
 
 def _tamper(path, edit, rehash=True):
-    """Rewrite a cache file after `edit(doc)`, re-hashing the payload so
-    only the on-load checks can catch the change."""
-    from vorcycle.persistence import content_hash
+    """Rewrite a cache file in its canonical form after `edit(doc)`,
+    re-hashing the payload so only the on-load checks can catch the
+    change."""
+    from vorcycle.persistence import canonical_dumps, content_hash
     doc = json.load(open(path))
     edit(doc)
     if rehash:
         doc["hash"] = content_hash(doc["payload"])
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(canonical_dumps(doc) + "\n")
 
 
 def _verify_after_tamper(capsys, cache, name, edit, rehash=True):
@@ -223,8 +224,8 @@ def test_swapped_generator_exit_three(cache, capsys, record):
         rec = doc["payload"]
         for key in record:
             rec = rec[key]
-        assert rec["generators"][0] != [["1", "1"], ["0", "1"]]
-        rec["generators"][0] = [["1", "1"], ["0", "1"]]
+        assert rec["generators"][0] != [[1, 1], [0, 1]]
+        rec["generators"][0] = [[1, 1], [0, 1]]
     code, err = _verify_after_tamper(capsys, cache, "complex-n2-sl.json",
                                      swap)
     assert code == 3
@@ -267,7 +268,7 @@ def test_wall_witness_off_the_graph_edge_exit_three(cache, capsys):
 
     def singular_witness(doc):
         witness = doc["payload"]["walls"][0]["witness"]
-        witness["g"] = [["7"] * 4 for _ in range(4)]
+        witness["g"] = [[7] * 4 for _ in range(4)]
         witness["neighbor"] = 1 - witness["neighbor"]
     _tamper(path, singular_witness)
     os.unlink(os.path.join(cache, "verdict-n4-sl.json"))
@@ -276,6 +277,56 @@ def test_wall_witness_off_the_graph_edge_exit_three(cache, capsys):
     assert code == 3
     assert "Traceback" not in out + err and "verified" not in out
     assert f"{path}: payload.walls[0].witness is not the graph edge" in err
+
+
+@pytest.mark.parametrize("text", (
+    "[" * 200000 + "]" * 200000,
+    '{"n": ' + "9" * 5000 + "}",
+), ids=("arrays-nested-200000-deep", "integer-of-5000-digits"))
+def test_undecodable_cache_exit_three(cache, capsys, text):
+    os.makedirs(cache)
+    path = os.path.join(cache, "complex-n2-sl.json")
+    with open(path, "w") as fh:
+        fh.write(text)
+    code, out, err = run(capsys, "verify", "--n", "2", "--group", "sl",
+                         "--cache-dir", cache)
+    assert code == 3
+    assert f"{path}: not valid JSON" in err
+    assert "Traceback" not in out + err
+
+
+def _indented(data):
+    return (json.dumps(json.loads(data), indent=1, sort_keys=True)
+            + "\n").encode()
+
+
+def _flip_payload_digit(data):
+    # The first digit after the header lies inside the payload.
+    at = data.index(b'"payload":')
+    at += next(i for i, b in enumerate(data[at:]) if chr(b).isdigit())
+    return data[:at] + str((int(chr(data[at])) + 1) % 10).encode() + \
+        data[at + 1:]
+
+
+@pytest.mark.parametrize("rewrite, problem", (
+    (_flip_payload_digit, "content hash mismatch"),
+    (_indented, "not in the canonical form"),
+), ids=("payload-byte-flipped", "indented"))
+def test_hash_is_checked_on_the_stored_bytes(cache, capsys, rewrite,
+                                             problem):
+    run(capsys, "verify", "--n", "3", "--group", "gl", "--cache-dir", cache)
+    path = os.path.join(cache, "complex-n3-gl.json")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    changed = rewrite(data)
+    assert changed != data and json.loads(changed) is not None
+    with open(path, "wb") as fh:
+        fh.write(changed)
+    code, out, err = run(capsys, "verify", "--n", "3", "--group", "gl",
+                         "--cache-dir", cache)
+    assert code == 3
+    assert f"{path}: {problem}" in err
+    assert "Traceback" not in out + err and "verified" not in out
 
 
 def test_unexpected_exception_exit_four(cache, capsys, monkeypatch):

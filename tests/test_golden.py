@@ -1,9 +1,10 @@
 """Byte-identical outputs: `verify --check-dd` reproduces recorded files.
 
-The verdict digests were recorded from the Fraction-leaf, full-closure
-isometry engine and have never changed.  The graph and complex digests
-were re-recorded twice, each time because only the stored witnesses
-changed:
+The verdict payloads were recorded from the Fraction-leaf, full-closure
+isometry engine and have never changed; their digests were re-recorded
+once, when every file became its canonical encoding (below).  The graph
+and complex digests were re-recorded three times.  Twice only the
+stored witnesses changed:
 
 * when cache schema 3 stored the strong generating set of each
   stabilizer chain, the edge and wall witnesses, products of those
@@ -15,7 +16,13 @@ changed:
   the neighbour instead of by a second determinant-one search.  This
   changed the 3 sl, 4 gl and 4 sl files; 3 gl kept its witnesses.
 
-Every other field of those files stayed unchanged.  Any change to the
+Every other field of those files stayed unchanged.  The third time only
+the encoding changed: cache schema 4 (verdict version 2) writes each
+file as one line of canonical JSON, with graph and complex integers as
+JSON integers and orbit members as [parent, face].  Decoded, the
+verdict payloads are the recorded ones, and the graph and complex
+payloads are the schema-3 ones with decimal strings read as integers
+and members cut to [parent, face].  Any change to the
 search order, the chosen witnesses or the generating sets shows up here
 as a changed graph, complex or verdict file.  A second `verify` from the
 caches just written must reproduce the verdict file byte for byte.
@@ -31,35 +38,35 @@ from vorcycle.cli import main
 GOLDEN = {
     (3, "sl"): {
         "graph-n3-sl.json":
-            "86c6523bcdcaed549eeff77e38d18ce891f7efb9efe71f5816bfd34128db6886",
+            "df1e58530070dab14bafaa37c5285c1e0c45f250027e9b62f974e966427e453f",
         "complex-n3-sl.json":
-            "0b1d7941c305a870db8d9bb3c98ea2429394b5bd1d9d822340102de74da216ed",
+            "c849c65fdecd73ea6c44d58a8fd6d6eb7d2d3e0401812b265d87f381dc9f0a3a",
         "verdict-n3-sl.json":
-            "bf24efd2440e5a498f8d5d52730017281ea5cb850f6e38a56cdc63d4f6447f82",
+            "53514469a3a0e5fcacdf9809bc173d4c6e5b8cf5e8090d94a2bb864045dac997",
     },
     (3, "gl"): {
         "graph-n3-gl.json":
-            "9f51391e4f0bc758f75a7650adfb170d1609765e0f1366237a6f2e61f1b8b847",
+            "0ad56d01b8781b3a29af792ad8c0552582bc9a242411f5a909fa378ef0f713e8",
         "complex-n3-gl.json":
-            "64672a02533d57731da65628c24dc65fa29d2f4d73454e4407a200b563b65a59",
+            "0566ff50f662da5dd9c8b4ed6abcbb8588d16d73abaa28340d8e4c29395942e2",
         "verdict-n3-gl.json":
-            "d53399928dceaf42e61293aea730b20c18e9ea8778e14af90e603042f286cc61",
+            "a23f09fabc1d98f5970ce934b68c659deddbc6b7a650fef3f9717150a41199a2",
     },
     (4, "sl"): {
         "graph-n4-sl.json":
-            "05c00be2d67d897e3c6962c0328daca2bf01516dec1835ba99822dffc2a961c6",
+            "1015d2274bb2c271abbc14b86d618a7a82bce39a4fe88a11b8048b6d76644af9",
         "complex-n4-sl.json":
-            "e910bddd0238a5d97f698fdaa3c3d94f9fc3478030fe6e2c30b9631946d1c013",
+            "a050b00c9361d7a2aa95e9df2373025fee5d1f88865608b24d34b0823082b13a",
         "verdict-n4-sl.json":
-            "183ced144552da80ebdb6d1ed3472488642ccd3fbed3e023d27bf24be71f2e80",
+            "36db85c4819198a94d977b86420b3fdfbd2d950d6f8f2f3adb4512417252bba0",
     },
     (4, "gl"): {
         "graph-n4-gl.json":
-            "520bb1b6debc276097a99febba321ceb5eeefb552f41a71b439e9663fe261a8d",
+            "34c4bad2b220b2e14bc868e833c3583a6c3db01c03c1b52c43a51c821b935bb0",
         "complex-n4-gl.json":
-            "9c61f8b3febed721bc01f54b66d39ebfae7b8875d252779e8be879a223ae7814",
+            "87e8ab6d627da4d90bce7dd85b1ba44f647431026d068b5f480e603147764c9c",
         "verdict-n4-gl.json":
-            "0215cfa389d47e78bd81dffd4df39bd0fc91614db1b5a613a84fe34bea40ffed",
+            "22cedf4684c60d5857d0272eb219e041c7f55a3607958676995edfd79b0b527c",
     },
 }
 

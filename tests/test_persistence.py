@@ -1,7 +1,10 @@
 import contextlib
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from conftest import cached_complex, cached_graph
 
@@ -9,6 +12,7 @@ from vorcycle.homology import verify_top_cycle
 from vorcycle.persistence import (
     CacheCorrupt,
     cache_path,
+    canonical_dumps,
     complex_from_payload,
     complex_to_payload,
     content_hash,
@@ -50,6 +54,27 @@ def test_complex_round_trip(tmp_path):
     assert verify_top_cycle(loaded).ok
 
 
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+@pytest.mark.parametrize("group", ("sl", "gl"))
+def test_complex_round_trip_is_exact(tmp_path, n, group):
+    # Members are stored as [parent, face]; the vectors derived from the
+    # graph on load must be the ones the build held.
+    cx = cached_complex(n, group)
+    path = save_payload(str(tmp_path / "c.json"), "complex", n, group,
+                        complex_to_payload(cx))
+    loaded = complex_from_payload(load_payload(path, "complex", n, group))
+    assert loaded == cx
+
+
+def test_file_is_the_canonical_encoding(tmp_path):
+    payload = graph_to_payload(cached_graph(3, "gl"))
+    path = save_payload(str(tmp_path / "g.json"), "graph", 3, "gl", payload)
+    text = open(path).read()
+    doc = json.loads(text)
+    assert text == canonical_dumps(doc) + "\n"
+    assert doc["hash"] == content_hash(payload)
+
+
 def test_verdict_round_trip(tmp_path):
     report = verify_top_cycle(cached_complex(2, "sl")).to_payload()
     path = save_payload(str(tmp_path / "v.json"), "verdict", 2, "sl", report)
@@ -71,10 +96,13 @@ def test_save_is_deterministic(tmp_path):
     assert open(p1).read() == open(p2).read()
 
 
-def test_integers_serialized_as_strings():
+def test_integers_serialized_as_json_integers():
     payload = graph_to_payload(cached_graph(2, "sl"))
     gram = payload["nodes"][0]["gram"]
-    assert all(isinstance(x, str) for row in gram for x in row)
+    assert all(type(x) is int for row in gram for x in row)
+    # Verdict payloads keep the decimal strings of their reports.
+    report = verify_top_cycle(cached_complex(2, "sl")).to_payload()
+    assert all(type(v) is str for v in report["details"].values())
 
 
 def test_hash_corruption_detected(tmp_path):
@@ -184,7 +212,7 @@ def test_missing_field_message_names_the_field():
         "complex-n2-sl.json: payload.tops[0].label is missing"
 
 
-SHEAR = [["1", "1"], ["0", "1"]]
+SHEAR = [[1, 1], [0, 1]]
 
 
 @pytest.mark.parametrize("where, new, problem", (
@@ -192,20 +220,20 @@ SHEAR = [["1", "1"], ["0", "1"]]
      "does not fix the Gram matrix"),
     (("tops", 0, "generators", 0), SHEAR, "does not fix the cell"),
     (("walls", 0, "generators", 0), SHEAR, "does not fix the cell"),
-    (("walls", 0, "generators", 0), [["2", "0"], ["0", "1"]],
+    (("walls", 0, "generators", 0), [[2, 0], [0, 1]],
      "is not unimodular"),
-    (("walls", 0, "generators", 0), [["0", "1"], ["1", "0"]],
+    (("walls", 0, "generators", 0), [[0, 1], [1, 0]],
      "has determinant -1"),
     (("kept_tops", 0), 1, "is not a list of indices"),
     (("graph", "edges", 0, "neighbor"), 1, "is out of range"),
-    (("graph", "nodes", 0, "min_vectors", 0), ["0", "0"],
+    (("graph", "nodes", 0, "min_vectors", 0), [0, 0],
      "is not a sorted list of canonical vector pairs"),
-    (("walls", 0, "vectors", 0), ["-1", "0"],
+    (("walls", 0, "vectors", 0), [-1, 0],
      "is not a sorted list of canonical vector pairs"),
     (("graph", "edges", 0, "facet"), 999, "is out of range"),
-    (("walls", 0, "basis", 1), ["0", "0", "1"],
+    (("walls", 0, "basis", 1), [0, 0, 1],
      "is not a basis of the cell's span"),
-    (("walls", 0, "witness", "g"), [["7", "7"], ["7", "7"]],
+    (("walls", 0, "witness", "g"), [[7, 7], [7, 7]],
      "witness is not the graph edge at node 0, facet 0"),
     (("walls", 0, "witness", "neighbor"), 1, "witness is not the graph edge"),
     (("walls", 0, "witness"), None, "witness is not the graph edge"),
@@ -215,8 +243,19 @@ SHEAR = [["1", "1"], ["0", "1"]]
      "kind does not match the wall's neighbor"),
     (("walls", 0, "parent"), 1, "parent is out of range"),
     (("walls", 0, "face_index"), 3, "face_index is out of range"),
-    (("graph", "edges", 0, "witness"), [["0", "1"], ["1", "0"]],
+    (("graph", "edges", 0, "witness"), [[0, 1], [1, 0]],
      "witness has determinant -1"),
+    (("walls", 0, "members", 0, 0), 3, "has a parent out of range 0..0"),
+    (("walls", 0, "members", 0, 1), 3, "has a face out of range 0..2"),
+    (("tops", 0, "members", 0, 1), 0, "has a face other than -1 on a top"),
+    (("walls", 0, "members", 0, 1), -1, "has a face out of range 0..2"),
+    (("walls", 0, "members", 0, 0), True,
+     r"is not a \[parent, face\] pair"),
+    (("walls", 0, "members", 0), [0, 0, 0],
+     r"is not a \[parent, face\] pair"),
+    (("graph", "nodes", 0, "gram", 0, 0), "2",
+     "gram is not a list of 2 integers per row"),
+    (("graph", "nodes", 0, "min_value"), "2", "min_value has the wrong type"),
 ))
 def test_generator_certificates_and_ranges(where, new, problem):
     payload = complex_to_payload(cached_complex(2, "sl"))
@@ -249,8 +288,8 @@ def test_stale_schema_version_names_the_remedy(tmp_path):
     payload = graph_to_payload(cached_graph(2, "sl"))
     path = save_payload(str(tmp_path / "g.json"), "graph", 2, "sl", payload)
     doc = json.load(open(path))
-    assert doc["schema_version"] == 3
-    doc["schema_version"] = 2
+    assert doc["schema_version"] == 4
+    doc["schema_version"] = 3
     with open(path, "w") as fh:
         json.dump(doc, fh)
     with pytest.raises(CacheCorrupt, match="delete it or use a fresh "
@@ -258,7 +297,57 @@ def test_stale_schema_version_names_the_remedy(tmp_path):
         load_payload(path, "graph", 2, "sl")
 
 
-def test_verdict_files_keep_schema_one(tmp_path):
+def test_verdict_files_are_version_two(tmp_path):
     path = save_payload(str(tmp_path / "v.json"), "verdict", 2, "sl",
                         {"x": 1})
-    assert json.load(open(path))["schema_version"] == 1
+    assert json.load(open(path))["schema_version"] == 2
+
+
+def _slots(node, out):
+    """Every (container, key) inside a JSON document."""
+    keys = node.keys() if isinstance(node, dict) else \
+        range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        out.append((node, key))
+        _slots(node[key], out)
+    return out
+
+
+WRONG_VALUES = (None, True, False, 0, -1, 1.5, "x", "1", "", [], {}, [1],
+                [0, -1], {"a": 1}, 10 ** 30, [[1, 0], [0, 1]])
+
+
+@pytest.fixture(scope="module")
+def complex_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "complex-n3-gl.json"
+    save_payload(str(path), "complex", 3, "gl",
+                 complex_to_payload(cached_complex(3, "gl")))
+    return path.read_text()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_load_payload_fuzz(complex_text, tmp_path_factory, data):
+    # Drop keys, swap value types (re-hashed or not) and truncate the
+    # text: loading and decoding either succeeds or raises CacheCorrupt.
+    doc = json.loads(complex_text)
+    for _ in range(data.draw(st.integers(0, 3))):
+        node, key = data.draw(st.sampled_from(_slots(doc, [])))
+        if data.draw(st.booleans()):
+            del node[key]
+        else:
+            # A copy: a later draw may edit inside the inserted value.
+            node[key] = copy.deepcopy(
+                data.draw(st.sampled_from(WRONG_VALUES)))
+    if "payload" in doc and data.draw(st.booleans()):
+        doc["hash"] = content_hash(doc["payload"])
+    text = canonical_dumps(doc) + "\n"
+    if data.draw(st.booleans()):
+        text = text[:data.draw(st.integers(0, len(text)))]
+    path = tmp_path_factory.mktemp("fuzz") / "complex-n3-gl.json"
+    path.write_text(text)
+    try:
+        complex_from_payload(load_payload(str(path), "complex", 3, "gl"),
+                             str(path))
+    except CacheCorrupt as exc:
+        assert str(exc).startswith(str(path))

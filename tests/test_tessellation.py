@@ -1,3 +1,4 @@
+import copy
 import json
 import sys
 from fractions import Fraction
@@ -341,7 +342,9 @@ def test_loads_instance_fuzz(doc, data):
         if data.draw(st.booleans()):
             del node[key]
         else:
-            node[key] = data.draw(st.sampled_from(WRONG_VALUES))
+            # A copy: a later draw may edit inside the inserted value.
+            node[key] = copy.deepcopy(
+                data.draw(st.sampled_from(WRONG_VALUES)))
     try:
         inst = loads_instance(json.dumps(doc))
     except InvariantViolation:
