@@ -24,7 +24,9 @@ from .persistence import (
     cache_path,
     complex_from_payload,
     complex_to_payload,
+    content_hash,
     graph_from_payload,
+    graph_reference,
     graph_to_payload,
     load_payload,
     save_payload,
@@ -61,15 +63,19 @@ def _check_rank(n, allow_long):
     return True
 
 
-def _load_or_build_graph(args):
+def _load_or_build_graph(args, digest=None):
+    """The graph, its file and its header hash; with the `digest` that
+    a complex names, the file must exist and carry it."""
     n, group = args.n, args.group
     path = cache_path(_cache_dir(args), "graph", n, group)
-    if os.path.exists(path):
-        return graph_from_payload(load_payload(path, "graph", n, group),
-                                  path), path
+    if digest is not None or os.path.exists(path):
+        payload = load_payload(path, "graph", n, group, digest)
+        graph = graph_from_payload(payload, path)
+        return graph, path, digest or content_hash(payload)
     graph = enumerate_perfect_forms(n, group, allow_long=args.allow_long)
-    save_payload(path, "graph", n, group, graph_to_payload(graph))
-    return graph, path
+    payload = graph_to_payload(graph)
+    save_payload(path, "graph", n, group, payload)
+    return graph, path, content_hash(payload)
 
 
 def _load_or_build_complex(args):
@@ -77,18 +83,23 @@ def _load_or_build_complex(args):
     seed = getattr(args, "seed_perm", 0)
     path = cache_path(_cache_dir(args), "complex", n, group, seed)
     if os.path.exists(path):
-        return complex_from_payload(load_payload(path, "complex", n, group),
-                                    path), path
-    graph, _ = _load_or_build_graph(args)
+        payload = load_payload(path, "complex", n, group)
+        digest = graph_reference(payload, path)
+        try:
+            graph = _load_or_build_graph(args, digest)[0]
+        except (CacheCorrupt, FileNotFoundError) as exc:
+            raise CacheCorrupt(f"{path}: payload.graph: {exc}") from exc
+        return complex_from_payload(payload, graph, path), path
+    graph, _, digest = _load_or_build_graph(args)
     cx = build_complex(graph, seed_perm=seed)
-    save_payload(path, "complex", n, group, complex_to_payload(cx))
+    save_payload(path, "complex", n, group, complex_to_payload(cx, digest))
     return cx, path
 
 
 def cmd_perfect(args):
     if not _check_rank(args.n, args.allow_long):
         return EXIT_USAGE
-    graph, path = _load_or_build_graph(args)
+    graph, path, _ = _load_or_build_graph(args)
     count = len(graph.nodes)
     names = ", ".join(node.label for node in graph.nodes)
     print(f"{count} class{'es' if count != 1 else ''}: {names}")

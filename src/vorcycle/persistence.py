@@ -9,15 +9,18 @@ is rejected.  To read one, run `python -m json.tool FILE`.
 
 Graph and complex payloads hold JSON integers, which Python's json
 reads and writes exactly; verdict payloads keep the decimal strings of
-their reports.  Every finite group is stored as a generating set plus
+their reports.  The graph is stored once: a complex payload names the
+hash in its graph file's header, and is read only over a graph file
+with that hash.  Every finite group is stored as a generating set plus
 its order, and each orbit member of a cell as [parent, face]: its
-vectors are derived from the graph.  On load, graph and complex
-payloads are checked field by field, and each stored generator is
-certified against its record: node generators fix the Gram matrix,
-cell generators map the cell's vectors onto themselves, each stored
-wall basis must be a basis of its cell's span, and each wall's stored
-gluing must be the graph edge at its parent facet.  The stored orders,
-and whether an edge witness glues its two domains, are trusted.
+vectors are derived from the graph.  On load, a payload's rank and
+group must be its file header's, graph and complex payloads are
+checked field by field, and each stored generator is certified against
+its record: node generators fix the Gram matrix, cell generators map
+the cell's vectors onto themselves, each stored wall basis must be a
+basis of its cell's span, and each wall's stored gluing must be the
+graph edge at its parent facet.  The stored orders, the orientation
+flags, and whether an edge witness glues its two domains, are trusted.
 """
 
 import hashlib
@@ -46,12 +49,11 @@ from .linalg import (
 
 # Version 2 stored stabilizers as generators plus order; version 3
 # stores the strong generating sets of their stabilizer chains; version
-# 4 stores JSON integers and orbit members as [parent, face].  Verdict
-# and tess-instance files went to version 2 when every file became its
-# canonical encoding.
-SCHEMA_VERSION = 4
-PAYLOAD_KINDS = {"graph": SCHEMA_VERSION, "complex": SCHEMA_VERSION,
-                 "verdict": 2, "tess-instance": 2}
+# 4 stores JSON integers and orbit members as [parent, face]; complex
+# version 5 refers to its graph file by hash instead of embedding the
+# graph.  Verdict and tess-instance files went to version 2 when every
+# file became its canonical encoding.
+PAYLOAD_KINDS = {"graph": 4, "complex": 5, "verdict": 2, "tess-instance": 2}
 
 
 class CacheCorrupt(ValueError):
@@ -120,6 +122,8 @@ class _Reader:
         raise CacheCorrupt(f"{self.source}: {_dotted(path)} {problem}")
 
     def get(self, rec, path, key, *kinds):
+        if type(rec) is not dict:
+            self.fail(path, "is not an object")
         if key not in rec:
             self.fail(path + (key,), "is missing")
         value = rec[key]
@@ -207,27 +211,23 @@ class _Reader:
             for i, mat in enumerate(self.get(rec, path, "generators", list)))
 
 
-def graph_from_payload(payload, source="<payload>", at=()):
+def graph_from_payload(payload, source="<payload>"):
     """Decode and check a graph payload read from `source`.
 
     Besides the shape of every field, each node generator must fix the
     node's Gram matrix (g^t Q g = Q), there must be exactly one edge
     per (node, facet), and sl witnesses must have determinant one;
     stabilizer orders and whether edge witnesses glue are trusted.
-    `at` prefixes the field paths in error messages (a graph stored
-    inside a complex payload sits at ("graph",)).
     """
     rd = _Reader(source)
-    if type(payload) is not dict:
-        rd.fail(at, "is not an object")
-    n = rd.get(payload, at, "n", int)
+    n = rd.get(payload, (), "n", int)
     if n < 1:
-        rd.fail(at + ("n",), "is not a positive rank")
-    group = rd.get(payload, at, "group", str)
+        rd.fail(("n",), "is not a positive rank")
+    group = rd.get(payload, (), "group", str)
     if group not in GROUP_KINDS:
-        rd.fail(at + ("group",), f"is not one of {GROUP_KINDS}")
+        rd.fail(("group",), f"is not one of {GROUP_KINDS}")
     nodes = []
-    for path, rec in rd.records(payload, at, "nodes"):
+    for path, rec in rd.records(payload, (), "nodes"):
         form = QForm(gram=rd.field_ints(rec, path, "gram", n, n))
         mv = MinVecSet(
             vectors=rd.vectors(rec, path, "min_vectors", n),
@@ -255,7 +255,7 @@ def graph_from_payload(payload, source="<payload>", at=()):
             label=rd.get(rec, path, "label", str)))
     edges = []
     seen = set()
-    for path, e in rd.records(payload, at, "edges"):
+    for path, e in rd.records(payload, (), "edges"):
         witness = rd.element(rd.get(e, path, "witness", list),
                              path + ("witness",), n, group == "sl")
         node = rd.index(e, path, "node", len(nodes))
@@ -271,7 +271,7 @@ def graph_from_payload(payload, source="<payload>", at=()):
     facet_count = sum(len(node.domain.facets) for node in nodes
                       if node.domain)
     if len(edges) != facet_count:
-        rd.fail(at + ("edges",), "does not have one edge per node facet")
+        rd.fail(("edges",), "does not have one edge per node facet")
     return VoronoiGraph(n=n, group_kind=group, nodes=tuple(nodes),
                         edges=tuple(edges))
 
@@ -357,12 +357,11 @@ def _orbit_from_payload(rd, rec, path, graph, top):
         label=rd.get(rec, path, "label", str))
 
 
-def complex_to_payload(cx):
+def complex_to_payload(cx, graph_hash):
+    """`graph_hash` is the header hash of the graph file of cx.graph."""
     return {
-        "n": cx.n,
-        "group": cx.group_kind,
         "seed_perm": cx.seed_perm,
-        "graph": graph_to_payload(cx.graph),
+        "graph": graph_hash,
         "tops": [_orbit_to_payload(t) for t in cx.tops],
         "walls": [_orbit_to_payload(w) for w in cx.walls],
         "kept_tops": list(cx.kept_tops),
@@ -375,22 +374,23 @@ def complex_to_payload(cx):
     }
 
 
-def complex_from_payload(payload, source="<payload>"):
-    """Decode and check a complex payload read from `source`.
+def graph_reference(payload, source="<payload>"):
+    """The hash of the graph file a complex payload refers to."""
+    return _Reader(source).get(payload, (), "graph", str)
 
-    Fields are checked as in graph_from_payload; every top and wall
-    generator must map its cell's vectors onto themselves, and each
-    wall's witness and kind must agree with the graph edge at its
-    (parent, face_index).
+
+def complex_from_payload(payload, graph, source="<payload>"):
+    """Decode and check a complex payload read from `source` over its
+    graph, decoded from the graph file whose header hash it names.
+
+    Every top and wall generator must map its cell's vectors onto
+    themselves, each wall's witness and kind must agree with the graph
+    edge at its (parent, face_index), the kept lists must be the
+    increasing indices whose `orientation_kept` is true (those flags are
+    trusted), and the triplets must be nonzero and strictly increasing.
     """
+    graph_reference(payload, source)
     rd = _Reader(source)
-    if type(payload) is not dict:
-        rd.fail((), "is not an object")
-    graph = graph_from_payload(rd.get(payload, (), "graph", dict), source,
-                               ("graph",))
-    if rd.get(payload, (), "n", int) != graph.n or \
-            rd.get(payload, (), "group", str) != graph.group_kind:
-        rd.fail((), "has a rank or group that differs from its graph")
     tops = tuple(_orbit_from_payload(rd, rec, path, graph, True)
                  for path, rec in rd.records(payload, (), "tops"))
     if len(tops) != len(graph.nodes):
@@ -410,19 +410,24 @@ def complex_from_payload(payload, source="<payload>"):
             rd.fail(path + ("kind",), "does not match the wall's neighbor")
     kept_tops = rd.indices(payload, (), "kept_tops", len(tops))
     kept_walls = rd.indices(payload, (), "kept_walls", len(walls))
+    for key, kept, cells in (("kept_tops", kept_tops, tops),
+                             ("kept_walls", kept_walls, walls)):
+        if kept != tuple(i for i, c in enumerate(cells)
+                         if c.orientation_kept):
+            rd.fail((key,), "is not the increasing list of indices whose "
+                            "orientation_kept is true")
     d_path = ("differential",)
     d_rec = rd.get(payload, (), "differential", dict)
     rows = rd.labels(d_rec, d_path, "rows", len(kept_walls))
     cols = rd.labels(d_rec, d_path, "cols", len(kept_tops))
     entries = []
-    for i, t in enumerate(rd.get(d_rec, d_path, "triplets", list)):
-        at = d_path + ("triplets", i)
-        if type(t) is not list or len(t) != 3 or \
-                type(t[0]) is not int or not 0 <= t[0] < len(rows) or \
-                type(t[1]) is not int or not 0 <= t[1] < len(cols) or \
-                type(t[2]) is not int:
-            rd.fail(at, "is not a [row, col, value] entry")
-        entries.append(((t[0], t[1]), t[2]))
+    triplets = rd.field_ints(d_rec, d_path, "triplets", None, 3)
+    for i, (r, c, v) in enumerate(triplets):
+        if not (0 <= r < len(rows) and 0 <= c < len(cols)) or v == 0 or \
+                entries and (r, c) <= entries[-1][0]:
+            rd.fail(d_path + ("triplets", i), "is not a nonzero entry in "
+                    "range, after the previous one in (row, col) order")
+        entries.append(((r, c), v))
     return VoronoiComplex(
         n=graph.n, group_kind=graph.group_kind,
         seed_perm=rd.get(payload, (), "seed_perm", int), graph=graph,
@@ -462,13 +467,15 @@ def save_payload(path, kind, n, group, payload):
     return path
 
 
-def load_payload(path, kind=None, n=None, group=None):
+def load_payload(path, kind=None, n=None, group=None, digest=None):
     """The payload of the cache file at `path`.
 
     The file must be exactly what save_payload writes.  Its header is
     rebuilt from the decoded group, hash, kind and n, and the hash is
     checked on the stored bytes between that header and the trailer:
-    the bytes the payload was decoded from.
+    the bytes the payload was decoded from.  The header must carry the
+    given kind, n, group and `digest` (the graph hash a complex payload
+    refers to), and a payload's own n and group must be the header's.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -500,13 +507,16 @@ def load_payload(path, kind=None, n=None, group=None):
     body = memoryview(data)[len(header):len(data) - len(trailer)]
     if hashlib.sha256(body).hexdigest() != doc["hash"]:
         raise CacheCorrupt(f"{path}: content hash mismatch")
-    if kind is not None and doc["kind"] != kind:
-        raise CacheCorrupt(f"{path}: expected kind {kind!r}")
-    if n is not None and doc["n"] != n:
-        raise CacheCorrupt(f"{path}: expected n={n}")
-    if group is not None and doc["group"] != group:
-        raise CacheCorrupt(f"{path}: expected group {group!r}")
-    return doc["payload"]
+    for key, want in (("kind", kind), ("n", n), ("group", group),
+                      ("hash", digest)):
+        if want is not None and doc[key] != want:
+            raise CacheCorrupt(f"{path}: expected {key} {want!r}")
+    payload = doc["payload"]
+    for key in ("n", "group"):
+        if type(payload) is dict and payload.get(key, doc[key]) != doc[key]:
+            raise CacheCorrupt(f"{path}: payload.{key} is not {doc[key]!r}, "
+                               f"as in the file header")
+    return payload
 
 
 def cache_path(cache_dir, kind, n, group, seed_perm=0):

@@ -220,16 +220,127 @@ def test_stale_schema_version_exit_three(cache, capsys):
 
 @pytest.mark.parametrize("record", (("walls", 0), ("graph", "nodes", 0)))
 def test_swapped_generator_exit_three(cache, capsys, record):
+    # A ("graph", ...) record lies in the graph file.  Re-hashed, that
+    # file no longer carries the hash the complex file names, so the
+    # complex file goes too: the complex is then rebuilt over the edited
+    # graph, whose generator check must catch the change.
+    name = "complex-n2-sl.json"
+    if record[0] == "graph":
+        name, record = "graph-n2-sl.json", record[1:]
+
     def swap(doc):
         rec = doc["payload"]
         for key in record:
             rec = rec[key]
         assert rec["generators"][0] != [[1, 1], [0, 1]]
         rec["generators"][0] = [[1, 1], [0, 1]]
-    code, err = _verify_after_tamper(capsys, cache, "complex-n2-sl.json",
-                                     swap)
+        if name.startswith("graph"):
+            os.unlink(os.path.join(cache, "complex-n2-sl.json"))
+    code, err = _verify_after_tamper(capsys, cache, name, swap)
     assert code == 3
     assert "generators[0] does not fix" in err
+
+
+@pytest.mark.parametrize("n, group", ((3, "sl"), (4, "gl")))
+def test_payload_under_another_header_exit_three(cache, capsys, n, group):
+    # Rank-3 sl or rank-4 gl caches re-saved under rank-4 sl headers,
+    # the complex still referring to its graph: the payload's own rank
+    # or group is not the header's.
+    from vorcycle.persistence import load_payload, save_payload
+    run(capsys, "verify", "--n", str(n), "--group", group,
+        "--cache-dir", cache)
+    for kind in ("graph", "complex"):
+        payload = load_payload(
+            os.path.join(cache, f"{kind}-n{n}-{group}.json"))
+        save_payload(os.path.join(cache, f"{kind}-n4-sl.json"), kind, 4,
+                     "sl", payload)
+    code, out, err = run(capsys, "verify", "--n", "4", "--group", "sl",
+                         "--cache-dir", cache)
+    assert code == 3
+    assert "verified" not in out and "Traceback" not in out + err
+    field = "n" if n != 4 else "group"
+    assert f"{os.path.join(cache, 'graph-n4-sl.json')}: payload.{field} " \
+        "is not" in err
+    assert not os.path.exists(os.path.join(cache, "verdict-n4-sl.json"))
+
+
+def _rank_four_complex(capsys, cache):
+    run(capsys, "verify", "--n", "4", "--group", "sl", "--cache-dir", cache)
+    return os.path.join(cache, "complex-n4-sl.json")
+
+
+def test_complex_without_its_graph_file_exit_three(cache, capsys):
+    path = _rank_four_complex(capsys, cache)
+    graph = os.path.join(cache, "graph-n4-sl.json")
+    os.unlink(graph)
+    code, out, err = run(capsys, "verify", "--n", "4", "--group", "sl",
+                         "--cache-dir", cache)
+    assert code == 3
+    assert "Traceback" not in out + err and "verified" not in out
+    assert f"{path}: payload.graph: " in err and graph in err
+    assert "No such file" in err
+    # Strict: the graph is not rebuilt behind the complex file's back.
+    assert not os.path.exists(graph)
+
+
+def test_complex_with_another_graph_file_exit_three(cache, capsys):
+    # Another validly hashed graph file: one label changed, re-hashed.
+    path = _rank_four_complex(capsys, cache)
+    graph = os.path.join(cache, "graph-n4-sl.json")
+
+    def relabel(doc):
+        doc["payload"]["nodes"][0]["label"] += "'"
+    _tamper(graph, relabel)
+    code, out, err = run(capsys, "verify", "--n", "4", "--group", "sl",
+                         "--cache-dir", cache)
+    assert code == 3
+    assert "Traceback" not in out + err and "verified" not in out
+    assert f"{path}: payload.graph: {graph}" in err
+    assert f"{graph}: expected hash" in err
+
+
+def _drop_column_zero(doc):
+    d = doc["payload"]["differential"]
+    d["cols"] = d["cols"][1:]
+    d["triplets"] = [[r, c - 1, v] for r, c, v in d["triplets"] if c]
+    doc["payload"]["kept_tops"] = doc["payload"]["kept_tops"][1:]
+
+
+def _repeat_triplet(doc):
+    d = doc["payload"]["differential"]
+    d["triplets"].insert(0, d["triplets"][0])
+
+
+def _extra_zero_triplet(doc):
+    # Rank 4 sl has one kept wall and both of its entries are nonzero,
+    # so the zero entry sits at the last one's position.
+    d = doc["payload"]["differential"]
+    d["triplets"].append(d["triplets"][-1][:2] + [0])
+
+
+@pytest.mark.parametrize("edit, field", (
+    (lambda doc: doc["payload"].update(kept_tops=[0, 0]),
+     "payload.kept_tops is not the increasing list"),
+    (_drop_column_zero, "payload.kept_tops is not the increasing list"),
+    (lambda doc: doc["payload"].update(kept_walls=[]),
+     "payload.kept_walls is not the increasing list"),
+    (_repeat_triplet, "payload.differential.triplets[1] is not a nonzero"),
+    (_extra_zero_triplet,
+     "payload.differential.triplets[2] is not a nonzero"),
+    (lambda doc: doc["payload"]["differential"]["triplets"][1].__setitem__(
+        2, 0), "payload.differential.triplets[1] is not a nonzero"),
+), ids=("kept-top-repeated", "kept-top-and-column-dropped",
+        "kept-walls-emptied", "triplet-repeated", "zero-triplet-added",
+        "triplet-value-zeroed"))
+def test_kept_lists_and_differential_disagree_exit_three(cache, capsys,
+                                                         edit, field):
+    path = _rank_four_complex(capsys, cache)
+    _tamper(path, edit)
+    code, out, err = run(capsys, "verify", "--n", "4", "--group", "sl",
+                         "--cache-dir", cache)
+    assert code == 3
+    assert "Traceback" not in out + err and "FALSIFIED" not in out
+    assert f"{path}: {field}" in err
 
 
 def test_bad_edge_facet_in_graph_cache_exit_three(cache, capsys):

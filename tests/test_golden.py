@@ -22,9 +22,17 @@ file as one line of canonical JSON, with graph and complex integers as
 JSON integers and orbit members as [parent, face].  Decoded, the
 verdict payloads are the recorded ones, and the graph and complex
 payloads are the schema-3 ones with decimal strings read as integers
-and members cut to [parent, face].  Any change to the
-search order, the chosen witnesses or the generating sets shows up here
-as a changed graph, complex or verdict file.  A second `verify` from the
+and members cut to [parent, face].
+
+Since then only the complex digests were re-recorded, once: complex
+schema 5 stores the graph once, in the graph file.  A complex payload
+lost its embedded graph and its `n` and `group`, which repeat its file
+header and the graph, and refers to the graph file by the hash in that
+file's header instead.  Its other fields are the schema-4 ones; the
+graph and verdict files, and so their digests, did not change.
+
+Any change to the search order, the chosen witnesses or the generating
+sets shows up here as a changed graph, complex or verdict file.  A second `verify` from the
 caches just written must reproduce the verdict file byte for byte.
 """
 
@@ -40,7 +48,7 @@ GOLDEN = {
         "graph-n3-sl.json":
             "df1e58530070dab14bafaa37c5285c1e0c45f250027e9b62f974e966427e453f",
         "complex-n3-sl.json":
-            "c849c65fdecd73ea6c44d58a8fd6d6eb7d2d3e0401812b265d87f381dc9f0a3a",
+            "ae2daa6fc15ba5ecb2cb85f124f4535d1058575507a924199524d9a26499f48d",
         "verdict-n3-sl.json":
             "53514469a3a0e5fcacdf9809bc173d4c6e5b8cf5e8090d94a2bb864045dac997",
     },
@@ -48,7 +56,7 @@ GOLDEN = {
         "graph-n3-gl.json":
             "0ad56d01b8781b3a29af792ad8c0552582bc9a242411f5a909fa378ef0f713e8",
         "complex-n3-gl.json":
-            "0566ff50f662da5dd9c8b4ed6abcbb8588d16d73abaa28340d8e4c29395942e2",
+            "e070ec99f0ce3b973bbe9ed152cd5af42ffa42c5c96385a89b4f3d6d610aa58f",
         "verdict-n3-gl.json":
             "a23f09fabc1d98f5970ce934b68c659deddbc6b7a650fef3f9717150a41199a2",
     },
@@ -56,7 +64,7 @@ GOLDEN = {
         "graph-n4-sl.json":
             "1015d2274bb2c271abbc14b86d618a7a82bce39a4fe88a11b8048b6d76644af9",
         "complex-n4-sl.json":
-            "a050b00c9361d7a2aa95e9df2373025fee5d1f88865608b24d34b0823082b13a",
+            "ff73e3e32c8b74366ede8cac3795d131e86fb859ec57a661ac20ec9b046eb0da",
         "verdict-n4-sl.json":
             "36db85c4819198a94d977b86420b3fdfbd2d950d6f8f2f3adb4512417252bba0",
     },
@@ -64,7 +72,7 @@ GOLDEN = {
         "graph-n4-gl.json":
             "34c4bad2b220b2e14bc868e833c3583a6c3db01c03c1b52c43a51c821b935bb0",
         "complex-n4-gl.json":
-            "87e8ab6d627da4d90bce7dd85b1ba44f647431026d068b5f480e603147764c9c",
+            "85fe20eb93c63274c037761870a831d015a6fc8ab8049b016866c12d16c3c6a4",
         "verdict-n4-gl.json":
             "22cedf4684c60d5857d0272eb219e041c7f55a3607958676995edfd79b0b527c",
     },

@@ -17,6 +17,7 @@ from vorcycle.persistence import (
     complex_to_payload,
     content_hash,
     graph_from_payload,
+    graph_reference,
     graph_to_payload,
     load_payload,
     save_payload,
@@ -42,11 +43,27 @@ def test_graph_round_trip(tmp_path):
     assert loaded.edges == graph.edges
 
 
+def _graph_hash(cx):
+    return content_hash(graph_to_payload(cx.graph))
+
+
+def _save_and_load(tmp_path, cx):
+    """Write the graph and complex files of `cx` and load them back: the
+    complex over the graph file whose header hash its payload names."""
+    n, group = cx.n, cx.group_kind
+    g_path = save_payload(str(tmp_path / "g.json"), "graph", n, group,
+                          graph_to_payload(cx.graph))
+    c_path = save_payload(str(tmp_path / "c.json"), "complex", n, group,
+                          complex_to_payload(cx, _graph_hash(cx)))
+    payload = load_payload(c_path, "complex", n, group)
+    graph = graph_from_payload(load_payload(
+        g_path, "graph", n, group, graph_reference(payload, c_path)), g_path)
+    return complex_from_payload(payload, graph, c_path)
+
+
 def test_complex_round_trip(tmp_path):
     cx = cached_complex(2, "sl")
-    payload = complex_to_payload(cx)
-    path = save_payload(str(tmp_path / "c.json"), "complex", 2, "sl", payload)
-    loaded = complex_from_payload(load_payload(path, "complex", 2, "sl"))
+    loaded = _save_and_load(tmp_path, cx)
     assert loaded.kept_tops == cx.kept_tops
     assert loaded.kept_walls == cx.kept_walls
     assert loaded.walls == cx.walls
@@ -60,10 +77,23 @@ def test_complex_round_trip_is_exact(tmp_path, n, group):
     # Members are stored as [parent, face]; the vectors derived from the
     # graph on load must be the ones the build held.
     cx = cached_complex(n, group)
-    path = save_payload(str(tmp_path / "c.json"), "complex", n, group,
-                        complex_to_payload(cx))
-    loaded = complex_from_payload(load_payload(path, "complex", n, group))
-    assert loaded == cx
+    assert _save_and_load(tmp_path, cx) == cx
+
+
+def test_complex_payload_refers_to_the_graph_file(tmp_path):
+    cx = cached_complex(3, "gl")
+    payload = complex_to_payload(cx, _graph_hash(cx))
+    assert set(payload) == {"seed_perm", "graph", "tops", "walls",
+                            "kept_tops", "kept_walls", "differential"}
+    g_path = save_payload(str(tmp_path / "g.json"), "graph", 3, "gl",
+                          graph_to_payload(cx.graph))
+    c_path = save_payload(str(tmp_path / "c.json"), "complex", 3, "gl",
+                          payload)
+    assert json.load(open(g_path))["hash"] == payload["graph"]
+    assert json.load(open(c_path))["schema_version"] == 5
+    assert load_payload(g_path, "graph", 3, "gl", payload["graph"])
+    with pytest.raises(CacheCorrupt, match="g.json: expected hash '0+'"):
+        load_payload(g_path, "graph", 3, "gl", "0" * 64)
 
 
 def test_file_is_the_canonical_encoding(tmp_path):
@@ -103,6 +133,17 @@ def test_integers_serialized_as_json_integers():
     # Verdict payloads keep the decimal strings of their reports.
     report = verify_top_cycle(cached_complex(2, "sl")).to_payload()
     assert all(type(v) is str for v in report["details"].values())
+
+
+@pytest.mark.parametrize("key, value", (("n", 4), ("group", "gl")))
+def test_payload_rank_and_group_are_the_headers(tmp_path, key, value):
+    payload = graph_to_payload(cached_graph(3, "sl"))
+    header = {"n": 3, "group": "sl", key: value}
+    path = save_payload(str(tmp_path / "g.json"), "graph", header["n"],
+                        header["group"], payload)
+    with pytest.raises(CacheCorrupt, match=rf"g.json: payload\.{key} is "
+                                           rf"not {value!r}"):
+        load_payload(path)
 
 
 def test_hash_corruption_detected(tmp_path):
@@ -175,39 +216,52 @@ def _mutated(payload, path, new=None, delete=False):
         target[path[-1]] = old
 
 
+def _decoders(n, group):
+    """(payload, decode) for the graph and the complex payload of
+    (n, group): every field of the two files."""
+    cx = cached_complex(n, group)
+    return ((graph_to_payload(cx.graph),
+             lambda p: graph_from_payload(p, "c.json")),
+            (complex_to_payload(cx, _graph_hash(cx)),
+             lambda p: complex_from_payload(p, cx.graph, "c.json")))
+
+
 @pytest.mark.parametrize("n, group", ((2, "sl"), (3, "gl")))
 def test_every_missing_field_is_cache_corrupt(n, group):
-    payload = complex_to_payload(cached_complex(n, group))
-    keys = [p for p, _ in _paths(payload) if isinstance(p[-1], str)]
-    assert len(keys) > 50
-    for path in keys:
-        with _mutated(payload, path, delete=True) as bad, \
-                pytest.raises(CacheCorrupt, match="c.json: payload"):
-            complex_from_payload(bad, "c.json")
+    count = 0
+    for payload, decode in _decoders(n, group):
+        keys = [p for p, _ in _paths(payload) if isinstance(p[-1], str)]
+        count += len(keys)
+        for path in keys:
+            with _mutated(payload, path, delete=True) as bad, \
+                    pytest.raises(CacheCorrupt, match="c.json: payload"):
+                decode(bad)
+    assert count > 50
 
 
 @pytest.mark.parametrize("n, group", ((2, "sl"), (3, "gl")))
 def test_mistyped_fields_never_crash(n, group):
     # A replaced value may happen to be valid (a label "x"); anything
     # else must surface as CacheCorrupt, never as another exception.
-    payload = complex_to_payload(cached_complex(n, group))
     rejected = 0
-    for path, _ in list(_paths(payload)):
-        for new in ({}, "x", -1, None):
-            with _mutated(payload, path, new) as bad:
-                try:
-                    complex_from_payload(bad, "c.json")
-                except CacheCorrupt as exc:
-                    assert str(exc).startswith("c.json: payload")
-                    rejected += 1
+    for payload, decode in _decoders(n, group):
+        for path, _ in list(_paths(payload)):
+            for new in ({}, "x", -1, None):
+                with _mutated(payload, path, new) as bad:
+                    try:
+                        decode(bad)
+                    except CacheCorrupt as exc:
+                        assert str(exc).startswith("c.json: payload")
+                        rejected += 1
     assert rejected > 300
 
 
 def test_missing_field_message_names_the_field():
-    payload = complex_to_payload(cached_complex(2, "sl"))
+    cx = cached_complex(2, "sl")
+    payload = complex_to_payload(cx, _graph_hash(cx))
     del payload["tops"][0]["label"]
     with pytest.raises(CacheCorrupt) as exc:
-        complex_from_payload(payload, "complex-n2-sl.json")
+        complex_from_payload(payload, cx.graph, "complex-n2-sl.json")
     assert str(exc.value) == \
         "complex-n2-sl.json: payload.tops[0].label is missing"
 
@@ -258,10 +312,13 @@ SHEAR = [[1, 1], [0, 1]]
     (("graph", "nodes", 0, "min_value"), "2", "min_value has the wrong type"),
 ))
 def test_generator_certificates_and_ranges(where, new, problem):
-    payload = complex_to_payload(cached_complex(2, "sl"))
+    # A ("graph", ...) field lies in the graph payload.
+    (graph_payload, graph_decode), (payload, decode) = _decoders(2, "sl")
+    if where[0] == "graph":
+        payload, decode, where = graph_payload, graph_decode, where[1:]
     with _mutated(payload, where, new) as bad, \
             pytest.raises(CacheCorrupt, match=problem) as exc:
-        complex_from_payload(bad, "c.json")
+        decode(bad)
     assert "payload." in str(exc.value)
 
 
@@ -318,19 +375,29 @@ WRONG_VALUES = (None, True, False, 0, -1, 1.5, "x", "1", "", [], {}, [1],
 
 
 @pytest.fixture(scope="module")
-def complex_text(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "complex-n3-gl.json"
-    save_payload(str(path), "complex", 3, "gl",
-                 complex_to_payload(cached_complex(3, "gl")))
-    return path.read_text()
+def cache_texts(tmp_path_factory):
+    """The texts of the rank-3 gl graph and complex files."""
+    cx = cached_complex(3, "gl")
+    path = tmp_path_factory.mktemp("fuzz")
+    save_payload(str(path / "graph.json"), "graph", 3, "gl",
+                 graph_to_payload(cx.graph))
+    save_payload(str(path / "complex.json"), "complex", 3, "gl",
+                 complex_to_payload(cx, _graph_hash(cx)))
+    return {name: (path / name).read_text()
+            for name in ("graph.json", "complex.json")}
 
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
-def test_load_payload_fuzz(complex_text, tmp_path_factory, data):
+def test_load_payload_fuzz(cache_texts, tmp_path_factory, data):
     # Drop keys, swap value types (re-hashed or not) and truncate the
-    # text: loading and decoding either succeeds or raises CacheCorrupt.
-    doc = json.loads(complex_text)
+    # text of the graph or the complex file: loading and decoding the
+    # complex over the graph it refers to either succeeds or raises
+    # CacheCorrupt naming one of the two files.
+    where = tmp_path_factory.mktemp("fuzz")
+    paths = {name: str(where / name) for name in cache_texts}
+    name = data.draw(st.sampled_from(sorted(cache_texts)))
+    doc = json.loads(cache_texts[name])
     for _ in range(data.draw(st.integers(0, 3))):
         node, key = data.draw(st.sampled_from(_slots(doc, [])))
         if data.draw(st.booleans()):
@@ -344,10 +411,15 @@ def test_load_payload_fuzz(complex_text, tmp_path_factory, data):
     text = canonical_dumps(doc) + "\n"
     if data.draw(st.booleans()):
         text = text[:data.draw(st.integers(0, len(text)))]
-    path = tmp_path_factory.mktemp("fuzz") / "complex-n3-gl.json"
-    path.write_text(text)
+    for other, other_text in cache_texts.items():
+        with open(paths[other], "w") as fh:
+            fh.write(text if other == name else other_text)
     try:
-        complex_from_payload(load_payload(str(path), "complex", 3, "gl"),
-                             str(path))
+        payload = load_payload(paths["complex.json"], "complex", 3, "gl")
+        digest = graph_reference(payload, paths["complex.json"])
+        graph = graph_from_payload(load_payload(
+            paths["graph.json"], "graph", 3, "gl", digest),
+            paths["graph.json"])
+        complex_from_payload(payload, graph, paths["complex.json"])
     except CacheCorrupt as exc:
-        assert str(exc).startswith(str(path))
+        assert str(exc).startswith(tuple(paths.values()))
