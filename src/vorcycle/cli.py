@@ -24,12 +24,12 @@ from .persistence import (
     cache_path,
     complex_from_payload,
     complex_to_payload,
-    content_hash,
     graph_from_payload,
     graph_reference,
     graph_to_payload,
     load_payload,
     save_payload,
+    stored_hash,
 )
 from .tessellation import (
     InvariantViolation,
@@ -71,11 +71,10 @@ def _load_or_build_graph(args, digest=None):
     if digest is not None or os.path.exists(path):
         payload = load_payload(path, "graph", n, group, digest)
         graph = graph_from_payload(payload, path)
-        return graph, path, digest or content_hash(payload)
-    graph = enumerate_perfect_forms(n, group, allow_long=args.allow_long)
-    payload = graph_to_payload(graph)
-    save_payload(path, "graph", n, group, payload)
-    return graph, path, content_hash(payload)
+    else:
+        graph = enumerate_perfect_forms(n, group, allow_long=args.allow_long)
+        save_payload(path, "graph", n, group, graph_to_payload(graph))
+    return graph, path, digest or stored_hash(path)
 
 
 def _load_or_build_complex(args):

@@ -27,8 +27,8 @@ a candidate basis relative to the reference is the ratio of the two
 stacked determinants.
 """
 
-from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .cones import meets_boundary, subcone_facets
 from .forms import apply_to_cell, rank_one
@@ -64,8 +64,7 @@ def ambient_orientation_sign(g, n):
                      for unit in identity_matrix(sym_dim(n))])
 
 
-@dataclass(frozen=True)
-class CellOrbitRec:
+class CellOrbitRec(NamedTuple):
     """One orbit representative at some level of the complex."""
 
     level: str               # "top", "wall", or "codim2"
@@ -82,20 +81,12 @@ class CellOrbitRec:
     label: str
 
 
-@dataclass(frozen=True)
-class Differential:
+class Differential(NamedTuple):
     """Sparse integer matrix of incidence numbers, rows = child classes."""
 
     row_labels: tuple
     col_labels: tuple
     entries: tuple           # sorted ((row, col), value) pairs
-
-    def __post_init__(self):
-        # Index the rows once; row_entries is called for every row.
-        rows = [[] for _ in self.row_labels]
-        for (r, c), v in self.entries:
-            rows[r].append((c, v))
-        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
 
     @property
     def row_count(self):
@@ -115,11 +106,12 @@ class Differential:
         return [(r, c, v) for (r, c), v in self.entries]
 
     def row_entries(self, r):
-        return self._rows[r]
+        # A scan: a differential has at most a few hundred entries, and
+        # each row is read once.
+        return tuple((c, v) for (row, c), v in self.entries if row == r)
 
 
-@dataclass(frozen=True)
-class VoronoiComplex:
+class VoronoiComplex(NamedTuple):
     n: int
     group_kind: str
     seed_perm: int
@@ -345,8 +337,8 @@ def build_complex(graph, seed_perm=0):
         far = apply_to_cell(edge.witness, graph.nodes[edge.neighbor].minvecs.vectors)
         shared = tuple(sorted(set(graph.nodes[w.parent].minvecs.vectors) & set(far)))
         assert shared == tuple(views[w.parent].faces[w.face_index])
-        classified.append(replace(
-            w, kind=kind, witness=(edge.neighbor, edge.witness.rows)))
+        classified.append(w._replace(
+            kind=kind, witness=(edge.neighbor, edge.witness.rows)))
     walls = tuple(classified)
     kept_walls = tuple(i for i, w in enumerate(walls) if w.orientation_kept)
 

@@ -13,7 +13,7 @@ inward-pointing: <N, r> = 0 on incident rays and > 0 on every other ray
 of the cone, where <.,.> is the trace pairing.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .forms import rank_one
 from .linalg import (
@@ -32,16 +32,14 @@ class NotFullDim(ValueError):
     """The given rays do not span the ambient space."""
 
 
-@dataclass(frozen=True)
-class FacetRec:
+class FacetRec(NamedTuple):
     """One facet: inward primitive normal plus incident ray indices."""
 
     normal: tuple            # symmetric integer matrix
     incident: frozenset      # indices into the cone's ray list
 
 
-@dataclass(frozen=True)
-class PolyCone:
+class PolyCone(NamedTuple):
     """A pointed full-dimensional cone spanned by rank-one matrices."""
 
     ambient_dim: int

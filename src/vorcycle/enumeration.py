@@ -29,9 +29,9 @@ of determinant -1 is then corrected by such an element, or leads to
 the mirror of a split class.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .cones import build_cone, meets_boundary
 from .forms import (
@@ -63,16 +63,14 @@ FREE_MAX_RANK = 5
 HARD_MAX_RANK = 7
 
 
-@dataclass(frozen=True)
-class EquivWitness:
+class EquivWitness(NamedTuple):
     """g maps one form to `scale` times the other under act(g, .)."""
 
     g: GroupElement
     scale: Fraction
 
 
-@dataclass(frozen=True)
-class PerfectFormRep:
+class PerfectFormRep(NamedTuple):
     """A class representative with its full local data."""
 
     form: QForm
@@ -83,27 +81,24 @@ class PerfectFormRep:
     label: str
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     node: int
     facet: int
     neighbor: int
     witness: GroupElement   # act(witness, rep_neighbor) is the concrete form
 
 
-@dataclass(frozen=True)
-class VoronoiGraph:
+class VoronoiGraph(NamedTuple):
     n: int
     group_kind: str
     nodes: tuple
     edges: tuple
 
     def edge_at(self, node, facet):
-        return self._edge_index[(node, facet)]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_edge_index", {(e.node, e.facet): e for e in self.edges})
+        # A scan: a graph has at most a few hundred edges, and each wall
+        # asks for one.
+        return next(e for e in self.edges
+                    if e.node == node and e.facet == facet)
 
 
 def neighbor_form(form, minvecs, facet):

@@ -22,9 +22,9 @@ vector set g*S), which keeps form witnesses and cell witnesses literally
 the same matrices.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .linalg import (
     adjugate,
@@ -158,8 +158,7 @@ def short_vectors(gram, bound):
     return sorted(found.items())
 
 
-@dataclass(frozen=True)
-class QForm:
+class QForm(NamedTuple):
     """A positive definite integer quadratic form, normalized up to scale."""
 
     gram: tuple
@@ -201,8 +200,7 @@ class QForm:
         return bilinear(self.gram, x, y)
 
 
-@dataclass(frozen=True)
-class MinVecSet:
+class MinVecSet(NamedTuple):
     """Minimum and the complete set of minimal vectors of a form.
 
     `vectors` holds one canonical representative per antipodal pair,
@@ -231,8 +229,7 @@ def minimum_and_minimal_vectors(form):
     return MinVecSet(vectors=vectors, min_value=mu)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """An element of GL_n(Z)."""
 
     rows: tuple

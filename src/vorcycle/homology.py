@@ -17,8 +17,8 @@ cancellation certificate per wall row showing the weighted entries
 telescoping to zero.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import build_codim2
 from .enumeration import root_label
@@ -29,20 +29,19 @@ class WrongGroupParity(ValueError):
     """The (group, rank) pair does not act orientation-preservingly."""
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(NamedTuple):
     n: int
     group_kind: str
     kernel_dim: int
     canonical_in_kernel: bool
     kernel_spanned_by_canonical: bool
     ok: bool
+    details: dict            # required: a default dict would be shared
     top_labels: tuple = ()
     stab_orders: tuple = ()
     kernel_vectors: tuple = ()
     canonical: tuple = ()
     row_certificates: tuple = ()
-    details: dict = field(default_factory=dict)
 
     def to_payload(self):
         return {

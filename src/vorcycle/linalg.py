@@ -157,7 +157,7 @@ def det_int(rows):
         return 1
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    ech, pivots, sign = _echelon(_as_int_rows(rows))
+    ech, pivots, sign = _echelon(rows)
     if len(pivots) < n:
         return 0
     # Bareiss leaves the determinant (up to swaps) in the last pivot.
@@ -169,7 +169,7 @@ def det_sign(rows):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    d = det_int(rows)  # row scaling in _as_int_rows is positive
+    d = det_int(_as_int_rows(rows))  # the row scaling is positive
     return (d > 0) - (d < 0)
 
 

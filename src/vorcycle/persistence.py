@@ -23,7 +23,6 @@ graph edge at its parent facet.  The stored orders, the orientation
 flags, and whether an edge witness glues its two domains, are trusted.
 """
 
-import hashlib
 import json
 import os
 import tempfile
@@ -64,12 +63,53 @@ def _enc_mat(rows):
     return [list(r) for r in rows]
 
 
+# One encoder for every piece: json.dumps builds a new one per call when
+# given these arguments.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _holds_objects(value):
+    return type(value) is list and any(type(x) is dict for x in value)
+
+
+def _assemble(obj, out):
+    """Append the canonical encoding of `obj` to `out` in pieces."""
+    if _holds_objects(obj):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _assemble(item, out)
+        out.append("]")
+    elif type(obj) is dict and all(type(k) is str for k in obj) and \
+            any(_holds_objects(v) for v in obj.values()):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            out.append(("," if i else "") + _dumps(key) + ":")
+            _assemble(obj[key], out)
+        out.append("}")
+    else:
+        out.append(_dumps(obj))
+
+
 def canonical_dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """`json.dumps(obj, sort_keys=True, separators=(",", ":"))`.
+
+    Lists of objects, and objects with string keys that hold one, are
+    assembled here member by member; every other value is one encoder
+    call.  The bytes are the same, and the encoder holds the tokens of
+    one record at a time instead of those of a whole file.
+    """
+    out = []
+    _assemble(obj, out)
+    return "".join(out)
 
 
-def content_hash(payload):
-    return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
+def _sha256(data):
+    # Imported here: hashlib loads OpenSSL, which only the commands that
+    # read or write a cache file need.
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
 
 
 def graph_to_payload(graph):
@@ -452,8 +492,7 @@ def save_payload(path, kind, n, group, payload):
     if kind not in PAYLOAD_KINDS:
         raise ValueError(f"unknown payload kind {kind!r}")
     body = canonical_dumps(payload).encode()
-    header, trailer = _frame(kind, n, group,
-                             hashlib.sha256(body).hexdigest())
+    header, trailer = _frame(kind, n, group, _sha256(body))
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                suffix=".tmp")
@@ -505,7 +544,7 @@ def load_payload(path, kind=None, n=None, group=None, digest=None):
         raise CacheCorrupt(f"{path}: not in the canonical form that "
                            f"vorcycle writes")
     body = memoryview(data)[len(header):len(data) - len(trailer)]
-    if hashlib.sha256(body).hexdigest() != doc["hash"]:
+    if _sha256(body) != doc["hash"]:
         raise CacheCorrupt(f"{path}: content hash mismatch")
     for key, want in (("kind", kind), ("n", n), ("group", group),
                       ("hash", digest)):
@@ -517,6 +556,14 @@ def load_payload(path, kind=None, n=None, group=None, digest=None):
             raise CacheCorrupt(f"{path}: payload.{key} is not {doc[key]!r}, "
                                f"as in the file header")
     return payload
+
+
+def stored_hash(path):
+    """The hash in the header of the cache file at `path`, as
+    save_payload wrote it: the hash of the payload bytes stored there."""
+    with open(path, "rb") as fh:
+        head = fh.read(256)
+    return json.loads(head[:head.index(b',"kind":')] + b"}")["hash"]
 
 
 def cache_path(cache_dir, kind, n, group, seed_perm=0):

@@ -36,8 +36,8 @@ such an elimination returns.
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import clear_denominators, sym_dim
 
@@ -53,15 +53,13 @@ class IndexOutOfRange(InvariantViolation):
 FACET_KINDS = ("self", "non_self")
 
 
-@dataclass(frozen=True)
-class TileOrbit:
+class TileOrbit(NamedTuple):
     stab_order: int
     orientation_kept: bool = True
     label: str = ""
 
 
-@dataclass(frozen=True)
-class FacetOrbit:
+class FacetOrbit(NamedTuple):
     stab_order: int
     kind: str
     incidences: tuple        # ((tile_index, Fraction), ...)
@@ -89,8 +87,7 @@ def _parse(value, path, parse, what):
     _fail(path, f"missing or not {what}")
 
 
-@dataclass(frozen=True)
-class TessInstance:
+class TessInstance(NamedTuple):
     ambient_dim: int
     tiles: tuple
     facet_orbits: tuple
@@ -183,8 +180,7 @@ class TessInstance:
         return inst
 
 
-@dataclass
-class TessVerdict:
+class TessVerdict(NamedTuple):
     connected: bool
     kernel_dim: int
     canonical_in_kernel: bool

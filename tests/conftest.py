@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import random
+import types
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+from vorcycle import complexes, cones, enumeration, forms, isometry
 from vorcycle.complexes import build_complex, transport_flat
 from vorcycle.enumeration import enumerate_perfect_forms
 from vorcycle.forms import (
@@ -14,6 +17,7 @@ from vorcycle.forms import (
     rank_one,
 )
 from vorcycle.isometry import cell_maps
+from vorcycle.persistence import canonical_dumps
 from vorcycle.tessellation import TessVerdict, _same_line, weighted_boundary
 from vorcycle.linalg import (
     kernel_basis,
@@ -26,14 +30,44 @@ from vorcycle.linalg import (
 )
 
 
+# The pipeline's functions as imported, so the session-wide caches below
+# can refuse to build, or hand out, a result while a test has one
+# of them monkeypatched.
+PIPELINE_FUNCTIONS = {
+    (module, name): value
+    for module in (enumeration, complexes, isometry, cones, forms)
+    for name, value in vars(module).items()
+    if isinstance(value, types.FunctionType)}
+
+
+def _require_unpatched():
+    patched = [f"{module.__name__}.{name}"
+               for (module, name), value in PIPELINE_FUNCTIONS.items()
+               if getattr(module, name, None) is not value]
+    if patched:
+        raise RuntimeError("the session-wide graph and complex caches are "
+                           f"shared by every test; {', '.join(patched)} "
+                           "is patched")
+
+
 @lru_cache(maxsize=None)
-def cached_graph(n, group, traversal="default"):
+def _cached_graph(n, group, traversal):
     return enumerate_perfect_forms(n, group, traversal=traversal)
 
 
 @lru_cache(maxsize=None)
-def cached_complex(n, group, seed_perm=0):
+def _cached_complex(n, group, seed_perm):
     return build_complex(cached_graph(n, group), seed_perm=seed_perm)
+
+
+def cached_graph(n, group, traversal="default"):
+    _require_unpatched()
+    return _cached_graph(n, group, traversal)
+
+
+def cached_complex(n, group, seed_perm=0):
+    _require_unpatched()
+    return _cached_complex(n, group, seed_perm)
 
 
 @pytest.fixture(scope="session")
@@ -94,6 +128,11 @@ def complex_gl3():
 @pytest.fixture(scope="session")
 def complex_gl4():
     return cached_complex(4, "gl")
+
+
+def content_hash(payload):
+    """The hash that a cache file's header carries for `payload`."""
+    return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
 
 
 def random_unimodular(n, rng, steps=8):

@@ -180,7 +180,8 @@ def _tamper(path, edit, rehash=True):
     """Rewrite a cache file in its canonical form after `edit(doc)`,
     re-hashing the payload so only the on-load checks can catch the
     change."""
-    from vorcycle.persistence import canonical_dumps, content_hash
+    from conftest import content_hash
+    from vorcycle.persistence import canonical_dumps
     doc = json.load(open(path))
     edit(doc)
     if rehash:
@@ -521,3 +522,48 @@ def test_tess_check_verdict_survives_python_optimize(tmp_path, flip,
         text=True, timeout=60)
     assert result.returncode == expected, result.stderr
     assert "kernel_dim=" in result.stdout
+
+
+# Run in a fresh interpreter: which modules `import vorcycle.cli` loads,
+# and what each command adds to them.
+_IMPORT_PROBE = """
+import json, sys
+import vorcycle.cli
+seen = {"import": sorted(sys.modules)}
+vorcycle.cli.main(["tess", "check", sys.argv[1]])
+seen["tess check"] = sorted(sys.modules)
+vorcycle.cli.main(["verify", "--n", "3", "--cache-dir", sys.argv[2]])
+seen["verify"] = sorted(sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_imports_stay_lean(tmp_path):
+    # Every command is a fresh process, so its imports are paid on every
+    # run: records load no dataclasses (with inspect), and OpenSSL comes
+    # in only with the first cache file hashed.  The benchmark's tracer
+    # reads all nine pipeline modules from sys.modules after the import.
+    import subprocess
+    import sys
+    import vorcycle
+    from vorcycle.tessellation import dumps_instance, sector_fan
+
+    fan = tmp_path / "fan.json"
+    fan.write_text(dumps_instance(sector_fan(4)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vorcycle.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "VORCYCLE_CACHE"}
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(fan),
+         str(tmp_path / "cache")],
+        env={**env, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120)
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert {"dataclasses", "inspect", "_hashlib"}.isdisjoint(seen["import"])
+    assert {f"vorcycle.{m}" for m in (
+        "forms", "cones", "isometry", "enumeration", "complexes",
+        "homology", "linalg", "tessellation", "persistence")} <= \
+        set(seen["import"])
+    assert "_hashlib" not in seen["tess check"]
+    assert "_hashlib" in seen["verify"]
+    assert {"dataclasses", "inspect"}.isdisjoint(seen["verify"])

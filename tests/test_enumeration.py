@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import cached_graph, closure, random_unimodular
+from conftest import cached_complex, cached_graph, closure, random_unimodular
 
 from vorcycle import enumeration
 from vorcycle.cones import build_cone
@@ -290,3 +290,19 @@ def test_split_classes_glue_through_their_mirrors(monkeypatch):
         assert e.witness.det == 1
         assert set(node.minvecs.vectors) & set(moved) == \
             set(node.domain.facet_vectors(node.domain.facets[e.facet]))
+
+
+def test_session_caches_refuse_a_patched_pipeline(monkeypatch):
+    # cached_graph and cached_complex serve the whole session, so a
+    # result built while a test patches the pipeline would reach every
+    # later test.
+    real = enumeration.neighbor_form
+    monkeypatch.setattr(enumeration, "neighbor_form",
+                        lambda *args: real(*args))
+    for cached in (cached_graph, cached_complex):
+        with pytest.raises(RuntimeError,
+                           match="vorcycle.enumeration.neighbor_form is "
+                                 "patched"):
+            cached(2, "sl")
+    monkeypatch.undo()
+    assert cached_complex(2, "sl").graph is cached_graph(2, "sl")

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -139,7 +138,7 @@ def _spans_same_line(vec_a, vec_b):
 
 def _with_differential(cx, entries):
     diff = cx.differential
-    return dataclasses.replace(cx, differential=Differential(
+    return cx._replace(differential=Differential(
         row_labels=diff.row_labels, col_labels=diff.col_labels,
         entries=tuple(sorted(entries.items()))))
 

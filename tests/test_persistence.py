@@ -3,10 +3,10 @@ import copy
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from conftest import cached_complex, cached_graph
+from conftest import cached_complex, cached_graph, content_hash
 
 from vorcycle.homology import verify_top_cycle
 from vorcycle.persistence import (
@@ -15,7 +15,6 @@ from vorcycle.persistence import (
     canonical_dumps,
     complex_from_payload,
     complex_to_payload,
-    content_hash,
     graph_from_payload,
     graph_reference,
     graph_to_payload,
@@ -181,6 +180,28 @@ def test_kind_and_params_checked(tmp_path):
 
 def test_content_hash_canonical():
     assert content_hash({"a": 1, "b": 2}) == content_hash({"b": 2, "a": 1})
+
+
+json_keys = st.text(max_size=4) | st.sampled_from(("", "\"", "\\", "\n",
+                                                    "\u00e9", "\U0001f600"))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() |
+    st.integers(min_value=-10 ** 40, max_value=10 ** 40) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(json_keys, inner, max_size=4)
+    | st.lists(st.dictionaries(json_keys, inner, max_size=3), max_size=3),
+    max_leaves=24)
+
+
+@given(json_values)
+@example({"\u00e9\n": [{"b": 10 ** 30, "a": None}, 1, True, [], {}],
+          "": {}, "z": [[{"k": []}]], "a": [{}, {"x": [{"y": False}]}]})
+@settings(max_examples=300, deadline=None)
+def test_canonical_dumps_is_json_dumps(value):
+    # canonical_dumps assembles lists of objects, and objects holding
+    # them, itself; the bytes must be json's own.
+    assert canonical_dumps(value) == \
+        json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def test_cache_path_layout(tmp_path):

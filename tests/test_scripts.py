@@ -25,7 +25,8 @@ def test_run_survey_exit_status(monkeypatch, capsys):
     def falsified(cx):
         return TheoremReport(n=cx.n, group_kind=cx.group_kind, kernel_dim=2,
                              canonical_in_kernel=True,
-                             kernel_spanned_by_canonical=False, ok=False)
+                             kernel_spanned_by_canonical=False, ok=False,
+                             details={})
 
     monkeypatch.setattr(survey, "verify", falsified)
     monkeypatch.setattr(sys, "argv", ["run_survey.py", "--max-n", "2",
