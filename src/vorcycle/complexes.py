@@ -18,8 +18,12 @@ Orientation bookkeeping follows one convention throughout:
 With that convention the transport sign between a representative and
 its translates is identically +1, and the incidence number of a parent
 cell against a child class is the plain sum of induced-orientation
-signs over the parent's faces in the child's orbit.  No case split is
-made for self-glued walls; their cancellation falls out of the sum.
+signs over the parent's faces in the child's orbit.  A kept parent's
+stabilizer preserves its orientation, so each of its face orbits adds
+the orbit size times the sign at the orbit's representative; one pass
+per level (`_build_level`) matches every face orbit once and reads
+both the classes and these numbers off that matching.  No case split
+is made for self-glued walls; their cancellation falls out of the sum.
 
 Orientation signs are evaluated as integer determinants: a subspace
 basis is completed once by standard coordinate vectors, and the sign of
@@ -27,11 +31,10 @@ a candidate basis relative to the reference is the ratio of the two
 stacked determinants.
 """
 
-from functools import cached_property
 from typing import NamedTuple
 
 from .cones import meets_boundary, subcone_facets
-from .forms import apply_to_cell, rank_one
+from .forms import GroupElement, apply_to_cell, rank_one
 from .isometry import cell_group, cell_invariant, cell_maps, orbit_decompose
 from .linalg import (
     det_sign,
@@ -142,11 +145,12 @@ class _ParentView:
             self.ref_sign = det_sign(list(basis) + list(self.completion))
             assert self.ref_sign != 0
 
-    @cached_property
+    @property
     def orbits(self):
         """(rep_key, {member_key: transporter}) per stabilizer orbit of
-        the faces whose interiors avoid the boundary, decomposed once
-        for both the child classes and the incidence numbers."""
+        the faces whose interiors avoid the boundary.  `_build_level`
+        reads them once: each orbit is matched to its class, and its
+        size weighs the sign at its representative."""
         return [(rep_key, members) for rep_key, members
                 in orbit_decompose(self.faces, self.generators)
                 if not meets_boundary(rep_key)]
@@ -166,14 +170,22 @@ def _flip(basis):
     return (tuple(-x for x in basis[0]),) + tuple(basis[1:])
 
 
-def _build_child_level(parents, n, det_one, seed_perm, level_name):
-    """Group all non-boundary faces of the parents into classes.
+def _build_level(parents, columns, n, det_one, seed_perm, level_name):
+    """The classes of the non-boundary faces of `parents`, and their
+    incidence numbers.
 
     Faces are first reduced modulo each parent's stabilizer, so the
     group-level matching runs once per local orbit rather than once per
-    face.  Returns CellOrbitRec tuples (kind/witness/label left
-    generic); the representative of each class is chosen by the seed
-    permutation among all concrete members sorted canonically.
+    face.  The `cell_maps` hit that puts an orbit into its class (the
+    identity for the class's first orbit) is kept: it is the transporter
+    for the orbit's incidence sign, so no orbit is matched twice.  The
+    representative of each class is chosen by the seed permutation
+    among all concrete members sorted canonically.
+
+    Returns (classes, kept, entries): CellOrbitRec tuples (kind/witness/
+    label left generic), the positions of the kept classes, and the
+    sorted ((row, col), value) incidence numbers of the kept classes
+    against parents[columns[col]].  Every column parent must be kept.
     """
     orbit_records = [(rep_key, p_pos, members)
                      for p_pos, view in enumerate(parents)
@@ -182,32 +194,34 @@ def _build_child_level(parents, n, det_one, seed_perm, level_name):
 
     invariants = {}
     classes = []
-    for rec in orbit_records:
-        rep_key = rec[0]
+    for rep_key, p_pos, members in orbit_records:
         if rep_key not in invariants:
             invariants[rep_key] = cell_invariant(rep_key)
         inv = invariants[rep_key]
-        matched = None
         for cls in classes:
             if cls["inv"] != inv:
                 continue
-            if cell_maps(cls["orbits"][0][0], rep_key, det_one=det_one,
-                         first_only=True):
-                matched = cls
+            link = cell_maps(cls["orbits"][0][0], rep_key, det_one=det_one,
+                             first_only=True)
+            if link:
+                # link[0] carries the class's first orbit onto this one.
+                cls["orbits"].append((rep_key, p_pos, members, link[0]))
                 break
-        if matched is None:
-            classes.append({"inv": inv, "orbits": [rec]})
         else:
-            matched["orbits"].append(rec)
+            classes.append({"inv": inv, "orbits": [
+                (rep_key, p_pos, members, GroupElement.identity(n))]})
 
+    col_of = {p_pos: col for col, p_pos in enumerate(columns)}
     out = []
+    kept_positions = []
+    entries = {}
     for pos, cls in enumerate(classes):
         members = sorted(
-            (key, p_pos, parents[p_pos].face_positions[key])
-            for _, p_pos, orbit_members in cls["orbits"]
+            (key, p_pos, parents[p_pos].face_positions[key], own)
+            for own, (_, p_pos, orbit_members, _) in enumerate(cls["orbits"])
             for key in orbit_members)
-        rep_key, rep_parent, rep_face = members[seed_perm % len(members)]
-        member_records = tuple((p, f, k) for k, p, f in members)
+        rep_key, rep_parent, rep_face, own = members[seed_perm % len(members)]
+        member_records = tuple((p, f, k) for k, p, f, _ in members)
         gens, order = cell_group(rep_key, det_one=det_one)
         basis = _span_basis(rep_key)
         parent = parents[rep_parent]
@@ -232,7 +246,23 @@ def _build_child_level(parents, n, det_one, seed_perm, level_name):
             generators=gens, stab_order=order, basis=tuple(basis),
             orientation_kept=kept, kind="", witness=(),
             label=f"{level_name[0]}{pos}"))
-    return tuple(out)
+        if not kept:
+            continue
+        # Kept parents and a kept class: every face of an orbit induces
+        # the same sign under any transporter, here link * (s *
+        # own_link)^-1 with s carrying the own orbit onto rep_key.
+        row = len(kept_positions)
+        kept_positions.append(pos)
+        _, _, own_members, own_link = cls["orbits"][own]
+        back = (own_members[rep_key] * own_link).inverse()
+        for key, p_pos, orbit_members, link in cls["orbits"]:
+            if p_pos in col_of:
+                cell = (row, col_of[p_pos])
+                entries[cell] = entries.get(cell, 0) + len(orbit_members) * \
+                    induced_sign(parents[p_pos], basis, rep_key, key,
+                                 link * back, n)
+    return (tuple(out), tuple(kept_positions),
+            tuple(sorted((k, v) for k, v in entries.items() if v != 0)))
 
 
 def induced_sign(parent_view, child_basis, child_vectors, member_vectors,
@@ -249,51 +279,6 @@ def induced_sign(parent_view, child_basis, child_vectors, member_vectors,
     extra = next(v for v in parent_view.vectors if v not in member_set)
     rows = moved + [sym_flatten(rank_one(extra))]
     return parent_view.oriented_sign(rows)
-
-
-def _incidence_matrix(parents, kept_parent_positions, children,
-                      kept_child_positions, n, det_one,
-                      row_labels, col_labels):
-    """Incidence numbers of kept parents against kept children."""
-    if not kept_child_positions:
-        return Differential(row_labels=tuple(row_labels),
-                            col_labels=tuple(col_labels), entries=())
-    child_inv = [cell_invariant(c.vectors) for c in children]
-    entries = {}
-    for col, p_pos in enumerate(kept_parent_positions):
-        view = parents[p_pos]
-        for rep_key, members in view.orbits:
-            inv = cell_invariant(rep_key)
-            for row, c_pos in enumerate(kept_child_positions):
-                child = children[c_pos]
-                if child_inv[c_pos] != inv:
-                    continue
-                link = cell_maps(child.vectors, rep_key, det_one=det_one,
-                                 first_only=True)
-                if not link:
-                    continue
-                total = 0
-                for member_key, s in members.items():
-                    gamma = s * link[0]
-                    total += induced_sign(view, child.basis, child.vectors,
-                                          member_key, gamma, n)
-                if total:
-                    entries[(row, col)] = entries.get((row, col), 0) + total
-                break
-    entries = {k: v for k, v in entries.items() if v != 0}
-    return Differential(row_labels=tuple(row_labels),
-                        col_labels=tuple(col_labels),
-                        entries=tuple(sorted(entries.items())))
-
-
-def _top_views(graph):
-    views = []
-    for node in graph.nodes:
-        faces = tuple(node.domain.facet_vectors(f) for f in node.domain.facets)
-        views.append(_ParentView(vectors=node.minvecs.vectors,
-                                 generators=node.generators,
-                                 basis=None, faces=faces, n=graph.n))
-    return views
 
 
 def build_complex(graph, seed_perm=0):
@@ -323,12 +308,15 @@ def build_complex(graph, seed_perm=0):
     tops = tuple(tops)
     kept_tops = tuple(i for i, t in enumerate(tops) if t.orientation_kept)
 
-    if n == 1:
-        views = []
-        walls = ()
-    else:
-        views = _top_views(graph)
-        walls = _build_child_level(views, n, det_one, seed_perm, "wall")
+    # A rank-1 domain is a single ray: no faces, so no parents.
+    views = [] if n == 1 else [
+        _ParentView(vectors=node.minvecs.vectors,
+                    generators=node.generators, basis=None,
+                    faces=tuple(node.domain.facet_vectors(f)
+                                for f in node.domain.facets), n=n)
+        for node in graph.nodes]
+    walls, kept_walls, entries = _build_level(views, kept_tops, n, det_one,
+                                              seed_perm, "wall")
 
     classified = []
     for w in walls:
@@ -340,12 +328,9 @@ def build_complex(graph, seed_perm=0):
         classified.append(w._replace(
             kind=kind, witness=(edge.neighbor, edge.witness.rows)))
     walls = tuple(classified)
-    kept_walls = tuple(i for i, w in enumerate(walls) if w.orientation_kept)
-
-    differential = _incidence_matrix(
-        views, kept_tops, walls, kept_walls, n, det_one,
+    differential = Differential(
         row_labels=tuple(walls[i].label for i in kept_walls),
-        col_labels=tuple(tops[i].label for i in kept_tops))
+        col_labels=tuple(tops[i].label for i in kept_tops), entries=entries)
 
     return VoronoiComplex(n=n, group_kind=graph.group_kind,
                           seed_perm=seed_perm, graph=graph, tops=tops,
@@ -366,11 +351,10 @@ def build_codim2(cx, seed_perm=0):
         wall_views.append(_ParentView(vectors=w.vectors,
                                       generators=w.generators,
                                       basis=w.basis, faces=face_keys, n=n))
-    mids = _build_child_level(wall_views, n, det_one, seed_perm, "codim2")
-    kept_mids = tuple(i for i, m in enumerate(mids) if m.orientation_kept)
-    differential = _incidence_matrix(
-        wall_views, tuple(range(len(wall_views))), mids, kept_mids, n,
-        det_one,
+    mids, kept_mids, entries = _build_level(
+        wall_views, range(len(wall_views)), n, det_one, seed_perm, "codim2")
+    differential = Differential(
         row_labels=tuple(mids[i].label for i in kept_mids),
-        col_labels=tuple(cx.walls[i].label for i in cx.kept_walls))
+        col_labels=tuple(cx.walls[i].label for i in cx.kept_walls),
+        entries=entries)
     return mids, kept_mids, differential

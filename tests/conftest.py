@@ -8,7 +8,13 @@ from functools import lru_cache
 import pytest
 
 from vorcycle import complexes, cones, enumeration, forms, isometry
-from vorcycle.complexes import build_complex, transport_flat
+from vorcycle.complexes import (
+    _ParentView,
+    build_complex,
+    induced_sign,
+    transport_flat,
+)
+from vorcycle.cones import subcone_facets
 from vorcycle.enumeration import enumerate_perfect_forms
 from vorcycle.forms import (
     GroupElement,
@@ -16,7 +22,7 @@ from vorcycle.forms import (
     canonical_pair,
     rank_one,
 )
-from vorcycle.isometry import cell_maps
+from vorcycle.isometry import cell_invariant, cell_maps
 from vorcycle.persistence import canonical_dumps
 from vorcycle.tessellation import TessVerdict, _same_line, weighted_boundary
 from vorcycle.linalg import (
@@ -281,6 +287,58 @@ def matrix_orbit_decompose(keys, generators, apply, identity):
         orbits.append((key, members))
         assigned.update(members)
     return orbits
+
+
+def top_views(graph):
+    """The parent view of every top cell, as `build_complex` makes it."""
+    return [_ParentView(vectors=node.minvecs.vectors,
+                        generators=node.generators, basis=None,
+                        faces=tuple(node.domain.facet_vectors(f)
+                                    for f in node.domain.facets),
+                        n=graph.n)
+            for node in graph.nodes]
+
+
+def kept_wall_views(cx):
+    """The parent view of every kept wall, as `build_codim2` makes it."""
+    views = []
+    for i in cx.kept_walls:
+        w = cx.walls[i]
+        faces = tuple(tuple(sorted(w.vectors[j] for j in face))
+                      for face in subcone_facets(w.vectors))
+        views.append(_ParentView(vectors=w.vectors, generators=w.generators,
+                                 basis=w.basis, faces=faces, n=cx.n))
+    return views
+
+
+def reference_incidences(parents, columns, children, kept_children, n,
+                         det_one):
+    """Reference: the sorted nonzero ((row, col), value) incidence
+    numbers of parents[columns[col]] against children[kept_children[row]],
+    by matching every face orbit of each column parent to the kept
+    children a second time and summing `induced_sign` over every member
+    of the orbit, each with its own transporter."""
+    child_inv = {c: cell_invariant(children[c].vectors)
+                 for c in kept_children}
+    entries = {}
+    for col, p_pos in enumerate(columns):
+        view = parents[p_pos]
+        for rep_key, members in view.orbits:
+            inv = cell_invariant(rep_key)
+            for row, c_pos in enumerate(kept_children):
+                child = children[c_pos]
+                if child_inv[c_pos] != inv:
+                    continue
+                link = cell_maps(child.vectors, rep_key, det_one=det_one,
+                                 first_only=True)
+                if not link:
+                    continue
+                total = sum(induced_sign(view, child.basis, child.vectors,
+                                         member, s * link[0], n)
+                            for member, s in members.items())
+                entries[(row, col)] = entries.get((row, col), 0) + total
+                break
+    return tuple(sorted((k, v) for k, v in entries.items() if v != 0))
 
 
 def differential_kernel(cx):

@@ -3,17 +3,23 @@ import pytest
 from conftest import (
     WitnessMismatch,
     cached_complex,
+    cached_graph,
     closure,
+    kept_wall_views,
     pair_swap_elements,
     random_unimodular,
+    reference_incidences,
+    top_views,
     transport_sign,
 )
 
+from vorcycle import complexes
 from vorcycle.complexes import (
     Differential,
     _ParentView,
     ambient_orientation_sign,
     apply_to_cell,
+    build_codim2,
     build_complex,
     induced_sign,
     top_cell_dimension,
@@ -292,23 +298,67 @@ def test_rank_two_internal_cancellation_sign():
     assert sign == -1
 
 
-def test_member_signs_constant_within_stabilizer_orbit(complex_sl4):
-    cx = complex_sl4
-    for col, top_idx in enumerate(cx.kept_tops):
-        view = _node_view(cx.graph, top_idx)
-        node = cx.graph.nodes[top_idx]
-        orbits = orbit_decompose(view.faces, node.generators)
-        for row, wall_idx in enumerate(cx.kept_walls):
-            w = cx.walls[wall_idx]
-            for rep_key, members in orbits:
-                link = cell_maps(w.vectors, rep_key, det_one=True,
-                                 first_only=True)
+@pytest.mark.parametrize("level", ("top", "wall"))
+@pytest.mark.parametrize("n, group", ((4, "sl"), (5, "sl"), (5, "gl")))
+def test_member_signs_constant_within_stabilizer_orbit(n, group, level):
+    # The level builder counts each face orbit of a kept parent as its
+    # size times the sign at its representative.  Parents: the kept
+    # tops, or the kept walls that build_codim2 descends from; children:
+    # every class of the level below, kept or not.
+    cx = cached_complex(n, group)
+    if level == "top":
+        views = [top_views(cx.graph)[i] for i in cx.kept_tops]
+        children = cx.walls
+    else:
+        views = kept_wall_views(cx)
+        children = build_codim2(cx)[0]
+    checked = 0
+    for view in views:
+        for rep_key, members in view.orbits:
+            for child in children:
+                link = cell_maps(child.vectors, rep_key,
+                                 det_one=(group == "sl"), first_only=True)
                 if not link:
                     continue
-                signs = {induced_sign(view, w.basis, w.vectors, member, s * link[0],
-                                      cx.n)
+                signs = {induced_sign(view, child.basis, child.vectors,
+                                      member, s * link[0], n)
                          for member, s in members.items()}
                 assert len(signs) == 1
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("n, group, seed", [
+    (n, group, seed) for n in (2, 3, 4) for group in ("sl", "gl")
+    for seed in range(3)] + [(5, "sl", 0), (5, "gl", 0)])
+def test_incidences_match_a_second_matching(n, group, seed):
+    cx = cached_complex(n, group, seed)
+    det_one = group == "sl"
+    assert cx.differential.entries == reference_incidences(
+        top_views(cx.graph), cx.kept_tops, cx.walls, cx.kept_walls, n,
+        det_one)
+    mids, kept_mids, diff = build_codim2(cx, seed_perm=seed)
+    assert diff.entries == reference_incidences(
+        kept_wall_views(cx), range(len(cx.kept_walls)), mids, kept_mids,
+        n, det_one)
+
+
+@pytest.mark.parametrize("n, calls", ((4, 1), (5, 2)))
+def test_each_face_orbit_is_matched_once(monkeypatch, n, calls):
+    # The session caches refuse to build while a pipeline function is
+    # patched, so the graph is fetched first and the complex is built
+    # under the patch.
+    graph = cached_graph(n, "sl")
+    matched = []
+    real = complexes.cell_maps
+
+    def counting(*args, **kwargs):
+        matched.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "cell_maps", counting)
+    build_codim2(build_complex(graph))
+    assert len(matched) == calls
 
 
 def test_differential_empty_rank_two_three(complex_sl2, complex_sl3):
