@@ -182,8 +182,8 @@ def _build_level(parents, columns, n, det_one, seed_perm, level_name):
     representative of each class is chosen by the seed permutation
     among all concrete members sorted canonically.
 
-    Returns (classes, kept, entries): CellOrbitRec tuples (kind/witness/
-    label left generic), the positions of the kept classes, and the
+    Returns (classes, kept, entries): CellOrbitRec tuples (kind, witness
+    and label left generic), the positions of the kept classes, and the
     sorted ((row, col), value) incidence numbers of the kept classes
     against parents[columns[col]].  Every column parent must be kept.
     """
@@ -244,8 +244,7 @@ def _build_level(parents, columns, n, det_one, seed_perm, level_name):
             face_index=rep_face,
             members=member_records,
             generators=gens, stab_order=order, basis=tuple(basis),
-            orientation_kept=kept, kind="", witness=(),
-            label=f"{level_name[0]}{pos}"))
+            orientation_kept=kept, kind="", witness=(), label=""))
         if not kept:
             continue
         # Kept parents and a kept class: every face of an orbit induces
@@ -281,12 +280,15 @@ def induced_sign(parent_view, child_basis, child_vectors, member_vectors,
     return parent_view.oriented_sign(rows)
 
 
-def build_complex(graph, seed_perm=0):
-    """Top two degrees of the complex for an enumerated walk graph."""
-    n = graph.n
-    det_one = graph.group_kind == "sl"
-    orientation_preserving = det_one or n % 2 == 1
+class WallNotGlued(ValueError):
+    """A graph edge that does not glue the wall at its node facet."""
 
+
+def top_classes(graph):
+    """The top cell of every graph node, kept unless its stabilizer
+    reverses the orientation of the form space."""
+    n = graph.n
+    orientation_preserving = graph.group_kind == "sl" or n % 2 == 1
     tops = []
     for i, node in enumerate(graph.nodes):
         if orientation_preserving:
@@ -305,9 +307,47 @@ def build_complex(graph, seed_perm=0):
             generators=node.generators, stab_order=node.stab_order,
             basis=None, orientation_kept=kept, kind="", witness=(),
             label=node.label))
-    tops = tuple(tops)
-    kept_tops = tuple(i for i, t in enumerate(tops) if t.orientation_kept)
+    return tuple(tops)
 
+
+def glue_complex(graph, seed_perm, tops, walls, entries):
+    """The complex of `tops` and `walls`, with `entries` the incidence
+    numbers of its kept walls against its kept tops.
+
+    Each wall is glued by the graph edge at its (parent, face_index),
+    which gives its kind and witness; that edge must carry the
+    neighbour's minimal vectors onto vectors that meet the parent's
+    exactly in the wall.  Raises WallNotGlued otherwise.
+    """
+    nodes = graph.nodes
+    glued = []
+    for i, w in enumerate(walls):
+        edge = graph.edge_at(w.parent, w.face_index)
+        far = apply_to_cell(edge.witness, nodes[edge.neighbor].minvecs.vectors)
+        if tuple(sorted(set(nodes[w.parent].minvecs.vectors).intersection(
+                far))) != w.vectors:
+            raise WallNotGlued(
+                f"walls[{i}] is not glued by the graph edge at node "
+                f"{w.parent}, facet {w.face_index}")
+        glued.append(w._replace(
+            kind="self" if edge.neighbor == w.parent else "non_self",
+            witness=(edge.neighbor, edge.witness.rows), label=f"w{i}"))
+    kept_tops = tuple(i for i, t in enumerate(tops) if t.orientation_kept)
+    kept_walls = tuple(i for i, w in enumerate(glued) if w.orientation_kept)
+    differential = Differential(
+        row_labels=tuple(glued[i].label for i in kept_walls),
+        col_labels=tuple(tops[i].label for i in kept_tops), entries=entries)
+    return VoronoiComplex(n=graph.n, group_kind=graph.group_kind,
+                          seed_perm=seed_perm, graph=graph, tops=tops,
+                          walls=tuple(glued), kept_tops=kept_tops,
+                          kept_walls=kept_walls, differential=differential)
+
+
+def build_complex(graph, seed_perm=0):
+    """Top two degrees of the complex for an enumerated walk graph."""
+    n = graph.n
+    tops = top_classes(graph)
+    kept_tops = [i for i, t in enumerate(tops) if t.orientation_kept]
     # A rank-1 domain is a single ray: no faces, so no parents.
     views = [] if n == 1 else [
         _ParentView(vectors=node.minvecs.vectors,
@@ -315,27 +355,10 @@ def build_complex(graph, seed_perm=0):
                     faces=tuple(node.domain.facet_vectors(f)
                                 for f in node.domain.facets), n=n)
         for node in graph.nodes]
-    walls, kept_walls, entries = _build_level(views, kept_tops, n, det_one,
-                                              seed_perm, "wall")
-
-    classified = []
-    for w in walls:
-        edge = graph.edge_at(w.parent, w.face_index)
-        kind = "self" if edge.neighbor == w.parent else "non_self"
-        far = apply_to_cell(edge.witness, graph.nodes[edge.neighbor].minvecs.vectors)
-        shared = tuple(sorted(set(graph.nodes[w.parent].minvecs.vectors) & set(far)))
-        assert shared == tuple(views[w.parent].faces[w.face_index])
-        classified.append(w._replace(
-            kind=kind, witness=(edge.neighbor, edge.witness.rows)))
-    walls = tuple(classified)
-    differential = Differential(
-        row_labels=tuple(walls[i].label for i in kept_walls),
-        col_labels=tuple(tops[i].label for i in kept_tops), entries=entries)
-
-    return VoronoiComplex(n=n, group_kind=graph.group_kind,
-                          seed_perm=seed_perm, graph=graph, tops=tops,
-                          walls=walls, kept_tops=kept_tops,
-                          kept_walls=kept_walls, differential=differential)
+    walls, _, entries = _build_level(views, kept_tops, n,
+                                     graph.group_kind == "sl", seed_perm,
+                                     "wall")
+    return glue_complex(graph, seed_perm, tops, walls, entries)
 
 
 def build_codim2(cx, seed_perm=0):
@@ -353,6 +376,7 @@ def build_codim2(cx, seed_perm=0):
                                       basis=w.basis, faces=face_keys, n=n))
     mids, kept_mids, entries = _build_level(
         wall_views, range(len(wall_views)), n, det_one, seed_perm, "codim2")
+    mids = tuple(m._replace(label=f"c{i}") for i, m in enumerate(mids))
     differential = Differential(
         row_labels=tuple(mids[i].label for i in kept_mids),
         col_labels=tuple(cx.walls[i].label for i in cx.kept_walls),

@@ -9,24 +9,32 @@ is rejected.  To read one, run `python -m json.tool FILE`.
 
 Graph and complex payloads hold JSON integers, which Python's json
 reads and writes exactly; verdict payloads keep the decimal strings of
-their reports.  The graph is stored once: a complex payload names the
-hash in its graph file's header, and is read only over a graph file
-with that hash.  Every finite group is stored as a generating set plus
-its order, and each orbit member of a cell as [parent, face]: its
-vectors are derived from the graph.  On load, a payload's rank and
-group must be its file header's, graph and complex payloads are
-checked field by field, and each stored generator is certified against
-its record: node generators fix the Gram matrix, cell generators map
-the cell's vectors onto themselves, each stored wall basis must be a
-basis of its cell's span, and each wall's stored gluing must be the
-graph edge at its parent facet.  The stored orders, the orientation
-flags, and whether an edge witness glues its two domains, are trusted.
+their reports.  Each fact is stored once.  A graph payload holds its
+nodes, and each facet record the edge across it (`neighbor`,
+`witness`).  A complex payload holds its seed permutation, the hash in
+its graph file's header (it is read only over a graph file with that
+hash), its walls and the triplets of its differential; a wall record
+holds its [parent, face] orbit members, its stabilizer as generators
+plus order, its oriented basis and its orientation flag.  The top
+classes, each wall's vectors (those of facet `face_index` of node
+`parent`), kind, gluing witness and label, the kept lists and the
+differential's labels are derived on load, by the functions that build
+a complex (`complexes.top_classes` and `complexes.glue_complex`).
+
+On load, a payload's rank and group must be its file header's, every
+field is checked for shape, type and range, and each stored
+certificate is checked: node generators fix the Gram matrix, wall
+generators map the wall's vectors onto themselves, each wall basis is
+a basis of the wall's span, and the graph edge at each wall's parent
+facet glues the wall.  The stored orders, the walls' orientation
+flags, and whether the edges that no wall uses glue their two domains,
+are trusted.
 """
 
 import json
 import os
 import tempfile
-from .complexes import CellOrbitRec, Differential, VoronoiComplex
+from .complexes import CellOrbitRec, WallNotGlued, glue_complex, top_classes
 from .cones import FacetRec, PolyCone
 from .enumeration import GROUP_KINDS, Edge, PerfectFormRep, VoronoiGraph
 from .forms import (
@@ -50,9 +58,11 @@ from .linalg import (
 # stores the strong generating sets of their stabilizer chains; version
 # 4 stores JSON integers and orbit members as [parent, face]; complex
 # version 5 refers to its graph file by hash instead of embedding the
-# graph.  Verdict and tess-instance files went to version 2 when every
-# file became its canonical encoding.
-PAYLOAD_KINDS = {"graph": 4, "complex": 5, "verdict": 2, "tess-instance": 2}
+# graph; graph version 5 stores each edge on its facet, and complex
+# version 6 only what the graph cannot give.  Verdict and tess-instance
+# files went to version 2 when every file became its canonical
+# encoding.
+PAYLOAD_KINDS = {"graph": 5, "complex": 6, "verdict": 2, "tess-instance": 2}
 
 
 class CacheCorrupt(ValueError):
@@ -113,13 +123,16 @@ def _sha256(data):
 
 
 def graph_to_payload(graph):
+    edges = {(e.node, e.facet): e for e in graph.edges}
     nodes = []
-    for node in graph.nodes:
+    for i, node in enumerate(graph.nodes):
         facets = []
         if node.domain is not None:
             facets = [{"normal": _enc_mat(f.normal),
-                       "incident": sorted(f.incident)}
-                      for f in node.domain.facets]
+                       "incident": sorted(f.incident),
+                       "neighbor": edges[i, k].neighbor,
+                       "witness": _enc_mat(edges[i, k].witness.rows)}
+                      for k, f in enumerate(node.domain.facets)]
         nodes.append({
             "gram": _enc_mat(node.form.gram),
             "min_value": node.minvecs.min_value,
@@ -129,15 +142,7 @@ def graph_to_payload(graph):
             "label": node.label,
             "facets": facets,
         })
-    return {
-        "n": graph.n,
-        "group": graph.group_kind,
-        "nodes": nodes,
-        "edges": [{"node": e.node, "facet": e.facet,
-                   "neighbor": e.neighbor,
-                   "witness": _enc_mat(e.witness.rows)}
-                  for e in graph.edges],
-    }
+    return {"n": graph.n, "group": graph.group_kind, "nodes": nodes}
 
 
 def _dotted(path):
@@ -200,12 +205,6 @@ class _Reader:
                           f"is not a list of indices in 0..{bound - 1}")
         return tuple(values)
 
-    def labels(self, rec, path, key, count):
-        values = self.get(rec, path, key, list)
-        if len(values) != count or any(type(x) is not str for x in values):
-            self.fail(path + (key,), f"is not a list of {count} labels")
-        return tuple(values)
-
     def ints(self, value, path, rows, cols):
         """A list of `rows` lists (any count if None) of `cols` JSON
         integers, as a tuple of integer tuples."""
@@ -255,9 +254,9 @@ def graph_from_payload(payload, source="<payload>"):
     """Decode and check a graph payload read from `source`.
 
     Besides the shape of every field, each node generator must fix the
-    node's Gram matrix (g^t Q g = Q), there must be exactly one edge
-    per (node, facet), and sl witnesses must have determinant one;
-    stabilizer orders and whether edge witnesses glue are trusted.
+    node's Gram matrix (g^t Q g = Q) and sl edge witnesses must have
+    determinant one.  Each facet record carries the edge across it, so
+    the edges come in (node, facet) order, one per node facet.
     """
     rd = _Reader(source)
     n = rd.get(payload, (), "n", int)
@@ -266,8 +265,10 @@ def graph_from_payload(payload, source="<payload>"):
     group = rd.get(payload, (), "group", str)
     if group not in GROUP_KINDS:
         rd.fail(("group",), f"is not one of {GROUP_KINDS}")
+    node_recs = rd.records(payload, (), "nodes")
     nodes = []
-    for path, rec in rd.records(payload, (), "nodes"):
+    edges = []
+    for path, rec in node_recs:
         form = QForm(gram=rd.field_ints(rec, path, "gram", n, n))
         mv = MinVecSet(
             vectors=rd.vectors(rec, path, "min_vectors", n),
@@ -284,6 +285,12 @@ def graph_from_payload(payload, source="<payload>"):
                 normal=rd.field_ints(f, f_path, "normal", n, n),
                 incident=frozenset(rd.indices(f, f_path, "incident",
                                               len(mv.vectors)))))
+            edges.append(Edge(
+                node=len(nodes), facet=len(facets) - 1,
+                neighbor=rd.index(f, f_path, "neighbor", len(node_recs)),
+                witness=rd.element(rd.get(f, f_path, "witness", list),
+                                   f_path + ("witness",), n,
+                                   group == "sl")))
         domain = None
         if facets:
             flats = tuple(sym_flatten(rank_one(v)) for v in mv.vectors)
@@ -293,52 +300,23 @@ def graph_from_payload(payload, source="<payload>"):
             form=form, minvecs=mv, domain=domain, generators=gens,
             stab_order=rd.order(rec, path),
             label=rd.get(rec, path, "label", str)))
-    edges = []
-    seen = set()
-    for path, e in rd.records(payload, (), "edges"):
-        witness = rd.element(rd.get(e, path, "witness", list),
-                             path + ("witness",), n, group == "sl")
-        node = rd.index(e, path, "node", len(nodes))
-        domain = nodes[node].domain
-        facet = rd.index(e, path, "facet",
-                         len(domain.facets) if domain else 0)
-        if (node, facet) in seen:
-            rd.fail(path, f"repeats the edge at node {node}, facet {facet}")
-        seen.add((node, facet))
-        edges.append(Edge(node=node, facet=facet,
-                          neighbor=rd.index(e, path, "neighbor", len(nodes)),
-                          witness=witness))
-    facet_count = sum(len(node.domain.facets) for node in nodes
-                      if node.domain)
-    if len(edges) != facet_count:
-        rd.fail(("edges",), "does not have one edge per node facet")
     return VoronoiGraph(n=n, group_kind=group, nodes=tuple(nodes),
                         edges=tuple(edges))
 
 
-def _orbit_to_payload(orbit):
-    return {
-        "level": orbit.level,
-        "vectors": _enc_mat(orbit.vectors),
-        "parent": orbit.parent,
-        "face_index": orbit.face_index,
-        "members": [[p, f] for p, f, _ in orbit.members],
-        "generators": [_enc_mat(g.rows) for g in orbit.generators],
-        "stab_order": orbit.stab_order,
-        "basis": _enc_mat(orbit.basis) if orbit.basis is not None else None,
-        "orientation_kept": orbit.orientation_kept,
-        "kind": orbit.kind,
-        "witness": ({"neighbor": orbit.witness[0],
-                     "g": _enc_mat(orbit.witness[1])}
-                    if orbit.witness else None),
-        "label": orbit.label,
-    }
+def _facet_vectors(graph, node, face):
+    domain = graph.nodes[node].domain
+    return domain.facet_vectors(domain.facets[face])
 
 
-def _members(rd, rec, path, graph, top):
-    """(parent, face, vectors) per stored [parent, face] member: a top's
-    member is [node, -1] and takes the node's minimal vectors, a wall's
-    takes the vectors of facet `face` of its node's domain."""
+def _facet_count(graph, node):
+    domain = graph.nodes[node].domain
+    return len(domain.facets) if domain else 0
+
+
+def _members(rd, rec, path, graph):
+    """(parent, face, vectors) per stored [parent, face] member: the
+    vectors of facet `face` of node `parent`'s domain."""
     out = []
     for i, m in enumerate(rd.get(rec, path, "members", list)):
         at = path + ("members", i)
@@ -349,52 +327,37 @@ def _members(rd, rec, path, graph, top):
         if not 0 <= parent < len(graph.nodes):
             rd.fail(at, f"has a parent out of range "
                         f"0..{len(graph.nodes) - 1}")
-        node = graph.nodes[parent]
-        if top:
-            if face != -1:
-                rd.fail(at, "has a face other than -1 on a top")
-            out.append((parent, face, node.minvecs.vectors))
-            continue
-        facets = node.domain.facets if node.domain else ()
-        if not 0 <= face < len(facets):
-            rd.fail(at, f"has a face out of range 0..{len(facets) - 1}")
-        out.append((parent, face, node.domain.facet_vectors(facets[face])))
+        count = _facet_count(graph, parent)
+        if not 0 <= face < count:
+            rd.fail(at, f"has a face out of range 0..{count - 1}")
+        out.append((parent, face, _facet_vectors(graph, parent, face)))
     return tuple(out)
 
 
-def _orbit_from_payload(rd, rec, path, graph, top):
-    """One cell record; each generator must map its vectors onto
-    themselves, and a stored basis must be a basis of the span of the
-    cell's rank-one forms."""
+def _wall_from_payload(rd, rec, path, graph):
+    """One wall record.  Its vectors are those of facet `face_index` of
+    node `parent`; each generator must map them onto themselves, and
+    the basis must be a basis of the span of their rank-one forms."""
     n = graph.n
-    vectors = rd.vectors(rec, path, "vectors", n)
+    parent = rd.index(rec, path, "parent", len(graph.nodes))
+    face = rd.index(rec, path, "face_index", _facet_count(graph, parent))
+    vectors = _facet_vectors(graph, parent, face)
     gens = rd.generators(rec, path, n, graph.group_kind == "sl")
     for i, g in enumerate(gens):
         if apply_to_cell(g, vectors) != vectors:
             rd.fail(path + ("generators", i), "does not fix the cell")
-    members = _members(rd, rec, path, graph, top)
-    basis = rd.get(rec, path, "basis", list, type(None))
-    if basis is not None:
-        basis = rd.ints(basis, path + ("basis",), None, sym_dim(n))
-        flats = [sym_flatten(rank_one(v)) for v in vectors]
-        dim = mat_rank(flats)
-        if len(basis) != dim or mat_rank(basis) != dim or \
-                mat_rank(list(basis) + flats) != dim:
-            rd.fail(path + ("basis",), "is not a basis of the cell's span")
-    witness = rd.get(rec, path, "witness", dict, type(None))
-    if witness is not None:
-        w_path = path + ("witness",)
-        witness = (rd.get(witness, w_path, "neighbor", int),
-                   rd.field_ints(witness, w_path, "g", n, n))
+    basis = rd.field_ints(rec, path, "basis", None, sym_dim(n))
+    flats = [sym_flatten(rank_one(v)) for v in vectors]
+    dim = mat_rank(flats)
+    if len(basis) != dim or mat_rank(basis) != dim or \
+            mat_rank(list(basis) + flats) != dim:
+        rd.fail(path + ("basis",), "is not a basis of the cell's span")
     return CellOrbitRec(
-        level=rd.get(rec, path, "level", str), vectors=vectors,
-        parent=rd.get(rec, path, "parent", int),
-        face_index=rd.get(rec, path, "face_index", int),
-        members=members, generators=gens,
+        level="wall", vectors=vectors, parent=parent, face_index=face,
+        members=_members(rd, rec, path, graph), generators=gens,
         stab_order=rd.order(rec, path), basis=basis,
         orientation_kept=rd.get(rec, path, "orientation_kept", bool),
-        kind=rd.get(rec, path, "kind", str), witness=witness or (),
-        label=rd.get(rec, path, "label", str))
+        kind="", witness=(), label="")
 
 
 def complex_to_payload(cx, graph_hash):
@@ -402,15 +365,14 @@ def complex_to_payload(cx, graph_hash):
     return {
         "seed_perm": cx.seed_perm,
         "graph": graph_hash,
-        "tops": [_orbit_to_payload(t) for t in cx.tops],
-        "walls": [_orbit_to_payload(w) for w in cx.walls],
-        "kept_tops": list(cx.kept_tops),
-        "kept_walls": list(cx.kept_walls),
-        "differential": {
-            "rows": list(cx.differential.row_labels),
-            "cols": list(cx.differential.col_labels),
-            "triplets": [list(t) for t in cx.differential.triplets()],
-        },
+        "walls": [{"parent": w.parent, "face_index": w.face_index,
+                   "members": [[p, f] for p, f, _ in w.members],
+                   "generators": [_enc_mat(g.rows) for g in w.generators],
+                   "stab_order": w.stab_order,
+                   "basis": _enc_mat(w.basis),
+                   "orientation_kept": w.orientation_kept}
+                  for w in cx.walls],
+        "triplets": [list(t) for t in cx.differential.triplets()],
     }
 
 
@@ -423,58 +385,32 @@ def complex_from_payload(payload, graph, source="<payload>"):
     """Decode and check a complex payload read from `source` over its
     graph, decoded from the graph file whose header hash it names.
 
-    Every top and wall generator must map its cell's vectors onto
-    themselves, each wall's witness and kind must agree with the graph
-    edge at its (parent, face_index), the kept lists must be the
-    increasing indices whose `orientation_kept` is true (those flags are
-    trusted), and the triplets must be nonzero and strictly increasing.
+    The top classes come from the graph.  Each wall generator must map
+    the wall's vectors onto themselves, the graph edge at each wall's
+    (parent, face_index) must glue it, and the triplets must be nonzero
+    entries, strictly increasing in (row, col), of a matrix with a row
+    per kept wall and a column per kept top.
     """
     graph_reference(payload, source)
     rd = _Reader(source)
-    tops = tuple(_orbit_from_payload(rd, rec, path, graph, True)
-                 for path, rec in rd.records(payload, (), "tops"))
-    if len(tops) != len(graph.nodes):
-        rd.fail(("tops",), "does not have one record per graph node")
-    walls = []
-    for path, rec in rd.records(payload, (), "walls"):
-        walls.append(_orbit_from_payload(rd, rec, path, graph, False))
-        parent = rd.index(rec, path, "parent", len(graph.nodes))
-        domain = graph.nodes[parent].domain
-        edge = graph.edge_at(parent, rd.index(
-            rec, path, "face_index", len(domain.facets) if domain else 0))
-        if walls[-1].witness != (edge.neighbor, edge.witness.rows):
-            rd.fail(path + ("witness",), f"is not the graph edge at node "
-                                         f"{parent}, facet {edge.facet}")
-        if walls[-1].kind != ("self" if edge.neighbor == parent
-                              else "non_self"):
-            rd.fail(path + ("kind",), "does not match the wall's neighbor")
-    kept_tops = rd.indices(payload, (), "kept_tops", len(tops))
-    kept_walls = rd.indices(payload, (), "kept_walls", len(walls))
-    for key, kept, cells in (("kept_tops", kept_tops, tops),
-                             ("kept_walls", kept_walls, walls)):
-        if kept != tuple(i for i, c in enumerate(cells)
-                         if c.orientation_kept):
-            rd.fail((key,), "is not the increasing list of indices whose "
-                            "orientation_kept is true")
-    d_path = ("differential",)
-    d_rec = rd.get(payload, (), "differential", dict)
-    rows = rd.labels(d_rec, d_path, "rows", len(kept_walls))
-    cols = rd.labels(d_rec, d_path, "cols", len(kept_tops))
+    tops = top_classes(graph)
+    walls = tuple(_wall_from_payload(rd, rec, path, graph)
+                  for path, rec in rd.records(payload, (), "walls"))
+    rows = sum(w.orientation_kept for w in walls)
+    cols = sum(t.orientation_kept for t in tops)
     entries = []
-    triplets = rd.field_ints(d_rec, d_path, "triplets", None, 3)
+    triplets = rd.field_ints(payload, (), "triplets", None, 3)
     for i, (r, c, v) in enumerate(triplets):
-        if not (0 <= r < len(rows) and 0 <= c < len(cols)) or v == 0 or \
+        if not (0 <= r < rows and 0 <= c < cols) or v == 0 or \
                 entries and (r, c) <= entries[-1][0]:
-            rd.fail(d_path + ("triplets", i), "is not a nonzero entry in "
-                    "range, after the previous one in (row, col) order")
+            rd.fail(("triplets", i), "is not a nonzero entry in range, "
+                    "after the previous one in (row, col) order")
         entries.append(((r, c), v))
-    return VoronoiComplex(
-        n=graph.n, group_kind=graph.group_kind,
-        seed_perm=rd.get(payload, (), "seed_perm", int), graph=graph,
-        tops=tops, walls=tuple(walls), kept_tops=kept_tops,
-        kept_walls=kept_walls,
-        differential=Differential(row_labels=rows, col_labels=cols,
-                                  entries=tuple(entries)))
+    seed_perm = rd.get(payload, (), "seed_perm", int)
+    try:
+        return glue_complex(graph, seed_perm, tops, walls, tuple(entries))
+    except WallNotGlued as exc:
+        raise CacheCorrupt(f"{source}: payload.{exc}") from exc
 
 
 def _frame(kind, n, group, digest):

@@ -202,12 +202,12 @@ def _verify_after_tamper(capsys, cache, name, edit, rehash=True):
 
 
 def test_missing_field_in_complex_cache_exit_three(cache, capsys):
-    def drop_label(doc):
-        del doc["payload"]["tops"][0]["label"]
+    def drop_order(doc):
+        del doc["payload"]["walls"][0]["stab_order"]
     code, err = _verify_after_tamper(capsys, cache, "complex-n2-sl.json",
-                                     drop_label)
+                                     drop_order)
     assert code == 3
-    assert "payload.tops[0].label is missing" in err
+    assert "payload.walls[0].stab_order is missing" in err
 
 
 def test_stale_schema_version_exit_three(cache, capsys):
@@ -300,39 +300,36 @@ def test_complex_with_another_graph_file_exit_three(cache, capsys):
     assert f"{graph}: expected hash" in err
 
 
-def _drop_column_zero(doc):
-    d = doc["payload"]["differential"]
-    d["cols"] = d["cols"][1:]
-    d["triplets"] = [[r, c - 1, v] for r, c, v in d["triplets"] if c]
-    doc["payload"]["kept_tops"] = doc["payload"]["kept_tops"][1:]
-
-
 def _repeat_triplet(doc):
-    d = doc["payload"]["differential"]
-    d["triplets"].insert(0, d["triplets"][0])
+    triplets = doc["payload"]["triplets"]
+    triplets.insert(0, triplets[0])
 
 
 def _extra_zero_triplet(doc):
     # Rank 4 sl has one kept wall and both of its entries are nonzero,
     # so the zero entry sits at the last one's position.
-    d = doc["payload"]["differential"]
-    d["triplets"].append(d["triplets"][-1][:2] + [0])
+    triplets = doc["payload"]["triplets"]
+    triplets.append(triplets[-1][:2] + [0])
+
+
+def _clear_kept_wall_flag(doc):
+    # The orientation flags are trusted, but the triplets must fit the
+    # kept walls they leave.
+    for wall in doc["payload"]["walls"]:
+        wall["orientation_kept"] = False
 
 
 @pytest.mark.parametrize("edit, field", (
-    (lambda doc: doc["payload"].update(kept_tops=[0, 0]),
-     "payload.kept_tops is not the increasing list"),
-    (_drop_column_zero, "payload.kept_tops is not the increasing list"),
-    (lambda doc: doc["payload"].update(kept_walls=[]),
-     "payload.kept_walls is not the increasing list"),
-    (_repeat_triplet, "payload.differential.triplets[1] is not a nonzero"),
-    (_extra_zero_triplet,
-     "payload.differential.triplets[2] is not a nonzero"),
-    (lambda doc: doc["payload"]["differential"]["triplets"][1].__setitem__(
-        2, 0), "payload.differential.triplets[1] is not a nonzero"),
-), ids=("kept-top-repeated", "kept-top-and-column-dropped",
-        "kept-walls-emptied", "triplet-repeated", "zero-triplet-added",
-        "triplet-value-zeroed"))
+    (_repeat_triplet, "payload.triplets[1] is not a nonzero"),
+    (_extra_zero_triplet, "payload.triplets[2] is not a nonzero"),
+    (lambda doc: doc["payload"]["triplets"][1].__setitem__(2, 0),
+     "payload.triplets[1] is not a nonzero"),
+    (lambda doc: doc["payload"]["triplets"][0].__setitem__(1, 2),
+     "payload.triplets[0] is not a nonzero entry in range"),
+    (_clear_kept_wall_flag,
+     "payload.triplets[0] is not a nonzero entry in range"),
+), ids=("triplet-repeated", "zero-triplet-added", "triplet-value-zeroed",
+        "triplet-past-kept-tops", "kept-wall-flag-cleared"))
 def test_kept_lists_and_differential_disagree_exit_three(cache, capsys,
                                                          edit, field):
     path = _rank_four_complex(capsys, cache)
@@ -348,14 +345,15 @@ def test_bad_edge_facet_in_graph_cache_exit_three(cache, capsys):
     run(capsys, "perfect", "--n", "3", "--group", "sl", "--cache-dir", cache)
     path = os.path.join(cache, "graph-n3-sl.json")
 
-    def bad_facet(doc):
-        doc["payload"]["edges"][0]["facet"] = 999
-    _tamper(path, bad_facet)
+    def bad_neighbor(doc):
+        doc["payload"]["nodes"][0]["facets"][0]["neighbor"] = 999
+    _tamper(path, bad_neighbor)
     code, out, err = run(capsys, "verify", "--n", "3", "--group", "sl",
                          "--cache-dir", cache)
     assert code == 3
     assert "Traceback" not in out + err
-    assert f"{path}: payload.edges[0].facet is out of range" in err
+    assert f"{path}: payload.nodes[0].facets[0].neighbor is out of " \
+        "range" in err
 
 
 def test_repeated_wall_basis_row_exit_three(cache, capsys):
@@ -363,7 +361,10 @@ def test_repeated_wall_basis_row_exit_three(cache, capsys):
     path = os.path.join(cache, "complex-n4-sl.json")
 
     def repeat_row(doc):
-        wall = doc["payload"]["walls"][doc["payload"]["kept_walls"][0]]
+        # The first kept wall: the only one that --check-dd descends
+        # from.
+        wall = next(w for w in doc["payload"]["walls"]
+                    if w["orientation_kept"])
         wall["basis"][1] = wall["basis"][0]
     _tamper(path, repeat_row)
     code, out, err = run(capsys, "verify", "--n", "4", "--group", "sl",
@@ -374,21 +375,36 @@ def test_repeated_wall_basis_row_exit_three(cache, capsys):
         "cell's span" in err
 
 
-def test_wall_witness_off_the_graph_edge_exit_three(cache, capsys):
-    run(capsys, "verify", "--n", "4", "--group", "sl", "--cache-dir", cache)
-    path = os.path.join(cache, "complex-n4-sl.json")
+def _unglue_wall_zero(capsys, cache):
+    """Build the rank-2 sl caches, then replace the graph edge at wall
+    0's facet by a unimodular shear, which carries the neighbour's
+    minimal vectors elsewhere.  Both files are re-hashed and the complex
+    file refers to the edited graph file, so only the gluing check can
+    catch the change."""
+    run(capsys, "verify", "--n", "2", "--group", "sl", "--cache-dir", cache)
+    graph = os.path.join(cache, "graph-n2-sl.json")
+    path = os.path.join(cache, "complex-n2-sl.json")
+    wall = json.load(open(path))["payload"]["walls"][0]
 
-    def singular_witness(doc):
-        witness = doc["payload"]["walls"][0]["witness"]
-        witness["g"] = [[7] * 4 for _ in range(4)]
-        witness["neighbor"] = 1 - witness["neighbor"]
-    _tamper(path, singular_witness)
-    os.unlink(os.path.join(cache, "verdict-n4-sl.json"))
-    code, out, err = run(capsys, "verify", "--n", "4", "--group", "sl",
-                         "--check-dd", "--cache-dir", cache)
+    def shear(doc):
+        facet = doc["payload"]["nodes"][wall["parent"]]["facets"][
+            wall["face_index"]]
+        facet["witness"] = [[1, 1], [0, 1]]
+    _tamper(graph, shear)
+    digest = json.load(open(graph))["hash"]
+    _tamper(path, lambda doc: doc["payload"].update(graph=digest))
+    os.unlink(os.path.join(cache, "verdict-n2-sl.json"))
+    return path, f"{path}: payload.walls[0] is not glued by the graph " \
+        f"edge at node {wall['parent']}, facet {wall['face_index']}"
+
+
+def test_wall_witness_off_the_graph_edge_exit_three(cache, capsys):
+    path, problem = _unglue_wall_zero(capsys, cache)
+    code, out, err = run(capsys, "verify", "--n", "2", "--group", "sl",
+                         "--cache-dir", cache)
     assert code == 3
     assert "Traceback" not in out + err and "verified" not in out
-    assert f"{path}: payload.walls[0].witness is not the graph edge" in err
+    assert problem in err
 
 
 @pytest.mark.parametrize("text", (
@@ -522,6 +538,27 @@ def test_tess_check_verdict_survives_python_optimize(tmp_path, flip,
         text=True, timeout=60)
     assert result.returncode == expected, result.stderr
     assert "kernel_dim=" in result.stdout
+
+
+def test_wall_witness_off_the_graph_edge_survives_python_optimize(
+        cache, capsys):
+    # The gluing check is no assert: under -O the ungluing edge is
+    # still cache corruption, not a verdict.
+    import subprocess
+    import sys
+    import vorcycle
+
+    path, problem = _unglue_wall_zero(capsys, cache)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vorcycle.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "vorcycle", "verify", "--n", "2",
+         "--group", "sl", "--cache-dir", cache],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "verified" not in result.stdout
+    assert problem in result.stderr
 
 
 # Run in a fresh interpreter: which modules `import vorcycle.cli` loads,

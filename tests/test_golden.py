@@ -24,16 +24,29 @@ verdict payloads are the recorded ones, and the graph and complex
 payloads are the schema-3 ones with decimal strings read as integers
 and members cut to [parent, face].
 
-Since then only the complex digests were re-recorded, once: complex
+Next only the complex digests were re-recorded, once: complex
 schema 5 stores the graph once, in the graph file.  A complex payload
 lost its embedded graph and its `n` and `group`, which repeat its file
 header and the graph, and refers to the graph file by the hash in that
 file's header instead.  Its other fields are the schema-4 ones; the
 graph and verdict files, and so their digests, did not change.
 
+The graph and complex digests were re-recorded once more, together,
+when each fact came to be stored once.  Graph schema 5 stores each edge
+on its facet (the facet record carries `neighbor` and `witness`; the
+`edges` list, whose `node` and `facet` only repeated the facet's
+position, went).  Complex schema 6 keeps only what the graph cannot
+give: the seed permutation, the graph hash, each wall's `parent`,
+`face_index`, members, generators, order, basis and orientation flag,
+and the differential's triplets.  The top classes, the wall vectors,
+kinds, witnesses and labels, the kept lists and the differential's
+labels are derived on load, as a build derives them.  No value changed;
+the verdict files, and so their digests, did not change.
+
 Any change to the search order, the chosen witnesses or the generating
-sets shows up here as a changed graph, complex or verdict file.  A second `verify` from the
-caches just written must reproduce the verdict file byte for byte.
+sets shows up here as a changed graph, complex or verdict file.  A second
+`verify` from the caches just written must reproduce the verdict file
+byte for byte.
 """
 
 import hashlib
@@ -46,33 +59,33 @@ from vorcycle.cli import main
 GOLDEN = {
     (3, "sl"): {
         "graph-n3-sl.json":
-            "df1e58530070dab14bafaa37c5285c1e0c45f250027e9b62f974e966427e453f",
+            "cf811930843b4c6629742d5af42d2abfe2781a69b51a92fafb63f488bb427853",
         "complex-n3-sl.json":
-            "ae2daa6fc15ba5ecb2cb85f124f4535d1058575507a924199524d9a26499f48d",
+            "7c3a188cbf28b640bc7ea6f46b33f390ea737d0241e0a64e2684090b5ce845ad",
         "verdict-n3-sl.json":
             "53514469a3a0e5fcacdf9809bc173d4c6e5b8cf5e8090d94a2bb864045dac997",
     },
     (3, "gl"): {
         "graph-n3-gl.json":
-            "0ad56d01b8781b3a29af792ad8c0552582bc9a242411f5a909fa378ef0f713e8",
+            "49ccf76586a0d0da9674052809fee6fce105dff1d6bdc6f47eee4b582fc117b9",
         "complex-n3-gl.json":
-            "e070ec99f0ce3b973bbe9ed152cd5af42ffa42c5c96385a89b4f3d6d610aa58f",
+            "be386cea749ca11e225d2a874e6a0651b5189759627c32dfee08fec63edd2119",
         "verdict-n3-gl.json":
             "a23f09fabc1d98f5970ce934b68c659deddbc6b7a650fef3f9717150a41199a2",
     },
     (4, "sl"): {
         "graph-n4-sl.json":
-            "1015d2274bb2c271abbc14b86d618a7a82bce39a4fe88a11b8048b6d76644af9",
+            "6c4607d5ebaec81596771e7f9ea1fcf5c4cf9c086b01c88bbe13d6363e5bccc0",
         "complex-n4-sl.json":
-            "ff73e3e32c8b74366ede8cac3795d131e86fb859ec57a661ac20ec9b046eb0da",
+            "b6e5b6eedbbca41825f7c4a768239deca87c85b9451fad38423e9a729fc7ebb8",
         "verdict-n4-sl.json":
             "36db85c4819198a94d977b86420b3fdfbd2d950d6f8f2f3adb4512417252bba0",
     },
     (4, "gl"): {
         "graph-n4-gl.json":
-            "34c4bad2b220b2e14bc868e833c3583a6c3db01c03c1b52c43a51c821b935bb0",
+            "fe3dbc909b85569ad323de0e6d85b948fdf2f5eccca444960367404d18afd054",
         "complex-n4-gl.json":
-            "85fe20eb93c63274c037761870a831d015a6fc8ab8049b016866c12d16c3c6a4",
+            "972f80590102cad2d306953dc9b1c98fb144b0eff21bc4d67ef1a8042c97c22f",
         "verdict-n4-gl.json":
             "22cedf4684c60d5857d0272eb219e041c7f55a3607958676995edfd79b0b527c",
     },

@@ -70,26 +70,41 @@ def test_complex_round_trip(tmp_path):
     assert verify_top_cycle(loaded).ok
 
 
-@pytest.mark.parametrize("n", (2, 3, 4, 5))
-@pytest.mark.parametrize("group", ("sl", "gl"))
-def test_complex_round_trip_is_exact(tmp_path, n, group):
-    # Members are stored as [parent, face]; the vectors derived from the
-    # graph on load must be the ones the build held.
-    cx = cached_complex(n, group)
+# The ids end in -p3 for seed permutation 3, as its cache file names do.
+@pytest.mark.parametrize("n, group, seed_perm", [
+    pytest.param(n, group, seed,
+                 id=f"{group}-{n}" + (f"-p{seed}" if seed else ""))
+    for seed in (0, 3) for group in ("gl", "sl") for n in (2, 3, 4, 5)])
+def test_complex_round_trip_is_exact(tmp_path, n, group, seed_perm):
+    # A wall is stored as its [parent, face] members, generators, basis
+    # and flag; its vectors, kind, witness and label, the top classes
+    # and the kept lists, derived on load, must be the ones the build
+    # held.  Seed permutation 3 picks other wall representatives.
+    cx = cached_complex(n, group, seed_perm)
     assert _save_and_load(tmp_path, cx) == cx
 
 
 def test_complex_payload_refers_to_the_graph_file(tmp_path):
     cx = cached_complex(3, "gl")
     payload = complex_to_payload(cx, _graph_hash(cx))
-    assert set(payload) == {"seed_perm", "graph", "tops", "walls",
-                            "kept_tops", "kept_walls", "differential"}
+    assert set(payload) == {"seed_perm", "graph", "walls", "triplets"}
+    for wall in payload["walls"]:
+        assert set(wall) == {"parent", "face_index", "members",
+                             "generators", "stab_order", "basis",
+                             "orientation_kept"}
+    graph_payload = graph_to_payload(cx.graph)
+    assert set(graph_payload) == {"n", "group", "nodes"}
+    for node in graph_payload["nodes"]:
+        for facet in node["facets"]:
+            assert set(facet) == {"normal", "incident", "neighbor",
+                                  "witness"}
     g_path = save_payload(str(tmp_path / "g.json"), "graph", 3, "gl",
-                          graph_to_payload(cx.graph))
+                          graph_payload)
     c_path = save_payload(str(tmp_path / "c.json"), "complex", 3, "gl",
                           payload)
     assert json.load(open(g_path))["hash"] == payload["graph"]
-    assert json.load(open(c_path))["schema_version"] == 5
+    assert json.load(open(g_path))["schema_version"] == 5
+    assert json.load(open(c_path))["schema_version"] == 6
     assert load_payload(g_path, "graph", 3, "gl", payload["graph"])
     with pytest.raises(CacheCorrupt, match="g.json: expected hash '0+'"):
         load_payload(g_path, "graph", 3, "gl", "0" * 64)
@@ -257,7 +272,7 @@ def test_every_missing_field_is_cache_corrupt(n, group):
             with _mutated(payload, path, delete=True) as bad, \
                     pytest.raises(CacheCorrupt, match="c.json: payload"):
                 decode(bad)
-    assert count > 50
+    assert count > 30
 
 
 @pytest.mark.parametrize("n, group", ((2, "sl"), (3, "gl")))
@@ -280,57 +295,85 @@ def test_mistyped_fields_never_crash(n, group):
 def test_missing_field_message_names_the_field():
     cx = cached_complex(2, "sl")
     payload = complex_to_payload(cx, _graph_hash(cx))
-    del payload["tops"][0]["label"]
+    del payload["walls"][0]["stab_order"]
     with pytest.raises(CacheCorrupt) as exc:
         complex_from_payload(payload, cx.graph, "complex-n2-sl.json")
     assert str(exc.value) == \
-        "complex-n2-sl.json: payload.tops[0].label is missing"
+        "complex-n2-sl.json: payload.walls[0].stab_order is missing"
 
 
 SHEAR = [[1, 1], [0, 1]]
 
 
+# The first ids are the ones pytest generated for an earlier, longer
+# table, kept so that each case keeps its name; new cases are appended
+# with ids of their own.
 @pytest.mark.parametrize("where, new, problem", (
-    (("graph", "nodes", 0, "generators", 0), SHEAR,
-     "does not fix the Gram matrix"),
-    (("tops", 0, "generators", 0), SHEAR, "does not fix the cell"),
-    (("walls", 0, "generators", 0), SHEAR, "does not fix the cell"),
-    (("walls", 0, "generators", 0), [[2, 0], [0, 1]],
-     "is not unimodular"),
-    (("walls", 0, "generators", 0), [[0, 1], [1, 0]],
-     "has determinant -1"),
-    (("kept_tops", 0), 1, "is not a list of indices"),
-    (("graph", "edges", 0, "neighbor"), 1, "is out of range"),
-    (("graph", "nodes", 0, "min_vectors", 0), [0, 0],
-     "is not a sorted list of canonical vector pairs"),
-    (("walls", 0, "vectors", 0), [-1, 0],
-     "is not a sorted list of canonical vector pairs"),
-    (("graph", "edges", 0, "facet"), 999, "is out of range"),
-    (("walls", 0, "basis", 1), [0, 0, 1],
-     "is not a basis of the cell's span"),
-    (("walls", 0, "witness", "g"), [[7, 7], [7, 7]],
-     "witness is not the graph edge at node 0, facet 0"),
-    (("walls", 0, "witness", "neighbor"), 1, "witness is not the graph edge"),
-    (("walls", 0, "witness"), None, "witness is not the graph edge"),
-    (("walls", 0, "face_index"), 1,
-     "witness is not the graph edge at node 0, facet 1"),
-    (("walls", 0, "kind"), "non_self",
-     "kind does not match the wall's neighbor"),
-    (("walls", 0, "parent"), 1, "parent is out of range"),
-    (("walls", 0, "face_index"), 3, "face_index is out of range"),
-    (("graph", "edges", 0, "witness"), [[0, 1], [1, 0]],
-     "witness has determinant -1"),
-    (("walls", 0, "members", 0, 0), 3, "has a parent out of range 0..0"),
-    (("walls", 0, "members", 0, 1), 3, "has a face out of range 0..2"),
-    (("tops", 0, "members", 0, 1), 0, "has a face other than -1 on a top"),
-    (("walls", 0, "members", 0, 1), -1, "has a face out of range 0..2"),
-    (("walls", 0, "members", 0, 0), True,
-     r"is not a \[parent, face\] pair"),
-    (("walls", 0, "members", 0), [0, 0, 0],
-     r"is not a \[parent, face\] pair"),
-    (("graph", "nodes", 0, "gram", 0, 0), "2",
-     "gram is not a list of 2 integers per row"),
-    (("graph", "nodes", 0, "min_value"), "2", "min_value has the wrong type"),
+    pytest.param(("graph", "nodes", 0, "generators", 0), SHEAR,
+                 "does not fix the Gram matrix",
+                 id="where0-new0-does not fix the Gram matrix"),
+    pytest.param(("walls", 0, "generators", 0), SHEAR,
+                 "does not fix the cell",
+                 id="where2-new2-does not fix the cell"),
+    pytest.param(("walls", 0, "generators", 0), [[2, 0], [0, 1]],
+                 "is not unimodular", id="where3-new3-is not unimodular"),
+    pytest.param(("walls", 0, "generators", 0), [[0, 1], [1, 0]],
+                 "has determinant -1", id="where4-new4-has determinant -1"),
+    pytest.param(("graph", "nodes", 0, "facets", 0, "neighbor"), 1,
+                 "neighbor is out of range", id="where6-1-is out of range"),
+    pytest.param(("graph", "nodes", 0, "min_vectors", 0), [0, 0],
+                 "is not a sorted list of canonical vector pairs",
+                 id="where7-new7-is not a sorted list of canonical vector "
+                    "pairs"),
+    pytest.param(("walls", 0, "basis", 1), [0, 0, 1],
+                 "is not a basis of the cell's span",
+                 id="where10-new10-is not a basis of the cell's span"),
+    pytest.param(("walls", 0, "parent"), 1,
+                 r"payload\.walls\[0\]\.parent is out of range",
+                 id="where16-1-parent is out of range"),
+    pytest.param(("walls", 0, "face_index"), 3,
+                 r"payload\.walls\[0\]\.face_index is out of range",
+                 id="where17-3-face_index is out of range"),
+    pytest.param(("graph", "nodes", 0, "facets", 0, "witness"),
+                 [[0, 1], [1, 0]], "witness has determinant -1",
+                 id="where18-new18-witness has determinant -1"),
+    pytest.param(("walls", 0, "members", 0, 0), 3,
+                 "has a parent out of range 0..0",
+                 id="where19-3-has a parent out of range 0..0"),
+    pytest.param(("walls", 0, "members", 0, 1), 3,
+                 "has a face out of range 0..2",
+                 id="where20-3-has a face out of range 0..2"),
+    pytest.param(("walls", 0, "members", 0, 1), -1,
+                 "has a face out of range 0..2",
+                 id="where22--1-has a face out of range 0..2"),
+    pytest.param(("walls", 0, "members", 0, 0), True,
+                 r"is not a \[parent, face\] pair",
+                 id=r"where23-True-is not a \[parent, face\] pair"),
+    pytest.param(("walls", 0, "members", 0), [0, 0, 0],
+                 r"is not a \[parent, face\] pair",
+                 id=r"where24-new24-is not a \[parent, face\] pair"),
+    pytest.param(("graph", "nodes", 0, "gram", 0, 0), "2",
+                 "gram is not a list of 2 integers per row",
+                 id="where25-2-gram is not a list of 2 integers per row"),
+    pytest.param(("graph", "nodes", 0, "min_value"), "2",
+                 "min_value has the wrong type",
+                 id="where26-2-min_value has the wrong type"),
+    # Another face: the wall's generators do not fix its vectors.
+    pytest.param(("walls", 0, "face_index"), 1,
+                 r"walls\[0\]\.generators\[0\] does not fix the cell",
+                 id="face-index-moved"),
+    pytest.param(("graph", "nodes", 0, "facets", 0, "neighbor"), -1,
+                 r"nodes\[0\]\.facets\[0\]\.neighbor is out of range",
+                 id="facet-neighbor-negative"),
+    pytest.param(("graph", "nodes", 0, "facets", 0, "witness"),
+                 [[2, 0], [0, 1]], "witness is not unimodular",
+                 id="facet-witness-singular"),
+    pytest.param(("walls", 0, "basis"), None, "basis has the wrong type",
+                 id="wall-basis-null"),
+    # Rank 2 sl keeps no wall, so the matrix has no rows.
+    pytest.param(("triplets",), [[0, 0, 1]],
+                 r"triplets\[0\] is not a nonzero entry in range",
+                 id="triplet-past-kept-walls"),
 ))
 def test_generator_certificates_and_ranges(where, new, problem):
     # A ("graph", ...) field lies in the graph payload.
@@ -345,34 +388,36 @@ def test_generator_certificates_and_ranges(where, new, problem):
 
 @pytest.mark.parametrize("n, group", ((2, "sl"), (4, "gl")))
 def test_one_edge_per_node_facet(n, group):
-    payload = graph_to_payload(cached_graph(n, group))
-    edges = payload["edges"]
-    assert len(edges) == sum(len(node["facets"])
-                             for node in payload["nodes"])
-    first = edges[0]
-    twin = next(e for e in edges[1:] if e["node"] == first["node"])
-    with _mutated(payload, ("edges", edges.index(twin), "facet"),
-                  first["facet"]) as bad, \
-            pytest.raises(CacheCorrupt, match=r"payload\.edges\[\d+\] "
-                                              r"repeats the edge at node"):
-        graph_from_payload(bad, "g.json")
-    payload["edges"] = edges[1:]
-    with pytest.raises(CacheCorrupt, match=r"payload\.edges does not have "
-                                           r"one edge per node facet"):
-        graph_from_payload(payload, "g.json")
+    # Each facet record carries the edge across it, so a decoded graph
+    # has one edge per (node, facet), in that order, as enumerated.
+    graph = cached_graph(n, group)
+    payload = graph_to_payload(graph)
+    assert "edges" not in payload
+    loaded = graph_from_payload(payload, "g.json")
+    assert [(e.node, e.facet) for e in loaded.edges] == \
+        [(i, k) for i, node in enumerate(loaded.nodes)
+         for k in range(len(node.domain.facets))]
+    assert loaded.edges == graph.edges
 
 
 def test_stale_schema_version_names_the_remedy(tmp_path):
-    payload = graph_to_payload(cached_graph(2, "sl"))
-    path = save_payload(str(tmp_path / "g.json"), "graph", 2, "sl", payload)
-    doc = json.load(open(path))
-    assert doc["schema_version"] == 4
-    doc["schema_version"] = 3
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    with pytest.raises(CacheCorrupt, match="delete it or use a fresh "
-                                           "--cache-dir"):
-        load_payload(path, "graph", 2, "sl")
+    # A schema-4 graph file and a schema-5 complex file: the versions
+    # before edges moved onto their facets and the complex file kept
+    # only what the graph cannot give.
+    cx = cached_complex(2, "sl")
+    for kind, payload, stale in (
+            ("graph", graph_to_payload(cx.graph), 4),
+            ("complex", complex_to_payload(cx, _graph_hash(cx)), 5)):
+        path = save_payload(str(tmp_path / f"{kind}.json"), kind, 2, "sl",
+                            payload)
+        doc = json.load(open(path))
+        assert doc["schema_version"] == stale + 1
+        doc["schema_version"] = stale
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(CacheCorrupt, match="delete it or use a fresh "
+                                               "--cache-dir"):
+            load_payload(path, kind, 2, "sl")
 
 
 def test_verdict_files_are_version_two(tmp_path):
