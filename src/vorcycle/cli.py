@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 
-from .complexes import build_complex
+from .complexes import WallNotGlued, build_complex
 from .enumeration import FREE_MAX_RANK, HARD_MAX_RANK, enumerate_perfect_forms
 from .homology import dd_sanity, verify
 from .persistence import (
@@ -89,8 +89,16 @@ def _load_or_build_complex(args):
         except (CacheCorrupt, FileNotFoundError) as exc:
             raise CacheCorrupt(f"{path}: payload.graph: {exc}") from exc
         return complex_from_payload(payload, graph, path), path
-    graph, _, digest = _load_or_build_graph(args)
-    cx = build_complex(graph, seed_perm=seed)
+    loaded = os.path.exists(cache_path(_cache_dir(args), "graph", n, group))
+    graph, graph_path, digest = _load_or_build_graph(args)
+    try:
+        cx = build_complex(graph, seed_perm=seed)
+    except WallNotGlued as exc:
+        # An edge read from a file is that file's corruption; one this
+        # process built is a defect.
+        if not loaded:
+            raise
+        raise CacheCorrupt(f"{graph_path}: {exc}") from exc
     save_payload(path, "complex", n, group, complex_to_payload(cx, digest))
     return cx, path
 

@@ -13,6 +13,7 @@ inward-pointing: <N, r> = 0 on incident rays and > 0 on every other ray
 of the cone, where <.,.> is the trace pairing.
 """
 
+from operator import mul
 from typing import NamedTuple
 
 from .forms import rank_one
@@ -56,7 +57,7 @@ class PolyCone(NamedTuple):
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _dd_dual_rays(rows, weights):
@@ -159,19 +160,22 @@ def build_cone(vectors):
             f"dimension-{dim} form space")
     weights = [pairing_weights(f, n) for f in ray_flats]
     duals = _dd_dual_rays(ray_flats, weights)
+    # A nonzero y pairs to zero with each of its incident rays, so they
+    # span at most a hyperplane; the certificate is that they span one.
     facets = []
     for y, active in duals:
-        if mat_rank([ray_flats[i] for i in active]) != dim - 1:
+        if not any(y) or mat_rank([ray_flats[i] for i in active],
+                                  stop=dim - 1) < dim - 1:
             raise ValueError("dual ray does not describe a facet")
         facets.append(FacetRec(normal=sym_unflatten(y, n),
                                incident=active))
-    # Every listed ray must be extreme: the facets through it span a
-    # hyperplane.  (Pointedness holds because the identity matrix pairs
-    # strictly positively with every rank-one ray.)
+    # Every listed ray must be extreme: the normals of the facets
+    # through it span a hyperplane (at most one, as they vanish on the
+    # ray).  Pointedness holds because the identity matrix pairs strictly
+    # positively with every rank-one ray.
     for i in range(len(vectors)):
-        active_normals = [sym_flatten(f.normal) for f in facets
-                          if i in f.incident]
-        if mat_rank(active_normals) != dim - 1:
+        active_normals = [y for y, active in duals if i in active]
+        if mat_rank(active_normals, stop=dim - 1) < dim - 1:
             raise ValueError(f"listed ray {i} is not extreme")
     return PolyCone(ambient_dim=dim, vectors=vectors,
                     ray_flats=tuple(ray_flats), facets=tuple(facets))

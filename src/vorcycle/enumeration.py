@@ -16,10 +16,13 @@ value mu for every t, the remaining minimal vectors of h move up, and
 the neighbour sits at the first t > 0 where a new vector reaches value
 mu.  Candidate vectors give exact rational roots t_v = (h(v) - mu) /
 (-N(v)); the walk keeps the smallest, re-enumerates at that exact t,
-and stops when the minimum class strictly grows.  If a probe leaves the
-positive definite cone, a rational isotropic-or-negative vector from
-the failed LDL^t decomposition re-seeds the candidate set, so every
-step is certified and terminates.
+and stops when the minimum class strictly grows.  The probe t doubles
+from 1 while it stays positive definite with nothing new at mu.  Once a
+probe leaves the positive definite cone, the walk bisects between the
+last positive definite probe with nothing below mu and the smallest
+failing probe; the neighbour lies strictly inside that interval and
+strictly before the cone's boundary, so a probe eventually lands
+between the two, finds a vector below mu, and jumps to its exact root.
 
 Equivalence classes may be requested for the full unimodular group or
 for the determinant-one subgroup.  The determinant-one classes are
@@ -46,7 +49,6 @@ from .forms import (
     is_perfect,
     is_positive_definite,
     minimum_and_minimal_vectors,
-    nonposdef_witness,
     short_vectors,
 )
 from .isometry import form_group, form_invariant, form_maps, orbit_decompose
@@ -128,18 +130,15 @@ def neighbor_form(form, minvecs, facet):
         scaled = tuple(tuple(int(x * denom) for x in r) for r in rows)
         return scaled, denom
 
-    best = None
-    probe = Fraction(1)
+    # lo: the last positive definite probe with nothing below mu; hi:
+    # the smallest probe known not to be positive definite.
+    lo, hi = Fraction(0), None
+    t = Fraction(1)
     for _ in range(10000):
-        t = best if best is not None else probe
         scaled, denom = form_at(t)
         if not is_positive_definite(scaled):
-            v = nonposdef_witness(scaled)
-            nv = bilinear(normal, v, v)
-            assert nv < 0
-            t_v = Fraction(form.evaluate(v) - mu, -nv)
-            assert 0 < t_v < t
-            best = t_v if best is None else min(best, t_v)
+            hi = t
+            t = (lo + hi) / 2
             continue
         hits = short_vectors(scaled, denom * mu)
         below = [(v, val) for v, val in hits if val < denom * mu]
@@ -150,8 +149,8 @@ def neighbor_form(form, minvecs, facet):
                 assert nv < 0
                 t_v = Fraction(form.evaluate(v) - mu, -nv)
                 t_new = t_v if t_new is None else min(t_new, t_v)
-            assert t_new < t
-            best = t_new
+            assert lo < t_new < t
+            t = t_new
             continue
         at_mu = {v for v, val in hits if val == denom * mu}
         new_pairs = at_mu - face_set
@@ -163,8 +162,8 @@ def neighbor_form(form, minvecs, facet):
             assert set(mv.vectors) - face_set
             assert is_perfect(result, mv)
             return result
-        assert best is None, "exact candidate root must surface a new vector"
-        probe *= 2
+        lo = t
+        t = 2 * t if hi is None else (lo + hi) / 2
     raise RuntimeError("contiguity walk failed to converge")
 
 

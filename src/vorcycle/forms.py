@@ -3,9 +3,11 @@
 Forms are stored as symmetric integer Gram matrices normalized up to
 homothety: entries are scaled to coprime integers and the minimum is
 carried separately.  Minimal vectors are certified complete by a
-Fincke-Pohst style search driven by an exact rational LDL^t
-decomposition; every comparison along the way is an exact integer or
-Fraction comparison.
+Fincke-Pohst search in integers only: the fraction-free elimination of
+the Gram matrix (`linalg.echelon`) writes the form, scaled by an integer,
+as a weighted sum of squares of integer linear forms, and every
+comparison along the way is an integer comparison.  The same
+elimination decides positive definiteness.
 
 Minimal vectors come in antipodal pairs {x, -x}; we store one canonical
 representative per pair, the one whose first nonzero coordinate is
@@ -23,17 +25,18 @@ the same matrices.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .linalg import (
     adjugate,
     det_int,
+    echelon,
     mat_mul,
     mat_rank,
     mat_vec,
     mat_transpose,
-    clear_denominators,
     sym_dim,
     sym_flatten,
 )
@@ -66,95 +69,86 @@ def rank_one(vec):
 
 def bilinear(mat, x, y):
     """x^t * mat * y."""
-    return sum(x[i] * sum(mat[i][j] * y[j] for j in range(len(y)))
-               for i in range(len(x)))
+    return sum(map(mul, x, [sum(map(mul, row, y)) for row in mat]))
 
 
-def _ldl(gram):
-    """Exact LDL^t data for a symmetric matrix, as a sum of squares.
+def _pivot_rows(gram):
+    """The pivot rows of the elimination of a symmetric integer matrix.
 
-    Returns (diag, coeff, bad) with Q(x) = sum_k diag[k] * (x_k +
-    sum_{j>k} coeff[k][j] x_j)^2 using the pivots produced so far.  If
-    some pivot is <= 0 (the matrix is not positive definite), `bad` is
-    its index and the decomposition stops there; otherwise bad is None.
+    Row k of the result carries its pivot on the diagonal, where it is
+    the (k+1)-th leading principal minor.  The matrix is positive
+    definite exactly when every row leaves a pivot on the diagonal and
+    every pivot is positive (Sylvester's criterion); NotPositiveDefinite
+    is raised otherwise.  The elimination never exchanges rows, so
+    ((0, 1), (1, 5)) fails at its first row.
     """
-    n = len(gram)
-    w = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    diag = []
-    coeff = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        d = w[k][k]
-        if d <= 0:
-            return diag, coeff, k
-        diag.append(d)
-        for j in range(k + 1, n):
-            coeff[k][j] = w[k][j] / d
-        for i in range(k + 1, n):
-            for j in range(i, n):
-                w[i][j] -= w[k][i] * w[k][j] / d
-                w[j][i] = w[i][j]
-    return diag, coeff, None
+    pivots, kept = echelon(gram)
+    for k in range(len(gram)):
+        if k == len(pivots) or kept[k] != k or pivots[k][0] != k or \
+                pivots[k][1][k] <= 0:
+            raise NotPositiveDefinite(
+                f"leading principal minor {k + 1} is <= 0")
+    return [row for _, row in pivots]
 
 
 def is_positive_definite(gram):
-    return _ldl(gram)[2] is None
-
-
-def nonposdef_witness(gram):
-    """A primitive integer vector v with Q(v) <= 0, for non-posdef Q."""
-    diag, coeff, bad = _ldl(gram)
-    if bad is None:
-        raise ValueError("matrix is positive definite")
-    n = len(gram)
-    x = [Fraction(0)] * n
-    x[bad] = Fraction(1)
-    for i in range(bad - 1, -1, -1):
-        x[i] = -sum(coeff[i][j] * x[j] for j in range(i + 1, n))
-    v = clear_denominators(x)
-    assert bilinear(gram, v, v) <= 0
-    return v
+    try:
+        _pivot_rows(gram)
+    except NotPositiveDefinite:
+        return False
+    return True
 
 
 def short_vectors(gram, bound):
     """All canonical antipodal pairs x != 0 with Q(x) <= bound.
 
-    Exact Fincke-Pohst: coordinates are scanned outward from the
-    rational center of each layer, so no square roots are ever taken.
-    Returns a sorted list of (vector, value) pairs.
+    Exact Fincke-Pohst in integers.  With B_k the k-th pivot row of the
+    Gram matrix's elimination and D_k = B_kk its k-th leading principal
+    minor (D_0 = 1),
+
+        Q(x) = sum_k u_k^2 / (D_k D_(k-1)),   u_k = sum_(j>=k) B_kj x_j,
+
+    so L * Q(x) is the sum of w_k u_k^2 with L the lcm of the D_k D_(k-1)
+    and integer weights w_k = L / (D_k D_(k-1)).  Each coordinate is
+    scanned outward from the floor of its layer's center; the value of a
+    hit is read off the budget L * bound that it leaves.  The last
+    nonzero coordinate is kept positive, so each pair is met once.  The
+    bound must be an integer.  Returns a sorted list of (vector, value)
+    pairs.
     """
-    diag, coeff, bad = _ldl(gram)
-    if bad is not None:
-        raise NotPositiveDefinite(f"leading principal minor {bad + 1} is <= 0")
-    n = len(gram)
-    bound = Fraction(bound)
+    rows = _pivot_rows(gram)
+    n = len(rows)
+    minors = [1] + [rows[k][k] for k in range(n)]
+    scale = lcm(*(minors[k] * minors[k + 1] for k in range(n)))
+    weights = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
+    budget = scale * bound
     found = {}
     x = [0] * n
 
-    def descend(i, remaining):
+    def descend(i, remaining, lead):
+        # `lead`: every coordinate above i is zero.
         if i < 0:
-            if any(x):
-                vec = tuple(x)
-                val = bilinear(gram, vec, vec)
-                found[canonical_pair(vec)] = val
+            if not lead:
+                found[canonical_pair(tuple(x))] = \
+                    (budget - remaining) // scale
             return
-        center = -sum(coeff[i][j] * x[j] for j in range(i + 1, n))
-        # Nearest integer to the layer center; the quadratic term grows
-        # monotonically away from it, so each scan direction may stop at
-        # its first violation.
-        start = (center.numerator + center.denominator // 2) // center.denominator
-        k = start
-        while diag[i] * (k - center) ** 2 <= remaining:
-            x[i] = k
-            descend(i - 1, remaining - diag[i] * (k - center) ** 2)
-            k -= 1
-        k = start + 1
-        while diag[i] * (k - center) ** 2 <= remaining:
-            x[i] = k
-            descend(i - 1, remaining - diag[i] * (k - center) ** 2)
-            k += 1
+        row, d, w = rows[i], minors[i + 1], weights[i]
+        s = sum(map(mul, row[i + 1:], x[i + 1:]))
+        # u_i = d * x_i + s grows in size away from x_i = -s / d, so
+        # each direction stops at its first violation.
+        start = -s // d
+        for step, k in ((-1, start), (1, start + 1)):
+            while k >= 0 or not lead:
+                u = d * k + s
+                left = remaining - w * u * u
+                if left < 0:
+                    break
+                x[i] = k
+                descend(i - 1, left, lead and k == 0)
+                k += step
         x[i] = 0
 
-    descend(n - 1, bound)
+    descend(n - 1, budget, True)
     return sorted(found.items())
 
 

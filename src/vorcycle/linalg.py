@@ -1,11 +1,14 @@
 """Exact integer/rational linear algebra.
 
 Every decision made anywhere in this package (ranks, kernel dimensions,
-determinant signs, orientations) is computed here in exact arithmetic:
-arbitrary-precision integers with one fraction-free Bareiss elimination
-(`_echelon`, behind `mat_rank`, `kernel_basis` and `det_int`), and
-`fractions.Fraction` only in the back substitution of `kernel_basis`.
-No floating point enters any code path.
+determinant signs, orientations, positive definiteness) is computed
+here in exact integer arithmetic, by one fraction-free elimination
+(`echelon`): rows enter one at a time, each is reduced against the pivot
+rows so far, and what is left becomes a pivot row.  `mat_rank`,
+`det_int`, `kernel_basis` and `independent_rows` read their answers off
+it, and `forms` reads the leading principal minors of a Gram matrix off
+it.  Rational input rows are scaled to integer rows first.  No floating
+point enters any code path.
 
 Symmetric matrices are identified with coordinate vectors through the
 upper-triangle flattening (index pairs i <= j in row-major order,
@@ -17,79 +20,84 @@ Signs are plain ints in {-1, 0, +1}.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 
 class SpanMismatch(ValueError):
     """Two ordered vector families do not span the same subspace."""
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
 def _as_int_rows(rows):
-    """Copy `rows` into integer lists, scaling each row by a positive factor."""
+    """`rows`, with each row that holds a Fraction scaled by a positive
+    factor to integers."""
     out = []
     for row in rows:
-        denom = 1
-        for x in row:
-            if type(x) is Fraction:
-                denom = _lcm(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
+        if Fraction in map(type, row):
+            scale = lcm(*(x.denominator for x in row))
+            row = [int(x * scale) for x in row]
+        out.append(row)
     return out
 
 
-def _echelon(rows):
-    """Fraction-free (Bareiss) row echelon form of an integer matrix.
+def echelon(rows, stop=None):
+    """Row-at-a-time fraction-free (Bareiss) elimination of integer rows.
 
-    Returns (echelon_rows, pivot_cols, swap_sign).  The echelon rows are
-    exact integer rows; entries below each pivot are zero.
+    Each row in turn is reduced against the pivot rows kept so far:
+    step k replaces it by (r * p_k - q_k * r[c_k]) / p_(k-1), where q_k
+    is the k-th pivot row, c_k its pivot column, p_k = q_k[c_k] and
+    p_0 = 1.  The division is exact: entry j of the result is the minor
+    on the rows so far and the columns c_1, ..., c_k, j.  A row left
+    nonzero becomes the next pivot row, with its first nonzero column as
+    pivot column; a row left zero is dropped.  No two rows are ever
+    exchanged, and pivot columns may arrive in any order.  The scan ends
+    once `stop` pivot rows are found (by default, one per column).
+
+    Returns (pivots, kept): `pivots` lists (pivot column, reduced row)
+    and `kept` the indices of the rows that left them.
     """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivot_cols = []
-    sign = 1
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
-            sign = -sign
-        pc = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            for j in range(c, ncols):
-                m[i][j] = (m[i][j] * pc - m[r][j] * mic) // prev
-        prev = pc
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivot_cols, sign
-
-
-def mat_rank(rows):
-    """Rank over the rationals, by fraction-free elimination."""
+    pivots, kept = [], []
     if not rows:
-        return 0
-    _, pivots, _ = _echelon(_as_int_rows(rows))
-    return len(pivots)
+        return pivots, kept
+    width = len(rows[0])
+    stop = width if stop is None else min(stop, width)
+    for i, r in enumerate(rows):
+        if len(pivots) >= stop:
+            break
+        # A step with r[c_k] = 0 only scales r by p_k / p_(k-1); such
+        # steps are deferred, and `base` is the pivot of the last step
+        # taken (p_0 = 1).
+        base = p = 1
+        for c, q in pivots:
+            p = q[c]
+            a = r[c]
+            if a:
+                r = [(x * p - y * a) // base for x, y in zip(r, q)]
+                base = p
+        for c, x in enumerate(r):
+            if x:
+                if base != p:
+                    r = [t * p // base for t in r]
+                pivots.append((c, r))
+                kept.append(i)
+                break
+    return pivots, kept
+
+
+def mat_rank(rows, stop=None):
+    """Rank over the rationals; with `stop`, the smaller of the rank and
+    `stop` (the elimination ends at that many pivots)."""
+    return len(echelon(_as_int_rows(rows), stop)[0])
 
 
 def kernel_basis(rows, ncols=None):
     """Basis of the right kernel of `rows`, as primitive integer vectors.
 
     `ncols` is required when `rows` is empty.  One basis vector per free
-    column of the echelon form; entries are coprime integers.
+    column (a column that is no pivot column): 1 there, 0 at the other
+    free columns, and the pivot entries by back substitution in reverse
+    pivot order.  Each vector is scaled to coprime integers with its
+    first nonzero entry positive.
     """
     if not rows:
         if ncols is None:
@@ -101,21 +109,26 @@ def kernel_basis(rows, ncols=None):
             basis.append(tuple(v))
         return basis
     ncols = len(rows[0])
-    ech, pivots, _ = _echelon(_as_int_rows(rows))
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    pivots, _ = echelon(_as_int_rows(rows))
+    pivot_set = {c for c, _ in pivots}
     basis = []
-    for f in free_cols:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = Fraction(0)
-            for c in range(pc + 1, ncols):
-                if ech[r][c]:
-                    s += ech[r][c] * x[c]
-            x[pc] = -s / ech[r][pc]
-        vec = clear_denominators(x)
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        x = [0] * ncols
+        x[f] = 1
+        # Pivot row k vanishes on the pivot columns before its own, so
+        # x[c_k] follows from the entries already set; x is rescaled by
+        # a positive factor to keep it integral.
+        for c, q in reversed(pivots):
+            s = sum(map(mul, q, x))
+            p = q[c]
+            g = gcd(s, p)
+            scale = abs(p) // g
+            if scale != 1:
+                x = [t * scale for t in x]
+            x[c] = -(s // g) if p > 0 else s // g
+        vec = primitive(x)
         for entry in vec:
             if entry != 0:
                 if entry < 0:
@@ -127,17 +140,7 @@ def kernel_basis(rows, ncols=None):
 
 def clear_denominators(vec):
     """Scale a rational vector to a primitive integer vector (same direction)."""
-    denom = 1
-    for x in vec:
-        if type(x) is Fraction:
-            denom = _lcm(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    return primitive(_as_int_rows([vec])[0])
 
 
 def primitive(vec):
@@ -151,17 +154,30 @@ def primitive(vec):
 
 
 def det_int(rows):
-    """Exact determinant of a square integer matrix (Bareiss)."""
+    """Exact determinant of a square integer matrix.
+
+    The last pivot of `echelon` is the determinant of the matrix with
+    its columns in pivot order, so the determinant is that pivot times
+    the sign of the pivot-column permutation.
+    """
     n = len(rows)
     if n == 0:
         return 1
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    ech, pivots, sign = _echelon(rows)
+    pivots, _ = echelon(rows)
     if len(pivots) < n:
         return 0
-    # Bareiss leaves the determinant (up to swaps) in the last pivot.
-    return sign * ech[n - 1][pivots[-1]]
+    # Sort the pivot columns by swaps, each of which flips the sign.
+    cols = [c for c, _ in pivots]
+    c, last = pivots[-1]
+    det = last[c]
+    for i in range(n):
+        while cols[i] != i:
+            j = cols[i]
+            cols[i], cols[j] = cols[j], j
+            det = -det
+    return det
 
 
 def det_sign(rows):
@@ -175,13 +191,11 @@ def det_sign(rows):
 
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_transpose(a):
@@ -214,18 +228,13 @@ def independent_rows(candidates, start):
 
     Scanning in order, a candidate is kept when it raises the rank of
     the linearly independent rows `start` plus the candidates kept
-    before it.  The scan stops once the rows reach full column rank.
+    before it: in one elimination of `start` then the candidates, the
+    candidates that leave a pivot.  The scan stops once the rows reach
+    full column rank.
     """
-    rows = list(start)
-    width = len((rows or candidates or [()])[0])
-    chosen = []
-    for i, cand in enumerate(candidates):
-        if len(rows) == width:
-            break
-        if mat_rank(rows + [cand]) > len(rows):
-            rows.append(cand)
-            chosen.append(i)
-    return chosen
+    k = len(start)
+    _, kept = echelon(_as_int_rows(list(start) + list(candidates)))
+    return [i - k for i in kept if i >= k]
 
 
 def unit_completion(basis):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import types
 from fractions import Fraction
@@ -159,6 +160,148 @@ def random_unimodular(n, rng, steps=8):
         else:
             m[i] = [-x for x in m[i]]
     return GroupElement.from_matrix(m)
+
+
+def reference_echelon(rows):
+    """Reference: fraction-free (Bareiss) row echelon form of an integer
+    matrix, column by column with row exchanges.  Returns
+    (echelon_rows, pivot_cols, swap_sign)."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivot_cols = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        pc = m[r][c]
+        for i in range(r + 1, nrows):
+            mic = m[i][c]
+            for j in range(c, ncols):
+                m[i][j] = (m[i][j] * pc - m[r][j] * mic) // prev
+        prev = pc
+        pivot_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivot_cols, sign
+
+
+def _reference_int_rows(rows):
+    """Each rational row scaled by the lcm of its denominators."""
+    out = []
+    for row in rows:
+        denom = math.lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * denom) for x in row])
+    return out
+
+
+def reference_rank(rows):
+    """Reference: rank of a rational matrix by `reference_echelon`."""
+    if not rows:
+        return 0
+    return len(reference_echelon(_reference_int_rows(rows))[1])
+
+
+def reference_det(rows):
+    """Reference: determinant of a square integer matrix, the last
+    Bareiss pivot times the sign of the row exchanges."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    ech, pivots, sign = reference_echelon(rows)
+    if len(pivots) < n:
+        return 0
+    return sign * ech[n - 1][pivots[-1]]
+
+
+def reference_kernel(rows):
+    """Reference: kernel basis of a nonempty rational matrix, one vector
+    per free column of `reference_echelon`, by Fraction back
+    substitution, scaled to coprime integers with its first nonzero
+    entry positive."""
+    ncols = len(rows[0])
+    ech, pivots, _ = reference_echelon(_reference_int_rows(rows))
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            s = sum((ech[r][c] * x[c] for c in range(pc + 1, ncols)),
+                    Fraction(0))
+            x[pc] = -s / ech[r][pc]
+        denom = math.lcm(*(t.denominator for t in x))
+        ints = [int(t * denom) for t in x]
+        g = math.gcd(*ints)
+        if next(t for t in ints if t) < 0:
+            g = -g
+        basis.append(tuple(t // g for t in ints))
+    return basis
+
+
+def reference_ldl(gram):
+    """Reference: exact rational LDL^t data of a symmetric matrix.
+
+    Returns (diag, coeff, bad) with Q(x) = sum_k diag[k] * (x_k +
+    sum_{j>k} coeff[k][j] x_j)^2; `bad` is the index of the first pivot
+    <= 0 (where the decomposition stops), or None."""
+    n = len(gram)
+    w = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    diag = []
+    coeff = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        d = w[k][k]
+        if d <= 0:
+            return diag, coeff, k
+        diag.append(d)
+        for j in range(k + 1, n):
+            coeff[k][j] = w[k][j] / d
+        for i in range(k + 1, n):
+            for j in range(i, n):
+                w[i][j] -= w[k][i] * w[k][j] / d
+                w[j][i] = w[i][j]
+    return diag, coeff, None
+
+
+def reference_short_vectors(gram, bound):
+    """Reference: Fincke-Pohst over `reference_ldl` in Fractions; the
+    sorted (canonical vector, value) pairs with 0 < Q(x) <= bound, or
+    None when the matrix is not positive definite."""
+    diag, coeff, bad = reference_ldl(gram)
+    if bad is not None:
+        return None
+    n = len(gram)
+    found = {}
+    x = [0] * n
+
+    def descend(i, remaining):
+        if i < 0:
+            if any(x):
+                vec = tuple(x)
+                found[canonical_pair(vec)] = sum(
+                    vec[a] * gram[a][b] * vec[b]
+                    for a in range(n) for b in range(n))
+            return
+        center = -sum(coeff[i][j] * x[j] for j in range(i + 1, n))
+        start = math.floor(center)
+        for step, k in ((-1, start), (1, start + 1)):
+            while diag[i] * (k - center) ** 2 <= remaining:
+                x[i] = k
+                descend(i - 1, remaining - diag[i] * (k - center) ** 2)
+                k += step
+        x[i] = 0
+
+    descend(n - 1, Fraction(bound))
+    return sorted(found.items())
 
 
 def brute_min_vectors(gram, box):

@@ -407,6 +407,33 @@ def test_wall_witness_off_the_graph_edge_exit_three(cache, capsys):
     assert problem in err
 
 
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_graph_edge_off_its_wall_without_complex_file_exit_three(
+        cache, capsys, optimize):
+    # With no complex file the complex is built over the graph file; an
+    # edge there that does not glue its wall is that file's corruption,
+    # under -O too.
+    import subprocess
+    import sys
+    import vorcycle
+
+    path, _ = _unglue_wall_zero(capsys, cache)
+    os.unlink(path)
+    graph = os.path.join(cache, "graph-n2-sl.json")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vorcycle.__file__)))
+    result = subprocess.run(
+        [sys.executable, *optimize, "-m", "vorcycle", "verify", "--n", "2",
+         "--group", "sl", "--cache-dir", cache],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "verified" not in result.stdout
+    assert f"error: cache corruption: {graph}: walls[0] is not glued by " \
+        "the graph edge at node" in result.stderr
+
+
 @pytest.mark.parametrize("text", (
     "[" * 200000 + "]" * 200000,
     '{"n": ' + "9" * 5000 + "}",

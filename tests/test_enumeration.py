@@ -3,7 +3,7 @@ import pytest
 from conftest import cached_complex, cached_graph, closure, random_unimodular
 
 from vorcycle import enumeration
-from vorcycle.cones import build_cone
+from vorcycle.cones import FacetRec, build_cone
 from vorcycle.enumeration import (
     BoundaryFacet,
     _sl_witness,
@@ -18,8 +18,10 @@ from vorcycle.forms import (
     act,
     act_form,
     apply_to_cell,
+    bilinear,
     d_n_gram,
     is_perfect,
+    is_positive_definite,
     minimum_and_minimal_vectors,
 )
 from vorcycle.isometry import (
@@ -133,11 +135,47 @@ def test_neighbor_rejects_boundary_face():
     q = QForm.from_matrix(HEXAGONAL)
     mv = minimum_and_minimal_vectors(q)
     cone = build_cone(mv.vectors)
-    from vorcycle.cones import FacetRec
     degenerate = FacetRec(normal=cone.facets[0].normal,
                           incident=frozenset({0}))
     with pytest.raises(BoundaryFacet):
         neighbor_form(q, mv, degenerate)
+
+
+# The walk's D6 representative (the neighbour of A6) and a facet of its
+# domain whose pencil meets the boundary of the positive definite cone
+# at an irrational t: re-seeding the crossing from non-positive-definite
+# witnesses needs ever longer witnesses here and does not end.
+D6_REP = ((2, -1, 0, 0, 0, 1), (-1, 2, -1, 0, 0, 0), (0, -1, 2, -1, 0, 0),
+          (0, 0, -1, 2, -1, 0), (0, 0, 0, -1, 2, -1), (1, 0, 0, 0, -1, 2))
+D6_NORMAL = ((2, -1, 0, 0, 0, 1), (-1, 0, 0, 1, 0, -2), (0, 0, 0, 0, 0, 1),
+             (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (1, -2, 1, 0, 0, 0))
+D6_PROBE_BOUND = 6
+
+
+def test_rank_six_crossing_ends_within_a_probe_bound(monkeypatch):
+    form = QForm.from_matrix(D6_REP)
+    mv = minimum_and_minimal_vectors(form)
+    values = [bilinear(D6_NORMAL, v, v) for v in mv.vectors]
+    assert min(values) == 0 and all(val >= 0 for val in values)
+    # The incident vectors are the minimal vectors on which N vanishes.
+    facet = FacetRec(normal=D6_NORMAL, incident=frozenset(
+        i for i, val in enumerate(values) if val == 0))
+    probes = []
+
+    def counting(gram):
+        probes.append(gram)
+        if len(probes) > D6_PROBE_BOUND:
+            raise RuntimeError(f"more than {D6_PROBE_BOUND} probes")
+        return is_positive_definite(gram)
+
+    # neighbor_form tests one probe for positive definiteness per step.
+    monkeypatch.setattr(enumeration, "is_positive_definite", counting)
+    nb = neighbor_form(form, mv, facet)
+    nb_mv = minimum_and_minimal_vectors(nb)
+    face = {mv.vectors[i] for i in facet.incident}
+    assert face <= set(nb_mv.vectors)
+    assert set(nb_mv.vectors) - face
+    assert is_perfect(nb, nb_mv)
 
 
 def test_is_equivalent_witness_forms(rng):

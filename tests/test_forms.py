@@ -1,8 +1,15 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import brute_min_vectors, random_unimodular
+from conftest import (
+    brute_min_vectors,
+    random_unimodular,
+    reference_ldl,
+    reference_short_vectors,
+)
 
 from vorcycle.forms import (
     GroupElement,
@@ -16,6 +23,7 @@ from vorcycle.forms import (
     canonical_pair,
     d_n_gram,
     is_perfect,
+    is_positive_definite,
     minimum_and_minimal_vectors,
     rank_one,
     short_vectors,
@@ -79,6 +87,60 @@ def test_not_positive_definite_rejected():
         QForm.from_matrix([[0, 0], [0, 1]])
     with pytest.raises(NotPositiveDefinite):
         short_vectors(((1, 0), (0, -1)), 4)
+    for gram in (
+            ((0, 1), (1, 5)),      # positive after a row exchange only
+            ((1, 1), (1, 1)),      # singular, positive semidefinite
+            ((1, 0, 0), (0, 0, 0), (0, 0, 2)),
+            ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
+            ((0, 1), (1, 0)),      # indefinite
+            ((2, 1, 0), (1, 2, 3), (0, 3, 1)),
+            ((-1,),)):
+        assert not is_positive_definite(gram)
+        with pytest.raises(NotPositiveDefinite):
+            short_vectors(gram, 4)
+        with pytest.raises(NotPositiveDefinite):
+            QForm.from_matrix(gram)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@settings(max_examples=200, deadline=None)
+def test_positive_definite_matches_the_reference(rows):
+    n = len(rows)
+    sym = tuple(tuple(rows[i][j] + rows[j][i] for j in range(n))
+                for i in range(n))
+    assert is_positive_definite(sym) == (reference_ldl(sym)[2] is None)
+
+
+def _gram_of(basis):
+    """The Gram matrix B^t B + I: positive definite for any B."""
+    n = len(basis)
+    return tuple(tuple(sum(basis[k][i] * basis[k][j] for k in range(n))
+                       + (i == j) for j in range(n)) for i in range(n))
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.integers(min_value=0, max_value=3))))
+@settings(max_examples=150, deadline=None)
+def test_short_vectors_match_the_reference_and_a_box(data):
+    basis, extra = data
+    gram = _gram_of(basis)
+    n = len(gram)
+    bound = min(gram[i][i] for i in range(n)) + extra
+    hits = short_vectors(gram, bound)
+    assert hits == reference_short_vectors(gram, bound)
+    found = dict(hits)
+    assert len(found) == len(hits)
+    # Every vector of a box with Q(x) <= bound is found, with its value.
+    for x in itertools.product(range(-2, 3), repeat=n):
+        if any(x):
+            val = sum(x[i] * gram[i][j] * x[j]
+                      for i in range(n) for j in range(n))
+            assert (found.get(canonical_pair(x)) == val) == (val <= bound)
 
 
 def test_gram_normalization():

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from conftest import reference_det, reference_kernel, reference_rank
 from vorcycle.linalg import (
     SpanMismatch,
     clear_denominators,
@@ -102,6 +104,8 @@ def test_det_sign_examples():
     assert det_sign([[1, 0], [0, 1]]) == 1
     assert det_sign([[0, 1], [1, 0]]) == -1
     assert det_sign([[2, 0, 0], [0, 3, 0], [0, 0, -5]]) == -1
+    # Rows leave their pivots in columns 2, 0, 1: an even permutation.
+    assert det_int([[0, 0, 3], [2, 0, 1], [1, 5, 0]]) == 30
 
 
 def test_relative_orientation_identity_and_swap():
@@ -148,21 +152,60 @@ def test_flatten_round_trip_and_trace_pair(rows):
 
 
 def naive_independent_rows(candidates, start):
-    """Reference: the greedy rank loop as each call site once wrote it."""
+    """Reference: the greedy rank loop as each call site once wrote it,
+    one reference rank per candidate."""
     rows, chosen = list(start), []
     for i, cand in enumerate(candidates):
-        if mat_rank(rows + [cand]) > len(rows):
+        if reference_rank(rows + [cand]) > len(rows):
             rows.append(cand)
             chosen.append(i)
     return chosen
 
 
-@given(st.integers(min_value=1, max_value=5).flatmap(
-    lambda c: st.tuples(
-        st.lists(st.lists(st.integers(-2, 2), min_size=c, max_size=c),
-                 max_size=8),
-        st.lists(st.lists(st.integers(-2, 2), min_size=c, max_size=c),
-                 max_size=4))))
+# Mostly zeros, so that ranks drop and rows leave their pivots in
+# columns out of order; and small fractions, which are scaled per row.
+sparse_int = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+entry_kinds = st.sampled_from((small_int, sparse_int, small_fraction))
+
+
+@given(entry_kinds.flatmap(lambda entries: matrices(6, 6, entries)),
+       st.integers(min_value=0, max_value=6))
+@settings(max_examples=200, deadline=None)
+def test_elimination_matches_the_reference(m, stop):
+    rank = reference_rank(m)
+    assert mat_rank(m) == rank
+    assert mat_rank(m, stop=stop) == min(rank, stop)
+    assert kernel_basis(m) == reference_kernel(m)
+
+
+def square(max_n, entries):
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+
+
+@given(st.sampled_from((small_int, sparse_int)).flatmap(
+    lambda entries: square(6, entries)))
+@settings(max_examples=300, deadline=None)
+def test_determinant_matches_the_reference(m):
+    assert det_int(m) == reference_det(m)
+
+
+@given(square(4, small_fraction))
+@settings(max_examples=50, deadline=None)
+def test_determinant_sign_of_rational_rows(m):
+    # Scaling a row by a positive factor keeps the sign.
+    d = reference_det([[int(x * lcm(*(y.denominator for y in row)))
+                        for x in row] for row in m])
+    assert det_sign(m) == (d > 0) - (d < 0)
+
+
+@given(entry_kinds.flatmap(lambda entries: st.integers(
+    min_value=1, max_value=5).flatmap(lambda c: st.tuples(
+        st.lists(st.lists(entries, min_size=c, max_size=c), max_size=8),
+        st.lists(st.lists(entries, min_size=c, max_size=c),
+                 max_size=4)))))
 @settings(max_examples=200, deadline=None)
 def test_independent_rows_matches_naive_loop(data):
     candidates, pre = data
