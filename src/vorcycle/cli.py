@@ -94,8 +94,8 @@ def _load_or_build_complex(args):
     try:
         cx = build_complex(graph, seed_perm=seed)
     except WallNotGlued as exc:
-        # An edge read from a file is that file's corruption; one this
-        # process built is a defect.
+        # A wall that a graph read from a file does not give is that
+        # file's corruption; in a graph this process built, a defect.
         if not loaded:
             raise
         raise CacheCorrupt(f"{graph_path}: {exc}") from exc

@@ -42,7 +42,6 @@ from .linalg import (
     independent_rows,
     mat_mul,
     mat_transpose,
-    relative_orientation,
     sym_dim,
     sym_flatten,
     sym_unflatten,
@@ -137,6 +136,7 @@ class _ParentView:
         self.faces = faces
         self.face_positions = {key: i for i, key in enumerate(faces)}
         self.n = n
+        self.dim = sym_dim(n) if basis is None else len(basis)
         if basis is None:
             self.completion = ()
             self.ref_sign = 1
@@ -160,14 +160,54 @@ class _ParentView:
         return det_sign(list(rows) + list(self.completion)) * self.ref_sign
 
 
-def _span_basis(vectors):
-    """Greedy basis of the span of the rank-one flats of `vectors`."""
+class WallNotGlued(ValueError):
+    """A wall that the graph does not give: its face is no facet off
+    the boundary, or the edge at its facet does not glue it."""
+
+
+def class_record(view, level, parent, face_index, vectors, members,
+                 det_one):
+    """The class of face `face_index` (`vectors`) of cell `parent`, seen
+    as `view`: its stabilizer, its basis oriented as the parent induces,
+    and whether a stabilizer element reverses it.  A build and a cache
+    load (`wall_record`) both derive a class here."""
+    # The greedy basis of the span of the face's rank-one flats, and
+    # one parent ray off the face, which completes it to the parent span.
     flats = [sym_flatten(rank_one(v)) for v in vectors]
-    return [flats[i] for i in independent_rows(flats, ())]
+    picked = independent_rows(flats, ())
+    basis = tuple(flats[i] for i in picked)
+    face = set(vectors)
+    extra = next((v for v in view.vectors if v not in face), None)
+    off = () if extra is None else (sym_flatten(rank_one(extra)),)
+    sign = 0 if not off or len(basis) != view.dim - 1 or \
+        meets_boundary(vectors) else view.oriented_sign(basis + off)
+    if sign == 0:
+        raise WallNotGlued(f"face {face_index} of cell {parent} is not a "
+                           f"facet off the boundary")
+    gens, order = cell_group(vectors, det_one=det_one)
+    # The transport sign is a character of the stabilizer, so a
+    # generating set decides whether anything reverses.  A generator
+    # permutes the face's vectors, so it carries the basis to the flats
+    # of the images of the picked vectors; it keeps the orientation when
+    # those, with the same ray off the face, orient the parent alike.
+    kept = all(view.oriented_sign(tuple(
+        sym_flatten(rank_one(g.apply(vectors[i]))) for i in picked) + off)
+        == sign for g in gens)
+    if sign < 0:
+        basis = (tuple(-x for x in basis[0]),) + basis[1:]
+    return CellOrbitRec(
+        level=level, vectors=vectors, parent=parent, face_index=face_index,
+        members=members, generators=gens, stab_order=order, basis=basis,
+        orientation_kept=kept, kind="", witness=(), label="")
 
 
-def _flip(basis):
-    return (tuple(-x for x in basis[0]),) + tuple(basis[1:])
+def wall_record(graph, parent, face, vectors, members):
+    """The wall class of facet `face` of node `parent`, as
+    `build_complex` derives it."""
+    view = _ParentView(vectors=graph.nodes[parent].minvecs.vectors,
+                       generators=(), basis=None, faces=(), n=graph.n)
+    return class_record(view, "wall", parent, face, vectors, members,
+                        graph.group_kind == "sl")
 
 
 def _build_level(parents, columns, n, det_one, seed_perm, level_name):
@@ -221,31 +261,12 @@ def _build_level(parents, columns, n, det_one, seed_perm, level_name):
             for own, (_, p_pos, orbit_members, _) in enumerate(cls["orbits"])
             for key in orbit_members)
         rep_key, rep_parent, rep_face, own = members[seed_perm % len(members)]
-        member_records = tuple((p, f, k) for k, p, f, _ in members)
-        gens, order = cell_group(rep_key, det_one=det_one)
-        basis = _span_basis(rep_key)
-        parent = parents[rep_parent]
-        extra = next(v for v in parent.vectors if v not in set(rep_key))
-        rows = list(basis) + [sym_flatten(rank_one(extra))]
-        sign = parent.oriented_sign(rows)
-        assert sign != 0
-        if sign < 0:
-            basis = list(_flip(tuple(basis)))
-        # The transport sign is a character of the stabilizer, so a
-        # generating set decides whether anything reverses.
-        kept = True
-        for g in gens:
-            moved = [transport_flat(g, b, n) for b in basis]
-            if relative_orientation(basis, moved) < 0:
-                kept = False
-                break
-        out.append(CellOrbitRec(
-            level=level_name, vectors=rep_key, parent=rep_parent,
-            face_index=rep_face,
-            members=member_records,
-            generators=gens, stab_order=order, basis=tuple(basis),
-            orientation_kept=kept, kind="", witness=(), label=""))
-        if not kept:
+        rec = class_record(parents[rep_parent], level_name, rep_parent,
+                           rep_face, rep_key,
+                           tuple((p, f, k) for k, p, f, _ in members),
+                           det_one)
+        out.append(rec)
+        if not rec.orientation_kept:
             continue
         # Kept parents and a kept class: every face of an orbit induces
         # the same sign under any transporter, here link * (s *
@@ -258,7 +279,7 @@ def _build_level(parents, columns, n, det_one, seed_perm, level_name):
             if p_pos in col_of:
                 cell = (row, col_of[p_pos])
                 entries[cell] = entries.get(cell, 0) + len(orbit_members) * \
-                    induced_sign(parents[p_pos], basis, rep_key, key,
+                    induced_sign(parents[p_pos], rec.basis, rep_key, key,
                                  link * back, n)
     return (tuple(out), tuple(kept_positions),
             tuple(sorted((k, v) for k, v in entries.items() if v != 0)))
@@ -278,10 +299,6 @@ def induced_sign(parent_view, child_basis, child_vectors, member_vectors,
     extra = next(v for v in parent_view.vectors if v not in member_set)
     rows = moved + [sym_flatten(rank_one(extra))]
     return parent_view.oriented_sign(rows)
-
-
-class WallNotGlued(ValueError):
-    """A graph edge that does not glue the wall at its node facet."""
 
 
 def top_classes(graph):

@@ -200,12 +200,12 @@ def _discover_classes(n, traversal="default"):
     and only one representative per orbit is crossed; a transported
     facet leads to an equivalent neighbour, so nothing is lost.  Each
     class record keeps the form where the walk first met it ("form",
-    "mv"), its domain ("cone"), the strong generators ("gens") and
-    order ("order") of its full automorphism group, and one crossing
-    (members, j, w) per facet orbit: `members` maps each facet key of
-    the orbit to a transporter s with s * rep = member, and act(w,
-    form_j) is the neighbour across the representative (w is the
-    identity when the crossing created class j).
+    "mv"), its domain ("cone"), the strong generators ("gens") of its
+    full automorphism group, and one crossing (members, j, w) per facet
+    orbit: `members` maps each facet key of the orbit to a transporter s
+    with s * rep = member, and act(w, form_j) is the neighbour across
+    the representative (w is the identity when the crossing created
+    class j).
     `traversal` reorders facet processing; any order must close on the
     same classes, which the tests exercise.
     """
@@ -217,8 +217,7 @@ def _discover_classes(n, traversal="default"):
     while queue:
         rep = classes[queue.pop(0)]
         cone = rep["cone"] = build_cone(rep["mv"].vectors)
-        rep["gens"], rep["order"] = form_group(rep["form"],
-                                               rep["mv"].vectors)
+        rep["gens"] = form_group(rep["form"], rep["mv"].vectors)[0]
         facet_of = {cone.facet_vectors(f): f for f in cone.facets}
         orbits = orbit_decompose(list(facet_of), rep["gens"])
         if traversal == "reversed":
@@ -292,30 +291,26 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
         tuple(tuple((-1 if i == j == 0 else int(i == j))
                     for j in range(n)) for i in range(n)))
 
-    # Nodes as (form, mv, domain, gens, order), each with its (class,
-    # mirrored) origin; in sl a class without a determinant -1 symmetry
-    # splits into a mirror pair.
+    # Nodes as (form, mv, domain), each with its (class, mirrored)
+    # origin; in sl a class without a determinant -1 symmetry splits
+    # into a mirror pair.  Every node's stabilizer, mirrors included, is
+    # form_group of its form in the chosen group, as a load derives it.
     nodes, origins = [], []
     for c, cls in enumerate(classes):
-        form, mv, gens, order = (cls["form"], cls["mv"], cls["gens"],
-                                 cls["order"])
-        cls["reverser"] = next((g for g in gens if g.det == -1), None)
-        if det_one:
-            gens, order = form_group(form, mv.vectors, det_one=True)
-        nodes.append((form, mv, cls["cone"], gens, order))
+        cls["reverser"] = next((g for g in cls["gens"] if g.det == -1), None)
+        nodes.append((cls["form"], cls["mv"], cls["cone"]))
         origins.append((c, False))
         if det_one and cls["reverser"] is None:
-            mirror = act_form(flip, form)
+            mirror = act_form(flip, cls["form"])
             mirror_mv = minimum_and_minimal_vectors(mirror)
-            nodes.append((mirror, mirror_mv, build_cone(mirror_mv.vectors),
-                          tuple((flip * g) * flip for g in gens), order))
+            nodes.append((mirror, mirror_mv, build_cone(mirror_mv.vectors)))
             origins.append((c, True))
     node_of = {origin: i for i, origin in enumerate(origins)}
     final = tuple(
-        PerfectFormRep(form=form, minvecs=mv, domain=domain, generators=gens,
-                       stab_order=order,
+        PerfectFormRep(form, mv, domain,
+                       *form_group(form, mv.vectors, det_one=det_one),
                        label=root_label(form, mv, n) or f"P{n}.{i}")
-        for i, (form, mv, domain, gens, order) in enumerate(nodes))
+        for i, (form, mv, domain) in enumerate(nodes))
 
     edges = []
     for i, (node, (c, mirrored)) in enumerate(zip(final, origins)):

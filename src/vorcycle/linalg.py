@@ -5,10 +5,10 @@ determinant signs, orientations, positive definiteness) is computed
 here in exact integer arithmetic, by one fraction-free elimination
 (`echelon`): rows enter one at a time, each is reduced against the pivot
 rows so far, and what is left becomes a pivot row.  `mat_rank`,
-`det_int`, `kernel_basis` and `independent_rows` read their answers off
-it, and `forms` reads the leading principal minors of a Gram matrix off
-it.  Rational input rows are scaled to integer rows first.  No floating
-point enters any code path.
+`det_int`, `adjugate`, `kernel_basis` and `independent_rows` read their
+answers off it, and `forms` reads the leading principal minors of a
+Gram matrix off it.  Rational input rows are scaled to integer rows
+first.  No floating point enters any code path.
 
 Symmetric matrices are identified with coordinate vectors through the
 upper-triangle flattening (index pairs i <= j in row-major order,
@@ -153,31 +153,31 @@ def primitive(vec):
     return tuple(x // g for x in vec)
 
 
-def det_int(rows):
-    """Exact determinant of a square integer matrix.
+def _pivot_det(pivots):
+    """The determinant of a square matrix off its `echelon` pivots, one
+    per row: the last pivot (the determinant with the columns in pivot
+    order) times the sign of the pivot-column permutation."""
+    # Sort the pivot columns by swaps, each of which flips the sign.
+    cols = [c for c, _ in pivots]
+    c, last = pivots[-1]
+    det = last[c]
+    for i in range(len(cols)):
+        while cols[i] != i:
+            j = cols[i]
+            cols[i], cols[j] = cols[j], j
+            det = -det
+    return det
 
-    The last pivot of `echelon` is the determinant of the matrix with
-    its columns in pivot order, so the determinant is that pivot times
-    the sign of the pivot-column permutation.
-    """
+
+def det_int(rows):
+    """Exact determinant of a square integer matrix."""
     n = len(rows)
     if n == 0:
         return 1
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     pivots, _ = echelon(rows)
-    if len(pivots) < n:
-        return 0
-    # Sort the pivot columns by swaps, each of which flips the sign.
-    cols = [c for c, _ in pivots]
-    c, last = pivots[-1]
-    det = last[c]
-    for i in range(n):
-        while cols[i] != i:
-            j = cols[i]
-            cols[i], cols[j] = cols[j], j
-            det = -det
-    return det
+    return _pivot_det(pivots) if len(pivots) == n else 0
 
 
 def det_sign(rows):
@@ -207,20 +207,30 @@ def identity_matrix(n):
 
 
 def adjugate(rows):
-    """Adjugate of a square integer matrix (so rows * adj = det * I)."""
+    """Adjugate of a nonsingular square integer matrix A, so A * adj =
+    det(A) * I; raises ValueError when A is singular.
+
+    One `echelon` of [A | I] leaves pivot rows [U | M], U = M A, row k
+    of U zero on the pivot columns before its own: U adj = det(A) M is
+    solved by exact back substitution in reverse pivot order.
+    """
     n = len(rows)
-    if n == 1:
-        return ((1,),)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * det_int(minor)
-    return tuple(tuple(r) for r in adj)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    pivots, _ = echelon([list(r) + [int(i == j) for j in range(n)]
+                         for i, r in enumerate(rows)], n)
+    if any(c >= n for c, _ in pivots):
+        raise ValueError("matrix is singular")
+    det = _pivot_det(pivots)
+    adj = [None] * n
+    for k in reversed(range(n)):
+        c, q = pivots[k]
+        acc = [det * x for x in q[n:]]
+        for c_later, _ in pivots[k + 1:]:
+            if q[c_later]:
+                acc = [x - q[c_later] * y for x, y in zip(acc, adj[c_later])]
+        adj[c] = tuple(x // q[c] for x in acc)
+    return tuple(adj)
 
 
 def independent_rows(candidates, start):

@@ -9,60 +9,63 @@ is rejected.  To read one, run `python -m json.tool FILE`.
 
 Graph and complex payloads hold JSON integers, which Python's json
 reads and writes exactly; verdict payloads keep the decimal strings of
-their reports.  Each fact is stored once.  A graph payload holds its
-nodes, and each facet record the edge across it (`neighbor`,
-`witness`).  A complex payload holds its seed permutation, the hash in
-its graph file's header (it is read only over a graph file with that
-hash), its walls and the triplets of its differential; a wall record
-holds its [parent, face] orbit members, its stabilizer as generators
-plus order, its oriented basis and its orientation flag.  The top
-classes, each wall's vectors (those of facet `face_index` of node
-`parent`), kind, gluing witness and label, the kept lists and the
-differential's labels are derived on load, by the functions that build
-a complex (`complexes.top_classes` and `complexes.glue_complex`).
+their reports.  A file stores each fact once, and only what is costly to
+compute: per graph node its Gram matrix, minimum, minimal vectors, label
+and facets, each facet with the edge across it (`neighbor`, `witness`);
+per complex its seed permutation, the hash in its graph file's header
+(it is read only over that graph file), the triplets of its
+differential, and per wall its `parent`, `face_index` and [parent,
+face] members.  The rest is derived on load by the code a build runs:
+node stabilizers (`isometry.form_group`), each wall's vectors,
+stabilizer, oriented basis and orientation flag
+(`complexes.wall_record`), the top classes, wall kinds, witnesses and
+labels, the kept lists and the differential's labels
+(`complexes.top_classes`, `complexes.glue_complex`).  The wall members,
+the triplets, and the gluing of the edges that no wall uses are trusted.
 
-On load, a payload's rank and group must be its file header's, every
-field is checked for shape, type and range, and each stored
-certificate is checked: node generators fix the Gram matrix, wall
-generators map the wall's vectors onto themselves, each wall basis is
-a basis of the wall's span, and the graph edge at each wall's parent
-facet glues the wall.  The stored orders, the walls' orientation
-flags, and whether the edges that no wall uses glue their two domains,
-are trusted.
+On load, a payload's rank and group must be its file header's, each
+record must hold exactly its own fields, and each field is checked for
+shape, type and range.  A Gram matrix must be symmetric positive
+definite with the stored minimum and spanning minimal vectors; an sl
+edge witness must have determinant one; a wall's (parent, face_index)
+must be the member the seed permutation picks, a facet off the
+boundary, whose graph edge glues the wall.
 """
 
 import json
 import os
 import tempfile
-from .complexes import CellOrbitRec, WallNotGlued, glue_complex, top_classes
-from .cones import FacetRec, PolyCone
+from .complexes import WallNotGlued, glue_complex, top_classes, wall_record
+from .cones import FacetRec, PolyCone, meets_boundary
 from .enumeration import GROUP_KINDS, Edge, PerfectFormRep, VoronoiGraph
 from .forms import (
     GroupElement,
     MinVecSet,
     QForm,
-    apply_to_cell,
-    canonical_pair,
+    is_positive_definite,
+    minimum_and_minimal_vectors,
     rank_one,
 )
-from .linalg import (
-    det_int,
-    mat_mul,
-    mat_rank,
-    mat_transpose,
-    sym_dim,
-    sym_flatten,
-)
+from .isometry import form_group
+from .linalg import det_int, mat_transpose, sym_dim, sym_flatten
 
 # Version 2 stored stabilizers as generators plus order; version 3
 # stores the strong generating sets of their stabilizer chains; version
 # 4 stores JSON integers and orbit members as [parent, face]; complex
 # version 5 refers to its graph file by hash instead of embedding the
 # graph; graph version 5 stores each edge on its facet, and complex
-# version 6 only what the graph cannot give.  Verdict and tess-instance
-# files went to version 2 when every file became its canonical
-# encoding.
-PAYLOAD_KINDS = {"graph": 5, "complex": 6, "verdict": 2, "tess-instance": 2}
+# version 6 only what the graph cannot give; graph version 6 and
+# complex version 7 store no stabilizer, order, basis or orientation
+# flag.  Verdict and tess-instance files went to version 2 when every
+# file became its canonical encoding.
+PAYLOAD_KINDS = {"graph": 6, "complex": 7, "verdict": 2, "tess-instance": 2}
+
+# The fields of each record: a record with any other field is refused.
+GRAPH_FIELDS = ("n", "group", "nodes")
+NODE_FIELDS = ("gram", "min_value", "min_vectors", "label", "facets")
+FACET_FIELDS = ("normal", "incident", "neighbor", "witness")
+COMPLEX_FIELDS = ("seed_perm", "graph", "walls", "triplets")
+WALL_FIELDS = ("parent", "face_index", "members")
 
 
 class CacheCorrupt(ValueError):
@@ -137,8 +140,6 @@ def graph_to_payload(graph):
             "gram": _enc_mat(node.form.gram),
             "min_value": node.minvecs.min_value,
             "min_vectors": _enc_mat(node.minvecs.vectors),
-            "stab_order": node.stab_order,
-            "generators": [_enc_mat(g.rows) for g in node.generators],
             "label": node.label,
             "facets": facets,
         })
@@ -176,20 +177,20 @@ class _Reader:
             self.fail(path + (key,), "has the wrong type")
         return value
 
-    def records(self, rec, path, key):
-        """(path, record) for each object in the list rec[key]."""
-        out = []
-        for i, item in enumerate(self.get(rec, path, key, list)):
-            if type(item) is not dict:
-                self.fail(path + (key, i), "is not an object")
-            out.append((path + (key, i), item))
-        return out
+    def fields(self, rec, path, keys):
+        """Refuse an object `rec` with a field outside `keys`."""
+        if type(rec) is not dict:
+            self.fail(path, "is not an object")
+        for key in rec:
+            if key not in keys:
+                self.fail(path + (key,), "is not a field of this record")
+        return rec
 
-    def order(self, rec, path):
-        value = self.get(rec, path, "stab_order", int)
-        if value < 1:
-            self.fail(path + ("stab_order",), "is not a group order")
-        return value
+    def records(self, rec, path, key, keys):
+        """(path, record) for each object in the list rec[key], each
+        with no field outside `keys`."""
+        return [(path + (key, i), self.fields(item, path + (key, i), keys))
+                for i, item in enumerate(self.get(rec, path, key, list))]
 
     def index(self, rec, path, key, bound):
         value = self.get(rec, path, key, int)
@@ -223,16 +224,6 @@ class _Reader:
         return self.ints(self.get(rec, path, key, list), path + (key,),
                          rows, cols)
 
-    def vectors(self, rec, path, key, n):
-        """A sorted list of canonical vector pairs (nonzero, first
-        nonzero entry positive)."""
-        vecs = self.field_ints(rec, path, key, None, n)
-        if any(not any(v) or canonical_pair(v) != v for v in vecs) or \
-                list(vecs) != sorted(vecs):
-            self.fail(path + (key,),
-                      "is not a sorted list of canonical vector pairs")
-        return vecs
-
     def element(self, value, path, n, det_one):
         """An n x n unimodular matrix as a group element, of determinant
         one when `det_one`."""
@@ -244,43 +235,40 @@ class _Reader:
             self.fail(path, "has determinant -1 in the determinant-one group")
         return GroupElement(rows=rows, det=det)
 
-    def generators(self, rec, path, n, det_one):
-        return tuple(
-            self.element(mat, path + ("generators", i), n, det_one)
-            for i, mat in enumerate(self.get(rec, path, "generators", list)))
-
 
 def graph_from_payload(payload, source="<payload>"):
     """Decode and check a graph payload read from `source`.
 
-    Besides the shape of every field, each node generator must fix the
-    node's Gram matrix (g^t Q g = Q) and sl edge witnesses must have
-    determinant one.  Each facet record carries the edge across it, so
-    the edges come in (node, facet) order, one per node facet.
+    Each node's stabilizer is `form_group` of its form, as in the walk.
+    Each facet record carries the edge across it, so the edges come in
+    (node, facet) order, one per node facet.
     """
     rd = _Reader(source)
+    rd.fields(payload, (), GRAPH_FIELDS)
     n = rd.get(payload, (), "n", int)
     if n < 1:
         rd.fail(("n",), "is not a positive rank")
     group = rd.get(payload, (), "group", str)
     if group not in GROUP_KINDS:
         rd.fail(("group",), f"is not one of {GROUP_KINDS}")
-    node_recs = rd.records(payload, (), "nodes")
+    node_recs = rd.records(payload, (), "nodes", NODE_FIELDS)
     nodes = []
     edges = []
     for path, rec in node_recs:
         form = QForm(gram=rd.field_ints(rec, path, "gram", n, n))
         mv = MinVecSet(
-            vectors=rd.vectors(rec, path, "min_vectors", n),
+            vectors=rd.field_ints(rec, path, "min_vectors", None, n),
             min_value=rd.get(rec, path, "min_value", int))
-        gens = rd.generators(rec, path, n, group == "sl")
-        for i, g in enumerate(gens):
-            if mat_mul(mat_mul(mat_transpose(g.rows), form.gram),
-                       g.rows) != form.gram:
-                rd.fail(path + ("generators", i),
-                        "does not fix the Gram matrix")
+        # Fincke-Pohst gives the minimal vectors sorted, each pair once;
+        # form_group's search assumes them.
+        if mat_transpose(form.gram) != form.gram or \
+                not is_positive_definite(form.gram) or \
+                minimum_and_minimal_vectors(form) != mv or \
+                meets_boundary(mv.vectors):
+            rd.fail(path, "is not a positive definite form with its "
+                          "minimum and spanning minimal vectors")
         facets = []
-        for f_path, f in rd.records(rec, path, "facets"):
+        for f_path, f in rd.records(rec, path, "facets", FACET_FIELDS):
             facets.append(FacetRec(
                 normal=rd.field_ints(f, f_path, "normal", n, n),
                 incident=frozenset(rd.indices(f, f_path, "incident",
@@ -296,17 +284,12 @@ def graph_from_payload(payload, source="<payload>"):
             flats = tuple(sym_flatten(rank_one(v)) for v in mv.vectors)
             domain = PolyCone(ambient_dim=sym_dim(n), vectors=mv.vectors,
                               ray_flats=flats, facets=tuple(facets))
+        gens, order = form_group(form, mv.vectors, det_one=group == "sl")
         nodes.append(PerfectFormRep(
             form=form, minvecs=mv, domain=domain, generators=gens,
-            stab_order=rd.order(rec, path),
-            label=rd.get(rec, path, "label", str)))
+            stab_order=order, label=rd.get(rec, path, "label", str)))
     return VoronoiGraph(n=n, group_kind=group, nodes=tuple(nodes),
                         edges=tuple(edges))
-
-
-def _facet_vectors(graph, node, face):
-    domain = graph.nodes[node].domain
-    return domain.facet_vectors(domain.facets[face])
 
 
 def _facet_count(graph, node):
@@ -330,34 +313,27 @@ def _members(rd, rec, path, graph):
         count = _facet_count(graph, parent)
         if not 0 <= face < count:
             rd.fail(at, f"has a face out of range 0..{count - 1}")
-        out.append((parent, face, _facet_vectors(graph, parent, face)))
+        domain = graph.nodes[parent].domain
+        out.append((parent, face, domain.facet_vectors(domain.facets[face])))
     return tuple(out)
 
 
-def _wall_from_payload(rd, rec, path, graph):
-    """One wall record.  Its vectors are those of facet `face_index` of
-    node `parent`; each generator must map them onto themselves, and
-    the basis must be a basis of the span of their rank-one forms."""
-    n = graph.n
+def _wall_from_payload(rd, rec, path, graph, seed_perm):
+    """One wall record: the class of facet `face_index` of node
+    `parent`, the member that the seed permutation picks."""
     parent = rd.index(rec, path, "parent", len(graph.nodes))
     face = rd.index(rec, path, "face_index", _facet_count(graph, parent))
-    vectors = _facet_vectors(graph, parent, face)
-    gens = rd.generators(rec, path, n, graph.group_kind == "sl")
-    for i, g in enumerate(gens):
-        if apply_to_cell(g, vectors) != vectors:
-            rd.fail(path + ("generators", i), "does not fix the cell")
-    basis = rd.field_ints(rec, path, "basis", None, sym_dim(n))
-    flats = [sym_flatten(rank_one(v)) for v in vectors]
-    dim = mat_rank(flats)
-    if len(basis) != dim or mat_rank(basis) != dim or \
-            mat_rank(list(basis) + flats) != dim:
-        rd.fail(path + ("basis",), "is not a basis of the cell's span")
-    return CellOrbitRec(
-        level="wall", vectors=vectors, parent=parent, face_index=face,
-        members=_members(rd, rec, path, graph), generators=gens,
-        stab_order=rd.order(rec, path), basis=basis,
-        orientation_kept=rd.get(rec, path, "orientation_kept", bool),
-        kind="", witness=(), label="")
+    members = _members(rd, rec, path, graph)
+    if not members:
+        rd.fail(path + ("members",), "is empty")
+    pick = seed_perm % len(members)
+    if members[pick][:2] != (parent, face):
+        rd.fail(path, f"has (parent, face_index) ({parent}, {face}), not "
+                      f"its member {pick} (seed_perm mod {len(members)})")
+    try:
+        return wall_record(graph, parent, face, members[pick][2], members)
+    except WallNotGlued as exc:
+        rd.fail(path, f"is not a wall: {exc}")
 
 
 def complex_to_payload(cx, graph_hash):
@@ -366,11 +342,7 @@ def complex_to_payload(cx, graph_hash):
         "seed_perm": cx.seed_perm,
         "graph": graph_hash,
         "walls": [{"parent": w.parent, "face_index": w.face_index,
-                   "members": [[p, f] for p, f, _ in w.members],
-                   "generators": [_enc_mat(g.rows) for g in w.generators],
-                   "stab_order": w.stab_order,
-                   "basis": _enc_mat(w.basis),
-                   "orientation_kept": w.orientation_kept}
+                   "members": [[p, f] for p, f, _ in w.members]}
                   for w in cx.walls],
         "triplets": [list(t) for t in cx.differential.triplets()],
     }
@@ -385,17 +357,19 @@ def complex_from_payload(payload, graph, source="<payload>"):
     """Decode and check a complex payload read from `source` over its
     graph, decoded from the graph file whose header hash it names.
 
-    The top classes come from the graph.  Each wall generator must map
-    the wall's vectors onto themselves, the graph edge at each wall's
-    (parent, face_index) must glue it, and the triplets must be nonzero
+    The top classes come from the graph, and each wall from its facet,
+    which the graph edge there must glue.  The triplets must be nonzero
     entries, strictly increasing in (row, col), of a matrix with a row
     per kept wall and a column per kept top.
     """
-    graph_reference(payload, source)
     rd = _Reader(source)
+    rd.fields(payload, (), COMPLEX_FIELDS)
+    graph_reference(payload, source)
+    seed_perm = rd.get(payload, (), "seed_perm", int)
     tops = top_classes(graph)
-    walls = tuple(_wall_from_payload(rd, rec, path, graph)
-                  for path, rec in rd.records(payload, (), "walls"))
+    walls = tuple(_wall_from_payload(rd, rec, path, graph, seed_perm)
+                  for path, rec in rd.records(payload, (), "walls",
+                                              WALL_FIELDS))
     rows = sum(w.orientation_kept for w in walls)
     cols = sum(t.orientation_kept for t in tops)
     entries = []
@@ -406,7 +380,6 @@ def complex_from_payload(payload, graph, source="<payload>"):
             rd.fail(("triplets", i), "is not a nonzero entry in range, "
                     "after the previous one in (row, col) order")
         entries.append(((r, c), v))
-    seed_perm = rd.get(payload, (), "seed_perm", int)
     try:
         return glue_complex(graph, seed_perm, tops, walls, tuple(entries))
     except WallNotGlued as exc:

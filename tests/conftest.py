@@ -221,6 +221,21 @@ def reference_det(rows):
     return sign * ech[n - 1][pivots[-1]]
 
 
+def reference_adjugate(rows):
+    """Reference: the adjugate of a square integer matrix, one cofactor
+    (a determinant of a minor) per entry."""
+    n = len(rows)
+    if n == 1:
+        return ((1,),)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[rows[r][c] for c in range(n) if c != j]
+                     for r in range(n) if r != i]
+            adj[j][i] = (-1) ** (i + j) * reference_det(minor)
+    return tuple(tuple(r) for r in adj)
+
+
 def reference_kernel(rows):
     """Reference: kernel basis of a nonempty rational matrix, one vector
     per free column of `reference_echelon`, by Fraction back

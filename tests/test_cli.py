@@ -202,12 +202,12 @@ def _verify_after_tamper(capsys, cache, name, edit, rehash=True):
 
 
 def test_missing_field_in_complex_cache_exit_three(cache, capsys):
-    def drop_order(doc):
-        del doc["payload"]["walls"][0]["stab_order"]
+    def drop_members(doc):
+        del doc["payload"]["walls"][0]["members"]
     code, err = _verify_after_tamper(capsys, cache, "complex-n2-sl.json",
-                                     drop_order)
+                                     drop_members)
     assert code == 3
-    assert "payload.walls[0].stab_order is missing" in err
+    assert "payload.walls[0].members is missing" in err
 
 
 def test_stale_schema_version_exit_three(cache, capsys):
@@ -219,27 +219,26 @@ def test_stale_schema_version_exit_three(cache, capsys):
     assert "delete it or use a fresh --cache-dir" in err
 
 
-@pytest.mark.parametrize("record", (("walls", 0), ("graph", "nodes", 0)))
-def test_swapped_generator_exit_three(cache, capsys, record):
-    # A ("graph", ...) record lies in the graph file.  Re-hashed, that
-    # file no longer carries the hash the complex file names, so the
-    # complex file goes too: the complex is then rebuilt over the edited
-    # graph, whose generator check must catch the change.
-    name = "complex-n2-sl.json"
-    if record[0] == "graph":
-        name, record = "graph-n2-sl.json", record[1:]
+def test_stored_order_in_graph_file_exit_three(cache, capsys):
+    # A stored order would decide the verdict (each top class enters the
+    # cycle with weight one over it), so a load derives every order and
+    # refuses a record with a field it does not hold: no FALSIFIED.  The
+    # re-hashed graph file no longer carries the hash the complex file
+    # names, so the complex and verdict files go, as after an edit.
+    run(capsys, "verify", "--n", "4", "--group", "sl", "--cache-dir", cache)
+    path = os.path.join(cache, "graph-n4-sl.json")
 
-    def swap(doc):
-        rec = doc["payload"]
-        for key in record:
-            rec = rec[key]
-        assert rec["generators"][0] != [[1, 1], [0, 1]]
-        rec["generators"][0] = [[1, 1], [0, 1]]
-        if name.startswith("graph"):
-            os.unlink(os.path.join(cache, "complex-n2-sl.json"))
-    code, err = _verify_after_tamper(capsys, cache, name, swap)
+    def add_order(doc):
+        doc["payload"]["nodes"][0]["stab_order"] = 1
+    _tamper(path, add_order)
+    for kind in ("complex", "verdict"):
+        os.unlink(os.path.join(cache, f"{kind}-n4-sl.json"))
+    code, out, err = run(capsys, "verify", "--n", "4", "--group", "sl",
+                         "--cache-dir", cache)
     assert code == 3
-    assert "generators[0] does not fix" in err
+    assert "Traceback" not in out + err and "FALSIFIED" not in out
+    assert f"{path}: payload.nodes[0].stab_order is not a field of this " \
+        "record" in err
 
 
 @pytest.mark.parametrize("n, group", ((3, "sl"), (4, "gl")))
@@ -312,13 +311,6 @@ def _extra_zero_triplet(doc):
     triplets.append(triplets[-1][:2] + [0])
 
 
-def _clear_kept_wall_flag(doc):
-    # The orientation flags are trusted, but the triplets must fit the
-    # kept walls they leave.
-    for wall in doc["payload"]["walls"]:
-        wall["orientation_kept"] = False
-
-
 @pytest.mark.parametrize("edit, field", (
     (_repeat_triplet, "payload.triplets[1] is not a nonzero"),
     (_extra_zero_triplet, "payload.triplets[2] is not a nonzero"),
@@ -326,10 +318,8 @@ def _clear_kept_wall_flag(doc):
      "payload.triplets[1] is not a nonzero"),
     (lambda doc: doc["payload"]["triplets"][0].__setitem__(1, 2),
      "payload.triplets[0] is not a nonzero entry in range"),
-    (_clear_kept_wall_flag,
-     "payload.triplets[0] is not a nonzero entry in range"),
 ), ids=("triplet-repeated", "zero-triplet-added", "triplet-value-zeroed",
-        "triplet-past-kept-tops", "kept-wall-flag-cleared"))
+        "triplet-past-kept-tops"))
 def test_kept_lists_and_differential_disagree_exit_three(cache, capsys,
                                                          edit, field):
     path = _rank_four_complex(capsys, cache)
@@ -339,6 +329,40 @@ def test_kept_lists_and_differential_disagree_exit_three(cache, capsys,
     assert code == 3
     assert "Traceback" not in out + err and "FALSIFIED" not in out
     assert f"{path}: {field}" in err
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_wall_face_on_the_boundary_exit_three(cache, capsys, optimize):
+    # The facet under a kept wall of rank 4 sl cut down to one vector in
+    # a re-hashed graph file, the complex file re-pointed at it: the
+    # wall derived from that face is refused, under -O too, and no
+    # verdict is printed.
+    import subprocess
+    import sys
+    import vorcycle
+    path = _rank_four_complex(capsys, cache)
+    graph = os.path.join(cache, "graph-n4-sl.json")
+    wall = json.load(open(path))["payload"]["walls"][0]
+    parent, face = wall["parent"], wall["face_index"]
+
+    def one_vector(doc):
+        doc["payload"]["nodes"][parent]["facets"][face]["incident"] = [0]
+    _tamper(graph, one_vector)
+    digest = json.load(open(graph))["hash"]
+    _tamper(path, lambda doc: doc["payload"].update(graph=digest))
+    os.unlink(os.path.join(cache, "verdict-n4-sl.json"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vorcycle.__file__)))
+    result = subprocess.run(
+        [sys.executable, *optimize, "-m", "vorcycle", "verify", "--n", "4",
+         "--group", "sl", "--cache-dir", cache],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "FALSIFIED" not in result.stdout
+    assert f"{path}: payload.walls[0] is not a wall: face {face} of cell " \
+        f"{parent} is not a facet off the boundary" in result.stderr
 
 
 def test_bad_edge_facet_in_graph_cache_exit_three(cache, capsys):
@@ -354,25 +378,6 @@ def test_bad_edge_facet_in_graph_cache_exit_three(cache, capsys):
     assert "Traceback" not in out + err
     assert f"{path}: payload.nodes[0].facets[0].neighbor is out of " \
         "range" in err
-
-
-def test_repeated_wall_basis_row_exit_three(cache, capsys):
-    run(capsys, "verify", "--n", "4", "--group", "sl", "--cache-dir", cache)
-    path = os.path.join(cache, "complex-n4-sl.json")
-
-    def repeat_row(doc):
-        # The first kept wall: the only one that --check-dd descends
-        # from.
-        wall = next(w for w in doc["payload"]["walls"]
-                    if w["orientation_kept"])
-        wall["basis"][1] = wall["basis"][0]
-    _tamper(path, repeat_row)
-    code, out, err = run(capsys, "verify", "--n", "4", "--group", "sl",
-                         "--check-dd", "--cache-dir", cache)
-    assert code == 3
-    assert "Traceback" not in out + err
-    assert f"{path}: payload.walls[0].basis is not a basis of the " \
-        "cell's span" in err
 
 
 def _unglue_wall_zero(capsys, cache):

@@ -30,6 +30,7 @@ from vorcycle.isometry import (
     form_automorphisms,
     form_group,
 )
+from vorcycle.persistence import graph_from_payload, graph_to_payload
 
 HEXAGONAL = ((2, 1), (1, 2))
 
@@ -304,19 +305,24 @@ def test_sl_witness_branches(gram, rng):
     assert _sl_witness(u, reverser, FLIP4)[0] is u
 
 
-def test_split_classes_glue_through_their_mirrors(monkeypatch):
-    # No class of ranks 2-5 splits in sl, so hide every determinant -1
-    # symmetry from the walk: each class then splits into nodes 2c and
-    # 2c + 1 (its mirror).  The result is a double cover whose
-    # connectivity depends on the witnesses the searches find, so only
-    # the edges are checked: crossings into mirrors and the mirrors' own
-    # facets must carry determinant-one witnesses that meet the node
-    # exactly in the facet.
+def _split_graph(monkeypatch):
+    """The rank-5 sl walk with every determinant -1 symmetry hidden: no
+    class of ranks 2-5 splits in sl, so this makes each class split into
+    nodes 2c and 2c + 1 (its mirror).  The result is a double cover
+    whose connectivity depends on the witnesses the searches find."""
     def det_one_only(form, vectors, det_one=False):
         return form_group(form, vectors, det_one=True)
-    monkeypatch.setattr(enumeration, "form_group", det_one_only)
-    monkeypatch.setattr(enumeration, "_assert_connected", lambda graph: None)
-    graph = enumerate_perfect_forms(5, "sl")
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "form_group", det_one_only)
+        patch.setattr(enumeration, "_assert_connected", lambda graph: None)
+        return enumerate_perfect_forms(5, "sl")
+
+
+def test_split_classes_glue_through_their_mirrors(monkeypatch):
+    # Only the edges are checked: crossings into mirrors and the
+    # mirrors' own facets must carry determinant-one witnesses that
+    # meet the node exactly in the facet.
+    graph = _split_graph(monkeypatch)
     assert len(graph.nodes) == 2 * 3
     assert sum(len(node.domain.facets) for node in graph.nodes) == \
         len(graph.edges)
@@ -328,6 +334,17 @@ def test_split_classes_glue_through_their_mirrors(monkeypatch):
         assert e.witness.det == 1
         assert set(node.minvecs.vectors) & set(moved) == \
             set(node.domain.facet_vectors(node.domain.facets[e.facet]))
+
+
+def test_split_classes_round_trip(monkeypatch):
+    # A mirror node's stabilizer is form_group of the mirror form, the
+    # rule a load applies to every node: the decoded graph, mirrors
+    # included, has the generators and orders the walk gave it.
+    graph = _split_graph(monkeypatch)
+    loaded = graph_from_payload(graph_to_payload(graph), "g.json")
+    assert [(node.generators, node.stab_order) for node in loaded.nodes] \
+        == [(node.generators, node.stab_order) for node in graph.nodes]
+    assert loaded == graph
 
 
 def test_session_caches_refuse_a_patched_pipeline(monkeypatch):

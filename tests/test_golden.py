@@ -43,6 +43,20 @@ kinds, witnesses and labels, the kept lists and the differential's
 labels are derived on load, as a build derives them.  No value changed;
 the verdict files, and so their digests, did not change.
 
+The graph and complex digests were re-recorded again, together, when a
+load came to derive what is cheap instead of trusting it.  A stored
+stabilizer order and orientation flag decide the verdict (each top
+class enters the cycle with weight one over its order, and a wall
+survives only if no stabilizer element reverses it), so an edited,
+re-hashed file could print a false verdict.  Graph schema 6 drops each
+node's generators and order, which a load takes from `form_group` of
+the node's form; complex schema 7 drops each wall's generators, order,
+basis and orientation flag, which a load derives by the function a
+build runs (`complexes.class_record`).  A file is the schema-5 or
+schema-6 one with those fields removed, and the complex file names the
+new graph file's hash; no other value changed, and the verdict files,
+and so their digests, did not change.
+
 Any change to the search order, the chosen witnesses or the generating
 sets shows up here as a changed graph, complex or verdict file.  A second
 `verify` from the caches just written must reproduce the verdict file
@@ -59,33 +73,33 @@ from vorcycle.cli import main
 GOLDEN = {
     (3, "sl"): {
         "graph-n3-sl.json":
-            "cf811930843b4c6629742d5af42d2abfe2781a69b51a92fafb63f488bb427853",
+            "09bdaf5ff27c4aa380ef238046a355e71e42cc8ae72b94a1343122a65a7f689f",
         "complex-n3-sl.json":
-            "7c3a188cbf28b640bc7ea6f46b33f390ea737d0241e0a64e2684090b5ce845ad",
+            "da2620a4500a4e7705855f56e2e7270f88d5f220c9983cd1394a6bb0d8acfe5f",
         "verdict-n3-sl.json":
             "53514469a3a0e5fcacdf9809bc173d4c6e5b8cf5e8090d94a2bb864045dac997",
     },
     (3, "gl"): {
         "graph-n3-gl.json":
-            "49ccf76586a0d0da9674052809fee6fce105dff1d6bdc6f47eee4b582fc117b9",
+            "0405080487c8e1468f6f82d8ca44cd53f8e7cdcef78f983c45f15ceda34802ea",
         "complex-n3-gl.json":
-            "be386cea749ca11e225d2a874e6a0651b5189759627c32dfee08fec63edd2119",
+            "a426ee2255dc1bea9c30b8454a87fa0a8430195486282d959464d714113f1462",
         "verdict-n3-gl.json":
             "a23f09fabc1d98f5970ce934b68c659deddbc6b7a650fef3f9717150a41199a2",
     },
     (4, "sl"): {
         "graph-n4-sl.json":
-            "6c4607d5ebaec81596771e7f9ea1fcf5c4cf9c086b01c88bbe13d6363e5bccc0",
+            "f9ec1766cb9183e22e75fb03308e2031077ce266b07b21ff40b0f4465fd1e8ac",
         "complex-n4-sl.json":
-            "b6e5b6eedbbca41825f7c4a768239deca87c85b9451fad38423e9a729fc7ebb8",
+            "0920ae88ee6dfc6b3e3566416465c390089e936fd41046cb8a9e6fa1a92af995",
         "verdict-n4-sl.json":
             "36db85c4819198a94d977b86420b3fdfbd2d950d6f8f2f3adb4512417252bba0",
     },
     (4, "gl"): {
         "graph-n4-gl.json":
-            "fe3dbc909b85569ad323de0e6d85b948fdf2f5eccca444960367404d18afd054",
+            "d6e2f386090900f86996ab50483b84591f717a2726cacd9025c9385ccc0130c7",
         "complex-n4-gl.json":
-            "972f80590102cad2d306953dc9b1c98fb144b0eff21bc4d67ef1a8042c97c22f",
+            "0f7b8162feb6836ed6f3a24cc8b96be92f15c55b73d8942fd79d460e79ec3909",
         "verdict-n4-gl.json":
             "22cedf4684c60d5857d0272eb219e041c7f55a3607958676995edfd79b0b527c",
     },

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import reference_det, reference_kernel, reference_rank
+from conftest import (
+    reference_adjugate,
+    reference_det,
+    reference_kernel,
+    reference_rank,
+)
 from vorcycle.linalg import (
     SpanMismatch,
+    adjugate,
     clear_denominators,
     det_int,
     det_sign,
@@ -190,6 +196,19 @@ def square(max_n, entries):
 @settings(max_examples=300, deadline=None)
 def test_determinant_matches_the_reference(m):
     assert det_int(m) == reference_det(m)
+
+
+@given(st.sampled_from((small_int, sparse_int)).flatmap(
+    lambda entries: square(7, entries)))
+@settings(max_examples=300, deadline=None)
+def test_adjugate_matches_the_cofactors(m):
+    # One elimination of [A | I] against one determinant per cofactor;
+    # a singular matrix is refused.
+    if reference_det(m) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            adjugate(m)
+    else:
+        assert adjugate(m) == reference_adjugate(m)
 
 
 @given(square(4, small_fraction))

@@ -10,6 +10,11 @@ from conftest import cached_complex, cached_graph, content_hash
 
 from vorcycle.homology import verify_top_cycle
 from vorcycle.persistence import (
+    COMPLEX_FIELDS,
+    FACET_FIELDS,
+    GRAPH_FIELDS,
+    NODE_FIELDS,
+    WALL_FIELDS,
     CacheCorrupt,
     cache_path,
     canonical_dumps,
@@ -25,21 +30,20 @@ from vorcycle.tessellation import TessInstance, sector_fan
 
 
 def test_graph_round_trip(tmp_path):
-    graph = cached_graph(3, "sl")
-    payload = graph_to_payload(graph)
-    path = save_payload(str(tmp_path / "g.json"), "graph", 3, "sl", payload)
-    loaded = graph_from_payload(load_payload(path, "graph", 3, "sl"))
-    assert loaded.n == graph.n
-    assert loaded.group_kind == graph.group_kind
-    assert len(loaded.nodes) == len(graph.nodes)
-    for a, b in zip(loaded.nodes, graph.nodes):
-        assert a.form.gram == b.form.gram
-        assert a.minvecs == b.minvecs
-        assert a.stab_order == b.stab_order
-        assert a.generators == b.generators
-        assert {f.incident for f in a.domain.facets} == \
-            {f.incident for f in b.domain.facets}
-    assert loaded.edges == graph.edges
+    # A node is stored without its stabilizer: the generators and order
+    # that form_group derives on load must be the ones the walk found.
+    # The graph has no seed permutation; test_complex_round_trip_is_exact
+    # loads the complexes of seeds 0 and 3 over it.
+    for n in (2, 3, 4, 5):
+        for group in ("gl", "sl"):
+            graph = cached_graph(n, group)
+            path = save_payload(str(tmp_path / f"g-{n}-{group}.json"),
+                                "graph", n, group, graph_to_payload(graph))
+            loaded = graph_from_payload(load_payload(path, "graph", n,
+                                                     group))
+            assert [(a.generators, a.stab_order) for a in loaded.nodes] == \
+                [(b.generators, b.stab_order) for b in graph.nodes]
+            assert loaded == graph
 
 
 def _graph_hash(cx):
@@ -76,10 +80,11 @@ def test_complex_round_trip(tmp_path):
                  id=f"{group}-{n}" + (f"-p{seed}" if seed else ""))
     for seed in (0, 3) for group in ("gl", "sl") for n in (2, 3, 4, 5)])
 def test_complex_round_trip_is_exact(tmp_path, n, group, seed_perm):
-    # A wall is stored as its [parent, face] members, generators, basis
-    # and flag; its vectors, kind, witness and label, the top classes
-    # and the kept lists, derived on load, must be the ones the build
-    # held.  Seed permutation 3 picks other wall representatives.
+    # A wall is stored as its placement and [parent, face] members; its
+    # vectors, stabilizer, oriented basis, kept flag, kind, witness and
+    # label, the top classes and the kept lists, derived on load, must
+    # be the ones the build held.  Seed permutation 3 picks other wall
+    # representatives.
     cx = cached_complex(n, group, seed_perm)
     assert _save_and_load(tmp_path, cx) == cx
 
@@ -89,12 +94,12 @@ def test_complex_payload_refers_to_the_graph_file(tmp_path):
     payload = complex_to_payload(cx, _graph_hash(cx))
     assert set(payload) == {"seed_perm", "graph", "walls", "triplets"}
     for wall in payload["walls"]:
-        assert set(wall) == {"parent", "face_index", "members",
-                             "generators", "stab_order", "basis",
-                             "orientation_kept"}
+        assert set(wall) == {"parent", "face_index", "members"}
     graph_payload = graph_to_payload(cx.graph)
     assert set(graph_payload) == {"n", "group", "nodes"}
     for node in graph_payload["nodes"]:
+        assert set(node) == {"gram", "min_value", "min_vectors", "label",
+                             "facets"}
         for facet in node["facets"]:
             assert set(facet) == {"normal", "incident", "neighbor",
                                   "witness"}
@@ -103,8 +108,8 @@ def test_complex_payload_refers_to_the_graph_file(tmp_path):
     c_path = save_payload(str(tmp_path / "c.json"), "complex", 3, "gl",
                           payload)
     assert json.load(open(g_path))["hash"] == payload["graph"]
-    assert json.load(open(g_path))["schema_version"] == 5
-    assert json.load(open(c_path))["schema_version"] == 6
+    assert json.load(open(g_path))["schema_version"] == 6
+    assert json.load(open(c_path))["schema_version"] == 7
     assert load_payload(g_path, "graph", 3, "gl", payload["graph"])
     with pytest.raises(CacheCorrupt, match="g.json: expected hash '0+'"):
         load_payload(g_path, "graph", 3, "gl", "0" * 64)
@@ -264,15 +269,17 @@ def _decoders(n, group):
 
 @pytest.mark.parametrize("n, group", ((2, "sl"), (3, "gl")))
 def test_every_missing_field_is_cache_corrupt(n, group):
-    count = 0
+    names = set()
     for payload, decode in _decoders(n, group):
         keys = [p for p, _ in _paths(payload) if isinstance(p[-1], str)]
-        count += len(keys)
+        names.update(p[-1] for p in keys)
         for path in keys:
             with _mutated(payload, path, delete=True) as bad, \
                     pytest.raises(CacheCorrupt, match="c.json: payload"):
                 decode(bad)
-    assert count > 30
+    # Every field of every record was deleted somewhere.
+    assert names == set(GRAPH_FIELDS + NODE_FIELDS + FACET_FIELDS +
+                        COMPLEX_FIELDS + WALL_FIELDS)
 
 
 @pytest.mark.parametrize("n, group", ((2, "sl"), (3, "gl")))
@@ -295,11 +302,39 @@ def test_mistyped_fields_never_crash(n, group):
 def test_missing_field_message_names_the_field():
     cx = cached_complex(2, "sl")
     payload = complex_to_payload(cx, _graph_hash(cx))
-    del payload["walls"][0]["stab_order"]
+    del payload["walls"][0]["members"]
     with pytest.raises(CacheCorrupt) as exc:
         complex_from_payload(payload, cx.graph, "complex-n2-sl.json")
     assert str(exc.value) == \
-        "complex-n2-sl.json: payload.walls[0].stab_order is missing"
+        "complex-n2-sl.json: payload.walls[0].members is missing"
+
+
+# A field that older schemas stored and a load now derives is refused,
+# not skipped: the file was not written by this version.
+@pytest.mark.parametrize("where, key", (
+    (("graph", "nodes", 0), "stab_order"),
+    (("graph", "nodes", 0), "generators"),
+    (("graph", "nodes", 0, "facets", 1), "edge"),
+    (("graph",), "edges"),
+    (("walls", 0), "stab_order"),
+    (("walls", 0), "orientation_kept"),
+    ((), "tops"),
+), ids=("node-order", "node-generators", "facet-edge", "graph-edges",
+        "wall-order", "wall-flag", "complex-tops"))
+def test_unknown_field_is_named(where, key):
+    (graph_payload, graph_decode), (payload, decode) = _decoders(2, "sl")
+    if where and where[0] == "graph":
+        payload, decode, where = graph_payload, graph_decode, where[1:]
+    record = payload
+    for part in where:
+        record = record[part]
+    record[key] = 1
+    field = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                    for p in where + (key,))
+    with pytest.raises(CacheCorrupt) as exc:
+        decode(payload)
+    assert str(exc.value) == \
+        f"c.json: payload{field} is not a field of this record"
 
 
 SHEAR = [[1, 1], [0, 1]]
@@ -309,25 +344,15 @@ SHEAR = [[1, 1], [0, 1]]
 # table, kept so that each case keeps its name; new cases are appended
 # with ids of their own.
 @pytest.mark.parametrize("where, new, problem", (
-    pytest.param(("graph", "nodes", 0, "generators", 0), SHEAR,
-                 "does not fix the Gram matrix",
-                 id="where0-new0-does not fix the Gram matrix"),
-    pytest.param(("walls", 0, "generators", 0), SHEAR,
-                 "does not fix the cell",
-                 id="where2-new2-does not fix the cell"),
-    pytest.param(("walls", 0, "generators", 0), [[2, 0], [0, 1]],
-                 "is not unimodular", id="where3-new3-is not unimodular"),
-    pytest.param(("walls", 0, "generators", 0), [[0, 1], [1, 0]],
-                 "has determinant -1", id="where4-new4-has determinant -1"),
     pytest.param(("graph", "nodes", 0, "facets", 0, "neighbor"), 1,
                  "neighbor is out of range", id="where6-1-is out of range"),
+    # The minimal vectors are compared with those that Fincke-Pohst
+    # derives from the Gram matrix: sorted canonical pairs.
     pytest.param(("graph", "nodes", 0, "min_vectors", 0), [0, 0],
-                 "is not a sorted list of canonical vector pairs",
+                 r"nodes\[0\] is not a positive definite form with its "
+                 r"minimum and spanning minimal vectors",
                  id="where7-new7-is not a sorted list of canonical vector "
                     "pairs"),
-    pytest.param(("walls", 0, "basis", 1), [0, 0, 1],
-                 "is not a basis of the cell's span",
-                 id="where10-new10-is not a basis of the cell's span"),
     pytest.param(("walls", 0, "parent"), 1,
                  r"payload\.walls\[0\]\.parent is out of range",
                  id="where16-1-parent is out of range"),
@@ -358,9 +383,10 @@ SHEAR = [[1, 1], [0, 1]]
     pytest.param(("graph", "nodes", 0, "min_value"), "2",
                  "min_value has the wrong type",
                  id="where26-2-min_value has the wrong type"),
-    # Another face: the wall's generators do not fix its vectors.
+    # Another member's face, which seed permutation 0 does not pick.
     pytest.param(("walls", 0, "face_index"), 1,
-                 r"walls\[0\]\.generators\[0\] does not fix the cell",
+                 r"walls\[0\] has \(parent, face_index\) \(0, 1\), not its "
+                 r"member 0 \(seed_perm mod 3\)",
                  id="face-index-moved"),
     pytest.param(("graph", "nodes", 0, "facets", 0, "neighbor"), -1,
                  r"nodes\[0\]\.facets\[0\]\.neighbor is out of range",
@@ -368,8 +394,14 @@ SHEAR = [[1, 1], [0, 1]]
     pytest.param(("graph", "nodes", 0, "facets", 0, "witness"),
                  [[2, 0], [0, 1]], "witness is not unimodular",
                  id="facet-witness-singular"),
-    pytest.param(("walls", 0, "basis"), None, "basis has the wrong type",
-                 id="wall-basis-null"),
+    # A Gram matrix whose minimal vectors are not the stored ones, and a
+    # stored minimum that is not the Gram matrix's.
+    pytest.param(("graph", "nodes", 0, "gram", 0, 0), 4,
+                 r"nodes\[0\] is not a positive definite form with its "
+                 r"minimum and spanning minimal vectors", id="gram-entry"),
+    pytest.param(("graph", "nodes", 0, "min_value"), 1,
+                 r"nodes\[0\] is not a positive definite form with its "
+                 r"minimum and spanning minimal vectors", id="min-value"),
     # Rank 2 sl keeps no wall, so the matrix has no rows.
     pytest.param(("triplets",), [[0, 0, 1]],
                  r"triplets\[0\] is not a nonzero entry in range",
@@ -401,13 +433,12 @@ def test_one_edge_per_node_facet(n, group):
 
 
 def test_stale_schema_version_names_the_remedy(tmp_path):
-    # A schema-4 graph file and a schema-5 complex file: the versions
-    # before edges moved onto their facets and the complex file kept
-    # only what the graph cannot give.
+    # A schema-5 graph file and a schema-6 complex file: the versions
+    # that still stored stabilizers, wall bases and orientation flags.
     cx = cached_complex(2, "sl")
     for kind, payload, stale in (
-            ("graph", graph_to_payload(cx.graph), 4),
-            ("complex", complex_to_payload(cx, _graph_hash(cx)), 5)):
+            ("graph", graph_to_payload(cx.graph), 5),
+            ("complex", complex_to_payload(cx, _graph_hash(cx)), 6)):
         path = save_payload(str(tmp_path / f"{kind}.json"), kind, 2, "sl",
                             payload)
         doc = json.load(open(path))
@@ -489,3 +520,30 @@ def test_load_payload_fuzz(cache_texts, tmp_path_factory, data):
         complex_from_payload(payload, graph, paths["complex.json"])
     except CacheCorrupt as exc:
         assert str(exc).startswith(tuple(paths.values()))
+
+
+@pytest.mark.parametrize("incident", ([0], [0, 1, 2]),
+                         ids=("one-vector", "every-vector"))
+def test_wall_face_must_be_a_facet_off_the_boundary(incident):
+    # The graph's incidence sets are trusted, but the face under a wall
+    # must be a facet that avoids the boundary: one vector meets the
+    # boundary, and every vector is the whole cell.
+    (graph_payload, _), (payload, _) = _decoders(2, "sl")
+    wall = payload["walls"][0]
+    parent, face = wall["parent"], wall["face_index"]
+    facet = graph_payload["nodes"][parent]["facets"][face]
+    with _mutated(facet, ("incident",), incident):
+        graph = graph_from_payload(graph_payload, "g.json")
+        with pytest.raises(CacheCorrupt) as exc:
+            complex_from_payload(payload, graph, "c.json")
+    assert str(exc.value) == \
+        f"c.json: payload.walls[0] is not a wall: face {face} of cell " \
+        f"{parent} is not a facet off the boundary"
+
+
+def test_wall_without_members_is_cache_corrupt():
+    _, (payload, decode) = _decoders(2, "sl")
+    with _mutated(payload, ("walls", 0, "members"), []), \
+            pytest.raises(CacheCorrupt) as exc:
+        decode(payload)
+    assert str(exc.value) == "c.json: payload.walls[0].members is empty"
