@@ -18,9 +18,9 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from vorcycle.complexes import build_complex
+from vorcycle.complexes import build_complex, is_orientation_preserving
 from vorcycle.enumeration import enumerate_perfect_forms
-from vorcycle.homology import is_orientation_preserving, verify
+from vorcycle.homology import verify
 
 
 def survey_row(n, group, allow_long):

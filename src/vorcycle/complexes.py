@@ -128,7 +128,8 @@ class VoronoiComplex(NamedTuple):
 class _ParentView:
     """Per-parent data used for face grouping and sign evaluation."""
 
-    def __init__(self, vectors, generators, basis, faces, n):
+    def __init__(self, vectors, generators, basis, faces, n, cell=""):
+        self.cell = cell
         self.vectors = vectors
         self.vector_set = set(vectors)
         self.generators = generators
@@ -150,9 +151,15 @@ class _ParentView:
         """(rep_key, {member_key: transporter}) per stabilizer orbit of
         the faces whose interiors avoid the boundary.  `_build_level`
         reads them once: each orbit is matched to its class, and its
-        size weighs the sign at its representative."""
-        return [(rep_key, members) for rep_key, members
-                in orbit_decompose(self.faces, self.generators)
+        size weighs the sign at its representative.  Raises
+        WallNotGlued when the stabilizer does not permute the faces, so
+        they are not the cell's facets."""
+        try:
+            orbits = orbit_decompose(self.faces, self.generators)
+        except ValueError as exc:
+            raise WallNotGlued(f"the faces of {self.cell} are not its "
+                               f"facets: {exc}") from exc
+        return [(rep_key, members) for rep_key, members in orbits
                 if not meets_boundary(rep_key)]
 
     def oriented_sign(self, rows):
@@ -301,14 +308,19 @@ def induced_sign(parent_view, child_basis, child_vectors, member_vectors,
     return parent_view.oriented_sign(rows)
 
 
+def is_orientation_preserving(group_kind, n):
+    """Whether every group element preserves the orientation of the
+    form space: g acts there with determinant det(g)^(n+1)."""
+    return group_kind == "sl" or n % 2 == 1
+
+
 def top_classes(graph):
     """The top cell of every graph node, kept unless its stabilizer
     reverses the orientation of the form space."""
     n = graph.n
-    orientation_preserving = graph.group_kind == "sl" or n % 2 == 1
     tops = []
     for i, node in enumerate(graph.nodes):
-        if orientation_preserving:
+        if is_orientation_preserving(graph.group_kind, n):
             kept = True
         else:
             # The determinant is a character of the stabilizer, so its
@@ -370,8 +382,9 @@ def build_complex(graph, seed_perm=0):
         _ParentView(vectors=node.minvecs.vectors,
                     generators=node.generators, basis=None,
                     faces=tuple(node.domain.facet_vectors(f)
-                                for f in node.domain.facets), n=n)
-        for node in graph.nodes]
+                                for f in node.domain.facets), n=n,
+                    cell=f"node {i}")
+        for i, node in enumerate(graph.nodes)]
     walls, _, entries = _build_level(views, kept_tops, n,
                                      graph.group_kind == "sl", seed_perm,
                                      "wall")
@@ -390,7 +403,8 @@ def build_codim2(cx, seed_perm=0):
             tuple(sorted(w.vectors[j] for j in face)) for face in faces)
         wall_views.append(_ParentView(vectors=w.vectors,
                                       generators=w.generators,
-                                      basis=w.basis, faces=face_keys, n=n))
+                                      basis=w.basis, faces=face_keys, n=n,
+                                      cell=w.label))
     mids, kept_mids, entries = _build_level(
         wall_views, range(len(wall_views)), n, det_one, seed_perm, "codim2")
     mids = tuple(m._replace(label=f"c{i}") for i, m in enumerate(mids))

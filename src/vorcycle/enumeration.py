@@ -25,11 +25,13 @@ strictly before the cone's boundary, so a probe eventually lands
 between the two, finds a vector below mu, and jumps to its exact root.
 
 Equivalence classes may be requested for the full unimodular group or
-for the determinant-one subgroup.  The determinant-one classes are
-derived from the full classes: a class splits in two exactly when its
-stabilizer contains no element of determinant -1.  A crossing witness
-of determinant -1 is then corrected by such an element, or leads to
-the mirror of a split class.
+for the determinant-one subgroup.  The walk runs in the chosen group:
+stabilizers, facet orbits and the matches of neighbours to known
+classes are all taken there, so every edge witness lies in that group.
+A full class that splits in two under the determinant-one subgroup is
+met by the walk as two classes, like any other pair; no class of ranks
+2-7 splits (in odd rank -I has determinant -1, and the walks of ranks 2,
+4 and 6 find none).
 """
 
 from fractions import Fraction
@@ -42,7 +44,6 @@ from .forms import (
     MinVecSet,
     QForm,
     a_n_gram,
-    act_form,
     apply_to_cell,
     bilinear,
     d_n_gram,
@@ -193,19 +194,20 @@ def root_label(form, minvecs, n):
     return None
 
 
-def _discover_classes(n, traversal="default"):
-    """Breadth-first closure over full-group classes, recording the walk.
+def _discover_classes(n, det_one, traversal="default"):
+    """Breadth-first closure over the classes of the chosen group,
+    recording the walk.
 
     Facets of each domain are first reduced modulo the class stabilizer
     and only one representative per orbit is crossed; a transported
     facet leads to an equivalent neighbour, so nothing is lost.  Each
     class record keeps the form where the walk first met it ("form",
-    "mv"), its domain ("cone"), the strong generators ("gens") of its
-    full automorphism group, and one crossing (members, j, w) per facet
-    orbit: `members` maps each facet key of the orbit to a transporter s
-    with s * rep = member, and act(w, form_j) is the neighbour across
-    the representative (w is the identity when the crossing created
-    class j).
+    "mv"), its domain ("cone"), the strong generators ("gens") and order
+    ("order") of its stabilizer in the chosen group, and one crossing
+    (members, j, w) per facet orbit: `members` maps each facet key of
+    the orbit to a transporter s with s * rep = member, and act(w,
+    form_j) is the neighbour across the representative (w is the
+    identity when the crossing created class j).
     `traversal` reorders facet processing; any order must close on the
     same classes, which the tests exercise.
     """
@@ -217,7 +219,8 @@ def _discover_classes(n, traversal="default"):
     while queue:
         rep = classes[queue.pop(0)]
         cone = rep["cone"] = build_cone(rep["mv"].vectors)
-        rep["gens"] = form_group(rep["form"], rep["mv"].vectors)[0]
+        rep["gens"], rep["order"] = form_group(rep["form"], rep["mv"].vectors,
+                                               det_one)
         facet_of = {cone.facet_vectors(f): f for f in cone.facets}
         orbits = orbit_decompose(list(facet_of), rep["gens"])
         if traversal == "reversed":
@@ -230,7 +233,7 @@ def _discover_classes(n, traversal="default"):
             for j, cls in enumerate(classes):
                 found = cls["inv"] == inv and form_maps(
                     cls["form"], cls["mv"].vectors, nb, nb_mv.vectors,
-                    first_only=True)
+                    det_one=det_one, first_only=True)
                 if found:
                     w = found[0]
                     break
@@ -240,21 +243,6 @@ def _discover_classes(n, traversal="default"):
                 j, w = len(classes) - 1, GroupElement.identity(n)
             rep["crossings"].append((members, j, w))
     return classes
-
-
-def _sl_witness(x, reverser, flip):
-    """A determinant-one crossing witness from a full-group one.
-
-    act(x, form_j) is the neighbour; `reverser` is a determinant -1
-    automorphism of form_j, or None when class j splits.  Returns
-    (witness, mirrored): act(witness, form_j) is the same neighbour, or
-    act(witness, act(flip, form_j)) is when `mirrored`.
-    """
-    if x.det == 1:
-        return x, False
-    if reverser is not None:
-        return x * reverser, False
-    return x * flip, True
 
 
 def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
@@ -275,66 +263,40 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
     if n > FREE_MAX_RANK and not allow_long:
         raise ValueError(
             f"rank {n} is long-running; pass allow_long to proceed")
+    det_one = group_kind == "sl"
     if n == 1:
         form = QForm.from_matrix(((1,),))
         mv = minimum_and_minimal_vectors(form)
-        gens, order = form_group(form, mv.vectors,
-                                 det_one=(group_kind == "sl"))
+        gens, order = form_group(form, mv.vectors, det_one)
         node = PerfectFormRep(form=form, minvecs=mv, domain=None,
                               generators=gens, stab_order=order, label="A1")
         return VoronoiGraph(n=1, group_kind=group_kind, nodes=(node,),
                             edges=())
 
-    classes = _discover_classes(n, traversal=traversal)
-    det_one = group_kind == "sl"
-    flip = GroupElement.from_matrix(
-        tuple(tuple((-1 if i == j == 0 else int(i == j))
-                    for j in range(n)) for i in range(n)))
-
-    # Nodes as (form, mv, domain), each with its (class, mirrored)
-    # origin; in sl a class without a determinant -1 symmetry splits
-    # into a mirror pair.  Every node's stabilizer, mirrors included, is
-    # form_group of its form in the chosen group, as a load derives it.
-    nodes, origins = [], []
-    for c, cls in enumerate(classes):
-        cls["reverser"] = next((g for g in cls["gens"] if g.det == -1), None)
-        nodes.append((cls["form"], cls["mv"], cls["cone"]))
-        origins.append((c, False))
-        if det_one and cls["reverser"] is None:
-            mirror = act_form(flip, cls["form"])
-            mirror_mv = minimum_and_minimal_vectors(mirror)
-            nodes.append((mirror, mirror_mv, build_cone(mirror_mv.vectors)))
-            origins.append((c, True))
-    node_of = {origin: i for i, origin in enumerate(origins)}
-    final = tuple(
-        PerfectFormRep(form, mv, domain,
-                       *form_group(form, mv.vectors, det_one=det_one),
-                       label=root_label(form, mv, n) or f"P{n}.{i}")
-        for i, (form, mv, domain) in enumerate(nodes))
+    classes = _discover_classes(n, det_one, traversal=traversal)
+    nodes = tuple(
+        PerfectFormRep(cls["form"], cls["mv"], cls["cone"], cls["gens"],
+                       cls["order"],
+                       label=root_label(cls["form"], cls["mv"], n)
+                       or f"P{n}.{i}")
+        for i, cls in enumerate(classes))
 
     edges = []
-    for i, (node, (c, mirrored)) in enumerate(zip(final, origins)):
+    for i, (node, cls) in enumerate(zip(nodes, classes)):
         facet_index = {node.domain.facet_vectors(f): k
                        for k, f in enumerate(node.domain.facets)}
         node_vecs = set(node.minvecs.vectors)
-        for members, j, w in classes[c]["crossings"]:
-            for member_key, s in members.items():
-                x, key = s * w, member_key
-                if mirrored:
-                    x, key = flip * x, apply_to_cell(flip, member_key)
-                to_mirror = False
-                if det_one:
-                    x, to_mirror = _sl_witness(x, classes[j]["reverser"],
-                                               flip)
-                target = node_of[(j, to_mirror)]
-                moved = set(apply_to_cell(x, final[target].minvecs.vectors))
+        for members, j, w in cls["crossings"]:
+            for key, s in members.items():
+                x = s * w
+                moved = set(apply_to_cell(x, nodes[j].minvecs.vectors))
                 # The two domains must meet exactly in this facet.
                 assert node_vecs & moved == set(key)
                 edges.append(Edge(node=i, facet=facet_index[key],
-                                  neighbor=target, witness=x))
+                                  neighbor=j, witness=x))
     edges.sort(key=lambda e: (e.node, e.facet))
 
-    graph = VoronoiGraph(n=n, group_kind=group_kind, nodes=final,
+    graph = VoronoiGraph(n=n, group_kind=group_kind, nodes=nodes,
                          edges=tuple(edges))
     _assert_connected(graph)
     return graph

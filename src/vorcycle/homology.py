@@ -20,7 +20,7 @@ telescoping to zero.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .complexes import build_codim2
+from .complexes import build_codim2, is_orientation_preserving
 from .enumeration import root_label
 from .tessellation import boundary_kernel, check_rigidity, from_voronoi
 
@@ -62,10 +62,6 @@ class TheoremReport(NamedTuple):
                 for r, terms in self.row_certificates],
             "details": {k: str(v) for k, v in sorted(self.details.items())},
         }
-
-
-def is_orientation_preserving(group_kind, n):
-    return group_kind == "sl" or n % 2 == 1
 
 
 def canonical_cycle(cx):

@@ -61,16 +61,22 @@ def barycenter_matrix(vectors):
     return tuple(tuple(r) for r in out)
 
 
+def _adjugate_and_det(rows):
+    """adj(A) and det(A), the latter read off the adjugate's first
+    column: A adj(A) = det(A) I, so det(A) = sum_j A[0][j] adj(A)[j][0]."""
+    adj = adjugate(rows)
+    return adj, sum(a * r[0] for a, r in zip(rows[0], adj))
+
+
 def cell_invariant(vectors):
     """Cheap complete-enough invariant used to bucket cells before matching."""
-    b = barycenter_matrix(vectors)
-    c = adjugate(b)
+    c, det = _adjugate_and_det(barycenter_matrix(vectors))
     profiles = sorted(
         (bilinear(c, x, x),
          tuple(sorted(abs(bilinear(c, x, y)) for y in vectors)))
         for x in vectors
     )
-    return (len(vectors), det_int(b), tuple(profiles))
+    return (len(vectors), det, tuple(profiles))
 
 
 def form_invariant(gram, vectors):
@@ -101,9 +107,8 @@ class _Search:
     def __init__(self, src, dst, src_pair, dst_pair, accept, det_one):
         self.base = [src[i] for i in _independent_base(src)]
         # Columns of X are the base vectors; candidate g = Y adj(X) / det(X).
-        x_cols = tuple(zip(*self.base))
-        self.x_adj_cols = tuple(zip(*adjugate(x_cols)))
-        self.x_det = det_int(x_cols)
+        x_adj, self.x_det = _adjugate_and_det(tuple(zip(*self.base)))
+        self.x_adj_cols = tuple(zip(*x_adj))
         self.signed = sorted(list(dst) + [tuple(-t for t in v) for v in dst])
         paired = [mat_vec(dst_pair, y) for y in self.signed]
         self.table = [[sum(map(mul, y, p)) for p in paired]
@@ -225,17 +230,16 @@ def _chain(search):
 def _cell_search(src, dst, det_one):
     """The search for maps of cell `src` onto cell `dst`, or None when
     their barycenter determinants already differ."""
-    b_src = barycenter_matrix(src)
-    b_dst = barycenter_matrix(dst)
-    if det_int(b_src) != det_int(b_dst):
+    adj_src, det_src = _adjugate_and_det(barycenter_matrix(src))
+    adj_dst, det_dst = _adjugate_and_det(barycenter_matrix(dst))
+    if det_src != det_dst:
         return None
     dst_set = set(dst)
 
     def accept(g):
         return all(canonical_pair(g.apply(v)) in dst_set for v in src)
 
-    return _Search(src, dst, adjugate(b_src), adjugate(b_dst), accept,
-                   det_one)
+    return _Search(src, dst, adj_src, adj_dst, accept, det_one)
 
 
 def _form_search(src_gram, src, dst_gram, dst, det_one):

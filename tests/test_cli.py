@@ -365,6 +365,35 @@ def test_wall_face_on_the_boundary_exit_three(cache, capsys, optimize):
         f"{parent} is not a facet off the boundary" in result.stderr
 
 
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_facet_that_is_not_a_facet_exit_three(cache, capsys, optimize):
+    # Node 0's facet 0 of a re-hashed rank-3 sl graph file widened to
+    # every minimal vector, with no complex file: the cold complex build
+    # over that graph finds the node's stabilizer not permuting its
+    # facet list and refuses the file, under -O too.
+    import subprocess
+    import sys
+    import vorcycle
+    run(capsys, "perfect", "--n", "3", "--group", "sl", "--cache-dir", cache)
+    path = os.path.join(cache, "graph-n3-sl.json")
+
+    def every_vector(doc):
+        node = doc["payload"]["nodes"][0]
+        node["facets"][0]["incident"] = list(range(len(node["min_vectors"])))
+    _tamper(path, every_vector)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vorcycle.__file__)))
+    result = subprocess.run(
+        [sys.executable, *optimize, "-m", "vorcycle", "verify", "--n", "3",
+         "--group", "sl", "--cache-dir", cache],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "FALSIFIED" not in result.stdout
+    assert f"{path}: the faces of node 0 are not its facets" in result.stderr
+
+
 def test_bad_edge_facet_in_graph_cache_exit_three(cache, capsys):
     run(capsys, "perfect", "--n", "3", "--group", "sl", "--cache-dir", cache)
     path = os.path.join(cache, "graph-n3-sl.json")

@@ -6,20 +6,17 @@ from vorcycle import enumeration
 from vorcycle.cones import FacetRec, build_cone
 from vorcycle.enumeration import (
     BoundaryFacet,
-    _sl_witness,
     enumerate_perfect_forms,
     is_equivalent,
     neighbor_form,
 )
 from vorcycle.forms import (
-    GroupElement,
     QForm,
     a_n_gram,
     act,
     act_form,
     apply_to_cell,
     bilinear,
-    d_n_gram,
     is_perfect,
     is_positive_definite,
     minimum_and_minimal_vectors,
@@ -30,7 +27,6 @@ from vorcycle.isometry import (
     form_automorphisms,
     form_group,
 )
-from vorcycle.persistence import graph_from_payload, graph_to_payload
 
 HEXAGONAL = ((2, 1), (1, 2))
 
@@ -60,14 +56,19 @@ def test_rank_four_gl_stabilizer_orders(graph_gl4):
     assert orders == {"A4": 240, "D4": 1152}
 
 
-def test_sl_stabilizers_are_determinant_one_half(graph_sl4, graph_gl4):
-    sl = {node.label: node.stab_order for node in graph_sl4.nodes}
-    gl = {node.label: node.stab_order for node in graph_gl4.nodes}
-    for label in gl:
-        assert sl[label] == gl[label] // 2
-    for node in graph_sl4.nodes:
-        assert all(g.det == 1
-                   for g in closure(node.generators, graph_sl4.n))
+def test_sl_stabilizers_are_determinant_one_half():
+    # No class of ranks 2-5 splits in sl, so the walk in sl meets the gl
+    # classes at the same forms, in the same order, with the same
+    # domains; each sl stabilizer is the determinant-one half.
+    for n in (2, 3, 4, 5):
+        sl, gl = cached_graph(n, "sl"), cached_graph(n, "gl")
+        assert [(node.form, node.label, node.domain.facets)
+                for node in sl.nodes] == \
+            [(node.form, node.label, node.domain.facets)
+             for node in gl.nodes]
+        for node_sl, node_gl in zip(sl.nodes, gl.nodes):
+            assert node_sl.stab_order == node_gl.stab_order // 2
+            assert all(g.det == 1 for g in closure(node_sl.generators, n))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
@@ -100,14 +101,20 @@ def test_closure_every_facet_has_edge(graph_sl4):
             assert 0 <= edge.neighbor < len(graph_sl4.nodes)
 
 
-def test_edges_intersect_exactly_in_facet(graph_sl4):
-    for e in graph_sl4.edges:
-        node = graph_sl4.nodes[e.node]
-        other = graph_sl4.nodes[e.neighbor]
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+@pytest.mark.parametrize("group", ("gl", "sl"))
+def test_edges_intersect_exactly_in_facet(n, group):
+    # The walk runs in the chosen group, so every sl witness has
+    # determinant 1.
+    graph = cached_graph(n, group)
+    for e in graph.edges:
+        node = graph.nodes[e.node]
+        other = graph.nodes[e.neighbor]
         moved = set(apply_to_cell(e.witness, other.minvecs.vectors))
         facet = node.domain.facets[e.facet]
         shared = set(node.minvecs.vectors) & moved
         assert shared == set(node.domain.facet_vectors(facet))
+        assert e.witness.det == 1 or group == "gl"
 
 
 def test_neighbor_of_hexagonal_is_equivalent_hexagonal():
@@ -184,7 +191,6 @@ def test_is_equivalent_witness_forms(rng):
     mv = minimum_and_minimal_vectors(q)
     w = is_equivalent(q, mv, q, mv)
     assert w is not None and w.scale == 1
-    from vorcycle.forms import act_form
     for _ in range(5):
         u = random_unimodular(3, rng)
         img = act_form(u, q)
@@ -259,10 +265,11 @@ def test_graph_connected(graph_sl4):
 @pytest.mark.parametrize("group", ("gl", "sl"))
 def test_one_walk_builds_and_crosses_each_domain_once(n, cones, crossings,
                                                       group, monkeypatch):
-    # One double description per class and one crossing per facet
-    # orbit; the edges come from the recorded crossings, with no
-    # equivalence search against the classes.
-    calls = {"build_cone": 0, "neighbor_form": 0, "is_equivalent": 0}
+    # One double description and one stabilizer chain per class, and
+    # one crossing per facet orbit; the edges come from the recorded
+    # crossings, with no equivalence search against the classes.
+    calls = {"build_cone": 0, "form_group": 0, "neighbor_form": 0,
+             "is_equivalent": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(enumeration, name),
                     **kwargs):
@@ -271,80 +278,8 @@ def test_one_walk_builds_and_crosses_each_domain_once(n, cones, crossings,
         monkeypatch.setattr(enumeration, name, counted)
     graph = enumerate_perfect_forms(n, group)
     assert len(graph.nodes) == cones
-    assert calls == {"build_cone": cones, "neighbor_form": crossings,
-                     "is_equivalent": 0}
-
-
-FLIP4 = GroupElement.from_matrix(
-    ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
-
-
-@pytest.mark.parametrize("gram", (a_n_gram(4), d_n_gram(4)))
-def test_sl_witness_branches(gram, rng):
-    # A full-group witness x places the neighbour act(x, q); each branch
-    # must return a determinant-one witness that places the same form,
-    # on q itself or, for a split class, on its mirror act(flip, q).
-    q = QForm.from_matrix(gram)
-    mv = minimum_and_minimal_vectors(q)
-    gens, _ = form_group(q, mv.vectors)
-    reverser = next(g for g in gens if g.det == -1)
-    mirror = act_form(FLIP4, q)
-    mirror_mv = minimum_and_minimal_vectors(mirror)
-    u = random_unimodular(4, rng)
-    if u.det == -1:
-        u = u * FLIP4
-    cases = ((u, reverser, False), (u * FLIP4, reverser, False),
-             (u * FLIP4, None, True))
-    for x, rev, mirrored in cases:
-        w, to_mirror = _sl_witness(x, rev, FLIP4)
-        assert w.det == 1 and to_mirror == mirrored
-        target, target_mv = (mirror, mirror_mv) if mirrored else (q, mv)
-        assert act(w, target.gram) == act(x, q.gram)
-        assert apply_to_cell(w, target_mv.vectors) == \
-            apply_to_cell(x, mv.vectors)
-    assert _sl_witness(u, reverser, FLIP4)[0] is u
-
-
-def _split_graph(monkeypatch):
-    """The rank-5 sl walk with every determinant -1 symmetry hidden: no
-    class of ranks 2-5 splits in sl, so this makes each class split into
-    nodes 2c and 2c + 1 (its mirror).  The result is a double cover
-    whose connectivity depends on the witnesses the searches find."""
-    def det_one_only(form, vectors, det_one=False):
-        return form_group(form, vectors, det_one=True)
-    with monkeypatch.context() as patch:
-        patch.setattr(enumeration, "form_group", det_one_only)
-        patch.setattr(enumeration, "_assert_connected", lambda graph: None)
-        return enumerate_perfect_forms(5, "sl")
-
-
-def test_split_classes_glue_through_their_mirrors(monkeypatch):
-    # Only the edges are checked: crossings into mirrors and the
-    # mirrors' own facets must carry determinant-one witnesses that
-    # meet the node exactly in the facet.
-    graph = _split_graph(monkeypatch)
-    assert len(graph.nodes) == 2 * 3
-    assert sum(len(node.domain.facets) for node in graph.nodes) == \
-        len(graph.edges)
-    assert any(e.node % 2 == 0 and e.neighbor % 2 == 1 for e in graph.edges)
-    for e in graph.edges:
-        node = graph.nodes[e.node]
-        moved = apply_to_cell(e.witness,
-                              graph.nodes[e.neighbor].minvecs.vectors)
-        assert e.witness.det == 1
-        assert set(node.minvecs.vectors) & set(moved) == \
-            set(node.domain.facet_vectors(node.domain.facets[e.facet]))
-
-
-def test_split_classes_round_trip(monkeypatch):
-    # A mirror node's stabilizer is form_group of the mirror form, the
-    # rule a load applies to every node: the decoded graph, mirrors
-    # included, has the generators and orders the walk gave it.
-    graph = _split_graph(monkeypatch)
-    loaded = graph_from_payload(graph_to_payload(graph), "g.json")
-    assert [(node.generators, node.stab_order) for node in loaded.nodes] \
-        == [(node.generators, node.stab_order) for node in graph.nodes]
-    assert loaded == graph
+    assert calls == {"build_cone": cones, "form_group": cones,
+                     "neighbor_form": crossings, "is_equivalent": 0}
 
 
 def test_session_caches_refuse_a_patched_pipeline(monkeypatch):

@@ -57,6 +57,16 @@ schema-6 one with those fields removed, and the complex file names the
 new graph file's hash; no other value changed, and the verdict files,
 and so their digests, did not change.
 
+The 3 sl and 4 sl graph and complex digests were re-recorded once
+more, when the walk came to run in the chosen group.  The sl walk
+reduces facets modulo the determinant-one stabilizer and matches each
+neighbour to its class by a determinant-one search, so an sl edge
+witness is that match moved along a determinant-one facet orbit instead
+of a full-group witness corrected by a determinant -1 symmetry.  Only
+the `witness` of some facets changed (3 of 6 at rank 3, 45 of 74 at
+rank 4), and with it the graph hash that the complex file names; the
+gl files and the verdict files, and so their digests, did not change.
+
 Any change to the search order, the chosen witnesses or the generating
 sets shows up here as a changed graph, complex or verdict file.  A second
 `verify` from the caches just written must reproduce the verdict file
@@ -73,9 +83,9 @@ from vorcycle.cli import main
 GOLDEN = {
     (3, "sl"): {
         "graph-n3-sl.json":
-            "09bdaf5ff27c4aa380ef238046a355e71e42cc8ae72b94a1343122a65a7f689f",
+            "6a6bee70572bc2726d681bfcf33a7d5fecb6b33e518c59d953404ba694f6360a",
         "complex-n3-sl.json":
-            "da2620a4500a4e7705855f56e2e7270f88d5f220c9983cd1394a6bb0d8acfe5f",
+            "c1ad9891046791d1bcca2f38e711650a4d0d78f65552e9281e188399799a8092",
         "verdict-n3-sl.json":
             "53514469a3a0e5fcacdf9809bc173d4c6e5b8cf5e8090d94a2bb864045dac997",
     },
@@ -89,9 +99,9 @@ GOLDEN = {
     },
     (4, "sl"): {
         "graph-n4-sl.json":
-            "f9ec1766cb9183e22e75fb03308e2031077ce266b07b21ff40b0f4465fd1e8ac",
+            "3a5228a132790b2d9de6782023522895961ace71d675a7b0c50e752f704c24bb",
         "complex-n4-sl.json":
-            "0920ae88ee6dfc6b3e3566416465c390089e936fd41046cb8a9e6fa1a92af995",
+            "01dace8b4c10a8d0059d91b9ae043567ec6cc52b0f5fb44fe3aae83bc256ec08",
         "verdict-n4-sl.json":
             "36db85c4819198a94d977b86420b3fdfbd2d950d6f8f2f3adb4512417252bba0",
     },

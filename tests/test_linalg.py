@@ -208,7 +208,10 @@ def test_adjugate_matches_the_cofactors(m):
         with pytest.raises(ValueError, match="singular"):
             adjugate(m)
     else:
-        assert adjugate(m) == reference_adjugate(m)
+        adj = adjugate(m)
+        assert adj == reference_adjugate(m)
+        # The determinant read off the adjugate's first column.
+        assert sum(a * r[0] for a, r in zip(m[0], adj)) == reference_det(m)
 
 
 @given(square(4, small_fraction))
