@@ -114,8 +114,9 @@ def cmd_perfect(args):
         print(f"  [{i}] {node.label}: |m|={node.minvecs.vector_count} "
               f"stab_order={node.stab_order}")
     print("edges (node.facet -> neighbor):")
-    for e in graph.edges:
-        print(f"  {e.node}.{e.facet} -> {e.neighbor} (det {e.witness.det})")
+    for i, edges in enumerate(graph.edges):
+        for f, e in enumerate(edges):
+            print(f"  {i}.{f} -> {e.neighbor} (det {e.witness.det})")
     print(f"graph file: {path}")
     return EXIT_OK
 
@@ -124,7 +125,7 @@ def cmd_complex(args):
     if not _check_rank(args.n, args.allow_long):
         return EXIT_USAGE
     cx, path = _load_or_build_complex(args)
-    kept = [cx.tops[i].label for i in cx.kept_tops]
+    kept = [cx.graph.nodes[i].label for i in cx.kept_tops]
     print(f"top classes kept: {len(cx.kept_tops)} {kept}")
     print(f"wall classes: {len(cx.walls)} "
           f"(kept {len(cx.kept_walls)}, "

@@ -34,6 +34,7 @@ stacked determinants.
 from typing import NamedTuple
 
 from .cones import meets_boundary, subcone_facets
+from .enumeration import glues
 from .forms import GroupElement, apply_to_cell, rank_one
 from .isometry import cell_group, cell_invariant, cell_maps, orbit_decompose
 from .linalg import (
@@ -67,19 +68,17 @@ def ambient_orientation_sign(g, n):
 
 
 class CellOrbitRec(NamedTuple):
-    """One orbit representative at some level of the complex."""
+    """One orbit representative of a wall or codim-2 class."""
 
-    level: str               # "top", "wall", or "codim2"
     vectors: tuple           # canonical vector pairs of the representative
     parent: int              # index of the containing cell one level up
     face_index: int          # which face of the parent the rep is
     members: tuple           # (parent_index, face_index, vectors) per member
     generators: tuple        # generate the stabilizer in the chosen group
     stab_order: int
-    basis: tuple             # oriented basis of the span (None: ambient)
+    basis: tuple             # oriented basis of the span
     orientation_kept: bool
     kind: str                # walls: "self" or "non_self"; else ""
-    witness: tuple           # walls: group element rows gluing the far side
     label: str
 
 
@@ -117,10 +116,9 @@ class VoronoiComplex(NamedTuple):
     n: int
     group_kind: str
     seed_perm: int
-    graph: object
-    tops: tuple              # CellOrbitRec per graph node
+    graph: object            # its nodes are the top classes
     walls: tuple             # CellOrbitRec per codim-1 class
-    kept_tops: tuple         # indices into tops
+    kept_tops: tuple         # indices into graph.nodes
     kept_walls: tuple        # indices into walls
     differential: Differential
 
@@ -131,7 +129,6 @@ class _ParentView:
     def __init__(self, vectors, generators, basis, faces, n, cell=""):
         self.cell = cell
         self.vectors = vectors
-        self.vector_set = set(vectors)
         self.generators = generators
         self.basis = basis
         self.faces = faces
@@ -172,8 +169,7 @@ class WallNotGlued(ValueError):
     the boundary, or the edge at its facet does not glue it."""
 
 
-def class_record(view, level, parent, face_index, vectors, members,
-                 det_one):
+def class_record(view, parent, face_index, vectors, members, det_one):
     """The class of face `face_index` (`vectors`) of cell `parent`, seen
     as `view`: its stabilizer, its basis oriented as the parent induces,
     and whether a stabilizer element reverses it.  A build and a cache
@@ -203,21 +199,24 @@ def class_record(view, level, parent, face_index, vectors, members,
     if sign < 0:
         basis = (tuple(-x for x in basis[0]),) + basis[1:]
     return CellOrbitRec(
-        level=level, vectors=vectors, parent=parent, face_index=face_index,
+        vectors=vectors, parent=parent, face_index=face_index,
         members=members, generators=gens, stab_order=order, basis=basis,
-        orientation_kept=kept, kind="", witness=(), label="")
+        orientation_kept=kept, kind="", label="")
 
 
-def wall_record(graph, parent, face, vectors, members):
-    """The wall class of facet `face` of node `parent`, as
-    `build_complex` derives it."""
+def wall_record(graph, members, seed_perm):
+    """The wall class whose (parent, face, vectors) members are
+    `members`, sorted as `_build_level` sorts them, as `build_complex`
+    derives it: its representative is the member that the seed
+    permutation picks."""
+    parent, face, vectors = members[seed_perm % len(members)]
     view = _ParentView(vectors=graph.nodes[parent].minvecs.vectors,
                        generators=(), basis=None, faces=(), n=graph.n)
-    return class_record(view, "wall", parent, face, vectors, members,
+    return class_record(view, parent, face, vectors, members,
                         graph.group_kind == "sl")
 
 
-def _build_level(parents, columns, n, det_one, seed_perm, level_name):
+def _build_level(parents, columns, n, det_one, seed_perm):
     """The classes of the non-boundary faces of `parents`, and their
     incidence numbers.
 
@@ -229,8 +228,8 @@ def _build_level(parents, columns, n, det_one, seed_perm, level_name):
     representative of each class is chosen by the seed permutation
     among all concrete members sorted canonically.
 
-    Returns (classes, kept, entries): CellOrbitRec tuples (kind, witness
-    and label left generic), the positions of the kept classes, and the
+    Returns (classes, kept, entries): CellOrbitRec tuples (kind and
+    label left generic), the positions of the kept classes, and the
     sorted ((row, col), value) incidence numbers of the kept classes
     against parents[columns[col]].  Every column parent must be kept.
     """
@@ -268,8 +267,7 @@ def _build_level(parents, columns, n, det_one, seed_perm, level_name):
             for own, (_, p_pos, orbit_members, _) in enumerate(cls["orbits"])
             for key in orbit_members)
         rep_key, rep_parent, rep_face, own = members[seed_perm % len(members)]
-        rec = class_record(parents[rep_parent], level_name, rep_parent,
-                           rep_face, rep_key,
+        rec = class_record(parents[rep_parent], rep_parent, rep_face, rep_key,
                            tuple((p, f, k) for k, p, f, _ in members),
                            det_one)
         out.append(rec)
@@ -314,60 +312,50 @@ def is_orientation_preserving(group_kind, n):
     return group_kind == "sl" or n % 2 == 1
 
 
-def top_classes(graph):
-    """The top cell of every graph node, kept unless its stabilizer
-    reverses the orientation of the form space."""
-    n = graph.n
-    tops = []
+def kept_top_nodes(graph):
+    """The nodes whose top cells are kept: those whose stabilizer does
+    not reverse the orientation of the form space."""
+    if is_orientation_preserving(graph.group_kind, graph.n):
+        return tuple(range(len(graph.nodes)))
+    kept = []
     for i, node in enumerate(graph.nodes):
-        if is_orientation_preserving(graph.group_kind, n):
-            kept = True
+        # The determinant is a character of the stabilizer, so its
+        # generators decide whether any element has determinant -1.
+        reversers = [g for g in node.generators if g.det == -1]
+        if reversers:
+            # The determinant rule is backed by one exact transport.
+            assert ambient_orientation_sign(reversers[0], graph.n) == -1
         else:
-            # The determinant is a character of the stabilizer, so its
-            # generators decide whether any element has determinant -1.
-            reversers = [g for g in node.generators if g.det == -1]
-            kept = not reversers
-            if reversers:
-                # The determinant rule is backed by one exact transport.
-                assert ambient_orientation_sign(reversers[0], n) == -1
-        tops.append(CellOrbitRec(
-            level="top", vectors=node.minvecs.vectors, parent=i,
-            face_index=-1, members=((i, -1, node.minvecs.vectors),),
-            generators=node.generators, stab_order=node.stab_order,
-            basis=None, orientation_kept=kept, kind="", witness=(),
-            label=node.label))
-    return tuple(tops)
+            kept.append(i)
+    return tuple(kept)
 
 
-def glue_complex(graph, seed_perm, tops, walls, entries):
-    """The complex of `tops` and `walls`, with `entries` the incidence
-    numbers of its kept walls against its kept tops.
+def glue_complex(graph, seed_perm, kept_tops, walls, entries):
+    """The complex of `graph`'s top classes, of which `kept_tops` are
+    kept, and `walls`, with `entries` the incidence numbers of its kept
+    walls against its kept tops.
 
     Each wall is glued by the graph edge at its (parent, face_index),
-    which gives its kind and witness; that edge must carry the
-    neighbour's minimal vectors onto vectors that meet the parent's
-    exactly in the wall.  Raises WallNotGlued otherwise.
+    which gives its kind (`enumeration.glues` must hold there).  Raises
+    WallNotGlued otherwise.
     """
-    nodes = graph.nodes
     glued = []
     for i, w in enumerate(walls):
-        edge = graph.edge_at(w.parent, w.face_index)
-        far = apply_to_cell(edge.witness, nodes[edge.neighbor].minvecs.vectors)
-        if tuple(sorted(set(nodes[w.parent].minvecs.vectors).intersection(
-                far))) != w.vectors:
+        edge = graph.edges[w.parent][w.face_index]
+        if not glues(graph.nodes, w.parent, w.vectors, edge):
             raise WallNotGlued(
                 f"walls[{i}] is not glued by the graph edge at node "
                 f"{w.parent}, facet {w.face_index}")
         glued.append(w._replace(
             kind="self" if edge.neighbor == w.parent else "non_self",
-            witness=(edge.neighbor, edge.witness.rows), label=f"w{i}"))
-    kept_tops = tuple(i for i, t in enumerate(tops) if t.orientation_kept)
+            label=f"w{i}"))
     kept_walls = tuple(i for i, w in enumerate(glued) if w.orientation_kept)
     differential = Differential(
         row_labels=tuple(glued[i].label for i in kept_walls),
-        col_labels=tuple(tops[i].label for i in kept_tops), entries=entries)
+        col_labels=tuple(graph.nodes[i].label for i in kept_tops),
+        entries=entries)
     return VoronoiComplex(n=graph.n, group_kind=graph.group_kind,
-                          seed_perm=seed_perm, graph=graph, tops=tops,
+                          seed_perm=seed_perm, graph=graph,
                           walls=tuple(glued), kept_tops=kept_tops,
                           kept_walls=kept_walls, differential=differential)
 
@@ -375,8 +363,7 @@ def glue_complex(graph, seed_perm, tops, walls, entries):
 def build_complex(graph, seed_perm=0):
     """Top two degrees of the complex for an enumerated walk graph."""
     n = graph.n
-    tops = top_classes(graph)
-    kept_tops = [i for i, t in enumerate(tops) if t.orientation_kept]
+    kept_tops = kept_top_nodes(graph)
     # A rank-1 domain is a single ray: no faces, so no parents.
     views = [] if n == 1 else [
         _ParentView(vectors=node.minvecs.vectors,
@@ -386,9 +373,8 @@ def build_complex(graph, seed_perm=0):
                     cell=f"node {i}")
         for i, node in enumerate(graph.nodes)]
     walls, _, entries = _build_level(views, kept_tops, n,
-                                     graph.group_kind == "sl", seed_perm,
-                                     "wall")
-    return glue_complex(graph, seed_perm, tops, walls, entries)
+                                     graph.group_kind == "sl", seed_perm)
+    return glue_complex(graph, seed_perm, kept_tops, walls, entries)
 
 
 def build_codim2(cx, seed_perm=0):
@@ -406,7 +392,7 @@ def build_codim2(cx, seed_perm=0):
                                       basis=w.basis, faces=face_keys, n=n,
                                       cell=w.label))
     mids, kept_mids, entries = _build_level(
-        wall_views, range(len(wall_views)), n, det_one, seed_perm, "codim2")
+        wall_views, range(len(wall_views)), n, det_one, seed_perm)
     mids = tuple(m._replace(label=f"c{i}") for i, m in enumerate(mids))
     differential = Differential(
         row_labels=tuple(mids[i].label for i in kept_mids),

@@ -85,8 +85,8 @@ class PerfectFormRep(NamedTuple):
 
 
 class Edge(NamedTuple):
-    node: int
-    facet: int
+    """The gluing across one facet of a node."""
+
     neighbor: int
     witness: GroupElement   # act(witness, rep_neighbor) is the concrete form
 
@@ -95,13 +95,15 @@ class VoronoiGraph(NamedTuple):
     n: int
     group_kind: str
     nodes: tuple
-    edges: tuple
+    edges: tuple            # edges[i][f]: the Edge across facet f of node i
 
-    def edge_at(self, node, facet):
-        # A scan: a graph has at most a few hundred edges, and each wall
-        # asks for one.
-        return next(e for e in self.edges
-                    if e.node == node and e.facet == facet)
+
+def glues(nodes, i, face, edge):
+    """Whether `edge` glues the facet of node i with vectors `face`: it
+    carries its neighbour's minimal vectors onto vectors that meet node
+    i's exactly in the facet."""
+    far = apply_to_cell(edge.witness, nodes[edge.neighbor].minvecs.vectors)
+    return set(nodes[i].minvecs.vectors).intersection(far) == set(face)
 
 
 def neighbor_form(form, minvecs, facet):
@@ -271,7 +273,7 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
         node = PerfectFormRep(form=form, minvecs=mv, domain=None,
                               generators=gens, stab_order=order, label="A1")
         return VoronoiGraph(n=1, group_kind=group_kind, nodes=(node,),
-                            edges=())
+                            edges=((),))
 
     classes = _discover_classes(n, det_one, traversal=traversal)
     nodes = tuple(
@@ -285,30 +287,30 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
     for i, (node, cls) in enumerate(zip(nodes, classes)):
         facet_index = {node.domain.facet_vectors(f): k
                        for k, f in enumerate(node.domain.facets)}
-        node_vecs = set(node.minvecs.vectors)
+        node_edges = [None] * len(node.domain.facets)
         for members, j, w in cls["crossings"]:
             for key, s in members.items():
-                x = s * w
-                moved = set(apply_to_cell(x, nodes[j].minvecs.vectors))
-                # The two domains must meet exactly in this facet.
-                assert node_vecs & moved == set(key)
-                edges.append(Edge(node=i, facet=facet_index[key],
-                                  neighbor=j, witness=x))
-    edges.sort(key=lambda e: (e.node, e.facet))
+                edge = Edge(neighbor=j, witness=s * w)
+                if not glues(nodes, i, key, edge):
+                    raise RuntimeError(f"the crossing at facet "
+                                       f"{facet_index[key]} of node {i} "
+                                       f"does not glue it")
+                node_edges[facet_index[key]] = edge
+        edges.append(tuple(node_edges))
 
     graph = VoronoiGraph(n=n, group_kind=group_kind, nodes=nodes,
                          edges=tuple(edges))
-    _assert_connected(graph)
+    _check_connected(graph)
     return graph
 
 
-def _assert_connected(graph):
+def _check_connected(graph):
     seen = {0}
     frontier = [0]
     while frontier:
-        i = frontier.pop()
-        for e in graph.edges:
-            if e.node == i and e.neighbor not in seen:
+        for e in graph.edges[frontier.pop()]:
+            if e.neighbor not in seen:
                 seen.add(e.neighbor)
                 frontier.append(e.neighbor)
-    assert seen == set(range(len(graph.nodes))), "walk graph is disconnected"
+    if len(seen) != len(graph.nodes):
+        raise RuntimeError("walk graph is disconnected")

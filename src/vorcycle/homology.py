@@ -64,15 +64,20 @@ class TheoremReport(NamedTuple):
         }
 
 
+def _kept_tops(cx):
+    """The graph nodes of the kept top classes, in column order."""
+    return [cx.graph.nodes[i] for i in cx.kept_tops]
+
+
 def canonical_cycle(cx):
     """The chain with coefficient 1/|stabilizer| on every kept top class."""
-    return tuple(Fraction(1, cx.tops[i].stab_order) for i in cx.kept_tops)
+    return tuple(Fraction(1, top.stab_order) for top in _kept_tops(cx))
 
 
 def _row_certificates(cx):
     certs = []
     diff = cx.differential
-    orders = [cx.tops[i].stab_order for i in cx.kept_tops]
+    orders = [top.stab_order for top in _kept_tops(cx)]
     for r in range(diff.row_count):
         terms = []
         for c, entry in diff.row_entries(r):
@@ -96,13 +101,14 @@ def verify_top_cycle(cx):
             f"group {cx.group_kind!r} does not preserve orientation "
             f"in rank {cx.n}")
     tess = check_rigidity(from_voronoi(cx))
+    tops = _kept_tops(cx)
     return TheoremReport(
         n=cx.n, group_kind=cx.group_kind, kernel_dim=tess.kernel_dim,
         canonical_in_kernel=tess.canonical_in_kernel,
         kernel_spanned_by_canonical=tess.kernel_spanned_by_canonical,
         ok=tess.ok,
-        top_labels=tuple(cx.tops[i].label for i in cx.kept_tops),
-        stab_orders=tuple(cx.tops[i].stab_order for i in cx.kept_tops),
+        top_labels=tuple(top.label for top in tops),
+        stab_orders=tuple(top.stab_order for top in tops),
         kernel_vectors=tess.kernel_vectors,
         canonical=tess.canonical,
         row_certificates=_row_certificates(cx),
@@ -125,27 +131,28 @@ def verify_gl_even_vanishing(cx):
     complex's tessellation instance, the solver behind
     `check_rigidity`.
     """
-    if cx.group_kind != "gl" or cx.n % 2 != 0:
+    if is_orientation_preserving(cx.group_kind, cx.n):
         raise WrongGroupParity("vanishing applies to the full group "
                                "in even rank")
     mech_ok = True
     root_excluded = True
-    for i, top in enumerate(cx.tops):
-        inside_sl = all(g.det == 1 for g in top.generators)
-        if top.orientation_kept != inside_sl:
+    kept = set(cx.kept_tops)
+    for i, node in enumerate(cx.graph.nodes):
+        inside_sl = all(g.det == 1 for g in node.generators)
+        if (i in kept) != inside_sl:
             mech_ok = False
-        node = cx.graph.nodes[i]
         if root_label(node.form, node.minvecs, cx.n) is not None and \
-                top.orientation_kept:
+                i in kept:
             root_excluded = False
     _, kernel = boundary_kernel(from_voronoi(cx))
+    tops = _kept_tops(cx)
     ok = len(kernel) == 0 and mech_ok and root_excluded
     return TheoremReport(
         n=cx.n, group_kind=cx.group_kind, kernel_dim=len(kernel),
         canonical_in_kernel=False, kernel_spanned_by_canonical=False,
         ok=ok,
-        top_labels=tuple(cx.tops[i].label for i in cx.kept_tops),
-        stab_orders=tuple(cx.tops[i].stab_order for i in cx.kept_tops),
+        top_labels=tuple(top.label for top in tops),
+        stab_orders=tuple(top.stab_order for top in tops),
         kernel_vectors=tuple(kernel),
         canonical=(),
         row_certificates=(),

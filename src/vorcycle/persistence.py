@@ -14,28 +14,28 @@ compute: per graph node its Gram matrix, minimum, minimal vectors, label
 and facets, each facet with the edge across it (`neighbor`, `witness`);
 per complex its seed permutation, the hash in its graph file's header
 (it is read only over that graph file), the triplets of its
-differential, and per wall its `parent`, `face_index` and [parent,
-face] members.  The rest is derived on load by the code a build runs:
-node stabilizers (`isometry.form_group`), each wall's vectors,
-stabilizer, oriented basis and orientation flag
-(`complexes.wall_record`), the top classes, wall kinds, witnesses and
-labels, the kept lists and the differential's labels
-(`complexes.top_classes`, `complexes.glue_complex`).  The wall members,
-the triplets, and the gluing of the edges that no wall uses are trusted.
+differential, and per wall its [parent, face] members.  The rest is
+derived on load by the code a build runs: node stabilizers
+(`isometry.form_group`), the kept top classes
+(`complexes.kept_top_nodes`), each wall's representative (the member
+the seed permutation picks), vectors, stabilizer, oriented basis and
+orientation flag (`complexes.wall_record`), and the wall kinds and
+labels and the differential's labels (`complexes.glue_complex`).  The
+wall members, the triplets, and the gluing of the edges that no wall
+uses are trusted.
 
 On load, a payload's rank and group must be its file header's, each
 record must hold exactly its own fields, and each field is checked for
 shape, type and range.  A Gram matrix must be symmetric positive
 definite with the stored minimum and spanning minimal vectors; an sl
-edge witness must have determinant one; a wall's (parent, face_index)
-must be the member the seed permutation picks, a facet off the
-boundary, whose graph edge glues the wall.
+edge witness must have determinant one; a wall's representative must
+be a facet off the boundary, whose graph edge glues the wall.
 """
 
 import json
 import os
 import tempfile
-from .complexes import WallNotGlued, glue_complex, top_classes, wall_record
+from .complexes import WallNotGlued, glue_complex, kept_top_nodes, wall_record
 from .cones import FacetRec, PolyCone, meets_boundary
 from .enumeration import GROUP_KINDS, Edge, PerfectFormRep, VoronoiGraph
 from .forms import (
@@ -56,16 +56,17 @@ from .linalg import det_int, mat_transpose, sym_dim, sym_flatten
 # graph; graph version 5 stores each edge on its facet, and complex
 # version 6 only what the graph cannot give; graph version 6 and
 # complex version 7 store no stabilizer, order, basis or orientation
-# flag.  Verdict and tess-instance files went to version 2 when every
-# file became its canonical encoding.
-PAYLOAD_KINDS = {"graph": 6, "complex": 7, "verdict": 2, "tess-instance": 2}
+# flag; complex version 8 stores a wall as its members only.  Verdict
+# and tess-instance files went to version 2 when every file became its
+# canonical encoding.
+PAYLOAD_KINDS = {"graph": 6, "complex": 8, "verdict": 2, "tess-instance": 2}
 
 # The fields of each record: a record with any other field is refused.
 GRAPH_FIELDS = ("n", "group", "nodes")
 NODE_FIELDS = ("gram", "min_value", "min_vectors", "label", "facets")
 FACET_FIELDS = ("normal", "incident", "neighbor", "witness")
 COMPLEX_FIELDS = ("seed_perm", "graph", "walls", "triplets")
-WALL_FIELDS = ("parent", "face_index", "members")
+WALL_FIELDS = ("members",)
 
 
 class CacheCorrupt(ValueError):
@@ -126,16 +127,15 @@ def _sha256(data):
 
 
 def graph_to_payload(graph):
-    edges = {(e.node, e.facet): e for e in graph.edges}
     nodes = []
-    for i, node in enumerate(graph.nodes):
+    for node, edges in zip(graph.nodes, graph.edges):
         facets = []
         if node.domain is not None:
             facets = [{"normal": _enc_mat(f.normal),
                        "incident": sorted(f.incident),
-                       "neighbor": edges[i, k].neighbor,
-                       "witness": _enc_mat(edges[i, k].witness.rows)}
-                      for k, f in enumerate(node.domain.facets)]
+                       "neighbor": e.neighbor,
+                       "witness": _enc_mat(e.witness.rows)}
+                      for f, e in zip(node.domain.facets, edges)]
         nodes.append({
             "gram": _enc_mat(node.form.gram),
             "min_value": node.minvecs.min_value,
@@ -240,8 +240,7 @@ def graph_from_payload(payload, source="<payload>"):
     """Decode and check a graph payload read from `source`.
 
     Each node's stabilizer is `form_group` of its form, as in the walk.
-    Each facet record carries the edge across it, so the edges come in
-    (node, facet) order, one per node facet.
+    Each facet record carries the edge across it.
     """
     rd = _Reader(source)
     rd.fields(payload, (), GRAPH_FIELDS)
@@ -268,13 +267,13 @@ def graph_from_payload(payload, source="<payload>"):
             rd.fail(path, "is not a positive definite form with its "
                           "minimum and spanning minimal vectors")
         facets = []
+        node_edges = []
         for f_path, f in rd.records(rec, path, "facets", FACET_FIELDS):
             facets.append(FacetRec(
                 normal=rd.field_ints(f, f_path, "normal", n, n),
                 incident=frozenset(rd.indices(f, f_path, "incident",
                                               len(mv.vectors)))))
-            edges.append(Edge(
-                node=len(nodes), facet=len(facets) - 1,
+            node_edges.append(Edge(
                 neighbor=rd.index(f, f_path, "neighbor", len(node_recs)),
                 witness=rd.element(rd.get(f, f_path, "witness", list),
                                    f_path + ("witness",), n,
@@ -285,16 +284,12 @@ def graph_from_payload(payload, source="<payload>"):
             domain = PolyCone(ambient_dim=sym_dim(n), vectors=mv.vectors,
                               ray_flats=flats, facets=tuple(facets))
         gens, order = form_group(form, mv.vectors, det_one=group == "sl")
+        edges.append(tuple(node_edges))
         nodes.append(PerfectFormRep(
             form=form, minvecs=mv, domain=domain, generators=gens,
             stab_order=order, label=rd.get(rec, path, "label", str)))
     return VoronoiGraph(n=n, group_kind=group, nodes=tuple(nodes),
                         edges=tuple(edges))
-
-
-def _facet_count(graph, node):
-    domain = graph.nodes[node].domain
-    return len(domain.facets) if domain else 0
 
 
 def _members(rd, rec, path, graph):
@@ -310,28 +305,22 @@ def _members(rd, rec, path, graph):
         if not 0 <= parent < len(graph.nodes):
             rd.fail(at, f"has a parent out of range "
                         f"0..{len(graph.nodes) - 1}")
-        count = _facet_count(graph, parent)
+        count = len(graph.edges[parent])
         if not 0 <= face < count:
             rd.fail(at, f"has a face out of range 0..{count - 1}")
         domain = graph.nodes[parent].domain
         out.append((parent, face, domain.facet_vectors(domain.facets[face])))
+    if not out:
+        rd.fail(path + ("members",), "is empty")
     return tuple(out)
 
 
 def _wall_from_payload(rd, rec, path, graph, seed_perm):
-    """One wall record: the class of facet `face_index` of node
-    `parent`, the member that the seed permutation picks."""
-    parent = rd.index(rec, path, "parent", len(graph.nodes))
-    face = rd.index(rec, path, "face_index", _facet_count(graph, parent))
+    """One wall record: the class of its members, represented by the
+    member that the seed permutation picks."""
     members = _members(rd, rec, path, graph)
-    if not members:
-        rd.fail(path + ("members",), "is empty")
-    pick = seed_perm % len(members)
-    if members[pick][:2] != (parent, face):
-        rd.fail(path, f"has (parent, face_index) ({parent}, {face}), not "
-                      f"its member {pick} (seed_perm mod {len(members)})")
     try:
-        return wall_record(graph, parent, face, members[pick][2], members)
+        return wall_record(graph, members, seed_perm)
     except WallNotGlued as exc:
         rd.fail(path, f"is not a wall: {exc}")
 
@@ -341,8 +330,7 @@ def complex_to_payload(cx, graph_hash):
     return {
         "seed_perm": cx.seed_perm,
         "graph": graph_hash,
-        "walls": [{"parent": w.parent, "face_index": w.face_index,
-                   "members": [[p, f] for p, f, _ in w.members]}
+        "walls": [{"members": [[p, f] for p, f, _ in w.members]}
                   for w in cx.walls],
         "triplets": [list(t) for t in cx.differential.triplets()],
     }
@@ -357,21 +345,22 @@ def complex_from_payload(payload, graph, source="<payload>"):
     """Decode and check a complex payload read from `source` over its
     graph, decoded from the graph file whose header hash it names.
 
-    The top classes come from the graph, and each wall from its facet,
-    which the graph edge there must glue.  The triplets must be nonzero
-    entries, strictly increasing in (row, col), of a matrix with a row
-    per kept wall and a column per kept top.
+    The top classes are the graph's nodes, and each wall comes from the
+    facet of the member that the seed permutation picks, which the graph
+    edge there must glue.  The triplets must be nonzero entries,
+    strictly increasing in (row, col), of a matrix with a row per kept
+    wall and a column per kept top.
     """
     rd = _Reader(source)
     rd.fields(payload, (), COMPLEX_FIELDS)
     graph_reference(payload, source)
     seed_perm = rd.get(payload, (), "seed_perm", int)
-    tops = top_classes(graph)
+    kept_tops = kept_top_nodes(graph)
     walls = tuple(_wall_from_payload(rd, rec, path, graph, seed_perm)
                   for path, rec in rd.records(payload, (), "walls",
                                               WALL_FIELDS))
     rows = sum(w.orientation_kept for w in walls)
-    cols = sum(t.orientation_kept for t in tops)
+    cols = len(kept_tops)
     entries = []
     triplets = rd.field_ints(payload, (), "triplets", None, 3)
     for i, (r, c, v) in enumerate(triplets):
@@ -381,7 +370,8 @@ def complex_from_payload(payload, graph, source="<payload>"):
                     "after the previous one in (row, col) order")
         entries.append(((r, c), v))
     try:
-        return glue_complex(graph, seed_perm, tops, walls, tuple(entries))
+        return glue_complex(graph, seed_perm, kept_tops, walls,
+                            tuple(entries))
     except WallNotGlued as exc:
         raise CacheCorrupt(f"{source}: payload.{exc}") from exc
 

@@ -386,9 +386,10 @@ def from_voronoi(cx):
     classes with their exact incidence numbers (self-glued walls come
     through with their zero rows).
     """
+    nodes = cx.graph.nodes
     tiles = tuple(
-        TileOrbit(stab_order=cx.tops[i].stab_order, orientation_kept=True,
-                  label=cx.tops[i].label)
+        TileOrbit(stab_order=nodes[i].stab_order, orientation_kept=True,
+                  label=nodes[i].label)
         for i in cx.kept_tops)
     diff = cx.differential
     facets = []

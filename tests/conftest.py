@@ -1,13 +1,17 @@
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import types
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+import vorcycle
 from vorcycle import complexes, cones, enumeration, forms, isometry
 from vorcycle.complexes import (
     _ParentView,
@@ -137,9 +141,27 @@ def complex_gl4():
     return cached_complex(4, "gl")
 
 
+def run_python(*args, optimize=(), timeout=60):
+    """`python [-O] ARGS...` in a fresh interpreter that imports this
+    vorcycle, with VORCYCLE_CACHE unset; `optimize` is () or ("-O",)."""
+    env = {k: v for k, v in os.environ.items() if k != "VORCYCLE_CACHE"}
+    env["PYTHONPATH"] = os.path.dirname(
+        os.path.dirname(os.path.abspath(vorcycle.__file__)))
+    return subprocess.run([sys.executable, *optimize, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def content_hash(payload):
     """The hash that a cache file's header carries for `payload`."""
     return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
+
+
+def wall_facet(payload, i):
+    """The (parent, face) of wall i of a complex payload: the member
+    that its seed permutation picks."""
+    members = payload["walls"][i]["members"]
+    parent, face = members[payload["seed_perm"] % len(members)]
+    return parent, face
 
 
 def random_unimodular(n, rng, steps=8):
@@ -445,6 +467,15 @@ def matrix_orbit_decompose(keys, generators, apply, identity):
         orbits.append((key, members))
         assigned.update(members)
     return orbits
+
+
+def facet_edges(graph):
+    """(i, node, facet, edge) for every facet of every node of `graph`,
+    with the edge across it."""
+    for i, (node, edges) in enumerate(zip(graph.nodes, graph.edges)):
+        assert len(edges) == len(node.domain.facets)
+        for facet, edge in zip(node.domain.facets, edges):
+            yield i, node, facet, edge
 
 
 def top_views(graph):

@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_stabilizer_2x2, cached_complex, cached_graph, \
-    closure, differential_kernel, pair_swap_elements, random_unimodular
+    closure, differential_kernel, facet_edges, pair_swap_elements, \
+    random_unimodular
 
 from vorcycle.complexes import (
     ambient_orientation_sign,
@@ -115,7 +116,7 @@ def test_criterion_3_rank_four_pipeline():
     assert len(graph.nodes) == 2
     cx = build_complex(graph)
     diff = cx.differential
-    orders = [cx.tops[i].stab_order for i in cx.kept_tops]
+    orders = [cx.graph.nodes[i].stab_order for i in cx.kept_tops]
     for r in range(diff.row_count):
         entries = diff.row_entries(r)
         wall = cx.walls[cx.kept_walls[r]]
@@ -154,7 +155,7 @@ def test_criterion_4_rank_five_and_even_vanishing():
     # Any kernel chain has full support with weights inverse to the
     # stabilizer orders along every edge of the walk graph.
     kernel = differential_kernel(cx)
-    orders = [cx.tops[i].stab_order for i in cx.kept_tops]
+    orders = [cx.graph.nodes[i].stab_order for i in cx.kept_tops]
     vec = kernel[0]
     assert all(x != 0 for x in vec)
     assert len({x * o for x, o in zip(vec, orders)}) == 1
@@ -176,7 +177,7 @@ def test_criterion_4_rank_five_and_even_vanishing():
         report = verify_top_cycle(sl)
         assert report.ok and report.kernel_dim == 1
         vec, = differential_kernel(sl)
-        orders = [sl.tops[i].stab_order for i in sl.kept_tops]
+        orders = [sl.graph.nodes[i].stab_order for i in sl.kept_tops]
         assert all(x != 0 for x in vec)
         assert len({x * o for x, o in zip(vec, orders)}) == 1
     print(f"ACCEPTANCE 4: PASS (rank-5 generator {elapsed5:.1f}s, even-rank "
@@ -192,11 +193,10 @@ def test_criterion_5_property_suites(rng):
             cx = cached_complex(n, group)
             det_one = group == "sl"
             # Opposite induced orientations across every shared wall.
-            for e in graph.edges:
-                node = graph.nodes[e.node]
+            for _, node, facet, e in facet_edges(graph):
                 far = apply_to_cell(
                     e.witness, graph.nodes[e.neighbor].minvecs.vectors)
-                face = node.domain.facet_vectors(node.domain.facets[e.facet])
+                face = node.domain.facet_vectors(facet)
                 face_set = set(face)
                 basis = []
                 for v in face:
@@ -217,9 +217,9 @@ def test_criterion_5_property_suites(rng):
             # Stabilizer lemmas, every wall orbit.
             for w in cx.walls:
                 node = graph.nodes[w.parent]
-                gamma = GroupElement.from_matrix(w.witness[1])
+                neighbor, gamma = graph.edges[w.parent][w.face_index]
                 far_cell = apply_to_cell(
-                    gamma, graph.nodes[w.witness[0]].minvecs.vectors)
+                    gamma, graph.nodes[neighbor].minvecs.vectors)
                 wall_stab = {x.rows for x in closure(w.generators, n)}
                 inter = {x.rows for x in closure(node.generators, n)} \
                     & {x.rows

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from conftest import run_python, wall_facet
 from vorcycle.cli import main
 
 
@@ -219,6 +220,45 @@ def test_stale_schema_version_exit_three(cache, capsys):
     assert "delete it or use a fresh --cache-dir" in err
 
 
+def _schema_seven_file(doc):
+    """The file as complex schema 7 stored it: each wall with the
+    `parent` and `face_index` of the member that the seed permutation
+    picks."""
+    for i, wall in enumerate(doc["payload"]["walls"]):
+        wall["parent"], wall["face_index"] = wall_facet(doc["payload"], i)
+    doc["schema_version"] = 7
+
+
+def _wall_parent(doc):
+    doc["payload"]["walls"][0]["parent"] = \
+        wall_facet(doc["payload"], 0)[0]
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+@pytest.mark.parametrize("edit, problem", (
+    (_schema_seven_file, "schema version 7 != 8; another version of "
+                         "vorcycle wrote this file: delete it or use a "
+                         "fresh --cache-dir"),
+    (_wall_parent, "payload.walls[0].parent is not a field of this "
+                   "record"),
+), ids=("schema-7-file", "wall-parent-in-schema-8"))
+def test_complex_file_with_wall_placements_exit_three(cache, capsys,
+                                                      optimize, edit,
+                                                      problem):
+    # A wall's parent and face are the member that the seed permutation
+    # picks, derived on load: a file that still stores them is refused,
+    # under -O too, and no verdict is printed.
+    path = _rank_four_complex(capsys, cache)
+    _tamper(path, edit)
+    result = run_python("-m", "vorcycle", "verify", "--n", "4", "--group",
+                        "sl", "--cache-dir", cache, optimize=optimize)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "verified" not in result.stdout
+    assert f"{path}: {problem}" in result.stderr
+
+
 def test_stored_order_in_graph_file_exit_three(cache, capsys):
     # A stored order would decide the verdict (each top class enters the
     # cycle with weight one over it), so a load derives every order and
@@ -338,13 +378,9 @@ def test_wall_face_on_the_boundary_exit_three(cache, capsys, optimize):
     # a re-hashed graph file, the complex file re-pointed at it: the
     # wall derived from that face is refused, under -O too, and no
     # verdict is printed.
-    import subprocess
-    import sys
-    import vorcycle
     path = _rank_four_complex(capsys, cache)
     graph = os.path.join(cache, "graph-n4-sl.json")
-    wall = json.load(open(path))["payload"]["walls"][0]
-    parent, face = wall["parent"], wall["face_index"]
+    parent, face = wall_facet(json.load(open(path))["payload"], 0)
 
     def one_vector(doc):
         doc["payload"]["nodes"][parent]["facets"][face]["incident"] = [0]
@@ -352,12 +388,8 @@ def test_wall_face_on_the_boundary_exit_three(cache, capsys, optimize):
     digest = json.load(open(graph))["hash"]
     _tamper(path, lambda doc: doc["payload"].update(graph=digest))
     os.unlink(os.path.join(cache, "verdict-n4-sl.json"))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(vorcycle.__file__)))
-    result = subprocess.run(
-        [sys.executable, *optimize, "-m", "vorcycle", "verify", "--n", "4",
-         "--group", "sl", "--cache-dir", cache],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-        text=True, timeout=60)
+    result = run_python("-m", "vorcycle", "verify", "--n", "4", "--group",
+                        "sl", "--cache-dir", cache, optimize=optimize)
     assert result.returncode == 3, result.stdout + result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert "FALSIFIED" not in result.stdout
@@ -372,9 +404,6 @@ def test_facet_that_is_not_a_facet_exit_three(cache, capsys, optimize):
     # every minimal vector, with no complex file: the cold complex build
     # over that graph finds the node's stabilizer not permuting its
     # facet list and refuses the file, under -O too.
-    import subprocess
-    import sys
-    import vorcycle
     run(capsys, "perfect", "--n", "3", "--group", "sl", "--cache-dir", cache)
     path = os.path.join(cache, "graph-n3-sl.json")
 
@@ -382,12 +411,8 @@ def test_facet_that_is_not_a_facet_exit_three(cache, capsys, optimize):
         node = doc["payload"]["nodes"][0]
         node["facets"][0]["incident"] = list(range(len(node["min_vectors"])))
     _tamper(path, every_vector)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(vorcycle.__file__)))
-    result = subprocess.run(
-        [sys.executable, *optimize, "-m", "vorcycle", "verify", "--n", "3",
-         "--group", "sl", "--cache-dir", cache],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-        text=True, timeout=60)
+    result = run_python("-m", "vorcycle", "verify", "--n", "3", "--group",
+                        "sl", "--cache-dir", cache, optimize=optimize)
     assert result.returncode == 3, result.stdout + result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert "FALSIFIED" not in result.stdout
@@ -418,18 +443,17 @@ def _unglue_wall_zero(capsys, cache):
     run(capsys, "verify", "--n", "2", "--group", "sl", "--cache-dir", cache)
     graph = os.path.join(cache, "graph-n2-sl.json")
     path = os.path.join(cache, "complex-n2-sl.json")
-    wall = json.load(open(path))["payload"]["walls"][0]
+    parent, face = wall_facet(json.load(open(path))["payload"], 0)
 
     def shear(doc):
-        facet = doc["payload"]["nodes"][wall["parent"]]["facets"][
-            wall["face_index"]]
-        facet["witness"] = [[1, 1], [0, 1]]
+        doc["payload"]["nodes"][parent]["facets"][face]["witness"] = \
+            [[1, 1], [0, 1]]
     _tamper(graph, shear)
     digest = json.load(open(graph))["hash"]
     _tamper(path, lambda doc: doc["payload"].update(graph=digest))
     os.unlink(os.path.join(cache, "verdict-n2-sl.json"))
     return path, f"{path}: payload.walls[0] is not glued by the graph " \
-        f"edge at node {wall['parent']}, facet {wall['face_index']}"
+        f"edge at node {parent}, facet {face}"
 
 
 def test_wall_witness_off_the_graph_edge_exit_three(cache, capsys):
@@ -448,19 +472,11 @@ def test_graph_edge_off_its_wall_without_complex_file_exit_three(
     # With no complex file the complex is built over the graph file; an
     # edge there that does not glue its wall is that file's corruption,
     # under -O too.
-    import subprocess
-    import sys
-    import vorcycle
-
     path, _ = _unglue_wall_zero(capsys, cache)
     os.unlink(path)
     graph = os.path.join(cache, "graph-n2-sl.json")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(vorcycle.__file__)))
-    result = subprocess.run(
-        [sys.executable, *optimize, "-m", "vorcycle", "verify", "--n", "2",
-         "--group", "sl", "--cache-dir", cache],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-        text=True, timeout=60)
+    result = run_python("-m", "vorcycle", "verify", "--n", "2", "--group",
+                        "sl", "--cache-dir", cache, optimize=optimize)
     assert result.returncode == 3, result.stdout + result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert "verified" not in result.stdout
@@ -584,19 +600,12 @@ def test_tess_malformed_field_names_its_path(capsys, tmp_path, name):
 def test_tess_check_verdict_survives_python_optimize(tmp_path, flip,
                                                      expected):
     # Under -O every assert is stripped; the verdict must not rest on one.
-    import subprocess
-    import sys
-    import vorcycle
-
     def sign_flip(doc):
         doc["facet_orbits"][0]["incidences"][1][1] = "1"
     path = tmp_path / "fan.json"
     path.write_text(_fan_document(sign_flip if flip else lambda d: None))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(vorcycle.__file__)))
-    result = subprocess.run(
-        [sys.executable, "-O", "-m", "vorcycle", "tess", "check", str(path)],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-        text=True, timeout=60)
+    result = run_python("-m", "vorcycle", "tess", "check", str(path),
+                        optimize=("-O",))
     assert result.returncode == expected, result.stderr
     assert "kernel_dim=" in result.stdout
 
@@ -605,17 +614,9 @@ def test_wall_witness_off_the_graph_edge_survives_python_optimize(
         cache, capsys):
     # The gluing check is no assert: under -O the ungluing edge is
     # still cache corruption, not a verdict.
-    import subprocess
-    import sys
-    import vorcycle
-
     path, problem = _unglue_wall_zero(capsys, cache)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(vorcycle.__file__)))
-    result = subprocess.run(
-        [sys.executable, "-O", "-m", "vorcycle", "verify", "--n", "2",
-         "--group", "sl", "--cache-dir", cache],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-        text=True, timeout=60)
+    result = run_python("-m", "vorcycle", "verify", "--n", "2", "--group",
+                        "sl", "--cache-dir", cache, optimize=("-O",))
     assert result.returncode == 3, result.stdout + result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert "verified" not in result.stdout
@@ -641,20 +642,12 @@ def test_imports_stay_lean(tmp_path):
     # run: records load no dataclasses (with inspect), and OpenSSL comes
     # in only with the first cache file hashed.  The benchmark's tracer
     # reads all nine pipeline modules from sys.modules after the import.
-    import subprocess
-    import sys
-    import vorcycle
     from vorcycle.tessellation import dumps_instance, sector_fan
 
     fan = tmp_path / "fan.json"
     fan.write_text(dumps_instance(sector_fan(4)))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(vorcycle.__file__)))
-    env = {k: v for k, v in os.environ.items() if k != "VORCYCLE_CACHE"}
-    result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(fan),
-         str(tmp_path / "cache")],
-        env={**env, "PYTHONPATH": src}, capture_output=True, text=True,
-        timeout=120)
+    result = run_python("-c", _IMPORT_PROBE, str(fan),
+                        str(tmp_path / "cache"), timeout=120)
     assert result.returncode == 0, result.stderr
     seen = json.loads(result.stdout.splitlines()[-1])
     assert {"dataclasses", "inspect", "_hashlib"}.isdisjoint(seen["import"])

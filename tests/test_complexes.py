@@ -5,6 +5,7 @@ from conftest import (
     cached_complex,
     cached_graph,
     closure,
+    facet_edges,
     kept_wall_views,
     pair_swap_elements,
     random_unimodular,
@@ -57,11 +58,14 @@ def _node_view(graph, i):
 @pytest.mark.parametrize("group", ("sl", "gl"))
 def test_cell_generators_close_to_the_cell_stabilizer(n, group):
     cx = cached_complex(n, group)
-    for rec in cx.tops + cx.walls:
-        group_elems = closure(rec.generators, n)
-        assert len(group_elems) == rec.stab_order
+    cells = [(node.minvecs.vectors, node.generators, node.stab_order)
+             for node in cx.graph.nodes] + \
+        [(w.vectors, w.generators, w.stab_order) for w in cx.walls]
+    for vectors, generators, order in cells:
+        group_elems = closure(generators, n)
+        assert len(group_elems) == order
         assert [g.rows for g in group_elems] == \
-            [g.rows for g in cell_stabilizer(rec.vectors,
+            [g.rows for g in cell_stabilizer(vectors,
                                              det_one=(group == "sl"))]
 
 
@@ -72,9 +76,9 @@ def test_top_cell_dimension():
 
 
 def test_sigma_star_counts(complex_sl2, complex_sl3, complex_sl4):
-    assert (len(complex_sl2.tops), len(complex_sl2.walls)) == (1, 1)
-    assert (len(complex_sl3.tops), len(complex_sl3.walls)) == (1, 1)
-    assert len(complex_sl4.tops) == 2
+    assert (len(complex_sl2.graph.nodes), len(complex_sl2.walls)) == (1, 1)
+    assert (len(complex_sl3.graph.nodes), len(complex_sl3.walls)) == (1, 1)
+    assert len(complex_sl4.graph.nodes) == 2
     assert len(complex_sl4.walls) >= 1
 
 
@@ -93,7 +97,7 @@ def test_orientation_filter_results(complex_sl2, complex_sl3, complex_sl4,
 def test_orientation_preserving_groups_keep_all_tops_and_nonself_walls(
         complex_sl2, complex_sl3, complex_sl4, complex_gl3):
     for cx in (complex_sl2, complex_sl3, complex_sl4, complex_gl3):
-        assert cx.kept_tops == tuple(range(len(cx.tops)))
+        assert cx.kept_tops == tuple(range(len(cx.graph.nodes)))
         for i, w in enumerate(cx.walls):
             if w.kind == "non_self":
                 assert w.orientation_kept, "non-self wall must survive"
@@ -105,8 +109,7 @@ def test_wall_classification(complex_sl2, complex_sl4):
     assert kinds == ["non_self", "self"]
     for cx in (complex_sl2, complex_sl4):
         for w in cx.walls:
-            neighbor, g_rows = w.witness
-            g = GroupElement.from_matrix(g_rows)
+            neighbor, g = cx.graph.edges[w.parent][w.face_index]
             node = cx.graph.nodes[w.parent]
             far = apply_to_cell(g, cx.graph.nodes[neighbor].minvecs.vectors)
             shared = tuple(sorted(set(node.minvecs.vectors) & set(far)))
@@ -159,11 +162,10 @@ def test_epsilon_flips_when_basis_swapped():
 def test_opposite_orientations_on_every_shared_wall(graph_sl2, graph_sl3,
                                                     graph_sl4):
     for graph in (graph_sl2, graph_sl3, graph_sl4):
-        for e in graph.edges:
-            node = graph.nodes[e.node]
+        for _, node, facet, e in facet_edges(graph):
             far = apply_to_cell(e.witness,
                                 graph.nodes[e.neighbor].minvecs.vectors)
-            face = node.domain.facet_vectors(node.domain.facets[e.facet])
+            face = node.domain.facet_vectors(facet)
             face_set = set(face)
             basis = []
             for v in face:
@@ -195,8 +197,7 @@ def test_stab_groups_lemma_on_nonself_walls(complex_sl4, complex_gl4):
             if w.kind != "non_self":
                 continue
             node = cx.graph.nodes[w.parent]
-            neighbor, g_rows = w.witness
-            g = GroupElement.from_matrix(g_rows)
+            neighbor, g = cx.graph.edges[w.parent][w.face_index]
             far = apply_to_cell(g, cx.graph.nodes[neighbor].minvecs.vectors)
             wall_stab = {x.rows for x in closure(w.generators, cx.n)}
             sigma_stab = {x.rows for x in closure(node.generators, cx.n)}
@@ -221,7 +222,7 @@ def test_self_wall_lemma_parts(complex_sl2, complex_gl2, complex_sl3,
             if w.kind != "self":
                 continue
             node = cx.graph.nodes[w.parent]
-            gamma = GroupElement.from_matrix(w.witness[1])
+            gamma = cx.graph.edges[w.parent][w.face_index].witness
             cell = node.minvecs.vectors
             far = apply_to_cell(gamma, cell)
             # tau = sigma intersect gamma.sigma, literally.
@@ -370,7 +371,8 @@ def test_differential_empty_rank_two_three(complex_sl2, complex_sl3):
 def test_differential_structure_rank_four(complex_sl4):
     diff = complex_sl4.differential
     assert diff.col_count == 2
-    orders = [complex_sl4.tops[i].stab_order for i in complex_sl4.kept_tops]
+    orders = [complex_sl4.graph.nodes[i].stab_order
+              for i in complex_sl4.kept_tops]
     for r in range(diff.row_count):
         entries = diff.row_entries(r)
         assert len(entries) == 2
@@ -457,7 +459,7 @@ def test_every_cell_has_nonself_wall_when_several_classes(graph_sl4,
     # a wall leading to a different class.
     for graph in (graph_sl4, graph_gl4):
         for i in range(len(graph.nodes)):
-            assert any(e.neighbor != i for e in graph.edges if e.node == i)
+            assert any(e.neighbor != i for e in graph.edges[i])
 
 
 def test_degenerate_rank_one_complex():

@@ -1,6 +1,13 @@
 import pytest
 
-from conftest import cached_complex, cached_graph, closure, random_unimodular
+from conftest import (
+    cached_complex,
+    cached_graph,
+    closure,
+    facet_edges,
+    random_unimodular,
+    run_python,
+)
 
 from vorcycle import enumeration
 from vorcycle.cones import FacetRec, build_cone
@@ -95,10 +102,11 @@ def test_traversal_order_oracle_same_class_count():
 
 
 def test_closure_every_facet_has_edge(graph_sl4):
-    for i, node in enumerate(graph_sl4.nodes):
-        for f_idx in range(len(node.domain.facets)):
-            edge = graph_sl4.edge_at(i, f_idx)
-            assert 0 <= edge.neighbor < len(graph_sl4.nodes)
+    edges = list(facet_edges(graph_sl4))
+    assert len(edges) == sum(len(node.domain.facets)
+                             for node in graph_sl4.nodes)
+    for _, _, _, edge in edges:
+        assert 0 <= edge.neighbor < len(graph_sl4.nodes)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
@@ -107,11 +115,9 @@ def test_edges_intersect_exactly_in_facet(n, group):
     # The walk runs in the chosen group, so every sl witness has
     # determinant 1.
     graph = cached_graph(n, group)
-    for e in graph.edges:
-        node = graph.nodes[e.node]
+    for _, node, facet, e in facet_edges(graph):
         other = graph.nodes[e.neighbor]
         moved = set(apply_to_cell(e.witness, other.minvecs.vectors))
-        facet = node.domain.facets[e.facet]
         shared = set(node.minvecs.vectors) & moved
         assert shared == set(node.domain.facet_vectors(facet))
         assert e.witness.det == 1 or group == "gl"
@@ -246,19 +252,41 @@ def test_rank_one_degenerate_graph():
     assert len(graph.nodes) == 1
     assert graph.nodes[0].stab_order == 2
     assert enumerate_perfect_forms(1, "sl").nodes[0].stab_order == 1
-    assert graph.edges == ()
+    assert graph.edges == ((),)
 
 
 def test_graph_connected(graph_sl4):
     seen = {0}
     frontier = [0]
     while frontier:
-        i = frontier.pop()
-        for e in graph_sl4.edges:
-            if e.node == i and e.neighbor not in seen:
+        for e in graph_sl4.edges[frontier.pop()]:
+            if e.neighbor not in seen:
                 seen.add(e.neighbor)
                 frontier.append(e.neighbor)
     assert seen == set(range(len(graph_sl4.nodes)))
+
+
+# Two copies of the rank-2 class with no edge between them.
+_DISCONNECTED = """
+from vorcycle.enumeration import (
+    VoronoiGraph, _check_connected, enumerate_perfect_forms)
+node, = enumerate_perfect_forms(2, "sl").nodes
+try:
+    _check_connected(VoronoiGraph(n=2, group_kind="sl", nodes=(node, node),
+                                  edges=((), ())))
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_disconnected_walk_graph_is_refused(optimize):
+    # The check is no assert: under -O a disconnected graph is refused
+    # too.
+    result = run_python("-c", _DISCONNECTED, optimize=optimize)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "walk graph is disconnected\n"
 
 
 @pytest.mark.parametrize("n, cones, crossings", ((4, 2, 3), (5, 3, 6)))

@@ -67,6 +67,14 @@ the `witness` of some facets changed (3 of 6 at rank 3, 45 of 74 at
 rank 4), and with it the graph hash that the complex file names; the
 gl files and the verdict files, and so their digests, did not change.
 
+Only the complex digests were re-recorded once more, when a wall came
+to be stored as its members alone.  Complex schema 8 drops each wall's
+`parent` and `face_index`: they were always the member that the seed
+permutation picks (`members[seed_perm % len(members)]`), which a schema-7
+load checked and a schema-8 load derives.  A file is the schema-7 one
+with those two fields removed from every wall; the graph and verdict
+files, and so their digests, did not change.
+
 Any change to the search order, the chosen witnesses or the generating
 sets shows up here as a changed graph, complex or verdict file.  A second
 `verify` from the caches just written must reproduce the verdict file
@@ -85,7 +93,7 @@ GOLDEN = {
         "graph-n3-sl.json":
             "6a6bee70572bc2726d681bfcf33a7d5fecb6b33e518c59d953404ba694f6360a",
         "complex-n3-sl.json":
-            "c1ad9891046791d1bcca2f38e711650a4d0d78f65552e9281e188399799a8092",
+            "c12375e932bdb52b7556cc764f8d1549e9a421312d5d572353b171ee70ffeebe",
         "verdict-n3-sl.json":
             "53514469a3a0e5fcacdf9809bc173d4c6e5b8cf5e8090d94a2bb864045dac997",
     },
@@ -93,7 +101,7 @@ GOLDEN = {
         "graph-n3-gl.json":
             "0405080487c8e1468f6f82d8ca44cd53f8e7cdcef78f983c45f15ceda34802ea",
         "complex-n3-gl.json":
-            "a426ee2255dc1bea9c30b8454a87fa0a8430195486282d959464d714113f1462",
+            "ac021fed0b3cb211f4fc4d6d4944750e14110836175ab4dec9989c90aae4523a",
         "verdict-n3-gl.json":
             "a23f09fabc1d98f5970ce934b68c659deddbc6b7a650fef3f9717150a41199a2",
     },
@@ -101,7 +109,7 @@ GOLDEN = {
         "graph-n4-sl.json":
             "3a5228a132790b2d9de6782023522895961ace71d675a7b0c50e752f704c24bb",
         "complex-n4-sl.json":
-            "01dace8b4c10a8d0059d91b9ae043567ec6cc52b0f5fb44fe3aae83bc256ec08",
+            "4d58f8dc711c1ca601be3278a3df4d93fba672a60e0af901da9ebeefd5aaae1c",
         "verdict-n4-sl.json":
             "36db85c4819198a94d977b86420b3fdfbd2d950d6f8f2f3adb4512417252bba0",
     },
@@ -109,7 +117,7 @@ GOLDEN = {
         "graph-n4-gl.json":
             "d6e2f386090900f86996ab50483b84591f717a2726cacd9025c9385ccc0130c7",
         "complex-n4-gl.json":
-            "0f7b8162feb6836ed6f3a24cc8b96be92f15c55b73d8942fd79d460e79ec3909",
+            "fd7734ca3975e9a0232acf4f1e1a2a4a1895e861b902e473e80e4a6121e559bc",
         "verdict-n4-gl.json":
             "22cedf4684c60d5857d0272eb219e041c7f55a3607958676995edfd79b0b527c",
     },

@@ -20,7 +20,8 @@ from vorcycle.homology import (
 def test_canonical_cycle_coefficients(complex_sl2, complex_sl4):
     assert canonical_cycle(complex_sl2) == (Fraction(1, 6),)
     cyc = canonical_cycle(complex_sl4)
-    orders = [complex_sl4.tops[i].stab_order for i in complex_sl4.kept_tops]
+    orders = [complex_sl4.graph.nodes[i].stab_order
+              for i in complex_sl4.kept_tops]
     assert cyc == tuple(Fraction(1, o) for o in orders)
 
 
@@ -48,7 +49,8 @@ def test_kernel_ratio_and_full_support(complex_sl4):
     assert len(kernel) == 1
     vec = kernel[0]
     assert all(x != 0 for x in vec)
-    orders = [complex_sl4.tops[i].stab_order for i in complex_sl4.kept_tops]
+    orders = [complex_sl4.graph.nodes[i].stab_order
+              for i in complex_sl4.kept_tops]
     # lambda_sigma * |stab_sigma| constant across the walk graph.
     assert len({x * o for x, o in zip(vec, orders)}) == 1
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from conftest import cached_complex, cached_graph, content_hash
+from conftest import cached_complex, cached_graph, content_hash, wall_facet
 
 from vorcycle.homology import verify_top_cycle
 from vorcycle.persistence import (
@@ -80,11 +80,10 @@ def test_complex_round_trip(tmp_path):
                  id=f"{group}-{n}" + (f"-p{seed}" if seed else ""))
     for seed in (0, 3) for group in ("gl", "sl") for n in (2, 3, 4, 5)])
 def test_complex_round_trip_is_exact(tmp_path, n, group, seed_perm):
-    # A wall is stored as its placement and [parent, face] members; its
-    # vectors, stabilizer, oriented basis, kept flag, kind, witness and
-    # label, the top classes and the kept lists, derived on load, must
-    # be the ones the build held.  Seed permutation 3 picks other wall
-    # representatives.
+    # A wall is stored as its [parent, face] members; its representative,
+    # vectors, stabilizer, oriented basis, kept flag, kind and label,
+    # and the kept lists, derived on load, must be the ones the build
+    # held.  Seed permutation 3 picks other wall representatives.
     cx = cached_complex(n, group, seed_perm)
     assert _save_and_load(tmp_path, cx) == cx
 
@@ -94,7 +93,7 @@ def test_complex_payload_refers_to_the_graph_file(tmp_path):
     payload = complex_to_payload(cx, _graph_hash(cx))
     assert set(payload) == {"seed_perm", "graph", "walls", "triplets"}
     for wall in payload["walls"]:
-        assert set(wall) == {"parent", "face_index", "members"}
+        assert set(wall) == {"members"}
     graph_payload = graph_to_payload(cx.graph)
     assert set(graph_payload) == {"n", "group", "nodes"}
     for node in graph_payload["nodes"]:
@@ -109,7 +108,7 @@ def test_complex_payload_refers_to_the_graph_file(tmp_path):
                           payload)
     assert json.load(open(g_path))["hash"] == payload["graph"]
     assert json.load(open(g_path))["schema_version"] == 6
-    assert json.load(open(c_path))["schema_version"] == 7
+    assert json.load(open(c_path))["schema_version"] == 8
     assert load_payload(g_path, "graph", 3, "gl", payload["graph"])
     with pytest.raises(CacheCorrupt, match="g.json: expected hash '0+'"):
         load_payload(g_path, "graph", 3, "gl", "0" * 64)
@@ -319,8 +318,11 @@ def test_missing_field_message_names_the_field():
     (("walls", 0), "stab_order"),
     (("walls", 0), "orientation_kept"),
     ((), "tops"),
+    (("walls", 0), "parent"),
+    (("walls", 0), "face_index"),
 ), ids=("node-order", "node-generators", "facet-edge", "graph-edges",
-        "wall-order", "wall-flag", "complex-tops"))
+        "wall-order", "wall-flag", "complex-tops", "wall-parent",
+        "wall-face-index"))
 def test_unknown_field_is_named(where, key):
     (graph_payload, graph_decode), (payload, decode) = _decoders(2, "sl")
     if where and where[0] == "graph":
@@ -353,12 +355,6 @@ SHEAR = [[1, 1], [0, 1]]
                  r"minimum and spanning minimal vectors",
                  id="where7-new7-is not a sorted list of canonical vector "
                     "pairs"),
-    pytest.param(("walls", 0, "parent"), 1,
-                 r"payload\.walls\[0\]\.parent is out of range",
-                 id="where16-1-parent is out of range"),
-    pytest.param(("walls", 0, "face_index"), 3,
-                 r"payload\.walls\[0\]\.face_index is out of range",
-                 id="where17-3-face_index is out of range"),
     pytest.param(("graph", "nodes", 0, "facets", 0, "witness"),
                  [[0, 1], [1, 0]], "witness has determinant -1",
                  id="where18-new18-witness has determinant -1"),
@@ -383,11 +379,6 @@ SHEAR = [[1, 1], [0, 1]]
     pytest.param(("graph", "nodes", 0, "min_value"), "2",
                  "min_value has the wrong type",
                  id="where26-2-min_value has the wrong type"),
-    # Another member's face, which seed permutation 0 does not pick.
-    pytest.param(("walls", 0, "face_index"), 1,
-                 r"walls\[0\] has \(parent, face_index\) \(0, 1\), not its "
-                 r"member 0 \(seed_perm mod 3\)",
-                 id="face-index-moved"),
     pytest.param(("graph", "nodes", 0, "facets", 0, "neighbor"), -1,
                  r"nodes\[0\]\.facets\[0\]\.neighbor is out of range",
                  id="facet-neighbor-negative"),
@@ -421,24 +412,25 @@ def test_generator_certificates_and_ranges(where, new, problem):
 @pytest.mark.parametrize("n, group", ((2, "sl"), (4, "gl")))
 def test_one_edge_per_node_facet(n, group):
     # Each facet record carries the edge across it, so a decoded graph
-    # has one edge per (node, facet), in that order, as enumerated.
+    # has one edge per (node, facet), aligned with the node's facets, as
+    # enumerated.
     graph = cached_graph(n, group)
     payload = graph_to_payload(graph)
     assert "edges" not in payload
     loaded = graph_from_payload(payload, "g.json")
-    assert [(e.node, e.facet) for e in loaded.edges] == \
-        [(i, k) for i, node in enumerate(loaded.nodes)
-         for k in range(len(node.domain.facets))]
+    assert [len(edges) for edges in loaded.edges] == \
+        [len(node.domain.facets) for node in loaded.nodes]
     assert loaded.edges == graph.edges
 
 
 def test_stale_schema_version_names_the_remedy(tmp_path):
-    # A schema-5 graph file and a schema-6 complex file: the versions
-    # that still stored stabilizers, wall bases and orientation flags.
+    # A schema-5 graph file, which still stored stabilizers, and a
+    # schema-7 complex file, which still stored each wall's parent and
+    # face_index.
     cx = cached_complex(2, "sl")
     for kind, payload, stale in (
             ("graph", graph_to_payload(cx.graph), 5),
-            ("complex", complex_to_payload(cx, _graph_hash(cx)), 6)):
+            ("complex", complex_to_payload(cx, _graph_hash(cx)), 7)):
         path = save_payload(str(tmp_path / f"{kind}.json"), kind, 2, "sl",
                             payload)
         doc = json.load(open(path))
@@ -529,8 +521,7 @@ def test_wall_face_must_be_a_facet_off_the_boundary(incident):
     # must be a facet that avoids the boundary: one vector meets the
     # boundary, and every vector is the whole cell.
     (graph_payload, _), (payload, _) = _decoders(2, "sl")
-    wall = payload["walls"][0]
-    parent, face = wall["parent"], wall["face_index"]
+    parent, face = wall_facet(payload, 0)
     facet = graph_payload["nodes"][parent]["facets"][face]
     with _mutated(facet, ("incident",), incident):
         graph = graph_from_payload(graph_payload, "g.json")
