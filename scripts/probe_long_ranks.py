@@ -3,8 +3,9 @@
 
 Rank 6 typically finishes in well under an hour; rank 7 (33 classes,
 large stabilizers) is a stretch target and may run for a very long
-time.  Progress is printed per discovered class so partial runs still
-tell you something.
+time.  Nothing is printed while the enumeration runs: once it ends, one
+line per class (with its count of facets), then the wall classes and
+the verdict, each with the seconds elapsed.
 """
 
 import argparse
@@ -36,7 +37,7 @@ def main():
     for i, node in enumerate(graph.nodes):
         print(f"  [{i}] {node.label}: |m|={node.minvecs.vector_count} "
               f"stab_order={node.stab_order} "
-              f"facets={len(node.domain.facets)}", flush=True)
+              f"facets={len(node.facets)}", flush=True)
     if args.enumerate_only:
         return
     cx = build_complex(graph)

@@ -8,7 +8,7 @@ from .complexes import (
     build_complex,
     top_cell_dimension,
 )
-from .cones import FacetRec, NotFullDim, PolyCone, build_cone, faces_of_codim, meets_boundary
+from .cones import NotFullDim, build_cone, faces_of_codim, meets_boundary
 from .enumeration import (
     BoundaryFacet,
     EquivWitness,

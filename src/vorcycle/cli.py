@@ -79,8 +79,7 @@ def _load_or_build_graph(args, digest=None):
 
 def _load_or_build_complex(args):
     n, group = args.n, args.group
-    seed = getattr(args, "seed_perm", 0)
-    path = cache_path(_cache_dir(args), "complex", n, group, seed)
+    path = cache_path(_cache_dir(args), "complex", n, group, args.seed_perm)
     if os.path.exists(path):
         payload = load_payload(path, "complex", n, group)
         digest = graph_reference(payload, path)
@@ -92,7 +91,7 @@ def _load_or_build_complex(args):
     loaded = os.path.exists(cache_path(_cache_dir(args), "graph", n, group))
     graph, graph_path, digest = _load_or_build_graph(args)
     try:
-        cx = build_complex(graph, seed_perm=seed)
+        cx = build_complex(graph, seed_perm=args.seed_perm)
     except WallNotGlued as exc:
         # A wall that a graph read from a file does not give is that
         # file's corruption; in a graph this process built, a defect.
@@ -147,11 +146,11 @@ def cmd_verify(args):
     report = verify(cx)
     checks = [report.ok]
     if args.check_dd:
-        dd_ok, _ = dd_sanity(cx, seed_perm=getattr(args, "seed_perm", 0))
+        dd_ok, _ = dd_sanity(cx)
         report.details["dd_zero"] = dd_ok
         checks.append(dd_ok)
     path = cache_path(_cache_dir(args), "verdict", args.n, args.group,
-                      getattr(args, "seed_perm", 0))
+                      args.seed_perm)
     save_payload(path, "verdict", args.n, args.group, report.to_payload())
     verdict = "verified" if all(checks) else "FALSIFIED"
     print(f"n={args.n} group={args.group}: kernel_dim={report.kernel_dim} "

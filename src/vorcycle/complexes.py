@@ -33,7 +33,7 @@ stacked determinants.
 
 from typing import NamedTuple
 
-from .cones import meets_boundary, subcone_facets
+from .cones import face_vectors, meets_boundary, subcone_facets
 from .enumeration import glues
 from .forms import GroupElement, apply_to_cell, rank_one
 from .isometry import cell_group, cell_invariant, cell_maps, orbit_decompose
@@ -317,17 +317,10 @@ def kept_top_nodes(graph):
     not reverse the orientation of the form space."""
     if is_orientation_preserving(graph.group_kind, graph.n):
         return tuple(range(len(graph.nodes)))
-    kept = []
-    for i, node in enumerate(graph.nodes):
-        # The determinant is a character of the stabilizer, so its
-        # generators decide whether any element has determinant -1.
-        reversers = [g for g in node.generators if g.det == -1]
-        if reversers:
-            # The determinant rule is backed by one exact transport.
-            assert ambient_orientation_sign(reversers[0], graph.n) == -1
-        else:
-            kept.append(i)
-    return tuple(kept)
+    # The determinant is a character of the stabilizer, so its
+    # generators decide whether any element has determinant -1.
+    return tuple(i for i, node in enumerate(graph.nodes)
+                 if all(g.det == 1 for g in node.generators))
 
 
 def glue_complex(graph, seed_perm, kept_tops, walls, entries):
@@ -364,12 +357,11 @@ def build_complex(graph, seed_perm=0):
     """Top two degrees of the complex for an enumerated walk graph."""
     n = graph.n
     kept_tops = kept_top_nodes(graph)
-    # A rank-1 domain is a single ray: no faces, so no parents.
-    views = [] if n == 1 else [
+    views = [
         _ParentView(vectors=node.minvecs.vectors,
                     generators=node.generators, basis=None,
-                    faces=tuple(node.domain.facet_vectors(f)
-                                for f in node.domain.facets), n=n,
+                    faces=tuple(face_vectors(node.minvecs.vectors, f)
+                                for f in node.facets), n=n,
                     cell=f"node {i}")
         for i, node in enumerate(graph.nodes)]
     walls, _, entries = _build_level(views, kept_tops, n,
@@ -377,22 +369,22 @@ def build_complex(graph, seed_perm=0):
     return glue_complex(graph, seed_perm, kept_tops, walls, entries)
 
 
-def build_codim2(cx, seed_perm=0):
-    """Codim-2 classes and the next differential, for the d.d = 0 check."""
+def build_codim2(cx):
+    """Codim-2 classes and the next differential, for the d.d = 0 check,
+    with representatives picked by the complex's seed permutation."""
     n = cx.n
     det_one = cx.group_kind == "sl"
     wall_views = []
     for i in cx.kept_walls:
         w = cx.walls[i]
-        faces = subcone_facets(w.vectors)
-        face_keys = tuple(
-            tuple(sorted(w.vectors[j] for j in face)) for face in faces)
+        face_keys = tuple(face_vectors(w.vectors, face)
+                          for face in subcone_facets(w.vectors))
         wall_views.append(_ParentView(vectors=w.vectors,
                                       generators=w.generators,
                                       basis=w.basis, faces=face_keys, n=n,
                                       cell=w.label))
     mids, kept_mids, entries = _build_level(
-        wall_views, range(len(wall_views)), n, det_one, seed_perm)
+        wall_views, range(len(wall_views)), n, det_one, cx.seed_perm)
     mids = tuple(m._replace(label=f"c{i}") for i, m in enumerate(mids))
     differential = Differential(
         row_labels=tuple(mids[i].label for i in kept_mids),

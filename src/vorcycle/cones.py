@@ -1,20 +1,22 @@
 """Exact polyhedral cones in the space of symmetric matrices.
 
 A cell of the tessellation is the cone spanned by the rank-one matrices
-x x^t of its generating vectors (one per antipodal pair).  Facets are
-enumerated by the double description method run in exact integer
-arithmetic: the facet normals of cone(R) are the extreme rays of the
-dual cone {y : <y, r> >= 0 for all r in R}, built by inserting the
-inequalities one at a time starting from a simplicial subcone, with the
-rank-based adjacency test.
+x x^t of its generating vectors (one per antipodal pair).  A facet is
+the set of rays it contains, given as indices into the sorted vector
+list.  Facets are enumerated by the double description method run in
+exact integer arithmetic: the facet normals of cone(R) are the extreme
+rays of the dual cone {y : <y, r> >= 0 for all r in R}, built by
+inserting the inequalities one at a time starting from a simplicial
+subcone, with the rank-based adjacency test.
 
-Facet normals are symmetric integer matrices, primitive and
-inward-pointing: <N, r> = 0 on incident rays and > 0 on every other ray
-of the cone, where <.,.> is the trace pairing.
+A facet's normal is needed only where the walk crosses it, and
+`facet_normal` recovers it from the incident rays alone: a symmetric
+integer matrix, primitive and inward-pointing, with <N, r> = 0 on
+incident rays and > 0 on every other ray of the cone, where <.,.> is
+the trace pairing.
 """
 
 from operator import mul
-from typing import NamedTuple
 
 from .forms import rank_one
 from .linalg import (
@@ -33,27 +35,20 @@ class NotFullDim(ValueError):
     """The given rays do not span the ambient space."""
 
 
-class FacetRec(NamedTuple):
-    """One facet: inward primitive normal plus incident ray indices."""
-
-    normal: tuple            # symmetric integer matrix
-    incident: frozenset      # indices into the cone's ray list
-
-
-class PolyCone(NamedTuple):
-    """A pointed full-dimensional cone spanned by rank-one matrices."""
-
-    ambient_dim: int
-    vectors: tuple           # canonical generating vectors, sorted
-    ray_flats: tuple         # flattened x x^t, aligned with `vectors`
-    facets: tuple            # FacetRec list, canonically ordered
+class Facets(tuple):
+    """The facets of a cone, each a frozenset of indices into its sorted
+    vectors.  `facets` is the tuple itself, so a reader that takes a
+    `build_cone` result as a record with a facet list (as
+    vorbench/tracing.py counts it) reads the same facets."""
 
     @property
-    def n(self):
-        return len(self.vectors[0])
+    def facets(self):
+        return self
 
-    def facet_vectors(self, facet):
-        return tuple(sorted(self.vectors[i] for i in facet.incident))
+
+def face_vectors(vectors, face):
+    """The vectors at the indices in `face`, sorted."""
+    return tuple(sorted(vectors[i] for i in face))
 
 
 def _dot(u, v):
@@ -144,7 +139,8 @@ def _dd_dual_rays(rows, weights):
 
 
 def build_cone(vectors):
-    """Cone spanned by the rank-one matrices of `vectors`, with facets.
+    """The facets of the cone spanned by the rank-one matrices of
+    `vectors`, as index sets into the sorted vectors.
 
     Verifies full dimensionality (NotFullDim otherwise), pointedness,
     and that every listed ray is extreme.
@@ -152,8 +148,7 @@ def build_cone(vectors):
     vectors = tuple(sorted(vectors))
     n = len(vectors[0])
     dim = sym_dim(n)
-    ray_mats = [rank_one(v) for v in vectors]
-    ray_flats = [sym_flatten(m) for m in ray_mats]
+    ray_flats = [sym_flatten(rank_one(v)) for v in vectors]
     if mat_rank(ray_flats) < dim:
         raise NotFullDim(
             f"rays span a {mat_rank(ray_flats)}-dimensional subspace of "
@@ -162,13 +157,10 @@ def build_cone(vectors):
     duals = _dd_dual_rays(ray_flats, weights)
     # A nonzero y pairs to zero with each of its incident rays, so they
     # span at most a hyperplane; the certificate is that they span one.
-    facets = []
     for y, active in duals:
         if not any(y) or mat_rank([ray_flats[i] for i in active],
                                   stop=dim - 1) < dim - 1:
             raise ValueError("dual ray does not describe a facet")
-        facets.append(FacetRec(normal=sym_unflatten(y, n),
-                               incident=active))
     # Every listed ray must be extreme: the normals of the facets
     # through it span a hyperplane (at most one, as they vanish on the
     # ray).  Pointedness holds because the identity matrix pairs strictly
@@ -177,8 +169,29 @@ def build_cone(vectors):
         active_normals = [y for y, active in duals if i in active]
         if mat_rank(active_normals, stop=dim - 1) < dim - 1:
             raise ValueError(f"listed ray {i} is not extreme")
-    return PolyCone(ambient_dim=dim, vectors=vectors,
-                    ray_flats=tuple(ray_flats), facets=tuple(facets))
+    return Facets(active for _, active in duals)
+
+
+def facet_normal(vectors, facet):
+    """The primitive inward normal of `facet`, a set of indices into the
+    sorted `vectors` of a full-dimensional cone.
+
+    The normal spans the kernel of the incident rays' pairings, which
+    must be a line; oriented inward, it must pair positively with every
+    other ray (ValueError otherwise).
+    """
+    n = len(vectors[0])
+    weights = [pairing_weights(sym_flatten(rank_one(v)), n) for v in vectors]
+    kernel = kernel_basis([weights[i] for i in sorted(facet)],
+                          ncols=sym_dim(n))
+    if len(kernel) == 1:
+        y = kernel[0]
+        signs = {(value > 0) - (value < 0) for value in (
+            _dot(w, y) for i, w in enumerate(weights) if i not in facet)}
+        if len(signs) == 1 and 0 not in signs:
+            sign = signs.pop()
+            return sym_unflatten(tuple(sign * x for x in y), n)
+    raise ValueError("the rays do not describe a facet of the cone")
 
 
 def subcone_facets(vectors):
@@ -212,26 +225,29 @@ def subcone_facets(vectors):
     return sorted(set(out), key=lambda s: tuple(sorted(s)))
 
 
-def faces_of_codim(cone, k):
-    """Faces of codimension k, as frozensets of incident ray indices.
+def faces_of_codim(vectors, facets, k):
+    """Faces of codimension k of the cone of `vectors` with `facets`,
+    as frozensets of incident ray indices.
 
     Computed by iterated intersection with facets; k = 0 is the cone
     itself and k = 1 its facet list.
     """
-    if k < 0 or k > cone.ambient_dim:
+    vectors = tuple(sorted(vectors))
+    dim = sym_dim(len(vectors[0]))
+    if k < 0 or k > dim:
         raise ValueError("codimension out of range")
     if k == 0:
-        return [frozenset(range(len(cone.vectors)))]
-    current = {f.incident for f in cone.facets}
+        return [frozenset(range(len(vectors)))]
+    flats = [sym_flatten(rank_one(v)) for v in vectors]
+    current = set(facets)
     for codim in range(2, k + 1):
         nxt = set()
         for face in current:
-            for f in cone.facets:
-                cand = face & f.incident
+            for f in facets:
+                cand = face & f
                 if cand == face:
                     continue
-                if mat_rank([cone.ray_flats[i] for i in cand]) == \
-                        cone.ambient_dim - codim:
+                if mat_rank([flats[i] for i in cand]) == dim - codim:
                     nxt.add(cand)
         current = nxt
     return sorted(current, key=lambda s: tuple(sorted(s)))

@@ -11,12 +11,15 @@ stabilizer transporters replicate it to every facet, so this one walk
 yields the final graph with one certified edge per facet.
 
 The crossing itself walks the pencil  h_t = h + t * N  where N is the
-inward primitive facet normal: the facet's minimal vectors keep their
-value mu for every t, the remaining minimal vectors of h move up, and
-the neighbour sits at the first t > 0 where a new vector reaches value
-mu.  Candidate vectors give exact rational roots t_v = (h(v) - mu) /
-(-N(v)); the walk keeps the smallest, re-enumerates at that exact t,
-and stops when the minimum class strictly grows.  The probe t doubles
+inward primitive facet normal, recovered from the facet's minimal
+vectors (`cones.facet_normal`) only for the facets the walk crosses:
+the facet's minimal vectors keep their value mu for every t, the
+remaining minimal vectors of h move up, and the neighbour sits at the
+first t > 0 where a new vector reaches value mu.  Candidate vectors
+give exact rational roots t_v = (h(v) - mu) / (-N(v)); the walk keeps
+the smallest, re-enumerates at that exact t, and stops when the
+minimum class strictly grows.  A probe at t = p/q is the integer form
+q*h + p*N, whose values are q times those of h_t.  The probe t doubles
 from 1 while it stays positive definite with nothing new at mu.  Once a
 probe leaves the positive definite cone, the walk bisects between the
 last positive definite probe with nothing below mu and the smallest
@@ -35,10 +38,9 @@ met by the walk as two classes, like any other pair; no class of ranks
 """
 
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
-from .cones import build_cone, meets_boundary
+from .cones import build_cone, face_vectors, facet_normal, meets_boundary
 from .forms import (
     GroupElement,
     MinVecSet,
@@ -78,7 +80,7 @@ class PerfectFormRep(NamedTuple):
 
     form: QForm
     minvecs: MinVecSet
-    domain: object          # PolyCone
+    facets: tuple           # frozensets of indices into minvecs.vectors
     generators: tuple       # generates the stabilizer in the chosen group kind
     stab_order: int
     label: str
@@ -107,38 +109,30 @@ def glues(nodes, i, face, edge):
 
 
 def neighbor_form(form, minvecs, facet):
-    """The unique contiguous perfect form across a facet of the domain.
+    """The unique contiguous perfect form across `facet`, a set of
+    indices into the minimal vectors, of the form's domain.
 
     Raises BoundaryFacet when the facet's vectors do not span (its
     interior touches the boundary cone).  The result is normalized; it
     is certified by a fresh minimal-vector run: the facet vectors stay
     minimal, at least one new pair joins them, and the form is perfect.
     """
-    face_vecs = tuple(sorted(minvecs.vectors[i] for i in facet.incident))
+    face_vecs = face_vectors(minvecs.vectors, facet)
     if meets_boundary(face_vecs):
         raise BoundaryFacet("facet meets the boundary of the cone")
     gram = form.gram
     mu = minvecs.min_value
-    normal = facet.normal
-    n = form.n
+    normal = facet_normal(minvecs.vectors, facet)
     face_set = set(face_vecs)
-
-    def form_at(t):
-        rows = [[Fraction(gram[i][j]) + t * normal[i][j] for j in range(n)]
-                for i in range(n)]
-        denom = 1
-        for r in rows:
-            for x in r:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-        scaled = tuple(tuple(int(x * denom) for x in r) for r in rows)
-        return scaled, denom
-
     # lo: the last positive definite probe with nothing below mu; hi:
     # the smallest probe known not to be positive definite.
     lo, hi = Fraction(0), None
     t = Fraction(1)
     for _ in range(10000):
-        scaled, denom = form_at(t)
+        denom = t.denominator
+        scaled = tuple(tuple(denom * h + t.numerator * x
+                             for h, x in zip(g_row, n_row))
+                       for g_row, n_row in zip(gram, normal))
         if not is_positive_definite(scaled):
             hi = t
             t = (lo + hi) / 2
@@ -204,11 +198,11 @@ def _discover_classes(n, det_one, traversal="default"):
     and only one representative per orbit is crossed; a transported
     facet leads to an equivalent neighbour, so nothing is lost.  Each
     class record keeps the form where the walk first met it ("form",
-    "mv"), its domain ("cone"), the strong generators ("gens") and order
-    ("order") of its stabilizer in the chosen group, and one crossing
-    (members, j, w) per facet orbit: `members` maps each facet key of
-    the orbit to a transporter s with s * rep = member, and act(w,
-    form_j) is the neighbour across the representative (w is the
+    "mv"), its facets ("facets"), the strong generators ("gens") and
+    order ("order") of its stabilizer in the chosen group, and one
+    crossing (members, j, w) per facet orbit: `members` maps each facet
+    key of the orbit to a transporter s with s * rep = member, and
+    act(w, form_j) is the neighbour across the representative (w is the
     identity when the crossing created class j).
     `traversal` reorders facet processing; any order must close on the
     same classes, which the tests exercise.
@@ -220,10 +214,10 @@ def _discover_classes(n, det_one, traversal="default"):
     queue = [0]
     while queue:
         rep = classes[queue.pop(0)]
-        cone = rep["cone"] = build_cone(rep["mv"].vectors)
-        rep["gens"], rep["order"] = form_group(rep["form"], rep["mv"].vectors,
-                                               det_one)
-        facet_of = {cone.facet_vectors(f): f for f in cone.facets}
+        vectors = rep["mv"].vectors
+        facets = rep["facets"] = build_cone(vectors)
+        rep["gens"], rep["order"] = form_group(rep["form"], vectors, det_one)
+        facet_of = {face_vectors(vectors, f): f for f in facets}
         orbits = orbit_decompose(list(facet_of), rep["gens"])
         if traversal == "reversed":
             orbits.reverse()
@@ -251,33 +245,24 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
                             traversal="default"):
     """Complete walk graph of perfect-form classes of rank n.
 
-    Ranks above FREE_MAX_RANK need allow_long=True.  Rank 1 is the
-    degenerate single-node graph.  Each class is represented by the form
-    where the walk first met it, and every edge is a crossing recorded
-    by the walk, transported along the facet orbit.
+    Ranks run from 2 (rank 1 has no facets to walk across) to
+    HARD_MAX_RANK; those above FREE_MAX_RANK need allow_long=True.  Each
+    class is represented by the form where the walk first met it, and
+    every edge is a crossing recorded by the walk, transported along
+    the facet orbit.
     """
     if group_kind not in GROUP_KINDS:
         raise ValueError(f"unknown group kind {group_kind!r}")
-    if n < 1:
-        raise ValueError("rank must be positive")
+    if n < 2:
+        raise ValueError("rank must be at least 2")
     if n > HARD_MAX_RANK:
         raise ValueError(f"rank {n} is beyond desk scale")
     if n > FREE_MAX_RANK and not allow_long:
         raise ValueError(
             f"rank {n} is long-running; pass allow_long to proceed")
-    det_one = group_kind == "sl"
-    if n == 1:
-        form = QForm.from_matrix(((1,),))
-        mv = minimum_and_minimal_vectors(form)
-        gens, order = form_group(form, mv.vectors, det_one)
-        node = PerfectFormRep(form=form, minvecs=mv, domain=None,
-                              generators=gens, stab_order=order, label="A1")
-        return VoronoiGraph(n=1, group_kind=group_kind, nodes=(node,),
-                            edges=((),))
-
-    classes = _discover_classes(n, det_one, traversal=traversal)
+    classes = _discover_classes(n, group_kind == "sl", traversal=traversal)
     nodes = tuple(
-        PerfectFormRep(cls["form"], cls["mv"], cls["cone"], cls["gens"],
+        PerfectFormRep(cls["form"], cls["mv"], cls["facets"], cls["gens"],
                        cls["order"],
                        label=root_label(cls["form"], cls["mv"], n)
                        or f"P{n}.{i}")
@@ -285,9 +270,9 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
 
     edges = []
     for i, (node, cls) in enumerate(zip(nodes, classes)):
-        facet_index = {node.domain.facet_vectors(f): k
-                       for k, f in enumerate(node.domain.facets)}
-        node_edges = [None] * len(node.domain.facets)
+        facet_index = {face_vectors(node.minvecs.vectors, f): k
+                       for k, f in enumerate(node.facets)}
+        node_edges = [None] * len(node.facets)
         for members, j, w in cls["crossings"]:
             for key, s in members.items():
                 edge = Edge(neighbor=j, witness=s * w)

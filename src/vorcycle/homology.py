@@ -20,7 +20,11 @@ telescoping to zero.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .complexes import build_codim2, is_orientation_preserving
+from .complexes import (
+    ambient_orientation_sign,
+    build_codim2,
+    is_orientation_preserving,
+)
 from .enumeration import root_label
 from .tessellation import boundary_kernel, check_rigidity, from_voronoi
 
@@ -124,12 +128,12 @@ def verify_top_cycle(cx):
 def verify_gl_even_vanishing(cx):
     """Report for the full group in even rank: top kernel is zero.
 
-    Also certifies the mechanism: a class is kept exactly when its
-    stabilizer sits in the determinant-one subgroup (decided on its
-    generators, the determinant being a character), and the root
-    classes are never kept.  The kernel is `boundary_kernel` of the
-    complex's tessellation instance, the solver behind
-    `check_rigidity`.
+    Also certifies the mechanism: a class is kept exactly when no
+    generator of its stabilizer reverses the orientation of the form
+    space, read off the generator's transport there (the orientation
+    sign being a character), and the root classes are never kept.  The
+    kernel is `boundary_kernel` of the complex's tessellation instance,
+    the solver behind `check_rigidity`.
     """
     if is_orientation_preserving(cx.group_kind, cx.n):
         raise WrongGroupParity("vanishing applies to the full group "
@@ -138,8 +142,9 @@ def verify_gl_even_vanishing(cx):
     root_excluded = True
     kept = set(cx.kept_tops)
     for i, node in enumerate(cx.graph.nodes):
-        inside_sl = all(g.det == 1 for g in node.generators)
-        if (i in kept) != inside_sl:
+        preserving = all(ambient_orientation_sign(g, cx.n) == 1
+                         for g in node.generators)
+        if (i in kept) != preserving:
             mech_ok = False
         if root_label(node.form, node.minvecs, cx.n) is not None and \
                 i in kept:
@@ -172,13 +177,13 @@ def verify(cx):
     return verify_gl_even_vanishing(cx)
 
 
-def dd_sanity(cx, seed_perm=0):
+def dd_sanity(cx):
     """Exactness of the composite of the top two differentials.
 
     Returns (ok, mid_matrix); vacuously true when either matrix is
     empty.
     """
-    _, _, mid = build_codim2(cx, seed_perm=seed_perm)
+    _, _, mid = build_codim2(cx)
     top = cx.differential
     ok = compose_is_zero(mid, top)
     return ok, mid

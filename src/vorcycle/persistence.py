@@ -10,25 +10,26 @@ is rejected.  To read one, run `python -m json.tool FILE`.
 Graph and complex payloads hold JSON integers, which Python's json
 reads and writes exactly; verdict payloads keep the decimal strings of
 their reports.  A file stores each fact once, and only what is costly to
-compute: per graph node its Gram matrix, minimum, minimal vectors, label
-and facets, each facet with the edge across it (`neighbor`, `witness`);
-per complex its seed permutation, the hash in its graph file's header
-(it is read only over that graph file), the triplets of its
-differential, and per wall its [parent, face] members.  The rest is
-derived on load by the code a build runs: node stabilizers
+compute: per graph node its Gram matrix, label and facets, each facet as
+the indices of its minimal vectors (`incident`) with the edge across it
+(`neighbor`, `witness`); per complex its seed permutation, the hash in
+its graph file's header (it is read only over that graph file), the
+triplets of its differential, and per wall its [parent, face] members.
+The rest is derived on load by the code a build runs: node minima and
+minimal vectors (`forms.minimum_and_minimal_vectors`), node stabilizers
 (`isometry.form_group`), the kept top classes
 (`complexes.kept_top_nodes`), each wall's representative (the member
 the seed permutation picks), vectors, stabilizer, oriented basis and
 orientation flag (`complexes.wall_record`), and the wall kinds and
 labels and the differential's labels (`complexes.glue_complex`).  The
-wall members, the triplets, and the gluing of the edges that no wall
-uses are trusted.
+facets' incidence sets, the wall members, the triplets, and the gluing
+of the edges that no wall uses are trusted.
 
 On load, a payload's rank and group must be its file header's, each
 record must hold exactly its own fields, and each field is checked for
 shape, type and range.  A Gram matrix must be symmetric positive
-definite with the stored minimum and spanning minimal vectors; an sl
-edge witness must have determinant one; a wall's representative must
+definite with spanning minimal vectors, and a node must have facets; an
+sl edge witness must have determinant one; a wall's representative must
 be a facet off the boundary, whose graph edge glues the wall.
 """
 
@@ -36,18 +37,16 @@ import json
 import os
 import tempfile
 from .complexes import WallNotGlued, glue_complex, kept_top_nodes, wall_record
-from .cones import FacetRec, PolyCone, meets_boundary
+from .cones import face_vectors, meets_boundary
 from .enumeration import GROUP_KINDS, Edge, PerfectFormRep, VoronoiGraph
 from .forms import (
     GroupElement,
-    MinVecSet,
     QForm,
     is_positive_definite,
     minimum_and_minimal_vectors,
-    rank_one,
 )
 from .isometry import form_group
-from .linalg import det_int, mat_transpose, sym_dim, sym_flatten
+from .linalg import det_int, mat_transpose
 
 # Version 2 stored stabilizers as generators plus order; version 3
 # stores the strong generating sets of their stabilizer chains; version
@@ -56,15 +55,15 @@ from .linalg import det_int, mat_transpose, sym_dim, sym_flatten
 # graph; graph version 5 stores each edge on its facet, and complex
 # version 6 only what the graph cannot give; graph version 6 and
 # complex version 7 store no stabilizer, order, basis or orientation
-# flag; complex version 8 stores a wall as its members only.  Verdict
-# and tess-instance files went to version 2 when every file became its
-# canonical encoding.
-PAYLOAD_KINDS = {"graph": 6, "complex": 8, "verdict": 2, "tess-instance": 2}
+# flag; complex version 8 stores a wall as its members only; graph
+# version 7 stores no minimum, minimal vectors or facet normal.  Verdict
+# files went to version 2 when every file became its canonical encoding.
+PAYLOAD_KINDS = {"graph": 7, "complex": 8, "verdict": 2}
 
 # The fields of each record: a record with any other field is refused.
 GRAPH_FIELDS = ("n", "group", "nodes")
-NODE_FIELDS = ("gram", "min_value", "min_vectors", "label", "facets")
-FACET_FIELDS = ("normal", "incident", "neighbor", "witness")
+NODE_FIELDS = ("gram", "label", "facets")
+FACET_FIELDS = ("incident", "neighbor", "witness")
 COMPLEX_FIELDS = ("seed_perm", "graph", "walls", "triplets")
 WALL_FIELDS = ("members",)
 
@@ -127,22 +126,13 @@ def _sha256(data):
 
 
 def graph_to_payload(graph):
-    nodes = []
-    for node, edges in zip(graph.nodes, graph.edges):
-        facets = []
-        if node.domain is not None:
-            facets = [{"normal": _enc_mat(f.normal),
-                       "incident": sorted(f.incident),
-                       "neighbor": e.neighbor,
-                       "witness": _enc_mat(e.witness.rows)}
-                      for f, e in zip(node.domain.facets, edges)]
-        nodes.append({
-            "gram": _enc_mat(node.form.gram),
-            "min_value": node.minvecs.min_value,
-            "min_vectors": _enc_mat(node.minvecs.vectors),
-            "label": node.label,
-            "facets": facets,
-        })
+    nodes = [{"gram": _enc_mat(node.form.gram),
+              "label": node.label,
+              "facets": [{"incident": sorted(f),
+                          "neighbor": e.neighbor,
+                          "witness": _enc_mat(e.witness.rows)}
+                         for f, e in zip(node.facets, edges)]}
+             for node, edges in zip(graph.nodes, graph.edges)]
     return {"n": graph.n, "group": graph.group_kind, "nodes": nodes}
 
 
@@ -239,14 +229,14 @@ class _Reader:
 def graph_from_payload(payload, source="<payload>"):
     """Decode and check a graph payload read from `source`.
 
-    Each node's stabilizer is `form_group` of its form, as in the walk.
-    Each facet record carries the edge across it.
+    Each node's minimal vectors and stabilizer are those of its form,
+    as in the walk.  Each facet record carries the edge across it.
     """
     rd = _Reader(source)
     rd.fields(payload, (), GRAPH_FIELDS)
     n = rd.get(payload, (), "n", int)
-    if n < 1:
-        rd.fail(("n",), "is not a positive rank")
+    if n < 2:
+        rd.fail(("n",), "is not a rank of at least 2")
     group = rd.get(payload, (), "group", str)
     if group not in GROUP_KINDS:
         rd.fail(("group",), f"is not one of {GROUP_KINDS}")
@@ -255,38 +245,30 @@ def graph_from_payload(payload, source="<payload>"):
     edges = []
     for path, rec in node_recs:
         form = QForm(gram=rd.field_ints(rec, path, "gram", n, n))
-        mv = MinVecSet(
-            vectors=rd.field_ints(rec, path, "min_vectors", None, n),
-            min_value=rd.get(rec, path, "min_value", int))
-        # Fincke-Pohst gives the minimal vectors sorted, each pair once;
-        # form_group's search assumes them.
         if mat_transpose(form.gram) != form.gram or \
-                not is_positive_definite(form.gram) or \
-                minimum_and_minimal_vectors(form) != mv or \
-                meets_boundary(mv.vectors):
-            rd.fail(path, "is not a positive definite form with its "
-                          "minimum and spanning minimal vectors")
+                not is_positive_definite(form.gram):
+            rd.fail(path, "is not a positive definite form")
+        # Fincke-Pohst gives the minimal vectors sorted, each pair once,
+        # as the facets' indices and form_group's search take them.
+        mv = minimum_and_minimal_vectors(form)
+        if meets_boundary(mv.vectors):
+            rd.fail(path, "is not a form with spanning minimal vectors")
         facets = []
         node_edges = []
         for f_path, f in rd.records(rec, path, "facets", FACET_FIELDS):
-            facets.append(FacetRec(
-                normal=rd.field_ints(f, f_path, "normal", n, n),
-                incident=frozenset(rd.indices(f, f_path, "incident",
-                                              len(mv.vectors)))))
+            facets.append(frozenset(rd.indices(f, f_path, "incident",
+                                               len(mv.vectors))))
             node_edges.append(Edge(
                 neighbor=rd.index(f, f_path, "neighbor", len(node_recs)),
                 witness=rd.element(rd.get(f, f_path, "witness", list),
                                    f_path + ("witness",), n,
                                    group == "sl")))
-        domain = None
-        if facets:
-            flats = tuple(sym_flatten(rank_one(v)) for v in mv.vectors)
-            domain = PolyCone(ambient_dim=sym_dim(n), vectors=mv.vectors,
-                              ray_flats=flats, facets=tuple(facets))
+        if not facets:
+            rd.fail(path + ("facets",), "is empty")
         gens, order = form_group(form, mv.vectors, det_one=group == "sl")
         edges.append(tuple(node_edges))
         nodes.append(PerfectFormRep(
-            form=form, minvecs=mv, domain=domain, generators=gens,
+            form=form, minvecs=mv, facets=tuple(facets), generators=gens,
             stab_order=order, label=rd.get(rec, path, "label", str)))
     return VoronoiGraph(n=n, group_kind=group, nodes=tuple(nodes),
                         edges=tuple(edges))
@@ -294,7 +276,7 @@ def graph_from_payload(payload, source="<payload>"):
 
 def _members(rd, rec, path, graph):
     """(parent, face, vectors) per stored [parent, face] member: the
-    vectors of facet `face` of node `parent`'s domain."""
+    vectors of facet `face` of node `parent`."""
     out = []
     for i, m in enumerate(rd.get(rec, path, "members", list)):
         at = path + ("members", i)
@@ -308,8 +290,9 @@ def _members(rd, rec, path, graph):
         count = len(graph.edges[parent])
         if not 0 <= face < count:
             rd.fail(at, f"has a face out of range 0..{count - 1}")
-        domain = graph.nodes[parent].domain
-        out.append((parent, face, domain.facet_vectors(domain.facets[face])))
+        node = graph.nodes[parent]
+        out.append((parent, face,
+                    face_vectors(node.minvecs.vectors, node.facets[face])))
     if not out:
         rd.fail(path + ("members",), "is empty")
     return tuple(out)

@@ -190,21 +190,6 @@ class TessVerdict(NamedTuple):
     canonical: tuple = ()
     per_component: tuple = ()
 
-    def to_payload(self):
-        return {
-            "connected": self.connected,
-            "kernel_dim": self.kernel_dim,
-            "canonical_in_kernel": self.canonical_in_kernel,
-            "kernel_spanned_by_canonical": self.kernel_spanned_by_canonical,
-            "ok": self.ok,
-            "kernel_vectors": [[str(x) for x in v]
-                               for v in self.kernel_vectors],
-            "canonical": [str(x) for x in self.canonical],
-            "per_component": [
-                {"tiles": list(tiles), "kernel_dim": dim, "ok": comp_ok}
-                for tiles, dim, comp_ok in self.per_component],
-        }
-
 
 def weighted_boundary(instance, weights):
     """Coefficient of every facet orbit under a tile weighting.

@@ -19,7 +19,7 @@ from vorcycle.complexes import (
     induced_sign,
     transport_flat,
 )
-from vorcycle.cones import subcone_facets
+from vorcycle.cones import face_vectors, subcone_facets
 from vorcycle.enumeration import enumerate_perfect_forms
 from vorcycle.forms import (
     GroupElement,
@@ -473,8 +473,8 @@ def facet_edges(graph):
     """(i, node, facet, edge) for every facet of every node of `graph`,
     with the edge across it."""
     for i, (node, edges) in enumerate(zip(graph.nodes, graph.edges)):
-        assert len(edges) == len(node.domain.facets)
-        for facet, edge in zip(node.domain.facets, edges):
+        assert len(edges) == len(node.facets)
+        for facet, edge in zip(node.facets, edges):
             yield i, node, facet, edge
 
 
@@ -482,8 +482,8 @@ def top_views(graph):
     """The parent view of every top cell, as `build_complex` makes it."""
     return [_ParentView(vectors=node.minvecs.vectors,
                         generators=node.generators, basis=None,
-                        faces=tuple(node.domain.facet_vectors(f)
-                                    for f in node.domain.facets),
+                        faces=tuple(face_vectors(node.minvecs.vectors, f)
+                                    for f in node.facets),
                         n=graph.n)
             for node in graph.nodes]
 
@@ -493,7 +493,7 @@ def kept_wall_views(cx):
     views = []
     for i in cx.kept_walls:
         w = cx.walls[i]
-        faces = tuple(tuple(sorted(w.vectors[j] for j in face))
+        faces = tuple(face_vectors(w.vectors, face)
                       for face in subcone_facets(w.vectors))
         views.append(_ParentView(vectors=w.vectors, generators=w.generators,
                                  basis=w.basis, faces=faces, n=cx.n))

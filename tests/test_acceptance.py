@@ -22,7 +22,7 @@ from vorcycle.complexes import (
     build_complex,
     _ParentView,
 )
-from vorcycle.cones import meets_boundary
+from vorcycle.cones import face_vectors, meets_boundary
 from vorcycle.enumeration import enumerate_perfect_forms, is_equivalent
 from vorcycle.forms import (
     GroupElement,
@@ -51,7 +51,7 @@ LONG = os.environ.get("VORCYCLE_LONG") == "1"
 
 def _node_view(graph, i):
     node = graph.nodes[i]
-    faces = tuple(node.domain.facet_vectors(f) for f in node.domain.facets)
+    faces = tuple(face_vectors(node.minvecs.vectors, f) for f in node.facets)
     return _ParentView(vectors=node.minvecs.vectors,
                        generators=node.generators, basis=None,
                        faces=faces, n=graph.n)
@@ -196,7 +196,7 @@ def test_criterion_5_property_suites(rng):
             for _, node, facet, e in facet_edges(graph):
                 far = apply_to_cell(
                     e.witness, graph.nodes[e.neighbor].minvecs.vectors)
-                face = node.domain.facet_vectors(facet)
+                face = face_vectors(node.minvecs.vectors, facet)
                 face_set = set(face)
                 basis = []
                 for v in face:
@@ -211,9 +211,9 @@ def test_criterion_5_property_suites(rng):
                 checked_edges += 1
             # No wall of any top cell touches the boundary cone.
             for node in graph.nodes:
-                for facet in node.domain.facets:
+                for facet in node.facets:
                     assert not meets_boundary(
-                        node.domain.facet_vectors(facet))
+                        face_vectors(node.minvecs.vectors, facet))
             # Stabilizer lemmas, every wall orbit.
             for w in cx.walls:
                 node = graph.nodes[w.parent]

@@ -408,8 +408,10 @@ def test_facet_that_is_not_a_facet_exit_three(cache, capsys, optimize):
     path = os.path.join(cache, "graph-n3-sl.json")
 
     def every_vector(doc):
-        node = doc["payload"]["nodes"][0]
-        node["facets"][0]["incident"] = list(range(len(node["min_vectors"])))
+        # Every minimal vector is a ray, so it lies on some facet.
+        facets = doc["payload"]["nodes"][0]["facets"]
+        facets[0]["incident"] = sorted({i for f in facets
+                                        for i in f["incident"]})
     _tamper(path, every_vector)
     result = run_python("-m", "vorcycle", "verify", "--n", "3", "--group",
                         "sl", "--cache-dir", cache, optimize=optimize)
@@ -417,6 +419,65 @@ def test_facet_that_is_not_a_facet_exit_three(cache, capsys, optimize):
     assert "Traceback" not in result.stdout + result.stderr
     assert "FALSIFIED" not in result.stdout
     assert f"{path}: the faces of node 0 are not its facets" in result.stderr
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+@pytest.mark.parametrize("command", ("verify", "complex"))
+def test_node_without_facets_exit_three(cache, capsys, command, optimize):
+    # Node 0 of a re-hashed rank-3 sl graph file with no facets, and no
+    # complex file: every node of rank 2 or more has facets, so the
+    # load refuses the file, under -O too.
+    run(capsys, "verify", "--n", "3", "--group", "sl", "--cache-dir", cache)
+    path = os.path.join(cache, "graph-n3-sl.json")
+    _tamper(path, lambda doc: doc["payload"]["nodes"][0].update(facets=[]))
+    for kind in ("complex", "verdict"):
+        os.unlink(os.path.join(cache, f"{kind}-n3-sl.json"))
+    result = run_python("-m", "vorcycle", command, "--n", "3", "--group",
+                        "sl", "--cache-dir", cache, optimize=optimize)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert result.stdout == ""
+    assert result.stderr == f"error: cache corruption: {path}: " \
+        "payload.nodes[0].facets is empty\n"
+
+
+def _schema_six_file(doc):
+    """The graph file as schema 6 stored it: each node with its minimum
+    and minimal vectors, and each facet with its normal."""
+    from vorcycle.cones import facet_normal
+    from vorcycle.forms import QForm, minimum_and_minimal_vectors
+    for node in doc["payload"]["nodes"]:
+        mv = minimum_and_minimal_vectors(QForm(tuple(map(tuple,
+                                                         node["gram"]))))
+        node["min_value"] = mv.min_value
+        node["min_vectors"] = [list(v) for v in mv.vectors]
+        for facet in node["facets"]:
+            facet["normal"] = [list(row) for row in facet_normal(
+                mv.vectors, frozenset(facet["incident"]))]
+    doc["schema_version"] = 6
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_schema_six_graph_file_exit_three(cache, capsys, optimize):
+    # A facet's normal is recovered from its rays where the walk
+    # crosses it: a graph file that still stores normals, minima and
+    # minimal vectors is refused, under -O too, and no verdict is
+    # printed.
+    run(capsys, "verify", "--n", "2", "--group", "sl", "--cache-dir", cache)
+    path = os.path.join(cache, "graph-n2-sl.json")
+    _tamper(path, _schema_six_file)
+    for kind in ("complex", "verdict"):
+        os.unlink(os.path.join(cache, f"{kind}-n2-sl.json"))
+    result = run_python("-m", "vorcycle", "verify", "--n", "2", "--group",
+                        "sl", "--cache-dir", cache, optimize=optimize)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "verified" not in result.stdout
+    assert f"{path}: schema version 6 != 7; another version of vorcycle " \
+        "wrote this file: delete it or use a fresh --cache-dir" \
+        in result.stderr
 
 
 def test_bad_edge_facet_in_graph_cache_exit_three(cache, capsys):

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import brute_facets, random_unimodular
+from conftest import brute_facets, cached_graph, random_unimodular
 from test_linalg import solve_in_span
 
 from vorcycle.cones import (
     NotFullDim,
     _dd_dual_rays,
     build_cone,
+    face_vectors,
     faces_of_codim,
+    facet_normal,
     meets_boundary,
     subcone_facets,
 )
@@ -28,8 +30,11 @@ from vorcycle.linalg import (
     clear_denominators,
     det_int,
     mat_rank,
+    pairing_weights,
     primitive,
+    sym_dim,
     sym_flatten,
+    sym_unflatten,
     trace_pair,
 )
 
@@ -42,19 +47,19 @@ def domain_of(gram):
 
 
 def test_hexagonal_domain_three_rays_three_facets():
-    mv, cone = domain_of(HEXAGONAL)
-    assert cone.ambient_dim == 3
-    assert len(cone.vectors) == 3
-    assert len(cone.facets) == 3
-    for facet in cone.facets:
-        assert len(facet.incident) == 2
+    mv, facets = domain_of(HEXAGONAL)
+    assert len(mv.vectors) == 3
+    assert len(facets) == 3
+    for facet in facets:
+        assert type(facet) is frozenset and len(facet) == 2
 
 
 def test_a3_domain_six_rays_six_facets():
-    mv, cone = domain_of(a_n_gram(3))
-    assert cone.ambient_dim == 6
-    assert len(cone.vectors) == 6
-    assert len(cone.facets) == 6
+    mv, facets = domain_of(a_n_gram(3))
+    assert len(mv.vectors) == 6
+    assert len(facets) == 6
+    # The facets are ordered by their sorted incidence lists.
+    assert list(facets) == sorted(facets, key=sorted)
 
 
 def test_identity_form_rays_not_full_dim():
@@ -65,47 +70,76 @@ def test_identity_form_rays_not_full_dim():
 
 def test_facet_normals_vanish_on_incident_positive_elsewhere():
     for gram in (HEXAGONAL, a_n_gram(3), a_n_gram(4), d_n_gram(4)):
-        mv, cone = domain_of(gram)
-        for facet in cone.facets:
-            for i, v in enumerate(cone.vectors):
-                val = trace_pair(facet.normal, rank_one(v))
-                if i in facet.incident:
+        mv, facets = domain_of(gram)
+        for facet in facets:
+            normal = facet_normal(mv.vectors, facet)
+            for i, v in enumerate(mv.vectors):
+                val = trace_pair(normal, rank_one(v))
+                if i in facet:
                     assert val == 0
                 else:
                     assert val > 0
 
 
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_facet_normal_is_the_double_description_normal(n):
+    # The normal recovered from a facet's rays is the dual ray that the
+    # double description found for it, on every domain of ranks 2-5.
+    for node in cached_graph(n, "gl").nodes:
+        vectors = node.minvecs.vectors
+        weights = [pairing_weights(sym_flatten(rank_one(v)), n)
+                   for v in vectors]
+        duals = _dd_dual_rays([sym_flatten(rank_one(v)) for v in vectors],
+                              weights)
+        assert [active for _, active in duals] == list(node.facets)
+        for y, active in duals:
+            assert facet_normal(vectors, active) == sym_unflatten(y, n)
+
+
+def test_facet_normal_refuses_a_face_that_is_no_facet():
+    mv, facets = domain_of(a_n_gram(3))
+    ridge = facets[0] & next(f for f in facets[1:]
+                             if len(facets[0] & f) == 4)
+    for face in (frozenset(), ridge, frozenset(range(len(mv.vectors)))):
+        with pytest.raises(ValueError, match="do not describe a facet"):
+            facet_normal(mv.vectors, face)
+
+
 def test_facet_incident_rays_span_hyperplane():
     for gram in (HEXAGONAL, a_n_gram(3), d_n_gram(4)):
-        mv, cone = domain_of(gram)
-        for facet in cone.facets:
-            flats = [cone.ray_flats[i] for i in facet.incident]
-            assert mat_rank(flats) == cone.ambient_dim - 1
+        mv, facets = domain_of(gram)
+        for facet in facets:
+            flats = [sym_flatten(rank_one(mv.vectors[i])) for i in facet]
+            assert mat_rank(flats) == sym_dim(len(gram)) - 1
 
 
 @pytest.mark.parametrize("gram", [HEXAGONAL, a_n_gram(3), a_n_gram(4),
                                   d_n_gram(4)])
 def test_double_description_matches_brute_force(gram):
-    mv, cone = domain_of(gram)
-    assert {f.incident for f in cone.facets} == set(brute_facets(mv.vectors))
+    mv, facets = domain_of(gram)
+    brute = brute_facets(mv.vectors)
+    assert set(facets) == set(brute)
+    n = len(gram)
+    for facet in facets:
+        assert facet_normal(mv.vectors, facet) == \
+            sym_unflatten(brute[facet], n)
 
 
 def test_faces_of_codim_counts_simplicial():
-    mv, cone = domain_of(a_n_gram(3))
-    assert faces_of_codim(cone, 0) == [frozenset(range(6))]
-    assert len(faces_of_codim(cone, 1)) == 6
-    assert len(faces_of_codim(cone, 2)) == 15
+    mv, facets = domain_of(a_n_gram(3))
+    assert faces_of_codim(mv.vectors, facets, 0) == [frozenset(range(6))]
+    assert len(faces_of_codim(mv.vectors, facets, 1)) == 6
+    assert len(faces_of_codim(mv.vectors, facets, 2)) == 15
     with pytest.raises(ValueError):
-        faces_of_codim(cone, -1)
+        faces_of_codim(mv.vectors, facets, -1)
 
 
 def test_faces_of_codim_nonsimplicial_consistent():
-    mv, cone = domain_of(d_n_gram(4))
-    facets = faces_of_codim(cone, 1)
-    assert {frozenset(f) for f in facets} == {f.incident for f in cone.facets}
-    for face in faces_of_codim(cone, 2):
-        assert mat_rank([cone.ray_flats[i] for i in face]) == \
-            cone.ambient_dim - 2
+    mv, facets = domain_of(d_n_gram(4))
+    assert set(faces_of_codim(mv.vectors, facets, 1)) == set(facets)
+    for face in faces_of_codim(mv.vectors, facets, 2):
+        assert mat_rank([sym_flatten(rank_one(mv.vectors[i]))
+                         for i in face]) == sym_dim(4) - 2
 
 
 def test_meets_boundary():
@@ -117,29 +151,28 @@ def test_meets_boundary():
 
 
 def test_meets_boundary_invariant_under_group(rng):
-    mv, cone = domain_of(a_n_gram(3))
-    face = cone.facet_vectors(cone.facets[0])
+    mv, facets = domain_of(a_n_gram(3))
+    face = face_vectors(mv.vectors, facets[0])
     for _ in range(10):
         g = random_unimodular(3, rng)
         assert meets_boundary(apply_to_cell(g, face)) == meets_boundary(face)
 
 
 def test_subcone_facets_of_a_facet():
-    mv, cone = domain_of(HEXAGONAL)
-    face = cone.facet_vectors(cone.facets[0])
+    mv, facets = domain_of(HEXAGONAL)
+    face = face_vectors(mv.vectors, facets[0])
     # A 2-dimensional subcone has two extreme-ray facets.
     assert subcone_facets(face) == [frozenset({0}), frozenset({1})]
 
 
 def test_subcone_facets_match_full_cone_codim2():
-    mv, cone = domain_of(a_n_gram(3))
-    facet = cone.facets[0]
-    face_vecs = cone.facet_vectors(facet)
+    mv, facets = domain_of(a_n_gram(3))
+    face_vecs = face_vectors(mv.vectors, facets[0])
     sub = subcone_facets(face_vecs)
     # Each facet of the facet-cone is a codim-2 face of the big cone.
-    codim2 = {frozenset(f) for f in faces_of_codim(cone, 2)}
+    codim2 = set(faces_of_codim(mv.vectors, facets, 2))
     for s in sub:
-        global_idx = frozenset(cone.vectors.index(face_vecs[i]) for i in s)
+        global_idx = frozenset(mv.vectors.index(face_vecs[i]) for i in s)
         assert global_idx in codim2
 
 
@@ -225,9 +258,9 @@ def test_subcone_facets_match_fraction_coordinates_random(vectors):
 
 @pytest.mark.parametrize("gram", (a_n_gram(4), d_n_gram(4)))
 def test_subcone_facets_match_fraction_coordinates(gram):
-    mv, cone = domain_of(gram)
-    for facet in cone.facets[:12]:
-        face = cone.facet_vectors(facet)
+    mv, facets = domain_of(gram)
+    for facet in facets[:12]:
+        face = face_vectors(mv.vectors, facet)
         assert subcone_facets(face) == reference_subcone_facets(face)
         for sub in subcone_facets(face)[:3]:
             ridge = tuple(face[i] for i in sub)

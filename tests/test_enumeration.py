@@ -10,7 +10,7 @@ from conftest import (
 )
 
 from vorcycle import enumeration
-from vorcycle.cones import FacetRec, build_cone
+from vorcycle.cones import build_cone, face_vectors, facet_normal
 from vorcycle.enumeration import (
     BoundaryFacet,
     enumerate_perfect_forms,
@@ -69,16 +69,16 @@ def test_sl_stabilizers_are_determinant_one_half():
     # domains; each sl stabilizer is the determinant-one half.
     for n in (2, 3, 4, 5):
         sl, gl = cached_graph(n, "sl"), cached_graph(n, "gl")
-        assert [(node.form, node.label, node.domain.facets)
+        assert [(node.form, node.label, node.facets)
                 for node in sl.nodes] == \
-            [(node.form, node.label, node.domain.facets)
+            [(node.form, node.label, node.facets)
              for node in gl.nodes]
         for node_sl, node_gl in zip(sl.nodes, gl.nodes):
             assert node_sl.stab_order == node_gl.stab_order // 2
             assert all(g.det == 1 for g in closure(node_sl.generators, n))
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("n", (2, 3, 4))
 @pytest.mark.parametrize("group", ("sl", "gl"))
 def test_generators_close_to_the_automorphism_group(n, group):
     graph = cached_graph(n, group)
@@ -103,8 +103,7 @@ def test_traversal_order_oracle_same_class_count():
 
 def test_closure_every_facet_has_edge(graph_sl4):
     edges = list(facet_edges(graph_sl4))
-    assert len(edges) == sum(len(node.domain.facets)
-                             for node in graph_sl4.nodes)
+    assert len(edges) == sum(len(node.facets) for node in graph_sl4.nodes)
     for _, _, _, edge in edges:
         assert 0 <= edge.neighbor < len(graph_sl4.nodes)
 
@@ -119,15 +118,14 @@ def test_edges_intersect_exactly_in_facet(n, group):
         other = graph.nodes[e.neighbor]
         moved = set(apply_to_cell(e.witness, other.minvecs.vectors))
         shared = set(node.minvecs.vectors) & moved
-        assert shared == set(node.domain.facet_vectors(facet))
+        assert shared == set(face_vectors(node.minvecs.vectors, facet))
         assert e.witness.det == 1 or group == "gl"
 
 
 def test_neighbor_of_hexagonal_is_equivalent_hexagonal():
     q = QForm.from_matrix(HEXAGONAL)
     mv = minimum_and_minimal_vectors(q)
-    cone = build_cone(mv.vectors)
-    for facet in cone.facets:
+    for facet in build_cone(mv.vectors):
         nb = neighbor_form(q, mv, facet)
         nb_mv = minimum_and_minimal_vectors(nb)
         assert is_perfect(nb, nb_mv)
@@ -136,10 +134,10 @@ def test_neighbor_of_hexagonal_is_equivalent_hexagonal():
 
 def test_neighbor_certificates(graph_sl4):
     node = graph_sl4.nodes[0]
-    facet = node.domain.facets[0]
+    facet = node.facets[0]
     nb = neighbor_form(node.form, node.minvecs, facet)
     nb_mv = minimum_and_minimal_vectors(nb)
-    face = set(node.domain.facet_vectors(facet))
+    face = set(face_vectors(node.minvecs.vectors, facet))
     assert face <= set(nb_mv.vectors)
     assert set(nb_mv.vectors) - face
     assert is_perfect(nb, nb_mv)
@@ -148,11 +146,8 @@ def test_neighbor_certificates(graph_sl4):
 def test_neighbor_rejects_boundary_face():
     q = QForm.from_matrix(HEXAGONAL)
     mv = minimum_and_minimal_vectors(q)
-    cone = build_cone(mv.vectors)
-    degenerate = FacetRec(normal=cone.facets[0].normal,
-                          incident=frozenset({0}))
     with pytest.raises(BoundaryFacet):
-        neighbor_form(q, mv, degenerate)
+        neighbor_form(q, mv, frozenset({0}))
 
 
 # The walk's D6 representative (the neighbour of A6) and a facet of its
@@ -171,9 +166,10 @@ def test_rank_six_crossing_ends_within_a_probe_bound(monkeypatch):
     mv = minimum_and_minimal_vectors(form)
     values = [bilinear(D6_NORMAL, v, v) for v in mv.vectors]
     assert min(values) == 0 and all(val >= 0 for val in values)
-    # The incident vectors are the minimal vectors on which N vanishes.
-    facet = FacetRec(normal=D6_NORMAL, incident=frozenset(
-        i for i, val in enumerate(values) if val == 0))
+    # The incident vectors are the minimal vectors on which N vanishes,
+    # and N is the normal recovered from them.
+    facet = frozenset(i for i, val in enumerate(values) if val == 0)
+    assert facet_normal(mv.vectors, facet) == D6_NORMAL
     probes = []
 
     def counting(gram):
@@ -186,7 +182,7 @@ def test_rank_six_crossing_ends_within_a_probe_bound(monkeypatch):
     monkeypatch.setattr(enumeration, "is_positive_definite", counting)
     nb = neighbor_form(form, mv, facet)
     nb_mv = minimum_and_minimal_vectors(nb)
-    face = {mv.vectors[i] for i in facet.incident}
+    face = {mv.vectors[i] for i in facet}
     assert face <= set(nb_mv.vectors)
     assert set(nb_mv.vectors) - face
     assert is_perfect(nb, nb_mv)
@@ -241,18 +237,12 @@ def test_facet_stabilizer_of_full_cell_is_cell_stabilizer():
 def test_rank_bounds():
     with pytest.raises(ValueError):
         enumerate_perfect_forms(0)
+    with pytest.raises(ValueError, match="rank must be at least 2"):
+        enumerate_perfect_forms(1)
     with pytest.raises(ValueError):
         enumerate_perfect_forms(8)
     with pytest.raises(ValueError):
         enumerate_perfect_forms(6)  # needs allow_long
-
-
-def test_rank_one_degenerate_graph():
-    graph = enumerate_perfect_forms(1, "gl")
-    assert len(graph.nodes) == 1
-    assert graph.nodes[0].stab_order == 2
-    assert enumerate_perfect_forms(1, "sl").nodes[0].stab_order == 1
-    assert graph.edges == ((),)
 
 
 def test_graph_connected(graph_sl4):

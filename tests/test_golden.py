@@ -75,6 +75,15 @@ load checked and a schema-8 load derives.  A file is the schema-7 one
 with those two fields removed from every wall; the graph and verdict
 files, and so their digests, did not change.
 
+The graph and complex digests were re-recorded once more, together,
+when a domain came to be held as its facets alone.  Graph schema 7
+drops each node's `min_value` and `min_vectors`, which a load takes
+from Fincke-Pohst of the node's form, and each facet's `normal`, which
+the walk recovers from the facet's rays where it crosses
+(`cones.facet_normal`).  A graph file is the schema-6 one with those
+three fields removed; the complex file differs only in the graph hash
+it names, and the verdict files, and so their digests, did not change.
+
 Any change to the search order, the chosen witnesses or the generating
 sets shows up here as a changed graph, complex or verdict file.  A second
 `verify` from the caches just written must reproduce the verdict file
@@ -91,33 +100,33 @@ from vorcycle.cli import main
 GOLDEN = {
     (3, "sl"): {
         "graph-n3-sl.json":
-            "6a6bee70572bc2726d681bfcf33a7d5fecb6b33e518c59d953404ba694f6360a",
+            "e6e0c66cfdde322c7b7c789b56c1db5875aa05454960b8faa37cc87c4245aeda",
         "complex-n3-sl.json":
-            "c12375e932bdb52b7556cc764f8d1549e9a421312d5d572353b171ee70ffeebe",
+            "232e675c3d9f0c20c7cac753f573b76ea3872b55b89125681f6e073ea9a527bf",
         "verdict-n3-sl.json":
             "53514469a3a0e5fcacdf9809bc173d4c6e5b8cf5e8090d94a2bb864045dac997",
     },
     (3, "gl"): {
         "graph-n3-gl.json":
-            "0405080487c8e1468f6f82d8ca44cd53f8e7cdcef78f983c45f15ceda34802ea",
+            "19eea1591b14f6ffdc2fb7de99c5e6dce35b94a5416cef0d82dd967dbce0d9ba",
         "complex-n3-gl.json":
-            "ac021fed0b3cb211f4fc4d6d4944750e14110836175ab4dec9989c90aae4523a",
+            "1365f7a2b5100a17862e99861425a29a7a6edf8c37295a3e1d640dbdad05f1a7",
         "verdict-n3-gl.json":
             "a23f09fabc1d98f5970ce934b68c659deddbc6b7a650fef3f9717150a41199a2",
     },
     (4, "sl"): {
         "graph-n4-sl.json":
-            "3a5228a132790b2d9de6782023522895961ace71d675a7b0c50e752f704c24bb",
+            "2308073b26cc1379a9e6eadebcf82b2f534e84a764415071ff950c1287b27b91",
         "complex-n4-sl.json":
-            "4d58f8dc711c1ca601be3278a3df4d93fba672a60e0af901da9ebeefd5aaae1c",
+            "e788a3ebe887de4f295598eec5fee2b1a26cca944c3f9b59ad712e223f92cbfc",
         "verdict-n4-sl.json":
             "36db85c4819198a94d977b86420b3fdfbd2d950d6f8f2f3adb4512417252bba0",
     },
     (4, "gl"): {
         "graph-n4-gl.json":
-            "d6e2f386090900f86996ab50483b84591f717a2726cacd9025c9385ccc0130c7",
+            "0972473c5aa07b28c5411755de9a537d74448aaba75f99755c54514d1ced64a0",
         "complex-n4-gl.json":
-            "fd7734ca3975e9a0232acf4f1e1a2a4a1895e861b902e473e80e4a6121e559bc",
+            "00d911a108088afa20800f759cb6bcd1f5422951feb5b4fcac5f77c6c1b39ca1",
         "verdict-n4-gl.json":
             "22cedf4684c60d5857d0272eb219e041c7f55a3607958676995edfd79b0b527c",
     },

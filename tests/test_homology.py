@@ -4,7 +4,12 @@ import pytest
 
 from conftest import cached_complex, differential_kernel
 
-from vorcycle.complexes import Differential, build_codim2
+from vorcycle.complexes import (
+    Differential,
+    build_codim2,
+    glue_complex,
+    kept_top_nodes,
+)
 from vorcycle.homology import (
     TheoremReport,
     WrongGroupParity,
@@ -70,6 +75,27 @@ def test_gl_even_vanishing(complex_gl2, complex_gl4):
         assert report.details["classes"] == classes
         assert report.details["kept_iff_in_det_one"]
         assert report.details["root_classes_excluded"]
+
+
+@pytest.mark.parametrize("n", (2, 4))
+def test_gl_even_mechanism_reads_the_transport(n):
+    # Every generator's `det` field forged to read 1: the determinant
+    # rule keeps every top class, and the mechanism check, which
+    # transports each generator on the form space, refuses the kept
+    # list.
+    cx = cached_complex(n, "gl")
+    graph = cx.graph._replace(nodes=tuple(
+        node._replace(generators=tuple(g._replace(det=1)
+                                       for g in node.generators))
+        for node in cx.graph.nodes))
+    kept = kept_top_nodes(graph)
+    assert kept == tuple(range(len(graph.nodes))) != cx.kept_tops
+    forged = glue_complex(graph, cx.seed_perm, kept, cx.walls,
+                          cx.differential.entries)
+    report = verify_gl_even_vanishing(forged)
+    assert report.details["kept_iff_in_det_one"] is False
+    assert report.ok is False
+    assert verify_gl_even_vanishing(cx).details["kept_iff_in_det_one"]
 
 
 def test_verify_dispatch(complex_sl4, complex_gl4):

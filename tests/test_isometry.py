@@ -22,7 +22,7 @@ from vorcycle.forms import (
     minimum_and_minimal_vectors,
 )
 from vorcycle import isometry
-from vorcycle.cones import build_cone
+from vorcycle.cones import build_cone, face_vectors
 from vorcycle.isometry import (
     _independent_base,
     cell_group,
@@ -195,8 +195,7 @@ def test_small_generating_set_generates():
 def test_orbit_decompose_partitions_with_transporters():
     from vorcycle.isometry import small_generating_set
     q, mv = _form(d_n_gram(4))
-    cone = build_cone(mv.vectors)
-    keys = [cone.facet_vectors(f) for f in cone.facets]
+    keys = [face_vectors(mv.vectors, f) for f in build_cone(mv.vectors)]
     group = form_automorphisms(q, mv.vectors)
     gens = small_generating_set(group)
     orbits = orbit_decompose(keys, gens)
@@ -299,8 +298,8 @@ def test_small_generating_set_pins_selection_rule():
         for det_one in (False, True):
             groups.append(form_automorphisms(q, mv.vectors, det_one=det_one))
     q, mv = _form(d_n_gram(4))
-    cone = build_cone(mv.vectors)
-    groups.append(cell_stabilizer(cone.facet_vectors(cone.facets[0])))
+    groups.append(cell_stabilizer(face_vectors(mv.vectors,
+                                               build_cone(mv.vectors)[0])))
     assert [len(g) for g in groups][:4] == [240, 120, 1152, 576]
     for group in groups:
         gens = small_generating_set(group)
@@ -378,8 +377,7 @@ def test_chain_generators_close_to_the_listed_group(gram, det_one):
     listed = form_automorphisms(q, mv.vectors, det_one=det_one)
     assert [g.rows for g in closure(gens, q.n)] == [g.rows for g in listed]
     assert order == len(listed)
-    cone = build_cone(mv.vectors)
-    facet = cone.facet_vectors(cone.facets[0])
+    facet = face_vectors(mv.vectors, build_cone(mv.vectors)[0])
     gens, order = cell_group(facet, det_one=det_one)
     listed = cell_stabilizer(facet, det_one=det_one)
     assert [g.rows for g in closure(gens, q.n)] == [g.rows for g in listed]
@@ -390,8 +388,7 @@ def test_chain_generators_close_to_the_listed_group(gram, det_one):
                          ids=("A4", "D4", "D5"))
 def test_orbit_decompose_matches_the_matrix_action(gram):
     q, mv = _form(gram)
-    cone = build_cone(mv.vectors)
-    keys = [cone.facet_vectors(f) for f in cone.facets]
+    keys = [face_vectors(mv.vectors, f) for f in build_cone(mv.vectors)]
     for det_one in (False, True):
         gens, _ = form_group(q, mv.vectors, det_one=det_one)
         got = orbit_decompose(keys, gens)

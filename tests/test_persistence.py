@@ -26,7 +26,6 @@ from vorcycle.persistence import (
     load_payload,
     save_payload,
 )
-from vorcycle.tessellation import TessInstance, sector_fan
 
 
 def test_graph_round_trip(tmp_path):
@@ -97,17 +96,15 @@ def test_complex_payload_refers_to_the_graph_file(tmp_path):
     graph_payload = graph_to_payload(cx.graph)
     assert set(graph_payload) == {"n", "group", "nodes"}
     for node in graph_payload["nodes"]:
-        assert set(node) == {"gram", "min_value", "min_vectors", "label",
-                             "facets"}
+        assert set(node) == {"gram", "label", "facets"}
         for facet in node["facets"]:
-            assert set(facet) == {"normal", "incident", "neighbor",
-                                  "witness"}
+            assert set(facet) == {"incident", "neighbor", "witness"}
     g_path = save_payload(str(tmp_path / "g.json"), "graph", 3, "gl",
                           graph_payload)
     c_path = save_payload(str(tmp_path / "c.json"), "complex", 3, "gl",
                           payload)
     assert json.load(open(g_path))["hash"] == payload["graph"]
-    assert json.load(open(g_path))["schema_version"] == 6
+    assert json.load(open(g_path))["schema_version"] == 7
     assert json.load(open(c_path))["schema_version"] == 8
     assert load_payload(g_path, "graph", 3, "gl", payload["graph"])
     with pytest.raises(CacheCorrupt, match="g.json: expected hash '0+'"):
@@ -127,14 +124,6 @@ def test_verdict_round_trip(tmp_path):
     report = verify_top_cycle(cached_complex(2, "sl")).to_payload()
     path = save_payload(str(tmp_path / "v.json"), "verdict", 2, "sl", report)
     assert load_payload(path, "verdict", 2, "sl") == report
-
-
-def test_tess_round_trip(tmp_path):
-    inst = sector_fan(4).to_payload()
-    path = save_payload(str(tmp_path / "t.json"), "tess-instance", 0, "-",
-                        inst)
-    assert TessInstance.from_payload(
-        load_payload(path, "tess-instance")) == sector_fan(4)
 
 
 def test_save_is_deterministic(tmp_path):
@@ -283,8 +272,9 @@ def test_every_missing_field_is_cache_corrupt(n, group):
 
 @pytest.mark.parametrize("n, group", ((2, "sl"), (3, "gl")))
 def test_mistyped_fields_never_crash(n, group):
-    # A replaced value may happen to be valid (a label "x"); anything
-    # else must surface as CacheCorrupt, never as another exception.
+    # A replaced value may happen to be valid (a label or graph hash
+    # "x", a matrix entry or seed permutation -1); anything else must
+    # surface as CacheCorrupt, never as another exception.
     rejected = 0
     for payload, decode in _decoders(n, group):
         for path, _ in list(_paths(payload)):
@@ -295,7 +285,12 @@ def test_mistyped_fields_never_crash(n, group):
                     except CacheCorrupt as exc:
                         assert str(exc).startswith("c.json: payload")
                         rejected += 1
-    assert rejected > 300
+                    else:
+                        assert (new, path[-1]) in (("x", "label"),
+                                                   ("x", "graph"),
+                                                   (-1, "seed_perm")) or \
+                            new == -1 and path[-3] in ("gram", "witness")
+    assert rejected > 200
 
 
 def test_missing_field_message_names_the_field():
@@ -320,9 +315,13 @@ def test_missing_field_message_names_the_field():
     ((), "tops"),
     (("walls", 0), "parent"),
     (("walls", 0), "face_index"),
+    (("graph", "nodes", 0), "min_vectors"),
+    (("graph", "nodes", 0), "min_value"),
+    (("graph", "nodes", 0, "facets", 1), "normal"),
 ), ids=("node-order", "node-generators", "facet-edge", "graph-edges",
         "wall-order", "wall-flag", "complex-tops", "wall-parent",
-        "wall-face-index"))
+        "wall-face-index", "node-min-vectors", "node-min-value",
+        "facet-normal"))
 def test_unknown_field_is_named(where, key):
     (graph_payload, graph_decode), (payload, decode) = _decoders(2, "sl")
     if where and where[0] == "graph":
@@ -348,13 +347,6 @@ SHEAR = [[1, 1], [0, 1]]
 @pytest.mark.parametrize("where, new, problem", (
     pytest.param(("graph", "nodes", 0, "facets", 0, "neighbor"), 1,
                  "neighbor is out of range", id="where6-1-is out of range"),
-    # The minimal vectors are compared with those that Fincke-Pohst
-    # derives from the Gram matrix: sorted canonical pairs.
-    pytest.param(("graph", "nodes", 0, "min_vectors", 0), [0, 0],
-                 r"nodes\[0\] is not a positive definite form with its "
-                 r"minimum and spanning minimal vectors",
-                 id="where7-new7-is not a sorted list of canonical vector "
-                    "pairs"),
     pytest.param(("graph", "nodes", 0, "facets", 0, "witness"),
                  [[0, 1], [1, 0]], "witness has determinant -1",
                  id="where18-new18-witness has determinant -1"),
@@ -376,23 +368,22 @@ SHEAR = [[1, 1], [0, 1]]
     pytest.param(("graph", "nodes", 0, "gram", 0, 0), "2",
                  "gram is not a list of 2 integers per row",
                  id="where25-2-gram is not a list of 2 integers per row"),
-    pytest.param(("graph", "nodes", 0, "min_value"), "2",
-                 "min_value has the wrong type",
-                 id="where26-2-min_value has the wrong type"),
     pytest.param(("graph", "nodes", 0, "facets", 0, "neighbor"), -1,
                  r"nodes\[0\]\.facets\[0\]\.neighbor is out of range",
                  id="facet-neighbor-negative"),
     pytest.param(("graph", "nodes", 0, "facets", 0, "witness"),
                  [[2, 0], [0, 1]], "witness is not unimodular",
                  id="facet-witness-singular"),
-    # A Gram matrix whose minimal vectors are not the stored ones, and a
-    # stored minimum that is not the Gram matrix's.
+    # A Gram matrix whose minimal vectors do not span, one that is not
+    # positive definite, and a node with no facets.
     pytest.param(("graph", "nodes", 0, "gram", 0, 0), 4,
-                 r"nodes\[0\] is not a positive definite form with its "
-                 r"minimum and spanning minimal vectors", id="gram-entry"),
-    pytest.param(("graph", "nodes", 0, "min_value"), 1,
-                 r"nodes\[0\] is not a positive definite form with its "
-                 r"minimum and spanning minimal vectors", id="min-value"),
+                 r"nodes\[0\] is not a form with spanning minimal vectors",
+                 id="gram-entry"),
+    pytest.param(("graph", "nodes", 0, "gram", 0, 0), 0,
+                 r"nodes\[0\] is not a positive definite form",
+                 id="gram-not-positive-definite"),
+    pytest.param(("graph", "nodes", 0, "facets"), [],
+                 r"nodes\[0\]\.facets is empty", id="node-without-facets"),
     # Rank 2 sl keeps no wall, so the matrix has no rows.
     pytest.param(("triplets",), [[0, 0, 1]],
                  r"triplets\[0\] is not a nonzero entry in range",
@@ -419,17 +410,17 @@ def test_one_edge_per_node_facet(n, group):
     assert "edges" not in payload
     loaded = graph_from_payload(payload, "g.json")
     assert [len(edges) for edges in loaded.edges] == \
-        [len(node.domain.facets) for node in loaded.nodes]
+        [len(node.facets) for node in loaded.nodes]
     assert loaded.edges == graph.edges
 
 
 def test_stale_schema_version_names_the_remedy(tmp_path):
-    # A schema-5 graph file, which still stored stabilizers, and a
-    # schema-7 complex file, which still stored each wall's parent and
-    # face_index.
+    # A schema-6 graph file, which still stored each node's minimum and
+    # minimal vectors and each facet's normal, and a schema-7 complex
+    # file, which still stored each wall's parent and face_index.
     cx = cached_complex(2, "sl")
     for kind, payload, stale in (
-            ("graph", graph_to_payload(cx.graph), 5),
+            ("graph", graph_to_payload(cx.graph), 6),
             ("complex", complex_to_payload(cx, _graph_hash(cx)), 7)):
         path = save_payload(str(tmp_path / f"{kind}.json"), kind, 2, "sl",
                             payload)

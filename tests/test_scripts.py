@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+from conftest import cached_graph
+
 from vorcycle.homology import TheoremReport
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
@@ -43,3 +45,24 @@ def test_run_survey_runs_from_another_directory(tmp_path):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "UNEXPECTED" not in done.stdout
+
+
+def test_probe_long_ranks_prints_each_class_with_its_facets(monkeypatch,
+                                                           capsys):
+    # The rank-4 sl graph stands in for a long enumeration: the probe
+    # prints one line per class once the enumeration ends, with its
+    # count of facets.
+    graph = cached_graph(4, "sl")
+    probe = _load("probe_long_ranks")
+    monkeypatch.setattr(probe.enumeration, "enumerate_perfect_forms",
+                        lambda n, group, allow_long: graph)
+    monkeypatch.setattr(sys, "argv", ["probe_long_ranks.py",
+                                      "--enumerate-only"])
+    probe.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("classes: 2 (A4, D4) [")
+    assert lines[1:] == [
+        f"  [{i}] {node.label}: |m|={node.minvecs.vector_count} "
+        f"stab_order={node.stab_order} facets={len(node.facets)}"
+        for i, node in enumerate(graph.nodes)]
+    assert sum(len(node.facets) for node in graph.nodes) == 74
