@@ -159,6 +159,21 @@ def cmd_verify(args):
     return EXIT_OK if all(checks) else EXIT_FALSIFIED
 
 
+def _write_out(out, text):
+    """Write `text` to the file `out`, or to stdout for "-"; a file that
+    cannot be written is a usage error, as an unreadable input is."""
+    if not out or out == "-":
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
+
+
 def cmd_tess(args):
     if args.tess_cmd == "gen-sector-fan":
         try:
@@ -166,24 +181,12 @@ def cmd_tess(args):
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        text = dumps_instance(inst)
-        if args.out and args.out != "-":
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
+        return _write_out(args.out, dumps_instance(inst))
     if args.tess_cmd == "export":
         if not _check_rank(args.n, args.allow_long):
             return EXIT_USAGE
         cx, _ = _load_or_build_complex(args)
-        text = dumps_instance(from_voronoi(cx))
-        if args.out and args.out != "-":
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
+        return _write_out(args.out, dumps_instance(from_voronoi(cx)))
     # check
     try:
         if args.input == "-":

@@ -126,15 +126,14 @@ class VoronoiComplex(NamedTuple):
 class _ParentView:
     """Per-parent data used for face grouping and sign evaluation."""
 
-    def __init__(self, vectors, generators, basis, faces, n, cell=""):
+    def __init__(self, vectors, generators, basis, faces, cell=""):
         self.cell = cell
         self.vectors = vectors
         self.generators = generators
         self.basis = basis
         self.faces = faces
         self.face_positions = {key: i for i, key in enumerate(faces)}
-        self.n = n
-        self.dim = sym_dim(n) if basis is None else len(basis)
+        self.dim = sym_dim(len(vectors[0])) if basis is None else len(basis)
         if basis is None:
             self.completion = ()
             self.ref_sign = 1
@@ -211,7 +210,7 @@ def wall_record(graph, members, seed_perm):
     permutation picks."""
     parent, face, vectors = members[seed_perm % len(members)]
     view = _ParentView(vectors=graph.nodes[parent].minvecs.vectors,
-                       generators=(), basis=None, faces=(), n=graph.n)
+                       generators=(), basis=None, faces=())
     return class_record(view, parent, face, vectors, members,
                         graph.group_kind == "sl")
 
@@ -361,7 +360,7 @@ def build_complex(graph, seed_perm=0):
         _ParentView(vectors=node.minvecs.vectors,
                     generators=node.generators, basis=None,
                     faces=tuple(face_vectors(node.minvecs.vectors, f)
-                                for f in node.facets), n=n,
+                                for f in node.facets),
                     cell=f"node {i}")
         for i, node in enumerate(graph.nodes)]
     walls, _, entries = _build_level(views, kept_tops, n,
@@ -381,7 +380,7 @@ def build_codim2(cx):
                           for face in subcone_facets(w.vectors))
         wall_views.append(_ParentView(vectors=w.vectors,
                                       generators=w.generators,
-                                      basis=w.basis, faces=face_keys, n=n,
+                                      basis=w.basis, faces=face_keys,
                                       cell=w.label))
     mids, kept_mids, entries = _build_level(
         wall_views, range(len(wall_views)), n, det_one, cx.seed_perm)

@@ -138,6 +138,17 @@ def _dd_dual_rays(rows, weights):
     return sorted(out.items(), key=lambda item: (tuple(sorted(item[1])), item[0]))
 
 
+def _certify_facets(duals, rays, dim):
+    """Refuse a dual ray that is no facet of the cone of `rays` (in
+    dimension `dim`).  A nonzero y pairs to zero with each of its
+    incident rays, so they span at most a hyperplane; the certificate
+    is that they span one."""
+    for y, active in duals:
+        if not any(y) or mat_rank([rays[i] for i in active],
+                                  stop=dim - 1) < dim - 1:
+            raise ValueError("dual ray does not describe a facet")
+
+
 def build_cone(vectors):
     """The facets of the cone spanned by the rank-one matrices of
     `vectors`, as index sets into the sorted vectors.
@@ -155,12 +166,7 @@ def build_cone(vectors):
             f"dimension-{dim} form space")
     weights = [pairing_weights(f, n) for f in ray_flats]
     duals = _dd_dual_rays(ray_flats, weights)
-    # A nonzero y pairs to zero with each of its incident rays, so they
-    # span at most a hyperplane; the certificate is that they span one.
-    for y, active in duals:
-        if not any(y) or mat_rank([ray_flats[i] for i in active],
-                                  stop=dim - 1) < dim - 1:
-            raise ValueError("dual ray does not describe a facet")
+    _certify_facets(duals, ray_flats, dim)
     # Every listed ray must be extreme: the normals of the facets
     # through it span a hyperplane (at most one, as they vanish on the
     # ray).  Pointedness holds because the identity matrix pairs strictly
@@ -199,7 +205,8 @@ def subcone_facets(vectors):
 
     Used for faces of positive codimension: the rays are written in
     coordinates of a basis of their span and the double description is
-    run there.  Returns the facets as sets of incident ray indices.
+    run there.  Returns the facets as sets of incident ray indices,
+    certified as `build_cone` certifies them.
     """
     vectors = tuple(sorted(vectors))
     flats = [sym_flatten(rank_one(v)) for v in vectors]
@@ -218,11 +225,8 @@ def subcone_facets(vectors):
         local.append(primitive(tuple(scale * x for x in vec[:dim])))
     # In local coordinates the pairing is the plain dot product.
     duals = _dd_dual_rays(local, local)
-    out = []
-    for _, active in duals:
-        if mat_rank([local[i] for i in active]) == dim - 1:
-            out.append(frozenset(active))
-    return sorted(set(out), key=lambda s: tuple(sorted(s)))
+    _certify_facets(duals, local, dim)
+    return [active for _, active in duals]
 
 
 def faces_of_codim(vectors, facets, k):

@@ -190,66 +190,18 @@ def root_label(form, minvecs, n):
     return None
 
 
-def _discover_classes(n, det_one, traversal="default"):
-    """Breadth-first closure over the classes of the chosen group,
-    recording the walk.
-
-    Facets of each domain are first reduced modulo the class stabilizer
-    and only one representative per orbit is crossed; a transported
-    facet leads to an equivalent neighbour, so nothing is lost.  Each
-    class record keeps the form where the walk first met it ("form",
-    "mv"), its facets ("facets"), the strong generators ("gens") and
-    order ("order") of its stabilizer in the chosen group, and one
-    crossing (members, j, w) per facet orbit: `members` maps each facet
-    key of the orbit to a transporter s with s * rep = member, and
-    act(w, form_j) is the neighbour across the representative (w is the
-    identity when the crossing created class j).
-    `traversal` reorders facet processing; any order must close on the
-    same classes, which the tests exercise.
-    """
-    start = QForm.from_matrix(a_n_gram(n))
-    start_mv = minimum_and_minimal_vectors(start)
-    classes = [{"form": start, "mv": start_mv,
-                "inv": form_invariant(start.gram, start_mv.vectors)}]
-    queue = [0]
-    while queue:
-        rep = classes[queue.pop(0)]
-        vectors = rep["mv"].vectors
-        facets = rep["facets"] = build_cone(vectors)
-        rep["gens"], rep["order"] = form_group(rep["form"], vectors, det_one)
-        facet_of = {face_vectors(vectors, f): f for f in facets}
-        orbits = orbit_decompose(list(facet_of), rep["gens"])
-        if traversal == "reversed":
-            orbits.reverse()
-        rep["crossings"] = []
-        for rep_key, members in orbits:
-            nb = neighbor_form(rep["form"], rep["mv"], facet_of[rep_key])
-            nb_mv = minimum_and_minimal_vectors(nb)
-            inv = form_invariant(nb.gram, nb_mv.vectors)
-            for j, cls in enumerate(classes):
-                found = cls["inv"] == inv and form_maps(
-                    cls["form"], cls["mv"].vectors, nb, nb_mv.vectors,
-                    det_one=det_one, first_only=True)
-                if found:
-                    w = found[0]
-                    break
-            else:
-                classes.append({"form": nb, "mv": nb_mv, "inv": inv})
-                queue.append(len(classes) - 1)
-                j, w = len(classes) - 1, GroupElement.identity(n)
-            rep["crossings"].append((members, j, w))
-    return classes
-
-
 def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
                             traversal="default"):
     """Complete walk graph of perfect-form classes of rank n.
 
     Ranks run from 2 (rank 1 has no facets to walk across) to
-    HARD_MAX_RANK; those above FREE_MAX_RANK need allow_long=True.  Each
-    class is represented by the form where the walk first met it, and
-    every edge is a crossing recorded by the walk, transported along
-    the facet orbit.
+    HARD_MAX_RANK; those above FREE_MAX_RANK need allow_long=True.  One
+    pass visits the classes in the order met, each represented by the
+    form where the walk first met it.  Crossing the representative of a
+    facet orbit reaches act(w, form_j) (w the identity when the crossing
+    creates class j), and each member s * rep gets the edge (j, s * w).
+    `traversal` reorders facet processing; any order must close on the
+    same classes, which the tests exercise.
     """
     if group_kind not in GROUP_KINDS:
         raise ValueError(f"unknown group kind {group_kind!r}")
@@ -260,30 +212,48 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
     if n > FREE_MAX_RANK and not allow_long:
         raise ValueError(
             f"rank {n} is long-running; pass allow_long to proceed")
-    classes = _discover_classes(n, group_kind == "sl", traversal=traversal)
-    nodes = tuple(
-        PerfectFormRep(cls["form"], cls["mv"], cls["facets"], cls["gens"],
-                       cls["order"],
-                       label=root_label(cls["form"], cls["mv"], n)
-                       or f"P{n}.{i}")
-        for i, cls in enumerate(classes))
-
-    edges = []
-    for i, (node, cls) in enumerate(zip(nodes, classes)):
-        facet_index = {face_vectors(node.minvecs.vectors, f): k
-                       for k, f in enumerate(node.facets)}
-        node_edges = [None] * len(node.facets)
-        for members, j, w in cls["crossings"]:
+    det_one = group_kind == "sl"
+    start = QForm.from_matrix(a_n_gram(n))
+    start_mv = minimum_and_minimal_vectors(start)
+    met = [(start, start_mv, form_invariant(start.gram, start_mv.vectors))]
+    nodes, edges = [], []
+    for i, (form, mv, _) in enumerate(met):
+        facets = build_cone(mv.vectors)
+        gens, order = form_group(form, mv.vectors, det_one)
+        position = {face_vectors(mv.vectors, f): k
+                    for k, f in enumerate(facets)}
+        orbits = orbit_decompose(list(position), gens)
+        if traversal == "reversed":
+            orbits.reverse()
+        row = [None] * len(facets)
+        for rep_key, members in orbits:
+            nb = neighbor_form(form, mv, facets[position[rep_key]])
+            nb_mv = minimum_and_minimal_vectors(nb)
+            inv = form_invariant(nb.gram, nb_mv.vectors)
+            for j, (other, other_mv, other_inv) in enumerate(met):
+                found = other_inv == inv and form_maps(
+                    other, other_mv.vectors, nb, nb_mv.vectors,
+                    det_one=det_one, first_only=True)
+                if found:
+                    w = found[0]
+                    break
+            else:
+                met.append((nb, nb_mv, inv))
+                j, w = len(met) - 1, GroupElement.identity(n)
             for key, s in members.items():
-                edge = Edge(neighbor=j, witness=s * w)
-                if not glues(nodes, i, key, edge):
-                    raise RuntimeError(f"the crossing at facet "
-                                       f"{facet_index[key]} of node {i} "
-                                       f"does not glue it")
-                node_edges[facet_index[key]] = edge
-        edges.append(tuple(node_edges))
+                row[position[key]] = Edge(neighbor=j, witness=s * w)
+        nodes.append(PerfectFormRep(
+            form, mv, facets, gens, order,
+            label=root_label(form, mv, n) or f"P{n}.{i}"))
+        edges.append(tuple(row))
 
-    graph = VoronoiGraph(n=n, group_kind=group_kind, nodes=nodes,
+    for i, (node, row) in enumerate(zip(nodes, edges)):
+        for k, edge in enumerate(row):
+            if not glues(nodes, i, face_vectors(node.minvecs.vectors,
+                                                node.facets[k]), edge):
+                raise RuntimeError(f"the crossing at facet {k} of node {i} "
+                                   f"does not glue it")
+    graph = VoronoiGraph(n=n, group_kind=group_kind, nodes=tuple(nodes),
                          edges=tuple(edges))
     _check_connected(graph)
     return graph

@@ -190,9 +190,6 @@ class QForm(NamedTuple):
     def evaluate(self, x):
         return bilinear(self.gram, x, x)
 
-    def pair(self, x, y):
-        return bilinear(self.gram, x, y)
-
 
 class MinVecSet(NamedTuple):
     """Minimum and the complete set of minimal vectors of a form.

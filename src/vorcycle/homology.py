@@ -26,7 +26,7 @@ from .complexes import (
     is_orientation_preserving,
 )
 from .enumeration import root_label
-from .tessellation import boundary_kernel, check_rigidity, from_voronoi
+from .tessellation import check_rigidity, from_voronoi
 
 
 class WrongGroupParity(ValueError):
@@ -68,26 +68,39 @@ class TheoremReport(NamedTuple):
         }
 
 
-def _kept_tops(cx):
-    """The graph nodes of the kept top classes, in column order."""
-    return [cx.graph.nodes[i] for i in cx.kept_tops]
-
-
 def canonical_cycle(cx):
     """The chain with coefficient 1/|stabilizer| on every kept top class."""
-    return tuple(Fraction(1, top.stab_order) for top in _kept_tops(cx))
+    return tuple(Fraction(1, cx.graph.nodes[i].stab_order)
+                 for i in cx.kept_tops)
 
 
-def _row_certificates(cx):
-    certs = []
-    diff = cx.differential
-    orders = [top.stab_order for top in _kept_tops(cx)]
-    for r in range(diff.row_count):
-        terms = []
-        for c, entry in diff.row_entries(r):
-            terms.append((c, entry, orders[c], Fraction(entry, orders[c])))
-        certs.append((r, tuple(terms)))
-    return tuple(certs)
+def _report(cx, ok, tess, top_cycle, details):
+    """The report of a complex from its `check_rigidity` verdict `tess`.
+    Only a top cycle carries the canonical chain and one cancellation
+    certificate per wall row: each entry with its column's stabilizer
+    order and their quotient."""
+    tops = [cx.graph.nodes[i] for i in cx.kept_tops]
+    orders = [top.stab_order for top in tops]
+    certs = ()
+    if top_cycle:
+        diff = cx.differential
+        certs = tuple(
+            (r, tuple((c, entry, orders[c], Fraction(entry, orders[c]))
+                      for c, entry in diff.row_entries(r)))
+            for r in range(diff.row_count))
+    return TheoremReport(
+        n=cx.n, group_kind=cx.group_kind, kernel_dim=tess.kernel_dim,
+        canonical_in_kernel=top_cycle and tess.canonical_in_kernel,
+        kernel_spanned_by_canonical=(
+            top_cycle and tess.kernel_spanned_by_canonical),
+        ok=ok,
+        top_labels=tuple(top.label for top in tops),
+        stab_orders=tuple(orders),
+        kernel_vectors=tess.kernel_vectors,
+        canonical=tess.canonical if top_cycle else (),
+        row_certificates=certs,
+        details={"classes": len(cx.graph.nodes),
+                 "kept_tops": len(cx.kept_tops), **details})
 
 
 def verify_top_cycle(cx):
@@ -105,24 +118,11 @@ def verify_top_cycle(cx):
             f"group {cx.group_kind!r} does not preserve orientation "
             f"in rank {cx.n}")
     tess = check_rigidity(from_voronoi(cx))
-    tops = _kept_tops(cx)
-    return TheoremReport(
-        n=cx.n, group_kind=cx.group_kind, kernel_dim=tess.kernel_dim,
-        canonical_in_kernel=tess.canonical_in_kernel,
-        kernel_spanned_by_canonical=tess.kernel_spanned_by_canonical,
-        ok=tess.ok,
-        top_labels=tuple(top.label for top in tops),
-        stab_orders=tuple(top.stab_order for top in tops),
-        kernel_vectors=tess.kernel_vectors,
-        canonical=tess.canonical,
-        row_certificates=_row_certificates(cx),
-        details={
-            "classes": len(cx.graph.nodes),
-            "kept_tops": len(cx.kept_tops),
-            "wall_classes": len(cx.walls),
-            "kept_walls": len(cx.kept_walls),
-            "self_walls": sum(1 for w in cx.walls if w.kind == "self"),
-        })
+    return _report(cx, tess.ok, tess, True, {
+        "wall_classes": len(cx.walls),
+        "kept_walls": len(cx.kept_walls),
+        "self_walls": sum(1 for w in cx.walls if w.kind == "self"),
+    })
 
 
 def verify_gl_even_vanishing(cx):
@@ -132,41 +132,28 @@ def verify_gl_even_vanishing(cx):
     generator of its stabilizer reverses the orientation of the form
     space, read off the generator's transport there (the orientation
     sign being a character), and the root classes are never kept.  The
-    kernel is `boundary_kernel` of the complex's tessellation instance,
-    the solver behind `check_rigidity`.
+    kernel comes from `check_rigidity` of the complex's tessellation
+    instance, the one call the top-cycle branch makes too; here only its
+    dimension enters the verdict.
     """
     if is_orientation_preserving(cx.group_kind, cx.n):
         raise WrongGroupParity("vanishing applies to the full group "
                                "in even rank")
-    mech_ok = True
-    root_excluded = True
+    nodes = cx.graph.nodes
     kept = set(cx.kept_tops)
-    for i, node in enumerate(cx.graph.nodes):
-        preserving = all(ambient_orientation_sign(g, cx.n) == 1
-                         for g in node.generators)
-        if (i in kept) != preserving:
-            mech_ok = False
-        if root_label(node.form, node.minvecs, cx.n) is not None and \
-                i in kept:
-            root_excluded = False
-    _, kernel = boundary_kernel(from_voronoi(cx))
-    tops = _kept_tops(cx)
-    ok = len(kernel) == 0 and mech_ok and root_excluded
-    return TheoremReport(
-        n=cx.n, group_kind=cx.group_kind, kernel_dim=len(kernel),
-        canonical_in_kernel=False, kernel_spanned_by_canonical=False,
-        ok=ok,
-        top_labels=tuple(top.label for top in tops),
-        stab_orders=tuple(top.stab_order for top in tops),
-        kernel_vectors=tuple(kernel),
-        canonical=(),
-        row_certificates=(),
-        details={
-            "classes": len(cx.graph.nodes),
-            "kept_tops": len(cx.kept_tops),
-            "kept_iff_in_det_one": mech_ok,
-            "root_classes_excluded": root_excluded,
-        })
+    mech_ok = all(
+        (i in kept) == all(ambient_orientation_sign(g, cx.n) == 1
+                           for g in node.generators)
+        for i, node in enumerate(nodes))
+    root_excluded = all(
+        root_label(nodes[i].form, nodes[i].minvecs, cx.n) is None
+        for i in cx.kept_tops)
+    tess = check_rigidity(from_voronoi(cx))
+    ok = tess.kernel_dim == 0 and mech_ok and root_excluded
+    return _report(cx, ok, tess, False, {
+        "kept_iff_in_det_one": mech_ok,
+        "root_classes_excluded": root_excluded,
+    })
 
 
 def verify(cx):

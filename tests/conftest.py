@@ -483,8 +483,7 @@ def top_views(graph):
     return [_ParentView(vectors=node.minvecs.vectors,
                         generators=node.generators, basis=None,
                         faces=tuple(face_vectors(node.minvecs.vectors, f)
-                                    for f in node.facets),
-                        n=graph.n)
+                                    for f in node.facets))
             for node in graph.nodes]
 
 
@@ -496,7 +495,7 @@ def kept_wall_views(cx):
         faces = tuple(face_vectors(w.vectors, face)
                       for face in subcone_facets(w.vectors))
         views.append(_ParentView(vectors=w.vectors, generators=w.generators,
-                                 basis=w.basis, faces=faces, n=cx.n))
+                                 basis=w.basis, faces=faces))
     return views
 
 

@@ -54,7 +54,7 @@ def _node_view(graph, i):
     faces = tuple(face_vectors(node.minvecs.vectors, f) for f in node.facets)
     return _ParentView(vectors=node.minvecs.vectors,
                        generators=node.generators, basis=None,
-                       faces=faces, n=graph.n)
+                       faces=faces)
 
 
 def test_criterion_1_single_class_ranks_two_three():

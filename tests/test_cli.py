@@ -156,6 +156,21 @@ def test_tess_export_matches_verify(cache, capsys, tmp_path):
     assert "kernel_dim=1" in out
 
 
+@pytest.mark.parametrize("argv", (
+    ("gen-sector-fan", "5"),
+    ("export", "--n", "2", "--group", "sl")), ids=("gen-sector-fan",
+                                                   "export"))
+def test_tess_unwritable_out_exit_two(argv, capsys, tmp_path, monkeypatch):
+    # A file that cannot be written is a usage error, as an unreadable
+    # `tess check` input is: exit 2, never the crash code 4.
+    monkeypatch.setenv("VORCYCLE_CACHE", str(tmp_path / "cache"))
+    out_path = str(tmp_path / "missing" / "x.json")
+    code, out, err = run(capsys, "tess", *argv, "--out", out_path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno") and out_path in err
+
+
 def test_seed_perm_writes_separate_file_same_verdict(cache, capsys):
     code0, out0, _ = run(capsys, "verify", "--n", "3", "--group", "sl",
                          "--cache-dir", cache)

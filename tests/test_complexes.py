@@ -51,7 +51,7 @@ def _node_view(graph, i):
     faces = tuple(face_vectors(node.minvecs.vectors, f) for f in node.facets)
     return _ParentView(vectors=node.minvecs.vectors,
                        generators=node.generators, basis=None,
-                       faces=faces, n=graph.n)
+                       faces=faces)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -288,7 +288,7 @@ def test_rank_two_internal_cancellation_sign():
     rot = GroupElement.from_matrix([[0, 1], [-1, 0]])
     assert apply_to_cell(rot, HEX_CELL) == HEX_MIRROR
     view = _ParentView(vectors=HEX_CELL, generators=(), basis=None,
-                       faces=(DIAG_WALL,), n=2)
+                       faces=(DIAG_WALL,))
     basis = [sym_flatten(rank_one(v)) for v in DIAG_WALL]
     extra = next(v for v in HEX_CELL if v not in set(DIAG_WALL))
     if view.oriented_sign(basis + [sym_flatten(rank_one(extra))]) < 0:

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from conftest import brute_facets, cached_graph, random_unimodular
 from test_linalg import solve_in_span
 
+from vorcycle import cones
 from vorcycle.cones import (
     NotFullDim,
     _dd_dual_rays,
@@ -163,6 +164,25 @@ def test_subcone_facets_of_a_facet():
     face = face_vectors(mv.vectors, facets[0])
     # A 2-dimensional subcone has two extreme-ray facets.
     assert subcone_facets(face) == [frozenset({0}), frozenset({1})]
+
+
+def test_subcone_facets_refuse_a_dual_ray_that_is_no_facet(monkeypatch):
+    # A dual ray whose incident rays span less than a hyperplane is
+    # refused by subcone_facets, as by build_cone, never dropped.
+    mv, facets = domain_of(a_n_gram(3))
+    face = face_vectors(mv.vectors, facets[0])
+    real = cones._dd_dual_rays
+
+    def one_ray_too_few(rows, weights):
+        (y, active), *rest = real(rows, weights)
+        return [(y, frozenset(sorted(active)[1:]))] + rest
+
+    monkeypatch.setattr(cones, "_dd_dual_rays", one_ray_too_few)
+    for build, vectors in ((subcone_facets, face),
+                           (build_cone, mv.vectors)):
+        with pytest.raises(ValueError,
+                           match="dual ray does not describe a facet"):
+            build(vectors)
 
 
 def test_subcone_facets_match_full_cone_codim2():

@@ -279,6 +279,39 @@ def test_disconnected_walk_graph_is_refused(optimize):
     assert result.stdout == "walk graph is disconnected\n"
 
 
+# One non-representative member of a facet orbit gets a transporter
+# skewed by a shear outside the stabilizer, so its edge carries the
+# neighbour to the wrong side of the facet.
+_SKEWED = """
+from vorcycle import enumeration
+from vorcycle.forms import GroupElement
+real = enumeration.orbit_decompose
+shear = GroupElement.from_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+def skewed(keys, gens):
+    orbits = real(keys, gens)
+    rep_key, members = next(o for o in orbits if len(o[1]) > 1)
+    key = next(k for k in members if k != rep_key)
+    members[key] = shear * members[key]
+    return orbits
+enumeration.orbit_decompose = skewed
+try:
+    enumeration.enumerate_perfect_forms(3, "sl")
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_walk_refuses_an_edge_that_does_not_glue(optimize):
+    # The gluing test is no assert: under -O the walk refuses the
+    # skewed edge too.
+    result = run_python("-c", _SKEWED, optimize=optimize)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ("the crossing at facet 1 of node 0 does not "
+                             "glue it\n")
+
+
 @pytest.mark.parametrize("n, cones, crossings", ((4, 2, 3), (5, 3, 6)))
 @pytest.mark.parametrize("group", ("gl", "sl"))
 def test_one_walk_builds_and_crosses_each_domain_once(n, cones, crossings,
