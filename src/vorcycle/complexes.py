@@ -124,23 +124,32 @@ class VoronoiComplex(NamedTuple):
 
 
 class _ParentView:
-    """Per-parent data used for face grouping and sign evaluation."""
+    """Per-parent data used for face grouping and sign evaluation.
 
-    def __init__(self, vectors, generators, basis, faces, cell=""):
+    `known_orbits`, when given, are the stabilizer orbits that the
+    parent's facets were certified by, as (rep_key, {member_key:
+    transporter}); otherwise `orbits` decomposes the faces itself."""
+
+    def __init__(self, vectors, generators, basis, faces, cell="",
+                 known_orbits=None):
         self.cell = cell
         self.vectors = vectors
         self.generators = generators
         self.basis = basis
         self.faces = faces
+        self.known_orbits = known_orbits
         self.face_positions = {key: i for i, key in enumerate(faces)}
         self.dim = sym_dim(len(vectors[0])) if basis is None else len(basis)
         if basis is None:
             self.completion = ()
             self.ref_sign = 1
         else:
+            # An independent basis and its unit completion are a square
+            # matrix of full rank, so the reference sign is never 0.
             self.completion = tuple(unit_completion(basis))
+            if len(basis) + len(self.completion) != len(basis[0]):
+                raise WallNotGlued(f"the basis of {cell} is not independent")
             self.ref_sign = det_sign(list(basis) + list(self.completion))
-            assert self.ref_sign != 0
 
     @property
     def orbits(self):
@@ -150,11 +159,13 @@ class _ParentView:
         size weighs the sign at its representative.  Raises
         WallNotGlued when the stabilizer does not permute the faces, so
         they are not the cell's facets."""
-        try:
-            orbits = orbit_decompose(self.faces, self.generators)
-        except ValueError as exc:
-            raise WallNotGlued(f"the faces of {self.cell} are not its "
-                               f"facets: {exc}") from exc
+        orbits = self.known_orbits
+        if orbits is None:
+            try:
+                orbits = orbit_decompose(self.faces, self.generators)
+            except ValueError as exc:
+                raise WallNotGlued(f"the faces of {self.cell} are not its "
+                                   f"facets: {exc}") from exc
         return [(rep_key, members) for rep_key, members in orbits
                 if not meets_boundary(rep_key)]
 
@@ -294,10 +305,12 @@ def induced_sign(parent_view, child_basis, child_vectors, member_vectors,
     """The induced-orientation sign of one face against its parent.
 
     `transporter` carries the child representative onto the concrete
-    face; its pushed-forward basis plus any parent ray off the face
-    orients the parent span.
+    face (WallNotGlued otherwise); its pushed-forward basis plus any
+    parent ray off the face orients the parent span.
     """
-    assert apply_to_cell(transporter, child_vectors) == tuple(member_vectors)
+    if apply_to_cell(transporter, child_vectors) != tuple(member_vectors):
+        raise WallNotGlued(f"the transporter does not carry the face "
+                           f"class onto a face of {parent_view.cell}")
     moved = [transport_flat(transporter, b, n) for b in child_basis]
     member_set = set(member_vectors)
     extra = next(v for v in parent_view.vectors if v not in member_set)
@@ -334,7 +347,8 @@ def glue_complex(graph, seed_perm, kept_tops, walls, entries):
     glued = []
     for i, w in enumerate(walls):
         edge = graph.edges[w.parent][w.face_index]
-        if not glues(graph.nodes, w.parent, w.vectors, edge):
+        if not glues(graph.nodes[w.parent].minvecs.vectors, w.vectors,
+                     edge.witness, graph.nodes[edge.neighbor].minvecs.vectors):
             raise WallNotGlued(
                 f"walls[{i}] is not glued by the graph edge at node "
                 f"{w.parent}, facet {w.face_index}")
@@ -352,17 +366,45 @@ def glue_complex(graph, seed_perm, kept_tops, walls, entries):
                           kept_walls=kept_walls, differential=differential)
 
 
+def _keyed(faces, orbits, transporters):
+    """Facet `orbits` (indices, representative first) keyed by face, as
+    `_ParentView` reads them, with `transporters[k]` for facet k."""
+    return [(faces[orbit[0]], {faces[k]: transporters[k] for k in orbit})
+            for orbit in orbits]
+
+
+def _edge_transporters(row, orbits):
+    """Per facet k of a walk-built node with edges `row` and facet
+    `orbits`, witness_k * witness_rep^-1 with rep the representative of
+    k's orbit.  The walk gave member k the edge (j, s * w) for the
+    representative's (j, w), so this is s, the stabilizer element that
+    carries the representative facet onto facet k."""
+    out = [None] * len(row)
+    for orbit in orbits:
+        back = row[orbit[0]].witness.inverse()
+        for k in orbit:
+            out[k] = row[k].witness * back
+    return out
+
+
 def build_complex(graph, seed_perm=0):
-    """Top two degrees of the complex for an enumerated walk graph."""
+    """Top two degrees of the complex for an enumerated walk graph.
+
+    A node the walk built in this process keeps its facet orbits, and
+    its edges carry their transporters (`_edge_transporters`); a node
+    loaded from a cache has its facets decomposed here."""
     n = graph.n
     kept_tops = kept_top_nodes(graph)
-    views = [
-        _ParentView(vectors=node.minvecs.vectors,
-                    generators=node.generators, basis=None,
-                    faces=tuple(face_vectors(node.minvecs.vectors, f)
-                                for f in node.facets),
-                    cell=f"node {i}")
-        for i, node in enumerate(graph.nodes)]
+    views = []
+    for i, node in enumerate(graph.nodes):
+        faces = tuple(face_vectors(node.minvecs.vectors, f)
+                      for f in node.facets)
+        orbits = node.facets.orbits
+        views.append(_ParentView(
+            vectors=node.minvecs.vectors, generators=node.generators,
+            basis=None, faces=faces, cell=f"node {i}",
+            known_orbits=None if orbits is None else _keyed(
+                faces, orbits, _edge_transporters(graph.edges[i], orbits))))
     walls, _, entries = _build_level(views, kept_tops, n,
                                      graph.group_kind == "sl", seed_perm)
     return glue_complex(graph, seed_perm, kept_tops, walls, entries)
@@ -376,12 +418,12 @@ def build_codim2(cx):
     wall_views = []
     for i in cx.kept_walls:
         w = cx.walls[i]
-        face_keys = tuple(face_vectors(w.vectors, face)
-                          for face in subcone_facets(w.vectors))
-        wall_views.append(_ParentView(vectors=w.vectors,
-                                      generators=w.generators,
-                                      basis=w.basis, faces=face_keys,
-                                      cell=w.label))
+        facets = subcone_facets(w.vectors, w.generators)
+        faces = tuple(face_vectors(w.vectors, face) for face in facets)
+        wall_views.append(_ParentView(
+            vectors=w.vectors, generators=w.generators, basis=w.basis,
+            faces=faces, cell=w.label,
+            known_orbits=_keyed(faces, facets.orbits, facets.transporters)))
     mids, kept_mids, entries = _build_level(
         wall_views, range(len(wall_views)), n, det_one, cx.seed_perm)
     mids = tuple(m._replace(label=f"c{i}") for i, m in enumerate(mids))

@@ -7,7 +7,21 @@ list.  Facets are enumerated by the double description method run in
 exact integer arithmetic: the facet normals of cone(R) are the extreme
 rays of the dual cone {y : <y, r> >= 0 for all r in R}, built by
 inserting the inequalities one at a time starting from a simplicial
-subcone, with the rank-based adjacency test.
+subcone.  Two dual rays are adjacent when no third one is active on
+every input ray active on both; with on[i] the bitset of the dual rays
+active on input ray i, that is an AND of bitsets over their common
+active set (Fukuda and Prodon, "Double description method revisited",
+LNCS 1120, 1996).
+
+The result is certified, and up to symmetry: the caller passes
+generators of a group that should map the cone onto itself (the cell's
+stabilizer; none for the trivial group).  They must permute the rays
+and the candidate facets (`isometry.orbit_decompose` raises otherwise).
+A map that permutes the rays maps the cone onto itself, so it maps
+facets to facets and extreme rays to extreme rays; then one rank
+certificate per facet orbit and one per ray orbit cover every member.
+A non-facet among the candidates either breaks an orbit or lies in an
+orbit whose representative fails its certificate.
 
 A facet's normal is needed only where the walk crosses it, and
 `facet_normal` recovers it from the incident rays alone: a symmetric
@@ -19,6 +33,7 @@ the trace pairing.
 from operator import mul
 
 from .forms import rank_one
+from .isometry import orbit_decompose
 from .linalg import (
     independent_rows,
     kernel_basis,
@@ -39,7 +54,20 @@ class Facets(tuple):
     """The facets of a cone, each a frozenset of indices into its sorted
     vectors.  `facets` is the tuple itself, so a reader that takes a
     `build_cone` result as a record with a facet list (as
-    vorbench/tracing.py counts it) reads the same facets."""
+    vorbench/tracing.py counts it) reads the same facets.
+
+    `orbits` are the facet orbits under the generators the facets were
+    certified with, as tuples of facet indices with the representative
+    first, and `transporters[k]` carries the representative of facet
+    k's orbit onto facet k.  Either is None where it is not known or
+    not kept.
+    """
+
+    def __new__(cls, facets=(), orbits=None, transporters=None):
+        self = super().__new__(cls, facets)
+        self.orbits = orbits
+        self.transporters = transporters
+        return self
 
     @property
     def facets(self):
@@ -66,9 +94,9 @@ def _dd_dual_rays(rows, weights):
 
     Active sets are kept as bitmasks, adjacency is the combinatorial
     test (no third extreme ray's active set contains the common one;
-    exact for pointed cones), and constraints are inserted cutting off
-    as few rays as possible, which keeps the intermediate ray counts
-    down on the larger domains.
+    exact for pointed cones) run on incidence bitsets, and constraints
+    are inserted cutting off as few rays as possible, which keeps the
+    intermediate ray counts down on the larger domains.
     """
     dim = len(rows[0])
     count = len(rows)
@@ -110,7 +138,16 @@ def _dd_dual_rays(rows, weights):
         pos = [t for t, v in enumerate(vals) if v > 0]
         zero = [t for t, v in enumerate(vals) if v == 0]
         neg = [t for t, v in enumerate(vals) if v < 0]
-        masks = [act for _, act in duals]
+        # on[i]: the dual rays active on input ray i.  The rays whose
+        # active sets contain p's and q's common one are the AND of
+        # on[i] over it; p and q are adjacent when that is {p, q}.
+        on = [0] * count
+        for t, (_, act) in enumerate(duals):
+            while act:
+                low = act & -act
+                on[low.bit_length() - 1] |= 1 << t
+                act ^= low
+        everything = (1 << len(duals)) - 1
         new = []
         for p in pos:
             yp, ap = duals[p]
@@ -119,8 +156,13 @@ def _dd_dual_rays(rows, weights):
                 common = ap & aq
                 if common.bit_count() < dim - 2:
                     continue
-                if any(t != p and t != q and common & masks[t] == common
-                       for t in range(len(masks))):
+                pair = (1 << p) | (1 << q)
+                meet, rest = everything, common
+                while rest and meet != pair:
+                    low = rest & -rest
+                    meet &= on[low.bit_length() - 1]
+                    rest ^= low
+                if meet != pair:
                     continue
                 combo = tuple(vals[p] * b - vals[q] * a
                               for a, b in zip(yp, yq))
@@ -138,20 +180,45 @@ def _dd_dual_rays(rows, weights):
     return sorted(out.items(), key=lambda item: (tuple(sorted(item[1])), item[0]))
 
 
-def _certify_facets(duals, rays, dim):
-    """Refuse a dual ray that is no facet of the cone of `rays` (in
-    dimension `dim`).  A nonzero y pairs to zero with each of its
-    incident rays, so they span at most a hyperplane; the certificate
-    is that they span one."""
-    for y, active in duals:
+def _orbits(keys, generators):
+    """The orbits of `keys` under `generators`, as tuples of indices
+    into `keys` with the representative first, and per key the
+    transporter from its orbit's representative."""
+    position = {key: k for k, key in enumerate(keys)}
+    orbits, transporters = [], [None] * len(keys)
+    for _, members in orbit_decompose(keys, generators):
+        orbits.append(tuple(position[key] for key in members))
+        for key, s in members.items():
+            transporters[position[key]] = s
+    return tuple(orbits), tuple(transporters)
+
+
+def _certified(vectors, rays, duals, dim, generators):
+    """The facets of the cone of `rays` (one per sorted vector, in
+    dimension `dim`) that the dual rays `duals` describe, certified per
+    orbit of `generators`, and the ray orbits.
+
+    The generators must permute the rays and the facets (ValueError
+    otherwise).  A nonzero y pairs to zero with each of its incident
+    rays, so they span at most a hyperplane; the certificate, at each
+    orbit's representative, is that they span one.
+    """
+    ray_orbits, _ = _orbits([(v,) for v in vectors], generators)
+    facets = [active for _, active in duals]
+    orbits, transporters = _orbits(
+        [face_vectors(vectors, f) for f in facets], generators)
+    for orbit in orbits:
+        y, active = duals[orbit[0]]
         if not any(y) or mat_rank([rays[i] for i in active],
                                   stop=dim - 1) < dim - 1:
             raise ValueError("dual ray does not describe a facet")
+    return Facets(facets, orbits, transporters), ray_orbits
 
 
-def build_cone(vectors):
+def build_cone(vectors, generators=()):
     """The facets of the cone spanned by the rank-one matrices of
-    `vectors`, as index sets into the sorted vectors.
+    `vectors`, as index sets into the sorted vectors, with their orbits
+    under `generators` (see `Facets`).
 
     Verifies full dimensionality (NotFullDim otherwise), pointedness,
     and that every listed ray is extreme.
@@ -166,16 +233,18 @@ def build_cone(vectors):
             f"dimension-{dim} form space")
     weights = [pairing_weights(f, n) for f in ray_flats]
     duals = _dd_dual_rays(ray_flats, weights)
-    _certify_facets(duals, ray_flats, dim)
+    facets, ray_orbits = _certified(vectors, ray_flats, duals, dim,
+                                    generators)
     # Every listed ray must be extreme: the normals of the facets
     # through it span a hyperplane (at most one, as they vanish on the
     # ray).  Pointedness holds because the identity matrix pairs strictly
     # positively with every rank-one ray.
-    for i in range(len(vectors)):
+    for orbit in ray_orbits:
+        i = orbit[0]
         active_normals = [y for y, active in duals if i in active]
         if mat_rank(active_normals, stop=dim - 1) < dim - 1:
             raise ValueError(f"listed ray {i} is not extreme")
-    return Facets(active for _, active in duals)
+    return facets
 
 
 def facet_normal(vectors, facet):
@@ -200,20 +269,21 @@ def facet_normal(vectors, facet):
     raise ValueError("the rays do not describe a facet of the cone")
 
 
-def subcone_facets(vectors):
+def subcone_facets(vectors, generators=()):
     """Facets of the cone of `vectors` inside its own linear span.
 
     Used for faces of positive codimension: the rays are written in
     coordinates of a basis of their span and the double description is
-    run there.  Returns the facets as sets of incident ray indices,
-    certified as `build_cone` certifies them.
+    run there.  Returns the facets as sets of incident ray indices, with
+    their orbits under `generators`, certified as `build_cone`
+    certifies its facets.
     """
     vectors = tuple(sorted(vectors))
     flats = [sym_flatten(rank_one(v)) for v in vectors]
     basis = [flats[i] for i in independent_rows(flats, ())]
     dim = len(basis)
     if dim == 1:
-        return []
+        return Facets((), (), ())
     # Local coordinates: with the basis as columns, then the flats, the
     # kernel has the vector (-coords_i, e_i), up to scale, for its free
     # column dim + i.
@@ -225,8 +295,7 @@ def subcone_facets(vectors):
         local.append(primitive(tuple(scale * x for x in vec[:dim])))
     # In local coordinates the pairing is the plain dot product.
     duals = _dd_dual_rays(local, local)
-    _certify_facets(duals, local, dim)
-    return [active for _, active in duals]
+    return _certified(vectors, local, duals, dim, generators)[0]
 
 
 def faces_of_codim(vectors, facets, k):

@@ -8,7 +8,13 @@ equivalence until no frontier remains.  Connectivity of the resulting
 graph makes this traversal a complete enumeration.  Each crossing is
 kept with the witness that matched its neighbour to a class, and the
 stabilizer transporters replicate it to every facet, so this one walk
-yields the final graph with one certified edge per facet.
+yields the final graph with one edge per facet.  The facet orbits are
+those `cones.build_cone` certified the facets by, and each node keeps
+them for the complex build.  An edge is certified per orbit: the
+representative's edge glues its facet (`glues`), and each member's edge
+is the representative's moved by its transporter, which must be an
+automorphism of the form that carries the representative facet onto the
+member's.
 
 The crossing itself walks the pencil  h_t = h + t * N  where N is the
 inward primitive facet normal, recovered from the facet's minimal
@@ -40,7 +46,13 @@ met by the walk as two classes, like any other pair; no class of ranks
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cones import build_cone, face_vectors, facet_normal, meets_boundary
+from .cones import (
+    Facets,
+    build_cone,
+    face_vectors,
+    facet_normal,
+    meets_boundary,
+)
 from .forms import (
     GroupElement,
     MinVecSet,
@@ -48,13 +60,14 @@ from .forms import (
     a_n_gram,
     apply_to_cell,
     bilinear,
+    canonical_pair,
     d_n_gram,
     is_perfect,
     is_positive_definite,
     minimum_and_minimal_vectors,
     short_vectors,
 )
-from .isometry import form_group, form_invariant, form_maps, orbit_decompose
+from .isometry import form_group, form_invariant, form_maps
 
 
 class BoundaryFacet(ValueError):
@@ -80,7 +93,7 @@ class PerfectFormRep(NamedTuple):
 
     form: QForm
     minvecs: MinVecSet
-    facets: tuple           # frozensets of indices into minvecs.vectors
+    facets: Facets          # frozensets of indices into minvecs.vectors
     generators: tuple       # generates the stabilizer in the chosen group kind
     stab_order: int
     label: str
@@ -100,12 +113,30 @@ class VoronoiGraph(NamedTuple):
     edges: tuple            # edges[i][f]: the Edge across facet f of node i
 
 
-def glues(nodes, i, face, edge):
-    """Whether `edge` glues the facet of node i with vectors `face`: it
-    carries its neighbour's minimal vectors onto vectors that meet node
-    i's exactly in the facet."""
-    far = apply_to_cell(edge.witness, nodes[edge.neighbor].minvecs.vectors)
-    return set(nodes[i].minvecs.vectors).intersection(far) == set(face)
+def glues(vectors, face, witness, far):
+    """Whether `witness` glues the cell of minimal vectors `vectors`
+    across its facet `face` to the cell of minimal vectors `far`: it
+    carries `far` onto vectors that meet `vectors` exactly in the
+    facet."""
+    return set(vectors).intersection(apply_to_cell(witness, far)) == \
+        set(face)
+
+
+def _moves_facet(s, form, index, face, off, image):
+    """Whether s is an automorphism of `form` that carries the certified
+    facet with vectors `face` of its domain onto the facet `image`
+    (indices of minimal vectors; `index` maps each minimal vector to
+    its index); s then carries an edge that glues `face` to one that
+    glues `image`.
+
+    Once s carries the facet's vectors onto minimal vectors, s^t Q s - Q
+    pairs to zero with their rank-one matrices, which span the facet's
+    hyperplane (its rank certificate), so it is a multiple of the facet
+    normal.  The normal is nonzero at `off`, a minimal vector off the
+    facet, so the multiple is zero, and s an automorphism, exactly when
+    s keeps the value at `off`."""
+    return ({index.get(canonical_pair(s.apply(v))) for v in face} == image
+            and form.evaluate(s.apply(off)) == form.evaluate(off))
 
 
 def neighbor_form(form, minvecs, facet):
@@ -218,16 +249,15 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
     met = [(start, start_mv, form_invariant(start.gram, start_mv.vectors))]
     nodes, edges = [], []
     for i, (form, mv, _) in enumerate(met):
-        facets = build_cone(mv.vectors)
         gens, order = form_group(form, mv.vectors, det_one)
-        position = {face_vectors(mv.vectors, f): k
-                    for k, f in enumerate(facets)}
-        orbits = orbit_decompose(list(position), gens)
+        facets = build_cone(mv.vectors, gens)
+        orbits = facets.orbits
         if traversal == "reversed":
-            orbits.reverse()
+            orbits = orbits[::-1]
         row = [None] * len(facets)
-        for rep_key, members in orbits:
-            nb = neighbor_form(form, mv, facets[position[rep_key]])
+        index = {v: k for k, v in enumerate(mv.vectors)}
+        for orbit in orbits:
+            nb = neighbor_form(form, mv, facets[orbit[0]])
             nb_mv = minimum_and_minimal_vectors(nb)
             inv = form_invariant(nb.gram, nb_mv.vectors)
             for j, (other, other_mv, other_inv) in enumerate(met):
@@ -240,19 +270,24 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
             else:
                 met.append((nb, nb_mv, inv))
                 j, w = len(met) - 1, GroupElement.identity(n)
-            for key, s in members.items():
-                row[position[key]] = Edge(neighbor=j, witness=s * w)
+            # The edge glues the representative; each member's is the
+            # representative's moved by its transporter.
+            rep_face = face_vectors(mv.vectors, facets[orbit[0]])
+            off = next(v for v in mv.vectors if v not in rep_face)
+            glued = glues(mv.vectors, rep_face, w, met[j][1].vectors)
+            for k in orbit:
+                s = facets.transporters[k]
+                if not (glued and _moves_facet(s, form, index, rep_face, off,
+                                               facets[k])):
+                    raise RuntimeError(f"the crossing at facet {k} of node "
+                                       f"{i} does not glue it")
+                row[k] = Edge(neighbor=j, witness=s * w)
+        # The node keeps the orbits; its edges carry the transporters.
         nodes.append(PerfectFormRep(
-            form, mv, facets, gens, order,
+            form, mv, Facets(facets, facets.orbits), gens, order,
             label=root_label(form, mv, n) or f"P{n}.{i}"))
         edges.append(tuple(row))
 
-    for i, (node, row) in enumerate(zip(nodes, edges)):
-        for k, edge in enumerate(row):
-            if not glues(nodes, i, face_vectors(node.minvecs.vectors,
-                                                node.facets[k]), edge):
-                raise RuntimeError(f"the crossing at facet {k} of node {i} "
-                                   f"does not glue it")
     graph = VoronoiGraph(n=n, group_kind=group_kind, nodes=tuple(nodes),
                          edges=tuple(edges))
     _check_connected(graph)

@@ -37,7 +37,7 @@ import json
 import os
 import tempfile
 from .complexes import WallNotGlued, glue_complex, kept_top_nodes, wall_record
-from .cones import face_vectors, meets_boundary
+from .cones import Facets, face_vectors, meets_boundary
 from .enumeration import GROUP_KINDS, Edge, PerfectFormRep, VoronoiGraph
 from .forms import (
     GroupElement,
@@ -268,7 +268,7 @@ def graph_from_payload(payload, source="<payload>"):
         gens, order = form_group(form, mv.vectors, det_one=group == "sl")
         edges.append(tuple(node_edges))
         nodes.append(PerfectFormRep(
-            form=form, minvecs=mv, facets=tuple(facets), generators=gens,
+            form=form, minvecs=mv, facets=Facets(facets), generators=gens,
             stab_order=order, label=rd.get(rec, path, "label", str)))
     return VoronoiGraph(n=n, group_kind=group, nodes=tuple(nodes),
                         edges=tuple(edges))

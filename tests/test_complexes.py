@@ -10,11 +10,13 @@ from conftest import (
     pair_swap_elements,
     random_unimodular,
     reference_incidences,
+    run_python,
     top_views,
     transport_sign,
 )
 
-from vorcycle import complexes
+from vorcycle import complexes, cones
+from vorcycle.cli import main
 from vorcycle.complexes import (
     Differential,
     _ParentView,
@@ -27,6 +29,7 @@ from vorcycle.complexes import (
     transport_flat,
 )
 from vorcycle.cones import build_cone, face_vectors, meets_boundary
+from vorcycle.enumeration import enumerate_perfect_forms
 from vorcycle.forms import (
     GroupElement,
     QForm,
@@ -459,3 +462,69 @@ def test_every_cell_has_nonself_wall_when_several_classes(graph_sl4,
         for i in range(len(graph.nodes)):
             assert any(e.neighbor != i for e in graph.edges[i])
 
+
+
+def test_each_node_is_decomposed_once_and_a_warm_verify_none(monkeypatch,
+                                                              tmp_path,
+                                                              capsys):
+    # The walk decomposes each node's facets once (in build_cone, with
+    # its rays) and the complex build reuses those orbits; a warm
+    # verify reads the caches and decomposes nothing (without
+    # --check-dd, which builds the codim-2 level from the walls).
+    inputs = []
+    real = complexes.orbit_decompose
+
+    def counted(keys, generators):
+        inputs.append(tuple(keys))
+        return real(keys, generators)
+
+    monkeypatch.setattr(complexes, "orbit_decompose", counted)
+    monkeypatch.setattr(cones, "orbit_decompose", counted)
+    graph = enumerate_perfect_forms(5, "sl")
+    build_complex(graph)
+    facet_lists = [tuple(face_vectors(node.minvecs.vectors, f)
+                         for f in node.facets) for node in graph.nodes]
+    assert [inputs.count(keys) for keys in facet_lists] == [1, 1, 1]
+    assert len(inputs) == 2 * len(graph.nodes)
+    args = ["verify", "--n", "4", "--group", "sl",
+            "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    inputs.clear()
+    assert main(args) == 0
+    assert inputs == []
+    assert capsys.readouterr().out.count("verified") == 2
+
+
+# A transporter that does not carry the face class onto the face, and a
+# wall basis that is not independent: both refused, also under -O.
+_WRONG_TRANSPORT = """
+from vorcycle.complexes import WallNotGlued, _ParentView, induced_sign
+from vorcycle.forms import GroupElement, rank_one
+from vorcycle.linalg import sym_flatten
+cell = ((0, 1), (1, -1), (1, 0))
+wall = ((0, 1), (1, 0))
+view = _ParentView(vectors=cell, generators=(), basis=None, faces=(wall,),
+                   cell="node 0")
+basis = [sym_flatten(rank_one(v)) for v in wall]
+shear = GroupElement.from_matrix([[1, 1], [0, 1]])
+try:
+    induced_sign(view, basis, wall, wall, shear, 2)
+except WallNotGlued as exc:
+    print(exc)
+try:
+    _ParentView(vectors=wall, generators=(), basis=(basis[0], basis[0]),
+                faces=(), cell="w0")
+except WallNotGlued as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_a_wrong_transporter_is_refused(optimize):
+    result = run_python("-c", _WRONG_TRANSPORT, optimize=optimize)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "the transporter does not carry the face class onto a face of "
+        "node 0\n"
+        "the basis of w0 is not independent\n")

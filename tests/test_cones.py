@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from vorcycle.cones import (
     subcone_facets,
 )
 from vorcycle.forms import (
+    GroupElement,
     QForm,
     a_n_gram,
     apply_to_cell,
@@ -27,9 +30,11 @@ from vorcycle.forms import (
     minimum_and_minimal_vectors,
     rank_one,
 )
+from vorcycle.isometry import cell_group, form_group, orbit_decompose
 from vorcycle.linalg import (
     clear_denominators,
     det_int,
+    kernel_basis,
     mat_rank,
     pairing_weights,
     primitive,
@@ -163,7 +168,7 @@ def test_subcone_facets_of_a_facet():
     mv, facets = domain_of(HEXAGONAL)
     face = face_vectors(mv.vectors, facets[0])
     # A 2-dimensional subcone has two extreme-ray facets.
-    assert subcone_facets(face) == [frozenset({0}), frozenset({1})]
+    assert list(subcone_facets(face)) == [frozenset({0}), frozenset({1})]
 
 
 def test_subcone_facets_refuse_a_dual_ray_that_is_no_facet(monkeypatch):
@@ -194,6 +199,163 @@ def test_subcone_facets_match_full_cone_codim2():
     for s in sub:
         global_idx = frozenset(mv.vectors.index(face_vecs[i]) for i in s)
         assert global_idx in codim2
+
+
+def brute_dual_rays(rows):
+    """Reference: the extreme rays of {y : dot(r, y) >= 0 for all r in
+    rows}, each the kernel line of dim - 1 independent rows, oriented
+    to pair nonnegatively with every row, with its zero set."""
+    dim = len(rows[0])
+    found = {}
+    for sub in itertools.combinations(rows, dim - 1):
+        if mat_rank(sub) != dim - 1:
+            continue
+        (y,) = kernel_basis(list(sub))
+        for z in (y, tuple(-t for t in y)):
+            vals = [sum(a * b for a, b in zip(r, z)) for r in rows]
+            if all(v >= 0 for v in vals):
+                found[z] = frozenset(i for i, v in enumerate(vals) if v == 0)
+    return found
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_adjacency_test_matches_brute_force_on_degenerate_cones(seed):
+    # Small entries make many intermediate cones degenerate, so some
+    # pairs share dim - 2 active rays without being adjacent: the
+    # bitset test must drop them, or non-extreme rays survive.
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 40:
+        dim = rng.choice((4, 5))
+        rows = sorted({tuple(rng.randint(-1, 2) for _ in range(dim))
+                       for _ in range(rng.randint(dim + 1, dim + 5))})
+        rows = [r for r in rows if any(r)]
+        if mat_rank(rows) < dim:
+            continue
+        checked += 1
+        assert dict(_dd_dual_rays(rows, rows)) == brute_dual_rays(rows)
+
+
+def symmetric_cases():
+    """(build, vectors, generators): the A4 domain with its stabilizer,
+    and a facet of D4 with the facet's stabilizer."""
+    form = QForm.from_matrix(a_n_gram(4))
+    mv = minimum_and_minimal_vectors(form)
+    d4_mv, d4_facets = domain_of(d_n_gram(4))
+    face = face_vectors(d4_mv.vectors, d4_facets[0])
+    return [(build_cone, mv.vectors, form_group(form, mv.vectors)[0]),
+            (subcone_facets, face, cell_group(face)[0])]
+
+
+SYMMETRIC_IDS = ("build_cone", "subcone_facets")
+
+
+def face_orbit(vectors, duals, generators):
+    """The orbit of the face where facets 0 and 1 of `duals` meet, as
+    dual rays (y, active) with y the sum of two facet normals, so y
+    vanishes exactly on the face.  g carries the face of facets a and b
+    to the face of facets g.a and g.b."""
+    vectors = tuple(sorted(vectors))
+    keys = [face_vectors(vectors, active) for _, active in duals]
+    position = {key: i for i, key in enumerate(keys)}
+    pairs = [(0, 1)]
+    for a, b in pairs:
+        for g in generators:
+            image = tuple(sorted(position[apply_to_cell(g, keys[k])]
+                                 for k in (a, b)))
+            if image not in pairs:
+                pairs.append(image)
+    faces = {}
+    for a, b in pairs:
+        y = tuple(p + q for p, q in zip(duals[a][0], duals[b][0]))
+        faces.setdefault(duals[a][1] & duals[b][1], y)
+    return [(y, active) for active, y in faces.items()]
+
+
+@pytest.mark.parametrize("case", range(2), ids=SYMMETRIC_IDS)
+def test_symmetric_cone_matches_the_trivial_group(case):
+    # The stabilizer changes only how the facets are certified: the
+    # facet list is the same, its orbits partition it, and each
+    # transporter carries its orbit's representative onto the member.
+    build, vectors, gens = symmetric_cases()[case]
+    vectors = tuple(sorted(vectors))
+    facets = build(vectors, gens)
+    assert list(facets) == list(build(vectors))
+    assert len(facets.orbits) < len(facets)
+    assert sorted(k for orbit in facets.orbits for k in orbit) == \
+        list(range(len(facets)))
+    for orbit in facets.orbits:
+        rep = face_vectors(vectors, facets[orbit[0]])
+        for k in orbit:
+            assert apply_to_cell(facets.transporters[k], rep) == \
+                face_vectors(vectors, facets[k])
+    assert build(vectors).orbits == tuple((k,) for k in range(len(facets)))
+
+
+def test_build_cone_certifies_one_facet_and_one_ray_per_orbit(monkeypatch):
+    # One rank for full dimensionality, then one per facet orbit and one
+    # per ray orbit; with the trivial group, one per facet and per ray.
+    build, vectors, gens = symmetric_cases()[0]
+    calls = []
+    real = cones.mat_rank
+    monkeypatch.setattr(cones, "mat_rank",
+                        lambda *args, **kwargs: calls.append(1) or
+                        real(*args, **kwargs))
+    facets = build_cone(vectors, gens)
+    ray_orbits = orbit_decompose([(v,) for v in vectors], gens)
+    assert len(calls) == 1 + len(facets.orbits) + len(ray_orbits)
+    assert len(ray_orbits) == 1
+    calls.clear()
+    assert build_cone(vectors) == facets
+    assert len(calls) == 1 + len(facets) + len(vectors)
+
+
+@pytest.mark.parametrize("case", range(2), ids=SYMMETRIC_IDS)
+def test_a_non_facet_orbit_is_refused_at_its_representative(case,
+                                                            monkeypatch):
+    # The whole orbit of a face that is no facet joins the candidates:
+    # the group permutes them, and the orbit's representative fails its
+    # rank certificate.
+    build, vectors, gens = symmetric_cases()[case]
+    real = cones._dd_dual_rays
+
+    def with_face_orbit(rows, weights):
+        duals = real(rows, weights)
+        orbit = face_orbit(vectors, duals, gens)
+        assert len(orbit) > 1
+        return duals + orbit
+
+    monkeypatch.setattr(cones, "_dd_dual_rays", with_face_orbit)
+    with pytest.raises(ValueError, match="dual ray does not describe a facet"):
+        build(vectors, gens)
+
+
+@pytest.mark.parametrize("case", range(2), ids=SYMMETRIC_IDS)
+def test_a_non_facet_that_breaks_an_orbit_is_refused(case, monkeypatch):
+    # One member of that orbit alone: the group moves it out of the
+    # candidates, so the orbit decomposition refuses them.
+    build, vectors, gens = symmetric_cases()[case]
+    real = cones._dd_dual_rays
+
+    def with_one_face(rows, weights):
+        duals = real(rows, weights)
+        return duals + face_orbit(vectors, duals, gens)[:1]
+
+    monkeypatch.setattr(cones, "_dd_dual_rays", with_one_face)
+    with pytest.raises(ValueError, match="group does not permute the keys"):
+        build(vectors, gens)
+
+
+@pytest.mark.parametrize("case", range(2), ids=SYMMETRIC_IDS)
+def test_a_generator_that_does_not_permute_the_rays_is_refused(case):
+    build, vectors, gens = symmetric_cases()[case]
+    n = len(vectors[0])
+    shear = GroupElement.from_matrix(
+        [[int(i == j or (i, j) == (0, 1)) for j in range(n)]
+         for i in range(n)])
+    assert {canonical_pair(shear.apply(v)) for v in vectors} != set(vectors)
+    with pytest.raises(ValueError, match="group does not permute the keys"):
+        build(vectors, tuple(gens) + (shear,))
 
 
 def fraction_inverse(rows):
@@ -273,7 +435,7 @@ def test_subcone_facets_match_fraction_coordinates_random(vectors):
     # Arbitrary rays give local coordinates of both signs, so a wrong
     # orientation of the kernel vectors changes the facets.
     vectors = {canonical_pair(v) for v in vectors}
-    assert subcone_facets(vectors) == reference_subcone_facets(vectors)
+    assert list(subcone_facets(vectors)) == reference_subcone_facets(vectors)
 
 
 @pytest.mark.parametrize("gram", (a_n_gram(4), d_n_gram(4)))
@@ -281,7 +443,8 @@ def test_subcone_facets_match_fraction_coordinates(gram):
     mv, facets = domain_of(gram)
     for facet in facets[:12]:
         face = face_vectors(mv.vectors, facet)
-        assert subcone_facets(face) == reference_subcone_facets(face)
+        assert list(subcone_facets(face)) == reference_subcone_facets(face)
         for sub in subcone_facets(face)[:3]:
             ridge = tuple(face[i] for i in sub)
-            assert subcone_facets(ridge) == reference_subcone_facets(ridge)
+            assert list(subcone_facets(ridge)) == \
+                reference_subcone_facets(ridge)

@@ -279,13 +279,14 @@ def test_disconnected_walk_graph_is_refused(optimize):
     assert result.stdout == "walk graph is disconnected\n"
 
 
-# One non-representative member of a facet orbit gets a transporter
-# skewed by a shear outside the stabilizer, so its edge carries the
-# neighbour to the wrong side of the facet.
+# One non-representative member of each orbit decomposition
+# `build_cone` makes gets a transporter skewed by a shear outside the
+# stabilizer, so the member facet's edge carries the neighbour to the
+# wrong side of the facet.
 _SKEWED = """
-from vorcycle import enumeration
+from vorcycle import cones, enumeration
 from vorcycle.forms import GroupElement
-real = enumeration.orbit_decompose
+real = cones.orbit_decompose
 shear = GroupElement.from_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
 def skewed(keys, gens):
     orbits = real(keys, gens)
@@ -293,7 +294,7 @@ def skewed(keys, gens):
     key = next(k for k in members if k != rep_key)
     members[key] = shear * members[key]
     return orbits
-enumeration.orbit_decompose = skewed
+cones.orbit_decompose = skewed
 try:
     enumeration.enumerate_perfect_forms(3, "sl")
 except RuntimeError as exc:
@@ -307,6 +308,48 @@ def test_walk_refuses_an_edge_that_does_not_glue(optimize):
     # The gluing test is no assert: under -O the walk refuses the
     # skewed edge too.
     result = run_python("-c", _SKEWED, optimize=optimize)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ("the crossing at facet 1 of node 0 does not "
+                             "glue it\n")
+
+
+# One non-representative member of a facet orbit gets a transporter
+# that passes one half of the walk's transport check and fails the
+# other: the identity (an automorphism of the form that leaves the
+# representative facet where it is), or the member's transporter times
+# a symmetry of the member facet that is no automorphism of the form.
+_MISDIRECTED = """
+import sys
+from vorcycle import cones, enumeration
+from vorcycle.forms import GroupElement, QForm, a_n_gram
+from vorcycle.isometry import cell_group
+from vorcycle.linalg import mat_mul, mat_transpose
+real = cones.orbit_decompose
+gram = QForm.from_matrix(a_n_gram(3)).gram
+def misdirected(keys, gens):
+    orbits = real(keys, gens)
+    if len(keys[0]) > 1:
+        rep_key, members = next(o for o in orbits if len(o[1]) > 1)
+        key = next(k for k in members if k != rep_key)
+        if sys.argv[1] == "identity":
+            members[key] = GroupElement.identity(3)
+        else:
+            h = next(h for h in cell_group(key, det_one=True)[0]
+                     if mat_mul(mat_mul(mat_transpose(h.rows), gram),
+                                h.rows) != gram)
+            members[key] = h * members[key]
+    return orbits
+cones.orbit_decompose = misdirected
+try:
+    enumeration.enumerate_perfect_forms(3, "sl")
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("transporter", ("identity", "facet-symmetry"))
+def test_walk_refuses_a_transporter_off_the_member(transporter):
+    result = run_python("-c", _MISDIRECTED, transporter)
     assert result.returncode == 0, result.stderr
     assert result.stdout == ("the crossing at facet 1 of node 0 does not "
                              "glue it\n")
