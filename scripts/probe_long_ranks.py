@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Long-haul probe for ranks 6 and 7 (no runtime guarantee).
 
-A cold rank-6 `verify --check-dd` took about 19 s in each group on a
-2-vCPU machine (`BENCH_orbits.json`); rank 7 (33 classes, large
+A cold rank-6 `verify --check-dd` took about 12-15 s in each group on
+a 2-vCPU machine (`BENCH_orbit_record.json`); rank 7 (33 classes, large
 stabilizers) is a stretch target and may run for a very long time.
 Nothing is printed while the enumeration runs: once it ends, one line
 per class (with its count of facets), then the wall classes and the

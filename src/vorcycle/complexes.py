@@ -73,7 +73,7 @@ class CellOrbitRec(NamedTuple):
     vectors: tuple           # canonical vector pairs of the representative
     parent: int              # index of the containing cell one level up
     face_index: int          # which face of the parent the rep is
-    members: tuple           # (parent_index, face_index, vectors) per member
+    members: tuple           # (parent_index, face_index) per member
     generators: tuple        # generate the stabilizer in the chosen group
     stab_order: int
     basis: tuple             # oriented basis of the span
@@ -124,21 +124,20 @@ class VoronoiComplex(NamedTuple):
 
 
 class _ParentView:
-    """Per-parent data used for face grouping and sign evaluation.
+    """One parent cell as `_build_level` reads it: its vectors, its
+    faces (`faces[k]` the sorted vectors of face k), their stabilizer
+    orbits (face indices, representative first), and
+    `transporter(rep, k)`, which carries face `rep` onto face k of its
+    orbit.  `basis` orients its span (None for a top cell)."""
 
-    `known_orbits`, when given, are the stabilizer orbits that the
-    parent's facets were certified by, as (rep_key, {member_key:
-    transporter}); otherwise `orbits` decomposes the faces itself."""
-
-    def __init__(self, vectors, generators, basis, faces, cell="",
-                 known_orbits=None):
+    def __init__(self, vectors, basis, faces=(), orbits=(), transporter=None,
+                 cell=""):
         self.cell = cell
         self.vectors = vectors
-        self.generators = generators
         self.basis = basis
         self.faces = faces
-        self.known_orbits = known_orbits
-        self.face_positions = {key: i for i, key in enumerate(faces)}
+        self.orbits = orbits
+        self.transporter = transporter
         self.dim = sym_dim(len(vectors[0])) if basis is None else len(basis)
         if basis is None:
             self.completion = ()
@@ -150,24 +149,6 @@ class _ParentView:
             if len(basis) + len(self.completion) != len(basis[0]):
                 raise WallNotGlued(f"the basis of {cell} is not independent")
             self.ref_sign = det_sign(list(basis) + list(self.completion))
-
-    @property
-    def orbits(self):
-        """(rep_key, {member_key: transporter}) per stabilizer orbit of
-        the faces whose interiors avoid the boundary.  `_build_level`
-        reads them once: each orbit is matched to its class, and its
-        size weighs the sign at its representative.  Raises
-        WallNotGlued when the stabilizer does not permute the faces, so
-        they are not the cell's facets."""
-        orbits = self.known_orbits
-        if orbits is None:
-            try:
-                orbits = orbit_decompose(self.faces, self.generators)
-            except ValueError as exc:
-                raise WallNotGlued(f"the faces of {self.cell} are not its "
-                                   f"facets: {exc}") from exc
-        return [(rep_key, members) for rep_key, members in orbits
-                if not meets_boundary(rep_key)]
 
     def oriented_sign(self, rows):
         """Orientation of `rows` (inside the parent span) vs the parent."""
@@ -215,15 +196,15 @@ def class_record(view, parent, face_index, vectors, members, det_one):
 
 
 def wall_record(graph, members, seed_perm):
-    """The wall class whose (parent, face, vectors) members are
-    `members`, sorted as `_build_level` sorts them, as `build_complex`
-    derives it: its representative is the member that the seed
-    permutation picks."""
-    parent, face, vectors = members[seed_perm % len(members)]
-    view = _ParentView(vectors=graph.nodes[parent].minvecs.vectors,
-                       generators=(), basis=None, faces=())
-    return class_record(view, parent, face, vectors, members,
-                        graph.group_kind == "sl")
+    """The wall class whose (parent, face) members are `members`,
+    sorted as `_build_level` sorts them, as `build_complex` derives it:
+    its representative is the member that the seed permutation picks."""
+    parent, face = members[seed_perm % len(members)]
+    node = graph.nodes[parent]
+    return class_record(_ParentView(node.minvecs.vectors, None), parent,
+                        face, face_vectors(node.minvecs.vectors,
+                                           node.facets[face]),
+                        members, graph.group_kind == "sl")
 
 
 def _build_level(parents, columns, n, det_one, seed_perm):
@@ -243,14 +224,15 @@ def _build_level(parents, columns, n, det_one, seed_perm):
     sorted ((row, col), value) incidence numbers of the kept classes
     against parents[columns[col]].  Every column parent must be kept.
     """
-    orbit_records = [(rep_key, p_pos, members)
+    orbit_records = [(view.faces[orbit[0]], p_pos, orbit)
                      for p_pos, view in enumerate(parents)
-                     for rep_key, members in view.orbits]
+                     for orbit in view.orbits
+                     if not meets_boundary(view.faces[orbit[0]])]
     orbit_records.sort(key=lambda rec: (rec[0], rec[1]))
 
     invariants = {}
     classes = []
-    for rep_key, p_pos, members in orbit_records:
+    for rep_key, p_pos, orbit in orbit_records:
         if rep_key not in invariants:
             invariants[rep_key] = cell_invariant(rep_key)
         inv = invariants[rep_key]
@@ -261,11 +243,11 @@ def _build_level(parents, columns, n, det_one, seed_perm):
                              first_only=True)
             if link:
                 # link[0] carries the class's first orbit onto this one.
-                cls["orbits"].append((rep_key, p_pos, members, link[0]))
+                cls["orbits"].append((rep_key, p_pos, orbit, link[0]))
                 break
         else:
             classes.append({"inv": inv, "orbits": [
-                (rep_key, p_pos, members, GroupElement.identity(n))]})
+                (rep_key, p_pos, orbit, GroupElement.identity(n))]})
 
     col_of = {p_pos: col for col, p_pos in enumerate(columns)}
     out = []
@@ -273,13 +255,12 @@ def _build_level(parents, columns, n, det_one, seed_perm):
     entries = {}
     for pos, cls in enumerate(classes):
         members = sorted(
-            (key, p_pos, parents[p_pos].face_positions[key], own)
-            for own, (_, p_pos, orbit_members, _) in enumerate(cls["orbits"])
-            for key in orbit_members)
+            (parents[p_pos].faces[k], p_pos, k, own)
+            for own, (_, p_pos, orbit, _) in enumerate(cls["orbits"])
+            for k in orbit)
         rep_key, rep_parent, rep_face, own = members[seed_perm % len(members)]
         rec = class_record(parents[rep_parent], rep_parent, rep_face, rep_key,
-                           tuple((p, f, k) for k, p, f, _ in members),
-                           det_one)
+                           tuple((p, f) for _, p, f, _ in members), det_one)
         out.append(rec)
         if not rec.orientation_kept:
             continue
@@ -288,12 +269,13 @@ def _build_level(parents, columns, n, det_one, seed_perm):
         # own_link)^-1 with s carrying the own orbit onto rep_key.
         row = len(kept_positions)
         kept_positions.append(pos)
-        _, _, own_members, own_link = cls["orbits"][own]
-        back = (own_members[rep_key] * own_link).inverse()
-        for key, p_pos, orbit_members, link in cls["orbits"]:
+        _, _, own_orbit, own_link = cls["orbits"][own]
+        s = parents[rep_parent].transporter(own_orbit[0], rep_face)
+        back = (s * own_link).inverse()
+        for key, p_pos, orbit, link in cls["orbits"]:
             if p_pos in col_of:
                 cell = (row, col_of[p_pos])
-                entries[cell] = entries.get(cell, 0) + len(orbit_members) * \
+                entries[cell] = entries.get(cell, 0) + len(orbit) * \
                     induced_sign(parents[p_pos], rec.basis, rep_key, key,
                                  link * back, n)
     return (tuple(out), tuple(kept_positions),
@@ -366,46 +348,44 @@ def glue_complex(graph, seed_perm, kept_tops, walls, entries):
                           kept_walls=kept_walls, differential=differential)
 
 
-def _keyed(faces, orbits, transporters):
-    """Facet `orbits` (indices, representative first) keyed by face, as
-    `_ParentView` reads them, with `transporters[k]` for facet k."""
-    return [(faces[orbit[0]], {faces[k]: transporters[k] for k in orbit})
-            for orbit in orbits]
+def _node_view(graph, i):
+    """Node i of `graph` as a parent.  A node the walk built keeps its
+    facet orbits; a node loaded from a cache has its facets decomposed
+    here.  The walk gave member k of an orbit the edge (j, s * w) for
+    the representative's (j, w), so witness_k * witness_rep^-1 is s,
+    the stabilizer element that carries the representative facet onto
+    facet k."""
+    node = graph.nodes[i]
+    vectors = node.minvecs.vectors
+    orbits = node.facets.orbits
+    if orbits is None:
+        try:
+            orbits, _ = orbit_decompose(vectors, node.facets,
+                                        node.generators)
+        except ValueError as exc:
+            raise WallNotGlued(f"the faces of node {i} are not its "
+                               f"facets: {exc}") from exc
+    row = graph.edges[i]
+    return _ParentView(
+        vectors, None, tuple(face_vectors(vectors, f) for f in node.facets),
+        orbits, lambda rep, k: row[k].witness * row[rep].witness.inverse(),
+        f"node {i}")
 
 
-def _edge_transporters(row, orbits):
-    """Per facet k of a walk-built node with edges `row` and facet
-    `orbits`, witness_k * witness_rep^-1 with rep the representative of
-    k's orbit.  The walk gave member k the edge (j, s * w) for the
-    representative's (j, w), so this is s, the stabilizer element that
-    carries the representative facet onto facet k."""
-    out = [None] * len(row)
-    for orbit in orbits:
-        back = row[orbit[0]].witness.inverse()
-        for k in orbit:
-            out[k] = row[k].witness * back
-    return out
+def _wall_view(w):
+    """Wall `w` as a parent: its facets, certified per orbit of its
+    stabilizer, carry their orbits and transporters."""
+    facets = subcone_facets(w.vectors, w.generators)
+    return _ParentView(
+        w.vectors, w.basis, tuple(face_vectors(w.vectors, f) for f in facets),
+        facets.orbits, lambda rep, k: facets.transporters[k], w.label)
 
 
 def build_complex(graph, seed_perm=0):
-    """Top two degrees of the complex for an enumerated walk graph.
-
-    A node the walk built in this process keeps its facet orbits, and
-    its edges carry their transporters (`_edge_transporters`); a node
-    loaded from a cache has its facets decomposed here."""
-    n = graph.n
+    """Top two degrees of the complex for an enumerated walk graph."""
     kept_tops = kept_top_nodes(graph)
-    views = []
-    for i, node in enumerate(graph.nodes):
-        faces = tuple(face_vectors(node.minvecs.vectors, f)
-                      for f in node.facets)
-        orbits = node.facets.orbits
-        views.append(_ParentView(
-            vectors=node.minvecs.vectors, generators=node.generators,
-            basis=None, faces=faces, cell=f"node {i}",
-            known_orbits=None if orbits is None else _keyed(
-                faces, orbits, _edge_transporters(graph.edges[i], orbits))))
-    walls, _, entries = _build_level(views, kept_tops, n,
+    views = [_node_view(graph, i) for i in range(len(graph.nodes))]
+    walls, _, entries = _build_level(views, kept_tops, graph.n,
                                      graph.group_kind == "sl", seed_perm)
     return glue_complex(graph, seed_perm, kept_tops, walls, entries)
 
@@ -415,15 +395,7 @@ def build_codim2(cx):
     with representatives picked by the complex's seed permutation."""
     n = cx.n
     det_one = cx.group_kind == "sl"
-    wall_views = []
-    for i in cx.kept_walls:
-        w = cx.walls[i]
-        facets = subcone_facets(w.vectors, w.generators)
-        faces = tuple(face_vectors(w.vectors, face) for face in facets)
-        wall_views.append(_ParentView(
-            vectors=w.vectors, generators=w.generators, basis=w.basis,
-            faces=faces, cell=w.label,
-            known_orbits=_keyed(faces, facets.orbits, facets.transporters)))
+    wall_views = [_wall_view(cx.walls[i]) for i in cx.kept_walls]
     mids, kept_mids, entries = _build_level(
         wall_views, range(len(wall_views)), n, det_one, cx.seed_perm)
     mids = tuple(m._replace(label=f"c{i}") for i, m in enumerate(mids))

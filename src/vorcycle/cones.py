@@ -11,7 +11,8 @@ subcone.  Two dual rays are adjacent when no third one is active on
 every input ray active on both; with on[i] the bitset of the dual rays
 active on input ray i, that is an AND of bitsets over their common
 active set (Fukuda and Prodon, "Double description method revisited",
-LNCS 1120, 1996).
+LNCS 1120, 1996).  The same bitsets, complete once every inequality is
+in, are the facets' incidence sets.
 
 The result is certified, and up to symmetry: the caller passes
 generators of a group that should map the cone onto itself (the cell's
@@ -89,8 +90,9 @@ def _dd_dual_rays(rows, weights):
     `rows` are the primal rays (used for the independence test of the
     simplicial seed); `weights[i]` is the linear functional of ray i in
     the coordinates of the dual vectors.  Requires the rows to span, so
-    the dual cone is pointed.  Returns (dual_rays, active_sets) with
-    active sets over all ray indices.
+    the dual cone is pointed.  Returns (y, active) per extreme ray y,
+    with `active` the frozenset of the ray indices where y vanishes,
+    sorted by active set.
 
     Active sets are kept as bitmasks, adjacency is the combinatorial
     test (no third extreme ray's active set contains the common one;
@@ -172,25 +174,17 @@ def _dd_dual_rays(rows, weights):
             + [(duals[t][0], duals[t][1] | bit) for t in zero]
             + new
         )
-    # Recompute full active sets and deduplicate.
-    out = {}
-    for y, _ in duals:
-        full = frozenset(i for i in range(count) if _dot(weights[i], y) == 0)
-        out[y] = full
-    return sorted(out.items(), key=lambda item: (tuple(sorted(item[1])), item[0]))
-
-
-def _orbits(keys, generators):
-    """The orbits of `keys` under `generators`, as tuples of indices
-    into `keys` with the representative first, and per key the
-    transporter from its orbit's representative."""
-    position = {key: k for k, key in enumerate(keys)}
-    orbits, transporters = [], [None] * len(keys)
-    for _, members in orbit_decompose(keys, generators):
-        orbits.append(tuple(position[key] for key in members))
-        for key, s in members.items():
-            transporters[position[key]] = s
-    return tuple(orbits), tuple(transporters)
+    # Every row is in, so each tracked active set is complete.
+    out = []
+    for y, act in duals:
+        active = []
+        while act:
+            low = act & -act
+            active.append(low.bit_length() - 1)
+            act ^= low
+        out.append((tuple(active), y))
+    out.sort()
+    return [(y, frozenset(active)) for active, y in out]
 
 
 def _certified(vectors, rays, duals, dim, generators):
@@ -203,10 +197,10 @@ def _certified(vectors, rays, duals, dim, generators):
     rays, so they span at most a hyperplane; the certificate, at each
     orbit's representative, is that they span one.
     """
-    ray_orbits, _ = _orbits([(v,) for v in vectors], generators)
+    ray_orbits, _ = orbit_decompose(
+        vectors, [(i,) for i in range(len(vectors))], generators)
     facets = [active for _, active in duals]
-    orbits, transporters = _orbits(
-        [face_vectors(vectors, f) for f in facets], generators)
+    orbits, transporters = orbit_decompose(vectors, facets, generators)
     for orbit in orbits:
         y, active = duals[orbit[0]]
         if not any(y) or mat_rank([rays[i] for i in active],

@@ -347,46 +347,43 @@ def _right_coset(subgroup, r):
             for h in subgroup]
 
 
-def orbit_decompose(keys, generators):
-    """Orbits of `keys` under the group generated by `generators`.
+def orbit_decompose(vectors, faces, generators):
+    """Orbits of `faces` under the group generated by `generators`.
 
-    Keys are sorted tuples of canonical vector pairs.  Each generator is
-    mapped once to a permutation of the vectors the keys contain, and
-    keys move by index.  Returns (rep, {member: transporter}) per orbit,
-    reps in the order of `keys`, with transporter * rep = member (the
-    representative carries the identity).  Raises ValueError when an
-    image leaves `keys`.
+    Faces are sets of indices into the cell's sorted `vectors`.  Each
+    generator is mapped once to a permutation of those indices, and
+    faces move by it.  Returns (orbits, transporters): the orbits as
+    tuples of face indices, representatives first and in the order of
+    `faces`, members in breadth-first order, and per face the element
+    that carries its orbit's representative onto it (the identity at a
+    representative).  Raises ValueError when a generator moves a vector
+    off `vectors` or a face off `faces`.
     """
-    if not keys:
-        return []
-    vectors = sorted({v for key in keys for v in key})
     index = {v: i for i, v in enumerate(vectors)}
-    ids = {key: tuple(index[v] for v in key) for key in keys}
-    by_ids = {k: key for key, k in ids.items()}
     perms = []
     for g in generators:
         images = [index.get(canonical_pair(g.apply(v))) for v in vectors]
         if None in images:
-            raise ValueError("group does not permute the keys")
+            raise ValueError("group does not permute the faces")
         perms.append(images)
-    identity = GroupElement.identity(len(keys[0][0]))
-    assigned = set()
+    position = {frozenset(face): k for k, face in enumerate(faces)}
+    identity = GroupElement.identity(len(vectors[0]))
+    transporters = [None] * len(faces)
     orbits = []
-    for key in keys:
-        if key in assigned:
+    for k in range(len(faces)):
+        if transporters[k] is not None:
             continue
-        members = {key: identity}
-        frontier = [key]
-        for current in frontier:
-            s = members[current]
-            at = ids[current]
+        transporters[k] = identity
+        orbit = [k]
+        for current in orbit:
+            s = transporters[current]
+            face = faces[current]
             for g, perm in zip(generators, perms):
-                img = by_ids.get(tuple(sorted(perm[i] for i in at)))
+                img = position.get(frozenset([perm[i] for i in face]))
                 if img is None:
-                    raise ValueError("group does not permute the keys")
-                if img not in members:
-                    members[img] = g * s
-                    frontier.append(img)
-        orbits.append((key, members))
-        assigned.update(members)
-    return orbits
+                    raise ValueError("group does not permute the faces")
+                if transporters[img] is None:
+                    transporters[img] = g * s
+                    orbit.append(img)
+        orbits.append(tuple(orbit))
+    return tuple(orbits), tuple(transporters)

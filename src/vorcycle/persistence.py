@@ -37,7 +37,7 @@ import json
 import os
 import tempfile
 from .complexes import WallNotGlued, glue_complex, kept_top_nodes, wall_record
-from .cones import Facets, face_vectors, meets_boundary
+from .cones import Facets, meets_boundary
 from .enumeration import GROUP_KINDS, Edge, PerfectFormRep, VoronoiGraph
 from .forms import (
     GroupElement,
@@ -275,8 +275,8 @@ def graph_from_payload(payload, source="<payload>"):
 
 
 def _members(rd, rec, path, graph):
-    """(parent, face, vectors) per stored [parent, face] member: the
-    vectors of facet `face` of node `parent`."""
+    """(parent, face) per stored [parent, face] member, facet `face` of
+    node `parent`."""
     out = []
     for i, m in enumerate(rd.get(rec, path, "members", list)):
         at = path + ("members", i)
@@ -290,9 +290,7 @@ def _members(rd, rec, path, graph):
         count = len(graph.edges[parent])
         if not 0 <= face < count:
             rd.fail(at, f"has a face out of range 0..{count - 1}")
-        node = graph.nodes[parent]
-        out.append((parent, face,
-                    face_vectors(node.minvecs.vectors, node.facets[face])))
+        out.append((parent, face))
     if not out:
         rd.fail(path + ("members",), "is empty")
     return tuple(out)
@@ -313,7 +311,7 @@ def complex_to_payload(cx, graph_hash):
     return {
         "seed_perm": cx.seed_perm,
         "graph": graph_hash,
-        "walls": [{"members": [[p, f] for p, f, _ in w.members]}
+        "walls": [{"members": [[p, f] for p, f in w.members]}
                   for w in cx.walls],
         "triplets": [list(t) for t in cx.differential.triplets()],
     }

@@ -14,12 +14,12 @@ import pytest
 import vorcycle
 from vorcycle import complexes, cones, enumeration, forms, isometry
 from vorcycle.complexes import (
-    _ParentView,
+    _node_view,
+    _wall_view,
     build_complex,
     induced_sign,
     transport_flat,
 )
-from vorcycle.cones import face_vectors, subcone_facets
 from vorcycle.enumeration import enumerate_perfect_forms
 from vorcycle.forms import (
     GroupElement,
@@ -480,23 +480,12 @@ def facet_edges(graph):
 
 def top_views(graph):
     """The parent view of every top cell, as `build_complex` makes it."""
-    return [_ParentView(vectors=node.minvecs.vectors,
-                        generators=node.generators, basis=None,
-                        faces=tuple(face_vectors(node.minvecs.vectors, f)
-                                    for f in node.facets))
-            for node in graph.nodes]
+    return [_node_view(graph, i) for i in range(len(graph.nodes))]
 
 
 def kept_wall_views(cx):
     """The parent view of every kept wall, as `build_codim2` makes it."""
-    views = []
-    for i in cx.kept_walls:
-        w = cx.walls[i]
-        faces = tuple(face_vectors(w.vectors, face)
-                      for face in subcone_facets(w.vectors))
-        views.append(_ParentView(vectors=w.vectors, generators=w.generators,
-                                 basis=w.basis, faces=faces))
-    return views
+    return [_wall_view(cx.walls[i]) for i in cx.kept_walls]
 
 
 def reference_incidences(parents, columns, children, kept_children, n,
@@ -511,7 +500,8 @@ def reference_incidences(parents, columns, children, kept_children, n,
     entries = {}
     for col, p_pos in enumerate(columns):
         view = parents[p_pos]
-        for rep_key, members in view.orbits:
+        for orbit in view.orbits:
+            rep_key = view.faces[orbit[0]]
             inv = cell_invariant(rep_key)
             for row, c_pos in enumerate(kept_children):
                 child = children[c_pos]
@@ -522,8 +512,10 @@ def reference_incidences(parents, columns, children, kept_children, n,
                 if not link:
                     continue
                 total = sum(induced_sign(view, child.basis, child.vectors,
-                                         member, s * link[0], n)
-                            for member, s in members.items())
+                                         view.faces[k],
+                                         view.transporter(orbit[0], k) *
+                                         link[0], n)
+                            for k in orbit)
                 entries[(row, col)] = entries.get((row, col), 0) + total
                 break
     return tuple(sorted((k, v) for k, v in entries.items() if v != 0))

@@ -20,7 +20,6 @@ from vorcycle.complexes import (
     ambient_orientation_sign,
     apply_to_cell,
     build_complex,
-    _ParentView,
 )
 from vorcycle.cones import face_vectors, meets_boundary
 from vorcycle.enumeration import enumerate_perfect_forms, is_equivalent
@@ -47,14 +46,6 @@ from vorcycle.tessellation import (
 )
 
 LONG = os.environ.get("VORCYCLE_LONG") == "1"
-
-
-def _node_view(graph, i):
-    node = graph.nodes[i]
-    faces = tuple(face_vectors(node.minvecs.vectors, f) for f in node.facets)
-    return _ParentView(vectors=node.minvecs.vectors,
-                       generators=node.generators, basis=None,
-                       faces=faces)
 
 
 def test_criterion_1_single_class_ranks_two_three():
@@ -224,12 +215,11 @@ def test_criterion_5_property_suites(rng):
                 inter = {x.rows for x in closure(node.generators, n)} \
                     & {x.rows
                        for x in cell_stabilizer(far_cell, det_one=det_one)}
-                view = _node_view(graph, w.parent)
-                orbits = orbit_decompose(view.faces, node.generators)
+                orbits, _ = orbit_decompose(node.minvecs.vectors,
+                                            node.facets, node.generators)
                 if w.kind == "non_self":
                     assert wall_stab == inter
-                    rep_key = view.faces[w.face_index]
-                    orbit = next(m for k, m in orbits if rep_key in m)
+                    orbit = next(o for o in orbits if w.face_index in o)
                     assert len(orbit) * w.stab_order == node.stab_order
                 else:
                     swaps = {x.rows for x in pair_swap_elements(
@@ -243,9 +233,10 @@ def test_criterion_5_property_suites(rng):
                                      for s in closure(node.generators, n))
                     assert same_orbit == (not w.orientation_kept) \
                         == (index == 2)
-                    matching = [k for k, m in orbits
-                                if cell_maps(w.vectors, k, det_one=det_one,
-                                             first_only=True)]
+                    matching = [o for o in orbits
+                                if cell_maps(w.vectors, face_vectors(
+                                    node.minvecs.vectors, node.facets[o[0]]),
+                                    det_one=det_one, first_only=True)]
                     assert len(matching) == \
                         (2 if w.orientation_kept else 1)
                 checked_walls += 1
@@ -307,7 +298,7 @@ def test_criterion_8_representative_choice_invariance():
     # Five plain seeds, plus one seed per side of the kept wall so the
     # choice of containing cell is genuinely re-made.
     side_seeds = {}
-    for idx, (parent, _, _) in enumerate(members):
+    for idx, (parent, _) in enumerate(members):
         side_seeds.setdefault(parent, idx)
     for seed in sorted(set(range(5)) | set(side_seeds.values())):
         cx = build_complex(graph, seed_perm=seed)

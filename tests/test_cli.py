@@ -4,6 +4,7 @@ import os
 import pytest
 
 from conftest import run_python, wall_facet
+from vorcycle import cli
 from vorcycle.cli import main
 
 
@@ -180,6 +181,26 @@ def test_seed_perm_writes_separate_file_same_verdict(cache, capsys):
     assert "kernel_dim=1" in out0 and "kernel_dim=1" in out1
     assert os.path.exists(os.path.join(cache, "verdict-n3-sl.json"))
     assert os.path.exists(os.path.join(cache, "verdict-n3-sl-p2.json"))
+
+
+def test_complex_over_a_graph_read_back_matches_a_cold_run(
+        cache, capsys, tmp_path, monkeypatch):
+    # Over the graph file of a seed-0 run, a seed-3 verify loads the
+    # graph (no enumeration) and builds its complex over it, with each
+    # node's facets decomposed and its transporters read off the loaded
+    # edges: its verdict and complex files are those of a cold run.
+    cold = str(tmp_path / "cold")
+    args = ("verify", "--n", "4", "--group", "sl", "--check-dd")
+    assert run(capsys, *args, "--cache-dir", cache)[0] == 0
+    with monkeypatch.context() as m:
+        m.setattr(cli, "enumerate_perfect_forms", None)
+        assert run(capsys, *args, "--seed-perm", "3",
+                   "--cache-dir", cache)[0] == 0
+    assert run(capsys, *args, "--seed-perm", "3", "--cache-dir", cold)[0] == 0
+    for name in ("verdict-n4-sl-p3.json", "complex-n4-sl-p3.json"):
+        with open(os.path.join(cache, name), "rb") as warm_file, \
+                open(os.path.join(cold, name), "rb") as cold_file:
+            assert warm_file.read() == cold_file.read()
 
 
 def test_env_var_overrides_cache_dir(capsys, tmp_path, monkeypatch):

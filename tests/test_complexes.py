@@ -19,6 +19,7 @@ from vorcycle import complexes, cones
 from vorcycle.cli import main
 from vorcycle.complexes import (
     Differential,
+    _node_view,
     _ParentView,
     ambient_orientation_sign,
     apply_to_cell,
@@ -47,14 +48,6 @@ from vorcycle.linalg import (
 HEX_CELL = ((0, 1), (1, -1), (1, 0))          # hexagonal domain vectors
 HEX_MIRROR = ((0, 1), (1, 0), (1, 1))         # its far side across the wall
 DIAG_WALL = ((0, 1), (1, 0))
-
-
-def _node_view(graph, i):
-    node = graph.nodes[i]
-    faces = tuple(face_vectors(node.minvecs.vectors, f) for f in node.facets)
-    return _ParentView(vectors=node.minvecs.vectors,
-                       generators=node.generators, basis=None,
-                       faces=faces)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -207,11 +200,9 @@ def test_stab_groups_lemma_on_nonself_walls(complex_sl4, complex_gl4):
             # (i) the wall stabilizer is exactly the intersection.
             assert wall_stab == sigma_stab & far_stab
             # (ii) orbit size = index of the wall stabilizer.
-            view = _node_view(cx.graph, w.parent)
-            orbits = orbit_decompose(view.faces, node.generators)
-            rep_key = view.faces[w.face_index]
-            orbit = next(members for key, members in orbits
-                         if rep_key in members)
+            orbits, _ = orbit_decompose(node.minvecs.vectors, node.facets,
+                                        node.generators)
+            orbit = next(o for o in orbits if w.face_index in o)
             assert len(orbit) == node.stab_order // w.stab_order
 
 
@@ -251,11 +242,11 @@ def test_self_wall_lemma_parts(complex_sl2, complex_gl2, complex_sl3,
             assert same_orbit == (not w.orientation_kept) == (index == 2)
             # (iv) orbit count under the cell stabilizer: two when kept,
             # merged into one when dropped.
-            view = _node_view(cx.graph, w.parent)
-            orbits = orbit_decompose(view.faces, node.generators)
-            matching = [key for key, members in orbits
-                        if cell_maps(w.vectors, key, det_one=det_one,
-                                     first_only=True)]
+            orbits, _ = orbit_decompose(cell, node.facets, node.generators)
+            matching = [orbit for orbit in orbits
+                        if cell_maps(w.vectors,
+                                     face_vectors(cell, node.facets[orbit[0]]),
+                                     det_one=det_one, first_only=True)]
             assert len(matching) == (2 if w.orientation_kept else 1)
 
 
@@ -290,8 +281,7 @@ def test_rank_two_internal_cancellation_sign():
     # cancels as 1 + (-1).
     rot = GroupElement.from_matrix([[0, 1], [-1, 0]])
     assert apply_to_cell(rot, HEX_CELL) == HEX_MIRROR
-    view = _ParentView(vectors=HEX_CELL, generators=(), basis=None,
-                       faces=(DIAG_WALL,))
+    view = _ParentView(vectors=HEX_CELL, basis=None, faces=(DIAG_WALL,))
     basis = [sym_flatten(rank_one(v)) for v in DIAG_WALL]
     extra = next(v for v in HEX_CELL if v not in set(DIAG_WALL))
     if view.oriented_sign(basis + [sym_flatten(rank_one(extra))]) < 0:
@@ -316,15 +306,17 @@ def test_member_signs_constant_within_stabilizer_orbit(n, group, level):
         children = build_codim2(cx)[0]
     checked = 0
     for view in views:
-        for rep_key, members in view.orbits:
+        for orbit in view.orbits:
             for child in children:
-                link = cell_maps(child.vectors, rep_key,
+                link = cell_maps(child.vectors, view.faces[orbit[0]],
                                  det_one=(group == "sl"), first_only=True)
                 if not link:
                     continue
                 signs = {induced_sign(view, child.basis, child.vectors,
-                                      member, s * link[0], n)
-                         for member, s in members.items()}
+                                      view.faces[k],
+                                      view.transporter(orbit[0], k) * link[0],
+                                      n)
+                         for k in orbit}
                 assert len(signs) == 1
                 checked += 1
     assert checked
@@ -474,17 +466,17 @@ def test_each_node_is_decomposed_once_and_a_warm_verify_none(monkeypatch,
     inputs = []
     real = complexes.orbit_decompose
 
-    def counted(keys, generators):
-        inputs.append(tuple(keys))
-        return real(keys, generators)
+    def counted(vectors, faces, generators):
+        inputs.append((tuple(vectors), tuple(faces)))
+        return real(vectors, faces, generators)
 
     monkeypatch.setattr(complexes, "orbit_decompose", counted)
     monkeypatch.setattr(cones, "orbit_decompose", counted)
     graph = enumerate_perfect_forms(5, "sl")
     build_complex(graph)
-    facet_lists = [tuple(face_vectors(node.minvecs.vectors, f)
-                         for f in node.facets) for node in graph.nodes]
-    assert [inputs.count(keys) for keys in facet_lists] == [1, 1, 1]
+    facet_lists = [(node.minvecs.vectors, tuple(node.facets))
+                   for node in graph.nodes]
+    assert [inputs.count(faces) for faces in facet_lists] == [1, 1, 1]
     assert len(inputs) == 2 * len(graph.nodes)
     args = ["verify", "--n", "4", "--group", "sl",
             "--cache-dir", str(tmp_path)]
@@ -495,6 +487,24 @@ def test_each_node_is_decomposed_once_and_a_warm_verify_none(monkeypatch,
     assert capsys.readouterr().out.count("verified") == 2
 
 
+def test_a_complex_build_reads_one_transporter_per_kept_wall_class(
+        monkeypatch):
+    # Rank 5 gl keeps 2 of its 4 wall classes.  A transporter is read
+    # off the edges for each kept class only (the sign of a class that
+    # is not kept is never taken), not once per facet: 430 facets.
+    graph = cached_graph(5, "gl")
+    counts = {"__mul__": 0, "inverse": 0}
+    for name in counts:
+        def counted(*args, _name=name, _f=getattr(GroupElement, name)):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(GroupElement, name, counted)
+    cx = build_complex(graph, seed_perm=3)
+    assert (len(cx.walls), len(cx.kept_walls)) == (4, 2)
+    assert sum(len(node.facets) for node in graph.nodes) == 430
+    assert counts["__mul__"] < 30 and counts["inverse"] < 8
+
+
 # A transporter that does not carry the face class onto the face, and a
 # wall basis that is not independent: both refused, also under -O.
 _WRONG_TRANSPORT = """
@@ -503,8 +513,7 @@ from vorcycle.forms import GroupElement, rank_one
 from vorcycle.linalg import sym_flatten
 cell = ((0, 1), (1, -1), (1, 0))
 wall = ((0, 1), (1, 0))
-view = _ParentView(vectors=cell, generators=(), basis=None, faces=(wall,),
-                   cell="node 0")
+view = _ParentView(vectors=cell, basis=None, faces=(wall,), cell="node 0")
 basis = [sym_flatten(rank_one(v)) for v in wall]
 shear = GroupElement.from_matrix([[1, 1], [0, 1]])
 try:
@@ -512,8 +521,7 @@ try:
 except WallNotGlued as exc:
     print(exc)
 try:
-    _ParentView(vectors=wall, generators=(), basis=(basis[0], basis[0]),
-                faces=(), cell="w0")
+    _ParentView(vectors=wall, basis=(basis[0], basis[0]), cell="w0")
 except WallNotGlued as exc:
     print(exc)
 """

@@ -302,7 +302,8 @@ def test_build_cone_certifies_one_facet_and_one_ray_per_orbit(monkeypatch):
                         lambda *args, **kwargs: calls.append(1) or
                         real(*args, **kwargs))
     facets = build_cone(vectors, gens)
-    ray_orbits = orbit_decompose([(v,) for v in vectors], gens)
+    ray_orbits, _ = orbit_decompose(
+        vectors, [(i,) for i in range(len(vectors))], gens)
     assert len(calls) == 1 + len(facets.orbits) + len(ray_orbits)
     assert len(ray_orbits) == 1
     calls.clear()
@@ -342,7 +343,7 @@ def test_a_non_facet_that_breaks_an_orbit_is_refused(case, monkeypatch):
         return duals + face_orbit(vectors, duals, gens)[:1]
 
     monkeypatch.setattr(cones, "_dd_dual_rays", with_one_face)
-    with pytest.raises(ValueError, match="group does not permute the keys"):
+    with pytest.raises(ValueError, match="group does not permute the faces"):
         build(vectors, gens)
 
 
@@ -354,7 +355,7 @@ def test_a_generator_that_does_not_permute_the_rays_is_refused(case):
         [[int(i == j or (i, j) == (0, 1)) for j in range(n)]
          for i in range(n)])
     assert {canonical_pair(shear.apply(v)) for v in vectors} != set(vectors)
-    with pytest.raises(ValueError, match="group does not permute the keys"):
+    with pytest.raises(ValueError, match="group does not permute the faces"):
         build(vectors, tuple(gens) + (shear,))
 
 

@@ -288,12 +288,12 @@ from vorcycle import cones, enumeration
 from vorcycle.forms import GroupElement
 real = cones.orbit_decompose
 shear = GroupElement.from_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-def skewed(keys, gens):
-    orbits = real(keys, gens)
-    rep_key, members = next(o for o in orbits if len(o[1]) > 1)
-    key = next(k for k in members if k != rep_key)
-    members[key] = shear * members[key]
-    return orbits
+def skewed(vectors, faces, gens):
+    orbits, transporters = real(vectors, faces, gens)
+    k = next(o for o in orbits if len(o) > 1)[1]
+    transporters = list(transporters)
+    transporters[k] = shear * transporters[k]
+    return orbits, tuple(transporters)
 cones.orbit_decompose = skewed
 try:
     enumeration.enumerate_perfect_forms(3, "sl")
@@ -321,24 +321,26 @@ def test_walk_refuses_an_edge_that_does_not_glue(optimize):
 _MISDIRECTED = """
 import sys
 from vorcycle import cones, enumeration
+from vorcycle.cones import face_vectors
 from vorcycle.forms import GroupElement, QForm, a_n_gram
 from vorcycle.isometry import cell_group
 from vorcycle.linalg import mat_mul, mat_transpose
 real = cones.orbit_decompose
 gram = QForm.from_matrix(a_n_gram(3)).gram
-def misdirected(keys, gens):
-    orbits = real(keys, gens)
-    if len(keys[0]) > 1:
-        rep_key, members = next(o for o in orbits if len(o[1]) > 1)
-        key = next(k for k in members if k != rep_key)
+def misdirected(vectors, faces, gens):
+    orbits, transporters = real(vectors, faces, gens)
+    if len(faces[0]) > 1:
+        k = next(o for o in orbits if len(o) > 1)[1]
+        transporters = list(transporters)
         if sys.argv[1] == "identity":
-            members[key] = GroupElement.identity(3)
+            transporters[k] = GroupElement.identity(3)
         else:
-            h = next(h for h in cell_group(key, det_one=True)[0]
+            h = next(h for h in cell_group(face_vectors(vectors, faces[k]),
+                                           det_one=True)[0]
                      if mat_mul(mat_mul(mat_transpose(h.rows), gram),
                                 h.rows) != gram)
-            members[key] = h * members[key]
-    return orbits
+            transporters[k] = h * transporters[k]
+    return orbits, tuple(transporters)
 cones.orbit_decompose = misdirected
 try:
     enumeration.enumerate_perfect_forms(3, "sl")

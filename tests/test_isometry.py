@@ -195,20 +195,21 @@ def test_small_generating_set_generates():
 def test_orbit_decompose_partitions_with_transporters():
     from vorcycle.isometry import small_generating_set
     q, mv = _form(d_n_gram(4))
-    keys = [face_vectors(mv.vectors, f) for f in build_cone(mv.vectors)]
+    facets = build_cone(mv.vectors)
     group = form_automorphisms(q, mv.vectors)
     gens = small_generating_set(group)
-    orbits = orbit_decompose(keys, gens)
-    covered = set()
-    for rep, members in orbits:
-        for member, s in members.items():
-            assert apply_to_cell(s, rep) == member
-        assert not covered & set(members)
-        covered |= set(members)
-    assert covered == set(keys)
+    orbits, transporters = orbit_decompose(mv.vectors, facets, gens)
+    covered = []
+    for orbit in orbits:
+        rep = face_vectors(mv.vectors, facets[orbit[0]])
+        for k in orbit:
+            assert apply_to_cell(transporters[k], rep) == \
+                face_vectors(mv.vectors, facets[k])
+        covered += orbit
+    assert sorted(covered) == list(range(len(facets)))
     # orbit sizes divide the group order
-    for _, members in orbits:
-        assert len(group) % len(members) == 0
+    for orbit in orbits:
+        assert len(group) % len(orbit) == 0
 
 
 def brute_cell_maps(src, dst, bound):
@@ -308,9 +309,12 @@ def test_small_generating_set_pins_selection_rule():
 
 
 def test_orbit_decompose_rejects_keys_not_permuted():
+    # The swap moves a vector off the cell, or a face off the faces.
     swap = GroupElement.from_matrix(((0, 1), (1, 0)))
-    with pytest.raises(ValueError, match="does not permute"):
-        orbit_decompose([((1, 0),)], [swap])
+    with pytest.raises(ValueError, match="does not permute the faces"):
+        orbit_decompose(((1, 0),), [(0,)], [swap])
+    with pytest.raises(ValueError, match="does not permute the faces"):
+        orbit_decompose(((0, 1), (1, 0)), [(0,)], [swap])
 
 
 def e_n_gram(n):
@@ -388,17 +392,17 @@ def test_chain_generators_close_to_the_listed_group(gram, det_one):
                          ids=("A4", "D4", "D5"))
 def test_orbit_decompose_matches_the_matrix_action(gram):
     q, mv = _form(gram)
-    keys = [face_vectors(mv.vectors, f) for f in build_cone(mv.vectors)]
+    facets = build_cone(mv.vectors)
+    keys = [face_vectors(mv.vectors, f) for f in facets]
     for det_one in (False, True):
         gens, _ = form_group(q, mv.vectors, det_one=det_one)
-        got = orbit_decompose(keys, gens)
+        orbits, transporters = orbit_decompose(mv.vectors, facets, gens)
         want = matrix_orbit_decompose(keys, gens, apply_to_cell,
                                       GroupElement.identity(q.n))
-        assert [rep for rep, _ in got] == [rep for rep, _ in want]
-        for (_, members), (_, ref) in zip(got, want):
-            assert list(members) == list(ref)
-            assert [s.rows for s in members.values()] == \
-                [s.rows for s in ref.values()]
+        assert [[keys[k] for k in orbit] for orbit in orbits] == \
+            [list(ref) for _, ref in want]
+        assert [[transporters[k].rows for k in orbit] for orbit in orbits] \
+            == [[s.rows for s in ref.values()] for _, ref in want]
 
 
 def test_cell_leaves_need_the_setwise_check():
