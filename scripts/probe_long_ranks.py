@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Long-haul probe for ranks 6 and 7 (no runtime guarantee).
 
-A cold rank-6 `verify --check-dd` took about 12-15 s in each group on
-a 2-vCPU machine (`BENCH_orbit_record.json`); rank 7 (33 classes, large
-stabilizers) is a stretch target and may run for a very long time.
+A cold rank-6 `verify --check-dd` took about 4.5-5 s in each group on
+a 2-vCPU machine, and a warm one about 1 s (`BENCH_orbit_edges.json`);
+rank 7 (33 classes, large stabilizers) is a stretch target and may run
+for a very long time.
 Nothing is printed while the enumeration runs: once it ends, one line
 per class (with its count of facets), then the wall classes and the
 verdict, each with the seconds elapsed.

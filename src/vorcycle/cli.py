@@ -113,9 +113,12 @@ def cmd_perfect(args):
         print(f"  [{i}] {node.label}: |m|={node.minvecs.vector_count} "
               f"stab_order={node.stab_order}")
     print("edges (node.facet -> neighbor):")
-    for i, edges in enumerate(graph.edges):
-        for f, e in enumerate(edges):
-            print(f"  {i}.{f} -> {e.neighbor} (det {e.witness.det})")
+    for i, (node, edges) in enumerate(zip(graph.nodes, graph.edges)):
+        # Facet f's edge is its orbit's moved by a stabilizer element,
+        # so its determinant is the two determinants' product.
+        for f, r in enumerate(node.facets.orbit_of):
+            det = node.facets.transporter_det(f) * edges[r].witness.det
+            print(f"  {i}.{f} -> {edges[r].neighbor} (det {det})")
     print(f"graph file: {path}")
     return EXIT_OK
 

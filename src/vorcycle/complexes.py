@@ -33,10 +33,10 @@ stacked determinants.
 
 from typing import NamedTuple
 
-from .cones import face_vectors, meets_boundary, subcone_facets
-from .enumeration import glues
+from .cones import Facets, face_vectors, meets_boundary, subcone_facets
+from .enumeration import facet_edge, glues
 from .forms import GroupElement, apply_to_cell, rank_one
-from .isometry import cell_group, cell_invariant, cell_maps, orbit_decompose
+from .isometry import cell_group, cell_invariant, cell_maps
 from .linalg import (
     det_sign,
     identity_matrix,
@@ -125,19 +125,20 @@ class VoronoiComplex(NamedTuple):
 
 class _ParentView:
     """One parent cell as `_build_level` reads it: its vectors, its
-    faces (`faces[k]` the sorted vectors of face k), their stabilizer
-    orbits (face indices, representative first), and
-    `transporter(rep, k)`, which carries face `rep` onto face k of its
-    orbit.  `basis` orients its span (None for a top cell)."""
+    `facets` (a `cones.Facets`, certified per orbit of the parent's
+    stabilizer), `faces[k]` the sorted vectors of facet k, their
+    `orbits` (facet indices, representative first), and
+    `transporter(k)`, which carries the representative of facet k's
+    orbit onto facet k.  `basis` orients its span (None for a top
+    cell)."""
 
-    def __init__(self, vectors, basis, faces=(), orbits=(), transporter=None,
-                 cell=""):
+    def __init__(self, vectors, basis, facets=Facets(), cell=""):
         self.cell = cell
         self.vectors = vectors
         self.basis = basis
-        self.faces = faces
-        self.orbits = orbits
-        self.transporter = transporter
+        self.faces = tuple(face_vectors(vectors, f) for f in facets)
+        self.orbits = facets.orbits
+        self.transporter = facets.transporter
         self.dim = sym_dim(len(vectors[0])) if basis is None else len(basis)
         if basis is None:
             self.completion = ()
@@ -269,8 +270,8 @@ def _build_level(parents, columns, n, det_one, seed_perm):
         # own_link)^-1 with s carrying the own orbit onto rep_key.
         row = len(kept_positions)
         kept_positions.append(pos)
-        _, _, own_orbit, own_link = cls["orbits"][own]
-        s = parents[rep_parent].transporter(own_orbit[0], rep_face)
+        own_link = cls["orbits"][own][3]
+        s = parents[rep_parent].transporter(rep_face)
         back = (s * own_link).inverse()
         for key, p_pos, orbit, link in cls["orbits"]:
             if p_pos in col_of:
@@ -323,12 +324,13 @@ def glue_complex(graph, seed_perm, kept_tops, walls, entries):
     walls against its kept tops.
 
     Each wall is glued by the graph edge at its (parent, face_index),
-    which gives its kind (`enumeration.glues` must hold there).  Raises
-    WallNotGlued otherwise.
+    derived there (`enumeration.facet_edge`), which gives its kind
+    (`enumeration.glues` must hold there).  Raises WallNotGlued
+    otherwise.
     """
     glued = []
     for i, w in enumerate(walls):
-        edge = graph.edges[w.parent][w.face_index]
+        edge = facet_edge(graph, w.parent, w.face_index)
         if not glues(graph.nodes[w.parent].minvecs.vectors, w.vectors,
                      edge.witness, graph.nodes[edge.neighbor].minvecs.vectors):
             raise WallNotGlued(
@@ -349,36 +351,17 @@ def glue_complex(graph, seed_perm, kept_tops, walls, entries):
 
 
 def _node_view(graph, i):
-    """Node i of `graph` as a parent.  A node the walk built keeps its
-    facet orbits; a node loaded from a cache has its facets decomposed
-    here.  The walk gave member k of an orbit the edge (j, s * w) for
-    the representative's (j, w), so witness_k * witness_rep^-1 is s,
-    the stabilizer element that carries the representative facet onto
-    facet k."""
+    """Node i of `graph` as a parent, with the facet orbits that the
+    walk or the cache load decomposed."""
     node = graph.nodes[i]
-    vectors = node.minvecs.vectors
-    orbits = node.facets.orbits
-    if orbits is None:
-        try:
-            orbits, _ = orbit_decompose(vectors, node.facets,
-                                        node.generators)
-        except ValueError as exc:
-            raise WallNotGlued(f"the faces of node {i} are not its "
-                               f"facets: {exc}") from exc
-    row = graph.edges[i]
-    return _ParentView(
-        vectors, None, tuple(face_vectors(vectors, f) for f in node.facets),
-        orbits, lambda rep, k: row[k].witness * row[rep].witness.inverse(),
-        f"node {i}")
+    return _ParentView(node.minvecs.vectors, None, node.facets, f"node {i}")
 
 
 def _wall_view(w):
     """Wall `w` as a parent: its facets, certified per orbit of its
-    stabilizer, carry their orbits and transporters."""
-    facets = subcone_facets(w.vectors, w.generators)
-    return _ParentView(
-        w.vectors, w.basis, tuple(face_vectors(w.vectors, f) for f in facets),
-        facets.orbits, lambda rep, k: facets.transporters[k], w.label)
+    stabilizer."""
+    return _ParentView(w.vectors, w.basis,
+                       subcone_facets(w.vectors, w.generators), w.label)
 
 
 def build_complex(graph, seed_perm=0):

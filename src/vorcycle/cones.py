@@ -34,7 +34,12 @@ the trace pairing.
 from operator import mul
 
 from .forms import rank_one
-from .isometry import orbit_decompose
+from .isometry import (
+    orbit_closure,
+    orbit_decompose,
+    transporter,
+    transporter_det,
+)
 from .linalg import (
     independent_rows,
     kernel_basis,
@@ -57,22 +62,37 @@ class Facets(tuple):
     `build_cone` result as a record with a facet list (as
     vorbench/tracing.py counts it) reads the same facets.
 
-    `orbits` are the facet orbits under the generators the facets were
-    certified with, as tuples of facet indices with the representative
-    first, and `transporters[k]` carries the representative of facet
-    k's orbit onto facet k.  Either is None where it is not known or
-    not kept.
+    `orbits` are the facet orbits under the n x n matrices `generators`
+    the facets were certified with, as tuples of facet indices with the
+    representative first, and `orbit_of[k]` is the position of facet
+    k's orbit.  `schreier` is their Schreier vector (see
+    `isometry.orbit_decompose`): `transporter(k)` multiplies out the
+    element that carries the representative of facet k's orbit onto
+    facet k, and `transporter_det(k)` its determinant, with no matrix
+    product.
     """
 
-    def __new__(cls, facets=(), orbits=None, transporters=None):
+    def __new__(cls, facets=(), orbits=(), schreier=(), generators=(), n=0):
         self = super().__new__(cls, facets)
         self.orbits = orbits
-        self.transporters = transporters
+        self.schreier = schreier
+        self.generators = generators
+        self.n = n
+        self.orbit_of = [None] * len(self)
+        for r, orbit in enumerate(orbits):
+            for k in orbit:
+                self.orbit_of[k] = r
         return self
 
     @property
     def facets(self):
         return self
+
+    def transporter(self, k):
+        return transporter(self.generators, self.schreier, k, self.n)
+
+    def transporter_det(self, k):
+        return transporter_det(self.generators, self.schreier, k)
 
 
 def face_vectors(vectors, face):
@@ -200,13 +220,14 @@ def _certified(vectors, rays, duals, dim, generators):
     ray_orbits, _ = orbit_decompose(
         vectors, [(i,) for i in range(len(vectors))], generators)
     facets = [active for _, active in duals]
-    orbits, transporters = orbit_decompose(vectors, facets, generators)
+    orbits, schreier = orbit_decompose(vectors, facets, generators)
     for orbit in orbits:
         y, active = duals[orbit[0]]
         if not any(y) or mat_rank([rays[i] for i in active],
                                   stop=dim - 1) < dim - 1:
             raise ValueError("dual ray does not describe a facet")
-    return Facets(facets, orbits, transporters), ray_orbits
+    return (Facets(facets, orbits, schreier, generators, len(vectors[0])),
+            ray_orbits)
 
 
 def build_cone(vectors, generators=()):
@@ -263,6 +284,23 @@ def facet_normal(vectors, facet):
     raise ValueError("the rays do not describe a facet of the cone")
 
 
+def facet_closure(vectors, representatives, generators):
+    """The facets that `generators` carry the facets `representatives`
+    to, sorted as `_dd_dual_rays` sorts a cone's facets (by their sorted
+    incident indices), with their orbits (see `Facets`), in one pass of
+    `isometry.orbit_closure`.  Raises ValueError unless each
+    representative is the first facet of an orbit of its own, in order.
+
+    When the representatives are facets of the cone of the sorted
+    `vectors` and the generators permute those vectors, every face
+    listed is a facet; whether the list is complete is the caller's to
+    know.
+    """
+    facets, orbits, schreier = orbit_closure(vectors, representatives,
+                                             generators)
+    return Facets(facets, orbits, schreier, generators, len(vectors[0]))
+
+
 def subcone_facets(vectors, generators=()):
     """Facets of the cone of `vectors` inside its own linear span.
 
@@ -277,7 +315,7 @@ def subcone_facets(vectors, generators=()):
     basis = [flats[i] for i in independent_rows(flats, ())]
     dim = len(basis)
     if dim == 1:
-        return Facets((), (), ())
+        return Facets()
     # Local coordinates: with the basis as columns, then the flats, the
     # kernel has the vector (-coords_i, e_i), up to scale, for its free
     # column dim + i.

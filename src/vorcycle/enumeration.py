@@ -6,15 +6,16 @@ stabilizer and one facet per orbit is crossed to the unique contiguous
 perfect form on the other side; new forms are reduced modulo
 equivalence until no frontier remains.  Connectivity of the resulting
 graph makes this traversal a complete enumeration.  Each crossing is
-kept with the witness that matched its neighbour to a class, and the
-stabilizer transporters replicate it to every facet, so this one walk
-yields the final graph with one edge per facet.  The facet orbits are
-those `cones.build_cone` certified the facets by, and each node keeps
-them for the complex build.  An edge is certified per orbit: the
-representative's edge glues its facet (`glues`), and each member's edge
-is the representative's moved by its transporter, which must be an
-automorphism of the form that carries the representative facet onto the
-member's.
+kept with the witness that matched its neighbour to a class, so this
+one walk yields the final graph with one edge per facet orbit, each
+certified at its representative (`glues`).  The facet orbits are those
+`cones.build_cone` certified the facets by, and each node keeps them
+with their Schreier vector.  A member's edge is derived only where it
+is read (`facet_edge`): the representative's edge moved by the
+transporter, a product of stabilizer generators, which carries the
+representative facet onto the member's.  A stabilizer element is an
+automorphism of the form that permutes the facets, so the moved edge
+glues the member.
 
 The crossing itself walks the pencil  h_t = h + t * N  where N is the
 inward primitive facet normal, recovered from the facet's minimal
@@ -60,7 +61,6 @@ from .forms import (
     a_n_gram,
     apply_to_cell,
     bilinear,
-    canonical_pair,
     d_n_gram,
     is_perfect,
     is_positive_definite,
@@ -110,7 +110,8 @@ class VoronoiGraph(NamedTuple):
     n: int
     group_kind: str
     nodes: tuple
-    edges: tuple            # edges[i][f]: the Edge across facet f of node i
+    edges: tuple            # edges[i][r]: the Edge across the
+    #                         representative of facet orbit r of node i
 
 
 def glues(vectors, face, witness, far):
@@ -122,21 +123,15 @@ def glues(vectors, face, witness, far):
         set(face)
 
 
-def _moves_facet(s, form, index, face, off, image):
-    """Whether s is an automorphism of `form` that carries the certified
-    facet with vectors `face` of its domain onto the facet `image`
-    (indices of minimal vectors; `index` maps each minimal vector to
-    its index); s then carries an edge that glues `face` to one that
-    glues `image`.
-
-    Once s carries the facet's vectors onto minimal vectors, s^t Q s - Q
-    pairs to zero with their rank-one matrices, which span the facet's
-    hyperplane (its rank certificate), so it is a multiple of the facet
-    normal.  The normal is nonzero at `off`, a minimal vector off the
-    facet, so the multiple is zero, and s an automorphism, exactly when
-    s keeps the value at `off`."""
-    return ({index.get(canonical_pair(s.apply(v))) for v in face} == image
-            and form.evaluate(s.apply(off)) == form.evaluate(off))
+def facet_edge(graph, i, k):
+    """The Edge across facet k of node i of `graph`: the edge across the
+    representative of its orbit, moved by the stabilizer element that
+    carries the representative onto facet k."""
+    facets = graph.nodes[i].facets
+    edge = graph.edges[i][facets.orbit_of[k]]
+    if facets.schreier[k] is None:
+        return edge
+    return edge._replace(witness=facets.transporter(k) * edge.witness)
 
 
 def neighbor_form(form, minvecs, facet):
@@ -174,21 +169,26 @@ def neighbor_form(form, minvecs, facet):
             t_new = None
             for v, _ in below:
                 nv = bilinear(normal, v, v)
-                assert nv < 0
+                if nv >= 0:
+                    raise RuntimeError("a vector below the minimum has a "
+                                       "nonnegative normal value")
                 t_v = Fraction(form.evaluate(v) - mu, -nv)
                 t_new = t_v if t_new is None else min(t_new, t_v)
-            assert lo < t_new < t
+            if not lo < t_new < t:
+                raise RuntimeError("the root of a vector below the minimum "
+                                   "lies outside the probe interval")
             t = t_new
             continue
         at_mu = {v for v, val in hits if val == denom * mu}
         new_pairs = at_mu - face_set
         if new_pairs:
-            assert face_set <= at_mu
             result = QForm.from_matrix(scaled)
             mv = minimum_and_minimal_vectors(result)
-            assert face_set <= set(mv.vectors)
-            assert set(mv.vectors) - face_set
-            assert is_perfect(result, mv)
+            if not (face_set <= at_mu and face_set <= set(mv.vectors)
+                    and set(mv.vectors) - face_set
+                    and is_perfect(result, mv)):
+                raise RuntimeError("the form across the facet is not a "
+                                   "perfect neighbour that keeps the facet")
             return result
         lo = t
         t = 2 * t if hi is None else (lo + hi) / 2
@@ -230,7 +230,8 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
     pass visits the classes in the order met, each represented by the
     form where the walk first met it.  Crossing the representative of a
     facet orbit reaches act(w, form_j) (w the identity when the crossing
-    creates class j), and each member s * rep gets the edge (j, s * w).
+    creates class j); the node keeps the edge (j, w) for the orbit, and
+    a member s * rep has the edge (j, s * w) (`facet_edge`).
     `traversal` reorders facet processing; any order must close on the
     same classes, which the tests exercise.
     """
@@ -252,12 +253,13 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
         gens, order = form_group(form, mv.vectors, det_one)
         facets = build_cone(mv.vectors, gens)
         orbits = facets.orbits
+        positions = range(len(orbits))
         if traversal == "reversed":
-            orbits = orbits[::-1]
-        row = [None] * len(facets)
-        index = {v: k for k, v in enumerate(mv.vectors)}
-        for orbit in orbits:
-            nb = neighbor_form(form, mv, facets[orbit[0]])
+            positions = positions[::-1]
+        row = [None] * len(orbits)
+        for r in positions:
+            rep = orbits[r][0]
+            nb = neighbor_form(form, mv, facets[rep])
             nb_mv = minimum_and_minimal_vectors(nb)
             inv = form_invariant(nb.gram, nb_mv.vectors)
             for j, (other, other_mv, other_inv) in enumerate(met):
@@ -270,21 +272,13 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
             else:
                 met.append((nb, nb_mv, inv))
                 j, w = len(met) - 1, GroupElement.identity(n)
-            # The edge glues the representative; each member's is the
-            # representative's moved by its transporter.
-            rep_face = face_vectors(mv.vectors, facets[orbit[0]])
-            off = next(v for v in mv.vectors if v not in rep_face)
-            glued = glues(mv.vectors, rep_face, w, met[j][1].vectors)
-            for k in orbit:
-                s = facets.transporters[k]
-                if not (glued and _moves_facet(s, form, index, rep_face, off,
-                                               facets[k])):
-                    raise RuntimeError(f"the crossing at facet {k} of node "
-                                       f"{i} does not glue it")
-                row[k] = Edge(neighbor=j, witness=s * w)
-        # The node keeps the orbits; its edges carry the transporters.
+            if not glues(mv.vectors, face_vectors(mv.vectors, facets[rep]),
+                         w, met[j][1].vectors):
+                raise RuntimeError(f"the crossing at facet {rep} of node "
+                                   f"{i} does not glue it")
+            row[r] = Edge(neighbor=j, witness=w)
         nodes.append(PerfectFormRep(
-            form, mv, Facets(facets, facets.orbits), gens, order,
+            form, mv, facets, gens, order,
             label=root_label(form, mv, n) or f"P{n}.{i}"))
         edges.append(tuple(row))
 

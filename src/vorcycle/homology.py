@@ -178,7 +178,9 @@ def dd_sanity(cx):
 
 def compose_is_zero(mid, top):
     """True iff mid * top = 0 exactly (labels align kept walls)."""
-    assert mid.col_count == top.row_count
+    if mid.col_count != top.row_count:
+        raise RuntimeError(f"the codim-2 differential has {mid.col_count} "
+                           f"columns for {top.row_count} kept walls")
     top_rows = top.dense_rows()
     mid_rows = mid.dense_rows()
     for r in range(mid.row_count):

@@ -35,7 +35,9 @@ strong generator.  Since every candidate outside the orbit is searched
 to completion, each basic orbit comes out complete, and the group order
 is the product of the basic orbit lengths.  Orbits of faces are
 computed the same way, with each generator turned once into a
-permutation of vector indices.
+permutation of vector indices.  An orbit keeps its Schreier vector (per
+face, the generator and the face it was reached from), so a transporter
+is multiplied out only where it is read.
 
 `form_automorphisms`, `cell_stabilizer` and `small_generating_set` (a
 Dimino closure over a listed group, see Butler, "Fundamental Algorithms
@@ -347,18 +349,9 @@ def _right_coset(subgroup, r):
             for h in subgroup]
 
 
-def orbit_decompose(vectors, faces, generators):
-    """Orbits of `faces` under the group generated by `generators`.
-
-    Faces are sets of indices into the cell's sorted `vectors`.  Each
-    generator is mapped once to a permutation of those indices, and
-    faces move by it.  Returns (orbits, transporters): the orbits as
-    tuples of face indices, representatives first and in the order of
-    `faces`, members in breadth-first order, and per face the element
-    that carries its orbit's representative onto it (the identity at a
-    representative).  Raises ValueError when a generator moves a vector
-    off `vectors` or a face off `faces`.
-    """
+def _index_perms(vectors, generators):
+    """Each generator as a permutation of the indices of `vectors`
+    (ValueError when it moves a vector off them)."""
     index = {v: i for i, v in enumerate(vectors)}
     perms = []
     for g in generators:
@@ -366,24 +359,116 @@ def orbit_decompose(vectors, faces, generators):
         if None in images:
             raise ValueError("group does not permute the faces")
         perms.append(images)
+    return perms
+
+
+def orbit_decompose(vectors, faces, generators):
+    """Orbits of `faces` under the group generated by `generators`.
+
+    Faces are sets of indices into the cell's sorted `vectors`.  Each
+    generator is mapped once to a permutation of those indices, and
+    faces move by it.  Returns (orbits, schreier): the orbits as tuples
+    of face indices, representatives first and in the order of
+    `faces`, members in breadth-first order, and their Schreier vector:
+    per face None at a representative, else the pair (g, j) of the
+    generator index g and the face j it was reached from, with
+    generators[g] carrying face j onto it (`transporter` multiplies a
+    path out).  Raises ValueError when a generator moves a vector off
+    `vectors` or a face off `faces`.
+    """
+    perms = _index_perms(vectors, generators)
     position = {frozenset(face): k for k, face in enumerate(faces)}
-    identity = GroupElement.identity(len(vectors[0]))
-    transporters = [None] * len(faces)
+    seen = [False] * len(faces)
+    schreier = [None] * len(faces)
     orbits = []
     for k in range(len(faces)):
-        if transporters[k] is not None:
+        if seen[k]:
             continue
-        transporters[k] = identity
+        seen[k] = True
         orbit = [k]
         for current in orbit:
-            s = transporters[current]
             face = faces[current]
-            for g, perm in zip(generators, perms):
-                img = position.get(frozenset([perm[i] for i in face]))
+            for g, perm in enumerate(perms):
+                img = position.get(frozenset(map(perm.__getitem__, face)))
                 if img is None:
                     raise ValueError("group does not permute the faces")
-                if transporters[img] is None:
-                    transporters[img] = g * s
+                if not seen[img]:
+                    seen[img] = True
+                    schreier[img] = (g, current)
                     orbit.append(img)
         orbits.append(tuple(orbit))
-    return tuple(orbits), tuple(transporters)
+    return tuple(orbits), tuple(schreier)
+
+
+def orbit_closure(vectors, representatives, generators):
+    """The faces that products of `generators` carry the faces
+    `representatives` to, with their orbits, in one pass.
+
+    One orbit is walked from each representative, as `orbit_decompose`
+    walks it.  Returns (faces, orbits, schreier): the faces as
+    frozensets sorted by their sorted indices (the order of a cone's
+    facets), and what `orbit_decompose(vectors, faces, generators)`
+    returns for them.  Raises ValueError unless each representative is
+    the first face of an orbit of its own there, in order, or when a
+    generator moves a vector off `vectors`.
+    """
+    perms = _index_perms(vectors, generators)
+    found = set()
+    reached, heads, steps = [], [], []
+    for rep in representatives:
+        rep = frozenset(rep)
+        if rep in found:
+            raise ValueError("two representatives lie in one orbit")
+        base = len(reached)
+        heads.append(base)
+        found.add(rep)
+        orbit = [rep]
+        steps.append(None)
+        for i, face in enumerate(orbit):
+            for g, perm in enumerate(perms):
+                img = frozenset(map(perm.__getitem__, face))
+                if img not in found:
+                    found.add(img)
+                    orbit.append(img)
+                    steps.append((g, base + i))
+        reached += orbit
+    keys = [sorted(face) for face in reached]
+    order = sorted(range(len(reached)), key=keys.__getitem__)
+    rank = [0] * len(reached)
+    for k, j in enumerate(order):
+        rank[j] = k
+    heads.append(len(reached))
+    orbits = tuple(tuple(rank[j] for j in range(start, stop))
+                   for start, stop in zip(heads, heads[1:]))
+    firsts = [orbit[0] for orbit in orbits]
+    if firsts != sorted(firsts) or \
+            any(first != min(orbit) for first, orbit in zip(firsts, orbits)):
+        raise ValueError("the representatives are not the first faces of "
+                         "their orbits, in order")
+    schreier = [None] * len(reached)
+    for j, step in enumerate(steps):
+        if step is not None:
+            schreier[rank[j]] = (step[0], rank[step[1]])
+    return [reached[j] for j in order], orbits, tuple(schreier)
+
+
+def transporter(generators, schreier, k, n):
+    """The element that carries the representative of face k's orbit
+    onto face k: the product of the generators along the Schreier path
+    of `orbit_decompose` from face k back to the representative (the
+    n x n identity at a representative)."""
+    out = None
+    while schreier[k] is not None:
+        g, k = schreier[k]
+        out = generators[g] if out is None else out * generators[g]
+    return GroupElement.identity(n) if out is None else out
+
+
+def transporter_det(generators, schreier, k):
+    """The determinant of `transporter(generators, schreier, k, n)`:
+    the product of the generator determinants along the path."""
+    det = 1
+    while schreier[k] is not None:
+        g, k = schreier[k]
+        det *= generators[g].det
+    return det

@@ -10,35 +10,46 @@ is rejected.  To read one, run `python -m json.tool FILE`.
 Graph and complex payloads hold JSON integers, which Python's json
 reads and writes exactly; verdict payloads keep the decimal strings of
 their reports.  A file stores each fact once, and only what is costly to
-compute: per graph node its Gram matrix, label and facets, each facet as
-the indices of its minimal vectors (`incident`) with the edge across it
-(`neighbor`, `witness`); per complex its seed permutation, the hash in
-its graph file's header (it is read only over that graph file), the
-triplets of its differential, and per wall its [parent, face] members.
-The rest is derived on load by the code a build runs: node minima and
-minimal vectors (`forms.minimum_and_minimal_vectors`), node stabilizers
-(`isometry.form_group`), the kept top classes
+compute: per graph node its Gram matrix, label and one record per facet
+orbit, holding the orbit's first facet as the indices of its minimal
+vectors (`incident`) with the edge across it (`neighbor`, `witness`);
+per complex its seed permutation, the hash in its graph file's header
+(it is read only over that graph file), the triplets of its
+differential, and per wall its [parent, face] members.  The rest is
+derived on load by the code a build runs: node minima and minimal
+vectors (`forms.minimum_and_minimal_vectors`), node stabilizers
+(`isometry.form_group`), the other facets and the facet orbits with
+their Schreier vectors (`cones.facet_closure`), the kept top classes
 (`complexes.kept_top_nodes`), each wall's representative (the member
 the seed permutation picks), vectors, stabilizer, oriented basis and
 orientation flag (`complexes.wall_record`), and the wall kinds and
 labels and the differential's labels (`complexes.glue_complex`).  The
-facets' incidence sets, the wall members, the triplets, and the gluing
-of the edges that no wall uses are trusted.
+completeness of each node's orbit list (that no facet orbit is left
+out), the wall members and the triplets are trusted.
 
 On load, a payload's rank and group must be its file header's, each
 record must hold exactly its own fields, and each field is checked for
 shape, type and range.  A Gram matrix must be symmetric positive
-definite with spanning minimal vectors, and a node must have facets; an
-sl edge witness must have determinant one; a wall's representative must
-be a facet off the boundary, whose graph edge glues the wall.
+definite with spanning minimal vectors, and a node must have facet
+orbits.  Each orbit record must hold a facet (`cones.facet_normal`)
+that is the first of its orbit, and its edge must glue it
+(`enumeration.glues`), with a unimodular witness of determinant one in
+sl; a wall's representative must be a facet off the boundary, whose
+graph edge glues the wall.
 """
 
 import json
 import os
 import tempfile
 from .complexes import WallNotGlued, glue_complex, kept_top_nodes, wall_record
-from .cones import Facets, meets_boundary
-from .enumeration import GROUP_KINDS, Edge, PerfectFormRep, VoronoiGraph
+from .cones import face_vectors, facet_closure, facet_normal, meets_boundary
+from .enumeration import (
+    GROUP_KINDS,
+    Edge,
+    PerfectFormRep,
+    VoronoiGraph,
+    glues,
+)
 from .forms import (
     GroupElement,
     QForm,
@@ -56,14 +67,16 @@ from .linalg import det_int, mat_transpose
 # version 6 only what the graph cannot give; graph version 6 and
 # complex version 7 store no stabilizer, order, basis or orientation
 # flag; complex version 8 stores a wall as its members only; graph
-# version 7 stores no minimum, minimal vectors or facet normal.  Verdict
-# files went to version 2 when every file became its canonical encoding.
-PAYLOAD_KINDS = {"graph": 7, "complex": 8, "verdict": 2}
+# version 7 stores no minimum, minimal vectors or facet normal; graph
+# version 8 stores one record per facet orbit, at its first facet, and
+# a load regenerates the other facets.  Verdict files went to version 2
+# when every file became its canonical encoding.
+PAYLOAD_KINDS = {"graph": 8, "complex": 8, "verdict": 2}
 
 # The fields of each record: a record with any other field is refused.
 GRAPH_FIELDS = ("n", "group", "nodes")
-NODE_FIELDS = ("gram", "label", "facets")
-FACET_FIELDS = ("incident", "neighbor", "witness")
+NODE_FIELDS = ("gram", "label", "orbits")
+ORBIT_FIELDS = ("incident", "neighbor", "witness")
 COMPLEX_FIELDS = ("seed_perm", "graph", "walls", "triplets")
 WALL_FIELDS = ("members",)
 
@@ -128,10 +141,10 @@ def _sha256(data):
 def graph_to_payload(graph):
     nodes = [{"gram": _enc_mat(node.form.gram),
               "label": node.label,
-              "facets": [{"incident": sorted(f),
+              "orbits": [{"incident": sorted(node.facets[orbit[0]]),
                           "neighbor": e.neighbor,
                           "witness": _enc_mat(e.witness.rows)}
-                         for f, e in zip(node.facets, edges)]}
+                         for orbit, e in zip(node.facets.orbits, edges)]}
              for node, edges in zip(graph.nodes, graph.edges)]
     return {"n": graph.n, "group": graph.group_kind, "nodes": nodes}
 
@@ -230,7 +243,11 @@ def graph_from_payload(payload, source="<payload>"):
     """Decode and check a graph payload read from `source`.
 
     Each node's minimal vectors and stabilizer are those of its form,
-    as in the walk.  Each facet record carries the edge across it.
+    as in the walk.  Each orbit record must hold a facet of the node's
+    domain (`cones.facet_normal`), and the stabilizer generators carry
+    those facets to the node's facet list (`cones.facet_closure`), in
+    which each record must be the first facet of an orbit of its own,
+    in orbit order.  Its edge must glue the facet (`enumeration.glues`).
     """
     rd = _Reader(source)
     rd.fields(payload, (), GRAPH_FIELDS)
@@ -253,23 +270,41 @@ def graph_from_payload(payload, source="<payload>"):
         mv = minimum_and_minimal_vectors(form)
         if meets_boundary(mv.vectors):
             rd.fail(path, "is not a form with spanning minimal vectors")
-        facets = []
+        reps = []
         node_edges = []
-        for f_path, f in rd.records(rec, path, "facets", FACET_FIELDS):
-            facets.append(frozenset(rd.indices(f, f_path, "incident",
-                                               len(mv.vectors))))
+        for o_path, o in rd.records(rec, path, "orbits", ORBIT_FIELDS):
+            rep = frozenset(rd.indices(o, o_path, "incident",
+                                       len(mv.vectors)))
+            try:
+                facet_normal(mv.vectors, rep)
+            except ValueError:
+                rd.fail(o_path + ("incident",), "is not a facet of the "
+                        "node's domain")
+            reps.append(rep)
             node_edges.append(Edge(
-                neighbor=rd.index(f, f_path, "neighbor", len(node_recs)),
-                witness=rd.element(rd.get(f, f_path, "witness", list),
-                                   f_path + ("witness",), n,
+                neighbor=rd.index(o, o_path, "neighbor", len(node_recs)),
+                witness=rd.element(rd.get(o, o_path, "witness", list),
+                                   o_path + ("witness",), n,
                                    group == "sl")))
-        if not facets:
-            rd.fail(path + ("facets",), "is empty")
+        if not reps:
+            rd.fail(path + ("orbits",), "is empty")
         gens, order = form_group(form, mv.vectors, det_one=group == "sl")
+        try:
+            facets = facet_closure(mv.vectors, reps, gens)
+        except ValueError:
+            rd.fail(path + ("orbits",), "does not hold the first facet of "
+                    "each facet orbit once, in orbit order")
         edges.append(tuple(node_edges))
         nodes.append(PerfectFormRep(
-            form=form, minvecs=mv, facets=Facets(facets), generators=gens,
+            form=form, minvecs=mv, facets=facets, generators=gens,
             stab_order=order, label=rd.get(rec, path, "label", str)))
+    for (path, _), node, row in zip(node_recs, nodes, edges):
+        vectors = node.minvecs.vectors
+        for r, (orbit, e) in enumerate(zip(node.facets.orbits, row)):
+            if not glues(vectors, face_vectors(vectors, node.facets[orbit[0]]),
+                         e.witness, nodes[e.neighbor].minvecs.vectors):
+                rd.fail(path + ("orbits", r, "witness"),
+                        "does not glue the facet to its neighbor")
     return VoronoiGraph(n=n, group_kind=group, nodes=tuple(nodes),
                         edges=tuple(edges))
 
@@ -287,7 +322,7 @@ def _members(rd, rec, path, graph):
         if not 0 <= parent < len(graph.nodes):
             rd.fail(at, f"has a parent out of range "
                         f"0..{len(graph.nodes) - 1}")
-        count = len(graph.edges[parent])
+        count = len(graph.nodes[parent].facets)
         if not 0 <= face < count:
             rd.fail(at, f"has a face out of range 0..{count - 1}")
         out.append((parent, face))

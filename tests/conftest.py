@@ -471,11 +471,11 @@ def matrix_orbit_decompose(keys, generators, apply, identity):
 
 def facet_edges(graph):
     """(i, node, facet, edge) for every facet of every node of `graph`,
-    with the edge across it."""
+    with the edge across it, derived from its orbit's."""
     for i, (node, edges) in enumerate(zip(graph.nodes, graph.edges)):
-        assert len(edges) == len(node.facets)
-        for facet, edge in zip(node.facets, edges):
-            yield i, node, facet, edge
+        assert len(edges) == len(node.facets.orbits)
+        for k, facet in enumerate(node.facets):
+            yield i, node, facet, enumeration.facet_edge(graph, i, k)
 
 
 def top_views(graph):
@@ -513,7 +513,7 @@ def reference_incidences(parents, columns, children, kept_children, n,
                     continue
                 total = sum(induced_sign(view, child.basis, child.vectors,
                                          view.faces[k],
-                                         view.transporter(orbit[0], k) *
+                                         view.transporter(k) *
                                          link[0], n)
                             for k in orbit)
                 entries[(row, col)] = entries.get((row, col), 0) + total

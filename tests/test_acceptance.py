@@ -22,7 +22,11 @@ from vorcycle.complexes import (
     build_complex,
 )
 from vorcycle.cones import face_vectors, meets_boundary
-from vorcycle.enumeration import enumerate_perfect_forms, is_equivalent
+from vorcycle.enumeration import (
+    enumerate_perfect_forms,
+    facet_edge,
+    is_equivalent,
+)
 from vorcycle.forms import (
     GroupElement,
     QForm,
@@ -208,7 +212,7 @@ def test_criterion_5_property_suites(rng):
             # Stabilizer lemmas, every wall orbit.
             for w in cx.walls:
                 node = graph.nodes[w.parent]
-                neighbor, gamma = graph.edges[w.parent][w.face_index]
+                neighbor, gamma = facet_edge(graph, w.parent, w.face_index)
                 far_cell = apply_to_cell(
                     gamma, graph.nodes[neighbor].minvecs.vectors)
                 wall_stab = {x.rows for x in closure(w.generators, n)}

@@ -410,16 +410,18 @@ def test_kept_lists_and_differential_disagree_exit_three(cache, capsys,
 @pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
                                                          "python-O"))
 def test_wall_face_on_the_boundary_exit_three(cache, capsys, optimize):
-    # The facet under a kept wall of rank 4 sl cut down to one vector in
-    # a re-hashed graph file, the complex file re-pointed at it: the
-    # wall derived from that face is refused, under -O too, and no
-    # verdict is printed.
+    # The orbit record of the facet under a kept wall of rank 4 sl cut
+    # down to one vector in a re-hashed graph file, the complex file
+    # re-pointed at it: that record holds no facet, so the graph load
+    # refuses it before any wall is derived from it, under -O too, and
+    # no verdict is printed.
     path = _rank_four_complex(capsys, cache)
     graph = os.path.join(cache, "graph-n4-sl.json")
     parent, face = wall_facet(json.load(open(path))["payload"], 0)
+    r = _orbit_of(graph, parent, face)
 
     def one_vector(doc):
-        doc["payload"]["nodes"][parent]["facets"][face]["incident"] = [0]
+        doc["payload"]["nodes"][parent]["orbits"][r]["incident"] = [0]
     _tamper(graph, one_vector)
     digest = json.load(open(graph))["hash"]
     _tamper(path, lambda doc: doc["payload"].update(graph=digest))
@@ -429,44 +431,113 @@ def test_wall_face_on_the_boundary_exit_three(cache, capsys, optimize):
     assert result.returncode == 3, result.stdout + result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert "FALSIFIED" not in result.stdout
-    assert f"{path}: payload.walls[0] is not a wall: face {face} of cell " \
-        f"{parent} is not a facet off the boundary" in result.stderr
+    assert f"{path}: payload.graph: {graph}: payload.nodes[{parent}]." \
+        f"orbits[{r}].incident is not a facet of the node's domain" \
+        in result.stderr
+
+
+def _orbit_of(graph_path, parent, face):
+    """The position of the orbit record that facet `face` of node
+    `parent` of the graph file at `graph_path` belongs to."""
+    from vorcycle.persistence import graph_from_payload, load_payload
+    graph = graph_from_payload(load_payload(graph_path))
+    return graph.nodes[parent].facets.orbit_of[face]
 
 
 @pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
                                                          "python-O"))
 def test_facet_that_is_not_a_facet_exit_three(cache, capsys, optimize):
-    # Node 0's facet 0 of a re-hashed rank-3 sl graph file widened to
-    # every minimal vector, with no complex file: the cold complex build
-    # over that graph finds the node's stabilizer not permuting its
-    # facet list and refuses the file, under -O too.
+    # Node 0's first orbit record of a re-hashed rank-3 sl graph file
+    # widened to every minimal vector, with no complex file: the load
+    # finds no facet there and refuses the file, under -O too.
     run(capsys, "perfect", "--n", "3", "--group", "sl", "--cache-dir", cache)
     path = os.path.join(cache, "graph-n3-sl.json")
 
     def every_vector(doc):
-        # Every minimal vector is a ray, so it lies on some facet.
-        facets = doc["payload"]["nodes"][0]["facets"]
-        facets[0]["incident"] = sorted({i for f in facets
-                                        for i in f["incident"]})
+        node = doc["payload"]["nodes"][0]
+        node["orbits"][0]["incident"] = list(range(6))
     _tamper(path, every_vector)
     result = run_python("-m", "vorcycle", "verify", "--n", "3", "--group",
                         "sl", "--cache-dir", cache, optimize=optimize)
     assert result.returncode == 3, result.stdout + result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert "FALSIFIED" not in result.stdout
-    assert f"{path}: the faces of node 0 are not its facets" in result.stderr
+    assert f"{path}: payload.nodes[0].orbits[0].incident is not a facet " \
+        "of the node's domain" in result.stderr
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_orbit_record_off_its_first_facet_exit_three(cache, capsys,
+                                                     optimize):
+    # Node 1's first orbit record of a re-hashed rank-4 sl graph file
+    # moved to the last facet of its orbit: a facet, so each stored
+    # record still holds one, but not the first of its orbit, where the
+    # facet indices that the complex file names start.  The load
+    # refuses the file, under -O too.
+    from vorcycle.persistence import graph_from_payload, load_payload
+    run(capsys, "perfect", "--n", "4", "--group", "sl", "--cache-dir", cache)
+    path = os.path.join(cache, "graph-n4-sl.json")
+    facets = graph_from_payload(load_payload(path)).nodes[1].facets
+    last = sorted(facets[facets.orbits[0][-1]])
+
+    def moved(doc):
+        doc["payload"]["nodes"][1]["orbits"][0]["incident"] = last
+    _tamper(path, moved)
+    result = run_python("-m", "vorcycle", "verify", "--n", "4", "--group",
+                        "sl", "--cache-dir", cache, optimize=optimize)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "verified" not in result.stdout
+    assert f"{path}: payload.nodes[1].orbits does not hold the first facet " \
+        "of each facet orbit once, in orbit order" in result.stderr
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_shear_witness_on_an_edge_no_wall_uses_exit_three(cache, capsys,
+                                                          optimize):
+    # Rank 4 sl represents both its wall classes on node 1, so no wall
+    # reads the edge of node 0's one facet orbit.  Its witness is the
+    # identity (that crossing found class 1); set to a shear of
+    # determinant one in a re-hashed graph file, the complex file
+    # re-pointed at it, it is refused by the load, which checks the
+    # gluing of every stored edge, under -O too.
+    path = _rank_four_complex(capsys, cache)
+    graph = os.path.join(cache, "graph-n4-sl.json")
+    payload = json.load(open(path))["payload"]
+    assert {wall_facet(payload, i)[0]
+            for i in range(len(payload["walls"]))} == {1}
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+
+    def shear(doc):
+        record = doc["payload"]["nodes"][0]["orbits"][0]
+        assert record["witness"] == identity
+        record["witness"] = [[int(i == j or (i, j) == (0, 1))
+                              for j in range(4)] for i in range(4)]
+    _tamper(graph, shear)
+    digest = json.load(open(graph))["hash"]
+    _tamper(path, lambda doc: doc["payload"].update(graph=digest))
+    os.unlink(os.path.join(cache, "verdict-n4-sl.json"))
+    result = run_python("-m", "vorcycle", "verify", "--n", "4", "--group",
+                        "sl", "--cache-dir", cache, optimize=optimize)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "verified" not in result.stdout
+    assert f"{graph}: payload.nodes[0].orbits[0].witness does not glue " \
+        "the facet to its neighbor" in result.stderr
 
 
 @pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
                                                          "python-O"))
 @pytest.mark.parametrize("command", ("verify", "complex"))
 def test_node_without_facets_exit_three(cache, capsys, command, optimize):
-    # Node 0 of a re-hashed rank-3 sl graph file with no facets, and no
-    # complex file: every node of rank 2 or more has facets, so the
-    # load refuses the file, under -O too.
+    # Node 0 of a re-hashed rank-3 sl graph file with no facet orbits,
+    # and no complex file: every node of rank 2 or more has facets, so
+    # the load refuses the file, under -O too.
     run(capsys, "verify", "--n", "3", "--group", "sl", "--cache-dir", cache)
     path = os.path.join(cache, "graph-n3-sl.json")
-    _tamper(path, lambda doc: doc["payload"]["nodes"][0].update(facets=[]))
+    _tamper(path, lambda doc: doc["payload"]["nodes"][0].update(orbits=[]))
     for kind in ("complex", "verdict"):
         os.unlink(os.path.join(cache, f"{kind}-n3-sl.json"))
     result = run_python("-m", "vorcycle", command, "--n", "3", "--group",
@@ -475,14 +546,32 @@ def test_node_without_facets_exit_three(cache, capsys, command, optimize):
     assert "Traceback" not in result.stdout + result.stderr
     assert result.stdout == ""
     assert result.stderr == f"error: cache corruption: {path}: " \
-        "payload.nodes[0].facets is empty\n"
+        "payload.nodes[0].orbits is empty\n"
 
 
-def _schema_six_file(doc):
-    """The graph file as schema 6 stored it: each node with its minimum
-    and minimal vectors, and each facet with its normal."""
+def _graph_schema_seven_file(doc):
+    """The graph file as schema 7 stored it: each node with every facet
+    and the edge across it."""
+    from vorcycle.enumeration import facet_edge
+    from vorcycle.persistence import graph_from_payload
+    graph = graph_from_payload(doc["payload"])
+    for i, (node, rec) in enumerate(zip(graph.nodes,
+                                        doc["payload"]["nodes"])):
+        del rec["orbits"]
+        rec["facets"] = [{"incident": sorted(facet),
+                          "neighbor": facet_edge(graph, i, k).neighbor,
+                          "witness": [list(row) for row in
+                                      facet_edge(graph, i, k).witness.rows]}
+                         for k, facet in enumerate(node.facets)]
+    doc["schema_version"] = 7
+
+
+def _graph_schema_six_file(doc):
+    """The graph file as schema 6 stored it: the schema-7 file with
+    each node's minimum and minimal vectors, and each facet's normal."""
     from vorcycle.cones import facet_normal
     from vorcycle.forms import QForm, minimum_and_minimal_vectors
+    _graph_schema_seven_file(doc)
     for node in doc["payload"]["nodes"]:
         mv = minimum_and_minimal_vectors(QForm(tuple(map(tuple,
                                                          node["gram"]))))
@@ -501,9 +590,24 @@ def test_schema_six_graph_file_exit_three(cache, capsys, optimize):
     # crosses it: a graph file that still stores normals, minima and
     # minimal vectors is refused, under -O too, and no verdict is
     # printed.
+    _stale_graph_file_exit_three(cache, capsys, optimize,
+                                 _graph_schema_six_file, 6)
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_schema_seven_graph_file_exit_three(cache, capsys, optimize):
+    # A load regenerates a node's facets from one record per orbit: a
+    # graph file that still stores every facet with its edge is
+    # refused, under -O too, and no verdict is printed.
+    _stale_graph_file_exit_three(cache, capsys, optimize,
+                                 _graph_schema_seven_file, 7)
+
+
+def _stale_graph_file_exit_three(cache, capsys, optimize, edit, version):
     run(capsys, "verify", "--n", "2", "--group", "sl", "--cache-dir", cache)
     path = os.path.join(cache, "graph-n2-sl.json")
-    _tamper(path, _schema_six_file)
+    _tamper(path, edit)
     for kind in ("complex", "verdict"):
         os.unlink(os.path.join(cache, f"{kind}-n2-sl.json"))
     result = run_python("-m", "vorcycle", "verify", "--n", "2", "--group",
@@ -511,8 +615,8 @@ def test_schema_six_graph_file_exit_three(cache, capsys, optimize):
     assert result.returncode == 3, result.stdout + result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert "verified" not in result.stdout
-    assert f"{path}: schema version 6 != 7; another version of vorcycle " \
-        "wrote this file: delete it or use a fresh --cache-dir" \
+    assert f"{path}: schema version {version} != 8; another version of " \
+        "vorcycle wrote this file: delete it or use a fresh --cache-dir" \
         in result.stderr
 
 
@@ -521,36 +625,37 @@ def test_bad_edge_facet_in_graph_cache_exit_three(cache, capsys):
     path = os.path.join(cache, "graph-n3-sl.json")
 
     def bad_neighbor(doc):
-        doc["payload"]["nodes"][0]["facets"][0]["neighbor"] = 999
+        doc["payload"]["nodes"][0]["orbits"][0]["neighbor"] = 999
     _tamper(path, bad_neighbor)
     code, out, err = run(capsys, "verify", "--n", "3", "--group", "sl",
                          "--cache-dir", cache)
     assert code == 3
     assert "Traceback" not in out + err
-    assert f"{path}: payload.nodes[0].facets[0].neighbor is out of " \
+    assert f"{path}: payload.nodes[0].orbits[0].neighbor is out of " \
         "range" in err
 
 
 def _unglue_wall_zero(capsys, cache):
     """Build the rank-2 sl caches, then replace the graph edge at wall
-    0's facet by a unimodular shear, which carries the neighbour's
-    minimal vectors elsewhere.  Both files are re-hashed and the complex
-    file refers to the edited graph file, so only the gluing check can
-    catch the change."""
+    0's facet orbit by a unimodular shear, which carries the
+    neighbour's minimal vectors elsewhere.  Both files are re-hashed and
+    the complex file refers to the edited graph file, so only the
+    gluing check of the graph load can catch the change."""
     run(capsys, "verify", "--n", "2", "--group", "sl", "--cache-dir", cache)
     graph = os.path.join(cache, "graph-n2-sl.json")
     path = os.path.join(cache, "complex-n2-sl.json")
     parent, face = wall_facet(json.load(open(path))["payload"], 0)
+    r = _orbit_of(graph, parent, face)
 
     def shear(doc):
-        doc["payload"]["nodes"][parent]["facets"][face]["witness"] = \
+        doc["payload"]["nodes"][parent]["orbits"][r]["witness"] = \
             [[1, 1], [0, 1]]
     _tamper(graph, shear)
     digest = json.load(open(graph))["hash"]
     _tamper(path, lambda doc: doc["payload"].update(graph=digest))
     os.unlink(os.path.join(cache, "verdict-n2-sl.json"))
-    return path, f"{path}: payload.walls[0] is not glued by the graph " \
-        f"edge at node {parent}, facet {face}"
+    return path, f"{graph}: payload.nodes[{parent}].orbits[{r}].witness " \
+        "does not glue the facet to its neighbor"
 
 
 def test_wall_witness_off_the_graph_edge_exit_three(cache, capsys):
@@ -559,26 +664,24 @@ def test_wall_witness_off_the_graph_edge_exit_three(cache, capsys):
                          "--cache-dir", cache)
     assert code == 3
     assert "Traceback" not in out + err and "verified" not in out
-    assert problem in err
+    assert f"{path}: payload.graph: {problem}" in err
 
 
 @pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
                                                          "python-O"))
 def test_graph_edge_off_its_wall_without_complex_file_exit_three(
         cache, capsys, optimize):
-    # With no complex file the complex is built over the graph file; an
-    # edge there that does not glue its wall is that file's corruption,
-    # under -O too.
-    path, _ = _unglue_wall_zero(capsys, cache)
+    # With no complex file the complex would be built over the graph
+    # file; an edge there that does not glue its facet is that file's
+    # corruption, refused on load, under -O too.
+    path, problem = _unglue_wall_zero(capsys, cache)
     os.unlink(path)
-    graph = os.path.join(cache, "graph-n2-sl.json")
     result = run_python("-m", "vorcycle", "verify", "--n", "2", "--group",
                         "sl", "--cache-dir", cache, optimize=optimize)
     assert result.returncode == 3, result.stdout + result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert "verified" not in result.stdout
-    assert f"error: cache corruption: {graph}: walls[0] is not glued by " \
-        "the graph edge at node" in result.stderr
+    assert f"error: cache corruption: {problem}\n" == result.stderr
 
 
 @pytest.mark.parametrize("text", (

@@ -30,7 +30,7 @@ from vorcycle.complexes import (
     transport_flat,
 )
 from vorcycle.cones import build_cone, face_vectors, meets_boundary
-from vorcycle.enumeration import enumerate_perfect_forms
+from vorcycle.enumeration import enumerate_perfect_forms, facet_edge
 from vorcycle.forms import (
     GroupElement,
     QForm,
@@ -44,6 +44,7 @@ from vorcycle.linalg import (
     relative_orientation,
     sym_flatten,
 )
+from vorcycle.persistence import graph_from_payload, graph_to_payload
 
 HEX_CELL = ((0, 1), (1, -1), (1, 0))          # hexagonal domain vectors
 HEX_MIRROR = ((0, 1), (1, 0), (1, 1))         # its far side across the wall
@@ -105,7 +106,7 @@ def test_wall_classification(complex_sl2, complex_sl4):
     assert kinds == ["non_self", "self"]
     for cx in (complex_sl2, complex_sl4):
         for w in cx.walls:
-            neighbor, g = cx.graph.edges[w.parent][w.face_index]
+            neighbor, g = facet_edge(cx.graph, w.parent, w.face_index)
             node = cx.graph.nodes[w.parent]
             far = apply_to_cell(g, cx.graph.nodes[neighbor].minvecs.vectors)
             shared = tuple(sorted(set(node.minvecs.vectors) & set(far)))
@@ -191,7 +192,7 @@ def test_stab_groups_lemma_on_nonself_walls(complex_sl4, complex_gl4):
             if w.kind != "non_self":
                 continue
             node = cx.graph.nodes[w.parent]
-            neighbor, g = cx.graph.edges[w.parent][w.face_index]
+            neighbor, g = facet_edge(cx.graph, w.parent, w.face_index)
             far = apply_to_cell(g, cx.graph.nodes[neighbor].minvecs.vectors)
             wall_stab = {x.rows for x in closure(w.generators, cx.n)}
             sigma_stab = {x.rows for x in closure(node.generators, cx.n)}
@@ -214,7 +215,7 @@ def test_self_wall_lemma_parts(complex_sl2, complex_gl2, complex_sl3,
             if w.kind != "self":
                 continue
             node = cx.graph.nodes[w.parent]
-            gamma = cx.graph.edges[w.parent][w.face_index].witness
+            gamma = facet_edge(cx.graph, w.parent, w.face_index).witness
             cell = node.minvecs.vectors
             far = apply_to_cell(gamma, cell)
             # tau = sigma intersect gamma.sigma, literally.
@@ -281,7 +282,7 @@ def test_rank_two_internal_cancellation_sign():
     # cancels as 1 + (-1).
     rot = GroupElement.from_matrix([[0, 1], [-1, 0]])
     assert apply_to_cell(rot, HEX_CELL) == HEX_MIRROR
-    view = _ParentView(vectors=HEX_CELL, basis=None, faces=(DIAG_WALL,))
+    view = _ParentView(vectors=HEX_CELL, basis=None)
     basis = [sym_flatten(rank_one(v)) for v in DIAG_WALL]
     extra = next(v for v in HEX_CELL if v not in set(DIAG_WALL))
     if view.oriented_sign(basis + [sym_flatten(rank_one(extra))]) < 0:
@@ -314,7 +315,7 @@ def test_member_signs_constant_within_stabilizer_orbit(n, group, level):
                     continue
                 signs = {induced_sign(view, child.basis, child.vectors,
                                       view.faces[k],
-                                      view.transporter(orbit[0], k) * link[0],
+                                      view.transporter(k) * link[0],
                                       n)
                          for k in orbit}
                 assert len(signs) == 1
@@ -460,49 +461,72 @@ def test_each_node_is_decomposed_once_and_a_warm_verify_none(monkeypatch,
                                                               tmp_path,
                                                               capsys):
     # The walk decomposes each node's facets once (in build_cone, with
-    # its rays) and the complex build reuses those orbits; a warm
-    # verify reads the caches and decomposes nothing (without
-    # --check-dd, which builds the codim-2 level from the walls).
+    # its rays) and the complex build reuses those orbits.  A warm
+    # verify decomposes no facet list: it walks each node's orbits once,
+    # from the stored representatives, as the load regenerates the
+    # facets (without --check-dd, which builds the codim-2 level from
+    # the walls).
+    warm = [(node.minvecs.vectors, tuple(node.facets))
+            for node in cached_graph(4, "sl").nodes]
     inputs = []
-    real = complexes.orbit_decompose
+    closures = []
+    real = cones.orbit_decompose
+    real_closure = cones.orbit_closure
 
     def counted(vectors, faces, generators):
         inputs.append((tuple(vectors), tuple(faces)))
         return real(vectors, faces, generators)
 
-    monkeypatch.setattr(complexes, "orbit_decompose", counted)
+    def counted_closure(vectors, representatives, generators):
+        faces, orbits, schreier = real_closure(vectors, representatives,
+                                               generators)
+        closures.append((tuple(vectors), tuple(faces)))
+        return faces, orbits, schreier
+
     monkeypatch.setattr(cones, "orbit_decompose", counted)
+    monkeypatch.setattr(cones, "orbit_closure", counted_closure)
     graph = enumerate_perfect_forms(5, "sl")
     build_complex(graph)
     facet_lists = [(node.minvecs.vectors, tuple(node.facets))
                    for node in graph.nodes]
     assert [inputs.count(faces) for faces in facet_lists] == [1, 1, 1]
-    assert len(inputs) == 2 * len(graph.nodes)
+    assert len(inputs) == 2 * len(graph.nodes) and closures == []
     args = ["verify", "--n", "4", "--group", "sl",
             "--cache-dir", str(tmp_path)]
     assert main(args) == 0
     inputs.clear()
     assert main(args) == 0
-    assert inputs == []
+    assert inputs == [] and closures == warm
     assert capsys.readouterr().out.count("verified") == 2
 
 
-def test_a_complex_build_reads_one_transporter_per_kept_wall_class(
-        monkeypatch):
-    # Rank 5 gl keeps 2 of its 4 wall classes.  A transporter is read
-    # off the edges for each kept class only (the sign of a class that
-    # is not kept is never taken), not once per facet: 430 facets.
-    graph = cached_graph(5, "gl")
+def _count_products(monkeypatch):
+    """Counts of GroupElement products and inverses from here on."""
     counts = {"__mul__": 0, "inverse": 0}
     for name in counts:
         def counted(*args, _name=name, _f=getattr(GroupElement, name)):
             counts[_name] += 1
             return _f(*args)
         monkeypatch.setattr(GroupElement, name, counted)
-    cx = build_complex(graph, seed_perm=3)
-    assert (len(cx.walls), len(cx.kept_walls)) == (4, 2)
-    assert sum(len(node.facets) for node in graph.nodes) == 430
-    assert counts["__mul__"] < 30 and counts["inverse"] < 8
+    return counts
+
+
+def test_a_complex_build_reads_one_transporter_per_kept_wall_class(
+        monkeypatch):
+    # Rank 5 gl keeps 2 of its 4 wall classes.  A transporter is
+    # multiplied out of a Schreier vector for each kept class only (the
+    # sign of a class that is not kept is never taken), and an edge for
+    # each wall, not once per facet: 430 facets.  The same holds over
+    # the graph written and read back, whose orbits the load derived.
+    graph = cached_graph(5, "gl")
+    loaded = graph_from_payload(graph_to_payload(graph))
+    for g in (graph, loaded):
+        counts = _count_products(monkeypatch)
+        cx = build_complex(g, seed_perm=3)
+        monkeypatch.undo()
+        assert (len(cx.walls), len(cx.kept_walls)) == (4, 2)
+        assert sum(len(node.facets) for node in g.nodes) == 430
+        assert counts["__mul__"] < 30 and counts["inverse"] < 8
 
 
 # A transporter that does not carry the face class onto the face, and a
@@ -513,7 +537,7 @@ from vorcycle.forms import GroupElement, rank_one
 from vorcycle.linalg import sym_flatten
 cell = ((0, 1), (1, -1), (1, 0))
 wall = ((0, 1), (1, 0))
-view = _ParentView(vectors=cell, basis=None, faces=(wall,), cell="node 0")
+view = _ParentView(vectors=cell, basis=None, cell="node 0")
 basis = [sym_flatten(rank_one(v)) for v in wall]
 shear = GroupElement.from_matrix([[1, 1], [0, 1]])
 try:
@@ -536,3 +560,90 @@ def test_a_wrong_transporter_is_refused(optimize):
         "the transporter does not carry the face class onto a face of "
         "node 0\n"
         "the basis of w0 is not independent\n")
+
+
+# Every non-representative facet of a node gets a transporter skewed by
+# a shear outside the stabilizer.  Rank 3 sl at seed permutation 1
+# represents its one wall class (not kept) by facet 1, whose derived
+# edge then carries the neighbour to the wrong side of the facet; rank 4
+# sl at seed 3 represents its kept class by facet 3 of node 1, whose
+# incidence sign reads that transporter first.
+_SKEWED = """
+from vorcycle import cones
+from vorcycle.complexes import WallNotGlued, build_complex
+from vorcycle.enumeration import enumerate_perfect_forms
+from vorcycle.forms import GroupElement
+real = cones.transporter
+def skewed(generators, schreier, k, n):
+    shear = GroupElement.from_matrix(
+        [[int(i == j or (i, j) == (0, 1)) for j in range(n)]
+         for i in range(n)])
+    t = real(generators, schreier, k, n)
+    return t if schreier[k] is None else shear * t
+cones.transporter = skewed
+for n, seed in ((3, 1), (4, 3)):
+    try:
+        build_complex(enumerate_perfect_forms(n, "sl"), seed_perm=seed)
+    except WallNotGlued as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_a_skewed_transporter_is_refused(optimize):
+    # Neither check is an assert: under -O both refuse too.
+    result = run_python("-c", _SKEWED, optimize=optimize)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "walls[0] is not glued by the graph edge at node 0, facet 1\n"
+        "the transporter does not carry the face class onto a face of "
+        "node 1\n")
+
+
+# The transporter of facet 1 of rank 3 sl, which represents its wall
+# class at seed permutation 1, replaced by the identity (which leaves
+# the representative facet where it is), or by the true one times a
+# symmetry of the facet that is no automorphism of the form: that one
+# carries the representative onto facet 1, but the derived edge then
+# carries the neighbour onto the node's own cell.
+_MISDIRECTED = """
+import sys
+from vorcycle import cones
+from vorcycle.complexes import WallNotGlued, build_complex
+from vorcycle.cones import face_vectors
+from vorcycle.enumeration import enumerate_perfect_forms
+from vorcycle.forms import GroupElement
+from vorcycle.isometry import cell_group
+from vorcycle.linalg import mat_mul, mat_transpose
+real = cones.transporter
+graph = enumerate_perfect_forms(3, "sl")
+facets = graph.nodes[0].facets
+gram = graph.nodes[0].form.gram
+if sys.argv[1] == "identity":
+    wrong = GroupElement.identity(3)
+else:
+    h = next(h for h in cell_group(face_vectors(
+        graph.nodes[0].minvecs.vectors, facets[1]), det_one=True)[0]
+        if mat_mul(mat_mul(mat_transpose(h.rows), gram), h.rows) != gram)
+    wrong = h * facets.transporter(1)
+def misdirected(generators, schreier, k, n):
+    if schreier is facets.schreier and k == 1:
+        return wrong
+    return real(generators, schreier, k, n)
+cones.transporter = misdirected
+try:
+    build_complex(graph, seed_perm=1)
+except WallNotGlued as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("transporter", ("identity", "facet-symmetry"))
+def test_a_misdirected_transporter_is_refused(transporter):
+    for optimize in ((), ("-O",)):
+        result = run_python("-c", _MISDIRECTED, transporter,
+                            optimize=optimize)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == ("walls[0] is not glued by the graph edge "
+                                 "at node 0, facet 1\n")

@@ -16,6 +16,7 @@ from vorcycle.cones import (
     build_cone,
     face_vectors,
     faces_of_codim,
+    facet_closure,
     facet_normal,
     meets_boundary,
     subcone_facets,
@@ -284,12 +285,19 @@ def test_symmetric_cone_matches_the_trivial_group(case):
     assert len(facets.orbits) < len(facets)
     assert sorted(k for orbit in facets.orbits for k in orbit) == \
         list(range(len(facets)))
-    for orbit in facets.orbits:
+    for r, orbit in enumerate(facets.orbits):
         rep = face_vectors(vectors, facets[orbit[0]])
         for k in orbit:
-            assert apply_to_cell(facets.transporters[k], rep) == \
+            assert facets.orbit_of[k] == r
+            assert apply_to_cell(facets.transporter(k), rep) == \
                 face_vectors(vectors, facets[k])
     assert build(vectors).orbits == tuple((k,) for k in range(len(facets)))
+    # The representatives alone give back the list, orbits and Schreier
+    # vector.
+    again = facet_closure(vectors, [facets[o[0]] for o in facets.orbits],
+                          gens)
+    assert (list(again), again.orbits, again.schreier) == \
+        (list(facets), facets.orbits, facets.schreier)
 
 
 def test_build_cone_certifies_one_facet_and_one_ray_per_orbit(monkeypatch):

@@ -18,6 +18,7 @@ from vorcycle.enumeration import (
     neighbor_form,
 )
 from vorcycle.forms import (
+    GroupElement,
     QForm,
     a_n_gram,
     act,
@@ -279,22 +280,16 @@ def test_disconnected_walk_graph_is_refused(optimize):
     assert result.stdout == "walk graph is disconnected\n"
 
 
-# One non-representative member of each orbit decomposition
-# `build_cone` makes gets a transporter skewed by a shear outside the
-# stabilizer, so the member facet's edge carries the neighbour to the
-# wrong side of the facet.
-_SKEWED = """
-from vorcycle import cones, enumeration
+# Every match of a neighbour to its class skewed by a shear, so the
+# crossing at the first facet orbit's representative carries the
+# neighbour to the wrong side of the facet.
+_SKEWED_MATCH = """
+from vorcycle import enumeration
 from vorcycle.forms import GroupElement
-real = cones.orbit_decompose
+real = enumeration.form_maps
 shear = GroupElement.from_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-def skewed(vectors, faces, gens):
-    orbits, transporters = real(vectors, faces, gens)
-    k = next(o for o in orbits if len(o) > 1)[1]
-    transporters = list(transporters)
-    transporters[k] = shear * transporters[k]
-    return orbits, tuple(transporters)
-cones.orbit_decompose = skewed
+enumeration.form_maps = lambda *args, **kwargs: [
+    shear * g for g in real(*args, **kwargs)]
 try:
     enumeration.enumerate_perfect_forms(3, "sl")
 except RuntimeError as exc:
@@ -305,55 +300,11 @@ except RuntimeError as exc:
 @pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
                                                          "python-O"))
 def test_walk_refuses_an_edge_that_does_not_glue(optimize):
-    # The gluing test is no assert: under -O the walk refuses the
-    # skewed edge too.
-    result = run_python("-c", _SKEWED, optimize=optimize)
+    # The gluing test is no assert: under -O the walk refuses the skewed
+    # edge too.
+    result = run_python("-c", _SKEWED_MATCH, optimize=optimize)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == ("the crossing at facet 1 of node 0 does not "
-                             "glue it\n")
-
-
-# One non-representative member of a facet orbit gets a transporter
-# that passes one half of the walk's transport check and fails the
-# other: the identity (an automorphism of the form that leaves the
-# representative facet where it is), or the member's transporter times
-# a symmetry of the member facet that is no automorphism of the form.
-_MISDIRECTED = """
-import sys
-from vorcycle import cones, enumeration
-from vorcycle.cones import face_vectors
-from vorcycle.forms import GroupElement, QForm, a_n_gram
-from vorcycle.isometry import cell_group
-from vorcycle.linalg import mat_mul, mat_transpose
-real = cones.orbit_decompose
-gram = QForm.from_matrix(a_n_gram(3)).gram
-def misdirected(vectors, faces, gens):
-    orbits, transporters = real(vectors, faces, gens)
-    if len(faces[0]) > 1:
-        k = next(o for o in orbits if len(o) > 1)[1]
-        transporters = list(transporters)
-        if sys.argv[1] == "identity":
-            transporters[k] = GroupElement.identity(3)
-        else:
-            h = next(h for h in cell_group(face_vectors(vectors, faces[k]),
-                                           det_one=True)[0]
-                     if mat_mul(mat_mul(mat_transpose(h.rows), gram),
-                                h.rows) != gram)
-            transporters[k] = h * transporters[k]
-    return orbits, tuple(transporters)
-cones.orbit_decompose = misdirected
-try:
-    enumeration.enumerate_perfect_forms(3, "sl")
-except RuntimeError as exc:
-    print(exc)
-"""
-
-
-@pytest.mark.parametrize("transporter", ("identity", "facet-symmetry"))
-def test_walk_refuses_a_transporter_off_the_member(transporter):
-    result = run_python("-c", _MISDIRECTED, transporter)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == ("the crossing at facet 1 of node 0 does not "
+    assert result.stdout == ("the crossing at facet 0 of node 0 does not "
                              "glue it\n")
 
 
@@ -376,6 +327,47 @@ def test_one_walk_builds_and_crosses_each_domain_once(n, cones, crossings,
     assert len(graph.nodes) == cones
     assert calls == {"build_cone": cones, "form_group": cones,
                      "neighbor_form": crossings, "is_equivalent": 0}
+
+
+def test_the_walk_moves_no_edge_along_an_orbit(monkeypatch):
+    # One edge per facet orbit: the walk multiplies no transporter out
+    # and maps no member facet.  When it stored an edge per facet, the
+    # rank-5 gl walk made 901 products and 7,800 `apply` calls.
+    counts = {"__mul__": 0, "apply": 0}
+    for name in counts:
+        def counted(*args, _name=name, _f=getattr(GroupElement, name)):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(GroupElement, name, counted)
+    graph = enumerate_perfect_forms(5, "gl")
+    assert [len(row) for row in graph.edges] == \
+        [len(node.facets.orbits) for node in graph.nodes] == [1, 4, 1]
+    assert counts["__mul__"] < 100 and counts["apply"] < 2000
+
+
+# The crossing's certificate that the form it reaches is perfect, made
+# to fail: the walk raises, and the CLI reports a crash (exit 4), never
+# a verdict.
+_NOT_PERFECT = """
+import sys, tempfile
+from vorcycle import cli, enumeration
+enumeration.is_perfect = lambda *args: False
+sys.exit(cli.main(["verify", "--n", "3", "--group", "sl",
+                   "--cache-dir", tempfile.mkdtemp()]))
+"""
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_a_crossing_that_fails_its_certificate_exits_four(optimize):
+    # The certificates of neighbor_form are no asserts: under -O the
+    # crossing raises too.
+    result = run_python("-c", _NOT_PERFECT, optimize=optimize)
+    assert result.returncode == 4, result.stdout + result.stderr
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: unexpected RuntimeError: the form across the facet is not "
+        "a perfect neighbour that keeps the facet\n")
 
 
 def test_session_caches_refuse_a_patched_pipeline(monkeypatch):

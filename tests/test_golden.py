@@ -84,6 +84,16 @@ the walk recovers from the facet's rays where it crosses
 three fields removed; the complex file differs only in the graph hash
 it names, and the verdict files, and so their digests, did not change.
 
+The graph and complex digests were re-recorded once more, together,
+when a node came to keep its facet orbits.  Graph schema 8 stores per
+node one record per facet orbit, holding the orbit's first facet and
+the edge across it, and drops every other facet record, which a load
+regenerates by the node's stabilizer generators.  A graph file is the
+schema-7 one with only the records at the first facet of each orbit
+kept, renamed from `facets` to `orbits`; the complex file differs only
+in the graph hash it names, and the verdict files, and so their
+digests, did not change.
+
 Any change to the search order, the chosen witnesses or the generating
 sets shows up here as a changed graph, complex or verdict file.  A second
 `verify` from the caches just written must reproduce the verdict file
@@ -100,33 +110,33 @@ from vorcycle.cli import main
 GOLDEN = {
     (3, "sl"): {
         "graph-n3-sl.json":
-            "e6e0c66cfdde322c7b7c789b56c1db5875aa05454960b8faa37cc87c4245aeda",
+            "816b379228c56f7a7dd89bec64967c72d0683ab7088a146a5375ca1be01cce5b",
         "complex-n3-sl.json":
-            "232e675c3d9f0c20c7cac753f573b76ea3872b55b89125681f6e073ea9a527bf",
+            "4f434379201e55cdbe11bba6de4282de62ea2a28e3d14d51e609bc0d1dfcfa25",
         "verdict-n3-sl.json":
             "53514469a3a0e5fcacdf9809bc173d4c6e5b8cf5e8090d94a2bb864045dac997",
     },
     (3, "gl"): {
         "graph-n3-gl.json":
-            "19eea1591b14f6ffdc2fb7de99c5e6dce35b94a5416cef0d82dd967dbce0d9ba",
+            "af8df6e810fc2d77ede2d404fd4cd9068407c6f0955527e4f18cadf1920f066d",
         "complex-n3-gl.json":
-            "1365f7a2b5100a17862e99861425a29a7a6edf8c37295a3e1d640dbdad05f1a7",
+            "9fa50fdbce3c0fd045957ada9101bd694a582eac5be0f4325c67c973aabeff4e",
         "verdict-n3-gl.json":
             "a23f09fabc1d98f5970ce934b68c659deddbc6b7a650fef3f9717150a41199a2",
     },
     (4, "sl"): {
         "graph-n4-sl.json":
-            "2308073b26cc1379a9e6eadebcf82b2f534e84a764415071ff950c1287b27b91",
+            "4228a12109b28ca6bb5bff01bd3a4fa3eb9141a29e2dc05019761693708a2f53",
         "complex-n4-sl.json":
-            "e788a3ebe887de4f295598eec5fee2b1a26cca944c3f9b59ad712e223f92cbfc",
+            "f4691284f216b02b6e530fb859aeabdd9fca7bec8a785cdebf27399820959b89",
         "verdict-n4-sl.json":
             "36db85c4819198a94d977b86420b3fdfbd2d950d6f8f2f3adb4512417252bba0",
     },
     (4, "gl"): {
         "graph-n4-gl.json":
-            "0972473c5aa07b28c5411755de9a537d74448aaba75f99755c54514d1ced64a0",
+            "004f9f75e9814bb77b9032d4556db11f0db4658b7bd10c03419aae1d3ed3ceaf",
         "complex-n4-gl.json":
-            "00d911a108088afa20800f759cb6bcd1f5422951feb5b4fcac5f77c6c1b39ca1",
+            "8aa569419024dd0e95c9cc585d00625e432776fba43233482a809abcb65fc013",
         "verdict-n4-gl.json":
             "22cedf4684c60d5857d0272eb219e041c7f55a3607958676995edfd79b0b527c",
     },

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cached_complex, differential_kernel
+from conftest import cached_complex, differential_kernel, run_python
 
 from vorcycle.complexes import (
     Differential,
@@ -130,6 +130,32 @@ def test_dd_composition_checker_and_mutation():
                              entries=(((0, 0), 2), ((0, 1), 2),
                                       ((1, 0), 1), ((1, 1), -1)))
     assert not compose_is_zero(mid, corrupted)
+
+
+# A codim-2 differential with a column per kept wall, against a top
+# differential with one row fewer.
+_MISALIGNED = """
+from vorcycle.complexes import Differential
+from vorcycle.homology import compose_is_zero
+top = Differential(row_labels=("w0",), col_labels=("t0",),
+                   entries=(((0, 0), 1),))
+mid = Differential(row_labels=("c0",), col_labels=("w0", "w1"),
+                   entries=(((0, 0), 1),))
+try:
+    compose_is_zero(mid, top)
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_misaligned_differentials_are_refused(optimize):
+    # The check is no assert: under -O it refuses too.
+    result = run_python("-c", _MISALIGNED, optimize=optimize)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ("the codim-2 differential has 2 columns for 1 "
+                             "kept walls\n")
 
 
 def test_codim2_level_boundary_free(complex_sl4):

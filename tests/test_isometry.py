@@ -32,7 +32,10 @@ from vorcycle.isometry import (
     form_automorphisms,
     form_group,
     form_maps,
+    orbit_closure,
     orbit_decompose,
+    transporter,
+    transporter_det,
 )
 from vorcycle.linalg import det_int
 
@@ -198,13 +201,16 @@ def test_orbit_decompose_partitions_with_transporters():
     facets = build_cone(mv.vectors)
     group = form_automorphisms(q, mv.vectors)
     gens = small_generating_set(group)
-    orbits, transporters = orbit_decompose(mv.vectors, facets, gens)
+    orbits, schreier = orbit_decompose(mv.vectors, facets, gens)
     covered = []
     for orbit in orbits:
         rep = face_vectors(mv.vectors, facets[orbit[0]])
+        assert schreier[orbit[0]] is None
         for k in orbit:
-            assert apply_to_cell(transporters[k], rep) == \
+            s = transporter(gens, schreier, k, 4)
+            assert apply_to_cell(s, rep) == \
                 face_vectors(mv.vectors, facets[k])
+            assert transporter_det(gens, schreier, k) == s.det
         covered += orbit
     assert sorted(covered) == list(range(len(facets)))
     # orbit sizes divide the group order
@@ -396,13 +402,30 @@ def test_orbit_decompose_matches_the_matrix_action(gram):
     keys = [face_vectors(mv.vectors, f) for f in facets]
     for det_one in (False, True):
         gens, _ = form_group(q, mv.vectors, det_one=det_one)
-        orbits, transporters = orbit_decompose(mv.vectors, facets, gens)
+        orbits, schreier = orbit_decompose(mv.vectors, facets, gens)
         want = matrix_orbit_decompose(keys, gens, apply_to_cell,
                                       GroupElement.identity(q.n))
         assert [[keys[k] for k in orbit] for orbit in orbits] == \
             [list(ref) for _, ref in want]
-        assert [[transporters[k].rows for k in orbit] for orbit in orbits] \
-            == [[s.rows for s in ref.values()] for _, ref in want]
+        assert [[transporter(gens, schreier, k, q.n).rows for k in orbit]
+                for orbit in orbits] == \
+            [[s.rows for s in ref.values()] for _, ref in want]
+        # One pass from the representatives gives back the facet list
+        # with the same orbits and Schreier vector.
+        reps = [facets[orbit[0]] for orbit in orbits]
+        assert orbit_closure(mv.vectors, reps, gens) == \
+            (list(facets), orbits, schreier)
+        # A representative that is not the first face of its orbit, two
+        # out of order and two in one orbit are refused.
+        big = next(orbit for orbit in orbits if len(orbit) > 1)
+        for bad, problem in (
+                ([facets[big[-1]] if f == facets[big[0]] else f
+                  for f in reps], "not the first faces"),
+                (reps[::-1], "not the first faces"),
+                (reps + [facets[big[1]]], "lie in one orbit")):
+            if bad != reps:
+                with pytest.raises(ValueError, match=problem):
+                    orbit_closure(mv.vectors, bad, gens)
 
 
 def test_cell_leaves_need_the_setwise_check():

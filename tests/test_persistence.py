@@ -6,14 +6,20 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from conftest import cached_complex, cached_graph, content_hash, wall_facet
+from conftest import (
+    cached_complex,
+    cached_graph,
+    content_hash,
+    facet_edges,
+    wall_facet,
+)
 
 from vorcycle.homology import verify_top_cycle
 from vorcycle.persistence import (
     COMPLEX_FIELDS,
-    FACET_FIELDS,
     GRAPH_FIELDS,
     NODE_FIELDS,
+    ORBIT_FIELDS,
     WALL_FIELDS,
     CacheCorrupt,
     cache_path,
@@ -29,8 +35,9 @@ from vorcycle.persistence import (
 
 
 def test_graph_round_trip(tmp_path):
-    # A node is stored without its stabilizer: the generators and order
-    # that form_group derives on load must be the ones the walk found.
+    # A node is stored without its stabilizer or its facets other than
+    # one per orbit: the generators and order that form_group derives on
+    # load must be the ones the walk found, and so must the facets.
     # The graph has no seed permutation; test_complex_round_trip_is_exact
     # loads the complexes of seeds 0 and 3 over it.
     for n in (2, 3, 4, 5):
@@ -43,6 +50,11 @@ def test_graph_round_trip(tmp_path):
             assert [(a.generators, a.stab_order) for a in loaded.nodes] == \
                 [(b.generators, b.stab_order) for b in graph.nodes]
             assert loaded == graph
+            # The facets regenerated from one record per orbit, with
+            # their orbits and Schreier vectors, are the walk's.
+            assert [(a.facets.orbits, a.facets.schreier)
+                    for a in loaded.nodes] == \
+                [(b.facets.orbits, b.facets.schreier) for b in graph.nodes]
 
 
 def _graph_hash(cx):
@@ -96,15 +108,15 @@ def test_complex_payload_refers_to_the_graph_file(tmp_path):
     graph_payload = graph_to_payload(cx.graph)
     assert set(graph_payload) == {"n", "group", "nodes"}
     for node in graph_payload["nodes"]:
-        assert set(node) == {"gram", "label", "facets"}
-        for facet in node["facets"]:
-            assert set(facet) == {"incident", "neighbor", "witness"}
+        assert set(node) == {"gram", "label", "orbits"}
+        for record in node["orbits"]:
+            assert set(record) == {"incident", "neighbor", "witness"}
     g_path = save_payload(str(tmp_path / "g.json"), "graph", 3, "gl",
                           graph_payload)
     c_path = save_payload(str(tmp_path / "c.json"), "complex", 3, "gl",
                           payload)
     assert json.load(open(g_path))["hash"] == payload["graph"]
-    assert json.load(open(g_path))["schema_version"] == 7
+    assert json.load(open(g_path))["schema_version"] == 8
     assert json.load(open(c_path))["schema_version"] == 8
     assert load_payload(g_path, "graph", 3, "gl", payload["graph"])
     with pytest.raises(CacheCorrupt, match="g.json: expected hash '0+'"):
@@ -266,7 +278,7 @@ def test_every_missing_field_is_cache_corrupt(n, group):
                     pytest.raises(CacheCorrupt, match="c.json: payload"):
                 decode(bad)
     # Every field of every record was deleted somewhere.
-    assert names == set(GRAPH_FIELDS + NODE_FIELDS + FACET_FIELDS +
+    assert names == set(GRAPH_FIELDS + NODE_FIELDS + ORBIT_FIELDS +
                         COMPLEX_FIELDS + WALL_FIELDS)
 
 
@@ -275,10 +287,11 @@ def test_mistyped_fields_never_crash(n, group):
     # A replaced value may happen to be valid (a label or graph hash
     # "x", a matrix entry or seed permutation -1); anything else must
     # surface as CacheCorrupt, never as another exception.
-    rejected = 0
+    rejected = attempts = 0
     for payload, decode in _decoders(n, group):
         for path, _ in list(_paths(payload)):
             for new in ({}, "x", -1, None):
+                attempts += 1
                 with _mutated(payload, path, new) as bad:
                     try:
                         decode(bad)
@@ -290,7 +303,9 @@ def test_mistyped_fields_never_crash(n, group):
                                                    ("x", "graph"),
                                                    (-1, "seed_perm")) or \
                             new == -1 and path[-3] in ("gram", "witness")
-    assert rejected > 200
+    # At most ten replacements happen to be valid: the graph payloads
+    # hold one record per facet orbit, so rank 2 sl makes 160 attempts.
+    assert attempts >= 160 and rejected >= attempts - 10
 
 
 def test_missing_field_message_names_the_field():
@@ -308,7 +323,7 @@ def test_missing_field_message_names_the_field():
 @pytest.mark.parametrize("where, key", (
     (("graph", "nodes", 0), "stab_order"),
     (("graph", "nodes", 0), "generators"),
-    (("graph", "nodes", 0, "facets", 1), "edge"),
+    (("graph", "nodes", 0, "orbits", 0), "edge"),
     (("graph",), "edges"),
     (("walls", 0), "stab_order"),
     (("walls", 0), "orientation_kept"),
@@ -317,7 +332,7 @@ def test_missing_field_message_names_the_field():
     (("walls", 0), "face_index"),
     (("graph", "nodes", 0), "min_vectors"),
     (("graph", "nodes", 0), "min_value"),
-    (("graph", "nodes", 0, "facets", 1), "normal"),
+    (("graph", "nodes", 0, "orbits", 0), "normal"),
 ), ids=("node-order", "node-generators", "facet-edge", "graph-edges",
         "wall-order", "wall-flag", "complex-tops", "wall-parent",
         "wall-face-index", "node-min-vectors", "node-min-value",
@@ -345,9 +360,9 @@ SHEAR = [[1, 1], [0, 1]]
 # table, kept so that each case keeps its name; new cases are appended
 # with ids of their own.
 @pytest.mark.parametrize("where, new, problem", (
-    pytest.param(("graph", "nodes", 0, "facets", 0, "neighbor"), 1,
+    pytest.param(("graph", "nodes", 0, "orbits", 0, "neighbor"), 1,
                  "neighbor is out of range", id="where6-1-is out of range"),
-    pytest.param(("graph", "nodes", 0, "facets", 0, "witness"),
+    pytest.param(("graph", "nodes", 0, "orbits", 0, "witness"),
                  [[0, 1], [1, 0]], "witness has determinant -1",
                  id="where18-new18-witness has determinant -1"),
     pytest.param(("walls", 0, "members", 0, 0), 3,
@@ -368,22 +383,22 @@ SHEAR = [[1, 1], [0, 1]]
     pytest.param(("graph", "nodes", 0, "gram", 0, 0), "2",
                  "gram is not a list of 2 integers per row",
                  id="where25-2-gram is not a list of 2 integers per row"),
-    pytest.param(("graph", "nodes", 0, "facets", 0, "neighbor"), -1,
-                 r"nodes\[0\]\.facets\[0\]\.neighbor is out of range",
+    pytest.param(("graph", "nodes", 0, "orbits", 0, "neighbor"), -1,
+                 r"nodes\[0\]\.orbits\[0\]\.neighbor is out of range",
                  id="facet-neighbor-negative"),
-    pytest.param(("graph", "nodes", 0, "facets", 0, "witness"),
+    pytest.param(("graph", "nodes", 0, "orbits", 0, "witness"),
                  [[2, 0], [0, 1]], "witness is not unimodular",
                  id="facet-witness-singular"),
     # A Gram matrix whose minimal vectors do not span, one that is not
-    # positive definite, and a node with no facets.
+    # positive definite, and a node with no facet orbits.
     pytest.param(("graph", "nodes", 0, "gram", 0, 0), 4,
                  r"nodes\[0\] is not a form with spanning minimal vectors",
                  id="gram-entry"),
     pytest.param(("graph", "nodes", 0, "gram", 0, 0), 0,
                  r"nodes\[0\] is not a positive definite form",
                  id="gram-not-positive-definite"),
-    pytest.param(("graph", "nodes", 0, "facets"), [],
-                 r"nodes\[0\]\.facets is empty", id="node-without-facets"),
+    pytest.param(("graph", "nodes", 0, "orbits"), [],
+                 r"nodes\[0\]\.orbits is empty", id="node-without-facets"),
     # Rank 2 sl keeps no wall, so the matrix has no rows.
     pytest.param(("triplets",), [[0, 0, 1]],
                  r"triplets\[0\] is not a nonzero entry in range",
@@ -402,25 +417,28 @@ def test_generator_certificates_and_ranges(where, new, problem):
 
 @pytest.mark.parametrize("n, group", ((2, "sl"), (4, "gl")))
 def test_one_edge_per_node_facet(n, group):
-    # Each facet record carries the edge across it, so a decoded graph
-    # has one edge per (node, facet), aligned with the node's facets, as
-    # enumerated.
+    # Each orbit record carries the edge across its facet, so a decoded
+    # graph has one stored edge per facet orbit, aligned with the node's
+    # orbits, as enumerated, and derives one edge per (node, facet).
     graph = cached_graph(n, group)
     payload = graph_to_payload(graph)
     assert "edges" not in payload
     loaded = graph_from_payload(payload, "g.json")
     assert [len(edges) for edges in loaded.edges] == \
-        [len(node.facets) for node in loaded.nodes]
+        [len(node.facets.orbits) for node in loaded.nodes]
     assert loaded.edges == graph.edges
+    assert list(facet_edges(loaded)) == list(facet_edges(graph))
+    assert sum(1 for _ in facet_edges(loaded)) == \
+        sum(len(node.facets) for node in loaded.nodes)
 
 
 def test_stale_schema_version_names_the_remedy(tmp_path):
-    # A schema-6 graph file, which still stored each node's minimum and
-    # minimal vectors and each facet's normal, and a schema-7 complex
-    # file, which still stored each wall's parent and face_index.
+    # A schema-7 graph file, which still stored every facet with its
+    # edge, and a schema-7 complex file, which still stored each wall's
+    # parent and face_index.
     cx = cached_complex(2, "sl")
     for kind, payload, stale in (
-            ("graph", graph_to_payload(cx.graph), 6),
+            ("graph", graph_to_payload(cx.graph), 7),
             ("complex", complex_to_payload(cx, _graph_hash(cx)), 7)):
         path = save_payload(str(tmp_path / f"{kind}.json"), kind, 2, "sl",
                             payload)
@@ -508,19 +526,20 @@ def test_load_payload_fuzz(cache_texts, tmp_path_factory, data):
 @pytest.mark.parametrize("incident", ([0], [0, 1, 2]),
                          ids=("one-vector", "every-vector"))
 def test_wall_face_must_be_a_facet_off_the_boundary(incident):
-    # The graph's incidence sets are trusted, but the face under a wall
-    # must be a facet that avoids the boundary: one vector meets the
-    # boundary, and every vector is the whole cell.
+    # The face under a wall must be a facet that avoids the boundary:
+    # one vector meets the boundary, and every vector is the whole cell.
+    # Its orbit record holds no facet then, which the graph load
+    # refuses before any wall is derived from it.
     (graph_payload, _), (payload, _) = _decoders(2, "sl")
     parent, face = wall_facet(payload, 0)
-    facet = graph_payload["nodes"][parent]["facets"][face]
-    with _mutated(facet, ("incident",), incident):
-        graph = graph_from_payload(graph_payload, "g.json")
-        with pytest.raises(CacheCorrupt) as exc:
-            complex_from_payload(payload, graph, "c.json")
+    r = cached_graph(2, "sl").nodes[parent].facets.orbit_of[face]
+    record = graph_payload["nodes"][parent]["orbits"][r]
+    with _mutated(record, ("incident",), incident), \
+            pytest.raises(CacheCorrupt) as exc:
+        graph_from_payload(graph_payload, "g.json")
     assert str(exc.value) == \
-        f"c.json: payload.walls[0] is not a wall: face {face} of cell " \
-        f"{parent} is not a facet off the boundary"
+        f"g.json: payload.nodes[{parent}].orbits[{r}].incident is not a " \
+        f"facet of the node's domain"
 
 
 def test_wall_without_members_is_cache_corrupt():
