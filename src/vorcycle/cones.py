@@ -17,12 +17,18 @@ in, are the facets' incidence sets.
 The result is certified, and up to symmetry: the caller passes
 generators of a group that should map the cone onto itself (the cell's
 stabilizer; none for the trivial group).  They must permute the rays
-and the candidate facets (`isometry.orbit_decompose` raises otherwise).
-A map that permutes the rays maps the cone onto itself, so it maps
-facets to facets and extreme rays to extreme rays; then one rank
-certificate per facet orbit and one per ray orbit cover every member.
-A non-facet among the candidates either breaks an orbit or lies in an
-orbit whose representative fails its certificate.
+(`isometry.orbit_decompose` raises otherwise) and the candidate facets:
+the orbit walk from the candidates must reach no other face.  A map
+that permutes the rays maps the cone onto itself, so it maps facets to
+facets and extreme rays to extreme rays; then one rank certificate per
+facet orbit and one per ray orbit cover every member.  A non-facet
+among the candidates either breaks an orbit or lies in an orbit whose
+representative fails its certificate.
+
+The facets are numbered as that walk reaches them, orbit by orbit.
+Each orbit's representative is its first facet in the double
+description's order (sorted by incident indices), so one walk from the
+representatives alone numbers them the same way (`facet_closure`).
 
 A facet's normal is needed only where the walk crosses it, and
 `facet_normal` recovers it from the incident rays alone: a symmetric
@@ -34,12 +40,7 @@ the trace pairing.
 from operator import mul
 
 from .forms import rank_one
-from .isometry import (
-    orbit_closure,
-    orbit_decompose,
-    transporter,
-    transporter_det,
-)
+from .isometry import orbit_decompose, transporter, transporter_det
 from .linalg import (
     independent_rows,
     kernel_basis,
@@ -62,10 +63,11 @@ class Facets(tuple):
     `build_cone` result as a record with a facet list (as
     vorbench/tracing.py counts it) reads the same facets.
 
-    `orbits` are the facet orbits under the n x n matrices `generators`
-    the facets were certified with, as tuples of facet indices with the
-    representative first, and `orbit_of[k]` is the position of facet
-    k's orbit.  `schreier` is their Schreier vector (see
+    The facets are numbered as `isometry.orbit_decompose` walks them
+    under the n x n matrices `generators` they were certified with:
+    `orbits` are ranges of facet indices, one orbit after the other
+    with the representative first, and `orbit_of[k]` is the position of
+    facet k's orbit.  `schreier` is their Schreier vector (see
     `isometry.orbit_decompose`): `transporter(k)` multiplies out the
     element that carries the representative of facet k's orbit onto
     facet k, and `transporter_det(k)` its determinant, with no matrix
@@ -78,10 +80,7 @@ class Facets(tuple):
         self.schreier = schreier
         self.generators = generators
         self.n = n
-        self.orbit_of = [None] * len(self)
-        for r, orbit in enumerate(orbits):
-            for k in orbit:
-                self.orbit_of[k] = r
+        self.orbit_of = [r for r, orbit in enumerate(orbits) for _ in orbit]
         return self
 
     @property
@@ -210,30 +209,33 @@ def _dd_dual_rays(rows, weights):
 def _certified(vectors, rays, duals, dim, generators):
     """The facets of the cone of `rays` (one per sorted vector, in
     dimension `dim`) that the dual rays `duals` describe, certified per
-    orbit of `generators`, and the ray orbits.
+    orbit of `generators`, and one ray index per ray orbit.
 
     The generators must permute the rays and the facets (ValueError
-    otherwise).  A nonzero y pairs to zero with each of its incident
-    rays, so they span at most a hyperplane; the certificate, at each
-    orbit's representative, is that they span one.
+    otherwise): the orbit walk from the facets must reach no other face.
+    A nonzero y pairs to zero with each of its incident rays, so they
+    span at most a hyperplane; the certificate, at each orbit's
+    representative, is that they span one.
     """
-    ray_orbits, _ = orbit_decompose(
+    reached, ray_orbits, _ = orbit_decompose(
         vectors, [(i,) for i in range(len(vectors))], generators)
-    facets = [active for _, active in duals]
-    orbits, schreier = orbit_decompose(vectors, facets, generators)
-    for orbit in orbits:
-        y, active = duals[orbit[0]]
-        if not any(y) or mat_rank([rays[i] for i in active],
-                                  stop=dim - 1) < dim - 1:
+    facets, orbits, schreier = orbit_decompose(
+        vectors, [active for _, active in duals], generators)
+    if len(facets) != len(duals):
+        raise ValueError("group does not permute the faces")
+    heads = {facets[orbit[0]] for orbit in orbits}
+    for y, active in duals:
+        if active in heads and (not any(y) or mat_rank(
+                [rays[i] for i in active], stop=dim - 1) < dim - 1):
             raise ValueError("dual ray does not describe a facet")
     return (Facets(facets, orbits, schreier, generators, len(vectors[0])),
-            ray_orbits)
+            [min(reached[orbit[0]]) for orbit in ray_orbits])
 
 
 def build_cone(vectors, generators=()):
     """The facets of the cone spanned by the rank-one matrices of
-    `vectors`, as index sets into the sorted vectors, with their orbits
-    under `generators` (see `Facets`).
+    `vectors`, as index sets into the sorted vectors, numbered by their
+    orbits under `generators` (see `Facets`).
 
     Verifies full dimensionality (NotFullDim otherwise), pointedness,
     and that every listed ray is extreme.
@@ -248,14 +250,13 @@ def build_cone(vectors, generators=()):
             f"dimension-{dim} form space")
     weights = [pairing_weights(f, n) for f in ray_flats]
     duals = _dd_dual_rays(ray_flats, weights)
-    facets, ray_orbits = _certified(vectors, ray_flats, duals, dim,
-                                    generators)
+    facets, ray_reps = _certified(vectors, ray_flats, duals, dim,
+                                  generators)
     # Every listed ray must be extreme: the normals of the facets
     # through it span a hyperplane (at most one, as they vanish on the
     # ray).  Pointedness holds because the identity matrix pairs strictly
     # positively with every rank-one ray.
-    for orbit in ray_orbits:
-        i = orbit[0]
+    for i in ray_reps:
         active_normals = [y for y, active in duals if i in active]
         if mat_rank(active_normals, stop=dim - 1) < dim - 1:
             raise ValueError(f"listed ray {i} is not extreme")
@@ -286,18 +287,25 @@ def facet_normal(vectors, facet):
 
 def facet_closure(vectors, representatives, generators):
     """The facets that `generators` carry the facets `representatives`
-    to, sorted as `_dd_dual_rays` sorts a cone's facets (by their sorted
-    incident indices), with their orbits (see `Facets`), in one pass of
-    `isometry.orbit_closure`.  Raises ValueError unless each
-    representative is the first facet of an orbit of its own, in order.
+    to, numbered by one orbit walk from the representatives (see
+    `Facets`), which is the numbering of `build_cone` when each
+    representative is the first facet of its orbit in the double
+    description's order (sorted by incident indices), in increasing
+    order.  Raises ValueError unless it is.
 
     When the representatives are facets of the cone of the sorted
     `vectors` and the generators permute those vectors, every face
     listed is a facet; whether the list is complete is the caller's to
     know.
     """
-    facets, orbits, schreier = orbit_closure(vectors, representatives,
-                                             generators)
+    facets, orbits, schreier = orbit_decompose(vectors, representatives,
+                                               generators)
+    heads = [sorted(facets[orbit[0]]) for orbit in orbits]
+    if len(orbits) != len(representatives) or heads != sorted(heads) or \
+            heads != [min(sorted(facets[k]) for k in orbit)
+                      for orbit in orbits]:
+        raise ValueError("the representatives are not the first facets of "
+                         "their orbits, in order")
     return Facets(facets, orbits, schreier, generators, len(vectors[0]))
 
 

@@ -33,11 +33,13 @@ candidate image of b_i outside their orbit of b_i gets one first-hit
 search with the images of b_0, ..., b_{i-1} fixed, and a hit is a new
 strong generator.  Since every candidate outside the orbit is searched
 to completion, each basic orbit comes out complete, and the group order
-is the product of the basic orbit lengths.  Orbits of faces are
-computed the same way, with each generator turned once into a
-permutation of vector indices.  An orbit keeps its Schreier vector (per
-face, the generator and the face it was reached from), so a transporter
-is multiplied out only where it is read.
+is the product of the basic orbit lengths.  Orbits of faces come from
+one breadth-first walk (`orbit_decompose`), with each generator turned
+once into a permutation of vector indices.  The walk numbers the faces
+it reaches orbit by orbit, so it decomposes a complete face list and
+regenerates one from orbit representatives alike.  An orbit keeps its
+Schreier vector (per face, the generator and the face it was reached
+from), so a transporter is multiplied out only where it is read.
 
 `form_automorphisms`, `cell_stabilizer` and `small_generating_set` (a
 Dimino closure over a listed group, see Butler, "Fundamental Algorithms
@@ -363,93 +365,48 @@ def _index_perms(vectors, generators):
 
 
 def orbit_decompose(vectors, faces, generators):
-    """Orbits of `faces` under the group generated by `generators`.
+    """The orbits of `faces` under the group generated by `generators`,
+    walked breadth first.
 
     Faces are sets of indices into the cell's sorted `vectors`.  Each
     generator is mapped once to a permutation of those indices, and
-    faces move by it.  Returns (orbits, schreier): the orbits as tuples
-    of face indices, representatives first and in the order of
-    `faces`, members in breadth-first order, and their Schreier vector:
-    per face None at a representative, else the pair (g, j) of the
-    generator index g and the face j it was reached from, with
-    generators[g] carrying face j onto it (`transporter` multiplies a
-    path out).  Raises ValueError when a generator moves a vector off
-    `vectors` or a face off `faces`.
+    faces move by it.  The walk goes through `faces` in order, and each
+    face it has not reached yet starts an orbit.  Returns (reached,
+    orbits, schreier): the faces reached, as frozensets numbered orbit
+    by orbit in walk order (`faces` exactly when the group permutes
+    them; a face that `faces` lists is reached as the object listed);
+    the orbits as ranges of those numbers, representative first; and
+    their Schreier vector: per face None at a representative, else the
+    pair (g, j) of the generator index g and the face j it was reached
+    from, with generators[g] carrying face j onto it (`transporter`
+    multiplies a path out).  Raises ValueError when a generator moves a
+    vector off `vectors`.
     """
     perms = _index_perms(vectors, generators)
-    position = {frozenset(face): k for k, face in enumerate(faces)}
-    seen = [False] * len(faces)
-    schreier = [None] * len(faces)
-    orbits = []
-    for k in range(len(faces)):
-        if seen[k]:
+    listed = {}
+    for face in map(frozenset, faces):
+        listed.setdefault(face, face)
+    seen = set()
+    reached, orbits, schreier = [], [], []
+    for start in listed:
+        if start in seen:
             continue
-        seen[k] = True
-        orbit = [k]
-        for current in orbit:
-            face = faces[current]
+        first = len(reached)
+        seen.add(start)
+        reached.append(start)
+        schreier.append(None)
+        j = first
+        while j < len(reached):
             for g, perm in enumerate(perms):
-                img = position.get(frozenset(map(perm.__getitem__, face)))
-                if img is None:
-                    raise ValueError("group does not permute the faces")
-                if not seen[img]:
-                    seen[img] = True
-                    schreier[img] = (g, current)
-                    orbit.append(img)
-        orbits.append(tuple(orbit))
-    return tuple(orbits), tuple(schreier)
-
-
-def orbit_closure(vectors, representatives, generators):
-    """The faces that products of `generators` carry the faces
-    `representatives` to, with their orbits, in one pass.
-
-    One orbit is walked from each representative, as `orbit_decompose`
-    walks it.  Returns (faces, orbits, schreier): the faces as
-    frozensets sorted by their sorted indices (the order of a cone's
-    facets), and what `orbit_decompose(vectors, faces, generators)`
-    returns for them.  Raises ValueError unless each representative is
-    the first face of an orbit of its own there, in order, or when a
-    generator moves a vector off `vectors`.
-    """
-    perms = _index_perms(vectors, generators)
-    found = set()
-    reached, heads, steps = [], [], []
-    for rep in representatives:
-        rep = frozenset(rep)
-        if rep in found:
-            raise ValueError("two representatives lie in one orbit")
-        base = len(reached)
-        heads.append(base)
-        found.add(rep)
-        orbit = [rep]
-        steps.append(None)
-        for i, face in enumerate(orbit):
-            for g, perm in enumerate(perms):
-                img = frozenset(map(perm.__getitem__, face))
-                if img not in found:
-                    found.add(img)
-                    orbit.append(img)
-                    steps.append((g, base + i))
-        reached += orbit
-    keys = [sorted(face) for face in reached]
-    order = sorted(range(len(reached)), key=keys.__getitem__)
-    rank = [0] * len(reached)
-    for k, j in enumerate(order):
-        rank[j] = k
-    heads.append(len(reached))
-    orbits = tuple(tuple(rank[j] for j in range(start, stop))
-                   for start, stop in zip(heads, heads[1:]))
-    firsts = [orbit[0] for orbit in orbits]
-    if firsts != sorted(firsts) or \
-            any(first != min(orbit) for first, orbit in zip(firsts, orbits)):
-        raise ValueError("the representatives are not the first faces of "
-                         "their orbits, in order")
-    schreier = [None] * len(reached)
-    for j, step in enumerate(steps):
-        if step is not None:
-            schreier[rank[j]] = (step[0], rank[step[1]])
-    return [reached[j] for j in order], orbits, tuple(schreier)
+                img = frozenset(map(perm.__getitem__, reached[j]))
+                if img not in seen:
+                    img = listed.get(img, img)
+                    seen.add(img)
+                    reached.append(img)
+                    schreier.append((g, j))
+            j += 1
+        orbits.append(range(first, len(reached)))
+    return reached, tuple(orbits), tuple(schreier)
 
 
 def transporter(generators, schreier, k, n):

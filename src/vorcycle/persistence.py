@@ -11,15 +11,18 @@ Graph and complex payloads hold JSON integers, which Python's json
 reads and writes exactly; verdict payloads keep the decimal strings of
 their reports.  A file stores each fact once, and only what is costly to
 compute: per graph node its Gram matrix, label and one record per facet
-orbit, holding the orbit's first facet as the indices of its minimal
-vectors (`incident`) with the edge across it (`neighbor`, `witness`);
+orbit, holding the orbit's first facet in sorted order as the indices
+of its minimal vectors (`incident`) with the edge across it
+(`neighbor`, `witness`);
 per complex its seed permutation, the hash in its graph file's header
 (it is read only over that graph file), the triplets of its
 differential, and per wall its [parent, face] members.  The rest is
 derived on load by the code a build runs: node minima and minimal
 vectors (`forms.minimum_and_minimal_vectors`), node stabilizers
-(`isometry.form_group`), the other facets and the facet orbits with
-their Schreier vectors (`cones.facet_closure`), the kept top classes
+(`isometry.form_group`), the other facets, numbered by one orbit walk
+from the stored ones, with their orbits and Schreier vectors
+(`cones.facet_closure`, the numbering of `cones.build_cone`, which a
+member's face index refers to), the kept top classes
 (`complexes.kept_top_nodes`), each wall's representative (the member
 the seed permutation picks), vectors, stabilizer, oriented basis and
 orientation flag (`complexes.wall_record`), and the wall kinds and
@@ -32,7 +35,7 @@ record must hold exactly its own fields, and each field is checked for
 shape, type and range.  A Gram matrix must be symmetric positive
 definite with spanning minimal vectors, and a node must have facet
 orbits.  Each orbit record must hold a facet (`cones.facet_normal`)
-that is the first of its orbit, and its edge must glue it
+that is the sorted-first of its orbit, and its edge must glue it
 (`enumeration.glues`), with a unimodular witness of determinant one in
 sl; a wall's representative must be a facet off the boundary, whose
 graph edge glues the wall.
@@ -69,9 +72,11 @@ from .linalg import det_int, mat_transpose
 # flag; complex version 8 stores a wall as its members only; graph
 # version 7 stores no minimum, minimal vectors or facet normal; graph
 # version 8 stores one record per facet orbit, at its first facet, and
-# a load regenerates the other facets.  Verdict files went to version 2
-# when every file became its canonical encoding.
-PAYLOAD_KINDS = {"graph": 8, "complex": 8, "verdict": 2}
+# a load regenerates the other facets; complex version 9 numbers a
+# member's face in the orbit walk's order, no longer in the double
+# description's sorted order.  Verdict files went to version 2 when
+# every file became its canonical encoding.
+PAYLOAD_KINDS = {"graph": 8, "complex": 9, "verdict": 2}
 
 # The fields of each record: a record with any other field is refused.
 GRAPH_FIELDS = ("n", "group", "nodes")
@@ -89,46 +94,11 @@ def _enc_mat(rows):
     return [list(r) for r in rows]
 
 
-# One encoder for every piece: json.dumps builds a new one per call when
-# given these arguments.
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _holds_objects(value):
-    return type(value) is list and any(type(x) is dict for x in value)
-
-
-def _assemble(obj, out):
-    """Append the canonical encoding of `obj` to `out` in pieces."""
-    if _holds_objects(obj):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _assemble(item, out)
-        out.append("]")
-    elif type(obj) is dict and all(type(k) is str for k in obj) and \
-            any(_holds_objects(v) for v in obj.values()):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            out.append(("," if i else "") + _dumps(key) + ":")
-            _assemble(obj[key], out)
-        out.append("}")
-    else:
-        out.append(_dumps(obj))
-
-
-def canonical_dumps(obj):
-    """`json.dumps(obj, sort_keys=True, separators=(",", ":"))`.
-
-    Lists of objects, and objects with string keys that hold one, are
-    assembled here member by member; every other value is one encoder
-    call.  The bytes are the same, and the encoder holds the tokens of
-    one record at a time instead of those of a whole file.
-    """
-    out = []
-    _assemble(obj, out)
-    return "".join(out)
+# The canonical encoding, json.dumps(obj, sort_keys=True,
+# separators=(",", ":")), with its encoder built once: json.dumps builds
+# a new one per call when given these arguments.
+canonical_dumps = json.JSONEncoder(sort_keys=True,
+                                   separators=(",", ":")).encode
 
 
 def _sha256(data):
@@ -246,8 +216,9 @@ def graph_from_payload(payload, source="<payload>"):
     as in the walk.  Each orbit record must hold a facet of the node's
     domain (`cones.facet_normal`), and the stabilizer generators carry
     those facets to the node's facet list (`cones.facet_closure`), in
-    which each record must be the first facet of an orbit of its own,
-    in orbit order.  Its edge must glue the facet (`enumeration.glues`).
+    which each record must be the sorted-first facet of an orbit of its
+    own, in increasing order.  Its edge must glue the facet
+    (`enumeration.glues`).
     """
     rd = _Reader(source)
     rd.fields(payload, (), GRAPH_FIELDS)

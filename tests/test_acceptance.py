@@ -219,8 +219,9 @@ def test_criterion_5_property_suites(rng):
                 inter = {x.rows for x in closure(node.generators, n)} \
                     & {x.rows
                        for x in cell_stabilizer(far_cell, det_one=det_one)}
-                orbits, _ = orbit_decompose(node.minvecs.vectors,
-                                            node.facets, node.generators)
+                _, orbits, _ = orbit_decompose(node.minvecs.vectors,
+                                               node.facets,
+                                               node.generators)
                 if w.kind == "non_self":
                     assert wall_stab == inter
                     orbit = next(o for o in orbits if w.face_index in o)

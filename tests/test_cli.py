@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from conftest import run_python, wall_facet
+from conftest import cached_graph, run_python, wall_facet
 from vorcycle import cli
 from vorcycle.cli import main
 
@@ -273,7 +273,7 @@ def _wall_parent(doc):
 @pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
                                                          "python-O"))
 @pytest.mark.parametrize("edit, problem", (
-    (_schema_seven_file, "schema version 7 != 8; another version of "
+    (_schema_seven_file, "schema version 7 != 9; another version of "
                          "vorcycle wrote this file: delete it or use a "
                          "fresh --cache-dir"),
     (_wall_parent, "payload.walls[0].parent is not a field of this "
@@ -293,6 +293,38 @@ def test_complex_file_with_wall_placements_exit_three(cache, capsys,
     assert "Traceback" not in result.stdout + result.stderr
     assert "verified" not in result.stdout
     assert f"{path}: {problem}" in result.stderr
+
+
+def _schema_eight_file(doc):
+    """The file as complex schema 8 stored it: each member's face
+    numbered in the double description's sorted order, not in the order
+    of the node's orbit walk."""
+    graph = cached_graph(4, "sl")
+    for wall in doc["payload"]["walls"]:
+        for member in wall["members"]:
+            facets = graph.nodes[member[0]].facets
+            member[1] = sorted(facets, key=sorted).index(facets[member[1]])
+    doc["schema_version"] = 8
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_schema_eight_complex_file_exit_three(cache, capsys, optimize):
+    # Schema 8 numbered a member's face as the double description sorts
+    # the facets; read with this numbering its walls would be other
+    # faces, so the file is refused with the remedy, under -O too.
+    path = _rank_four_complex(capsys, cache)
+    before = json.load(open(path))["payload"]["walls"]
+    _tamper(path, _schema_eight_file)
+    assert json.load(open(path))["payload"]["walls"] != before
+    result = run_python("-m", "vorcycle", "verify", "--n", "4", "--group",
+                        "sl", "--cache-dir", cache, optimize=optimize)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "verified" not in result.stdout
+    assert f"{path}: schema version 8 != 9; another version of vorcycle " \
+        f"wrote this file: delete it or use a fresh --cache-dir" \
+        in result.stderr
 
 
 def test_stored_order_in_graph_file_exit_three(cache, capsys):

@@ -92,13 +92,15 @@ def test_facet_normals_vanish_on_incident_positive_elsewhere():
 def test_facet_normal_is_the_double_description_normal(n):
     # The normal recovered from a facet's rays is the dual ray that the
     # double description found for it, on every domain of ranks 2-5.
+    # The node numbers the same facets in its orbit walk's order.
     for node in cached_graph(n, "gl").nodes:
         vectors = node.minvecs.vectors
         weights = [pairing_weights(sym_flatten(rank_one(v)), n)
                    for v in vectors]
         duals = _dd_dual_rays([sym_flatten(rank_one(v)) for v in vectors],
                               weights)
-        assert [active for _, active in duals] == list(node.facets)
+        assert {active for _, active in duals} == set(node.facets)
+        assert len(duals) == len(node.facets)
         for y, active in duals:
             assert facet_normal(vectors, active) == sym_unflatten(y, n)
 
@@ -275,13 +277,17 @@ def face_orbit(vectors, duals, generators):
 
 @pytest.mark.parametrize("case", range(2), ids=SYMMETRIC_IDS)
 def test_symmetric_cone_matches_the_trivial_group(case):
-    # The stabilizer changes only how the facets are certified: the
-    # facet list is the same, its orbits partition it, and each
-    # transporter carries its orbit's representative onto the member.
+    # The stabilizer changes only how the facets are certified and
+    # numbered: the facet set is the same, its orbits partition it, and
+    # each transporter carries its orbit's representative onto the
+    # member.  With the trivial group the numbering is the double
+    # description's sorted order.
     build, vectors, gens = symmetric_cases()[case]
     vectors = tuple(sorted(vectors))
     facets = build(vectors, gens)
-    assert list(facets) == list(build(vectors))
+    trivial = build(vectors)
+    assert set(facets) == set(trivial) and len(facets) == len(trivial)
+    assert list(trivial) == sorted(trivial, key=sorted)
     assert len(facets.orbits) < len(facets)
     assert sorted(k for orbit in facets.orbits for k in orbit) == \
         list(range(len(facets)))
@@ -291,9 +297,15 @@ def test_symmetric_cone_matches_the_trivial_group(case):
             assert facets.orbit_of[k] == r
             assert apply_to_cell(facets.transporter(k), rep) == \
                 face_vectors(vectors, facets[k])
-    assert build(vectors).orbits == tuple((k,) for k in range(len(facets)))
-    # The representatives alone give back the list, orbits and Schreier
-    # vector.
+    assert trivial.orbits == tuple(range(k, k + 1)
+                                   for k in range(len(facets)))
+    # Each representative is the first facet of its orbit in that
+    # order, and the representatives alone give back the list, orbits
+    # and Schreier vector.
+    first = {facet: k for k, facet in enumerate(trivial)}
+    heads = [first[facets[o[0]]] for o in facets.orbits]
+    assert heads == sorted(heads)
+    assert heads == [min(first[facets[k]] for k in o) for o in facets.orbits]
     again = facet_closure(vectors, [facets[o[0]] for o in facets.orbits],
                           gens)
     assert (list(again), again.orbits, again.schreier) == \
@@ -310,13 +322,34 @@ def test_build_cone_certifies_one_facet_and_one_ray_per_orbit(monkeypatch):
                         lambda *args, **kwargs: calls.append(1) or
                         real(*args, **kwargs))
     facets = build_cone(vectors, gens)
-    ray_orbits, _ = orbit_decompose(
+    _, ray_orbits, _ = orbit_decompose(
         vectors, [(i,) for i in range(len(vectors))], gens)
     assert len(calls) == 1 + len(facets.orbits) + len(ray_orbits)
     assert len(ray_orbits) == 1
     calls.clear()
-    assert build_cone(vectors) == facets
+    assert set(build_cone(vectors)) == set(facets)
     assert len(calls) == 1 + len(facets) + len(vectors)
+
+
+def test_each_facet_is_the_double_description_object(monkeypatch):
+    # The orbit walk reaches every facet of D5's domain as the frozenset
+    # that the double description returned, so a cone holds each facet
+    # once, not a second copy made by the walk.
+    form = QForm.from_matrix(d_n_gram(5))
+    mv = minimum_and_minimal_vectors(form)
+    real = cones._dd_dual_rays
+    listed = []
+
+    def recorded(rows, weights):
+        listed.extend(real(rows, weights))
+        return listed
+
+    monkeypatch.setattr(cones, "_dd_dual_rays", recorded)
+    facets = build_cone(mv.vectors, form_group(form, mv.vectors)[0])
+    assert len(facets) == len(listed) == 400
+    assert len(facets.orbits) == 4
+    same = {active: active for _, active in listed}
+    assert all(facet is same[facet] for facet in facets)
 
 
 @pytest.mark.parametrize("case", range(2), ids=SYMMETRIC_IDS)
@@ -342,7 +375,7 @@ def test_a_non_facet_orbit_is_refused_at_its_representative(case,
 @pytest.mark.parametrize("case", range(2), ids=SYMMETRIC_IDS)
 def test_a_non_facet_that_breaks_an_orbit_is_refused(case, monkeypatch):
     # One member of that orbit alone: the group moves it out of the
-    # candidates, so the orbit decomposition refuses them.
+    # candidates, so the orbit walk reaches a face off the list.
     build, vectors, gens = symmetric_cases()[case]
     real = cones._dd_dual_rays
 

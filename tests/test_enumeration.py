@@ -67,13 +67,14 @@ def test_rank_four_gl_stabilizer_orders(graph_gl4):
 def test_sl_stabilizers_are_determinant_one_half():
     # No class of ranks 2-5 splits in sl, so the walk in sl meets the gl
     # classes at the same forms, in the same order, with the same
-    # domains; each sl stabilizer is the determinant-one half.
+    # domains (the same facets, each group numbering them by its own
+    # orbits); each sl stabilizer is the determinant-one half.
     for n in (2, 3, 4, 5):
         sl, gl = cached_graph(n, "sl"), cached_graph(n, "gl")
-        assert [(node.form, node.label, node.facets)
-                for node in sl.nodes] == \
-            [(node.form, node.label, node.facets)
-             for node in gl.nodes]
+        assert [(node.form, node.label, len(node.facets),
+                 frozenset(node.facets)) for node in sl.nodes] == \
+            [(node.form, node.label, len(node.facets),
+              frozenset(node.facets)) for node in gl.nodes]
         for node_sl, node_gl in zip(sl.nodes, gl.nodes):
             assert node_sl.stab_order == node_gl.stab_order // 2
             assert all(g.det == 1 for g in closure(node_sl.generators, n))

@@ -94,6 +94,16 @@ kept, renamed from `facets` to `orbits`; the complex file differs only
 in the graph hash it names, and the verdict files, and so their
 digests, did not change.
 
+Only the complex digests were re-recorded once more, when a cone's
+facets came to be numbered by one orbit walk.  Complex schema 9 numbers
+a member's face in the order in which `isometry.orbit_decompose` walks
+the node's facets, orbit by orbit from the first facet of each orbit,
+instead of in the double description's sorted order.  A complex file
+is the schema-8 one with each member's face index renumbered; the
+members, their order, the representatives and the triplets are
+unchanged, and the graph and verdict files, and so their digests, did
+not change.
+
 Any change to the search order, the chosen witnesses or the generating
 sets shows up here as a changed graph, complex or verdict file.  A second
 `verify` from the caches just written must reproduce the verdict file
@@ -112,7 +122,7 @@ GOLDEN = {
         "graph-n3-sl.json":
             "816b379228c56f7a7dd89bec64967c72d0683ab7088a146a5375ca1be01cce5b",
         "complex-n3-sl.json":
-            "4f434379201e55cdbe11bba6de4282de62ea2a28e3d14d51e609bc0d1dfcfa25",
+            "5602c8461cdc634fa4c3d7178de0acef45ad2489a0906229f492bf0006310b31",
         "verdict-n3-sl.json":
             "53514469a3a0e5fcacdf9809bc173d4c6e5b8cf5e8090d94a2bb864045dac997",
     },
@@ -120,7 +130,7 @@ GOLDEN = {
         "graph-n3-gl.json":
             "af8df6e810fc2d77ede2d404fd4cd9068407c6f0955527e4f18cadf1920f066d",
         "complex-n3-gl.json":
-            "9fa50fdbce3c0fd045957ada9101bd694a582eac5be0f4325c67c973aabeff4e",
+            "c2925fe969bc80cc16b37a13bce151d9bf6db9ce63581b98c5226f3cef3b06c5",
         "verdict-n3-gl.json":
             "a23f09fabc1d98f5970ce934b68c659deddbc6b7a650fef3f9717150a41199a2",
     },
@@ -128,7 +138,7 @@ GOLDEN = {
         "graph-n4-sl.json":
             "4228a12109b28ca6bb5bff01bd3a4fa3eb9141a29e2dc05019761693708a2f53",
         "complex-n4-sl.json":
-            "f4691284f216b02b6e530fb859aeabdd9fca7bec8a785cdebf27399820959b89",
+            "ec97ec235c33876f8bd4d6c24db1cc559fe598cdef7b272317c27c6dfaebf13f",
         "verdict-n4-sl.json":
             "36db85c4819198a94d977b86420b3fdfbd2d950d6f8f2f3adb4512417252bba0",
     },
@@ -136,7 +146,7 @@ GOLDEN = {
         "graph-n4-gl.json":
             "004f9f75e9814bb77b9032d4556db11f0db4658b7bd10c03419aae1d3ed3ceaf",
         "complex-n4-gl.json":
-            "8aa569419024dd0e95c9cc585d00625e432776fba43233482a809abcb65fc013",
+            "006814e6242e2a9b148eedb083ed49f3b711dba900857b9cbeaa79115132b767",
         "verdict-n4-gl.json":
             "22cedf4684c60d5857d0272eb219e041c7f55a3607958676995edfd79b0b527c",
     },

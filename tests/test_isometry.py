@@ -22,7 +22,7 @@ from vorcycle.forms import (
     minimum_and_minimal_vectors,
 )
 from vorcycle import isometry
-from vorcycle.cones import build_cone, face_vectors
+from vorcycle.cones import build_cone, face_vectors, facet_closure
 from vorcycle.isometry import (
     _independent_base,
     cell_group,
@@ -32,7 +32,6 @@ from vorcycle.isometry import (
     form_automorphisms,
     form_group,
     form_maps,
-    orbit_closure,
     orbit_decompose,
     transporter,
     transporter_det,
@@ -201,18 +200,19 @@ def test_orbit_decompose_partitions_with_transporters():
     facets = build_cone(mv.vectors)
     group = form_automorphisms(q, mv.vectors)
     gens = small_generating_set(group)
-    orbits, schreier = orbit_decompose(mv.vectors, facets, gens)
+    reached, orbits, schreier = orbit_decompose(mv.vectors, facets, gens)
+    assert set(reached) == set(facets) and len(reached) == len(facets)
     covered = []
     for orbit in orbits:
-        rep = face_vectors(mv.vectors, facets[orbit[0]])
+        rep = face_vectors(mv.vectors, reached[orbit[0]])
         assert schreier[orbit[0]] is None
         for k in orbit:
             s = transporter(gens, schreier, k, 4)
             assert apply_to_cell(s, rep) == \
-                face_vectors(mv.vectors, facets[k])
+                face_vectors(mv.vectors, reached[k])
             assert transporter_det(gens, schreier, k) == s.det
         covered += orbit
-    assert sorted(covered) == list(range(len(facets)))
+    assert covered == list(range(len(reached)))
     # orbit sizes divide the group order
     for orbit in orbits:
         assert len(group) % len(orbit) == 0
@@ -315,12 +315,14 @@ def test_small_generating_set_pins_selection_rule():
 
 
 def test_orbit_decompose_rejects_keys_not_permuted():
-    # The swap moves a vector off the cell, or a face off the faces.
+    # The swap moves a vector off the cell: refused.  A face that it
+    # moves off the faces is reached, so the walk returns the closure
+    # (cones refuse a facet list that is not closed).
     swap = GroupElement.from_matrix(((0, 1), (1, 0)))
     with pytest.raises(ValueError, match="does not permute the faces"):
         orbit_decompose(((1, 0),), [(0,)], [swap])
-    with pytest.raises(ValueError, match="does not permute the faces"):
-        orbit_decompose(((0, 1), (1, 0)), [(0,)], [swap])
+    assert orbit_decompose(((0, 1), (1, 0)), [(0,)], [swap]) == \
+        ([frozenset({0}), frozenset({1})], (range(2),), (None, (0, 0)))
 
 
 def e_n_gram(n):
@@ -402,30 +404,30 @@ def test_orbit_decompose_matches_the_matrix_action(gram):
     keys = [face_vectors(mv.vectors, f) for f in facets]
     for det_one in (False, True):
         gens, _ = form_group(q, mv.vectors, det_one=det_one)
-        orbits, schreier = orbit_decompose(mv.vectors, facets, gens)
+        reached, orbits, schreier = orbit_decompose(mv.vectors, facets,
+                                                    gens)
         want = matrix_orbit_decompose(keys, gens, apply_to_cell,
                                       GroupElement.identity(q.n))
-        assert [[keys[k] for k in orbit] for orbit in orbits] == \
-            [list(ref) for _, ref in want]
+        assert [[face_vectors(mv.vectors, reached[k]) for k in orbit]
+                for orbit in orbits] == [list(ref) for _, ref in want]
         assert [[transporter(gens, schreier, k, q.n).rows for k in orbit]
                 for orbit in orbits] == \
             [[s.rows for s in ref.values()] for _, ref in want]
-        # One pass from the representatives gives back the facet list
-        # with the same orbits and Schreier vector.
-        reps = [facets[orbit[0]] for orbit in orbits]
-        assert orbit_closure(mv.vectors, reps, gens) == \
-            (list(facets), orbits, schreier)
-        # A representative that is not the first face of its orbit, two
-        # out of order and two in one orbit are refused.
+        # One walk from the representatives gives back the facets in the
+        # same order, with the same orbits and Schreier vector.
+        reps = [reached[orbit[0]] for orbit in orbits]
+        assert orbit_decompose(mv.vectors, reps, gens) == \
+            (reached, orbits, schreier)
+        # facet_closure refuses a representative that is not the first
+        # facet of its orbit, two out of order and two in one orbit.
         big = next(orbit for orbit in orbits if len(orbit) > 1)
-        for bad, problem in (
-                ([facets[big[-1]] if f == facets[big[0]] else f
-                  for f in reps], "not the first faces"),
-                (reps[::-1], "not the first faces"),
-                (reps + [facets[big[1]]], "lie in one orbit")):
+        for bad in ([reached[big[-1]] if f == reached[big[0]] else f
+                     for f in reps],
+                    reps[::-1],
+                    reps + [reached[big[1]]]):
             if bad != reps:
-                with pytest.raises(ValueError, match=problem):
-                    orbit_closure(mv.vectors, bad, gens)
+                with pytest.raises(ValueError, match="not the first facets"):
+                    facet_closure(mv.vectors, bad, gens)
 
 
 def test_cell_leaves_need_the_setwise_check():

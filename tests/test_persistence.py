@@ -117,7 +117,7 @@ def test_complex_payload_refers_to_the_graph_file(tmp_path):
                           payload)
     assert json.load(open(g_path))["hash"] == payload["graph"]
     assert json.load(open(g_path))["schema_version"] == 8
-    assert json.load(open(c_path))["schema_version"] == 8
+    assert json.load(open(c_path))["schema_version"] == 9
     assert load_payload(g_path, "graph", 3, "gl", payload["graph"])
     with pytest.raises(CacheCorrupt, match="g.json: expected hash '0+'"):
         load_payload(g_path, "graph", 3, "gl", "0" * 64)
@@ -218,8 +218,8 @@ json_values = st.recursive(
           "": {}, "z": [[{"k": []}]], "a": [{}, {"x": [{"y": False}]}]})
 @settings(max_examples=300, deadline=None)
 def test_canonical_dumps_is_json_dumps(value):
-    # canonical_dumps assembles lists of objects, and objects holding
-    # them, itself; the bytes must be json's own.
+    # canonical_dumps is one prebuilt encoder; the bytes must be those
+    # of json.dumps with the same arguments.
     assert canonical_dumps(value) == \
         json.dumps(value, sort_keys=True, separators=(",", ":"))
 
@@ -434,12 +434,12 @@ def test_one_edge_per_node_facet(n, group):
 
 def test_stale_schema_version_names_the_remedy(tmp_path):
     # A schema-7 graph file, which still stored every facet with its
-    # edge, and a schema-7 complex file, which still stored each wall's
-    # parent and face_index.
+    # edge, and a schema-8 complex file, which still numbered each
+    # member's face in the double description's sorted order.
     cx = cached_complex(2, "sl")
     for kind, payload, stale in (
             ("graph", graph_to_payload(cx.graph), 7),
-            ("complex", complex_to_payload(cx, _graph_hash(cx)), 7)):
+            ("complex", complex_to_payload(cx, _graph_hash(cx)), 8)):
         path = save_payload(str(tmp_path / f"{kind}.json"), kind, 2, "sl",
                             payload)
         doc = json.load(open(path))
