@@ -78,27 +78,32 @@ def _load_or_build_graph(args, digest=None):
 
 
 def _load_or_build_complex(args):
+    """The complex built over the graph, and its file, which must hold
+    that complex when it exists and is written when it does not."""
     n, group = args.n, args.group
     path = cache_path(_cache_dir(args), "complex", n, group, args.seed_perm)
-    if os.path.exists(path):
+    stored = os.path.exists(path)
+    loaded = os.path.exists(cache_path(_cache_dir(args), "graph", n, group))
+    if stored:
         payload = load_payload(path, "complex", n, group)
-        digest = graph_reference(payload, path)
         try:
-            graph = _load_or_build_graph(args, digest)[0]
+            graph, graph_path, digest = _load_or_build_graph(
+                args, graph_reference(payload, path))
         except (CacheCorrupt, FileNotFoundError) as exc:
             raise CacheCorrupt(f"{path}: payload.graph: {exc}") from exc
-        return complex_from_payload(payload, graph, path), path
-    loaded = os.path.exists(cache_path(_cache_dir(args), "graph", n, group))
-    graph, graph_path, digest = _load_or_build_graph(args)
+    else:
+        graph, graph_path, digest = _load_or_build_graph(args)
     try:
-        cx = build_complex(graph, seed_perm=args.seed_perm)
+        cx = complex_from_payload(payload, graph, path) if stored else \
+            build_complex(graph, seed_perm=args.seed_perm)
     except WallNotGlued as exc:
         # A wall that a graph read from a file does not give is that
         # file's corruption; in a graph this process built, a defect.
         if not loaded:
             raise
         raise CacheCorrupt(f"{graph_path}: {exc}") from exc
-    save_payload(path, "complex", n, group, complex_to_payload(cx, digest))
+    if not stored:
+        save_payload(path, "complex", n, group, complex_to_payload(cx, digest))
     return cx, path
 
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .cones import Facets, face_vectors, meets_boundary, subcone_facets
 from .enumeration import facet_edge, glues
 from .forms import GroupElement, apply_to_cell, rank_one
-from .isometry import cell_group, cell_invariant, cell_maps
+from .isometry import cell_group, cell_maps
 from .linalg import (
     det_sign,
     identity_matrix,
@@ -164,8 +164,7 @@ class WallNotGlued(ValueError):
 def class_record(view, parent, face_index, vectors, members, det_one):
     """The class of face `face_index` (`vectors`) of cell `parent`, seen
     as `view`: its stabilizer, its basis oriented as the parent induces,
-    and whether a stabilizer element reverses it.  A build and a cache
-    load (`wall_record`) both derive a class here."""
+    and whether a stabilizer element reverses it."""
     # The greedy basis of the span of the face's rank-one flats, and
     # one parent ray off the face, which completes it to the parent span.
     flats = [sym_flatten(rank_one(v)) for v in vectors]
@@ -196,18 +195,6 @@ def class_record(view, parent, face_index, vectors, members, det_one):
         orientation_kept=kept, kind="", label="")
 
 
-def wall_record(graph, members, seed_perm):
-    """The wall class whose (parent, face) members are `members`,
-    sorted as `_build_level` sorts them, as `build_complex` derives it:
-    its representative is the member that the seed permutation picks."""
-    parent, face = members[seed_perm % len(members)]
-    node = graph.nodes[parent]
-    return class_record(_ParentView(node.minvecs.vectors, None), parent,
-                        face, face_vectors(node.minvecs.vectors,
-                                           node.facets[face]),
-                        members, graph.group_kind == "sl")
-
-
 def _build_level(parents, columns, n, det_one, seed_perm):
     """The classes of the non-boundary faces of `parents`, and their
     incidence numbers.
@@ -231,24 +218,20 @@ def _build_level(parents, columns, n, det_one, seed_perm):
                      if not meets_boundary(view.faces[orbit[0]])]
     orbit_records.sort(key=lambda rec: (rec[0], rec[1]))
 
-    invariants = {}
+    # Per class, its orbits as (key, p_pos, orbit, link), the first one's
+    # link the identity.
     classes = []
     for rep_key, p_pos, orbit in orbit_records:
-        if rep_key not in invariants:
-            invariants[rep_key] = cell_invariant(rep_key)
-        inv = invariants[rep_key]
         for cls in classes:
-            if cls["inv"] != inv:
-                continue
-            link = cell_maps(cls["orbits"][0][0], rep_key, det_one=det_one,
+            link = cell_maps(cls[0][0], rep_key, det_one=det_one,
                              first_only=True)
             if link:
                 # link[0] carries the class's first orbit onto this one.
-                cls["orbits"].append((rep_key, p_pos, orbit, link[0]))
+                cls.append((rep_key, p_pos, orbit, link[0]))
                 break
         else:
-            classes.append({"inv": inv, "orbits": [
-                (rep_key, p_pos, orbit, GroupElement.identity(n))]})
+            classes.append([(rep_key, p_pos, orbit,
+                             GroupElement.identity(n))])
 
     col_of = {p_pos: col for col, p_pos in enumerate(columns)}
     out = []
@@ -257,7 +240,7 @@ def _build_level(parents, columns, n, det_one, seed_perm):
     for pos, cls in enumerate(classes):
         members = sorted(
             (parents[p_pos].faces[k], p_pos, k, own)
-            for own, (_, p_pos, orbit, _) in enumerate(cls["orbits"])
+            for own, (_, p_pos, orbit, _) in enumerate(cls)
             for k in orbit)
         rep_key, rep_parent, rep_face, own = members[seed_perm % len(members)]
         rec = class_record(parents[rep_parent], rep_parent, rep_face, rep_key,
@@ -270,10 +253,10 @@ def _build_level(parents, columns, n, det_one, seed_perm):
         # own_link)^-1 with s carrying the own orbit onto rep_key.
         row = len(kept_positions)
         kept_positions.append(pos)
-        own_link = cls["orbits"][own][3]
+        own_link = cls[own][3]
         s = parents[rep_parent].transporter(rep_face)
         back = (s * own_link).inverse()
-        for key, p_pos, orbit, link in cls["orbits"]:
+        for key, p_pos, orbit, link in cls:
             if p_pos in col_of:
                 cell = (row, col_of[p_pos])
                 entries[cell] = entries.get(cell, 0) + len(orbit) * \

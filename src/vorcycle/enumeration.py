@@ -67,7 +67,7 @@ from .forms import (
     minimum_and_minimal_vectors,
     short_vectors,
 )
-from .isometry import form_group, form_invariant, form_maps
+from .isometry import form_group, form_maps
 
 
 class BoundaryFacet(ValueError):
@@ -247,9 +247,9 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
     det_one = group_kind == "sl"
     start = QForm.from_matrix(a_n_gram(n))
     start_mv = minimum_and_minimal_vectors(start)
-    met = [(start, start_mv, form_invariant(start.gram, start_mv.vectors))]
+    met = [(start, start_mv)]
     nodes, edges = [], []
-    for i, (form, mv, _) in enumerate(met):
+    for i, (form, mv) in enumerate(met):
         gens, order = form_group(form, mv.vectors, det_one)
         facets = build_cone(mv.vectors, gens)
         orbits = facets.orbits
@@ -261,16 +261,14 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
             rep = orbits[r][0]
             nb = neighbor_form(form, mv, facets[rep])
             nb_mv = minimum_and_minimal_vectors(nb)
-            inv = form_invariant(nb.gram, nb_mv.vectors)
-            for j, (other, other_mv, other_inv) in enumerate(met):
-                found = other_inv == inv and form_maps(
-                    other, other_mv.vectors, nb, nb_mv.vectors,
-                    det_one=det_one, first_only=True)
+            for j, (other, other_mv) in enumerate(met):
+                found = form_maps(other, other_mv.vectors, nb, nb_mv.vectors,
+                                  det_one=det_one, first_only=True)
                 if found:
                     w = found[0]
                     break
             else:
-                met.append((nb, nb_mv, inv))
+                met.append((nb, nb_mv))
                 j, w = len(met) - 1, GroupElement.identity(n)
             if not glues(mv.vectors, face_vectors(mv.vectors, facets[rep]),
                          w, met[j][1].vectors):

@@ -72,26 +72,6 @@ def _adjugate_and_det(rows):
     return adj, sum(a * r[0] for a, r in zip(rows[0], adj))
 
 
-def cell_invariant(vectors):
-    """Cheap complete-enough invariant used to bucket cells before matching."""
-    c, det = _adjugate_and_det(barycenter_matrix(vectors))
-    profiles = sorted(
-        (bilinear(c, x, x),
-         tuple(sorted(abs(bilinear(c, x, y)) for y in vectors)))
-        for x in vectors
-    )
-    return (len(vectors), det, tuple(profiles))
-
-
-def form_invariant(gram, vectors):
-    """Bucketing invariant for forms with their minimal vectors."""
-    profiles = sorted(
-        (tuple(sorted(abs(bilinear(gram, x, y)) for y in vectors)),)
-        for x in vectors
-    )
-    return (len(vectors), det_int(gram), tuple(profiles))
-
-
 def _independent_base(vectors):
     base = independent_rows(vectors, ())
     if len(base) != len(vectors[0]):

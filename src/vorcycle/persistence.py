@@ -9,26 +9,26 @@ is rejected.  To read one, run `python -m json.tool FILE`.
 
 Graph and complex payloads hold JSON integers, which Python's json
 reads and writes exactly; verdict payloads keep the decimal strings of
-their reports.  A file stores each fact once, and only what is costly to
-compute: per graph node its Gram matrix, label and one record per facet
-orbit, holding the orbit's first facet in sorted order as the indices
-of its minimal vectors (`incident`) with the edge across it
-(`neighbor`, `witness`);
-per complex its seed permutation, the hash in its graph file's header
-(it is read only over that graph file), the triplets of its
-differential, and per wall its [parent, face] members.  The rest is
-derived on load by the code a build runs: node minima and minimal
-vectors (`forms.minimum_and_minimal_vectors`), node stabilizers
-(`isometry.form_group`), the other facets, numbered by one orbit walk
-from the stored ones, with their orbits and Schreier vectors
-(`cones.facet_closure`, the numbering of `cones.build_cone`, which a
-member's face index refers to), the kept top classes
-(`complexes.kept_top_nodes`), each wall's representative (the member
-the seed permutation picks), vectors, stabilizer, oriented basis and
-orientation flag (`complexes.wall_record`), and the wall kinds and
-labels and the differential's labels (`complexes.glue_complex`).  The
+their reports.  A graph file stores each fact once, and only what is
+costly to compute: per node its Gram matrix, label and one record per
+facet orbit, holding the orbit's first facet in sorted order as the
+indices of its minimal vectors (`incident`) with the edge across it
+(`neighbor`, `witness`).  The rest is derived on load by the code a
+build runs: node minima and minimal vectors
+(`forms.minimum_and_minimal_vectors`), node stabilizers
+(`isometry.form_group`), and the other facets, numbered by one orbit
+walk from the stored ones, with their orbits and Schreier vectors
+(`cones.facet_closure`, the numbering of `cones.build_cone`).  The
 completeness of each node's orbit list (that no facet orbit is left
-out), the wall members and the triplets are trusted.
+out) is trusted.
+
+A complex file stores its seed permutation, the hash in its graph
+file's header (it is read only over that graph file), per wall its
+[parent, face] members and the triplets of its differential.  A load
+reads only the seed permutation: it derives the complex over the graph
+(`complexes.build_complex`), and refuses a file whose walls or triplets
+are not those of the derived complex, naming the first entry that
+differs.
 
 On load, a payload's rank and group must be its file header's, each
 record must hold exactly its own fields, and each field is checked for
@@ -37,14 +37,13 @@ definite with spanning minimal vectors, and a node must have facet
 orbits.  Each orbit record must hold a facet (`cones.facet_normal`)
 that is the sorted-first of its orbit, and its edge must glue it
 (`enumeration.glues`), with a unimodular witness of determinant one in
-sl; a wall's representative must be a facet off the boundary, whose
-graph edge glues the wall.
+sl.
 """
 
 import json
 import os
 import tempfile
-from .complexes import WallNotGlued, glue_complex, kept_top_nodes, wall_record
+from .complexes import build_complex
 from .cones import face_vectors, facet_closure, facet_normal, meets_boundary
 from .enumeration import (
     GROUP_KINDS,
@@ -83,7 +82,6 @@ GRAPH_FIELDS = ("n", "group", "nodes")
 NODE_FIELDS = ("gram", "label", "orbits")
 ORBIT_FIELDS = ("incident", "neighbor", "witness")
 COMPLEX_FIELDS = ("seed_perm", "graph", "walls", "triplets")
-WALL_FIELDS = ("members",)
 
 
 class CacheCorrupt(ValueError):
@@ -280,38 +278,6 @@ def graph_from_payload(payload, source="<payload>"):
                         edges=tuple(edges))
 
 
-def _members(rd, rec, path, graph):
-    """(parent, face) per stored [parent, face] member, facet `face` of
-    node `parent`."""
-    out = []
-    for i, m in enumerate(rd.get(rec, path, "members", list)):
-        at = path + ("members", i)
-        if type(m) is not list or len(m) != 2 or \
-                type(m[0]) is not int or type(m[1]) is not int:
-            rd.fail(at, "is not a [parent, face] pair")
-        parent, face = m
-        if not 0 <= parent < len(graph.nodes):
-            rd.fail(at, f"has a parent out of range "
-                        f"0..{len(graph.nodes) - 1}")
-        count = len(graph.nodes[parent].facets)
-        if not 0 <= face < count:
-            rd.fail(at, f"has a face out of range 0..{count - 1}")
-        out.append((parent, face))
-    if not out:
-        rd.fail(path + ("members",), "is empty")
-    return tuple(out)
-
-
-def _wall_from_payload(rd, rec, path, graph, seed_perm):
-    """One wall record: the class of its members, represented by the
-    member that the seed permutation picks."""
-    members = _members(rd, rec, path, graph)
-    try:
-        return wall_record(graph, members, seed_perm)
-    except WallNotGlued as exc:
-        rd.fail(path, f"is not a wall: {exc}")
-
-
 def complex_to_payload(cx, graph_hash):
     """`graph_hash` is the header hash of the graph file of cx.graph."""
     return {
@@ -329,38 +295,30 @@ def graph_reference(payload, source="<payload>"):
 
 
 def complex_from_payload(payload, graph, source="<payload>"):
-    """Decode and check a complex payload read from `source` over its
-    graph, decoded from the graph file whose header hash it names.
+    """The complex of a complex payload read from `source`, derived
+    over its graph, decoded from the graph file whose header hash it
+    names.
 
-    The top classes are the graph's nodes, and each wall comes from the
-    facet of the member that the seed permutation picks, which the graph
-    edge there must glue.  The triplets must be nonzero entries,
-    strictly increasing in (row, col), of a matrix with a row per kept
-    wall and a column per kept top.
+    Only the seed permutation is read: the complex is built over the
+    graph (`complexes.build_complex`), and the stored walls and
+    triplets must be those that `complex_to_payload` writes for it.
+    A WallNotGlued of the build propagates: it is the graph's fault,
+    not this file's.
     """
     rd = _Reader(source)
     rd.fields(payload, (), COMPLEX_FIELDS)
-    graph_reference(payload, source)
-    seed_perm = rd.get(payload, (), "seed_perm", int)
-    kept_tops = kept_top_nodes(graph)
-    walls = tuple(_wall_from_payload(rd, rec, path, graph, seed_perm)
-                  for path, rec in rd.records(payload, (), "walls",
-                                              WALL_FIELDS))
-    rows = sum(w.orientation_kept for w in walls)
-    cols = len(kept_tops)
-    entries = []
-    triplets = rd.field_ints(payload, (), "triplets", None, 3)
-    for i, (r, c, v) in enumerate(triplets):
-        if not (0 <= r < rows and 0 <= c < cols) or v == 0 or \
-                entries and (r, c) <= entries[-1][0]:
-            rd.fail(("triplets", i), "is not a nonzero entry in range, "
-                    "after the previous one in (row, col) order")
-        entries.append(((r, c), v))
-    try:
-        return glue_complex(graph, seed_perm, kept_tops, walls,
-                            tuple(entries))
-    except WallNotGlued as exc:
-        raise CacheCorrupt(f"{source}: payload.{exc}") from exc
+    digest = graph_reference(payload, source)
+    cx = build_complex(graph, rd.get(payload, (), "seed_perm", int))
+    derived = complex_to_payload(cx, digest)
+    for key in ("walls", "triplets"):
+        stored, want = rd.get(payload, (), key, list), derived[key]
+        # Compared as canonical encodings, so that true or 1.0 is not 1.
+        for i in range(max(len(stored), len(want))):
+            if canonical_dumps(stored[i:i + 1]) != \
+                    canonical_dumps(want[i:i + 1]):
+                rd.fail((key, i), "differs from the complex derived from "
+                        "the graph")
+    return cx
 
 
 def _frame(kind, n, group, digest):

@@ -27,7 +27,7 @@ from vorcycle.forms import (
     canonical_pair,
     rank_one,
 )
-from vorcycle.isometry import cell_invariant, cell_maps
+from vorcycle.isometry import cell_maps
 from vorcycle.persistence import canonical_dumps
 from vorcycle.tessellation import TessVerdict, _same_line, weighted_boundary
 from vorcycle.linalg import (
@@ -141,14 +141,21 @@ def complex_gl4():
     return cached_complex(4, "gl")
 
 
-def run_python(*args, optimize=(), timeout=60):
-    """`python [-O] ARGS...` in a fresh interpreter that imports this
-    vorcycle, with VORCYCLE_CACHE unset; `optimize` is () or ("-O",)."""
+def python_env():
+    """The environment of a fresh interpreter that imports this
+    vorcycle, with VORCYCLE_CACHE unset."""
     env = {k: v for k, v in os.environ.items() if k != "VORCYCLE_CACHE"}
     env["PYTHONPATH"] = os.path.dirname(
         os.path.dirname(os.path.abspath(vorcycle.__file__)))
-    return subprocess.run([sys.executable, *optimize, *args], env=env,
-                          capture_output=True, text=True, timeout=timeout)
+    return env
+
+
+def run_python(*args, optimize=(), timeout=60):
+    """`python [-O] ARGS...` in a fresh interpreter (`python_env`);
+    `optimize` is () or ("-O",)."""
+    return subprocess.run([sys.executable, *optimize, *args],
+                          env=python_env(), capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def content_hash(payload):
@@ -495,18 +502,13 @@ def reference_incidences(parents, columns, children, kept_children, n,
     by matching every face orbit of each column parent to the kept
     children a second time and summing `induced_sign` over every member
     of the orbit, each with its own transporter."""
-    child_inv = {c: cell_invariant(children[c].vectors)
-                 for c in kept_children}
     entries = {}
     for col, p_pos in enumerate(columns):
         view = parents[p_pos]
         for orbit in view.orbits:
             rep_key = view.faces[orbit[0]]
-            inv = cell_invariant(rep_key)
             for row, c_pos in enumerate(kept_children):
                 child = children[c_pos]
-                if child_inv[c_pos] != inv:
-                    continue
                 link = cell_maps(child.vectors, rep_key, det_one=det_one,
                                  first_only=True)
                 if not link:

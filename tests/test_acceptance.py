@@ -1,12 +1,11 @@
 """Acceptance suite: one test per criterion, exact tolerances, timed.
 
 Each test prints a single PASS line (visible with -s or in the captured
-output).  The long-running rank-6 check only runs with VORCYCLE_LONG=1;
-rank 7 and above stay out of reach of this suite by design and are
-documented as stretch targets in the README.
+output).  Rank 6 runs in both groups; rank 7 and above stay out of
+reach of this suite by design and are documented as stretch targets in
+the README.
 """
 
-import os
 import time
 from fractions import Fraction
 
@@ -48,9 +47,6 @@ from vorcycle.tessellation import (
     from_voronoi,
     sector_fan,
 )
-
-LONG = os.environ.get("VORCYCLE_LONG") == "1"
-
 
 def test_criterion_1_single_class_ranks_two_three():
     start = time.monotonic()
@@ -159,24 +155,23 @@ def test_criterion_4_rank_five_and_even_vanishing():
     # Ranks 4 and 6 have 2 and 7 classes (Barnes 1957; Conway and Sloane,
     # "Low-dimensional lattices III", 1988).
     classes = {4: 2, 6: 7}
-    for n in (4,) + ((6,) if LONG else ()):
-        gl = build_complex(enumerate_perfect_forms(n, "gl", allow_long=LONG))
+    for n in (4, 6):
+        gl = build_complex(enumerate_perfect_forms(n, "gl", allow_long=True))
         assert len(gl.graph.nodes) == classes[n]
         vanish = verify_gl_even_vanishing(gl)
         assert vanish.ok and vanish.kernel_dim == 0
-    if LONG:
-        # In sl no rank-6 class splits, and the kernel is the canonical
-        # line: full support, weights inverse to the stabilizer orders.
-        sl = build_complex(enumerate_perfect_forms(6, "sl", allow_long=True))
-        assert len(sl.graph.nodes) == classes[6]
-        report = verify_top_cycle(sl)
-        assert report.ok and report.kernel_dim == 1
-        vec, = differential_kernel(sl)
-        orders = [sl.graph.nodes[i].stab_order for i in sl.kept_tops]
-        assert all(x != 0 for x in vec)
-        assert len({x * o for x, o in zip(vec, orders)}) == 1
+    # In sl no rank-6 class splits, and the kernel is the canonical
+    # line: full support, weights inverse to the stabilizer orders.
+    sl = build_complex(enumerate_perfect_forms(6, "sl", allow_long=True))
+    assert len(sl.graph.nodes) == classes[6]
+    report = verify_top_cycle(sl)
+    assert report.ok and report.kernel_dim == 1
+    vec, = differential_kernel(sl)
+    orders = [sl.graph.nodes[i].stab_order for i in sl.kept_tops]
+    assert all(x != 0 for x in vec)
+    assert len({x * o for x, o in zip(vec, orders)}) == 1
     print(f"ACCEPTANCE 4: PASS (rank-5 generator {elapsed5:.1f}s, even-rank "
-          f"vanishing{' incl. rank 6, and rank-6 sl' if LONG else ''})")
+          "vanishing incl. rank 6, and rank-6 sl)")
 
 
 def test_criterion_5_property_suites(rng):

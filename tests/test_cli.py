@@ -1,9 +1,13 @@
 import json
 import os
+import shutil
+import signal
+import subprocess
+import sys
 
 import pytest
 
-from conftest import cached_graph, run_python, wall_facet
+from conftest import cached_graph, python_env, run_python, wall_facet
 from vorcycle import cli
 from vorcycle.cli import main
 
@@ -213,6 +217,11 @@ def test_env_var_overrides_cache_dir(capsys, tmp_path, monkeypatch):
     assert not os.path.exists(str(tmp_path / "ignored"))
 
 
+# A load derives the complex over its graph and names the first stored
+# wall or triplet that is not the derived one.
+DIFFERS = "payload.%s differs from the complex derived from the graph"
+
+
 def _tamper(path, edit, rehash=True):
     """Rewrite a cache file in its canonical form after `edit(doc)`,
     re-hashing the payload so only the on-load checks can catch the
@@ -244,7 +253,7 @@ def test_missing_field_in_complex_cache_exit_three(cache, capsys):
     code, err = _verify_after_tamper(capsys, cache, "complex-n2-sl.json",
                                      drop_members)
     assert code == 3
-    assert "payload.walls[0].members is missing" in err
+    assert DIFFERS % "walls[0]" in err
 
 
 def test_stale_schema_version_exit_three(cache, capsys):
@@ -276,8 +285,7 @@ def _wall_parent(doc):
     (_schema_seven_file, "schema version 7 != 9; another version of "
                          "vorcycle wrote this file: delete it or use a "
                          "fresh --cache-dir"),
-    (_wall_parent, "payload.walls[0].parent is not a field of this "
-                   "record"),
+    (_wall_parent, DIFFERS % "walls[0]"),
 ), ids=("schema-7-file", "wall-parent-in-schema-8"))
 def test_complex_file_with_wall_placements_exit_three(cache, capsys,
                                                       optimize, edit,
@@ -420,12 +428,12 @@ def _extra_zero_triplet(doc):
 
 
 @pytest.mark.parametrize("edit, field", (
-    (_repeat_triplet, "payload.triplets[1] is not a nonzero"),
-    (_extra_zero_triplet, "payload.triplets[2] is not a nonzero"),
+    (_repeat_triplet, DIFFERS % "triplets[1]"),
+    (_extra_zero_triplet, DIFFERS % "triplets[2]"),
     (lambda doc: doc["payload"]["triplets"][1].__setitem__(2, 0),
-     "payload.triplets[1] is not a nonzero"),
+     DIFFERS % "triplets[1]"),
     (lambda doc: doc["payload"]["triplets"][0].__setitem__(1, 2),
-     "payload.triplets[0] is not a nonzero entry in range"),
+     DIFFERS % "triplets[0]"),
 ), ids=("triplet-repeated", "zero-triplet-added", "triplet-value-zeroed",
         "triplet-past-kept-tops"))
 def test_kept_lists_and_differential_disagree_exit_three(cache, capsys,
@@ -437,6 +445,113 @@ def test_kept_lists_and_differential_disagree_exit_three(cache, capsys,
     assert code == 3
     assert "Traceback" not in out + err and "FALSIFIED" not in out
     assert f"{path}: {field}" in err
+
+
+@pytest.fixture(scope="module")
+def rank_five_gl_cache(tmp_path_factory):
+    """A rank-5 gl cache with its graph and complex files, and no
+    verdict file."""
+    cache = str(tmp_path_factory.mktemp("rank-five-gl"))
+    result = run_python("-m", "vorcycle", "verify", "--n", "5", "--group",
+                        "gl", "--cache-dir", cache)
+    assert result.returncode == 0, result.stdout + result.stderr
+    os.unlink(os.path.join(cache, "verdict-n5-gl.json"))
+    return cache
+
+
+def _negate_first_triplet(triplets):
+    triplets[0][2] = -triplets[0][2]
+
+
+def _double_row_zero(triplets):
+    row = [t for t in triplets if t[0] == 0]
+    assert len(row) == 2
+    for t in row:
+        t[2] *= 2
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+@pytest.mark.parametrize("edit", (_negate_first_triplet, _double_row_zero),
+                         ids=("triplet-negated", "row-doubled"))
+def test_differential_off_the_derived_complex_exit_three(
+        rank_five_gl_cache, tmp_path, optimize, edit):
+    # A re-hashed rank-5 gl complex file whose differential is not the
+    # one the graph gives: with one sign flipped its kernel is zero, and
+    # with a row doubled it is the same line with wrong row data.  Each
+    # is refused, under -O too, with no verdict printed or written.
+    from vorcycle.persistence import load_payload, save_payload
+    cache = str(tmp_path / "cache")
+    shutil.copytree(rank_five_gl_cache, cache)
+    path = os.path.join(cache, "complex-n5-gl.json")
+    payload = load_payload(path)
+    edit(payload["triplets"])
+    save_payload(path, "complex", 5, "gl", payload)
+    result = run_python("-m", "vorcycle", "verify", "--n", "5", "--group",
+                        "gl", "--check-dd", "--cache-dir", cache,
+                        optimize=optimize)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert result.stdout == ""
+    assert result.stderr == f"error: cache corruption: {path}: " \
+        f"{DIFFERS % 'triplets[0]'}\n"
+    assert not os.path.exists(os.path.join(cache, "verdict-n5-gl.json"))
+
+
+# The rank-4 sl caches of seed permutation 3, then a verify over them
+# with every non-representative transporter skewed by a shear outside
+# the stabilizer, as in a graph file whose facets the orbit walk
+# misnumbers: the complex derived over the loaded graph fails its
+# incidence check there, with the complex file kept or deleted.
+_SKEWED_LOAD = """
+import os, sys
+from vorcycle import cones
+from vorcycle.cli import main
+from vorcycle.forms import GroupElement
+cache, kept = sys.argv[1], sys.argv[2] == "kept"
+args = ["verify", "--n", "4", "--group", "sl", "--seed-perm", "3",
+        "--cache-dir", cache]
+assert main(args) == 0
+os.unlink(os.path.join(cache, "verdict-n4-sl-p3.json"))
+if not kept:
+    os.unlink(os.path.join(cache, "complex-n4-sl-p3.json"))
+real = cones.transporter
+def skewed(generators, schreier, k, n):
+    shear = GroupElement.from_matrix(
+        [[int(i == j or (i, j) == (0, 1)) for j in range(n)]
+         for i in range(n)])
+    t = real(generators, schreier, k, n)
+    return t if schreier[k] is None else shear * t
+cones.transporter = skewed
+sys.exit(main(args))
+"""
+
+
+@pytest.mark.parametrize("complex_file", ("kept", "deleted"))
+def test_wall_not_glued_over_a_loaded_graph_exit_three(cache, complex_file):
+    # A wall that a graph read from a file does not give is that graph
+    # file's corruption, whether the complex is compared with a stored
+    # file or written anew.
+    result = run_python("-c", _SKEWED_LOAD, cache, complex_file)
+    graph = os.path.join(cache, "graph-n4-sl.json")
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert result.stderr == f"error: cache corruption: {graph}: the " \
+        "transporter does not carry the face class onto a face of node 1\n"
+    assert not os.path.exists(os.path.join(cache, "verdict-n4-sl-p3.json"))
+
+
+@pytest.mark.parametrize("command", ("perfect", "verify"))
+def test_closed_stdout_ends_quietly(cache, command):
+    # A reader that goes away before the first line ends the run by the
+    # default SIGPIPE action: no error line, and not the crash status 4.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vorcycle", command, "--n", "3",
+         "--cache-dir", cache], env=python_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
 
 
 @pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",

@@ -339,22 +339,47 @@ def test_incidences_match_a_second_matching(n, group, seed):
         n, det_one)
 
 
-@pytest.mark.parametrize("n, calls", ((4, 1), (5, 2)))
-def test_each_face_orbit_is_matched_once(monkeypatch, n, calls):
-    # The session caches refuse to build while a pipeline function is
-    # patched, so the graph is fetched first and the complex is built
-    # under the patch.
+@pytest.mark.parametrize("n", (4, 5))
+def test_each_face_orbit_is_matched_once(monkeypatch, n):
+    # `_build_level` searches each face orbit, in its sorted order,
+    # against the first orbit of each class met so far, once per class
+    # and in class order, and stops at the one hit: an orbit of class c
+    # misses classes 0..c-1 and then hits c, or opens c after c misses.
+    # An orbit matched twice adds a search.  The session caches refuse
+    # to build while a pipeline function is patched, so the graph is
+    # fetched first and the complex is built under the patch.
     graph = cached_graph(n, "sl")
-    matched = []
+    hits = []
     real = complexes.cell_maps
 
     def counting(*args, **kwargs):
-        matched.append(args)
-        return real(*args, **kwargs)
+        found = real(*args, **kwargs)
+        hits.append(bool(found))
+        return found
 
     monkeypatch.setattr(complexes, "cell_maps", counting)
-    build_codim2(build_complex(graph))
-    assert len(matched) == calls
+    cx = build_complex(graph)
+    mids = build_codim2(cx)[0]
+    monkeypatch.undo()
+    expected = []
+    for parents, classes in ((top_views(graph), cx.walls),
+                             (kept_wall_views(cx), mids)):
+        class_of = {m: c for c, rec in enumerate(classes)
+                    for m in rec.members}
+        opened = 0
+        for _, _, c in sorted(
+                (view.faces[orbit[0]], p, class_of[(p, orbit[0])])
+                for p, view in enumerate(parents) for orbit in view.orbits
+                if (p, orbit[0]) in class_of):
+            if c < opened:
+                expected += [False] * c + [True]
+            else:
+                assert c == opened
+                opened += 1
+                expected += [False] * c
+        assert opened == len(classes)
+    assert hits == expected
+    assert any(hits)
 
 
 def test_differential_empty_rank_two_three(complex_sl2, complex_sl3):

@@ -26,7 +26,6 @@ from vorcycle.cones import build_cone, face_vectors, facet_closure
 from vorcycle.isometry import (
     _independent_base,
     cell_group,
-    cell_invariant,
     cell_maps,
     cell_stabilizer,
     form_automorphisms,
@@ -121,16 +120,6 @@ def test_cell_maps_transport(rng):
         maps = cell_maps(mv.vectors, moved, first_only=True)
         assert maps
         assert apply_to_cell(maps[0], mv.vectors) == moved
-
-
-def test_cell_invariant_separates_and_matches(rng):
-    q, mv = _form(a_n_gram(3))
-    inv = cell_invariant(mv.vectors)
-    for _ in range(5):
-        g = random_unimodular(3, rng)
-        assert cell_invariant(apply_to_cell(g, mv.vectors)) == inv
-    other = minimum_and_minimal_vectors(QForm.from_matrix(d_n_gram(4)))
-    assert cell_invariant(other.vectors) != inv
 
 
 def test_equivalence_respects_conjugation(rng):

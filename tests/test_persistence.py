@@ -20,7 +20,6 @@ from vorcycle.persistence import (
     GRAPH_FIELDS,
     NODE_FIELDS,
     ORBIT_FIELDS,
-    WALL_FIELDS,
     CacheCorrupt,
     cache_path,
     canonical_dumps,
@@ -279,7 +278,7 @@ def test_every_missing_field_is_cache_corrupt(n, group):
                 decode(bad)
     # Every field of every record was deleted somewhere.
     assert names == set(GRAPH_FIELDS + NODE_FIELDS + ORBIT_FIELDS +
-                        COMPLEX_FIELDS + WALL_FIELDS)
+                        COMPLEX_FIELDS + ("members",))
 
 
 @pytest.mark.parametrize("n, group", ((2, "sl"), (3, "gl")))
@@ -314,8 +313,8 @@ def test_missing_field_message_names_the_field():
     del payload["walls"][0]["members"]
     with pytest.raises(CacheCorrupt) as exc:
         complex_from_payload(payload, cx.graph, "complex-n2-sl.json")
-    assert str(exc.value) == \
-        "complex-n2-sl.json: payload.walls[0].members is missing"
+    assert str(exc.value) == "complex-n2-sl.json: payload.walls[0] " \
+        "differs from the complex derived from the graph"
 
 
 # A field that older schemas stored and a load now derives is refused,
@@ -347,13 +346,19 @@ def test_unknown_field_is_named(where, key):
     record[key] = 1
     field = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
                     for p in where + (key,))
+    problem = f"{field} is not a field of this record"
+    if where[:1] == ("walls",):
+        # A wall is compared whole with the derived complex's.
+        problem = ".walls[0] differs from the complex derived from the graph"
     with pytest.raises(CacheCorrupt) as exc:
         decode(payload)
-    assert str(exc.value) == \
-        f"c.json: payload{field} is not a field of this record"
+    assert str(exc.value) == f"c.json: payload{problem}"
 
 
 SHEAR = [[1, 1], [0, 1]]
+
+# A stored wall that is not the derived complex's wall is named whole.
+WALL_DIFF = r"walls\[0\] differs from the complex derived from the graph"
 
 
 # The first ids are the ones pytest generated for an earlier, longer
@@ -366,19 +371,19 @@ SHEAR = [[1, 1], [0, 1]]
                  [[0, 1], [1, 0]], "witness has determinant -1",
                  id="where18-new18-witness has determinant -1"),
     pytest.param(("walls", 0, "members", 0, 0), 3,
-                 "has a parent out of range 0..0",
+                 WALL_DIFF,
                  id="where19-3-has a parent out of range 0..0"),
     pytest.param(("walls", 0, "members", 0, 1), 3,
-                 "has a face out of range 0..2",
+                 WALL_DIFF,
                  id="where20-3-has a face out of range 0..2"),
     pytest.param(("walls", 0, "members", 0, 1), -1,
-                 "has a face out of range 0..2",
+                 WALL_DIFF,
                  id="where22--1-has a face out of range 0..2"),
     pytest.param(("walls", 0, "members", 0, 0), True,
-                 r"is not a \[parent, face\] pair",
+                 WALL_DIFF,
                  id=r"where23-True-is not a \[parent, face\] pair"),
     pytest.param(("walls", 0, "members", 0), [0, 0, 0],
-                 r"is not a \[parent, face\] pair",
+                 WALL_DIFF,
                  id=r"where24-new24-is not a \[parent, face\] pair"),
     pytest.param(("graph", "nodes", 0, "gram", 0, 0), "2",
                  "gram is not a list of 2 integers per row",
@@ -401,8 +406,16 @@ SHEAR = [[1, 1], [0, 1]]
                  r"nodes\[0\]\.orbits is empty", id="node-without-facets"),
     # Rank 2 sl keeps no wall, so the matrix has no rows.
     pytest.param(("triplets",), [[0, 0, 1]],
-                 r"triplets\[0\] is not a nonzero entry in range",
+                 r"triplets\[0\] differs from the complex derived from "
+                 r"the graph",
                  id="triplet-past-kept-walls"),
+    # Rank 2 sl has one node, so each member's parent is 0, which
+    # 0.0 and False equal as Python values but not as JSON: entries are
+    # compared as their canonical encodings.
+    pytest.param(("walls", 0, "members", 0, 0), 0.0, WALL_DIFF,
+                 id="member-parent-float"),
+    pytest.param(("walls", 0, "members", 0, 0), False, WALL_DIFF,
+                 id="member-parent-false"),
 ))
 def test_generator_certificates_and_ranges(where, new, problem):
     # A ("graph", ...) field lies in the graph payload.
@@ -547,4 +560,5 @@ def test_wall_without_members_is_cache_corrupt():
     with _mutated(payload, ("walls", 0, "members"), []), \
             pytest.raises(CacheCorrupt) as exc:
         decode(payload)
-    assert str(exc.value) == "c.json: payload.walls[0].members is empty"
+    assert str(exc.value) == "c.json: payload.walls[0] differs from the " \
+        "complex derived from the graph"
