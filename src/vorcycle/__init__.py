@@ -6,7 +6,6 @@ from .complexes import (
     VoronoiComplex,
     build_codim2,
     build_complex,
-    top_cell_dimension,
 )
 from .cones import NotFullDim, build_cone, faces_of_codim, meets_boundary
 from .enumeration import (

@@ -25,11 +25,9 @@ from .persistence import (
     complex_from_payload,
     complex_to_payload,
     graph_from_payload,
-    graph_reference,
     graph_to_payload,
     load_payload,
     save_payload,
-    stored_hash,
 )
 from .tessellation import (
     InvariantViolation,
@@ -63,47 +61,38 @@ def _check_rank(n, allow_long):
     return True
 
 
-def _load_or_build_graph(args, digest=None):
-    """The graph, its file and its header hash; with the `digest` that
-    a complex names, the file must exist and carry it."""
+def _load_or_build_graph(args):
+    """The graph, its file, and whether it was read from that file."""
     n, group = args.n, args.group
     path = cache_path(_cache_dir(args), "graph", n, group)
-    if digest is not None or os.path.exists(path):
-        payload = load_payload(path, "graph", n, group, digest)
-        graph = graph_from_payload(payload, path)
+    loaded = os.path.exists(path)
+    if loaded:
+        graph = graph_from_payload(load_payload(path, "graph", n, group), path)
     else:
         graph = enumerate_perfect_forms(n, group, allow_long=args.allow_long)
         save_payload(path, "graph", n, group, graph_to_payload(graph))
-    return graph, path, digest or stored_hash(path)
+    return graph, path, loaded
 
 
 def _load_or_build_complex(args):
     """The complex built over the graph, and its file, which must hold
     that complex when it exists and is written when it does not."""
-    n, group = args.n, args.group
-    path = cache_path(_cache_dir(args), "complex", n, group, args.seed_perm)
-    stored = os.path.exists(path)
-    loaded = os.path.exists(cache_path(_cache_dir(args), "graph", n, group))
-    if stored:
-        payload = load_payload(path, "complex", n, group)
-        try:
-            graph, graph_path, digest = _load_or_build_graph(
-                args, graph_reference(payload, path))
-        except (CacheCorrupt, FileNotFoundError) as exc:
-            raise CacheCorrupt(f"{path}: payload.graph: {exc}") from exc
-    else:
-        graph, graph_path, digest = _load_or_build_graph(args)
+    n, group, seed_perm = args.n, args.group, args.seed_perm
+    path = cache_path(_cache_dir(args), "complex", n, group, seed_perm)
+    graph, graph_path, loaded = _load_or_build_graph(args)
     try:
-        cx = complex_from_payload(payload, graph, path) if stored else \
-            build_complex(graph, seed_perm=args.seed_perm)
+        if os.path.exists(path):
+            cx = complex_from_payload(load_payload(path, "complex", n, group),
+                                      graph, seed_perm, path)
+        else:
+            cx = build_complex(graph, seed_perm)
+            save_payload(path, "complex", n, group, complex_to_payload(cx))
     except WallNotGlued as exc:
         # A wall that a graph read from a file does not give is that
         # file's corruption; in a graph this process built, a defect.
         if not loaded:
             raise
         raise CacheCorrupt(f"{graph_path}: {exc}") from exc
-    if not stored:
-        save_payload(path, "complex", n, group, complex_to_payload(cx, digest))
     return cx, path
 
 

@@ -50,11 +50,6 @@ from .linalg import (
 )
 
 
-def top_cell_dimension(n):
-    """Dimension of the top cells of the complex in rank n."""
-    return sym_dim(n) - 1
-
-
 def transport_flat(g, flat, n):
     """Push a flattened symmetric matrix forward along v -> g v."""
     mat = sym_unflatten(flat, n)

@@ -221,6 +221,12 @@ def root_label(form, minvecs, n):
     return None
 
 
+def class_label(form, minvecs, n, i):
+    """The label of class i of the rank-n walk: its root lattice name
+    (`root_label`), else "Pn.i"."""
+    return root_label(form, minvecs, n) or f"P{n}.{i}"
+
+
 def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
                             traversal="default"):
     """Complete walk graph of perfect-form classes of rank n.
@@ -277,7 +283,7 @@ def enumerate_perfect_forms(n, group_kind="gl", allow_long=False,
             row[r] = Edge(neighbor=j, witness=w)
         nodes.append(PerfectFormRep(
             form, mv, facets, gens, order,
-            label=root_label(form, mv, n) or f"P{n}.{i}"))
+            label=class_label(form, mv, n, i)))
         edges.append(tuple(row))
 
     graph = VoronoiGraph(n=n, group_kind=group_kind, nodes=tuple(nodes),

@@ -10,25 +10,24 @@ is rejected.  To read one, run `python -m json.tool FILE`.
 Graph and complex payloads hold JSON integers, which Python's json
 reads and writes exactly; verdict payloads keep the decimal strings of
 their reports.  A graph file stores each fact once, and only what is
-costly to compute: per node its Gram matrix, label and one record per
-facet orbit, holding the orbit's first facet in sorted order as the
-indices of its minimal vectors (`incident`) with the edge across it
+costly to compute: per node its Gram matrix and one record per facet
+orbit, holding the orbit's first facet in sorted order as the indices
+of its minimal vectors (`incident`) with the edge across it
 (`neighbor`, `witness`).  The rest is derived on load by the code a
 build runs: node minima and minimal vectors
-(`forms.minimum_and_minimal_vectors`), node stabilizers
-(`isometry.form_group`), and the other facets, numbered by one orbit
-walk from the stored ones, with their orbits and Schreier vectors
-(`cones.facet_closure`, the numbering of `cones.build_cone`).  The
-completeness of each node's orbit list (that no facet orbit is left
-out) is trusted.
+(`forms.minimum_and_minimal_vectors`), labels
+(`enumeration.class_label`), node stabilizers (`isometry.form_group`),
+and the other facets, numbered by one orbit walk from the stored ones,
+with their orbits and Schreier vectors (`cones.facet_closure`, the
+numbering of `cones.build_cone`).  The completeness of each node's
+orbit list (that no facet orbit is left out) is trusted.
 
-A complex file stores its seed permutation, the hash in its graph
-file's header (it is read only over that graph file), per wall its
-[parent, face] members and the triplets of its differential.  A load
-reads only the seed permutation: it derives the complex over the graph
-(`complexes.build_complex`), and refuses a file whose walls or triplets
-are not those of the derived complex, naming the first entry that
-differs.
+A complex file stores per wall its [parent, face] members and the
+triplets of its differential; its rank, group and seed permutation are
+those of its file name.  A load derives the complex over the graph
+(`complexes.build_complex`) with the caller's seed permutation, and
+refuses a file whose walls or triplets are not those of the derived
+complex, naming the first entry that differs.
 
 On load, a payload's rank and group must be its file header's, each
 record must hold exactly its own fields, and each field is checked for
@@ -50,6 +49,7 @@ from .enumeration import (
     Edge,
     PerfectFormRep,
     VoronoiGraph,
+    class_label,
     glues,
 )
 from .forms import (
@@ -73,15 +73,16 @@ from .linalg import det_int, mat_transpose
 # version 8 stores one record per facet orbit, at its first facet, and
 # a load regenerates the other facets; complex version 9 numbers a
 # member's face in the orbit walk's order, no longer in the double
-# description's sorted order.  Verdict files went to version 2 when
-# every file became its canonical encoding.
-PAYLOAD_KINDS = {"graph": 8, "complex": 9, "verdict": 2}
+# description's sorted order; graph version 9 stores no label, and
+# complex version 10 no seed permutation or graph hash.  Verdict files
+# went to version 2 when every file became its canonical encoding.
+PAYLOAD_KINDS = {"graph": 9, "complex": 10, "verdict": 2}
 
 # The fields of each record: a record with any other field is refused.
 GRAPH_FIELDS = ("n", "group", "nodes")
-NODE_FIELDS = ("gram", "label", "orbits")
+NODE_FIELDS = ("gram", "orbits")
 ORBIT_FIELDS = ("incident", "neighbor", "witness")
-COMPLEX_FIELDS = ("seed_perm", "graph", "walls", "triplets")
+COMPLEX_FIELDS = ("walls", "triplets")
 
 
 class CacheCorrupt(ValueError):
@@ -108,7 +109,6 @@ def _sha256(data):
 
 def graph_to_payload(graph):
     nodes = [{"gram": _enc_mat(node.form.gram),
-              "label": node.label,
               "orbits": [{"incident": sorted(node.facets[orbit[0]]),
                           "neighbor": e.neighbor,
                           "witness": _enc_mat(e.witness.rows)}
@@ -210,12 +210,12 @@ class _Reader:
 def graph_from_payload(payload, source="<payload>"):
     """Decode and check a graph payload read from `source`.
 
-    Each node's minimal vectors and stabilizer are those of its form,
-    as in the walk.  Each orbit record must hold a facet of the node's
-    domain (`cones.facet_normal`), and the stabilizer generators carry
-    those facets to the node's facet list (`cones.facet_closure`), in
-    which each record must be the sorted-first facet of an orbit of its
-    own, in increasing order.  Its edge must glue the facet
+    Each node's minimal vectors, label and stabilizer are those of its
+    form, as in the walk.  Each orbit record must hold a facet of the
+    node's domain (`cones.facet_normal`), and the stabilizer generators
+    carry those facets to the node's facet list (`cones.facet_closure`),
+    in which each record must be the sorted-first facet of an orbit of
+    its own, in increasing order.  Its edge must glue the facet
     (`enumeration.glues`).
     """
     rd = _Reader(source)
@@ -229,7 +229,7 @@ def graph_from_payload(payload, source="<payload>"):
     node_recs = rd.records(payload, (), "nodes", NODE_FIELDS)
     nodes = []
     edges = []
-    for path, rec in node_recs:
+    for i, (path, rec) in enumerate(node_recs):
         form = QForm(gram=rd.field_ints(rec, path, "gram", n, n))
         if mat_transpose(form.gram) != form.gram or \
                 not is_positive_definite(form.gram):
@@ -266,7 +266,7 @@ def graph_from_payload(payload, source="<payload>"):
         edges.append(tuple(node_edges))
         nodes.append(PerfectFormRep(
             form=form, minvecs=mv, facets=facets, generators=gens,
-            stab_order=order, label=rd.get(rec, path, "label", str)))
+            stab_order=order, label=class_label(form, mv, n, i)))
     for (path, _), node, row in zip(node_recs, nodes, edges):
         vectors = node.minvecs.vectors
         for r, (orbit, e) in enumerate(zip(node.facets.orbits, row)):
@@ -278,39 +278,28 @@ def graph_from_payload(payload, source="<payload>"):
                         edges=tuple(edges))
 
 
-def complex_to_payload(cx, graph_hash):
-    """`graph_hash` is the header hash of the graph file of cx.graph."""
+def complex_to_payload(cx):
     return {
-        "seed_perm": cx.seed_perm,
-        "graph": graph_hash,
         "walls": [{"members": [[p, f] for p, f in w.members]}
                   for w in cx.walls],
         "triplets": [list(t) for t in cx.differential.triplets()],
     }
 
 
-def graph_reference(payload, source="<payload>"):
-    """The hash of the graph file a complex payload refers to."""
-    return _Reader(source).get(payload, (), "graph", str)
+def complex_from_payload(payload, graph, seed_perm, source="<payload>"):
+    """The complex of seed permutation `seed_perm` over `graph`, checked
+    against a complex payload read from `source`.
 
-
-def complex_from_payload(payload, graph, source="<payload>"):
-    """The complex of a complex payload read from `source`, derived
-    over its graph, decoded from the graph file whose header hash it
-    names.
-
-    Only the seed permutation is read: the complex is built over the
-    graph (`complexes.build_complex`), and the stored walls and
-    triplets must be those that `complex_to_payload` writes for it.
-    A WallNotGlued of the build propagates: it is the graph's fault,
-    not this file's.
+    The complex is built over the graph (`complexes.build_complex`), and
+    the stored walls and triplets must be those that
+    `complex_to_payload` writes for it.  A WallNotGlued of the build
+    propagates: it is the graph's fault, not this file's.
     """
     rd = _Reader(source)
     rd.fields(payload, (), COMPLEX_FIELDS)
-    digest = graph_reference(payload, source)
-    cx = build_complex(graph, rd.get(payload, (), "seed_perm", int))
-    derived = complex_to_payload(cx, digest)
-    for key in ("walls", "triplets"):
+    cx = build_complex(graph, seed_perm)
+    derived = complex_to_payload(cx)
+    for key in COMPLEX_FIELDS:
         stored, want = rd.get(payload, (), key, list), derived[key]
         # Compared as canonical encodings, so that true or 1.0 is not 1.
         for i in range(max(len(stored), len(want))):
@@ -350,15 +339,15 @@ def save_payload(path, kind, n, group, payload):
     return path
 
 
-def load_payload(path, kind=None, n=None, group=None, digest=None):
+def load_payload(path, kind=None, n=None, group=None):
     """The payload of the cache file at `path`.
 
     The file must be exactly what save_payload writes.  Its header is
     rebuilt from the decoded group, hash, kind and n, and the hash is
     checked on the stored bytes between that header and the trailer:
     the bytes the payload was decoded from.  The header must carry the
-    given kind, n, group and `digest` (the graph hash a complex payload
-    refers to), and a payload's own n and group must be the header's.
+    given kind, n and group, and a payload's own n and group must be
+    the header's.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -390,8 +379,7 @@ def load_payload(path, kind=None, n=None, group=None, digest=None):
     body = memoryview(data)[len(header):len(data) - len(trailer)]
     if _sha256(body) != doc["hash"]:
         raise CacheCorrupt(f"{path}: content hash mismatch")
-    for key, want in (("kind", kind), ("n", n), ("group", group),
-                      ("hash", digest)):
+    for key, want in (("kind", kind), ("n", n), ("group", group)):
         if want is not None and doc[key] != want:
             raise CacheCorrupt(f"{path}: expected {key} {want!r}")
     payload = doc["payload"]
@@ -400,14 +388,6 @@ def load_payload(path, kind=None, n=None, group=None, digest=None):
             raise CacheCorrupt(f"{path}: payload.{key} is not {doc[key]!r}, "
                                f"as in the file header")
     return payload
-
-
-def stored_hash(path):
-    """The hash in the header of the cache file at `path`, as
-    save_payload wrote it: the hash of the payload bytes stored there."""
-    with open(path, "rb") as fh:
-        head = fh.read(256)
-    return json.loads(head[:head.index(b',"kind":')] + b"}")["hash"]
 
 
 def cache_path(cache_dir, kind, n, group, seed_perm=0):

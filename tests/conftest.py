@@ -164,10 +164,9 @@ def content_hash(payload):
 
 
 def wall_facet(payload, i):
-    """The (parent, face) of wall i of a complex payload: the member
-    that its seed permutation picks."""
-    members = payload["walls"][i]["members"]
-    parent, face = members[payload["seed_perm"] % len(members)]
+    """The (parent, face) of wall i of a seed-0 complex payload: the
+    member that seed permutation 0 picks, its first."""
+    parent, face = payload["walls"][i]["members"][0]
     return parent, face
 
 

@@ -282,7 +282,7 @@ def _wall_parent(doc):
 @pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
                                                          "python-O"))
 @pytest.mark.parametrize("edit, problem", (
-    (_schema_seven_file, "schema version 7 != 9; another version of "
+    (_schema_seven_file, "schema version 7 != 10; another version of "
                          "vorcycle wrote this file: delete it or use a "
                          "fresh --cache-dir"),
     (_wall_parent, DIFFERS % "walls[0]"),
@@ -330,25 +330,44 @@ def test_schema_eight_complex_file_exit_three(cache, capsys, optimize):
     assert result.returncode == 3, result.stdout + result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert "verified" not in result.stdout
-    assert f"{path}: schema version 8 != 9; another version of vorcycle " \
+    assert f"{path}: schema version 8 != 10; another version of vorcycle " \
         f"wrote this file: delete it or use a fresh --cache-dir" \
         in result.stderr
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_schema_nine_complex_file_exit_three(cache, capsys, optimize):
+    # Schema 9 stored the seed permutation and the graph file's hash,
+    # which a load took at their word; the file now depends only on its
+    # name, so a schema-9 file is refused with the remedy, under -O too.
+    path = _rank_four_complex(capsys, cache)
+    graph = os.path.join(cache, "graph-n4-sl.json")
+
+    def schema_nine(doc):
+        doc["payload"].update(seed_perm=0,
+                              graph=json.load(open(graph))["hash"])
+        doc["schema_version"] = 9
+    _tamper(path, schema_nine)
+    result = run_python("-m", "vorcycle", "verify", "--n", "4", "--group",
+                        "sl", "--cache-dir", cache, optimize=optimize)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert result.stdout == ""
+    assert result.stderr == f"error: cache corruption: {path}: schema " \
+        "version 9 != 10; another version of vorcycle wrote this file: " \
+        "delete it or use a fresh --cache-dir\n"
 
 
 def test_stored_order_in_graph_file_exit_three(cache, capsys):
     # A stored order would decide the verdict (each top class enters the
     # cycle with weight one over it), so a load derives every order and
-    # refuses a record with a field it does not hold: no FALSIFIED.  The
-    # re-hashed graph file no longer carries the hash the complex file
-    # names, so the complex and verdict files go, as after an edit.
+    # refuses a record with a field it does not hold: no FALSIFIED.
     run(capsys, "verify", "--n", "4", "--group", "sl", "--cache-dir", cache)
     path = os.path.join(cache, "graph-n4-sl.json")
 
     def add_order(doc):
         doc["payload"]["nodes"][0]["stab_order"] = 1
     _tamper(path, add_order)
-    for kind in ("complex", "verdict"):
-        os.unlink(os.path.join(cache, f"{kind}-n4-sl.json"))
     code, out, err = run(capsys, "verify", "--n", "4", "--group", "sl",
                          "--cache-dir", cache)
     assert code == 3
@@ -357,11 +376,35 @@ def test_stored_order_in_graph_file_exit_three(cache, capsys):
         "record" in err
 
 
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+@pytest.mark.parametrize("command", ("verify", "perfect"))
+def test_label_in_graph_file_exit_three(cache, capsys, command, optimize):
+    # A label is derived on load by the walk's rule
+    # (`enumeration.class_label`), so a re-hashed graph file whose node
+    # 0 claims to be E8 is refused, under -O too: no verdict or class
+    # list repeats the claim.
+    from vorcycle.persistence import load_payload, save_payload
+    run(capsys, "verify", "--n", "4", "--group", "sl", "--cache-dir", cache)
+    path = os.path.join(cache, "graph-n4-sl.json")
+    payload = load_payload(path)
+    payload["nodes"][0]["label"] = "E8"
+    save_payload(path, "graph", 4, "sl", payload)
+    for kind in ("complex", "verdict"):
+        os.unlink(os.path.join(cache, f"{kind}-n4-sl.json"))
+    result = run_python("-m", "vorcycle", command, "--n", "4", "--group",
+                        "sl", "--cache-dir", cache, optimize=optimize)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert result.stdout == ""
+    assert result.stderr == f"error: cache corruption: {path}: " \
+        "payload.nodes[0].label is not a field of this record\n"
+    assert not os.path.exists(os.path.join(cache, "verdict-n4-sl.json"))
+
+
 @pytest.mark.parametrize("n, group", ((3, "sl"), (4, "gl")))
 def test_payload_under_another_header_exit_three(cache, capsys, n, group):
-    # Rank-3 sl or rank-4 gl caches re-saved under rank-4 sl headers,
-    # the complex still referring to its graph: the payload's own rank
-    # or group is not the header's.
+    # Rank-3 sl or rank-4 gl caches re-saved under rank-4 sl headers:
+    # the graph payload's own rank or group is not the header's.
     from vorcycle.persistence import load_payload, save_payload
     run(capsys, "verify", "--n", str(n), "--group", group,
         "--cache-dir", cache)
@@ -383,36 +426,6 @@ def test_payload_under_another_header_exit_three(cache, capsys, n, group):
 def _rank_four_complex(capsys, cache):
     run(capsys, "verify", "--n", "4", "--group", "sl", "--cache-dir", cache)
     return os.path.join(cache, "complex-n4-sl.json")
-
-
-def test_complex_without_its_graph_file_exit_three(cache, capsys):
-    path = _rank_four_complex(capsys, cache)
-    graph = os.path.join(cache, "graph-n4-sl.json")
-    os.unlink(graph)
-    code, out, err = run(capsys, "verify", "--n", "4", "--group", "sl",
-                         "--cache-dir", cache)
-    assert code == 3
-    assert "Traceback" not in out + err and "verified" not in out
-    assert f"{path}: payload.graph: " in err and graph in err
-    assert "No such file" in err
-    # Strict: the graph is not rebuilt behind the complex file's back.
-    assert not os.path.exists(graph)
-
-
-def test_complex_with_another_graph_file_exit_three(cache, capsys):
-    # Another validly hashed graph file: one label changed, re-hashed.
-    path = _rank_four_complex(capsys, cache)
-    graph = os.path.join(cache, "graph-n4-sl.json")
-
-    def relabel(doc):
-        doc["payload"]["nodes"][0]["label"] += "'"
-    _tamper(graph, relabel)
-    code, out, err = run(capsys, "verify", "--n", "4", "--group", "sl",
-                         "--cache-dir", cache)
-    assert code == 3
-    assert "Traceback" not in out + err and "verified" not in out
-    assert f"{path}: payload.graph: {graph}" in err
-    assert f"{graph}: expected hash" in err
 
 
 def _repeat_triplet(doc):
@@ -449,13 +462,22 @@ def test_kept_lists_and_differential_disagree_exit_three(cache, capsys,
 
 @pytest.fixture(scope="module")
 def rank_five_gl_cache(tmp_path_factory):
-    """A rank-5 gl cache with its graph and complex files, and no
-    verdict file."""
+    """A rank-5 gl cache with its graph and complex files and no verdict
+    file, and the bytes of the verdict file of the run that wrote it."""
     cache = str(tmp_path_factory.mktemp("rank-five-gl"))
     result = run_python("-m", "vorcycle", "verify", "--n", "5", "--group",
                         "gl", "--cache-dir", cache)
     assert result.returncode == 0, result.stdout + result.stderr
-    os.unlink(os.path.join(cache, "verdict-n5-gl.json"))
+    verdict = os.path.join(cache, "verdict-n5-gl.json")
+    with open(verdict, "rb") as fh:
+        cold = fh.read()
+    os.unlink(verdict)
+    return cache, cold
+
+
+def _copy_rank_five_gl_cache(rank_five_gl_cache, tmp_path):
+    cache = str(tmp_path / "cache")
+    shutil.copytree(rank_five_gl_cache[0], cache)
     return cache
 
 
@@ -481,8 +503,7 @@ def test_differential_off_the_derived_complex_exit_three(
     # with a row doubled it is the same line with wrong row data.  Each
     # is refused, under -O too, with no verdict printed or written.
     from vorcycle.persistence import load_payload, save_payload
-    cache = str(tmp_path / "cache")
-    shutil.copytree(rank_five_gl_cache, cache)
+    cache = _copy_rank_five_gl_cache(rank_five_gl_cache, tmp_path)
     path = os.path.join(cache, "complex-n5-gl.json")
     payload = load_payload(path)
     edit(payload["triplets"])
@@ -495,6 +516,46 @@ def test_differential_off_the_derived_complex_exit_three(
     assert result.stderr == f"error: cache corruption: {path}: " \
         f"{DIFFERS % 'triplets[0]'}\n"
     assert not os.path.exists(os.path.join(cache, "verdict-n5-gl.json"))
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_complex_file_of_another_seed_exit_three(rank_five_gl_cache,
+                                                 tmp_path, optimize):
+    # A complex file depends only on its name: a seed-0 file copied to
+    # the seed-4 name is checked against the seed-4 complex, whose
+    # differential differs, and refused, under -O too, with no verdict
+    # written under the seed-4 name.
+    cache = _copy_rank_five_gl_cache(rank_five_gl_cache, tmp_path)
+    path = os.path.join(cache, "complex-n5-gl-p4.json")
+    shutil.copyfile(os.path.join(cache, "complex-n5-gl.json"), path)
+    result = run_python("-m", "vorcycle", "verify", "--n", "5", "--group",
+                        "gl", "--seed-perm", "4", "--cache-dir", cache,
+                        optimize=optimize)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert result.stdout == ""
+    assert result.stderr == f"error: cache corruption: {path}: " \
+        f"{DIFFERS % 'triplets[0]'}\n"
+    assert not os.path.exists(os.path.join(cache, "verdict-n5-gl-p4.json"))
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+def test_complex_file_without_its_graph_file_is_checked(rank_five_gl_cache,
+                                                        tmp_path, optimize):
+    # A complex file names no graph file: with the graph file gone,
+    # verify enumerates the graph again, checks the complex file against
+    # the complex derived over it, and writes the cold run's verdict
+    # byte for byte, under -O too.
+    cache = _copy_rank_five_gl_cache(rank_five_gl_cache, tmp_path)
+    graph = os.path.join(cache, "graph-n5-gl.json")
+    os.unlink(graph)
+    result = run_python("-m", "vorcycle", "verify", "--n", "5", "--group",
+                        "gl", "--cache-dir", cache, optimize=optimize)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert os.path.exists(graph)
+    with open(os.path.join(cache, "verdict-n5-gl.json"), "rb") as fh:
+        assert fh.read() == rank_five_gl_cache[1]
 
 
 # The rank-4 sl caches of seed permutation 3, then a verify over them
@@ -558,10 +619,9 @@ def test_closed_stdout_ends_quietly(cache, command):
                                                          "python-O"))
 def test_wall_face_on_the_boundary_exit_three(cache, capsys, optimize):
     # The orbit record of the facet under a kept wall of rank 4 sl cut
-    # down to one vector in a re-hashed graph file, the complex file
-    # re-pointed at it: that record holds no facet, so the graph load
-    # refuses it before any wall is derived from it, under -O too, and
-    # no verdict is printed.
+    # down to one vector in a re-hashed graph file: that record holds no
+    # facet, so the graph load refuses it before any wall is derived
+    # from it, under -O too, and no verdict is printed.
     path = _rank_four_complex(capsys, cache)
     graph = os.path.join(cache, "graph-n4-sl.json")
     parent, face = wall_facet(json.load(open(path))["payload"], 0)
@@ -570,17 +630,14 @@ def test_wall_face_on_the_boundary_exit_three(cache, capsys, optimize):
     def one_vector(doc):
         doc["payload"]["nodes"][parent]["orbits"][r]["incident"] = [0]
     _tamper(graph, one_vector)
-    digest = json.load(open(graph))["hash"]
-    _tamper(path, lambda doc: doc["payload"].update(graph=digest))
     os.unlink(os.path.join(cache, "verdict-n4-sl.json"))
     result = run_python("-m", "vorcycle", "verify", "--n", "4", "--group",
                         "sl", "--cache-dir", cache, optimize=optimize)
     assert result.returncode == 3, result.stdout + result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert "FALSIFIED" not in result.stdout
-    assert f"{path}: payload.graph: {graph}: payload.nodes[{parent}]." \
-        f"orbits[{r}].incident is not a facet of the node's domain" \
-        in result.stderr
+    assert f"{graph}: payload.nodes[{parent}].orbits[{r}].incident is not " \
+        "a facet of the node's domain" in result.stderr
 
 
 def _orbit_of(graph_path, parent, face):
@@ -647,9 +704,8 @@ def test_shear_witness_on_an_edge_no_wall_uses_exit_three(cache, capsys,
     # Rank 4 sl represents both its wall classes on node 1, so no wall
     # reads the edge of node 0's one facet orbit.  Its witness is the
     # identity (that crossing found class 1); set to a shear of
-    # determinant one in a re-hashed graph file, the complex file
-    # re-pointed at it, it is refused by the load, which checks the
-    # gluing of every stored edge, under -O too.
+    # determinant one in a re-hashed graph file, it is refused by the
+    # load, which checks the gluing of every stored edge, under -O too.
     path = _rank_four_complex(capsys, cache)
     graph = os.path.join(cache, "graph-n4-sl.json")
     payload = json.load(open(path))["payload"]
@@ -663,8 +719,6 @@ def test_shear_witness_on_an_edge_no_wall_uses_exit_three(cache, capsys,
         record["witness"] = [[int(i == j or (i, j) == (0, 1))
                               for j in range(4)] for i in range(4)]
     _tamper(graph, shear)
-    digest = json.load(open(graph))["hash"]
-    _tamper(path, lambda doc: doc["payload"].update(graph=digest))
     os.unlink(os.path.join(cache, "verdict-n4-sl.json"))
     result = run_python("-m", "vorcycle", "verify", "--n", "4", "--group",
                         "sl", "--cache-dir", cache, optimize=optimize)
@@ -762,7 +816,7 @@ def _stale_graph_file_exit_three(cache, capsys, optimize, edit, version):
     assert result.returncode == 3, result.stdout + result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert "verified" not in result.stdout
-    assert f"{path}: schema version {version} != 8; another version of " \
+    assert f"{path}: schema version {version} != 9; another version of " \
         "vorcycle wrote this file: delete it or use a fresh --cache-dir" \
         in result.stderr
 
@@ -785,9 +839,8 @@ def test_bad_edge_facet_in_graph_cache_exit_three(cache, capsys):
 def _unglue_wall_zero(capsys, cache):
     """Build the rank-2 sl caches, then replace the graph edge at wall
     0's facet orbit by a unimodular shear, which carries the
-    neighbour's minimal vectors elsewhere.  Both files are re-hashed and
-    the complex file refers to the edited graph file, so only the
-    gluing check of the graph load can catch the change."""
+    neighbour's minimal vectors elsewhere.  The graph file is re-hashed,
+    so only the gluing check of the graph load can catch the change."""
     run(capsys, "verify", "--n", "2", "--group", "sl", "--cache-dir", cache)
     graph = os.path.join(cache, "graph-n2-sl.json")
     path = os.path.join(cache, "complex-n2-sl.json")
@@ -798,8 +851,6 @@ def _unglue_wall_zero(capsys, cache):
         doc["payload"]["nodes"][parent]["orbits"][r]["witness"] = \
             [[1, 1], [0, 1]]
     _tamper(graph, shear)
-    digest = json.load(open(graph))["hash"]
-    _tamper(path, lambda doc: doc["payload"].update(graph=digest))
     os.unlink(os.path.join(cache, "verdict-n2-sl.json"))
     return path, f"{graph}: payload.nodes[{parent}].orbits[{r}].witness " \
         "does not glue the facet to its neighbor"
@@ -811,7 +862,7 @@ def test_wall_witness_off_the_graph_edge_exit_three(cache, capsys):
                          "--cache-dir", cache)
     assert code == 3
     assert "Traceback" not in out + err and "verified" not in out
-    assert f"{path}: payload.graph: {problem}" in err
+    assert err == f"error: cache corruption: {problem}\n"
 
 
 @pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",

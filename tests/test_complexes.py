@@ -26,7 +26,6 @@ from vorcycle.complexes import (
     build_codim2,
     build_complex,
     induced_sign,
-    top_cell_dimension,
     transport_flat,
 )
 from vorcycle.cones import build_cone, face_vectors, meets_boundary
@@ -64,12 +63,6 @@ def test_cell_generators_close_to_the_cell_stabilizer(n, group):
         assert [g.rows for g in group_elems] == \
             [g.rows for g in cell_stabilizer(vectors,
                                              det_one=(group == "sl"))]
-
-
-def test_top_cell_dimension():
-    assert top_cell_dimension(2) == 2
-    assert top_cell_dimension(4) == 9
-    assert top_cell_dimension(7) == 27
 
 
 def test_sigma_star_counts(complex_sl2, complex_sl3, complex_sl4):

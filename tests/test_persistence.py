@@ -26,7 +26,6 @@ from vorcycle.persistence import (
     complex_from_payload,
     complex_to_payload,
     graph_from_payload,
-    graph_reference,
     graph_to_payload,
     load_payload,
     save_payload,
@@ -56,22 +55,19 @@ def test_graph_round_trip(tmp_path):
                 [(b.facets.orbits, b.facets.schreier) for b in graph.nodes]
 
 
-def _graph_hash(cx):
-    return content_hash(graph_to_payload(cx.graph))
-
-
 def _save_and_load(tmp_path, cx):
     """Write the graph and complex files of `cx` and load them back: the
-    complex over the graph file whose header hash its payload names."""
+    complex of its seed permutation over the graph file, checked against
+    the complex file."""
     n, group = cx.n, cx.group_kind
     g_path = save_payload(str(tmp_path / "g.json"), "graph", n, group,
                           graph_to_payload(cx.graph))
     c_path = save_payload(str(tmp_path / "c.json"), "complex", n, group,
-                          complex_to_payload(cx, _graph_hash(cx)))
-    payload = load_payload(c_path, "complex", n, group)
-    graph = graph_from_payload(load_payload(
-        g_path, "graph", n, group, graph_reference(payload, c_path)), g_path)
-    return complex_from_payload(payload, graph, c_path)
+                          complex_to_payload(cx))
+    graph = graph_from_payload(load_payload(g_path, "graph", n, group),
+                               g_path)
+    return complex_from_payload(load_payload(c_path, "complex", n, group),
+                                graph, cx.seed_perm, c_path)
 
 
 def test_complex_round_trip(tmp_path):
@@ -98,28 +94,27 @@ def test_complex_round_trip_is_exact(tmp_path, n, group, seed_perm):
     assert _save_and_load(tmp_path, cx) == cx
 
 
-def test_complex_payload_refers_to_the_graph_file(tmp_path):
+def test_payload_fields_and_schema_versions(tmp_path):
+    # A complex file's rank, group and seed permutation are those of its
+    # name, and a node's label is derived from its form: neither file
+    # stores them, and the complex file names no graph file.
     cx = cached_complex(3, "gl")
-    payload = complex_to_payload(cx, _graph_hash(cx))
-    assert set(payload) == {"seed_perm", "graph", "walls", "triplets"}
+    payload = complex_to_payload(cx)
+    assert set(payload) == {"walls", "triplets"}
     for wall in payload["walls"]:
         assert set(wall) == {"members"}
     graph_payload = graph_to_payload(cx.graph)
     assert set(graph_payload) == {"n", "group", "nodes"}
     for node in graph_payload["nodes"]:
-        assert set(node) == {"gram", "label", "orbits"}
+        assert set(node) == {"gram", "orbits"}
         for record in node["orbits"]:
             assert set(record) == {"incident", "neighbor", "witness"}
     g_path = save_payload(str(tmp_path / "g.json"), "graph", 3, "gl",
                           graph_payload)
     c_path = save_payload(str(tmp_path / "c.json"), "complex", 3, "gl",
                           payload)
-    assert json.load(open(g_path))["hash"] == payload["graph"]
-    assert json.load(open(g_path))["schema_version"] == 8
-    assert json.load(open(c_path))["schema_version"] == 9
-    assert load_payload(g_path, "graph", 3, "gl", payload["graph"])
-    with pytest.raises(CacheCorrupt, match="g.json: expected hash '0+'"):
-        load_payload(g_path, "graph", 3, "gl", "0" * 64)
+    assert json.load(open(g_path))["schema_version"] == 9
+    assert json.load(open(c_path))["schema_version"] == 10
 
 
 def test_file_is_the_canonical_encoding(tmp_path):
@@ -262,8 +257,8 @@ def _decoders(n, group):
     cx = cached_complex(n, group)
     return ((graph_to_payload(cx.graph),
              lambda p: graph_from_payload(p, "c.json")),
-            (complex_to_payload(cx, _graph_hash(cx)),
-             lambda p: complex_from_payload(p, cx.graph, "c.json")))
+            (complex_to_payload(cx),
+             lambda p: complex_from_payload(p, cx.graph, 0, "c.json")))
 
 
 @pytest.mark.parametrize("n, group", ((2, "sl"), (3, "gl")))
@@ -283,9 +278,9 @@ def test_every_missing_field_is_cache_corrupt(n, group):
 
 @pytest.mark.parametrize("n, group", ((2, "sl"), (3, "gl")))
 def test_mistyped_fields_never_crash(n, group):
-    # A replaced value may happen to be valid (a label or graph hash
-    # "x", a matrix entry or seed permutation -1); anything else must
-    # surface as CacheCorrupt, never as another exception.
+    # A replaced value may happen to be valid (a matrix entry -1);
+    # anything else must surface as CacheCorrupt, never as another
+    # exception.
     rejected = attempts = 0
     for payload, decode in _decoders(n, group):
         for path, _ in list(_paths(payload)):
@@ -298,21 +293,20 @@ def test_mistyped_fields_never_crash(n, group):
                         assert str(exc).startswith("c.json: payload")
                         rejected += 1
                     else:
-                        assert (new, path[-1]) in (("x", "label"),
-                                                   ("x", "graph"),
-                                                   (-1, "seed_perm")) or \
-                            new == -1 and path[-3] in ("gram", "witness")
+                        assert new == -1 and path[-3] in ("gram", "witness")
     # At most ten replacements happen to be valid: the graph payloads
-    # hold one record per facet orbit, so rank 2 sl makes 160 attempts.
-    assert attempts >= 160 and rejected >= attempts - 10
+    # hold one record per facet orbit and no label, and the complex
+    # payloads no seed permutation or graph hash, so rank 2 sl makes
+    # 148 attempts.
+    assert attempts >= 148 and rejected >= attempts - 10
 
 
 def test_missing_field_message_names_the_field():
     cx = cached_complex(2, "sl")
-    payload = complex_to_payload(cx, _graph_hash(cx))
+    payload = complex_to_payload(cx)
     del payload["walls"][0]["members"]
     with pytest.raises(CacheCorrupt) as exc:
-        complex_from_payload(payload, cx.graph, "complex-n2-sl.json")
+        complex_from_payload(payload, cx.graph, 0, "complex-n2-sl.json")
     assert str(exc.value) == "complex-n2-sl.json: payload.walls[0] " \
         "differs from the complex derived from the graph"
 
@@ -332,10 +326,14 @@ def test_missing_field_message_names_the_field():
     (("graph", "nodes", 0), "min_vectors"),
     (("graph", "nodes", 0), "min_value"),
     (("graph", "nodes", 0, "orbits", 0), "normal"),
+    (("graph", "nodes", 0), "label"),
+    ((), "seed_perm"),
+    ((), "graph"),
 ), ids=("node-order", "node-generators", "facet-edge", "graph-edges",
         "wall-order", "wall-flag", "complex-tops", "wall-parent",
         "wall-face-index", "node-min-vectors", "node-min-value",
-        "facet-normal"))
+        "facet-normal", "node-label", "complex-seed-perm",
+        "complex-graph-hash"))
 def test_unknown_field_is_named(where, key):
     (graph_payload, graph_decode), (payload, decode) = _decoders(2, "sl")
     if where and where[0] == "graph":
@@ -446,13 +444,13 @@ def test_one_edge_per_node_facet(n, group):
 
 
 def test_stale_schema_version_names_the_remedy(tmp_path):
-    # A schema-7 graph file, which still stored every facet with its
-    # edge, and a schema-8 complex file, which still numbered each
-    # member's face in the double description's sorted order.
+    # A schema-8 graph file, which still stored each node's label, and a
+    # schema-9 complex file, which still stored its seed permutation and
+    # its graph file's hash.
     cx = cached_complex(2, "sl")
     for kind, payload, stale in (
-            ("graph", graph_to_payload(cx.graph), 7),
-            ("complex", complex_to_payload(cx, _graph_hash(cx)), 8)):
+            ("graph", graph_to_payload(cx.graph), 8),
+            ("complex", complex_to_payload(cx), 9)):
         path = save_payload(str(tmp_path / f"{kind}.json"), kind, 2, "sl",
                             payload)
         doc = json.load(open(path))
@@ -493,7 +491,7 @@ def cache_texts(tmp_path_factory):
     save_payload(str(path / "graph.json"), "graph", 3, "gl",
                  graph_to_payload(cx.graph))
     save_payload(str(path / "complex.json"), "complex", 3, "gl",
-                 complex_to_payload(cx, _graph_hash(cx)))
+                 complex_to_payload(cx))
     return {name: (path / name).read_text()
             for name in ("graph.json", "complex.json")}
 
@@ -502,8 +500,8 @@ def cache_texts(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 def test_load_payload_fuzz(cache_texts, tmp_path_factory, data):
     # Drop keys, swap value types (re-hashed or not) and truncate the
-    # text of the graph or the complex file: loading and decoding the
-    # complex over the graph it refers to either succeeds or raises
+    # text of the graph or the complex file: loading the graph and
+    # checking the complex file over it either succeeds or raises
     # CacheCorrupt naming one of the two files.
     where = tmp_path_factory.mktemp("fuzz")
     paths = {name: str(where / name) for name in cache_texts}
@@ -526,12 +524,11 @@ def test_load_payload_fuzz(cache_texts, tmp_path_factory, data):
         with open(paths[other], "w") as fh:
             fh.write(text if other == name else other_text)
     try:
-        payload = load_payload(paths["complex.json"], "complex", 3, "gl")
-        digest = graph_reference(payload, paths["complex.json"])
         graph = graph_from_payload(load_payload(
-            paths["graph.json"], "graph", 3, "gl", digest),
-            paths["graph.json"])
-        complex_from_payload(payload, graph, paths["complex.json"])
+            paths["graph.json"], "graph", 3, "gl"), paths["graph.json"])
+        complex_from_payload(load_payload(
+            paths["complex.json"], "complex", 3, "gl"), graph, 0,
+            paths["complex.json"])
     except CacheCorrupt as exc:
         assert str(exc).startswith(tuple(paths.values()))
 
