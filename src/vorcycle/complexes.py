@@ -25,12 +25,23 @@ per level (`_build_level`) matches every face orbit once and reads
 both the classes and these numbers off that matching.  No case split
 is made for self-glued walls; their cancellation falls out of the sum.
 
-Orientation signs are evaluated as integer determinants: a subspace
-basis is completed once by standard coordinate vectors, and the sign of
-a candidate basis relative to the reference is the ratio of the two
-stacked determinants.
+Orientation signs are integer determinants, few of them of form-space
+size.  A parent span is completed once by standard coordinate vectors
+(its reference sign is one determinant; a top cell needs none), and a
+child class is oriented by one more: its basis B plus rows Y, a parent
+ray off the face and the parent's completion.  Every other sign is read
+off the k normals N of the class's span (k = 1 for a wall, 2 at
+codimension two), one kernel per class.  For any k rows Z, det[B; Z]
+is a constant times det[<N_i, Z_j>], <.,.> the dot product of
+flattened coordinates, and the map Y -> t Y t^T has determinant
+det(t)^(n+1) on form space.  So det[t B; Y], the sign of one face under
+a transporter t or of a stabilizer generator's kept test, has the sign
+of det(t)^(n+1) times the k x k determinant of the pairings
+<N_i, t^-1 Y_j>, once the normals are oriented to make the constant
+positive.
 """
 
+from operator import mul
 from typing import NamedTuple
 
 from .cones import Facets, face_vectors, meets_boundary, subcone_facets
@@ -41,6 +52,7 @@ from .linalg import (
     det_sign,
     identity_matrix,
     independent_rows,
+    kernel_basis,
     mat_mul,
     mat_transpose,
     sym_dim,
@@ -72,6 +84,7 @@ class CellOrbitRec(NamedTuple):
     generators: tuple        # generate the stabilizer in the chosen group
     stab_order: int
     basis: tuple             # oriented basis of the span
+    normals: tuple           # normals of the span, oriented with it
     orientation_kept: bool
     kind: str                # walls: "self" or "non_self"; else ""
     label: str
@@ -156,10 +169,30 @@ class WallNotGlued(ValueError):
     the boundary, or the edge at its facet does not glue it."""
 
 
+def _pairing_sign(normals, rows):
+    """The sign of det[<N_i, Y_j>], for normals N and rows Y of equal
+    count, <.,.> the dot product of flattened coordinates."""
+    return det_sign([[sum(map(mul, nv, y)) for y in rows] for nv in normals])
+
+
+def _moved_sign(normals, back, rows, n, cell):
+    """The sign of det[t B; rows] for t = back^-1 and the basis B of a
+    span with normals `normals`, up to the sign of the constant that
+    relates det[B; Z] to det[<N_i, Z_j>] (see the module docstring):
+    det(t)^(n+1) times the sign of det[<N_i, back rows_j>].  Raises
+    WallNotGlued when that is zero."""
+    sign = _pairing_sign(normals, [transport_flat(back, y, n) for y in rows])
+    if sign == 0:
+        raise WallNotGlued(f"the parent rays off a face of {cell} do not "
+                           f"complete its span")
+    return -sign if back.det < 0 and n % 2 == 0 else sign
+
+
 def class_record(view, parent, face_index, vectors, members, det_one):
     """The class of face `face_index` (`vectors`) of cell `parent`, seen
-    as `view`: its stabilizer, its basis oriented as the parent induces,
-    and whether a stabilizer element reverses it."""
+    as `view`: its stabilizer, its basis oriented as the parent induces
+    with the normals of its span, and whether a stabilizer element
+    reverses it."""
     # The greedy basis of the span of the face's rank-one flats, and
     # one parent ray off the face, which completes it to the parent span.
     flats = [sym_flatten(rank_one(v)) for v in vectors]
@@ -174,20 +207,27 @@ def class_record(view, parent, face_index, vectors, members, det_one):
         raise WallNotGlued(f"face {face_index} of cell {parent} is not a "
                            f"facet off the boundary")
     gens, order = cell_group(vectors, det_one=det_one)
+    # The normals of the span, and the rows that complete it in the
+    # form space: the ray off the face and the parent's completion.
+    normals = kernel_basis(list(basis))
+    rows = off + view.completion
+    at_rep = _pairing_sign(normals, rows)
     # The transport sign is a character of the stabilizer, so a
-    # generating set decides whether anything reverses.  A generator
-    # permutes the face's vectors, so it carries the basis to the flats
-    # of the images of the picked vectors; it keeps the orientation when
-    # those, with the same ray off the face, orient the parent alike.
-    kept = all(view.oriented_sign(tuple(
-        sym_flatten(rank_one(g.apply(vectors[i]))) for i in picked) + off)
-        == sign for g in gens)
+    # generating set decides whether anything reverses, and g reverses
+    # exactly when g^-1 does: when det[g^-1 B; rows] and det[B; rows]
+    # differ in sign.
+    kept = all(_moved_sign(normals, g, rows, len(vectors[0]), view.cell)
+               == at_rep for g in gens)
     if sign < 0:
         basis = (tuple(-x for x in basis[0]),) + basis[1:]
+    # Now det[B; rows] has the sign ref_sign; the normals are oriented
+    # so that det[<N_i, rows_j>] has it too.
+    if at_rep != view.ref_sign:
+        normals = [tuple(-x for x in normals[0])] + normals[1:]
     return CellOrbitRec(
         vectors=vectors, parent=parent, face_index=face_index,
         members=members, generators=gens, stab_order=order, basis=basis,
-        orientation_kept=kept, kind="", label="")
+        normals=tuple(normals), orientation_kept=kept, kind="", label="")
 
 
 def _build_level(parents, columns, n, det_one, seed_perm):
@@ -196,11 +236,12 @@ def _build_level(parents, columns, n, det_one, seed_perm):
 
     Faces are first reduced modulo each parent's stabilizer, so the
     group-level matching runs once per local orbit rather than once per
-    face.  The `cell_maps` hit that puts an orbit into its class (the
-    identity for the class's first orbit) is kept: it is the transporter
-    for the orbit's incidence sign, so no orbit is matched twice.  The
-    representative of each class is chosen by the seed permutation
-    among all concrete members sorted canonically.
+    face.  The `cell_maps` hit that puts an orbit into its class,
+    carrying the orbit's first face onto the class's first (the
+    identity for the class's first orbit), is kept: it gives the
+    transporter for the orbit's incidence sign, so no orbit is matched
+    twice.  The representative of each class is chosen by the seed
+    permutation among all concrete members sorted canonically.
 
     Returns (classes, kept, entries): CellOrbitRec tuples (kind and
     label left generic), the positions of the kept classes, and the
@@ -218,10 +259,10 @@ def _build_level(parents, columns, n, det_one, seed_perm):
     classes = []
     for rep_key, p_pos, orbit in orbit_records:
         for cls in classes:
-            link = cell_maps(cls[0][0], rep_key, det_one=det_one,
+            link = cell_maps(rep_key, cls[0][0], det_one=det_one,
                              first_only=True)
             if link:
-                # link[0] carries the class's first orbit onto this one.
+                # link[0] carries this orbit onto the class's first one.
                 cls.append((rep_key, p_pos, orbit, link[0]))
                 break
         else:
@@ -244,39 +285,40 @@ def _build_level(parents, columns, n, det_one, seed_perm):
         if not rec.orientation_kept:
             continue
         # Kept parents and a kept class: every face of an orbit induces
-        # the same sign under any transporter, here link * (s *
-        # own_link)^-1 with s carrying the own orbit onto rep_key.
+        # the same sign under any transporter.  Here back * link carries
+        # the orbit's first face onto rep_key: link onto the class's
+        # first orbit, own_link^-1 on to the own orbit, and the parent's
+        # transporter onto rep_key.
         row = len(kept_positions)
         kept_positions.append(pos)
-        own_link = cls[own][3]
-        s = parents[rep_parent].transporter(rep_face)
-        back = (s * own_link).inverse()
+        back = parents[rep_parent].transporter(rep_face) * \
+            cls[own][3].inverse()
         for key, p_pos, orbit, link in cls:
             if p_pos in col_of:
                 cell = (row, col_of[p_pos])
                 entries[cell] = entries.get(cell, 0) + len(orbit) * \
-                    induced_sign(parents[p_pos], rec.basis, rep_key, key,
-                                 link * back, n)
+                    induced_sign(parents[p_pos], rec, key, back * link, n)
     return (tuple(out), tuple(kept_positions),
             tuple(sorted((k, v) for k, v in entries.items() if v != 0)))
 
 
-def induced_sign(parent_view, child_basis, child_vectors, member_vectors,
-                 transporter, n):
+def induced_sign(parent_view, child, member_vectors, back, n):
     """The induced-orientation sign of one face against its parent.
 
-    `transporter` carries the child representative onto the concrete
-    face (WallNotGlued otherwise); its pushed-forward basis plus any
-    parent ray off the face orients the parent span.
+    `back` carries the concrete face onto the representative of the
+    class `child` (WallNotGlued otherwise).  Its inverse pushes the
+    representative's basis forward onto the face, and that basis plus a
+    parent ray off the face orients the parent span, a sign read off
+    the child's normals (see the module docstring).
     """
-    if apply_to_cell(transporter, child_vectors) != tuple(member_vectors):
+    if apply_to_cell(back, member_vectors) != child.vectors:
         raise WallNotGlued(f"the transporter does not carry the face "
                            f"class onto a face of {parent_view.cell}")
-    moved = [transport_flat(transporter, b, n) for b in child_basis]
     member_set = set(member_vectors)
     extra = next(v for v in parent_view.vectors if v not in member_set)
-    rows = moved + [sym_flatten(rank_one(extra))]
-    return parent_view.oriented_sign(rows)
+    rows = (sym_flatten(rank_one(extra)),) + parent_view.completion
+    return parent_view.ref_sign * _moved_sign(
+        child.normals, back, rows, n, parent_view.cell)
 
 
 def is_orientation_preserving(group_kind, n):

@@ -263,16 +263,25 @@ def build_cone(vectors, generators=()):
     return facets
 
 
-def facet_normal(vectors, facet):
+def ray_weights(vectors):
+    """Per vector v, the flattened w with <v v^t, B> = dot(w, flat(B))
+    under the trace pairing."""
+    n = len(vectors[0])
+    return [pairing_weights(sym_flatten(rank_one(v)), n) for v in vectors]
+
+
+def facet_normal(vectors, facet, weights=None):
     """The primitive inward normal of `facet`, a set of indices into the
     sorted `vectors` of a full-dimensional cone.
 
-    The normal spans the kernel of the incident rays' pairings, which
-    must be a line; oriented inward, it must pair positively with every
-    other ray (ValueError otherwise).
+    The normal spans the kernel of the incident rays' pairings (their
+    `ray_weights`, which a caller reading several facets of one cone
+    passes once computed), which must be a line; oriented inward, it
+    must pair positively with every other ray (ValueError otherwise).
     """
     n = len(vectors[0])
-    weights = [pairing_weights(sym_flatten(rank_one(v)), n) for v in vectors]
+    if weights is None:
+        weights = ray_weights(vectors)
     kernel = kernel_basis([weights[i] for i in sorted(facet)],
                           ncols=sym_dim(n))
     if len(kernel) == 1:

@@ -45,6 +45,7 @@ met by the walk as two classes, like any other pair; no class of ranks
 """
 
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .cones import (
@@ -208,16 +209,25 @@ def is_equivalent(form_a, minvecs_a, form_b, minvecs_b, det_one=False):
     return EquivWitness(g=found[0], scale=Fraction(1))
 
 
-def root_label(form, minvecs, n):
-    """The label "An" or "Dn" of a form equivalent to A_n or D_n (the
-    latter tried for n >= 4 only), else None."""
+@cache
+def _root_forms(n):
+    """The rank-n root forms A_n and (n >= 4) D_n with their labels and
+    minimal vectors, built once per rank."""
+    out = []
     for name, gram in (("A", a_n_gram(n)),) + (
             (("D", d_n_gram(n)),) if n >= 4 else ()):
         ref = QForm.from_matrix(gram)
-        ref_mv = minimum_and_minimal_vectors(ref)
+        out.append((f"{name}{n}", ref, minimum_and_minimal_vectors(ref)))
+    return tuple(out)
+
+
+def root_label(form, minvecs, n):
+    """The label "An" or "Dn" of a form equivalent to A_n or D_n (the
+    latter tried for n >= 4 only), else None."""
+    for label, ref, ref_mv in _root_forms(n):
         if form_maps(ref, ref_mv.vectors, form, minvecs.vectors,
                      first_only=True):
-            return f"{name}{n}"
+            return label
     return None
 
 

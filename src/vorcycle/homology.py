@@ -25,7 +25,6 @@ from .complexes import (
     build_codim2,
     is_orientation_preserving,
 )
-from .enumeration import root_label
 from .tessellation import check_rigidity, from_voronoi
 
 
@@ -145,9 +144,10 @@ def verify_gl_even_vanishing(cx):
         (i in kept) == all(ambient_orientation_sign(g, cx.n) == 1
                            for g in node.generators)
         for i, node in enumerate(nodes))
-    root_excluded = all(
-        root_label(nodes[i].form, nodes[i].minvecs, cx.n) is None
-        for i in cx.kept_tops)
+    # A node's label is "Pn.i" exactly when it is no root lattice: the
+    # walk and a load label it by `enumeration.class_label`.
+    root_excluded = all(nodes[i].label == f"P{cx.n}.{i}"
+                        for i in cx.kept_tops)
     tess = check_rigidity(from_voronoi(cx))
     ok = tess.kernel_dim == 0 and mech_ok and root_excluded
     return _report(cx, ok, tess, False, {

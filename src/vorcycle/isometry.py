@@ -15,7 +15,10 @@ Everything runs in integers, in the spirit of Plesken and Souvignier
 ("Computing isometries of lattices", J. Symbolic Comput. 24, 1997):
 
 * the pairing table of all signed target vectors is built once per
-  search; each base vector of the source gets the targets of the same
+  search, from one triangle of the pairings of the unsigned targets
+  (the table of +-u and +-v holds one pairing, with signs), and a
+  configuration mapped onto itself takes one barycenter adjugate for
+  both sides; each base vector of the source gets the targets of the same
   self-pairing as candidates, and choosing an image filters the deeper
   candidate lists by table lookups, so no bilinear form is evaluated
   inside the search;
@@ -93,10 +96,22 @@ class _Search:
         # Columns of X are the base vectors; candidate g = Y adj(X) / det(X).
         x_adj, self.x_det = _adjugate_and_det(tuple(zip(*self.base)))
         self.x_adj_cols = tuple(zip(*x_adj))
-        self.signed = sorted(list(dst) + [tuple(-t for t in v) for v in dst])
-        paired = [mat_vec(dst_pair, y) for y in self.signed]
-        self.table = [[sum(map(mul, y, p)) for p in paired]
-                      for y in self.signed]
+        # The signed vectors are the pairs +-u of `dst`: the table is
+        # built from one triangle of the pairings of the u, with signs.
+        signed = sorted([(u, i, 1) for i, u in enumerate(dst)] +
+                        [(tuple(-t for t in u), i, -1)
+                         for i, u in enumerate(dst)])
+        self.signed = [y for y, _, _ in signed]
+        gram = [[0] * len(dst) for _ in dst]
+        for i, u in enumerate(dst):
+            p = mat_vec(dst_pair, u)
+            for j in range(i, len(dst)):
+                gram[i][j] = gram[j][i] = sum(map(mul, p, dst[j]))
+        rows = []
+        for row in gram:
+            plus = [s * row[j] for _, j, s in signed]
+            rows.append((plus, [-x for x in plus]))
+        self.table = [rows[i][s < 0] for _, i, s in signed]
         self.src_gram = [[bilinear(src_pair, a, b) for b in self.base]
                          for a in self.base]
         self.by_norm = {}
@@ -188,12 +203,27 @@ def _orbit(point, perms):
     return orbit
 
 
+def _images(g, coords):
+    """The images under g of the vectors whose coordinate lists are
+    `coords`, in one pass: row r of g combines the lists at its nonzero
+    entries."""
+    rows = []
+    for g_row in g.rows:
+        acc = [0] * len(coords[0])
+        for x, col in zip(g_row, coords):
+            if x:
+                acc = [a + x * c for a, c in zip(acc, col)]
+        rows.append(acc)
+    return zip(*rows)
+
+
 def _chain(search):
     """Strong generators and order of the group of maps that `search`
     finds from a configuration onto itself (see the module docstring)."""
     signed = search.signed
     index = {v: k for k, v in enumerate(signed)}
     fixed = [index[b] for b in search.base]
+    coords = tuple(zip(*signed))
     gens, perms = [], []
     order = 1
     for i in reversed(range(len(fixed))):
@@ -205,7 +235,7 @@ def _chain(search):
             if hit:
                 g = hit[0]
                 gens.append(g)
-                perms.append([index[g.apply(v)] for v in signed])
+                perms.append([index[v] for v in _images(g, coords)])
                 orbit = _orbit(fixed[i], perms)
         order *= len(orbit)
     return tuple(gens), order
@@ -215,7 +245,8 @@ def _cell_search(src, dst, det_one):
     """The search for maps of cell `src` onto cell `dst`, or None when
     their barycenter determinants already differ."""
     adj_src, det_src = _adjugate_and_det(barycenter_matrix(src))
-    adj_dst, det_dst = _adjugate_and_det(barycenter_matrix(dst))
+    adj_dst, det_dst = (adj_src, det_src) if dst == src else \
+        _adjugate_and_det(barycenter_matrix(dst))
     if det_src != det_dst:
         return None
     dst_set = set(dst)

@@ -43,7 +43,13 @@ import json
 import os
 import tempfile
 from .complexes import build_complex
-from .cones import face_vectors, facet_closure, facet_normal, meets_boundary
+from .cones import (
+    face_vectors,
+    facet_closure,
+    facet_normal,
+    meets_boundary,
+    ray_weights,
+)
 from .enumeration import (
     GROUP_KINDS,
     Edge,
@@ -241,11 +247,12 @@ def graph_from_payload(payload, source="<payload>"):
             rd.fail(path, "is not a form with spanning minimal vectors")
         reps = []
         node_edges = []
+        weights = ray_weights(mv.vectors)
         for o_path, o in rd.records(rec, path, "orbits", ORBIT_FIELDS):
             rep = frozenset(rd.indices(o, o_path, "incident",
                                        len(mv.vectors)))
             try:
-                facet_normal(mv.vectors, rep)
+                facet_normal(mv.vectors, rep, weights)
             except ValueError:
                 rd.fail(o_path + ("incident",), "is not a facet of the "
                         "node's domain")

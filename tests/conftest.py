@@ -494,13 +494,45 @@ def kept_wall_views(cx):
     return [_wall_view(cx.walls[i]) for i in cx.kept_walls]
 
 
+def determinant_sign(view, child, member_vectors, transporter, n):
+    """Reference: the induced-orientation sign of one face against its
+    parent as one determinant of the parent's size: the child's basis
+    pushed forward by `transporter` (`transport_flat`), plus a parent
+    ray off the face, oriented against the parent (`oriented_sign`)."""
+    assert apply_to_cell(transporter, child.vectors) == tuple(member_vectors)
+    moved = [transport_flat(transporter, b, n) for b in child.basis]
+    extra = next(v for v in view.vectors if v not in set(member_vectors))
+    return view.oriented_sign(moved + [sym_flatten(rank_one(extra))])
+
+
+def sign_pairs(parents, children, n, det_one):
+    """Pairs (`induced_sign`, `determinant_sign`) of the classes
+    `children` of the faces of `parents`: for every stabilizer
+    generator g of each class, at its representative, and for every
+    member orbit, at the orbit's first face with a transporter from the
+    representative found by a second matching."""
+    for child in children:
+        view = parents[child.parent]
+        for g in child.generators:
+            yield (induced_sign(view, child, child.vectors, g.inverse(), n),
+                   determinant_sign(view, child, child.vectors, g, n))
+        firsts = {(p, next(o for o in parents[p].orbits if f in o)[0])
+                  for p, f in child.members}
+        for p, k in sorted(firsts):
+            view = parents[p]
+            t, = cell_maps(child.vectors, view.faces[k], det_one=det_one,
+                           first_only=True)
+            yield (induced_sign(view, child, view.faces[k], t.inverse(), n),
+                   determinant_sign(view, child, view.faces[k], t, n))
+
+
 def reference_incidences(parents, columns, children, kept_children, n,
                          det_one):
     """Reference: the sorted nonzero ((row, col), value) incidence
     numbers of parents[columns[col]] against children[kept_children[row]],
     by matching every face orbit of each column parent to the kept
-    children a second time and summing `induced_sign` over every member
-    of the orbit, each with its own transporter."""
+    children a second time and summing `determinant_sign` over every
+    member of the orbit, each with its own transporter."""
     entries = {}
     for col, p_pos in enumerate(columns):
         view = parents[p_pos]
@@ -512,10 +544,9 @@ def reference_incidences(parents, columns, children, kept_children, n,
                                  first_only=True)
                 if not link:
                     continue
-                total = sum(induced_sign(view, child.basis, child.vectors,
-                                         view.faces[k],
-                                         view.transporter(k) *
-                                         link[0], n)
+                total = sum(determinant_sign(view, child, view.faces[k],
+                                             view.transporter(k) * link[0],
+                                             n)
                             for k in orbit)
                 entries[(row, col)] = entries.get((row, col), 0) + total
                 break

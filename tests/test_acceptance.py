@@ -6,18 +6,20 @@ reach of this suite by design and are documented as stretch targets in
 the README.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import brute_stabilizer_2x2, cached_complex, cached_graph, \
-    closure, differential_kernel, facet_edges, pair_swap_elements, \
-    random_unimodular
+    closure, differential_kernel, facet_edges, kept_wall_views, \
+    pair_swap_elements, random_unimodular, sign_pairs, top_views
 
 from vorcycle.complexes import (
     ambient_orientation_sign,
     apply_to_cell,
+    build_codim2,
     build_complex,
 )
 from vorcycle.cones import face_vectors, meets_boundary
@@ -170,6 +172,19 @@ def test_criterion_4_rank_five_and_even_vanishing():
     orders = [sl.graph.nodes[i].stab_order for i in sl.kept_tops]
     assert all(x != 0 for x in vec)
     assert len({x * o for x, o in zip(vec, orders)}) == 1
+    # Rank-6 sl is the one case with kept codim-2 classes, so the only
+    # one whose codim-2 incidence signs reach a verdict (d.d = 0): the
+    # entries are pinned by their digest, and every sign read off a
+    # class's normals equals the form-space determinant's.
+    mids, kept_mids, mid = build_codim2(sl)
+    assert (len(mids), len(kept_mids), len(mid.entries)) == (49, 25, 62)
+    assert hashlib.sha256(repr(mid.entries).encode()).hexdigest() == \
+        "2a8dbfc83ca0bb301d4b7772e79ad9a0922b30ba168ecc74f8580f87511c07d4"
+    for parents, children in ((top_views(sl.graph), sl.walls),
+                              (kept_wall_views(sl), mids)):
+        pairs = list(sign_pairs(parents, children, 6, True))
+        assert len(pairs) > len(children)
+        assert all(new == ref != 0 for new, ref in pairs)
     print(f"ACCEPTANCE 4: PASS (rank-5 generator {elapsed5:.1f}s, even-rank "
           "vanishing incl. rank 6, and rank-6 sl)")
 

@@ -5,12 +5,14 @@ from conftest import (
     cached_complex,
     cached_graph,
     closure,
+    determinant_sign,
     facet_edges,
     kept_wall_views,
     pair_swap_elements,
     random_unimodular,
     reference_incidences,
     run_python,
+    sign_pairs,
     top_views,
     transport_sign,
 )
@@ -25,6 +27,7 @@ from vorcycle.complexes import (
     apply_to_cell,
     build_codim2,
     build_complex,
+    class_record,
     induced_sign,
     transport_flat,
 )
@@ -41,6 +44,7 @@ from vorcycle.linalg import (
     det_sign,
     mat_rank,
     relative_orientation,
+    sym_dim,
     sym_flatten,
 )
 from vorcycle.persistence import graph_from_payload, graph_to_payload
@@ -277,12 +281,9 @@ def test_rank_two_internal_cancellation_sign():
     rot = GroupElement.from_matrix([[0, 1], [-1, 0]])
     assert apply_to_cell(rot, HEX_CELL) == HEX_MIRROR
     view = _ParentView(vectors=HEX_CELL, basis=None)
-    basis = [sym_flatten(rank_one(v)) for v in DIAG_WALL]
-    extra = next(v for v in HEX_CELL if v not in set(DIAG_WALL))
-    if view.oriented_sign(basis + [sym_flatten(rank_one(extra))]) < 0:
-        basis = [tuple(-x for x in basis[0])] + basis[1:]
-    sign = induced_sign(view, basis, DIAG_WALL, DIAG_WALL, rot, 2)
-    assert sign == -1
+    wall = class_record(view, 0, 0, DIAG_WALL, (), det_one=True)
+    assert induced_sign(view, wall, DIAG_WALL, rot.inverse(), 2) == -1
+    assert determinant_sign(view, wall, DIAG_WALL, rot, 2) == -1
 
 
 @pytest.mark.parametrize("level", ("top", "wall"))
@@ -307,14 +308,68 @@ def test_member_signs_constant_within_stabilizer_orbit(n, group, level):
                                  det_one=(group == "sl"), first_only=True)
                 if not link:
                     continue
-                signs = {induced_sign(view, child.basis, child.vectors,
-                                      view.faces[k],
-                                      view.transporter(k) * link[0],
-                                      n)
+                signs = {induced_sign(view, child, view.faces[k],
+                                      (view.transporter(k) *
+                                       link[0]).inverse(), n)
                          for k in orbit}
                 assert len(signs) == 1
                 checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("n, group, level", [
+    (n, group, level) for n, group in ((4, "sl"), (4, "gl"), (5, "sl"),
+                                       (5, "gl"))
+    for level in ("top", "wall") if (n, group, level) != (4, "gl", "wall")])
+def test_normal_signs_are_the_determinant_signs(n, group, level):
+    # Each sign a level takes is read off the child's normals: at every
+    # stabilizer generator (the kept test) and at every member orbit (the
+    # incidence numbers).  The reference is one determinant of the
+    # parent's size per sign.  Parents: every top cell, or the kept
+    # walls that build_codim2 descends from (rank 4 gl keeps none);
+    # children: every class of the level below, kept or not.  In rank 4
+    # gl the map on form space reverses with det(g) = -1.
+    cx = cached_complex(n, group)
+    if level == "top":
+        parents, children = top_views(cx.graph), cx.walls
+    else:
+        parents, children = kept_wall_views(cx), build_codim2(cx)[0]
+    pairs = list(sign_pairs(parents, children, n, group == "sl"))
+    assert len(pairs) > len(children)
+    assert all(new == ref != 0 for new, ref in pairs)
+    for child in children:
+        assert child.orientation_kept == all(
+            determinant_sign(parents[child.parent], child, child.vectors, g,
+                             n) == 1
+            for g in child.generators)
+
+
+@pytest.mark.parametrize("n, group", ((4, "sl"), (5, "sl"), (5, "gl")))
+def test_one_form_space_determinant_per_class_and_wall_parent(monkeypatch,
+                                                              n, group):
+    # A level takes a determinant of form-space size (sym_dim(n) rows)
+    # to orient each class and, at codimension two, the span of each
+    # kept wall; every other sign is a determinant of k x k pairings.
+    # The session caches refuse to build while a pipeline function is
+    # patched, so the graph is fetched first.
+    graph = cached_graph(n, group)
+    sizes = []
+    real = complexes.det_sign
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(complexes, "det_sign", counting)
+    cx = build_complex(graph)
+    top = sizes.count(sym_dim(n))
+    sizes.clear()
+    mids = build_codim2(cx)[0]
+    mid = sizes.count(sym_dim(n))
+    monkeypatch.undo()
+    assert 0 < top <= len(cx.walls)
+    assert 0 < mid <= len(mids) + len(cx.kept_walls)
+    assert max(sizes) == sym_dim(n) and set(sizes) <= {1, 2, sym_dim(n)}
 
 
 @pytest.mark.parametrize("n, group, seed", [
@@ -540,23 +595,29 @@ def test_a_complex_build_reads_one_transporter_per_kept_wall_class(
         assert counts["__mul__"] < 30 and counts["inverse"] < 8
 
 
-# A transporter that does not carry the face class onto the face, and a
-# wall basis that is not independent: both refused, also under -O.
+# A transporter that does not carry the face class onto the face, a wall
+# basis that is not independent, and normals that pair to zero with the
+# ray off the face: all refused, also under -O.
 _WRONG_TRANSPORT = """
-from vorcycle.complexes import WallNotGlued, _ParentView, induced_sign
-from vorcycle.forms import GroupElement, rank_one
-from vorcycle.linalg import sym_flatten
+from vorcycle.complexes import (
+    WallNotGlued, _ParentView, class_record, induced_sign)
+from vorcycle.forms import GroupElement
 cell = ((0, 1), (1, -1), (1, 0))
 wall = ((0, 1), (1, 0))
 view = _ParentView(vectors=cell, basis=None, cell="node 0")
-basis = [sym_flatten(rank_one(v)) for v in wall]
+child = class_record(view, 0, 0, wall, (), True)
 shear = GroupElement.from_matrix([[1, 1], [0, 1]])
 try:
-    induced_sign(view, basis, wall, wall, shear, 2)
+    induced_sign(view, child, wall, shear, 2)
 except WallNotGlued as exc:
     print(exc)
 try:
-    _ParentView(vectors=wall, basis=(basis[0], basis[0]), cell="w0")
+    _ParentView(vectors=wall, basis=child.basis[:1] * 2, cell="w0")
+except WallNotGlued as exc:
+    print(exc)
+try:
+    induced_sign(view, child._replace(normals=((0, 0, 0),)), wall,
+                 GroupElement.identity(2), 2)
 except WallNotGlued as exc:
     print(exc)
 """
@@ -570,7 +631,8 @@ def test_a_wrong_transporter_is_refused(optimize):
     assert result.stdout == (
         "the transporter does not carry the face class onto a face of "
         "node 0\n"
-        "the basis of w0 is not independent\n")
+        "the basis of w0 is not independent\n"
+        "the parent rays off a face of node 0 do not complete its span\n")
 
 
 # Every non-representative facet of a node gets a transporter skewed by

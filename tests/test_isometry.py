@@ -430,3 +430,33 @@ def test_cell_leaves_need_the_setwise_check():
     gens, order = cell_group(cell)
     assert order == 4
     assert {g.rows for g in closure(gens, 2)} == rotations
+
+
+@pytest.mark.parametrize("gram", (a_n_gram(3), d_n_gram(4), d_n_gram(5)),
+                         ids=("A3", "D4", "D5"))
+def test_search_table_is_the_full_signed_table(gram, rng):
+    # The pairing table is built from one triangle of the pairings of
+    # the unsigned target vectors; the reference pairs every two signed
+    # vectors.  Forms are moved by random unimodular maps, and cells are
+    # random facets of their domains, mapped onto moved copies.
+    n = len(gram)
+    for _ in range(3):
+        g = random_unimodular(n, rng)
+        q, mv = _form(gram)
+        moved = act_form(g, q)
+        moved_mv = minimum_and_minimal_vectors(moved)
+        searches = [(moved.gram, isometry._form_search(
+            q.gram, mv.vectors, moved.gram, moved_mv.vectors, False))]
+        facets = build_cone(mv.vectors)
+        face = face_vectors(mv.vectors, facets[rng.randrange(len(facets))])
+        for dst in (face, apply_to_cell(g, face)):
+            search = isometry._cell_search(face, dst, False)
+            pair = isometry.adjugate(isometry.barycenter_matrix(dst))
+            searches.append((pair, search))
+        for pair, search in searches:
+            dst = sorted(v for v in search.signed if canonical_pair(v) == v)
+            assert search.signed == sorted(
+                dst + [tuple(-x for x in v) for v in dst])
+            assert search.table == [
+                [sum(a * b for a, b in zip(y, isometry.mat_vec(pair, z)))
+                 for z in search.signed] for y in search.signed]
