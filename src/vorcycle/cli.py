@@ -15,6 +15,7 @@ The cache directory defaults to ./.vorcycle and can be overridden by
 import argparse
 import os
 import sys
+import tempfile
 
 from .complexes import WallNotGlued, build_complex
 from .enumeration import FREE_MAX_RANK, HARD_MAX_RANK, enumerate_perfect_forms
@@ -45,8 +46,35 @@ EXIT_CACHE = 3
 EXIT_CRASH = 4
 
 
+class CacheDirError(Exception):
+    """The cache directory cannot be made or written: a usage error."""
+
+
 def _cache_dir(args):
-    return os.environ.get("VORCYCLE_CACHE") or args.cache_dir
+    """The cache directory, made when missing and tried with a scratch
+    file, so that one which cannot be used fails before any work."""
+    path = os.environ.get("VORCYCLE_CACHE") or args.cache_dir
+    try:
+        os.makedirs(path, exist_ok=True)
+        tempfile.TemporaryFile(dir=path).close()
+    except OSError as exc:
+        raise CacheDirError(f"cannot use {path} as the cache directory: "
+                            f"{exc.strerror or exc}") from exc
+    return path
+
+
+def _seed_perm(text):
+    """A --seed-perm value: each one names cache files of its own, and
+    the representative pick takes it modulo a class size, so a negative
+    value would only repeat a nonnegative one under another name."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
 
 
 def _check_rank(n, allow_long):
@@ -61,10 +89,10 @@ def _check_rank(n, allow_long):
     return True
 
 
-def _load_or_build_graph(args):
+def _load_or_build_graph(args, cache_dir):
     """The graph, its file, and whether it was read from that file."""
     n, group = args.n, args.group
-    path = cache_path(_cache_dir(args), "graph", n, group)
+    path = cache_path(cache_dir, "graph", n, group)
     loaded = os.path.exists(path)
     if loaded:
         graph = graph_from_payload(load_payload(path, "graph", n, group), path)
@@ -74,12 +102,12 @@ def _load_or_build_graph(args):
     return graph, path, loaded
 
 
-def _load_or_build_complex(args):
+def _load_or_build_complex(args, cache_dir):
     """The complex built over the graph, and its file, which must hold
     that complex when it exists and is written when it does not."""
     n, group, seed_perm = args.n, args.group, args.seed_perm
-    path = cache_path(_cache_dir(args), "complex", n, group, seed_perm)
-    graph, graph_path, loaded = _load_or_build_graph(args)
+    path = cache_path(cache_dir, "complex", n, group, seed_perm)
+    graph, graph_path, loaded = _load_or_build_graph(args, cache_dir)
     try:
         if os.path.exists(path):
             cx = complex_from_payload(load_payload(path, "complex", n, group),
@@ -99,7 +127,7 @@ def _load_or_build_complex(args):
 def cmd_perfect(args):
     if not _check_rank(args.n, args.allow_long):
         return EXIT_USAGE
-    graph, path, _ = _load_or_build_graph(args)
+    graph, path, _ = _load_or_build_graph(args, _cache_dir(args))
     count = len(graph.nodes)
     names = ", ".join(node.label for node in graph.nodes)
     print(f"{count} class{'es' if count != 1 else ''}: {names}")
@@ -120,7 +148,7 @@ def cmd_perfect(args):
 def cmd_complex(args):
     if not _check_rank(args.n, args.allow_long):
         return EXIT_USAGE
-    cx, path = _load_or_build_complex(args)
+    cx, path = _load_or_build_complex(args, _cache_dir(args))
     kept = [cx.graph.nodes[i].label for i in cx.kept_tops]
     print(f"top classes kept: {len(cx.kept_tops)} {kept}")
     print(f"wall classes: {len(cx.walls)} "
@@ -139,14 +167,15 @@ def cmd_complex(args):
 def cmd_verify(args):
     if not _check_rank(args.n, args.allow_long):
         return EXIT_USAGE
-    cx, _ = _load_or_build_complex(args)
+    cache_dir = _cache_dir(args)
+    cx, _ = _load_or_build_complex(args, cache_dir)
     report = verify(cx)
     checks = [report.ok]
     if args.check_dd:
         dd_ok, _ = dd_sanity(cx)
         report.details["dd_zero"] = dd_ok
         checks.append(dd_ok)
-    path = cache_path(_cache_dir(args), "verdict", args.n, args.group,
+    path = cache_path(cache_dir, "verdict", args.n, args.group,
                       args.seed_perm)
     save_payload(path, "verdict", args.n, args.group, report.to_payload())
     verdict = "verified" if all(checks) else "FALSIFIED"
@@ -182,7 +211,7 @@ def cmd_tess(args):
     if args.tess_cmd == "export":
         if not _check_rank(args.n, args.allow_long):
             return EXIT_USAGE
-        cx, _ = _load_or_build_complex(args)
+        cx, _ = _load_or_build_complex(args, _cache_dir(args))
         return _write_out(args.out, dumps_instance(from_voronoi(cx)))
     # check
     try:
@@ -226,12 +255,12 @@ def build_parser():
 
     p_complex = sub.add_parser("complex", help="build the cell complex")
     common(p_complex)
-    p_complex.add_argument("--seed-perm", type=int, default=0)
+    p_complex.add_argument("--seed-perm", type=_seed_perm, default=0)
     p_complex.set_defaults(func=cmd_complex)
 
     p_verify = sub.add_parser("verify", help="verify the theorem verdict")
     common(p_verify)
-    p_verify.add_argument("--seed-perm", type=int, default=0)
+    p_verify.add_argument("--seed-perm", type=_seed_perm, default=0)
     p_verify.add_argument("--check-dd", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -251,7 +280,7 @@ def build_parser():
     p_export = tess_sub.add_parser("export",
                                    help="export a built complex as instance")
     common(p_export)
-    p_export.add_argument("--seed-perm", type=int, default=0)
+    p_export.add_argument("--seed-perm", type=_seed_perm, default=0)
     p_export.add_argument("--out", default="-")
     p_export.set_defaults(func=cmd_tess)
 
@@ -266,6 +295,9 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except CacheDirError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except CacheCorrupt as exc:
         print(f"error: cache corruption: {exc}", file=sys.stderr)
         return EXIT_CACHE

@@ -347,34 +347,6 @@ def subcone_facets(vectors, generators=()):
     return _certified(vectors, local, duals, dim, generators)[0]
 
 
-def faces_of_codim(vectors, facets, k):
-    """Faces of codimension k of the cone of `vectors` with `facets`,
-    as frozensets of incident ray indices.
-
-    Computed by iterated intersection with facets; k = 0 is the cone
-    itself and k = 1 its facet list.
-    """
-    vectors = tuple(sorted(vectors))
-    dim = sym_dim(len(vectors[0]))
-    if k < 0 or k > dim:
-        raise ValueError("codimension out of range")
-    if k == 0:
-        return [frozenset(range(len(vectors)))]
-    flats = [sym_flatten(rank_one(v)) for v in vectors]
-    current = set(facets)
-    for codim in range(2, k + 1):
-        nxt = set()
-        for face in current:
-            for f in facets:
-                cand = face & f
-                if cand == face:
-                    continue
-                if mat_rank([flats[i] for i in cand]) == dim - codim:
-                    nxt.add(cand)
-        current = nxt
-    return sorted(current, key=lambda s: tuple(sorted(s)))
-
-
 def meets_boundary(vectors):
     """True iff the face touches the boundary of the closed cone.
 

@@ -82,13 +82,6 @@ FREE_MAX_RANK = 5
 HARD_MAX_RANK = 7
 
 
-class EquivWitness(NamedTuple):
-    """g maps one form to `scale` times the other under act(g, .)."""
-
-    g: GroupElement
-    scale: Fraction
-
-
 class PerfectFormRep(NamedTuple):
     """A class representative with its full local data."""
 
@@ -197,16 +190,10 @@ def neighbor_form(form, minvecs, facet):
 
 
 def is_equivalent(form_a, minvecs_a, form_b, minvecs_b, det_one=False):
-    """Witness with act(g, form_a) = scale * form_b, or None.
-
-    Both forms are normalized by construction, so the scale is 1; the
-    field is kept so callers can rely on the exact relation.
-    """
+    """A GroupElement g with act(g, form_a) = form_b, or None."""
     found = form_maps(form_a, minvecs_a.vectors, form_b, minvecs_b.vectors,
                       det_one=det_one, first_only=True)
-    if not found:
-        return None
-    return EquivWitness(g=found[0], scale=Fraction(1))
+    return found[0] if found else None
 
 
 @cache

@@ -24,19 +24,18 @@ vector set g*S), which keeps form witnesses and cell witnesses literally
 the same matrices.
 """
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
 from .linalg import (
     adjugate,
+    clear_denominators,
     det_int,
     echelon,
     mat_mul,
     mat_rank,
     mat_vec,
-    mat_transpose,
     sym_dim,
     sym_flatten,
 )
@@ -162,23 +161,10 @@ class QForm(NamedTuple):
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("Gram matrix must be square")
-        denom = 1
-        for r in rows:
-            for x in r:
-                if isinstance(x, Fraction):
-                    denom = denom * x.denominator // gcd(denom, x.denominator)
-        scaled = [[int(x * denom) for x in r] for r in rows]
-        for i in range(n):
-            for j in range(n):
-                if scaled[i][j] != scaled[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-        g = 0
-        for r in scaled:
-            for x in r:
-                g = gcd(g, abs(x))
-        if g > 1:
-            scaled = [[x // g for x in r] for r in scaled]
-        gram = tuple(tuple(r) for r in scaled)
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("Gram matrix must be symmetric")
+        flat = clear_denominators([x for r in rows for x in r])
+        gram = tuple(flat[i * n:(i + 1) * n] for i in range(n))
         if not is_positive_definite(gram):
             raise NotPositiveDefinite("form is not positive definite")
         return cls(gram)
@@ -259,23 +245,6 @@ class GroupElement(NamedTuple):
 
     def apply(self, vec):
         return mat_vec(self.rows, vec)
-
-
-def act(g, q_rows):
-    """The linear action on form space: (g^-1)^t Q g^-1.
-
-    Accepts and returns plain symmetric matrices (tuples of tuples); the
-    same formula applies whether Q is a Gram matrix or a rank-one ray
-    matrix.
-    """
-    if len(q_rows) != g.n:
-        raise ValueError("dimension mismatch between group element and form")
-    gi = g.inverse().rows
-    return mat_mul(mat_mul(mat_transpose(gi), q_rows), gi)
-
-
-def act_form(g, form):
-    return QForm.from_matrix(act(g, form.gram))
 
 
 def apply_to_cell(g, vectors):

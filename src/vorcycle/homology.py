@@ -67,12 +67,6 @@ class TheoremReport(NamedTuple):
         }
 
 
-def canonical_cycle(cx):
-    """The chain with coefficient 1/|stabilizer| on every kept top class."""
-    return tuple(Fraction(1, cx.graph.nodes[i].stab_order)
-                 for i in cx.kept_tops)
-
-
 def _report(cx, ok, tess, top_cycle, details):
     """The report of a complex from its `check_rigidity` verdict `tess`.
     Only a top cycle carries the canonical chain and one cancellation

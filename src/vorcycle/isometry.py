@@ -54,18 +54,13 @@ the chain, and the benchmark's tracer wraps them by name.
 from operator import mul
 
 from .forms import GroupElement, bilinear, canonical_pair
-from .linalg import adjugate, det_int, independent_rows, mat_mul, mat_vec
+from .linalg import (adjugate, det_int, independent_rows, mat_mul,
+                     mat_transpose, mat_vec)
 
 
 def barycenter_matrix(vectors):
     """sum of x x^t over the configuration (positive definite iff spanning)."""
-    n = len(vectors[0])
-    out = [[0] * n for _ in range(n)]
-    for v in vectors:
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += v[i] * v[j]
-    return tuple(tuple(r) for r in out)
+    return mat_mul(mat_transpose(vectors), vectors)
 
 
 def _adjugate_and_det(rows):

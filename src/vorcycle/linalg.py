@@ -14,7 +14,7 @@ Symmetric matrices are identified with coordinate vectors through the
 upper-triangle flattening (index pairs i <= j in row-major order,
 off-diagonal entries NOT doubled).  That flattening is a coordinate
 choice only; the inner product on symmetric matrices is the trace form
-tr(A*B) and is provided separately by `trace_pair`.
+tr(A*B), which `pairing_weights` turns into a dot product of flattenings.
 
 Signs are plain ints in {-1, 0, +1}.
 """
@@ -22,10 +22,6 @@ Signs are plain ints in {-1, 0, +1}.
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-
-
-class SpanMismatch(ValueError):
-    """Two ordered vector families do not span the same subspace."""
 
 
 def _as_int_rows(rows):
@@ -254,26 +250,6 @@ def unit_completion(basis):
     return [units[j] for j in independent_rows(units, basis)]
 
 
-def relative_orientation(basis_a, basis_b):
-    """Sign of the change of basis from `basis_a` to `basis_b`.
-
-    Both arguments are ordered bases of the same subspace; raises
-    SpanMismatch otherwise.  The result is +1 or -1, never 0.  Both
-    bases are completed by the unit completion of `basis_a`; the ratio
-    of the two determinants is the determinant of the change of basis.
-    """
-    if len(basis_a) != len(basis_b):
-        raise SpanMismatch("bases have different sizes")
-    k = len(basis_a)
-    if mat_rank(basis_a) != k or mat_rank(basis_b) != k:
-        raise SpanMismatch("input is not a basis")
-    if mat_rank(list(basis_a) + list(basis_b)) != k:
-        raise SpanMismatch("bases span different subspaces")
-    completion = unit_completion(basis_a)
-    return det_sign(list(basis_a) + completion) * \
-        det_sign(list(basis_b) + completion)
-
-
 # ---------------------------------------------------------------------------
 # Symmetric-matrix flattening and the trace pairing.
 
@@ -299,19 +275,9 @@ def sym_dim(n):
     return n * (n + 1) // 2
 
 
-def trace_pair(a, b):
-    """tr(a*b) for symmetric matrices: diagonal once, off-diagonal twice."""
-    n = len(a)
-    total = 0
-    for i in range(n):
-        total += a[i][i] * b[i][i]
-        for j in range(i + 1, n):
-            total += 2 * a[i][j] * b[i][j]
-    return total
-
-
 def pairing_weights(flat, n):
-    """Flattened vector w with trace_pair(A, B) = dot(w(A), sym_flatten(B))."""
+    """Flattened vector w with tr(A*B) = dot(w(A), sym_flatten(B)) for
+    symmetric A and B."""
     out = []
     k = 0
     for i in range(n):

@@ -191,30 +191,6 @@ class TessVerdict(NamedTuple):
     per_component: tuple = ()
 
 
-def weighted_boundary(instance, weights):
-    """Coefficient of every facet orbit under a tile weighting.
-
-    `weights` maps kept-tile positions (or a full list) to rationals;
-    indices outside the tile list raise IndexOutOfRange.
-    """
-    instance.validate()
-    kept = instance.kept_tiles()
-    if isinstance(weights, dict):
-        for t in weights:
-            if not 0 <= t < len(instance.tiles):
-                raise IndexOutOfRange(f"weight index {t}")
-        w = {t: Fraction(v) for t, v in weights.items()}
-    else:
-        if len(weights) != len(kept):
-            raise IndexOutOfRange("weight vector length mismatch")
-        w = {t: Fraction(v) for t, v in zip(kept, weights)}
-    out = []
-    for f in instance.facet_orbits:
-        out.append(sum((Fraction(v) * w.get(t, Fraction(0))
-                        for t, v in f.incidences), Fraction(0)))
-    return out
-
-
 # One component of the kept-tile graph: its kept-tile positions in
 # increasing order, and the weights of its kernel line on them (1 on the
 # first position), or None when its rows admit only zero.

@@ -23,21 +23,24 @@ from vorcycle.complexes import (
 from vorcycle.enumeration import enumerate_perfect_forms
 from vorcycle.forms import (
     GroupElement,
+    QForm,
     apply_to_cell,
     canonical_pair,
     rank_one,
 )
 from vorcycle.isometry import cell_maps
 from vorcycle.persistence import canonical_dumps
-from vorcycle.tessellation import TessVerdict, _same_line, weighted_boundary
+from vorcycle.tessellation import IndexOutOfRange, TessVerdict, _same_line
 from vorcycle.linalg import (
+    det_sign,
     kernel_basis,
     mat_mul,
     mat_rank,
+    mat_transpose,
     pairing_weights,
-    relative_orientation,
     sym_dim,
     sym_flatten,
+    unit_completion,
 )
 
 
@@ -188,6 +191,105 @@ def random_unimodular(n, rng, steps=8):
         else:
             m[i] = [-x for x in m[i]]
     return GroupElement.from_matrix(m)
+
+
+# ---------------------------------------------------------------------------
+# Helpers that state a relation the pipeline computes another way.
+
+def act(g, q_rows):
+    """The linear action on form space: (g^-1)^t Q g^-1, for a Gram
+    matrix or a rank-one ray matrix Q alike."""
+    if len(q_rows) != g.n:
+        raise ValueError("dimension mismatch between group element and form")
+    gi = g.inverse().rows
+    return mat_mul(mat_mul(mat_transpose(gi), q_rows), gi)
+
+
+def act_form(g, form):
+    return QForm.from_matrix(act(g, form.gram))
+
+
+def trace_pair(a, b):
+    """tr(a*b) for symmetric matrices: diagonal once, off-diagonal twice."""
+    n = len(a)
+    total = 0
+    for i in range(n):
+        total += a[i][i] * b[i][i]
+        for j in range(i + 1, n):
+            total += 2 * a[i][j] * b[i][j]
+    return total
+
+
+class SpanMismatch(ValueError):
+    """Two ordered vector families do not span the same subspace."""
+
+
+def relative_orientation(basis_a, basis_b):
+    """Sign of the change of basis from `basis_a` to `basis_b`, two
+    ordered bases of one subspace (SpanMismatch otherwise): both are
+    completed by the unit completion of `basis_a`, and the ratio of the
+    two determinants is the determinant of the change of basis."""
+    if len(basis_a) != len(basis_b):
+        raise SpanMismatch("bases have different sizes")
+    k = len(basis_a)
+    if mat_rank(basis_a) != k or mat_rank(basis_b) != k:
+        raise SpanMismatch("input is not a basis")
+    if mat_rank(list(basis_a) + list(basis_b)) != k:
+        raise SpanMismatch("bases span different subspaces")
+    completion = unit_completion(basis_a)
+    return det_sign(list(basis_a) + completion) * \
+        det_sign(list(basis_b) + completion)
+
+
+def faces_of_codim(vectors, facets, k):
+    """Faces of codimension k of the cone of `vectors` with `facets`, as
+    frozensets of incident ray indices, by iterated intersection with
+    facets; k = 0 is the cone itself and k = 1 its facet list."""
+    vectors = tuple(sorted(vectors))
+    dim = sym_dim(len(vectors[0]))
+    if k < 0 or k > dim:
+        raise ValueError("codimension out of range")
+    if k == 0:
+        return [frozenset(range(len(vectors)))]
+    flats = [sym_flatten(rank_one(v)) for v in vectors]
+    current = set(facets)
+    for codim in range(2, k + 1):
+        nxt = set()
+        for face in current:
+            for f in facets:
+                cand = face & f
+                if cand == face:
+                    continue
+                if mat_rank([flats[i] for i in cand]) == dim - codim:
+                    nxt.add(cand)
+        current = nxt
+    return sorted(current, key=lambda s: tuple(sorted(s)))
+
+
+def weighted_boundary(instance, weights):
+    """Coefficient of every facet orbit under a tile weighting: a map
+    from kept-tile positions, or a full list, to rationals; indices
+    outside the tile list raise IndexOutOfRange."""
+    instance.validate()
+    kept = instance.kept_tiles()
+    if isinstance(weights, dict):
+        for t in weights:
+            if not 0 <= t < len(instance.tiles):
+                raise IndexOutOfRange(f"weight index {t}")
+        w = {t: Fraction(v) for t, v in weights.items()}
+    else:
+        if len(weights) != len(kept):
+            raise IndexOutOfRange("weight vector length mismatch")
+        w = {t: Fraction(v) for t, v in zip(kept, weights)}
+    return [sum((Fraction(v) * w.get(t, Fraction(0))
+                 for t, v in f.incidences), Fraction(0))
+            for f in instance.facet_orbits]
+
+
+def canonical_cycle(cx):
+    """The chain with coefficient 1/|stabilizer| on every kept top class."""
+    return tuple(Fraction(1, cx.graph.nodes[i].stab_order)
+                 for i in cx.kept_tops)
 
 
 def reference_echelon(rows):

@@ -176,6 +176,72 @@ def test_tess_unwritable_out_exit_two(argv, capsys, tmp_path, monkeypatch):
     assert err.startswith("error: [Errno") and out_path in err
 
 
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+@pytest.mark.parametrize("below", ("", "sub"), ids=("file", "under-file"))
+def test_unusable_cache_dir_exit_two(tmp_path, optimize, below):
+    # A cache directory that is a regular file, or lies under one, is a
+    # usage error named by its path, found before any work: exit 2,
+    # never the crash code 4.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cache_dir = str(blocker / below) if below else str(blocker)
+    result = run_python("-m", "vorcycle", "verify", "--n", "2",
+                        "--cache-dir", cache_dir, optimize=optimize)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: cannot use {cache_dir} as "
+                                    "the cache directory: ")
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", (
+    ("perfect",), ("complex",), ("verify",), ("tess", "export")))
+def test_every_cached_command_checks_its_cache_dir(argv, capsys, tmp_path,
+                                                   monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setenv("VORCYCLE_CACHE", str(blocker))
+    code, out, err = run(capsys, *argv, "--n", "3",
+                         "--cache-dir", str(tmp_path / "ignored"))
+    assert code == 2 and out == ""
+    assert f"cannot use {blocker} as the cache directory" in err
+    assert not os.path.exists(tmp_path / "ignored")
+
+
+def test_unwritable_cache_dir_exit_two(cache, capsys, monkeypatch):
+    # A directory that exists but takes no file: the scratch file that
+    # tries it is refused before the graph is enumerated.
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    os.makedirs(cache)
+    monkeypatch.setattr(cli.tempfile, "TemporaryFile", refuse)
+    monkeypatch.setattr(cli, "enumerate_perfect_forms", None)
+    code, out, err = run(capsys, "verify", "--n", "3", "--cache-dir", cache)
+    assert code == 2 and out == ""
+    assert err == (f"error: cannot use {cache} as the cache directory: "
+                   "Permission denied\n")
+    assert os.listdir(cache) == []
+
+
+@pytest.mark.parametrize("argv", (
+    ("complex",), ("verify",), ("tess", "export")))
+def test_negative_seed_perm_usage_error(argv, cache, capsys):
+    # The representative pick takes the seed permutation modulo a class
+    # size, so -2 would repeat a nonnegative seed's files under its own
+    # name.
+    code, out, err = run(capsys, *argv, "--n", "3", "--seed-perm", "-2",
+                         "--cache-dir", cache)
+    assert code == 2 and out == ""
+    assert "argument --seed-perm: -2 is negative" in err
+    code, _, err = run(capsys, *argv, "--n", "3", "--seed-perm", "x",
+                       "--cache-dir", cache)
+    assert code == 2
+    assert "argument --seed-perm: invalid int value: 'x'" in err
+    assert not os.path.exists(cache)
+
+
 def test_seed_perm_writes_separate_file_same_verdict(cache, capsys):
     code0, out0, _ = run(capsys, "verify", "--n", "3", "--group", "sl",
                          "--cache-dir", cache)

@@ -11,6 +11,7 @@ from conftest import (
     pair_swap_elements,
     random_unimodular,
     reference_incidences,
+    relative_orientation,
     run_python,
     sign_pairs,
     top_views,
@@ -43,7 +44,6 @@ from vorcycle.isometry import cell_maps, cell_stabilizer, orbit_decompose
 from vorcycle.linalg import (
     det_sign,
     mat_rank,
-    relative_orientation,
     sym_dim,
     sym_flatten,
 )

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import brute_facets, cached_graph, random_unimodular
+from conftest import (
+    brute_facets,
+    cached_graph,
+    faces_of_codim,
+    random_unimodular,
+    trace_pair,
+)
 from test_linalg import solve_in_span
 
 from vorcycle import cones
@@ -15,7 +21,6 @@ from vorcycle.cones import (
     _dd_dual_rays,
     build_cone,
     face_vectors,
-    faces_of_codim,
     facet_closure,
     facet_normal,
     meets_boundary,
@@ -42,7 +47,6 @@ from vorcycle.linalg import (
     sym_dim,
     sym_flatten,
     sym_unflatten,
-    trace_pair,
 )
 
 HEXAGONAL = ((2, 1), (1, 2))

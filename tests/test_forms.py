@@ -5,10 +5,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import (
+    act,
+    act_form,
     brute_min_vectors,
     random_unimodular,
     reference_ldl,
     reference_short_vectors,
+    trace_pair,
 )
 
 from vorcycle.forms import (
@@ -17,8 +20,6 @@ from vorcycle.forms import (
     QForm,
     ZeroVector,
     a_n_gram,
-    act,
-    act_form,
     apply_to_cell,
     canonical_pair,
     d_n_gram,
@@ -33,7 +34,6 @@ from vorcycle.linalg import (
     mat_rank,
     sym_dim,
     sym_flatten,
-    trace_pair,
 )
 
 HEXAGONAL = ((2, 1), (1, 2))

@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cached_complex, differential_kernel, run_python
+from conftest import (
+    cached_complex,
+    canonical_cycle,
+    differential_kernel,
+    run_python,
+)
 
 from vorcycle.complexes import (
     Differential,
@@ -13,7 +18,6 @@ from vorcycle.complexes import (
 from vorcycle.homology import (
     TheoremReport,
     WrongGroupParity,
-    canonical_cycle,
     compose_is_zero,
     dd_sanity,
     verify,

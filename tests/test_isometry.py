@@ -3,6 +3,8 @@ from math import factorial
 
 import pytest
 from conftest import (
+    act,
+    act_form,
     brute_stabilizer_2x2,
     closure,
     matrix_orbit_decompose,
@@ -14,8 +16,6 @@ from vorcycle.forms import (
     GroupElement,
     QForm,
     a_n_gram,
-    act,
-    act_form,
     apply_to_cell,
     canonical_pair,
     d_n_gram,

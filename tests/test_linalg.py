@@ -6,13 +6,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import (
+    SpanMismatch,
     reference_adjugate,
     reference_det,
     reference_kernel,
     reference_rank,
+    relative_orientation,
+    trace_pair,
 )
 from vorcycle.linalg import (
-    SpanMismatch,
     adjugate,
     clear_denominators,
     det_int,
@@ -21,10 +23,8 @@ from vorcycle.linalg import (
     kernel_basis,
     mat_rank,
     mat_transpose,
-    relative_orientation,
     sym_flatten,
     sym_unflatten,
-    trace_pair,
 )
 from vorcycle.forms import rank_one
 

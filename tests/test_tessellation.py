@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import cached_complex, dense_check_rigidity, \
-    differential_kernel
+    differential_kernel, weighted_boundary
 
 import vorcycle.linalg
 from vorcycle.cli import main
@@ -27,7 +27,6 @@ from vorcycle.tessellation import (
     from_voronoi,
     loads_instance,
     sector_fan,
-    weighted_boundary,
 )
 
 
