@@ -1,18 +1,18 @@
 """Exact polyhedral cones in the space of symmetric matrices.
 
 A cell of the tessellation is the cone spanned by the rank-one matrices
-x x^t of its generating vectors (one per antipodal pair).  A facet is
-the set of rays it contains, given as indices into the sorted vector
-list.  Facets are enumerated by the double description method run in
-exact integer arithmetic: the facet normals of cone(R) are the extreme
-rays of the dual cone {y : <y, r> >= 0 for all r in R}, built by
-inserting the inequalities one at a time starting from a simplicial
+x x^t of its generating vectors (one per antipodal pair).  A face is
+the set of rays it contains, an int with bit i set when sorted vector
+i is in it.  Facets are enumerated by the double description method
+run in exact integer arithmetic: the facet normals of cone(R) are the
+extreme rays of the dual cone {y : <y, r> >= 0 for all r in R}, built
+by inserting the inequalities one at a time starting from a simplicial
 subcone.  Two dual rays are adjacent when no third one is active on
 every input ray active on both; with on[i] the bitset of the dual rays
 active on input ray i, that is an AND of bitsets over their common
 active set (Fukuda and Prodon, "Double description method revisited",
-LNCS 1120, 1996).  The same bitsets, complete once every inequality is
-in, are the facets' incidence sets.
+LNCS 1120, 1996).  The dual rays' bitsets of active input rays,
+complete once every inequality is in, are the facets.
 
 The result is certified, and up to symmetry: the caller passes
 generators of a group that should map the cone onto itself (the cell's
@@ -27,7 +27,7 @@ representative fails its certificate.
 
 The facets are numbered as that walk reaches them, orbit by orbit.
 Each orbit's representative is its first facet in the double
-description's order (sorted by incident indices), so one walk from the
+description's order (`face_order`), so one walk from the
 representatives alone numbers them the same way (`facet_closure`).
 
 A facet's normal is needed only where the walk crosses it, and
@@ -37,6 +37,7 @@ incident rays and > 0 on every other ray of the cone, where <.,.> is
 the trace pairing.
 """
 
+from itertools import compress
 from operator import mul
 
 from .forms import rank_one
@@ -58,7 +59,7 @@ class NotFullDim(ValueError):
 
 
 class Facets(tuple):
-    """The facets of a cone, each a frozenset of indices into its sorted
+    """The facets of a cone, each an int bitmask over its sorted
     vectors.  `facets` is the tuple itself, so a reader that takes a
     `build_cone` result as a record with a facet list (as
     vorbench/tracing.py counts it) reads the same facets.
@@ -94,9 +95,25 @@ class Facets(tuple):
         return transporter_det(self.generators, self.schreier, k)
 
 
+# The digits of bin() as the bytes 0 and 1, which compress takes.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def face_vectors(vectors, face):
-    """The vectors at the indices in `face`, sorted."""
-    return tuple(sorted(vectors[i] for i in face))
+    """The entries of `vectors` at the set bits of `face`, in order."""
+    bits = bin(face)[:1:-1].encode().translate(_BIT_BYTES)
+    return tuple(compress(vectors, bits))
+
+
+def face_indices(face):
+    """The indices of the set bits of `face`, increasing."""
+    return list(face_vectors(range(face.bit_length()), face))
+
+
+def face_order(face, size):
+    """A key that sorts faces over `size` rays, descending, in the order
+    of their sorted index lists where no face holds another."""
+    return format(face, f"0{size}b")[::-1]
 
 
 def _dot(u, v):
@@ -110,14 +127,14 @@ def _dd_dual_rays(rows, weights):
     simplicial seed); `weights[i]` is the linear functional of ray i in
     the coordinates of the dual vectors.  Requires the rows to span, so
     the dual cone is pointed.  Returns (y, active) per extreme ray y,
-    with `active` the frozenset of the ray indices where y vanishes,
-    sorted by active set.
+    with `active` the bitmask of the ray indices where y vanishes,
+    sorted by active set (`face_order`).
 
-    Active sets are kept as bitmasks, adjacency is the combinatorial
-    test (no third extreme ray's active set contains the common one;
-    exact for pointed cones) run on incidence bitsets, and constraints
-    are inserted cutting off as few rays as possible, which keeps the
-    intermediate ray counts down on the larger domains.
+    Adjacency is the combinatorial test (no third extreme ray's active
+    set contains the common one; exact for pointed cones) run on
+    incidence bitsets, and constraints are inserted cutting off as few
+    rays as possible, which keeps the intermediate ray counts down on
+    the larger domains.
     """
     dim = len(rows[0])
     count = len(rows)
@@ -130,16 +147,13 @@ def _dd_dual_rays(rows, weights):
     # free column dim + j.
     augmented = [list(weights[i]) + [-int(r == j) for j in range(dim)]
                  for r, i in enumerate(seed)]
+    seed_face = sum(1 << i for i in seed)
     duals = []
     for j, vec in enumerate(kernel_basis(augmented)):
         scale = 1 if vec[dim + j] > 0 else -1
-        active = 0
-        for t in range(dim):
-            if t != j:
-                active |= 1 << seed[t]
         duals.append((primitive(tuple(scale * x for x in vec[:dim])),
-                      active))
-    remaining = [i for i in range(count) if i not in set(seed)]
+                      seed_face ^ (1 << seed[j])))
+    remaining = face_indices(seed_face ^ ((1 << count) - 1))
     while remaining:
         # Insertion heuristic: cheapest cut first (fewest rays removed).
         scores = []
@@ -194,16 +208,8 @@ def _dd_dual_rays(rows, weights):
             + new
         )
     # Every row is in, so each tracked active set is complete.
-    out = []
-    for y, act in duals:
-        active = []
-        while act:
-            low = act & -act
-            active.append(low.bit_length() - 1)
-            act ^= low
-        out.append((tuple(active), y))
-    out.sort()
-    return [(y, frozenset(active)) for active, y in out]
+    duals.sort(key=lambda dual: face_order(dual[1], count), reverse=True)
+    return duals
 
 
 def _certified(vectors, rays, duals, dim, generators):
@@ -218,7 +224,7 @@ def _certified(vectors, rays, duals, dim, generators):
     representative, is that they span one.
     """
     reached, ray_orbits, _ = orbit_decompose(
-        vectors, [(i,) for i in range(len(vectors))], generators)
+        vectors, [1 << i for i in range(len(vectors))], generators)
     facets, orbits, schreier = orbit_decompose(
         vectors, [active for _, active in duals], generators)
     if len(facets) != len(duals):
@@ -226,15 +232,15 @@ def _certified(vectors, rays, duals, dim, generators):
     heads = {facets[orbit[0]] for orbit in orbits}
     for y, active in duals:
         if active in heads and (not any(y) or mat_rank(
-                [rays[i] for i in active], stop=dim - 1) < dim - 1):
+                face_vectors(rays, active), stop=dim - 1) < dim - 1):
             raise ValueError("dual ray does not describe a facet")
     return (Facets(facets, orbits, schreier, generators, len(vectors[0])),
-            [min(reached[orbit[0]]) for orbit in ray_orbits])
+            [reached[orbit[0]].bit_length() - 1 for orbit in ray_orbits])
 
 
 def build_cone(vectors, generators=()):
     """The facets of the cone spanned by the rank-one matrices of
-    `vectors`, as index sets into the sorted vectors, numbered by their
+    `vectors`, as bitmasks over the sorted vectors, numbered by their
     orbits under `generators` (see `Facets`).
 
     Verifies full dimensionality (NotFullDim otherwise), pointedness,
@@ -257,7 +263,7 @@ def build_cone(vectors, generators=()):
     # ray).  Pointedness holds because the identity matrix pairs strictly
     # positively with every rank-one ray.
     for i in ray_reps:
-        active_normals = [y for y, active in duals if i in active]
+        active_normals = [y for y, active in duals if active >> i & 1]
         if mat_rank(active_normals, stop=dim - 1) < dim - 1:
             raise ValueError(f"listed ray {i} is not extreme")
     return facets
@@ -271,8 +277,8 @@ def ray_weights(vectors):
 
 
 def facet_normal(vectors, facet, weights=None):
-    """The primitive inward normal of `facet`, a set of indices into the
-    sorted `vectors` of a full-dimensional cone.
+    """The primitive inward normal of `facet`, a bitmask over the sorted
+    `vectors` of a full-dimensional cone.
 
     The normal spans the kernel of the incident rays' pairings (their
     `ray_weights`, which a caller reading several facets of one cone
@@ -282,12 +288,11 @@ def facet_normal(vectors, facet, weights=None):
     n = len(vectors[0])
     if weights is None:
         weights = ray_weights(vectors)
-    kernel = kernel_basis([weights[i] for i in sorted(facet)],
-                          ncols=sym_dim(n))
+    kernel = kernel_basis(face_vectors(weights, facet), ncols=sym_dim(n))
     if len(kernel) == 1:
         y = kernel[0]
-        signs = {(value > 0) - (value < 0) for value in (
-            _dot(w, y) for i, w in enumerate(weights) if i not in facet)}
+        others = face_vectors(weights, facet ^ ((1 << len(weights)) - 1))
+        signs = {(v > 0) - (v < 0) for v in (_dot(w, y) for w in others)}
         if len(signs) == 1 and 0 not in signs:
             sign = signs.pop()
             return sym_unflatten(tuple(sign * x for x in y), n)
@@ -299,8 +304,8 @@ def facet_closure(vectors, representatives, generators):
     to, numbered by one orbit walk from the representatives (see
     `Facets`), which is the numbering of `build_cone` when each
     representative is the first facet of its orbit in the double
-    description's order (sorted by incident indices), in increasing
-    order.  Raises ValueError unless it is.
+    description's order (`face_order`), and the representatives come
+    in that order.  Raises ValueError unless they do.
 
     When the representatives are facets of the cone of the sorted
     `vectors` and the generators permute those vectors, every face
@@ -309,10 +314,10 @@ def facet_closure(vectors, representatives, generators):
     """
     facets, orbits, schreier = orbit_decompose(vectors, representatives,
                                                generators)
-    heads = [sorted(facets[orbit[0]]) for orbit in orbits]
-    if len(orbits) != len(representatives) or heads != sorted(heads) or \
-            heads != [min(sorted(facets[k]) for k in orbit)
-                      for orbit in orbits]:
+    keys = [face_order(facet, len(vectors)) for facet in facets]
+    heads = [max(keys[orbit.start:orbit.stop]) for orbit in orbits]
+    if len(orbits) != len(representatives) or heads != sorted(
+            heads, reverse=True) or heads != [keys[o[0]] for o in orbits]:
         raise ValueError("the representatives are not the first facets of "
                          "their orbits, in order")
     return Facets(facets, orbits, schreier, generators, len(vectors[0]))
@@ -323,7 +328,7 @@ def subcone_facets(vectors, generators=()):
 
     Used for faces of positive codimension: the rays are written in
     coordinates of a basis of their span and the double description is
-    run there.  Returns the facets as sets of incident ray indices, with
+    run there.  Returns the facets as bitmasks of incident rays, with
     their orbits under `generators`, certified as `build_cone`
     certifies its facets.
     """

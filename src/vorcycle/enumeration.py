@@ -87,7 +87,7 @@ class PerfectFormRep(NamedTuple):
 
     form: QForm
     minvecs: MinVecSet
-    facets: Facets          # frozensets of indices into minvecs.vectors
+    facets: Facets          # bitmasks over minvecs.vectors
     generators: tuple       # generates the stabilizer in the chosen group kind
     stab_order: int
     label: str
@@ -129,8 +129,8 @@ def facet_edge(graph, i, k):
 
 
 def neighbor_form(form, minvecs, facet):
-    """The unique contiguous perfect form across `facet`, a set of
-    indices into the minimal vectors, of the form's domain.
+    """The unique contiguous perfect form across `facet`, a bitmask
+    over the minimal vectors, of the form's domain.
 
     Raises BoundaryFacet when the facet's vectors do not span (its
     interior touches the boundary cone).  The result is normalized; it

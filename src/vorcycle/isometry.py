@@ -38,7 +38,7 @@ strong generator.  Since every candidate outside the orbit is searched
 to completion, each basic orbit comes out complete, and the group order
 is the product of the basic orbit lengths.  Orbits of faces come from
 one breadth-first walk (`orbit_decompose`), with each generator turned
-once into a permutation of vector indices.  The walk numbers the faces
+once into tables that move face bitmasks.  The walk numbers the faces
 it reaches orbit by orbit, so it decomposes a complete face list and
 regenerates one from orbit representatives alike.  An orbit keeps its
 Schreier vector (per face, the generator and the face it was reached
@@ -51,7 +51,7 @@ pipeline does not call them: they are kept as the listing oracle for
 the chain, and the benchmark's tracer wraps them by name.
 """
 
-from operator import mul
+from operator import getitem, mul
 
 from .forms import GroupElement, bilinear, canonical_pair
 from .linalg import (adjugate, det_int, independent_rows, mat_mul,
@@ -357,44 +357,48 @@ def _right_coset(subgroup, r):
             for h in subgroup]
 
 
-def _index_perms(vectors, generators):
-    """Each generator as a permutation of the indices of `vectors`
-    (ValueError when it moves a vector off them)."""
+def _image_tables(vectors, generators):
+    """Each generator as it moves bitmasks over `vectors` (ValueError
+    when it moves a vector off them): per hexadecimal digit of a mask,
+    least significant first, the images of the digit's 16 values."""
     index = {v: i for i, v in enumerate(vectors)}
-    perms = []
+    out = []
     for g in generators:
-        images = [index.get(canonical_pair(g.apply(v))) for v in vectors]
-        if None in images:
+        perm = [index.get(canonical_pair(g.apply(v))) for v in vectors]
+        if None in perm:
             raise ValueError("group does not permute the faces")
-        perms.append(images)
-    return perms
+        tables = []
+        for low in range(0, len(perm), 4):
+            table = [0]
+            for i in perm[low:low + 4]:
+                table += [image | 1 << i for image in table]
+            tables.append(dict(zip("0123456789abcdef", table)))
+        out.append(tables)
+    return out
 
 
 def orbit_decompose(vectors, faces, generators):
     """The orbits of `faces` under the group generated by `generators`,
     walked breadth first.
 
-    Faces are sets of indices into the cell's sorted `vectors`.  Each
-    generator is mapped once to a permutation of those indices, and
-    faces move by it.  The walk goes through `faces` in order, and each
-    face it has not reached yet starts an orbit.  Returns (reached,
-    orbits, schreier): the faces reached, as frozensets numbered orbit
-    by orbit in walk order (`faces` exactly when the group permutes
-    them; a face that `faces` lists is reached as the object listed);
-    the orbits as ranges of those numbers, representative first; and
-    their Schreier vector: per face None at a representative, else the
-    pair (g, j) of the generator index g and the face j it was reached
-    from, with generators[g] carrying face j onto it (`transporter`
+    Faces are bitmasks over the cell's sorted `vectors`, with no bit
+    past them.  Each generator is mapped once to a permutation of their
+    indices, which moves a face by one lookup per 4 bits
+    (`_image_tables`).  The walk goes through `faces` in order, and
+    each face it has not reached yet starts an orbit.  Returns (reached,
+    orbits, schreier): the faces reached, numbered orbit by orbit in
+    walk order (`faces` exactly when the group permutes them); the
+    orbits as ranges of those numbers, representative first; and their
+    Schreier vector: per face None at a representative, else the pair
+    (g, j) of the generator index g and the face j it was reached from,
+    with generators[g] carrying face j onto it (`transporter`
     multiplies a path out).  Raises ValueError when a generator moves a
     vector off `vectors`.
     """
-    perms = _index_perms(vectors, generators)
-    listed = {}
-    for face in map(frozenset, faces):
-        listed.setdefault(face, face)
+    tables = _image_tables(vectors, generators)
     seen = set()
     reached, orbits, schreier = [], [], []
-    for start in listed:
+    for start in faces:
         if start in seen:
             continue
         first = len(reached)
@@ -403,10 +407,10 @@ def orbit_decompose(vectors, faces, generators):
         schreier.append(None)
         j = first
         while j < len(reached):
-            for g, perm in enumerate(perms):
-                img = frozenset(map(perm.__getitem__, reached[j]))
+            digits = hex(reached[j])[:1:-1]
+            for g, table in enumerate(tables):
+                img = sum(map(getitem, table, digits))
                 if img not in seen:
-                    img = listed.get(img, img)
                     seen.add(img)
                     reached.append(img)
                     schreier.append((g, j))

@@ -11,11 +11,11 @@ Graph and complex payloads hold JSON integers, which Python's json
 reads and writes exactly; verdict payloads keep the decimal strings of
 their reports.  A graph file stores each fact once, and only what is
 costly to compute: per node its Gram matrix and one record per facet
-orbit, holding the orbit's first facet in sorted order as the indices
-of its minimal vectors (`incident`) with the edge across it
-(`neighbor`, `witness`).  The rest is derived on load by the code a
-build runs: node minima and minimal vectors
-(`forms.minimum_and_minimal_vectors`), labels
+orbit, holding the orbit's first facet (`cones.face_order`), a bitmask
+in memory, as the increasing indices of its minimal vectors
+(`incident`) with the edge across it (`neighbor`, `witness`).  The
+rest is derived on load by the code a build runs: node minima and
+minimal vectors (`forms.minimum_and_minimal_vectors`), labels
 (`enumeration.class_label`), node stabilizers (`isometry.form_group`),
 and the other facets, numbered by one orbit walk from the stored ones,
 with their orbits and Schreier vectors (`cones.facet_closure`, the
@@ -33,10 +33,10 @@ On load, a payload's rank and group must be its file header's, each
 record must hold exactly its own fields, and each field is checked for
 shape, type and range.  A Gram matrix must be symmetric positive
 definite with spanning minimal vectors, and a node must have facet
-orbits.  Each orbit record must hold a facet (`cones.facet_normal`)
-that is the sorted-first of its orbit, and its edge must glue it
-(`enumeration.glues`), with a unimodular witness of determinant one in
-sl.
+orbits.  Each orbit record must hold a facet (`cones.facet_normal`),
+its indices strictly increasing, that is the first of its orbit, and
+its edge must glue it (`enumeration.glues`), with a unimodular
+witness of determinant one in sl.
 """
 
 import json
@@ -44,6 +44,7 @@ import os
 import tempfile
 from .complexes import build_complex
 from .cones import (
+    face_indices,
     face_vectors,
     facet_closure,
     facet_normal,
@@ -115,7 +116,7 @@ def _sha256(data):
 
 def graph_to_payload(graph):
     nodes = [{"gram": _enc_mat(node.form.gram),
-              "orbits": [{"incident": sorted(node.facets[orbit[0]]),
+              "orbits": [{"incident": face_indices(node.facets[orbit[0]]),
                           "neighbor": e.neighbor,
                           "witness": _enc_mat(e.witness.rows)}
                          for orbit, e in zip(node.facets.orbits, edges)]}
@@ -175,13 +176,15 @@ class _Reader:
             self.fail(path + (key,), f"is out of range 0..{bound - 1}")
         return value
 
-    def indices(self, rec, path, key, bound):
-        values = self.get(rec, path, key, list)
-        for value in values:
-            if type(value) is not int or not 0 <= value < bound:
-                self.fail(path + (key,),
-                          f"is not a list of indices in 0..{bound - 1}")
-        return tuple(values)
+    def face(self, rec, path, key, bound):
+        face = 0
+        for value in self.get(rec, path, key, list):
+            if type(value) is not int or not 0 <= value < bound or \
+                    face >> value:
+                self.fail(path + (key,), f"is not a strictly increasing "
+                          f"list of indices in 0..{bound - 1}")
+            face |= 1 << value
+        return face
 
     def ints(self, value, path, rows, cols):
         """A list of `rows` lists (any count if None) of `cols` JSON
@@ -220,8 +223,8 @@ def graph_from_payload(payload, source="<payload>"):
     form, as in the walk.  Each orbit record must hold a facet of the
     node's domain (`cones.facet_normal`), and the stabilizer generators
     carry those facets to the node's facet list (`cones.facet_closure`),
-    in which each record must be the sorted-first facet of an orbit of
-    its own, in increasing order.  Its edge must glue the facet
+    in which each record must be the first facet of an orbit of its own
+    (`cones.face_order`), in that order.  Its edge must glue the facet
     (`enumeration.glues`).
     """
     rd = _Reader(source)
@@ -249,8 +252,7 @@ def graph_from_payload(payload, source="<payload>"):
         node_edges = []
         weights = ray_weights(mv.vectors)
         for o_path, o in rd.records(rec, path, "orbits", ORBIT_FIELDS):
-            rep = frozenset(rd.indices(o, o_path, "incident",
-                                       len(mv.vectors)))
+            rep = rd.face(o, o_path, "incident", len(mv.vectors))
             try:
                 facet_normal(mv.vectors, rep, weights)
             except ValueError:
@@ -354,10 +356,16 @@ def load_payload(path, kind=None, n=None, group=None):
     checked on the stored bytes between that header and the trailer:
     the bytes the payload was decoded from.  The header must carry the
     given kind, n and group, and a payload's own n and group must be
-    the header's.
+    the header's.  A file that cannot be opened or read is refused like
+    one that fails these checks.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        # A directory at the path, or a file this process may not read.
+        raise CacheCorrupt(f"{path}: cannot be read "
+                           f"({exc.strerror or exc})") from exc
     try:
         doc = json.loads(data)
     except (ValueError, RecursionError) as exc:

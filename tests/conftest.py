@@ -20,6 +20,7 @@ from vorcycle.complexes import (
     induced_sign,
     transport_flat,
 )
+from vorcycle.cones import face_indices, face_vectors
 from vorcycle.enumeration import enumerate_perfect_forms
 from vorcycle.forms import (
     GroupElement,
@@ -241,16 +242,21 @@ def relative_orientation(basis_a, basis_b):
         det_sign(list(basis_b) + completion)
 
 
+def face_mask(indices):
+    """The face of the vector indices `indices`, as a bitmask."""
+    return sum(1 << i for i in set(indices))
+
+
 def faces_of_codim(vectors, facets, k):
     """Faces of codimension k of the cone of `vectors` with `facets`, as
-    frozensets of incident ray indices, by iterated intersection with
-    facets; k = 0 is the cone itself and k = 1 its facet list."""
+    bitmasks of incident rays, by iterated intersection with facets;
+    k = 0 is the cone itself and k = 1 its facet list."""
     vectors = tuple(sorted(vectors))
     dim = sym_dim(len(vectors[0]))
     if k < 0 or k > dim:
         raise ValueError("codimension out of range")
     if k == 0:
-        return [frozenset(range(len(vectors)))]
+        return [(1 << len(vectors)) - 1]
     flats = [sym_flatten(rank_one(v)) for v in vectors]
     current = set(facets)
     for codim in range(2, k + 1):
@@ -260,10 +266,10 @@ def faces_of_codim(vectors, facets, k):
                 cand = face & f
                 if cand == face:
                     continue
-                if mat_rank([flats[i] for i in cand]) == dim - codim:
+                if mat_rank(face_vectors(flats, cand)) == dim - codim:
                     nxt.add(cand)
         current = nxt
-    return sorted(current, key=lambda s: tuple(sorted(s)))
+    return sorted(current, key=face_indices)
 
 
 def weighted_boundary(instance, weights):
@@ -490,7 +496,7 @@ def brute_facets(vectors):
             vals = [-t for t in vals]
         else:
             continue
-        found[frozenset(i for i, v in enumerate(vals) if v == 0)] = y
+        found[face_mask(i for i, v in enumerate(vals) if v == 0)] = y
     return found
 
 
@@ -575,6 +581,51 @@ def matrix_orbit_decompose(keys, generators, apply, identity):
         orbits.append((key, members))
         assigned.update(members)
     return orbits
+
+
+def _index_perms(vectors, generators):
+    """Each generator as a permutation of the indices of `vectors`
+    (ValueError when it moves a vector off them)."""
+    index = {v: i for i, v in enumerate(vectors)}
+    perms = []
+    for g in generators:
+        images = [index.get(canonical_pair(g.apply(v))) for v in vectors]
+        if None in images:
+            raise ValueError("group does not permute the faces")
+        perms.append(images)
+    return perms
+
+
+def reference_orbit_decompose(vectors, faces, generators):
+    """Reference: `isometry.orbit_decompose` on faces held as frozensets
+    of vector indices, each moved index by index, as the pipeline walked
+    them before faces became bitmasks.  Returns the faces reached as
+    frozensets, with the same orbits and Schreier vector."""
+    perms = _index_perms(vectors, generators)
+    listed = {}
+    for face in map(frozenset, faces):
+        listed.setdefault(face, face)
+    seen = set()
+    reached, orbits, schreier = [], [], []
+    for start in listed:
+        if start in seen:
+            continue
+        first = len(reached)
+        seen.add(start)
+        reached.append(start)
+        schreier.append(None)
+        j = first
+        while j < len(reached):
+            for g, perm in enumerate(perms):
+                img = frozenset(map(perm.__getitem__, reached[j]))
+                if img not in seen:
+                    img = listed.get(img, img)
+                    seen.add(img)
+                    reached.append(img)
+                    schreier.append((g, j))
+            j += 1
+        orbits.append(range(first, len(reached)))
+    return reached, tuple(orbits), tuple(schreier)
 
 
 def facet_edges(graph):

@@ -13,8 +13,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_stabilizer_2x2, cached_complex, cached_graph, \
-    closure, differential_kernel, facet_edges, kept_wall_views, \
-    pair_swap_elements, random_unimodular, sign_pairs, top_views
+    closure, differential_kernel, face_mask, facet_edges, kept_wall_views, \
+    pair_swap_elements, random_unimodular, reference_orbit_decompose, \
+    sign_pairs, top_views
 
 from vorcycle.complexes import (
     ambient_orientation_sign,
@@ -22,7 +23,12 @@ from vorcycle.complexes import (
     build_codim2,
     build_complex,
 )
-from vorcycle.cones import face_vectors, meets_boundary
+from vorcycle.cones import (
+    face_indices,
+    face_vectors,
+    facet_closure,
+    meets_boundary,
+)
 from vorcycle.enumeration import (
     enumerate_perfect_forms,
     facet_edge,
@@ -130,6 +136,21 @@ def test_criterion_3_rank_four_pipeline():
     print(f"ACCEPTANCE 3: PASS (rank-4 pipeline, {elapsed:.2f}s)")
 
 
+def check_rank_six_facet_walks(graph):
+    """Every node's facets, orbits and Schreier vector are those of the
+    reference walk over its facets as index sets, and `facet_closure`
+    from its representatives rebuilds them."""
+    for node in graph.nodes:
+        vectors, facets = node.minvecs.vectors, node.facets
+        want = (list(facets), facets.orbits, facets.schreier)
+        reached, orbits, schreier = reference_orbit_decompose(
+            vectors, map(face_indices, facets), node.generators)
+        assert (list(map(face_mask, reached)), orbits, schreier) == want
+        again = facet_closure(vectors, [facets[o[0]] for o in facets.orbits],
+                              node.generators)
+        assert (list(again), again.orbits, again.schreier) == want
+
+
 def test_criterion_4_rank_five_and_even_vanishing():
     start = time.monotonic()
     graph = enumerate_perfect_forms(5, "gl")
@@ -162,10 +183,12 @@ def test_criterion_4_rank_five_and_even_vanishing():
         assert len(gl.graph.nodes) == classes[n]
         vanish = verify_gl_even_vanishing(gl)
         assert vanish.ok and vanish.kernel_dim == 0
+    check_rank_six_facet_walks(gl.graph)
     # In sl no rank-6 class splits, and the kernel is the canonical
     # line: full support, weights inverse to the stabilizer orders.
     sl = build_complex(enumerate_perfect_forms(6, "sl", allow_long=True))
     assert len(sl.graph.nodes) == classes[6]
+    check_rank_six_facet_walks(sl.graph)
     report = verify_top_cycle(sl)
     assert report.ok and report.kernel_dim == 1
     vec, = differential_kernel(sl)

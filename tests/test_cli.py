@@ -7,9 +7,16 @@ import sys
 
 import pytest
 
-from conftest import cached_graph, python_env, run_python, wall_facet
+from conftest import (
+    cached_graph,
+    face_mask,
+    python_env,
+    run_python,
+    wall_facet,
+)
 from vorcycle import cli
 from vorcycle.cli import main
+from vorcycle.cones import face_indices
 
 
 @pytest.fixture
@@ -377,7 +384,8 @@ def _schema_eight_file(doc):
     for wall in doc["payload"]["walls"]:
         for member in wall["members"]:
             facets = graph.nodes[member[0]].facets
-            member[1] = sorted(facets, key=sorted).index(facets[member[1]])
+            member[1] = sorted(facets, key=face_indices).index(
+                facets[member[1]])
     doc["schema_version"] = 8
 
 
@@ -706,6 +714,50 @@ def test_wall_face_on_the_boundary_exit_three(cache, capsys, optimize):
         "a facet of the node's domain" in result.stderr
 
 
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+@pytest.mark.parametrize("node, edit", (
+    (0, lambda incident: incident[:1] + incident),
+    (1, lambda incident: incident[::-1])), ids=("doubled", "reversed"))
+def test_incident_list_out_of_order_exit_three(cache, capsys, optimize,
+                                               node, edit):
+    # An orbit record's facet is the increasing list of its indices:
+    # node 0's first record of a re-hashed rank-4 sl graph file with its
+    # first index doubled, or node 1's reversed, names the same facet in
+    # another list, and the load refuses it, under -O too.
+    run(capsys, "perfect", "--n", "4", "--group", "sl", "--cache-dir", cache)
+    path = os.path.join(cache, "graph-n4-sl.json")
+
+    def reordered(doc):
+        record = doc["payload"]["nodes"][node]["orbits"][0]
+        record["incident"] = edit(record["incident"])
+    _tamper(path, reordered)
+    result = run_python("-m", "vorcycle", "verify", "--n", "4", "--group",
+                        "sl", "--cache-dir", cache, optimize=optimize)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "verified" not in result.stdout
+    assert f"{path}: payload.nodes[{node}].orbits[0].incident is not a " \
+        "strictly increasing list of indices in 0.." in result.stderr
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+@pytest.mark.parametrize("kind", ("graph", "complex"))
+def test_unreadable_cache_file_exit_three(cache, optimize, kind):
+    # A directory at the path of the graph or the complex file cannot
+    # be read: the run refuses it as a corrupt cache, naming the file,
+    # under -O too, and writes no verdict.
+    path = os.path.join(cache, f"{kind}-n2-sl.json")
+    os.makedirs(path)
+    result = run_python("-m", "vorcycle", "verify", "--n", "2", "--group",
+                        "sl", "--cache-dir", cache, optimize=optimize)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert f"{path}: cannot be read" in result.stderr
+    assert not os.path.exists(os.path.join(cache, "verdict-n2-sl.json"))
+
+
 def _orbit_of(graph_path, parent, face):
     """The position of the orbit record that facet `face` of node
     `parent` of the graph file at `graph_path` belongs to."""
@@ -749,7 +801,7 @@ def test_orbit_record_off_its_first_facet_exit_three(cache, capsys,
     run(capsys, "perfect", "--n", "4", "--group", "sl", "--cache-dir", cache)
     path = os.path.join(cache, "graph-n4-sl.json")
     facets = graph_from_payload(load_payload(path)).nodes[1].facets
-    last = sorted(facets[facets.orbits[0][-1]])
+    last = face_indices(facets[facets.orbits[0][-1]])
 
     def moved(doc):
         doc["payload"]["nodes"][1]["orbits"][0]["incident"] = last
@@ -825,7 +877,7 @@ def _graph_schema_seven_file(doc):
     for i, (node, rec) in enumerate(zip(graph.nodes,
                                         doc["payload"]["nodes"])):
         del rec["orbits"]
-        rec["facets"] = [{"incident": sorted(facet),
+        rec["facets"] = [{"incident": face_indices(facet),
                           "neighbor": facet_edge(graph, i, k).neighbor,
                           "witness": [list(row) for row in
                                       facet_edge(graph, i, k).witness.rows]}
@@ -846,7 +898,7 @@ def _graph_schema_six_file(doc):
         node["min_vectors"] = [list(v) for v in mv.vectors]
         for facet in node["facets"]:
             facet["normal"] = [list(row) for row in facet_normal(
-                mv.vectors, frozenset(facet["incident"]))]
+                mv.vectors, face_mask(facet["incident"]))]
     doc["schema_version"] = 6
 
 

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from conftest import (
     brute_facets,
     cached_graph,
+    face_mask,
     faces_of_codim,
     random_unimodular,
     trace_pair,
@@ -20,6 +21,7 @@ from vorcycle.cones import (
     NotFullDim,
     _dd_dual_rays,
     build_cone,
+    face_indices,
     face_vectors,
     facet_closure,
     facet_normal,
@@ -62,7 +64,7 @@ def test_hexagonal_domain_three_rays_three_facets():
     assert len(mv.vectors) == 3
     assert len(facets) == 3
     for facet in facets:
-        assert type(facet) is frozenset and len(facet) == 2
+        assert type(facet) is int and facet.bit_count() == 2
 
 
 def test_a3_domain_six_rays_six_facets():
@@ -70,7 +72,7 @@ def test_a3_domain_six_rays_six_facets():
     assert len(mv.vectors) == 6
     assert len(facets) == 6
     # The facets are ordered by their sorted incidence lists.
-    assert list(facets) == sorted(facets, key=sorted)
+    assert list(facets) == sorted(facets, key=face_indices)
 
 
 def test_identity_form_rays_not_full_dim():
@@ -86,7 +88,7 @@ def test_facet_normals_vanish_on_incident_positive_elsewhere():
             normal = facet_normal(mv.vectors, facet)
             for i, v in enumerate(mv.vectors):
                 val = trace_pair(normal, rank_one(v))
-                if i in facet:
+                if facet >> i & 1:
                     assert val == 0
                 else:
                     assert val > 0
@@ -112,8 +114,8 @@ def test_facet_normal_is_the_double_description_normal(n):
 def test_facet_normal_refuses_a_face_that_is_no_facet():
     mv, facets = domain_of(a_n_gram(3))
     ridge = facets[0] & next(f for f in facets[1:]
-                             if len(facets[0] & f) == 4)
-    for face in (frozenset(), ridge, frozenset(range(len(mv.vectors)))):
+                             if (facets[0] & f).bit_count() == 4)
+    for face in (0, ridge, (1 << len(mv.vectors)) - 1):
         with pytest.raises(ValueError, match="do not describe a facet"):
             facet_normal(mv.vectors, face)
 
@@ -122,7 +124,8 @@ def test_facet_incident_rays_span_hyperplane():
     for gram in (HEXAGONAL, a_n_gram(3), d_n_gram(4)):
         mv, facets = domain_of(gram)
         for facet in facets:
-            flats = [sym_flatten(rank_one(mv.vectors[i])) for i in facet]
+            flats = [sym_flatten(rank_one(v))
+                     for v in face_vectors(mv.vectors, facet)]
             assert mat_rank(flats) == sym_dim(len(gram)) - 1
 
 
@@ -140,7 +143,7 @@ def test_double_description_matches_brute_force(gram):
 
 def test_faces_of_codim_counts_simplicial():
     mv, facets = domain_of(a_n_gram(3))
-    assert faces_of_codim(mv.vectors, facets, 0) == [frozenset(range(6))]
+    assert faces_of_codim(mv.vectors, facets, 0) == [0b111111]
     assert len(faces_of_codim(mv.vectors, facets, 1)) == 6
     assert len(faces_of_codim(mv.vectors, facets, 2)) == 15
     with pytest.raises(ValueError):
@@ -151,8 +154,8 @@ def test_faces_of_codim_nonsimplicial_consistent():
     mv, facets = domain_of(d_n_gram(4))
     assert set(faces_of_codim(mv.vectors, facets, 1)) == set(facets)
     for face in faces_of_codim(mv.vectors, facets, 2):
-        assert mat_rank([sym_flatten(rank_one(mv.vectors[i]))
-                         for i in face]) == sym_dim(4) - 2
+        assert mat_rank([sym_flatten(rank_one(v)) for v in face_vectors(
+            mv.vectors, face)]) == sym_dim(4) - 2
 
 
 def test_meets_boundary():
@@ -175,7 +178,7 @@ def test_subcone_facets_of_a_facet():
     mv, facets = domain_of(HEXAGONAL)
     face = face_vectors(mv.vectors, facets[0])
     # A 2-dimensional subcone has two extreme-ray facets.
-    assert list(subcone_facets(face)) == [frozenset({0}), frozenset({1})]
+    assert list(subcone_facets(face)) == [0b01, 0b10]
 
 
 def test_subcone_facets_refuse_a_dual_ray_that_is_no_facet(monkeypatch):
@@ -187,7 +190,7 @@ def test_subcone_facets_refuse_a_dual_ray_that_is_no_facet(monkeypatch):
 
     def one_ray_too_few(rows, weights):
         (y, active), *rest = real(rows, weights)
-        return [(y, frozenset(sorted(active)[1:]))] + rest
+        return [(y, active & (active - 1))] + rest
 
     monkeypatch.setattr(cones, "_dd_dual_rays", one_ray_too_few)
     for build, vectors in ((subcone_facets, face),
@@ -204,7 +207,8 @@ def test_subcone_facets_match_full_cone_codim2():
     # Each facet of the facet-cone is a codim-2 face of the big cone.
     codim2 = set(faces_of_codim(mv.vectors, facets, 2))
     for s in sub:
-        global_idx = frozenset(mv.vectors.index(face_vecs[i]) for i in s)
+        global_idx = face_mask(mv.vectors.index(v)
+                               for v in face_vectors(face_vecs, s))
         assert global_idx in codim2
 
 
@@ -221,7 +225,7 @@ def brute_dual_rays(rows):
         for z in (y, tuple(-t for t in y)):
             vals = [sum(a * b for a, b in zip(r, z)) for r in rows]
             if all(v >= 0 for v in vals):
-                found[z] = frozenset(i for i, v in enumerate(vals) if v == 0)
+                found[z] = face_mask(i for i, v in enumerate(vals) if v == 0)
     return found
 
 
@@ -291,7 +295,7 @@ def test_symmetric_cone_matches_the_trivial_group(case):
     facets = build(vectors, gens)
     trivial = build(vectors)
     assert set(facets) == set(trivial) and len(facets) == len(trivial)
-    assert list(trivial) == sorted(trivial, key=sorted)
+    assert list(trivial) == sorted(trivial, key=face_indices)
     assert len(facets.orbits) < len(facets)
     assert sorted(k for orbit in facets.orbits for k in orbit) == \
         list(range(len(facets)))
@@ -327,7 +331,7 @@ def test_build_cone_certifies_one_facet_and_one_ray_per_orbit(monkeypatch):
                         real(*args, **kwargs))
     facets = build_cone(vectors, gens)
     _, ray_orbits, _ = orbit_decompose(
-        vectors, [(i,) for i in range(len(vectors))], gens)
+        vectors, [1 << i for i in range(len(vectors))], gens)
     assert len(calls) == 1 + len(facets.orbits) + len(ray_orbits)
     assert len(ray_orbits) == 1
     calls.clear()
@@ -336,9 +340,9 @@ def test_build_cone_certifies_one_facet_and_one_ray_per_orbit(monkeypatch):
 
 
 def test_each_facet_is_the_double_description_object(monkeypatch):
-    # The orbit walk reaches every facet of D5's domain as the frozenset
-    # that the double description returned, so a cone holds each facet
-    # once, not a second copy made by the walk.
+    # The orbit walk reaches every facet of D5's domain once, as the
+    # bitmask that the double description returned, and starts each
+    # orbit at the first of its facets in the double description's list.
     form = QForm.from_matrix(d_n_gram(5))
     mv = minimum_and_minimal_vectors(form)
     real = cones._dd_dual_rays
@@ -352,8 +356,10 @@ def test_each_facet_is_the_double_description_object(monkeypatch):
     facets = build_cone(mv.vectors, form_group(form, mv.vectors)[0])
     assert len(facets) == len(listed) == 400
     assert len(facets.orbits) == 4
-    same = {active: active for _, active in listed}
-    assert all(facet is same[facet] for facet in facets)
+    assert sorted(facets) == sorted(active for _, active in listed)
+    first = {active: k for k, (_, active) in enumerate(listed)}
+    assert [first[facets[o[0]]] for o in facets.orbits] == \
+        [min(first[facets[k]] for k in o) for o in facets.orbits]
 
 
 @pytest.mark.parametrize("case", range(2), ids=SYMMETRIC_IDS)
@@ -452,7 +458,7 @@ def test_seed_duals_match_fraction_inverse(rows):
     for j in range(dim):
         col = primitive_fraction([inv[r][j] for r in range(dim)])
         assert col == clear_denominators([inv[r][j] for r in range(dim)])
-        expected[col] = frozenset(range(dim)) - {j}
+        expected[col] = ((1 << dim) - 1) ^ (1 << j)
     assert dict(_dd_dual_rays(rows, rows)) == expected
 
 
@@ -468,9 +474,9 @@ def reference_subcone_facets(vectors):
     if len(basis) == 1:
         return []
     local = [primitive_fraction(solve_in_span(basis, f)) for f in flats]
-    out = {frozenset(active) for _, active in _dd_dual_rays(local, local)
-           if mat_rank([local[i] for i in active]) == len(basis) - 1}
-    return sorted(out, key=lambda s: tuple(sorted(s)))
+    out = {active for _, active in _dd_dual_rays(local, local)
+           if mat_rank(face_vectors(local, active)) == len(basis) - 1}
+    return sorted(out, key=face_indices)
 
 
 @given(st.sets(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
@@ -491,6 +497,6 @@ def test_subcone_facets_match_fraction_coordinates(gram):
         face = face_vectors(mv.vectors, facet)
         assert list(subcone_facets(face)) == reference_subcone_facets(face)
         for sub in subcone_facets(face)[:3]:
-            ridge = tuple(face[i] for i in sub)
+            ridge = face_vectors(face, sub)
             assert list(subcone_facets(ridge)) == \
                 reference_subcone_facets(ridge)

@@ -6,6 +6,7 @@ from conftest import (
     cached_complex,
     cached_graph,
     closure,
+    face_mask,
     facet_edges,
     random_unimodular,
     run_python,
@@ -149,7 +150,7 @@ def test_neighbor_rejects_boundary_face():
     q = QForm.from_matrix(HEXAGONAL)
     mv = minimum_and_minimal_vectors(q)
     with pytest.raises(BoundaryFacet):
-        neighbor_form(q, mv, frozenset({0}))
+        neighbor_form(q, mv, 0b1)
 
 
 # The walk's D6 representative (the neighbour of A6) and a facet of its
@@ -170,7 +171,7 @@ def test_rank_six_crossing_ends_within_a_probe_bound(monkeypatch):
     assert min(values) == 0 and all(val >= 0 for val in values)
     # The incident vectors are the minimal vectors on which N vanishes,
     # and N is the normal recovered from them.
-    facet = frozenset(i for i, val in enumerate(values) if val == 0)
+    facet = face_mask(i for i, val in enumerate(values) if val == 0)
     assert facet_normal(mv.vectors, facet) == D6_NORMAL
     probes = []
 
@@ -184,7 +185,7 @@ def test_rank_six_crossing_ends_within_a_probe_bound(monkeypatch):
     monkeypatch.setattr(enumeration, "is_positive_definite", counting)
     nb = neighbor_form(form, mv, facet)
     nb_mv = minimum_and_minimal_vectors(nb)
-    face = {mv.vectors[i] for i in facet}
+    face = set(face_vectors(mv.vectors, facet))
     assert face <= set(nb_mv.vectors)
     assert set(nb_mv.vectors) - face
     assert is_perfect(nb, nb_mv)

@@ -309,9 +309,9 @@ def test_orbit_decompose_rejects_keys_not_permuted():
     # (cones refuse a facet list that is not closed).
     swap = GroupElement.from_matrix(((0, 1), (1, 0)))
     with pytest.raises(ValueError, match="does not permute the faces"):
-        orbit_decompose(((1, 0),), [(0,)], [swap])
-    assert orbit_decompose(((0, 1), (1, 0)), [(0,)], [swap]) == \
-        ([frozenset({0}), frozenset({1})], (range(2),), (None, (0, 0)))
+        orbit_decompose(((1, 0),), [0b1], [swap])
+    assert orbit_decompose(((0, 1), (1, 0)), [0b1], [swap]) == \
+        ([0b01, 0b10], (range(2),), (None, (0, 0)))
 
 
 def e_n_gram(n):
