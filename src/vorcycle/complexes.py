@@ -10,9 +10,9 @@ Orientation bookkeeping follows one convention throughout:
 * the span of a top cell is the whole flattened form space and carries
   the standard coordinate orientation;
 * each lower representative carries the orientation induced by the cell
-  containing it (the sign of representative-basis plus one extra ray of
-  the parent, computed inside the parent span, is normalized to +1);
-* a translate g.cell carries the pushed-forward basis g.B, which is
+  containing it: a basis of its span followed by one extra ray of the
+  parent is positive in the parent span;
+* a translate g.cell carries the pushed-forward orientation, which is
   well defined exactly for the kept representatives.
 
 With that convention the transport sign between a representative and
@@ -25,20 +25,23 @@ per level (`_build_level`) matches every face orbit once and reads
 both the classes and these numbers off that matching.  No case split
 is made for self-glued walls; their cancellation falls out of the sum.
 
-Orientation signs are integer determinants, few of them of form-space
-size.  A parent span is completed once by standard coordinate vectors
-(its reference sign is one determinant; a top cell needs none), and a
-child class is oriented by one more: its basis B plus rows Y, a parent
-ray off the face and the parent's completion.  Every other sign is read
-off the k normals N of the class's span (k = 1 for a wall, 2 at
-codimension two), one kernel per class.  For any k rows Z, det[B; Z]
-is a constant times det[<N_i, Z_j>], <.,.> the dot product of
-flattened coordinates, and the map Y -> t Y t^T has determinant
-det(t)^(n+1) on form space.  So det[t B; Y], the sign of one face under
-a transporter t or of a stabilizer generator's kept test, has the sign
-of det(t)^(n+1) times the k x k determinant of the pairings
-<N_i, t^-1 Y_j>, once the normals are oriented to make the constant
-positive.
+Every span is oriented by its normals alone.  The k normals N of a
+span of codimension k (none for a top cell, one for a wall, two at
+codimension two) are one kernel of the flats of its rays, and they
+orient the bases B of the span by the sign of det[B; N].  For any k
+rows Z, det[B; Z] is a constant times det[<N_i, Z_j>], <.,.> the dot
+product of flattened coordinates; with Z = N that is a positive
+multiple of the Gram determinant of N, so B is positive exactly when
+the constant is.  A class takes the orientation its parent induces by
+one choice of sign of its first normal, the one that makes
+det[<N_i, Y_j>] positive for Y a parent ray off the face followed by
+the parent's normals: then every basis that N orients, followed by that
+ray, is positive against the parent's normals.  The map Y -> t Y t^T has
+determinant det(t)^(n+1) on form space, so det[t B; Y], the sign of one
+face under a transporter t or of a stabilizer generator's kept test,
+has the sign of det(t)^(n+1) times the k x k determinant of the
+pairings <N_i, t^-1 Y_j>.  No determinant of form-space size is taken
+and no basis is stored.
 """
 
 from operator import mul
@@ -51,14 +54,12 @@ from .isometry import cell_group, cell_maps
 from .linalg import (
     det_sign,
     identity_matrix,
-    independent_rows,
     kernel_basis,
     mat_mul,
     mat_transpose,
     sym_dim,
     sym_flatten,
     sym_unflatten,
-    unit_completion,
 )
 
 
@@ -83,8 +84,7 @@ class CellOrbitRec(NamedTuple):
     members: tuple           # (parent_index, face_index) per member
     generators: tuple        # generate the stabilizer in the chosen group
     stab_order: int
-    basis: tuple             # oriented basis of the span
-    normals: tuple           # normals of the span, oriented with it
+    normals: tuple           # oriented normals of the span
     orientation_kept: bool
     kind: str                # walls: "self" or "non_self"; else ""
     label: str
@@ -137,31 +137,17 @@ class _ParentView:
     stabilizer), `faces[k]` the sorted vectors of facet k, their
     `orbits` (facet indices, representative first), and
     `transporter(k)`, which carries the representative of facet k's
-    orbit onto facet k.  `basis` orients its span (None for a top
-    cell)."""
+    orbit onto facet k.  `completion` holds the oriented normals of its
+    span, which complete any basis of it to the form space: none for a
+    top cell, the wall's own for a wall."""
 
-    def __init__(self, vectors, basis, facets=Facets(), cell=""):
+    def __init__(self, vectors, normals=(), facets=Facets(), cell=""):
         self.cell = cell
         self.vectors = vectors
-        self.basis = basis
+        self.completion = normals
         self.faces = tuple(face_vectors(vectors, f) for f in facets)
         self.orbits = facets.orbits
         self.transporter = facets.transporter
-        self.dim = sym_dim(len(vectors[0])) if basis is None else len(basis)
-        if basis is None:
-            self.completion = ()
-            self.ref_sign = 1
-        else:
-            # An independent basis and its unit completion are a square
-            # matrix of full rank, so the reference sign is never 0.
-            self.completion = tuple(unit_completion(basis))
-            if len(basis) + len(self.completion) != len(basis[0]):
-                raise WallNotGlued(f"the basis of {cell} is not independent")
-            self.ref_sign = det_sign(list(basis) + list(self.completion))
-
-    def oriented_sign(self, rows):
-        """Orientation of `rows` (inside the parent span) vs the parent."""
-        return det_sign(list(rows) + list(self.completion)) * self.ref_sign
 
 
 class WallNotGlued(ValueError):
@@ -190,43 +176,39 @@ def _moved_sign(normals, back, rows, n, cell):
 
 def class_record(view, parent, face_index, vectors, members, det_one):
     """The class of face `face_index` (`vectors`) of cell `parent`, seen
-    as `view`: its stabilizer, its basis oriented as the parent induces
-    with the normals of its span, and whether a stabilizer element
-    reverses it."""
-    # The greedy basis of the span of the face's rank-one flats, and
-    # one parent ray off the face, which completes it to the parent span.
-    flats = [sym_flatten(rank_one(v)) for v in vectors]
-    picked = independent_rows(flats, ())
-    basis = tuple(flats[i] for i in picked)
+    as `view`: its stabilizer, the normals of its span oriented as the
+    parent induces, and whether a stabilizer element reverses that
+    orientation.  Raises WallNotGlued unless the face is a facet of the
+    parent off the boundary."""
+    # The normals of the span of the face's rank-one flats, and the rows
+    # that complete it in the form space: one parent ray off the face
+    # and the parent's normals.
     face = set(vectors)
     extra = next((v for v in view.vectors if v not in face), None)
-    off = () if extra is None else (sym_flatten(rank_one(extra)),)
-    sign = 0 if not off or len(basis) != view.dim - 1 or \
-        meets_boundary(vectors) else view.oriented_sign(basis + off)
-    if sign == 0:
+    at_rep = 0
+    if extra is not None and not meets_boundary(vectors):
+        normals = kernel_basis([sym_flatten(rank_one(v)) for v in vectors])
+        rows = (sym_flatten(rank_one(extra)),) + view.completion
+        if len(normals) == len(rows):
+            at_rep = _pairing_sign(normals, rows)
+    if at_rep == 0:
         raise WallNotGlued(f"face {face_index} of cell {parent} is not a "
                            f"facet off the boundary")
     gens, order = cell_group(vectors, det_one=det_one)
-    # The normals of the span, and the rows that complete it in the
-    # form space: the ray off the face and the parent's completion.
-    normals = kernel_basis(list(basis))
-    rows = off + view.completion
-    at_rep = _pairing_sign(normals, rows)
     # The transport sign is a character of the stabilizer, so a
     # generating set decides whether anything reverses, and g reverses
     # exactly when g^-1 does: when det[g^-1 B; rows] and det[B; rows]
     # differ in sign.
     kept = all(_moved_sign(normals, g, rows, len(vectors[0]), view.cell)
                == at_rep for g in gens)
-    if sign < 0:
-        basis = (tuple(-x for x in basis[0]),) + basis[1:]
-    # Now det[B; rows] has the sign ref_sign; the normals are oriented
-    # so that det[<N_i, rows_j>] has it too.
-    if at_rep != view.ref_sign:
+    # Oriented, the normals make det[<N_i, rows_j>] positive: a basis
+    # they orient, followed by the ray off the face, is positive against
+    # the parent's normals.
+    if at_rep < 0:
         normals = [tuple(-x for x in normals[0])] + normals[1:]
     return CellOrbitRec(
         vectors=vectors, parent=parent, face_index=face_index,
-        members=members, generators=gens, stab_order=order, basis=basis,
+        members=members, generators=gens, stab_order=order,
         normals=tuple(normals), orientation_kept=kept, kind="", label="")
 
 
@@ -307,9 +289,10 @@ def induced_sign(parent_view, child, member_vectors, back, n):
 
     `back` carries the concrete face onto the representative of the
     class `child` (WallNotGlued otherwise).  Its inverse pushes the
-    representative's basis forward onto the face, and that basis plus a
-    parent ray off the face orients the parent span, a sign read off
-    the child's normals (see the module docstring).
+    representative's orientation forward onto the face, and that
+    orientation followed by a parent ray off the face is compared with
+    the parent's, a sign read off the child's normals (see the module
+    docstring).
     """
     if apply_to_cell(back, member_vectors) != child.vectors:
         raise WallNotGlued(f"the transporter does not carry the face "
@@ -317,8 +300,7 @@ def induced_sign(parent_view, child, member_vectors, back, n):
     member_set = set(member_vectors)
     extra = next(v for v in parent_view.vectors if v not in member_set)
     rows = (sym_flatten(rank_one(extra)),) + parent_view.completion
-    return parent_view.ref_sign * _moved_sign(
-        child.normals, back, rows, n, parent_view.cell)
+    return _moved_sign(child.normals, back, rows, n, parent_view.cell)
 
 
 def is_orientation_preserving(group_kind, n):
@@ -374,13 +356,13 @@ def _node_view(graph, i):
     """Node i of `graph` as a parent, with the facet orbits that the
     walk or the cache load decomposed."""
     node = graph.nodes[i]
-    return _ParentView(node.minvecs.vectors, None, node.facets, f"node {i}")
+    return _ParentView(node.minvecs.vectors, (), node.facets, f"node {i}")
 
 
 def _wall_view(w):
-    """Wall `w` as a parent: its facets, certified per orbit of its
-    stabilizer."""
-    return _ParentView(w.vectors, w.basis,
+    """Wall `w` as a parent: its normals, and its facets, certified per
+    orbit of its stabilizer."""
+    return _ParentView(w.vectors, w.normals,
                        subcone_facets(w.vectors, w.generators), w.label)
 
 

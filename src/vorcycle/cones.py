@@ -4,15 +4,18 @@ A cell of the tessellation is the cone spanned by the rank-one matrices
 x x^t of its generating vectors (one per antipodal pair).  A face is
 the set of rays it contains, an int with bit i set when sorted vector
 i is in it.  Facets are enumerated by the double description method
-run in exact integer arithmetic: the facet normals of cone(R) are the
-extreme rays of the dual cone {y : <y, r> >= 0 for all r in R}, built
-by inserting the inequalities one at a time starting from a simplicial
-subcone.  Two dual rays are adjacent when no third one is active on
-every input ray active on both; with on[i] the bitset of the dual rays
-active on input ray i, that is an AND of bitsets over their common
-active set (Fukuda and Prodon, "Double description method revisited",
-LNCS 1120, 1996).  The dual rays' bitsets of active input rays,
-complete once every inequality is in, are the facets.
+run in exact integer arithmetic: the facets of cone(R) are the active
+sets of the extreme rays of the dual cone {y : dot(y, r) >= 0 for all
+r in R}, taken under the plain dot product of flattenings (the dual
+under the trace pairing differs from it by a positive diagonal change
+of coordinates, which keeps every active set), built by inserting the
+inequalities one at a time starting from a simplicial subcone.  Two
+dual rays are adjacent when no third one is active on every input ray
+active on both; with on[i] the bitset of the dual rays active on input
+ray i, that is an AND of bitsets over their common active set (Fukuda
+and Prodon, "Double description method revisited", LNCS 1120, 1996).
+The dual rays' bitsets of active input rays, complete once every
+inequality is in, are the facets.
 
 The result is certified, and up to symmetry: the caller passes
 generators of a group that should map the cone onto itself (the cell's
@@ -120,15 +123,15 @@ def _dot(u, v):
     return sum(map(mul, u, v))
 
 
-def _dd_dual_rays(rows, weights):
-    """Extreme rays of {y : dot(weights[i], y) >= 0 for all i}.
+def _dd_dual_rays(rows):
+    """Extreme rays of the dual cone {y : dot(rows[i], y) >= 0 for all
+    i} of the cone of `rows`, under the plain dot product.
 
-    `rows` are the primal rays (used for the independence test of the
-    simplicial seed); `weights[i]` is the linear functional of ray i in
-    the coordinates of the dual vectors.  Requires the rows to span, so
-    the dual cone is pointed.  Returns (y, active) per extreme ray y,
-    with `active` the bitmask of the ray indices where y vanishes,
-    sorted by active set (`face_order`).
+    Requires the rows to span, so the dual cone is pointed.  Returns
+    (y, active) per extreme ray y, with `active` the bitmask of the row
+    indices where y vanishes, sorted by active set (`face_order`).  The
+    active sets are the cone's facets, whichever inner product the dual
+    is taken under.
 
     Adjacency is the combinatorial test (no third extreme ray's active
     set contains the common one; exact for pointed cones) run on
@@ -142,10 +145,10 @@ def _dd_dual_rays(rows, weights):
     seed = independent_rows(rows, ())
     if len(seed) < dim:
         raise NotFullDim("rays do not span the ambient space")
-    # Seed dual ray j is column j of W^-1, W the seed weights: the kernel
+    # Seed dual ray j is column j of W^-1, W the seed rows: the kernel
     # of [W | -I] has the vector (W^-1 e_j, e_j), up to scale, for its
     # free column dim + j.
-    augmented = [list(weights[i]) + [-int(r == j) for j in range(dim)]
+    augmented = [list(rows[i]) + [-int(r == j) for j in range(dim)]
                  for r, i in enumerate(seed)]
     seed_face = sum(1 << i for i in seed)
     duals = []
@@ -158,12 +161,12 @@ def _dd_dual_rays(rows, weights):
         # Insertion heuristic: cheapest cut first (fewest rays removed).
         scores = []
         for i in remaining:
-            w = weights[i]
+            w = rows[i]
             cut = sum(1 for y, _ in duals if _dot(w, y) < 0)
             scores.append((cut, i))
         _, idx = min(scores)
         remaining.remove(idx)
-        w = weights[idx]
+        w = rows[idx]
         bit = 1 << idx
         vals = [_dot(w, y) for y, _ in duals]
         if all(v >= 0 for v in vals):
@@ -254,8 +257,7 @@ def build_cone(vectors, generators=()):
         raise NotFullDim(
             f"rays span a {mat_rank(ray_flats)}-dimensional subspace of "
             f"dimension-{dim} form space")
-    weights = [pairing_weights(f, n) for f in ray_flats]
-    duals = _dd_dual_rays(ray_flats, weights)
+    duals = _dd_dual_rays(ray_flats)
     facets, ray_reps = _certified(vectors, ray_flats, duals, dim,
                                   generators)
     # Every listed ray must be extreme: the normals of the facets
@@ -347,8 +349,7 @@ def subcone_facets(vectors, generators=()):
     for i, vec in enumerate(kernel_basis(matrix)):
         scale = -1 if vec[dim + i] > 0 else 1
         local.append(primitive(tuple(scale * x for x in vec[:dim])))
-    # In local coordinates the pairing is the plain dot product.
-    duals = _dd_dual_rays(local, local)
+    duals = _dd_dual_rays(local)
     return _certified(vectors, local, duals, dim, generators)[0]
 
 

@@ -233,7 +233,7 @@ class GroupElement(NamedTuple):
         return len(self.rows)
 
     def inverse(self):
-        adj = adjugate(self.rows)
+        adj, _ = adjugate(self.rows)
         if self.det == 1:
             return GroupElement(rows=adj, det=1)
         return GroupElement(

@@ -63,13 +63,6 @@ def barycenter_matrix(vectors):
     return mat_mul(mat_transpose(vectors), vectors)
 
 
-def _adjugate_and_det(rows):
-    """adj(A) and det(A), the latter read off the adjugate's first
-    column: A adj(A) = det(A) I, so det(A) = sum_j A[0][j] adj(A)[j][0]."""
-    adj = adjugate(rows)
-    return adj, sum(a * r[0] for a, r in zip(rows[0], adj))
-
-
 def _independent_base(vectors):
     base = independent_rows(vectors, ())
     if len(base) != len(vectors[0]):
@@ -89,7 +82,7 @@ class _Search:
     def __init__(self, src, dst, src_pair, dst_pair, accept, det_one):
         self.base = [src[i] for i in _independent_base(src)]
         # Columns of X are the base vectors; candidate g = Y adj(X) / det(X).
-        x_adj, self.x_det = _adjugate_and_det(tuple(zip(*self.base)))
+        x_adj, self.x_det = adjugate(tuple(zip(*self.base)))
         self.x_adj_cols = tuple(zip(*x_adj))
         # The signed vectors are the pairs +-u of `dst`: the table is
         # built from one triangle of the pairings of the u, with signs.
@@ -239,9 +232,9 @@ def _chain(search):
 def _cell_search(src, dst, det_one):
     """The search for maps of cell `src` onto cell `dst`, or None when
     their barycenter determinants already differ."""
-    adj_src, det_src = _adjugate_and_det(barycenter_matrix(src))
+    adj_src, det_src = adjugate(barycenter_matrix(src))
     adj_dst, det_dst = (adj_src, det_src) if dst == src else \
-        _adjugate_and_det(barycenter_matrix(dst))
+        adjugate(barycenter_matrix(dst))
     if det_src != det_dst:
         return None
     dst_set = set(dst)

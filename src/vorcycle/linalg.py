@@ -5,16 +5,20 @@ determinant signs, orientations, positive definiteness) is computed
 here in exact integer arithmetic, by one fraction-free elimination
 (`echelon`): rows enter one at a time, each is reduced against the pivot
 rows so far, and what is left becomes a pivot row.  `mat_rank`,
-`det_int`, `adjugate`, `kernel_basis` and `independent_rows` read their
-answers off it, and `forms` reads the leading principal minors of a
-Gram matrix off it.  Rational input rows are scaled to integer rows
-first.  No floating point enters any code path.
+`det_int`, `adjugate` (with the determinant it scales by),
+`kernel_basis` and `independent_rows` read their answers off it, and
+`forms` reads the leading principal minors of a Gram matrix off it.
+Rational input rows are scaled to integer rows first.  No floating
+point enters any code path.
 
 Symmetric matrices are identified with coordinate vectors through the
 upper-triangle flattening (index pairs i <= j in row-major order,
 off-diagonal entries NOT doubled).  That flattening is a coordinate
 choice only; the inner product on symmetric matrices is the trace form
 tr(A*B), which `pairing_weights` turns into a dot product of flattenings.
+Where only a cone's combinatorics or a span's orientation is read (the
+double description's dual rays, the normals of a span), the plain dot
+product of flattenings serves as well.
 
 Signs are plain ints in {-1, 0, +1}.
 """
@@ -203,8 +207,8 @@ def identity_matrix(n):
 
 
 def adjugate(rows):
-    """Adjugate of a nonsingular square integer matrix A, so A * adj =
-    det(A) * I; raises ValueError when A is singular.
+    """(adj(A), det(A)) for a nonsingular square integer matrix A, so
+    A * adj = det(A) * I; raises ValueError when A is singular.
 
     One `echelon` of [A | I] leaves pivot rows [U | M], U = M A, row k
     of U zero on the pivot columns before its own: U adj = det(A) M is
@@ -226,7 +230,7 @@ def adjugate(rows):
             if q[c_later]:
                 acc = [x - q[c_later] * y for x, y in zip(acc, adj[c_later])]
         adj[c] = tuple(x // q[c] for x in acc)
-    return tuple(adj)
+    return tuple(adj), det
 
 
 def independent_rows(candidates, start):
@@ -241,13 +245,6 @@ def independent_rows(candidates, start):
     k = len(start)
     _, kept = echelon(_as_int_rows(list(start) + list(candidates)))
     return [i - k for i in kept if i >= k]
-
-
-def unit_completion(basis):
-    """The standard unit vectors that the greedy rule adds to the
-    independent rows `basis` to span the whole space."""
-    units = identity_matrix(len(basis[0])) if basis else ()
-    return [units[j] for j in independent_rows(units, basis)]
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from vorcycle.persistence import canonical_dumps
 from vorcycle.tessellation import IndexOutOfRange, TessVerdict, _same_line
 from vorcycle.linalg import (
     det_sign,
+    identity_matrix,
+    independent_rows,
     kernel_basis,
     mat_mul,
     mat_rank,
@@ -41,7 +43,6 @@ from vorcycle.linalg import (
     pairing_weights,
     sym_dim,
     sym_flatten,
-    unit_completion,
 )
 
 
@@ -219,6 +220,13 @@ def trace_pair(a, b):
         for j in range(i + 1, n):
             total += 2 * a[i][j] * b[i][j]
     return total
+
+
+def unit_completion(basis):
+    """The standard unit vectors that the greedy rule adds to the
+    independent rows `basis` to span the whole space."""
+    units = identity_matrix(len(basis[0])) if basis else ()
+    return [units[j] for j in independent_rows(units, basis)]
 
 
 class SpanMismatch(ValueError):
@@ -545,15 +553,29 @@ class WitnessMismatch(ValueError):
     """The claimed group element does not map the cell to the translate."""
 
 
+def greedy_basis(vectors):
+    """Reference: a basis of the span of the rank-one flats of
+    `vectors`, each flat kept when it raises the rank of those kept
+    before it."""
+    basis = []
+    for v in vectors:
+        flat = sym_flatten(rank_one(v))
+        if mat_rank(basis + [flat]) > len(basis):
+            basis.append(flat)
+    return basis
+
+
 def transport_sign(child, translate_vectors, translate_basis, witness, n):
-    """Reference: orientation carried by a witness from a representative
-    to a translate; raises WitnessMismatch if the witness does not map
-    the representative onto the translate."""
+    """Reference: orientation carried by a witness from a representative,
+    with its `greedy_basis`, to a translate with `translate_basis`;
+    raises WitnessMismatch if the witness does not map the
+    representative onto the translate."""
     if apply_to_cell(witness, child.vectors) != \
             tuple(sorted(translate_vectors)):
         raise WitnessMismatch("witness does not carry the cell to the "
                               "translate")
-    moved = [transport_flat(witness, b, n) for b in child.basis]
+    moved = [transport_flat(witness, b, n)
+             for b in greedy_basis(child.vectors)]
     return relative_orientation(list(translate_basis), moved)
 
 
@@ -647,28 +669,71 @@ def kept_wall_views(cx):
     return [_wall_view(cx.walls[i]) for i in cx.kept_walls]
 
 
-def determinant_sign(view, child, member_vectors, transporter, n):
+def oriented_basis(frame, parent_vectors, vectors):
+    """Reference: the `greedy_basis` of a face `vectors` of the cell
+    `parent_vectors`, whose span has the oriented basis `frame`, with
+    the orientation the cell induces: followed by a flat of a cell ray
+    off the face, it has the orientation of `frame`, by unit-completion
+    determinants (`relative_orientation`)."""
+    basis = greedy_basis(vectors)
+    extra = next(v for v in parent_vectors if v not in set(vectors))
+    if relative_orientation(frame, basis + [sym_flatten(rank_one(extra))]) \
+            < 0:
+        basis[0] = tuple(-x for x in basis[0])
+    return basis
+
+
+def top_frames(graph):
+    """Reference: the oriented basis of every top cell's span, the
+    standard coordinates of the form space."""
+    return [identity_matrix(sym_dim(graph.n))] * len(graph.nodes)
+
+
+def class_frames(parents, frames, children):
+    """Reference: the oriented basis of every class of `children` at its
+    representative, a face of parents[child.parent], whose span has the
+    oriented basis frames[child.parent]."""
+    return [oriented_basis(frames[c.parent], parents[c.parent].vectors,
+                           c.vectors) for c in children]
+
+
+def kept_wall_frames(cx):
+    """Reference: the oriented basis of every kept wall, in the order of
+    `kept_wall_views`, as the top cell of its representative induces."""
+    walls = [cx.walls[i] for i in cx.kept_walls]
+    return class_frames([node.minvecs for node in cx.graph.nodes],
+                        top_frames(cx.graph), walls)
+
+
+def determinant_sign(view, frame, child, basis, member_vectors, transporter,
+                     n):
     """Reference: the induced-orientation sign of one face against its
-    parent as one determinant of the parent's size: the child's basis
-    pushed forward by `transporter` (`transport_flat`), plus a parent
-    ray off the face, oriented against the parent (`oriented_sign`)."""
+    parent `view`, whose span has the oriented basis `frame`, by
+    determinants of the parent's size: the oriented basis `basis` of
+    the class `child` at its representative, pushed forward by
+    `transporter` (`transport_flat`), followed by a parent ray off the
+    face, against `frame` (`relative_orientation`)."""
     assert apply_to_cell(transporter, child.vectors) == tuple(member_vectors)
-    moved = [transport_flat(transporter, b, n) for b in child.basis]
+    moved = [transport_flat(transporter, b, n) for b in basis]
     extra = next(v for v in view.vectors if v not in set(member_vectors))
-    return view.oriented_sign(moved + [sym_flatten(rank_one(extra))])
+    return relative_orientation(frame, moved + [sym_flatten(rank_one(extra))])
 
 
-def sign_pairs(parents, children, n, det_one):
+def sign_pairs(parents, frames, children, n, det_one):
     """Pairs (`induced_sign`, `determinant_sign`) of the classes
-    `children` of the faces of `parents`: for every stabilizer
-    generator g of each class, at its representative, and for every
-    member orbit, at the orbit's first face with a transporter from the
-    representative found by a second matching."""
-    for child in children:
-        view = parents[child.parent]
+    `children` of the faces of `parents`, whose spans have the oriented
+    bases `frames`: for every stabilizer generator g of each class, at
+    its representative, and for every member orbit, at the orbit's
+    first face with a transporter from the representative found by a
+    second matching.  `determinant_sign` reads no orientation of the
+    pipeline's: each class's basis is its own `class_frames`."""
+    for child, basis in zip(children,
+                            class_frames(parents, frames, children)):
+        view, frame = parents[child.parent], frames[child.parent]
         for g in child.generators:
             yield (induced_sign(view, child, child.vectors, g.inverse(), n),
-                   determinant_sign(view, child, child.vectors, g, n))
+                   determinant_sign(view, frame, child, basis, child.vectors,
+                                    g, n))
         firsts = {(p, next(o for o in parents[p].orbits if f in o)[0])
                   for p, f in child.members}
         for p, k in sorted(firsts):
@@ -676,16 +741,19 @@ def sign_pairs(parents, children, n, det_one):
             t, = cell_maps(child.vectors, view.faces[k], det_one=det_one,
                            first_only=True)
             yield (induced_sign(view, child, view.faces[k], t.inverse(), n),
-                   determinant_sign(view, child, view.faces[k], t, n))
+                   determinant_sign(view, frames[p], child, basis,
+                                    view.faces[k], t, n))
 
 
-def reference_incidences(parents, columns, children, kept_children, n,
-                         det_one):
+def reference_incidences(parents, frames, columns, children, kept_children,
+                         n, det_one):
     """Reference: the sorted nonzero ((row, col), value) incidence
     numbers of parents[columns[col]] against children[kept_children[row]],
     by matching every face orbit of each column parent to the kept
     children a second time and summing `determinant_sign` over every
-    member of the orbit, each with its own transporter."""
+    member of the orbit, each with its own transporter; `frames` are
+    the oriented bases of the parents' spans."""
+    bases = class_frames(parents, frames, children)
     entries = {}
     for col, p_pos in enumerate(columns):
         view = parents[p_pos]
@@ -697,7 +765,8 @@ def reference_incidences(parents, columns, children, kept_children, n,
                                  first_only=True)
                 if not link:
                     continue
-                total = sum(determinant_sign(view, child, view.faces[k],
+                total = sum(determinant_sign(view, frames[p_pos], child,
+                                             bases[c_pos], view.faces[k],
                                              view.transporter(k) * link[0],
                                              n)
                             for k in orbit)

@@ -13,9 +13,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_stabilizer_2x2, cached_complex, cached_graph, \
-    closure, differential_kernel, face_mask, facet_edges, kept_wall_views, \
-    pair_swap_elements, random_unimodular, reference_orbit_decompose, \
-    sign_pairs, top_views
+    closure, differential_kernel, face_mask, facet_edges, greedy_basis, \
+    kept_wall_frames, kept_wall_views, pair_swap_elements, random_unimodular, \
+    reference_orbit_decompose, sign_pairs, top_frames, top_views
 
 from vorcycle.complexes import (
     ambient_orientation_sign,
@@ -47,7 +47,7 @@ from vorcycle.homology import (
     verify_top_cycle,
 )
 from vorcycle.isometry import cell_maps, cell_stabilizer, orbit_decompose
-from vorcycle.linalg import det_sign, mat_rank, sym_flatten
+from vorcycle.linalg import det_sign, sym_flatten
 from vorcycle.tessellation import (
     FacetOrbit,
     TessInstance,
@@ -198,14 +198,16 @@ def test_criterion_4_rank_five_and_even_vanishing():
     # Rank-6 sl is the one case with kept codim-2 classes, so the only
     # one whose codim-2 incidence signs reach a verdict (d.d = 0): the
     # entries are pinned by their digest, and every sign read off a
-    # class's normals equals the form-space determinant's.
+    # class's normals equals the form-space determinant's, over a basis
+    # that the reference orients of its own.
     mids, kept_mids, mid = build_codim2(sl)
     assert (len(mids), len(kept_mids), len(mid.entries)) == (49, 25, 62)
     assert hashlib.sha256(repr(mid.entries).encode()).hexdigest() == \
         "2a8dbfc83ca0bb301d4b7772e79ad9a0922b30ba168ecc74f8580f87511c07d4"
-    for parents, children in ((top_views(sl.graph), sl.walls),
-                              (kept_wall_views(sl), mids)):
-        pairs = list(sign_pairs(parents, children, 6, True))
+    for parents, frames, children in (
+            (top_views(sl.graph), top_frames(sl.graph), sl.walls),
+            (kept_wall_views(sl), kept_wall_frames(sl), mids)):
+        pairs = list(sign_pairs(parents, frames, children, 6, True))
         assert len(pairs) > len(children)
         assert all(new == ref != 0 for new, ref in pairs)
     print(f"ACCEPTANCE 4: PASS (rank-5 generator {elapsed5:.1f}s, even-rank "
@@ -226,11 +228,7 @@ def test_criterion_5_property_suites(rng):
                     e.witness, graph.nodes[e.neighbor].minvecs.vectors)
                 face = face_vectors(node.minvecs.vectors, facet)
                 face_set = set(face)
-                basis = []
-                for v in face:
-                    flat = sym_flatten(rank_one(v))
-                    if mat_rank(basis + [flat]) > len(basis):
-                        basis.append(flat)
+                basis = greedy_basis(face)
                 near = {det_sign(basis + [sym_flatten(rank_one(v))])
                         for v in node.minvecs.vectors if v not in face_set}
                 away = {det_sign(basis + [sym_flatten(rank_one(v))])

@@ -4,16 +4,21 @@ from conftest import (
     WitnessMismatch,
     cached_complex,
     cached_graph,
+    class_frames,
     closure,
     determinant_sign,
     facet_edges,
+    greedy_basis,
+    kept_wall_frames,
     kept_wall_views,
+    oriented_basis,
     pair_swap_elements,
     random_unimodular,
     reference_incidences,
     relative_orientation,
     run_python,
     sign_pairs,
+    top_frames,
     top_views,
     transport_sign,
 )
@@ -43,7 +48,7 @@ from vorcycle.forms import (
 from vorcycle.isometry import cell_maps, cell_stabilizer, orbit_decompose
 from vorcycle.linalg import (
     det_sign,
-    mat_rank,
+    identity_matrix,
     sym_dim,
     sym_flatten,
 )
@@ -129,11 +134,7 @@ def test_epsilon_v_independence_and_both_signs():
         signs = set()
         for facet in build_cone(mv.vectors):
             face = face_vectors(mv.vectors, facet)
-            basis = []
-            for v in face:
-                flat = sym_flatten(rank_one(v))
-                if mat_rank(basis + [flat]) > len(basis):
-                    basis.append(flat)
+            basis = greedy_basis(face)
             per_v = {det_sign(basis + [sym_flatten(rank_one(v))])
                      for v in mv.vectors if v not in set(face)}
             assert len(per_v) == 1, "sign must not depend on the extra ray"
@@ -159,11 +160,7 @@ def test_opposite_orientations_on_every_shared_wall(graph_sl2, graph_sl3,
                                 graph.nodes[e.neighbor].minvecs.vectors)
             face = face_vectors(node.minvecs.vectors, facet)
             face_set = set(face)
-            basis = []
-            for v in face:
-                flat = sym_flatten(rank_one(v))
-                if mat_rank(basis + [flat]) > len(basis):
-                    basis.append(flat)
+            basis = greedy_basis(face)
             near_signs = {det_sign(basis + [sym_flatten(rank_one(v))])
                           for v in node.minvecs.vectors
                           if v not in face_set}
@@ -174,12 +171,24 @@ def test_opposite_orientations_on_every_shared_wall(graph_sl2, graph_sl3,
 
 
 def test_wall_basis_is_positively_oriented_in_parent(complex_sl4):
-    for w in complex_sl4.walls:
-        view = _node_view(complex_sl4.graph, w.parent)
-        extra = next(v for v in view.vectors if v not in set(w.vectors))
-        sign = view.oriented_sign(list(w.basis) +
-                                  [sym_flatten(rank_one(extra))])
-        assert sign == 1
+    # The reference basis of each class, oriented by unit-completion
+    # determinants in its parent (through the wall parent at codimension
+    # two), followed by any parent ray off the face, is positive in the
+    # parent; and the class's normals N orient it positively too:
+    # det[B; N] > 0.
+    cx = complex_sl4
+    for parents, frames, children in (
+            (top_views(cx.graph), top_frames(cx.graph), cx.walls),
+            (kept_wall_views(cx), kept_wall_frames(cx), build_codim2(cx)[0])):
+        assert children
+        for child, basis in zip(children,
+                                class_frames(parents, frames, children)):
+            view, frame = parents[child.parent], frames[child.parent]
+            assert {relative_orientation(
+                        frame, basis + [sym_flatten(rank_one(v))])
+                    for v in view.vectors if v not in set(child.vectors)} \
+                == {1}
+            assert det_sign(basis + list(child.normals)) == 1
 
 
 def test_stab_groups_lemma_on_nonself_walls(complex_sl4, complex_gl4):
@@ -280,10 +289,12 @@ def test_rank_two_internal_cancellation_sign():
     # cancels as 1 + (-1).
     rot = GroupElement.from_matrix([[0, 1], [-1, 0]])
     assert apply_to_cell(rot, HEX_CELL) == HEX_MIRROR
-    view = _ParentView(vectors=HEX_CELL, basis=None)
+    view = _ParentView(vectors=HEX_CELL)
     wall = class_record(view, 0, 0, DIAG_WALL, (), det_one=True)
+    frame = identity_matrix(3)
+    basis = oriented_basis(frame, HEX_CELL, DIAG_WALL)
     assert induced_sign(view, wall, DIAG_WALL, rot.inverse(), 2) == -1
-    assert determinant_sign(view, wall, DIAG_WALL, rot, 2) == -1
+    assert determinant_sign(view, frame, wall, basis, DIAG_WALL, rot, 2) == -1
 
 
 @pytest.mark.parametrize("level", ("top", "wall"))
@@ -324,34 +335,37 @@ def test_member_signs_constant_within_stabilizer_orbit(n, group, level):
 def test_normal_signs_are_the_determinant_signs(n, group, level):
     # Each sign a level takes is read off the child's normals: at every
     # stabilizer generator (the kept test) and at every member orbit (the
-    # incidence numbers).  The reference is one determinant of the
-    # parent's size per sign.  Parents: every top cell, or the kept
-    # walls that build_codim2 descends from (rank 4 gl keeps none);
-    # children: every class of the level below, kept or not.  In rank 4
-    # gl the map on form space reverses with det(g) = -1.
+    # incidence numbers).  The reference orients a basis of each span of
+    # its own, by unit-completion determinants of the parent's size.
+    # Parents: every top cell, or the kept walls that build_codim2
+    # descends from (rank 4 gl keeps none); children: every class of the
+    # level below, kept or not.  In rank 4 gl the map on form space
+    # reverses with det(g) = -1.
     cx = cached_complex(n, group)
     if level == "top":
-        parents, children = top_views(cx.graph), cx.walls
+        parents, frames, children = \
+            top_views(cx.graph), top_frames(cx.graph), cx.walls
     else:
-        parents, children = kept_wall_views(cx), build_codim2(cx)[0]
-    pairs = list(sign_pairs(parents, children, n, group == "sl"))
+        parents, frames, children = \
+            kept_wall_views(cx), kept_wall_frames(cx), build_codim2(cx)[0]
+    pairs = list(sign_pairs(parents, frames, children, n, group == "sl"))
     assert len(pairs) > len(children)
     assert all(new == ref != 0 for new, ref in pairs)
-    for child in children:
+    for child, basis in zip(children,
+                            class_frames(parents, frames, children)):
         assert child.orientation_kept == all(
-            determinant_sign(parents[child.parent], child, child.vectors, g,
-                             n) == 1
+            determinant_sign(parents[child.parent], frames[child.parent],
+                             child, basis, child.vectors, g, n) == 1
             for g in child.generators)
 
 
 @pytest.mark.parametrize("n, group", ((4, "sl"), (5, "sl"), (5, "gl")))
-def test_one_form_space_determinant_per_class_and_wall_parent(monkeypatch,
-                                                              n, group):
-    # A level takes a determinant of form-space size (sym_dim(n) rows)
-    # to orient each class and, at codimension two, the span of each
-    # kept wall; every other sign is a determinant of k x k pairings.
-    # The session caches refuse to build while a pipeline function is
-    # patched, so the graph is fetched first.
+def test_no_form_space_determinant_in_either_level(monkeypatch, n, group):
+    # Every sign a level takes, of a class and against a wall parent
+    # alike, is a determinant of k x k pairings of normals (k = 1 for a
+    # wall, 2 at codimension two): none has form-space size (sym_dim(n)
+    # rows).  The session caches refuse to build while a pipeline
+    # function is patched, so the graph is fetched first.
     graph = cached_graph(n, group)
     sizes = []
     real = complexes.det_sign
@@ -362,14 +376,13 @@ def test_one_form_space_determinant_per_class_and_wall_parent(monkeypatch,
 
     monkeypatch.setattr(complexes, "det_sign", counting)
     cx = build_complex(graph)
-    top = sizes.count(sym_dim(n))
+    top = set(sizes)
     sizes.clear()
     mids = build_codim2(cx)[0]
-    mid = sizes.count(sym_dim(n))
     monkeypatch.undo()
-    assert 0 < top <= len(cx.walls)
-    assert 0 < mid <= len(mids) + len(cx.kept_walls)
-    assert max(sizes) == sym_dim(n) and set(sizes) <= {1, 2, sym_dim(n)}
+    assert cx.walls and top == {1}
+    assert mids and set(sizes) == {2}
+    assert sym_dim(n) not in top | set(sizes)
 
 
 @pytest.mark.parametrize("n, group, seed", [
@@ -379,12 +392,12 @@ def test_incidences_match_a_second_matching(n, group, seed):
     cx = cached_complex(n, group, seed)
     det_one = group == "sl"
     assert cx.differential.entries == reference_incidences(
-        top_views(cx.graph), cx.kept_tops, cx.walls, cx.kept_walls, n,
-        det_one)
+        top_views(cx.graph), top_frames(cx.graph), cx.kept_tops, cx.walls,
+        cx.kept_walls, n, det_one)
     mids, kept_mids, diff = build_codim2(cx)
     assert diff.entries == reference_incidences(
-        kept_wall_views(cx), range(len(cx.kept_walls)), mids, kept_mids,
-        n, det_one)
+        kept_wall_views(cx), kept_wall_frames(cx), range(len(cx.kept_walls)),
+        mids, kept_mids, n, det_one)
 
 
 @pytest.mark.parametrize("n", (4, 5))
@@ -488,9 +501,10 @@ def test_orientation_action_proposition(rng):
 def test_transport_sign_identity_and_mismatch(complex_sl4):
     wall = complex_sl4.walls[complex_sl4.kept_walls[0]]
     ident = GroupElement.identity(4)
-    assert transport_sign(wall, wall.vectors, wall.basis, ident, 4) == 1
+    basis = greedy_basis(wall.vectors)
+    assert transport_sign(wall, wall.vectors, basis, ident, 4) == 1
     with pytest.raises(WitnessMismatch):
-        transport_sign(wall, wall.vectors, wall.basis,
+        transport_sign(wall, wall.vectors, basis,
                        GroupElement.from_matrix(
                            [[1, 1, 0, 0], [0, 1, 0, 0],
                             [0, 0, 1, 0], [0, 0, 0, 1]]), 4)
@@ -500,15 +514,17 @@ def test_transport_sign_witness_independence_on_kept_wall(complex_sl4):
     # For a kept wall every stabilizer element transports the basis
     # positively, so the sign does not depend on the witness choice.
     wall = complex_sl4.walls[complex_sl4.kept_walls[0]]
+    basis = greedy_basis(wall.vectors)
     for s in closure(wall.generators, 4):
-        moved = [transport_flat(s, b, 4) for b in wall.basis]
-        assert relative_orientation(list(wall.basis), moved) == 1
+        moved = [transport_flat(s, b, 4) for b in basis]
+        assert relative_orientation(basis, moved) == 1
     dropped = complex_sl4.walls[[i for i in range(len(complex_sl4.walls))
                                  if i not in complex_sl4.kept_walls][0]]
+    basis = greedy_basis(dropped.vectors)
     signs = set()
     for s in closure(dropped.generators, 4):
-        moved = [transport_flat(s, b, 4) for b in dropped.basis]
-        signs.add(relative_orientation(list(dropped.basis), moved))
+        moved = [transport_flat(s, b, 4) for b in basis]
+        signs.add(relative_orientation(basis, moved))
     assert signs == {1, -1}
 
 
@@ -595,24 +611,20 @@ def test_a_complex_build_reads_one_transporter_per_kept_wall_class(
         assert counts["__mul__"] < 30 and counts["inverse"] < 8
 
 
-# A transporter that does not carry the face class onto the face, a wall
-# basis that is not independent, and normals that pair to zero with the
-# ray off the face: all refused, also under -O.
+# A transporter that does not carry the face class onto the face, and
+# normals that pair to zero with the ray off the face: both refused,
+# also under -O.
 _WRONG_TRANSPORT = """
 from vorcycle.complexes import (
     WallNotGlued, _ParentView, class_record, induced_sign)
 from vorcycle.forms import GroupElement
 cell = ((0, 1), (1, -1), (1, 0))
 wall = ((0, 1), (1, 0))
-view = _ParentView(vectors=cell, basis=None, cell="node 0")
+view = _ParentView(vectors=cell, cell="node 0")
 child = class_record(view, 0, 0, wall, (), True)
 shear = GroupElement.from_matrix([[1, 1], [0, 1]])
 try:
     induced_sign(view, child, wall, shear, 2)
-except WallNotGlued as exc:
-    print(exc)
-try:
-    _ParentView(vectors=wall, basis=child.basis[:1] * 2, cell="w0")
 except WallNotGlued as exc:
     print(exc)
 try:
@@ -631,7 +643,6 @@ def test_a_wrong_transporter_is_refused(optimize):
     assert result.stdout == (
         "the transporter does not carry the face class onto a face of "
         "node 0\n"
-        "the basis of w0 is not independent\n"
         "the parent rays off a face of node 0 do not complete its span\n")
 
 

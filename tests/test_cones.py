@@ -97,14 +97,14 @@ def test_facet_normals_vanish_on_incident_positive_elsewhere():
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_facet_normal_is_the_double_description_normal(n):
     # The normal recovered from a facet's rays is the dual ray that the
-    # double description found for it, on every domain of ranks 2-5.
-    # The node numbers the same facets in its orbit walk's order.
+    # double description finds for it under the trace pairing, on every
+    # domain of ranks 2-5.  The node, whose double description ran under
+    # the dot product of flattenings, numbers the same facets in its
+    # orbit walk's order.
     for node in cached_graph(n, "gl").nodes:
         vectors = node.minvecs.vectors
-        weights = [pairing_weights(sym_flatten(rank_one(v)), n)
-                   for v in vectors]
-        duals = _dd_dual_rays([sym_flatten(rank_one(v)) for v in vectors],
-                              weights)
+        duals = _dd_dual_rays([pairing_weights(sym_flatten(rank_one(v)), n)
+                               for v in vectors])
         assert {active for _, active in duals} == set(node.facets)
         assert len(duals) == len(node.facets)
         for y, active in duals:
@@ -188,8 +188,8 @@ def test_subcone_facets_refuse_a_dual_ray_that_is_no_facet(monkeypatch):
     face = face_vectors(mv.vectors, facets[0])
     real = cones._dd_dual_rays
 
-    def one_ray_too_few(rows, weights):
-        (y, active), *rest = real(rows, weights)
+    def one_ray_too_few(rows):
+        (y, active), *rest = real(rows)
         return [(y, active & (active - 1))] + rest
 
     monkeypatch.setattr(cones, "_dd_dual_rays", one_ray_too_few)
@@ -244,7 +244,7 @@ def test_adjacency_test_matches_brute_force_on_degenerate_cones(seed):
         if mat_rank(rows) < dim:
             continue
         checked += 1
-        assert dict(_dd_dual_rays(rows, rows)) == brute_dual_rays(rows)
+        assert dict(_dd_dual_rays(rows)) == brute_dual_rays(rows)
 
 
 def symmetric_cases():
@@ -348,8 +348,8 @@ def test_each_facet_is_the_double_description_object(monkeypatch):
     real = cones._dd_dual_rays
     listed = []
 
-    def recorded(rows, weights):
-        listed.extend(real(rows, weights))
+    def recorded(rows):
+        listed.extend(real(rows))
         return listed
 
     monkeypatch.setattr(cones, "_dd_dual_rays", recorded)
@@ -371,8 +371,8 @@ def test_a_non_facet_orbit_is_refused_at_its_representative(case,
     build, vectors, gens = symmetric_cases()[case]
     real = cones._dd_dual_rays
 
-    def with_face_orbit(rows, weights):
-        duals = real(rows, weights)
+    def with_face_orbit(rows):
+        duals = real(rows)
         orbit = face_orbit(vectors, duals, gens)
         assert len(orbit) > 1
         return duals + orbit
@@ -389,8 +389,8 @@ def test_a_non_facet_that_breaks_an_orbit_is_refused(case, monkeypatch):
     build, vectors, gens = symmetric_cases()[case]
     real = cones._dd_dual_rays
 
-    def with_one_face(rows, weights):
-        duals = real(rows, weights)
+    def with_one_face(rows):
+        duals = real(rows)
         return duals + face_orbit(vectors, duals, gens)[:1]
 
     monkeypatch.setattr(cones, "_dd_dual_rays", with_one_face)
@@ -459,7 +459,7 @@ def test_seed_duals_match_fraction_inverse(rows):
         col = primitive_fraction([inv[r][j] for r in range(dim)])
         assert col == clear_denominators([inv[r][j] for r in range(dim)])
         expected[col] = ((1 << dim) - 1) ^ (1 << j)
-    assert dict(_dd_dual_rays(rows, rows)) == expected
+    assert dict(_dd_dual_rays(rows)) == expected
 
 
 def reference_subcone_facets(vectors):
@@ -474,7 +474,7 @@ def reference_subcone_facets(vectors):
     if len(basis) == 1:
         return []
     local = [primitive_fraction(solve_in_span(basis, f)) for f in flats]
-    out = {active for _, active in _dd_dual_rays(local, local)
+    out = {active for _, active in _dd_dual_rays(local)
            if mat_rank(face_vectors(local, active)) == len(basis) - 1}
     return sorted(out, key=face_indices)
 

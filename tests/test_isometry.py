@@ -451,7 +451,7 @@ def test_search_table_is_the_full_signed_table(gram, rng):
         face = face_vectors(mv.vectors, facets[rng.randrange(len(facets))])
         for dst in (face, apply_to_cell(g, face)):
             search = isometry._cell_search(face, dst, False)
-            pair = isometry.adjugate(isometry.barycenter_matrix(dst))
+            pair, _ = isometry.adjugate(isometry.barycenter_matrix(dst))
             searches.append((pair, search))
         for pair, search in searches:
             dst = sorted(v for v in search.signed if canonical_pair(v) == v)

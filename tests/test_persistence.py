@@ -87,7 +87,7 @@ def test_complex_round_trip(tmp_path):
     for seed in (0, 3) for group in ("gl", "sl") for n in (2, 3, 4, 5)])
 def test_complex_round_trip_is_exact(tmp_path, n, group, seed_perm):
     # A wall is stored as its [parent, face] members; its representative,
-    # vectors, stabilizer, oriented basis, kept flag, kind and label,
+    # vectors, stabilizer, oriented normals, kept flag, kind and label,
     # and the kept lists, derived on load, must be the ones the build
     # held.  Seed permutation 3 picks other wall representatives.
     cx = cached_complex(n, group, seed_perm)
