@@ -213,18 +213,19 @@ def cmd_tess(args):
             return EXIT_USAGE
         cx, _ = _load_or_build_complex(args, _cache_dir(args))
         return _write_out(args.out, dumps_instance(from_voronoi(cx)))
-    # check
+    # check: the instance is read as bytes, as a cache file is, so
+    # that bad UTF-8 is a malformed instance
     try:
         if args.input == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(args.input) as fh:
-                text = fh.read()
+            with open(args.input, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        inst = loads_instance(text)
+        inst = loads_instance(data)
     except InvariantViolation as exc:
         print(f"error: malformed instance: {exc}", file=sys.stderr)
         return EXIT_USAGE

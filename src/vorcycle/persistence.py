@@ -29,9 +29,11 @@ those of its file name.  A load derives the complex over the graph
 refuses a file whose walls or triplets are not those of the derived
 complex, naming the first entry that differs.
 
-On load, a payload's rank and group must be its file header's, each
-record must hold exactly its own fields, and each field is checked for
-shape, type and range.  A Gram matrix must be symmetric positive
+On load, `documents` decodes the file (no key repeated) and reads the
+payload: it is the one reader of every input document.  A payload's
+rank and group must be its file header's, each record must hold
+exactly its own fields, and each field is checked for shape, type and
+range.  A Gram matrix must be symmetric positive
 definite with spanning minimal vectors, and a node must have facet
 orbits.  Each orbit record must hold a facet (`cones.facet_normal`),
 its indices strictly increasing, that is the first of its orbit, and
@@ -51,6 +53,7 @@ from .cones import (
     meets_boundary,
     ray_weights,
 )
+from .documents import Reader, loads
 from .enumeration import (
     GROUP_KINDS,
     Edge,
@@ -68,21 +71,8 @@ from .forms import (
 from .isometry import form_group
 from .linalg import det_int, mat_transpose
 
-# Version 2 stored stabilizers as generators plus order; version 3
-# stores the strong generating sets of their stabilizer chains; version
-# 4 stores JSON integers and orbit members as [parent, face]; complex
-# version 5 refers to its graph file by hash instead of embedding the
-# graph; graph version 5 stores each edge on its facet, and complex
-# version 6 only what the graph cannot give; graph version 6 and
-# complex version 7 store no stabilizer, order, basis or orientation
-# flag; complex version 8 stores a wall as its members only; graph
-# version 7 stores no minimum, minimal vectors or facet normal; graph
-# version 8 stores one record per facet orbit, at its first facet, and
-# a load regenerates the other facets; complex version 9 numbers a
-# member's face in the orbit walk's order, no longer in the double
-# description's sorted order; graph version 9 stores no label, and
-# complex version 10 no seed permutation or graph hash.  Verdict files
-# went to version 2 when every file became its canonical encoding.
+# The schema version of each kind: a file of another version is refused
+# with the remedy.  CHANGES.md tells what each version changed.
 PAYLOAD_KINDS = {"graph": 9, "complex": 10, "verdict": 2}
 
 # The fields of each record: a record with any other field is refused.
@@ -124,96 +114,41 @@ def graph_to_payload(graph):
     return {"n": graph.n, "group": graph.group_kind, "nodes": nodes}
 
 
-def _dotted(path):
-    out = "payload"
-    for part in path:
-        out += f"[{part}]" if isinstance(part, int) else f".{part}"
-    return out
+def _face(rd, rec, path, key, bound):
+    """The face rec[key], a strictly increasing list of indices in
+    0..bound-1, as a bitmask."""
+    face = 0
+    for value in rd.get(rec, path, key, list):
+        if type(value) is not int or not 0 <= value < bound or \
+                face >> value:
+            rd.fail(path + (key,), f"is not a strictly increasing "
+                    f"list of indices in 0..{bound - 1}")
+        face |= 1 << value
+    return face
 
 
-class _Reader:
-    """Typed reads from a decoded payload.
+def _matrix(rd, rec, path, key, n):
+    """rec[key], a list of n lists of n JSON integers, as a tuple of
+    tuples."""
+    value = rd.get(rec, path, key, list)
+    if len(value) != n or any(
+            type(row) is not list or len(row) != n or
+            any(type(x) is not int for x in row) for row in value):
+        rd.fail(path + (key,), f"is not a list of {n} integers per row")
+    return tuple(map(tuple, value))
 
-    Every failure raises CacheCorrupt naming the file and the field
-    path, so a malformed cache never surfaces as a KeyError or
-    TypeError.
-    """
 
-    def __init__(self, source):
-        self.source = source
-
-    def fail(self, path, problem):
-        raise CacheCorrupt(f"{self.source}: {_dotted(path)} {problem}")
-
-    def get(self, rec, path, key, *kinds):
-        if type(rec) is not dict:
-            self.fail(path, "is not an object")
-        if key not in rec:
-            self.fail(path + (key,), "is missing")
-        value = rec[key]
-        if type(value) not in kinds:
-            self.fail(path + (key,), "has the wrong type")
-        return value
-
-    def fields(self, rec, path, keys):
-        """Refuse an object `rec` with a field outside `keys`."""
-        if type(rec) is not dict:
-            self.fail(path, "is not an object")
-        for key in rec:
-            if key not in keys:
-                self.fail(path + (key,), "is not a field of this record")
-        return rec
-
-    def records(self, rec, path, key, keys):
-        """(path, record) for each object in the list rec[key], each
-        with no field outside `keys`."""
-        return [(path + (key, i), self.fields(item, path + (key, i), keys))
-                for i, item in enumerate(self.get(rec, path, key, list))]
-
-    def index(self, rec, path, key, bound):
-        value = self.get(rec, path, key, int)
-        if not 0 <= value < bound:
-            self.fail(path + (key,), f"is out of range 0..{bound - 1}")
-        return value
-
-    def face(self, rec, path, key, bound):
-        face = 0
-        for value in self.get(rec, path, key, list):
-            if type(value) is not int or not 0 <= value < bound or \
-                    face >> value:
-                self.fail(path + (key,), f"is not a strictly increasing "
-                          f"list of indices in 0..{bound - 1}")
-            face |= 1 << value
-        return face
-
-    def ints(self, value, path, rows, cols):
-        """A list of `rows` lists (any count if None) of `cols` JSON
-        integers, as a tuple of integer tuples."""
-        problem = f"is not a list of {cols} integers per row"
-        if type(value) is not list or rows not in (None, len(value)):
-            self.fail(path, problem)
-        for row in value:
-            if type(row) is not list or len(row) != cols:
-                self.fail(path, problem)
-            for x in row:
-                if type(x) is not int:
-                    self.fail(path, problem)
-        return tuple(map(tuple, value))
-
-    def field_ints(self, rec, path, key, rows, cols):
-        return self.ints(self.get(rec, path, key, list), path + (key,),
-                         rows, cols)
-
-    def element(self, value, path, n, det_one):
-        """An n x n unimodular matrix as a group element, of determinant
-        one when `det_one`."""
-        rows = self.ints(value, path, n, n)
-        det = det_int(rows)
-        if det not in (1, -1):
-            self.fail(path, "is not unimodular")
-        if det_one and det != 1:
-            self.fail(path, "has determinant -1 in the determinant-one group")
-        return GroupElement(rows=rows, det=det)
+def _element(rd, rec, path, key, n, det_one):
+    """rec[key], an n x n unimodular matrix, as a group element, of
+    determinant one when `det_one`."""
+    rows = _matrix(rd, rec, path, key, n)
+    det = det_int(rows)
+    if det not in (1, -1):
+        rd.fail(path + (key,), "is not unimodular")
+    if det_one and det != 1:
+        rd.fail(path + (key,),
+                "has determinant -1 in the determinant-one group")
+    return GroupElement(rows=rows, det=det)
 
 
 def graph_from_payload(payload, source="<payload>"):
@@ -227,7 +162,7 @@ def graph_from_payload(payload, source="<payload>"):
     (`cones.face_order`), in that order.  Its edge must glue the facet
     (`enumeration.glues`).
     """
-    rd = _Reader(source)
+    rd = Reader(CacheCorrupt, f"{source}: payload")
     rd.fields(payload, (), GRAPH_FIELDS)
     n = rd.get(payload, (), "n", int)
     if n < 2:
@@ -239,7 +174,7 @@ def graph_from_payload(payload, source="<payload>"):
     nodes = []
     edges = []
     for i, (path, rec) in enumerate(node_recs):
-        form = QForm(gram=rd.field_ints(rec, path, "gram", n, n))
+        form = QForm(gram=_matrix(rd, rec, path, "gram", n))
         if mat_transpose(form.gram) != form.gram or \
                 not is_positive_definite(form.gram):
             rd.fail(path, "is not a positive definite form")
@@ -252,18 +187,19 @@ def graph_from_payload(payload, source="<payload>"):
         node_edges = []
         weights = ray_weights(mv.vectors)
         for o_path, o in rd.records(rec, path, "orbits", ORBIT_FIELDS):
-            rep = rd.face(o, o_path, "incident", len(mv.vectors))
+            rep = _face(rd, o, o_path, "incident", len(mv.vectors))
             try:
                 facet_normal(mv.vectors, rep, weights)
             except ValueError:
                 rd.fail(o_path + ("incident",), "is not a facet of the "
                         "node's domain")
             reps.append(rep)
-            node_edges.append(Edge(
-                neighbor=rd.index(o, o_path, "neighbor", len(node_recs)),
-                witness=rd.element(rd.get(o, o_path, "witness", list),
-                                   o_path + ("witness",), n,
-                                   group == "sl")))
+            neighbor = rd.get(o, o_path, "neighbor", int)
+            if not 0 <= neighbor < len(node_recs):
+                rd.fail(o_path + ("neighbor",),
+                        f"is out of range 0..{len(node_recs) - 1}")
+            node_edges.append(Edge(neighbor, _element(
+                rd, o, o_path, "witness", n, group == "sl")))
         if not reps:
             rd.fail(path + ("orbits",), "is empty")
         gens, order = form_group(form, mv.vectors, det_one=group == "sl")
@@ -304,7 +240,7 @@ def complex_from_payload(payload, graph, seed_perm, source="<payload>"):
     `complex_to_payload` writes for it.  A WallNotGlued of the build
     propagates: it is the graph's fault, not this file's.
     """
-    rd = _Reader(source)
+    rd = Reader(CacheCorrupt, f"{source}: payload")
     rd.fields(payload, (), COMPLEX_FIELDS)
     cx = build_complex(graph, seed_perm)
     derived = complex_to_payload(cx)
@@ -367,11 +303,11 @@ def load_payload(path, kind=None, n=None, group=None):
         raise CacheCorrupt(f"{path}: cannot be read "
                            f"({exc.strerror or exc})") from exc
     try:
-        doc = json.loads(data)
+        doc = loads(data)
     except (ValueError, RecursionError) as exc:
-        # ValueError also covers bad UTF-8 and integer literals past
-        # the interpreter's digit limit; RecursionError, arrays nested
-        # past the decoder's depth.
+        # ValueError also covers bad UTF-8, a repeated key and integer
+        # literals past the interpreter's digit limit; RecursionError,
+        # arrays nested past the decoder's depth.
         raise CacheCorrupt(f"{path}: not valid JSON ({exc})") from exc
     if type(doc) is not dict:
         raise CacheCorrupt(f"{path}: not a cache document")

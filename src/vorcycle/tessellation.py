@@ -32,13 +32,18 @@ That position is the free column a fraction-free elimination of the
 whole wall-by-tile matrix would pick for the component (the only
 column that is a combination of earlier ones), so the basis is the one
 such an elimination returns.
+
+`loads_instance` reads a document through `documents`, the one reader
+of every input document, cache files included.
 """
 
 import json
+import re
 from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
+from .documents import Reader, loads
 from .linalg import clear_denominators, sym_dim
 
 
@@ -66,25 +71,28 @@ class FacetOrbit(NamedTuple):
     label: str = ""
 
 
-def _fail(path, msg):
-    raise InvariantViolation(f"{path}: {msg}")
+# The strings that read as a number: ASCII digits with an optional
+# minus sign, and for a rational also a nonzero denominator.
+_GRAMMAR = {int: re.compile(r"-?[0-9]+"),
+            Fraction: re.compile(r"-?[0-9]+(/[0-9]+)?")}
+
+# The reader of instance documents, whose paths start at `$`.
+_READER = Reader(InvariantViolation, "$")
 
 
-def _expect(value, kind, path, what):
-    if not isinstance(value, kind):
-        _fail(path, f"expected {what}")
-    return value
-
-
-def _parse(value, path, parse, what):
-    """`parse(value)` for a JSON integer or string, never for a float or
-    a boolean (JSON `true` must not read as 1)."""
-    if not isinstance(value, bool) and isinstance(value, (int, str)):
+def _number(value, path, kind):
+    """`kind(value)`, an int or a Fraction, for a JSON integer or a
+    string of kind's `_GRAMMAR`; never for a float or a boolean (JSON
+    `true` must not read as 1)."""
+    if type(value) is int or \
+            type(value) is str and _GRAMMAR[kind].fullmatch(value):
         try:
-            return parse(value)
+            return kind(value)
         except (ValueError, ZeroDivisionError):
+            # A zero denominator, or more digits than int() takes.
             pass
-    _fail(path, f"missing or not {what}")
+    _READER.fail(path, "is not an integer" if kind is int
+                 else "is not a rational")
 
 
 class TessInstance(NamedTuple):
@@ -130,54 +138,6 @@ class TessInstance(NamedTuple):
                  "label": f.label}
                 for f in self.facet_orbits],
         }
-
-    @classmethod
-    def from_payload(cls, payload):
-        """Read an instance document; every defect raises
-        InvariantViolation naming its JSON path."""
-        _expect(payload, dict, "$", "an object")
-        if payload.get("kind") != "tess-instance":
-            _fail("$.kind", "expected 'tess-instance'")
-        ambient = _parse(payload.get("ambient_dim"), "$.ambient_dim", int,
-                         "an integer")
-        tiles = []
-        tiles_in = _expect(payload.get("tiles", []), list, "$.tiles", "a list")
-        for i, t in enumerate(tiles_in):
-            path = f"$.tiles[{i}]"
-            _expect(t, dict, path, "an object")
-            kept = t.get("orientation_kept", True)
-            if not isinstance(kept, bool):
-                _fail(f"{path}.orientation_kept", "expected true or false")
-            tiles.append(TileOrbit(
-                stab_order=_parse(t.get("stab_order"), f"{path}.stab_order",
-                                  int, "an integer"),
-                orientation_kept=kept,
-                label=str(t.get("label", f"t{i}"))))
-        facets = []
-        orbits = _expect(payload.get("facet_orbits", []), list,
-                         "$.facet_orbits", "a list")
-        for i, f in enumerate(orbits):
-            path = f"$.facet_orbits[{i}]"
-            _expect(f, dict, path, "an object")
-            inc = []
-            pairs = _expect(f.get("incidences", []), list,
-                            f"{path}.incidences", "a list")
-            for k, pair in enumerate(pairs):
-                where = f"{path}.incidences[{k}]"
-                if not isinstance(pair, list) or len(pair) != 2:
-                    _fail(where, "expected [tile index, value]")
-                inc.append((_parse(pair[0], where, int, "a tile index"),
-                            _parse(pair[1], where, Fraction, "a rational")))
-            facets.append(FacetOrbit(
-                stab_order=_parse(f.get("stab_order"), f"{path}.stab_order",
-                                  int, "an integer"),
-                kind=_expect(f.get("kind"), str, f"{path}.kind", "a string"),
-                incidences=tuple(inc),
-                label=str(f.get("label", f"w{i}"))))
-        inst = cls(ambient_dim=ambient, tiles=tuple(tiles),
-                   facet_orbits=tuple(facets))
-        inst.validate()
-        return inst
 
 
 class TessVerdict(NamedTuple):
@@ -369,14 +329,45 @@ def dumps_instance(instance):
     return json.dumps(instance.to_payload(), indent=2, sort_keys=True) + "\n"
 
 
-def loads_instance(text):
+def loads_instance(data):
+    """The instance of a JSON document, text or bytes, read through
+    `documents`: each record holds exactly its NamedTuple's fields (the
+    document `kind` too), all required.  InvariantViolation names the
+    JSON path of a defect of shape, type or number, and the rule
+    `TessInstance.validate` finds broken for one of range."""
+    rd = _READER
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvariantViolation(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        doc = loads(data)
     except (ValueError, RecursionError) as exc:
-        # Integers beyond the interpreter's digit limit, or nesting
-        # deeper than the decoder's recursion limit.
-        raise InvariantViolation(f"$: unreadable JSON ({exc})") from exc
-    return TessInstance.from_payload(payload)
+        # Also bad UTF-8, a repeated key, integers past the digit limit
+        # of int(), and nesting past the decoder's depth.
+        rd.fail((), f"is not valid JSON ({exc})")
+    rd.fields(doc, (), ("kind",) + TessInstance._fields)
+    if rd.get(doc, (), "kind", str) != "tess-instance":
+        rd.fail(("kind",), "is not 'tess-instance'")
+    tiles = tuple(
+        TileOrbit(stab_order=_number(rd.get(t, path, "stab_order", int, str),
+                                     path + ("stab_order",), int),
+                  orientation_kept=rd.get(t, path, "orientation_kept", bool),
+                  label=rd.get(t, path, "label", str))
+        for path, t in rd.records(doc, (), "tiles", TileOrbit._fields))
+    facets = []
+    for path, f in rd.records(doc, (), "facet_orbits", FacetOrbit._fields):
+        inc = []
+        for k, pair in enumerate(rd.get(f, path, "incidences", list)):
+            where = path + ("incidences", k)
+            if type(pair) is not list or len(pair) != 2:
+                rd.fail(where, "is not a [tile index, value] pair")
+            inc.append((_number(pair[0], where + (0,), int),
+                        _number(pair[1], where + (1,), Fraction)))
+        facets.append(FacetOrbit(
+            stab_order=_number(rd.get(f, path, "stab_order", int, str),
+                               path + ("stab_order",), int),
+            kind=rd.get(f, path, "kind", str), incidences=tuple(inc),
+            label=rd.get(f, path, "label", str)))
+    inst = TessInstance(
+        ambient_dim=_number(rd.get(doc, (), "ambient_dim", int, str),
+                            ("ambient_dim",), int),
+        tiles=tiles, facet_orbits=tuple(facets))
+    inst.validate()
+    return inst

@@ -130,7 +130,8 @@ def test_tess_gen_and_check_pipe(cache, capsys, tmp_path):
 def test_tess_check_stdin(capsys, monkeypatch, tmp_path):
     import io
     from vorcycle.tessellation import dumps_instance, sector_fan
-    monkeypatch.setattr("sys.stdin", io.StringIO(dumps_instance(sector_fan(3))))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(dumps_instance(sector_fan(3)).encode())))
     code, out, _ = run(capsys, "tess", "check", "-")
     assert code == 0
 
@@ -473,6 +474,34 @@ def test_label_in_graph_file_exit_three(cache, capsys, command, optimize):
     assert result.stderr == f"error: cache corruption: {path}: " \
         "payload.nodes[0].label is not a field of this record\n"
     assert not os.path.exists(os.path.join(cache, "verdict-n4-sl.json"))
+
+
+def test_repeated_key_in_graph_file_exit_three(cache, capsys):
+    # A re-hashed rank-3 sl graph file whose payload repeats its "group"
+    # key: decoded by its last copy it would verify, but a file that is
+    # not the canonical encoding of one document is refused.
+    import hashlib
+    from vorcycle.persistence import canonical_dumps, load_payload
+    run(capsys, "verify", "--n", "3", "--group", "sl", "--cache-dir", cache)
+    path = os.path.join(cache, "graph-n3-sl.json")
+    with open(path) as fh:
+        text = fh.read()
+    body = canonical_dumps(load_payload(path))
+    assert body.startswith('{"group":"sl",') and body in text
+    doubled = '{"group":"sl",' + body[1:]
+    text = text.replace(body, doubled).replace(
+        hashlib.sha256(body.encode()).hexdigest(),
+        hashlib.sha256(doubled.encode()).hexdigest())
+    with open(path, "w") as fh:
+        fh.write(text)
+    os.unlink(os.path.join(cache, "verdict-n3-sl.json"))
+    code, out, err = run(capsys, "verify", "--n", "3", "--group", "sl",
+                         "--cache-dir", cache)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: cache corruption: {path}: not valid JSON " \
+        "(key 'group' is repeated)\n"
+    assert not os.path.exists(os.path.join(cache, "verdict-n3-sl.json"))
 
 
 @pytest.mark.parametrize("n, group", ((3, "sl"), (4, "gl")))
@@ -1080,23 +1109,52 @@ def _fan_document(edit):
     return json.dumps(doc)
 
 
+def _set_incidence(f, k, i, value):
+    return lambda d: d["facet_orbits"][f]["incidences"][k].__setitem__(
+        i, value)
+
+
 MALFORMED_INSTANCES = {
     "tiles-not-a-list": (
-        lambda d: d.update(tiles=5), "$.tiles:"),
+        lambda d: d.update(tiles=5), "$.tiles"),
     "facet-orbits-not-a-list": (
-        lambda d: d.update(facet_orbits="x"), "$.facet_orbits:"),
+        lambda d: d.update(facet_orbits="x"), "$.facet_orbits"),
     "zero-denominator": (
         lambda d: d["facet_orbits"][3]["incidences"][0].__setitem__(1, "1/0"),
-        "$.facet_orbits[3].incidences[0]:"),
+        "$.facet_orbits[3].incidences[0]"),
     "orientation-as-string": (
         lambda d: d["tiles"][2].update(orientation_kept="false"),
-        "$.tiles[2].orientation_kept:"),
+        "$.tiles[2].orientation_kept"),
     "fractional-tile-index": (
         lambda d: d["facet_orbits"][1]["incidences"][1].__setitem__(0, 1.5),
-        "$.facet_orbits[1].incidences[1]:"),
+        "$.facet_orbits[1].incidences[1]"),
     "boolean-tile-index": (
         lambda d: d["facet_orbits"][0]["incidences"][1].__setitem__(0, True),
-        "$.facet_orbits[0].incidences[1]:"),
+        "$.facet_orbits[0].incidences[1]"),
+    # Strings outside the number grammar, each of which int() or
+    # Fraction() would read.
+    "arabic-indic-digit": (
+        lambda d: d["tiles"][1].update(stab_order="\u0663"),
+        "$.tiles[1].stab_order"),
+    "underscore-in-digits": (
+        lambda d: d["facet_orbits"][2].update(stab_order="1_0"),
+        "$.facet_orbits[2].stab_order"),
+    "exponent": (
+        _set_incidence(0, 0, 1, "1e3"), "$.facet_orbits[0].incidences[0][1]"),
+    "decimal-point": (
+        _set_incidence(1, 0, 1, "0.5"), "$.facet_orbits[1].incidences[0][1]"),
+    "padded-rational": (
+        _set_incidence(2, 1, 1, " 1/1 "),
+        "$.facet_orbits[2].incidences[1][1]"),
+    # A misspelled and a missing field: every field is required, no
+    # other is read.
+    "misspelled-orientation": (
+        lambda d: d["tiles"][0].update(
+            orientation_kep=d["tiles"][0].pop("orientation_kept")),
+        "$.tiles[0].orientation_kep"),
+    "missing-label": (
+        lambda d: d["facet_orbits"][1].pop("label"),
+        "$.facet_orbits[1].label"),
 }
 
 
@@ -1110,6 +1168,60 @@ def test_tess_malformed_field_names_its_path(capsys, tmp_path, name):
     assert err.startswith("error: malformed instance: ")
     assert where in err
     assert "Traceback" not in out + err
+
+
+# A document that a lax reader reads as another instance: the one-tile
+# instance with its walls under a misspelled key (read as wall-less, it
+# verified), and a two-tile fan whose "facet_orbits" appears twice, the
+# second copy empty (read by its last copy, the fan loses its one wall).
+MISREAD_INSTANCES = {
+    "misspelled-key": (
+        '{"kind":"tess-instance","ambient_dim":2,'
+        '"tiles":[{"stab_order":"2"}],"facet_orbit":[{"stab_order":"1",'
+        '"kind":"self","incidences":[[0,"1"]]}]}',
+        "$.facet_orbit is not a field of this record"),
+    "repeated-key": (
+        '{"ambient_dim":2,"facet_orbits":[{"incidences":[[0,"1"],[1,"-1"]],'
+        '"kind":"non_self","label":"r1","stab_order":"1"}],'
+        '"facet_orbits":[],"kind":"tess-instance","tiles":['
+        '{"label":"s0","orientation_kept":true,"stab_order":"1"},'
+        '{"label":"s1","orientation_kept":true,"stab_order":"1"}]}',
+        "$ is not valid JSON (key 'facet_orbits' is repeated)"),
+}
+
+
+@pytest.mark.parametrize("optimize", ((), ("-O",)), ids=("python",
+                                                         "python-O"))
+@pytest.mark.parametrize("name", sorted(MISREAD_INSTANCES))
+def test_tess_misread_instance_exit_two(tmp_path, name, optimize):
+    text, problem = MISREAD_INSTANCES[name]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    result = run_python("-m", "vorcycle", "tess", "check", str(path),
+                        optimize=optimize)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert result.stdout == ""
+    assert result.stderr == f"error: malformed instance: {problem}\n"
+
+
+@pytest.mark.parametrize("stdin", (False, True), ids=("file", "stdin"))
+def test_tess_instance_in_bad_utf8_exit_two(tmp_path, stdin):
+    # Read as bytes, from a file as from stdin: bad UTF-8 is a malformed
+    # instance, not a crash.
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"kind":"tess-instance",\xff}')
+    if stdin:
+        with open(path, "rb") as fh:
+            result = subprocess.run(
+                [sys.executable, "-m", "vorcycle", "tess", "check", "-"],
+                stdin=fh, env=python_env(), capture_output=True, text=True,
+                timeout=60)
+    else:
+        result = run_python("-m", "vorcycle", "tess", "check", str(path))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: malformed instance: $ is not "
+                                    "valid JSON (")
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("flip, expected", [(False, 0), (True, 1)])

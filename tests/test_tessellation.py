@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import cached_complex, dense_check_rigidity, \
-    differential_kernel, weighted_boundary
+    differential_kernel, run_python, weighted_boundary
 
 import vorcycle.linalg
 from vorcycle.cli import main
@@ -189,6 +190,45 @@ def test_instance_serialization_round_trip():
         loads_instance('{"kind": "other"}')
 
 
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+@pytest.mark.parametrize("group", ("sl", "gl"))
+def test_voronoi_instance_round_trip(n, group):
+    inst = from_voronoi(cached_complex(n, group))
+    assert loads_instance(dumps_instance(inst)) == inst
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tessgen_instances_round_trip(seed, tmp_path, capsys, monkeypatch):
+    # The benchmark's generated documents read as instances that write
+    # back to documents with the same verdict, printed byte for byte.
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "vorbench"))
+    import tessgen
+    for name, text, expected in tessgen.generate(seed):
+        inst = loads_instance(text)
+        again = dumps_instance(inst)
+        assert loads_instance(again) == inst
+        runs = []
+        for i, doc in enumerate((text, again)):
+            path = tmp_path / f"{name}-{i}.json"
+            path.write_text(doc)
+            code = main(["tess", "check", str(path)])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == expected["exit"]
+
+
+def test_tessellation_imports_no_pipeline_module():
+    result = run_python("-c", "import json, sys, vorcycle.tessellation; "
+                        "print(json.dumps(sorted(m for m in sys.modules "
+                        "if m.startswith('vorcycle'))))")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [
+        "vorcycle", "vorcycle.documents", "vorcycle.linalg",
+        "vorcycle.tessellation"]
+
+
 def pairwise_same_line(vec_a, vec_b):
     """Reference: both nonzero and every 2x2 minor zero."""
     if len(vec_a) != len(vec_b):
@@ -329,7 +369,8 @@ def _slots(node, out):
 
 
 WRONG_VALUES = (None, True, False, 0, -1, 1.5, "x", "1/0", "false", "",
-                [], {}, [1], {"a": 1}, 10 ** 30, "-0", [0, "1", 2])
+                [], {}, [1], {"a": 1}, 10 ** 30, "-0", [0, "1", 2],
+                "\u0663", "1_0", "1e3", "0.5", " 1/1 ")
 
 
 @given(tessgen_documents(), st.data())
